@@ -9,7 +9,7 @@ batching works unchanged inside each partition.
 from repro.bench.experiments import PAPER_OPTIONS, SCALE, _synthetic_trace
 from repro.bench.report import format_table, write_report
 from repro.bufferpool.manager import BufferPoolManager
-from repro.bufferpool.partitioned import PartitionedBufferPoolManager
+from repro.cluster.partitioned import PartitionedBufferPoolManager
 from repro.core.ace import ACEBufferPoolManager
 from repro.core.config import ACEConfig
 from repro.engine.executor import run_trace

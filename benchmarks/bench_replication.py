@@ -7,7 +7,7 @@ same stability bound.
 """
 
 from repro.bench.experiments import PAPER_OPTIONS, SCALE
-from repro.bench.replication import replicate_speedup
+from repro.bench.repeats import replicate_speedup
 from repro.bench.report import format_table, write_report
 from repro.bench.runner import StackConfig
 from repro.policies.registry import PAPER_POLICIES, display_name

@@ -32,7 +32,6 @@ from repro.bufferpool import (
     BufferTag,
     Checkpointer,
     CrashImage,
-    PartitionedBufferPoolManager,
     RecoveryReport,
     WriteAheadLog,
     recover,
@@ -43,6 +42,7 @@ from repro.cluster import (
     ClusterMetrics,
     HashShardRouter,
     MappedShardRouter,
+    PartitionedBufferPoolManager,
     ShardRouter,
     run_cluster,
     run_cluster_transactions,

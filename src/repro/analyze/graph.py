@@ -224,8 +224,7 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     # Sharded cluster: shard routing/placement plus a parallel executor
     # that builds complete per-shard stacks and replays them through the
     # engine.  Replica groups consume the node-level fault schedules from
-    # ``repro.faults``.  (``repro.bufferpool.partitioned`` re-exports the
-    # moved partitioned pool from here via a declared shim back-edge.)
+    # ``repro.faults``.
     "repro.cluster": frozenset({
         "repro.errors", "repro.storage", "repro.policies", "repro.bufferpool",
         "repro.core", "repro.engine", "repro.workloads", "repro.faults",

@@ -100,7 +100,7 @@ R011 *value-level wall-clock taint*
     tainted by ``time.*``/``datetime.*``/``os.environ`` must not reach
     simulation state, metrics objects, or control flow anywhere under
     ``repro``.  Reading the wall clock is not the violation — acting on
-    it is.  Deliberate host inputs (the perf harness, env-var knobs)
+    it is.  Deliberate host inputs (shard replay timers, env-var knobs)
     carry ``# lint: allow-wall-clock`` (or R001's
     ``allow-nondeterminism``) on the *source* line, which kills the
     taint at the seed.

@@ -1,7 +1,7 @@
-"""Benchmark harness: experiment runner, replication, reports, plots."""
+"""Benchmark harness: experiment runner, statistical repeats, reports, plots."""
 
 from repro.bench.plot import heatmap, line_chart
-from repro.bench.replication import ReplicatedResult, replicate, replicate_speedup
+from repro.bench.repeats import ReplicatedResult, replicate, replicate_speedup
 from repro.bench.report import format_series, format_table, results_dir, write_report
 from repro.bench.runner import (
     VARIANTS,

@@ -1,4 +1,4 @@
-"""Cluster bench: shards x placement x policy sweep + throughput epoch.
+"""Cluster bench: shards x placement x policy sweep.
 
 The aggregate-throughput claim this bench records: splitting one trace
 across N independent shard nodes multiplies wall-clock replay throughput
@@ -17,10 +17,7 @@ placement) cell and reports two numbers per cell:
 
 The bench asserts the placement claim (locality cut <= hash cut at every
 shard count, strict at the headline shard count) and exits non-zero when
-it fails.  ``--record`` appends a full perf epoch — including the
-cluster section the ``CLUSTER_FLOORS`` CI gate reads — to
-``BENCH_throughput.json`` via :mod:`repro.bench.perf`, so there is a
-single epoch writer.
+it fails.
 
 Everything is deterministic: seeded trace, deterministic router and
 partitioner, and merged metrics that are byte-identical at any worker
@@ -29,8 +26,6 @@ count.  ``python -m repro cluster [--smoke]`` prints the tables.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,15 +51,13 @@ __all__ = [
     "run_sweep",
     "smoke_grid",
     "format_report",
-    "main",
 ]
 
 DEFAULT_SHARDS = (1, 2, 4)
 DEFAULT_POLICIES = ("lru", "clock", "cflru")
 DEFAULT_PLACEMENTS = ("hash", "locality")
 
-#: The shard count whose locality-vs-hash cut must improve *strictly*
-#: (the headline 4-shard configuration the perf epoch records).
+#: The shard count whose locality-vs-hash cut must improve *strictly*.
 HEADLINE_SHARDS = 4
 
 
@@ -272,83 +265,3 @@ def format_report(report: ClusterSweepReport) -> str:
         title="Placement Pareto points (co-access graph)",
     )
     return f"{throughput}\n\n{pareto}"
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.cluster",
-        description="Sharded cluster throughput sweep.",
-    )
-    parser.add_argument("--shards", default="1,2,4",
-                        help="comma-separated shard counts")
-    parser.add_argument("--placements", default="hash,locality",
-                        help="comma-separated placement schemes")
-    parser.add_argument("--policies", default=",".join(DEFAULT_POLICIES),
-                        help="comma-separated replacement policies")
-    parser.add_argument("--variant", default="baseline",
-                        choices=("baseline", "ace", "ace+pf"))
-    parser.add_argument("--pages", type=int, default=20_000)
-    parser.add_argument("--ops", type=int, default=30_000)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for shard replay (1 = "
-                             "in-process serial; merged metrics are "
-                             "identical either way)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fixed grid for CI (one policy, small "
-                             "trace; overrides the sweep options above)")
-    parser.add_argument("--record", action="store_true",
-                        help="append a perf epoch (fast mode, including "
-                             "the cluster section the CI floors read) to "
-                             "the benchmark file via repro.bench.perf")
-    parser.add_argument("--label", default="",
-                        help="note recorded with the --record epoch")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = smoke_grid(seed=args.seed)
-    else:
-        shards = tuple(
-            int(part) for part in args.shards.split(",") if part.strip()
-        )
-        placements = tuple(
-            part.strip() for part in args.placements.split(",")
-            if part.strip()
-        )
-        policies = tuple(
-            part.strip() for part in args.policies.split(",") if part.strip()
-        )
-        report = run_sweep(
-            shards=shards,
-            placements=placements,
-            policies=policies,
-            variant=args.variant,
-            num_pages=args.pages,
-            num_ops=args.ops,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    print(format_report(report))
-    for failure in report.placement_failures:
-        print(f"FAIL {failure}")
-
-    if args.record:
-        from repro.bench.perf import measure, write_entry
-
-        entry = measure(label=args.label, fast=True)
-        write_entry(entry)
-        headline = entry["cluster"].get("lru/baseline/s4/hash", {})
-        print(
-            f"recorded epoch: cluster lru/baseline/s4/hash "
-            f"{headline.get('accesses_per_sec', 0.0):,.0f} aggregate "
-            f"accesses/s"
-        )
-
-    if not report.ok:
-        return 1
-    print(f"all {len(report.cells)} cells swept; placement claim holds")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

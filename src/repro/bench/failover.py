@@ -33,8 +33,6 @@ scenario cell failed to exercise its scenario.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,7 +54,6 @@ __all__ = [
     "run_sweep",
     "smoke_grid",
     "format_report",
-    "main",
 ]
 
 DEFAULT_POLICIES = ("lru", "clock")
@@ -320,70 +317,3 @@ def format_report(report: FailoverSweepReport) -> str:
                f"over {report.num_pages} pages, {report.num_shards} "
                f"shards, commit every {COMMIT_EVERY})"),
     )
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.failover",
-        description="Replicated-cluster failover durability sweep.",
-    )
-    parser.add_argument("--rates", default="0,0.5,1",
-                        help="comma-separated node-failure rates")
-    parser.add_argument("--replication", default="1,2",
-                        help="comma-separated replication factors")
-    parser.add_argument("--policies", default=",".join(DEFAULT_POLICIES),
-                        help="comma-separated replacement policies")
-    parser.add_argument("--variants", default=",".join(DEFAULT_VARIANTS),
-                        help="comma-separated bufferpool variants")
-    parser.add_argument("--pages", type=int, default=8_000)
-    parser.add_argument("--ops", type=int, default=12_000)
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for shard replay (1 = "
-                             "in-process serial; results are identical "
-                             "either way)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fixed grid for CI (one policy, small "
-                             "trace; overrides the sweep options above)")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = smoke_grid(seed=args.seed)
-    else:
-        report = run_sweep(
-            rates=tuple(
-                float(part) for part in args.rates.split(",") if part.strip()
-            ),
-            replication=tuple(
-                int(part) for part in args.replication.split(",")
-                if part.strip()
-            ),
-            policies=tuple(
-                part.strip() for part in args.policies.split(",")
-                if part.strip()
-            ),
-            variants=tuple(
-                part.strip() for part in args.variants.split(",")
-                if part.strip()
-            ),
-            num_pages=args.pages,
-            num_ops=args.ops,
-            num_shards=args.shards,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    print(format_report(report))
-    for failure in report.failures:
-        print(f"FAIL {failure}")
-    if not report.ok:
-        return 1
-    print(
-        f"all {len(report.cells)} cells swept; zero committed loss, "
-        "zero phantom redo"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

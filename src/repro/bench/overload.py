@@ -24,8 +24,6 @@ tables and exits non-zero on any violated assertion.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
 
 from repro.bench.runner import StackConfig, build_stack
@@ -50,7 +48,6 @@ __all__ = [
     "run_breaker_ab",
     "smoke_grid",
     "format_report",
-    "main",
 ]
 
 #: Offered-load multipliers of the calibrated service rate.
@@ -461,41 +458,3 @@ def format_report(report: OverloadReport) -> str:
         for failure in report.failures:
             lines.append(f"OVERLOAD FAIL: {failure}")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro overload",
-        description=(
-            "Saturation sweep: goodput vs offered load per shed policy x "
-            "{baseline, ACE}, plus the circuit-breaker latency A/B."
-        ),
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small CI grid (one policy, 3 multipliers)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--policies", default="lru",
-        help="comma-separated replacement policies (full mode)",
-    )
-    parser.add_argument(
-        "--ops", type=int, default=6_000,
-        help="requests in the sweep trace (full mode)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = smoke_grid(seed=args.seed)
-    else:
-        policies = tuple(
-            name.strip() for name in args.policies.split(",") if name.strip()
-        )
-        report = run_overload(policies=policies, ops=args.ops, seed=args.seed)
-    print(format_report(report))
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

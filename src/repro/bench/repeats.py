@@ -1,4 +1,4 @@
-"""Replication methodology: repeated runs, means, and dispersion.
+"""Statistical repeats: repeated runs, means, and dispersion.
 
 The paper's methodology note: "The experiment results are averaged over 5
 iterations and the standard deviation was less than 5 %."  This module

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
-from repro.core.ace import ACEBufferPoolManager
-from repro.core.config import ACEConfig
+from repro.core.stack import VARIANTS, build_manager
 from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
 from repro.engine.metrics import RunMetrics
 from repro.faults import FaultPlan, FaultyDevice, RetryPolicy
-from repro.policies.registry import make_policy
 from repro.prefetch.base import Prefetcher
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
@@ -43,9 +41,6 @@ __all__ = [
 #: to ``0`` attaches a *disarmed* wrapper — the pass-through CI job uses
 #: that to pin down that a rate-0 wrapper changes nothing.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
-
-#: The three bufferpool variants every figure compares.
-VARIANTS = ("baseline", "ace", "ace+pf")
 
 
 @dataclass(frozen=True)
@@ -87,10 +82,6 @@ class StackConfig:
     retry:
         Retry policy handed to the manager for faulted I/O (``None`` means
         the stack-wide default).
-    table_backend:
-        Buffer-table translation backend (``"array"`` or ``"dict"``);
-        ``None`` defers to the ``REPRO_TABLE`` environment switch and the
-        address-space auto-selection (see :mod:`repro.bufferpool.table`).
     options:
         Execution-model knobs (CPU costs, background intervals).
     """
@@ -109,7 +100,6 @@ class StackConfig:
     sanitize: bool | None = None
     fault_plan: FaultPlan | None = None
     retry: RetryPolicy | None = None
-    table_backend: str | None = None
     options: ExecutionOptions = field(default_factory=ExecutionOptions)
 
     def __post_init__(self) -> None:
@@ -157,27 +147,17 @@ def build_stack(
     device.format_pages(range(config.num_pages))
     plan = config.fault_plan if config.fault_plan is not None else _env_fault_plan()
     stack_device = device if plan is None else FaultyDevice(device, plan)
-    capacity = config.pool_capacity
-    policy = make_policy(config.policy, capacity)
-    wal = WriteAheadLog(clock) if config.with_wal else None
-
-    if config.variant == "baseline":
-        return BufferPoolManager(
-            capacity, policy, stack_device, wal=wal,
-            sanitize=config.sanitize, retry=config.retry,
-            table_backend=config.table_backend,
-        )
-
-    ace_config = ACEConfig.for_device(
-        config.profile,
-        prefetch_enabled=(config.variant == "ace+pf"),
+    return build_manager(
+        stack_device,
+        config.pool_capacity,
+        config.policy,
+        config.variant,
         n_w=config.n_w,
         n_e=config.n_e,
-    )
-    return ACEBufferPoolManager(
-        capacity, policy, stack_device, wal=wal, config=ace_config,
-        prefetcher=prefetcher, sanitize=config.sanitize, retry=config.retry,
-        table_backend=config.table_backend,
+        wal=WriteAheadLog(clock) if config.with_wal else None,
+        prefetcher=prefetcher,
+        sanitize=config.sanitize,
+        retry=config.retry,
     )
 
 

@@ -3,7 +3,6 @@
 from repro.bufferpool.background import BackgroundWriter, Checkpointer
 from repro.bufferpool.descriptor import BufferDescriptor
 from repro.bufferpool.manager import BufferPoolManager
-from repro.bufferpool.partitioned import PartitionedBufferPoolManager
 from repro.bufferpool.pool import FramePool
 from repro.bufferpool.stats import BufferStats
 from repro.bufferpool.table import BufferTable
@@ -27,7 +26,6 @@ from repro.bufferpool.wal import (
 
 __all__ = [
     "BufferPoolManager",
-    "PartitionedBufferPoolManager",
     "BufferDescriptor",
     "BufferStats",
     "BufferTable",

@@ -80,10 +80,6 @@ class BufferPoolManager:
         :data:`~repro.faults.DEFAULT_RETRY_POLICY`.  The fault path is
         reached exclusively through ``except`` handlers, so a fault-free
         device pays nothing for it.
-    table_backend:
-        Translation backend: ``"array"``, ``"dict"``, or ``None`` for
-        automatic selection (honouring ``REPRO_TABLE``); see
-        :func:`repro.bufferpool.table.make_table`.
     """
 
     #: Variant label used in reports ("baseline" vs "ace"/"ace+pf").
@@ -108,7 +104,6 @@ class BufferPoolManager:
         wal: WriteAheadLog | None = None,
         sanitize: bool | None = None,
         retry: RetryPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive: {capacity}")
@@ -118,9 +113,7 @@ class BufferPoolManager:
         self.wal = wal
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         self.pool = FramePool(capacity)
-        self.table = make_table(
-            getattr(device, "num_pages", None), table_backend
-        )
+        self.table = make_table(getattr(device, "num_pages", None))
         self.stats = BufferStats()
         # Fast-path mirrors of the descriptor state bits.  Policies probe
         # dirty/pinned state on every victim-selection step, so these are

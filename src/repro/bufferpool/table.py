@@ -23,27 +23,20 @@ by a page in ``[0, probe_space)`` yields the frame id or ``-1`` — so the
 buffer manager's request path is backend-agnostic.  The dict backend gets
 this via a ``__missing__`` shim; its ``_slots`` *is* its ``_frame_of``.
 
-Backend selection is automatic (array whenever the device's address space
-is known and small enough to preallocate; dict otherwise) and can be
-forced with ``REPRO_TABLE={array,dict}`` for differential testing.
+Backend selection is automatic: array whenever the device's address space
+is known and small enough to preallocate (:data:`ARRAY_SPACE_LIMIT`), dict
+otherwise.  Only a direct :func:`make_table` caller can name a backend.
 """
 
 from __future__ import annotations
-
-import os
 
 __all__ = [
     "ARRAY_SPACE_LIMIT",
     "ArrayBufferTable",
     "BufferTable",
-    "ENV_VAR",
     "make_table",
     "resolve_backend",
 ]
-
-#: Environment switch forcing the translation backend ("array", "dict" or
-#: "auto"/empty for automatic selection).
-ENV_VAR = "REPRO_TABLE"
 
 #: Largest address space (in pages) the automatic selection will cover
 #: with a translation vector; sparser/huger spaces fall back to the dict
@@ -164,37 +157,30 @@ class ArrayBufferTable(BufferTable):
         return frame_id
 
 
-def _env_backend() -> str:
-    raw = os.environ.get(ENV_VAR, "")  # lint: allow-nondeterminism
-    return raw.strip().lower()
-
-
 def resolve_backend(
     address_space: int | None, backend: str | None = None
 ) -> str:
     """The translation backend that ``make_table`` would pick.
 
-    ``backend`` overrides; otherwise the ``REPRO_TABLE`` environment
-    switch applies, and failing that the automatic rule: array whenever
-    the address space is known and within :data:`ARRAY_SPACE_LIMIT`.
+    An explicit ``backend`` wins; otherwise the automatic rule: array
+    whenever the address space is known and within
+    :data:`ARRAY_SPACE_LIMIT`.
     """
-    choice = backend if backend is not None else _env_backend()
-    if choice in ("", "auto"):
+    if backend is None:
         if address_space is not None and 0 < address_space <= ARRAY_SPACE_LIMIT:
             return "array"
         return "dict"
-    if choice not in ("array", "dict"):
+    if backend not in ("array", "dict"):
         raise ValueError(
-            f"unknown translation backend {choice!r}: "
-            "expected 'array', 'dict' or 'auto'"
+            f"unknown translation backend {backend!r}: "
+            "expected 'array' or 'dict'"
         )
-    if choice == "array" and (address_space is None or address_space < 1):
+    if backend == "array" and (address_space is None or address_space < 1):
         raise ValueError(
             "the array translation backend needs a bounded address space "
-            f"(got {address_space!r}); use REPRO_TABLE=dict or pass the "
-            "device's num_pages"
+            f"(got {address_space!r}); pass the device's num_pages"
         )
-    return choice
+    return backend
 
 
 def make_table(
@@ -202,8 +188,8 @@ def make_table(
 ) -> BufferTable:
     """Build the buffer table for an address space of ``address_space`` pages.
 
-    ``backend`` (or ``REPRO_TABLE``) forces a choice; by default the array
-    backend is used whenever the space is bounded and affordable.
+    ``backend`` forces a choice; by default the array backend is used
+    whenever the space is bounded and affordable.
     """
     if resolve_backend(address_space, backend) == "array":
         assert address_space is not None  # resolve_backend guarantees it

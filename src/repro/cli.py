@@ -57,6 +57,11 @@ _DEVICES: dict[str, DeviceProfile] = {
 _WORKLOADS = {"MS": MS, "WIS": WIS, "RIS": RIS, "MU": MU}
 
 
+def _csv(text: str) -> tuple[str, ...]:
+    """The non-empty, stripped items of a comma-separated option value."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
 def _resolve_device(args: argparse.Namespace) -> DeviceProfile:
     if getattr(args, "alpha", None) is not None:
         return emulated_profile(alpha=args.alpha, k_w=args.k_w)
@@ -111,11 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", choices=POLICY_NAMES, default="lru")
     run.add_argument(
         "--variant", choices=("baseline", "ace", "ace+pf"), default="ace"
-    )
-    run.add_argument(
-        "--profile", metavar="PSTATS", default=None,
-        help="run under cProfile: write a pstats dump to this path and "
-             "print the top-20 cumulative table",
     )
 
     compare = sub.add_parser(
@@ -249,15 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--ops", type=int, default=30_000)
     cluster.add_argument("--seed", type=int, default=42)
     cluster.add_argument("--workers", type=int, default=1,
-                         help="worker processes for shard replay")
+                         help="worker processes for shard replay (1 = "
+                              "in-process serial; merged metrics are "
+                              "identical either way)")
     cluster.add_argument("--smoke", action="store_true",
                          help="small fixed grid for CI (one policy, small "
-                              "trace)")
-    cluster.add_argument("--record", action="store_true",
-                         help="append a perf epoch (with the cluster "
-                              "section) to the benchmark file")
-    cluster.add_argument("--label", default="",
-                         help="note recorded with the --record epoch")
+                              "trace; overrides the sweep options above)")
 
     failover = sub.add_parser(
         "failover",
@@ -279,10 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     failover.add_argument("--shards", type=int, default=2)
     failover.add_argument("--seed", type=int, default=42)
     failover.add_argument("--workers", type=int, default=1,
-                          help="worker processes for shard replay")
+                          help="worker processes for shard replay (1 = "
+                               "in-process serial; results are identical "
+                               "either way)")
     failover.add_argument("--smoke", action="store_true",
                           help="small fixed grid for CI (one policy, small "
-                               "trace)")
+                               "trace; overrides the sweep options above)")
 
     overload = sub.add_parser(
         "overload",
@@ -335,14 +334,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = _resolve_workload(args.workload, args.read_fraction)
     trace = generate_trace(spec, args.pages, args.ops, seed=args.seed)
     config = _stack_config(args, args.policy, args.variant)
-    if args.profile:
-        from repro.bench.profiling import run_profiled
-
-        metrics = run_profiled(
-            lambda: run_config(config, trace), args.profile
-        )
-    else:
-        metrics = run_config(config, trace)
+    metrics = run_config(config, trace)
     print(metrics.summary())
     print(f"  hit ratio        {metrics.buffer.hit_ratio:8.2%}")
     print(f"  mean write batch {metrics.buffer.mean_writeback_batch:8.1f}")
@@ -355,10 +347,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     spec = _resolve_workload(args.workload, args.read_fraction)
     trace = generate_trace(spec, args.pages, args.ops, seed=args.seed)
-    policies = [name.strip() for name in args.policies.split(",") if name.strip()]
+    policies = _csv(args.policies)
     results = compare_policies(
         _resolve_device(args),
-        tuple(policies),
+        policies,
         trace,
         num_pages=args.pages,
         pool_fraction=args.pool,
@@ -482,7 +474,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.engine.executor import run_trace
     from repro.errors import SanitizerError
 
-    policies = [name.strip() for name in args.policies.split(",") if name.strip()]
+    policies = _csv(args.policies)
     unknown = [name for name in policies if name not in POLICY_NAMES]
     if unknown:
         raise SystemExit(f"unknown policies: {', '.join(unknown)}")
@@ -534,19 +526,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         report = smoke_grid(seed=args.seed)
         corruption = smoke_corruption(seed=args.seed)
     else:
-        rates = tuple(
-            float(part) for part in args.rates.split(",") if part.strip()
-        )
-        policies = tuple(
-            name.strip() for name in args.policies.split(",") if name.strip()
-        )
-        variants = tuple(
-            name.strip() for name in args.variants.split(",") if name.strip()
-        )
         report = run_chaos(
-            rates=rates,
-            policies=policies,
-            variants=variants,
+            rates=tuple(float(part) for part in _csv(args.rates)),
+            policies=_csv(args.policies),
+            variants=_csv(args.variants),
             profile=_DEVICES[args.device],
             num_pages=args.pages,
             ops=args.ops,
@@ -602,15 +585,9 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
     if args.smoke:
         report = smoke_report(seed=args.seed)
     else:
-        policies = tuple(
-            name.strip() for name in args.policies.split(",") if name.strip()
-        )
-        variants = tuple(
-            name.strip() for name in args.variants.split(",") if name.strip()
-        )
         report = run_crashpoints(
-            policies=policies,
-            variants=variants,
+            policies=_csv(args.policies),
+            variants=_csv(args.variants),
             num_pages=args.pages,
             ops=args.ops,
             seed=args.seed,
@@ -656,45 +633,59 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Cluster sweep; exit 1 if the locality-placement claim fails."""
-    from repro.bench.cluster import main as cluster_main
+    from repro.bench.cluster import format_report, run_sweep, smoke_grid
 
-    forwarded: list[str] = [
-        "--shards", args.shards,
-        "--placements", args.placements,
-        "--policies", args.policies,
-        "--variant", args.variant,
-        "--pages", str(args.pages),
-        "--ops", str(args.ops),
-        "--seed", str(args.seed),
-        "--workers", str(args.workers),
-        "--label", args.label,
-    ]
     if args.smoke:
-        forwarded.append("--smoke")
-    if args.record:
-        forwarded.append("--record")
-    return cluster_main(forwarded)
+        report = smoke_grid(seed=args.seed)
+    else:
+        report = run_sweep(
+            shards=tuple(int(part) for part in _csv(args.shards)),
+            placements=_csv(args.placements),
+            policies=_csv(args.policies),
+            variant=args.variant,
+            num_pages=args.pages,
+            num_ops=args.ops,
+            seed=args.seed,
+            workers=args.workers,
+        )
+    print(format_report(report))
+    for failure in report.placement_failures:
+        print(f"FAIL {failure}")
+    if not report.ok:
+        return 1
+    print(f"all {len(report.cells)} cells swept; placement claim holds")
+    return 0
 
 
 def _cmd_failover(args: argparse.Namespace) -> int:
     """Failover sweep; exit 1 on committed loss, phantoms, or a missed
     scenario."""
-    from repro.bench.failover import main as failover_main
+    from repro.bench.failover import format_report, run_sweep, smoke_grid
 
-    forwarded: list[str] = [
-        "--rates", args.rates,
-        "--replication", args.replication,
-        "--policies", args.policies,
-        "--variants", args.variants,
-        "--pages", str(args.pages),
-        "--ops", str(args.ops),
-        "--shards", str(args.shards),
-        "--seed", str(args.seed),
-        "--workers", str(args.workers),
-    ]
     if args.smoke:
-        forwarded.append("--smoke")
-    return failover_main(forwarded)
+        report = smoke_grid(seed=args.seed)
+    else:
+        report = run_sweep(
+            rates=tuple(float(part) for part in _csv(args.rates)),
+            replication=tuple(int(part) for part in _csv(args.replication)),
+            policies=_csv(args.policies),
+            variants=_csv(args.variants),
+            num_pages=args.pages,
+            num_ops=args.ops,
+            num_shards=args.shards,
+            seed=args.seed,
+            workers=args.workers,
+        )
+    print(format_report(report))
+    for failure in report.failures:
+        print(f"FAIL {failure}")
+    if not report.ok:
+        return 1
+    print(
+        f"all {len(report.cells)} cells swept; zero committed loss, "
+        "zero phantom redo"
+    )
+    return 0
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:
@@ -704,10 +695,9 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     if args.smoke:
         report = smoke_grid(seed=args.seed)
     else:
-        policies = tuple(
-            name.strip() for name in args.policies.split(",") if name.strip()
+        report = run_overload(
+            policies=_csv(args.policies), ops=args.ops, seed=args.seed
         )
-        report = run_overload(policies=policies, ops=args.ops, seed=args.seed)
     print(format_report(report))
     return 0 if report.ok else 1
 

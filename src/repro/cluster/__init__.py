@@ -19,8 +19,7 @@ deterministically.  Four sub-modules:
   shipping, deterministic failover/promotion, anti-entropy rejoin and
   the cluster-wide exact durability audit;
 * :mod:`repro.cluster.partitioned` — the in-process
-  :class:`PartitionedBufferPoolManager` (moved up from
-  ``repro.bufferpool.partitioned``, which remains as a shim).
+  :class:`PartitionedBufferPoolManager`.
 """
 
 from repro.cluster.engine import (
@@ -50,7 +49,6 @@ from repro.cluster.replication import (
     ReplicatedShardResult,
     ReplicationSummary,
     ShardReplicationReport,
-    build_replica_stack,
     run_replicated_cluster,
 )
 from repro.cluster.router import (
@@ -78,7 +76,6 @@ __all__ = [
     "ReplicatedShardResult",
     "ReplicationSummary",
     "ShardReplicationReport",
-    "build_replica_stack",
     "run_replicated_cluster",
     # partitioned
     "PartitionedBufferPoolManager",

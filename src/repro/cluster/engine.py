@@ -46,19 +46,18 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.stats import BufferStats
+from repro.bufferpool.wal import WriteAheadLog
 from repro.cluster.router import (
     CrossShardStats,
     HashShardRouter,
     MappedShardRouter,
     ShardRouter,
 )
-from repro.core.ace import ACEBufferPoolManager
-from repro.core.config import ACEConfig
+from repro.core.stack import VARIANTS, build_manager
 from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
 from repro.engine.metrics import RunMetrics
 from repro.errors import ClusterReplayError, NodeFailure
 from repro.faults.nodes import NodeFaultPlan
-from repro.policies.registry import make_policy
 from repro.storage.clock import VirtualClock
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FtlCounters
@@ -81,9 +80,6 @@ __all__ = [
 #: Total tries per shard job, mirroring ``repro.bench.parallel``: a
 #: crashed worker poisons its pool, so retries run on a fresh one.
 MAX_SHARD_ATTEMPTS = 3
-
-#: Variants a shard stack can be built as (the bench's vocabulary).
-_VARIANTS = ("baseline", "ace", "ace+pf")
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class ClusterConfig:
     cross_shard_penalty_us:
         Virtual-time coordination cost charged per *extra* shard a
         transaction touches (two-phase-commit style; 0 disables).
-    n_w, n_e, table_backend, options:
+    n_w, n_e, options:
         As in :class:`~repro.bench.runner.StackConfig`.
     replication_factor:
         Replicas per shard (``R``).  0 keeps the unreplicated fast path
@@ -147,16 +143,15 @@ class ClusterConfig:
     cross_shard_penalty_us: float = 0.0
     n_w: int | None = None
     n_e: int | None = None
-    table_backend: str | None = None
     options: ExecutionOptions = field(default_factory=ExecutionOptions)
     replication_factor: int = 0
     node_faults: NodeFaultPlan | None = None
     capture_promotion_images: bool = False
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(
-                f"variant must be one of {_VARIANTS}, got {self.variant!r}"
+                f"variant must be one of {VARIANTS}, got {self.variant!r}"
             )
         if self.num_shards < 1:
             raise ValueError(f"need at least one shard: {self.num_shards}")
@@ -233,8 +228,15 @@ def build_router(config: ClusterConfig) -> ShardRouter:
     return HashShardRouter(config.num_shards)
 
 
-def build_shard_stack(config: ClusterConfig, shard: int) -> BufferPoolManager:
-    """Build shard node ``shard``: fresh device, clock, policy, manager."""
+def build_shard_stack(
+    config: ClusterConfig, shard: int, with_wal: bool = False
+) -> BufferPoolManager:
+    """Build shard node ``shard``: fresh device, clock, policy, manager.
+
+    Replica-group members pass ``with_wal=True``: the log on the node's
+    own clock is what a primary ships and what promotion drains, so a
+    member without one could take neither role.
+    """
     if not 0 <= shard < config.num_shards:
         raise ValueError(
             f"shard {shard} outside [0, {config.num_shards})"
@@ -244,21 +246,14 @@ def build_shard_stack(config: ClusterConfig, shard: int) -> BufferPoolManager:
         config.profile, num_pages=config.num_pages, clock=clock
     )
     device.format_pages(range(config.num_pages))
-    capacity = config.shard_capacity(shard)
-    policy = make_policy(config.policy, capacity)
-    if config.variant == "baseline":
-        return BufferPoolManager(
-            capacity, policy, device, table_backend=config.table_backend
-        )
-    ace_config = ACEConfig.for_device(
-        config.profile,
-        prefetch_enabled=(config.variant == "ace+pf"),
+    return build_manager(
+        device,
+        config.shard_capacity(shard),
+        config.policy,
+        config.variant,
         n_w=config.n_w,
         n_e=config.n_e,
-    )
-    return ACEBufferPoolManager(
-        capacity, policy, device, config=ace_config,
-        table_backend=config.table_backend,
+        wal=WriteAheadLog(clock) if with_wal else None,
     )
 
 

@@ -17,9 +17,7 @@ monolithic vs partitioned pools quantify the imbalance cost.
 This is the *in-process* half of the sharding story; the page→shard
 mapping itself is owned by :class:`~repro.cluster.router.HashShardRouter`
 so the process-parallel cluster engine, the placement optimizer and this
-class can never disagree about which shard a page belongs to.  (The class
-historically lived in ``repro.bufferpool.partitioned``, which remains as
-a re-export shim.)
+class can never disagree about which shard a page belongs to.
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 
-from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.recovery import (
     CrashImage,
     audit_committed,
@@ -74,12 +73,17 @@ from repro.bufferpool.recovery import (
 from repro.bufferpool.repair import redo_index
 from repro.bufferpool.stats import BufferStats
 from repro.bufferpool.wal import WalRecordKind, WriteAheadLog
-from repro.core.ace import ACEBufferPoolManager
-from repro.core.config import ACEConfig
+from repro.cluster.engine import (
+    ShardJob,
+    _assemble,
+    _execute_jobs,
+    build_router,
+    build_shard_stack,
+)
+from repro.cluster.router import CrossShardStats
 from repro.engine.metrics import RunMetrics
 from repro.errors import NodeFailure
 from repro.faults.nodes import NodeFault
-from repro.policies.registry import make_policy
 from repro.storage.clock import VirtualClock
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FtlCounters
@@ -90,7 +94,6 @@ __all__ = [
     "ShardReplicationReport",
     "ReplicationSummary",
     "ReplicatedShardResult",
-    "build_replica_stack",
     "run_replicated_cluster",
 ]
 
@@ -98,44 +101,6 @@ __all__ = [
 #: the config's ``options.commit_every_ops`` is 0 — replication is
 #: meaningless without commit boundaries, so the engine supplies one.
 REPLICATION_COMMIT_EVERY = 64
-
-
-def build_replica_stack(config, shard: int) -> BufferPoolManager:
-    """Build one replica-group member: a full stack *with* a WAL.
-
-    Identical to :func:`repro.cluster.engine.build_shard_stack` except
-    that every member carries a :class:`~repro.bufferpool.wal.WriteAheadLog`
-    on its own clock — the WAL is what gets shipped (primary) and what
-    promotion drains (replica), so a group member without one would be
-    unable to take either role.
-    """
-    if not 0 <= shard < config.num_shards:
-        raise ValueError(
-            f"shard {shard} outside [0, {config.num_shards})"
-        )
-    clock = VirtualClock()
-    device = SimulatedSSD(
-        config.profile, num_pages=config.num_pages, clock=clock
-    )
-    device.format_pages(range(config.num_pages))
-    capacity = config.shard_capacity(shard)
-    policy = make_policy(config.policy, capacity)
-    wal = WriteAheadLog(clock)
-    if config.variant == "baseline":
-        return BufferPoolManager(
-            capacity, policy, device, wal=wal,
-            table_backend=config.table_backend,
-        )
-    ace_config = ACEConfig.for_device(
-        config.profile,
-        prefetch_enabled=(config.variant == "ace+pf"),
-        n_w=config.n_w,
-        n_e=config.n_e,
-    )
-    return ACEBufferPoolManager(
-        capacity, policy, device, wal=wal, config=ace_config,
-        table_backend=config.table_backend,
-    )
 
 
 @dataclass(frozen=True)
@@ -287,7 +252,7 @@ class _GroupNode:
         self.node_id = node_id
         self.config = config
         self.shard = shard
-        self.manager = build_replica_stack(config, shard)
+        self.manager = build_shard_stack(config, shard, with_wal=True)
         self.alive = True
         #: Last own-WAL LSN whose records have been shipped (primary
         #: bookkeeping; replicas receive, they do not ship).
@@ -311,7 +276,7 @@ class _GroupNode:
     @property
     def wal(self) -> WriteAheadLog:
         wal = self.manager.wal
-        assert wal is not None  # build_replica_stack always attaches one
+        assert wal is not None  # group members are built with_wal=True
         return wal
 
     @property
@@ -321,7 +286,9 @@ class _GroupNode:
     def rebuild(self) -> None:
         """Fresh empty stack for a rejoining node (its memory, device
         contents, and log died with the crash; anti-entropy refills it)."""
-        self.manager = build_replica_stack(self.config, self.shard)
+        self.manager = build_shard_stack(
+            self.config, self.shard, with_wal=True
+        )
         self.shipped_lsn = 0
         self.frozen_stats = None
 
@@ -764,14 +731,6 @@ def run_replicated_cluster(config, trace, workers=None, label=None):
     router API and the replication engine cannot silently disagree
     about who serves what.
     """
-    from repro.cluster.engine import (
-        ShardJob,
-        _assemble,
-        _execute_jobs,
-        build_router,
-    )
-    from repro.cluster.router import CrossShardStats
-
     router = build_router(config)
     split = router.split(trace.pages, trace.writes)
     jobs = [

@@ -12,8 +12,7 @@ byte-identical to the serial one.
 Two routers cover the design space the bench sweeps:
 
 * :class:`HashShardRouter` — the classic ``hash(page) % num_shards``
-  slice (what ``repro.bufferpool.partitioned`` always did; it now
-  delegates here).  Placement-free, balance comes from the hash.
+  slice.  Placement-free, balance comes from the hash.
 * :class:`MappedShardRouter` — an explicit page→shard assignment vector,
   produced by :mod:`repro.cluster.placement`'s optimizers; pages outside
   the vector fall back to hash routing so the router is total.
@@ -30,9 +29,8 @@ failover").
 Deliberately free of ``repro`` imports (including ``repro.errors`` —
 :class:`StaleRouteError` lives here): the split helpers are duck-typed
 over parallel ``pages``/``writes`` sequences and ``(kind, requests)``
-transaction streams, so the low-level bufferpool shim can import this
-module without dragging the whole cluster stack (or an import cycle)
-with it.
+transaction streams, so anything may import this module without
+dragging the whole cluster stack (or an import cycle) with it.
 """
 
 from __future__ import annotations

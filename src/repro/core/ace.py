@@ -63,7 +63,6 @@ class ACEBufferPoolManager(BufferPoolManager):
         prefetcher: Prefetcher | None = None,
         sanitize: bool | None = None,
         retry: RetryPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         super().__init__(
             capacity,
@@ -72,7 +71,6 @@ class ACEBufferPoolManager(BufferPoolManager):
             wal=wal,
             sanitize=sanitize,
             retry=retry,
-            table_backend=table_backend,
         )
         if config is None:
             config = ACEConfig.for_device(device.profile)

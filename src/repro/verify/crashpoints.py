@@ -46,10 +46,10 @@ from repro.bufferpool.recovery import (
 )
 from repro.bufferpool.wal import WalRecord, WalRecordKind, WriteAheadLog
 from repro.core.ace import ACEBufferPoolManager
-from repro.core.config import ACEConfig
+from repro.core.stack import build_manager
 from repro.engine.executor import ExecutionOptions, run_trace
 from repro.errors import PowerFailure
-from repro.policies import POLICY_NAMES, make_policy
+from repro.policies import POLICY_NAMES
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import PCIE_SSD, DeviceProfile
@@ -377,16 +377,9 @@ def _build_stack(
     device = CrashHookDevice(base, schedule)
     wal = WriteAheadLog(clock)
     wal.flush_hook = schedule.wal_flush_hook
-    capacity = max(16, num_pages // 5)
-    policy = make_policy(policy_name, capacity)
-    if variant == "baseline":
-        return BufferPoolManager(capacity, policy, device, wal=wal)
-    if variant == "ace":
-        config = ACEConfig.for_device(profile)
-        return ACEBufferPoolManager(
-            capacity, policy, device, wal=wal, config=config
-        )
-    raise ValueError(f"unknown variant: {variant!r}")
+    return build_manager(
+        device, max(16, num_pages // 5), policy_name, variant, wal=wal
+    )
 
 
 def _ledger_from_records(

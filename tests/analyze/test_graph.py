@@ -80,9 +80,9 @@ class TestExtractEdges:
     def test_conditional_and_try_imports_are_module_scope(self):
         edges = edges_of(
             "try:\n"
-            "    import repro.bench.perf\n"
+            "    import repro.bench.plot\n"
             "except ImportError:\n"
-            "    repro_perf = None\n"
+            "    repro_plot = None\n"
             "if True:\n"
             "    from repro.errors import ReproError\n"
         )

@@ -1,6 +1,7 @@
 """Tests for the cluster sweep bench (tiny grids)."""
 
 from repro.bench import cluster
+from repro.cli import main
 
 
 def tiny_sweep(**overrides):
@@ -68,8 +69,8 @@ class TestSweep:
         assert "s2/locality" in text
 
     def test_main_smoke_exit_zero(self, capsys):
-        assert cluster.main([
-            "--shards", "2", "--policies", "lru",
+        assert main([
+            "cluster", "--shards", "2", "--policies", "lru",
             "--pages", "300", "--ops", "600",
         ]) == 0
         out = capsys.readouterr().out

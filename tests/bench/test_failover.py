@@ -3,6 +3,7 @@
 import dataclasses
 
 from repro.bench import failover
+from repro.cli import main
 
 
 def tiny_sweep(**overrides):
@@ -90,15 +91,13 @@ class TestSmokeGrid:
             assert cell.label in text
 
     def test_main_smoke_exits_zero(self, capsys):
-        assert failover.main(["--smoke"]) == 0
+        assert main(["failover", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "zero committed loss" in out
 
 
 class TestCli:
     def test_failover_subcommand(self, capsys):
-        from repro.cli import main
-
         assert main([
             "failover", "--rates", "1", "--replication", "1",
             "--policies", "lru", "--variants", "ace",

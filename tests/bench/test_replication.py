@@ -1,8 +1,8 @@
-"""Tests for the replication (repeated-runs) methodology helpers."""
+"""Tests for the statistical-repeats helpers (:mod:`repro.bench.repeats`)."""
 
 import pytest
 
-from repro.bench.replication import ReplicatedResult, replicate, replicate_speedup
+from repro.bench.repeats import ReplicatedResult, replicate, replicate_speedup
 from repro.bench.runner import StackConfig
 from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace

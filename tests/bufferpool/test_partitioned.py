@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.bufferpool.manager import BufferPoolManager
-from repro.bufferpool.partitioned import PartitionedBufferPoolManager
+from repro.cluster.partitioned import PartitionedBufferPoolManager
 from repro.core.ace import ACEBufferPoolManager
 from repro.core.config import ACEConfig
 from repro.policies.lru import LRUPolicy

@@ -83,23 +83,22 @@ class TestArrayBufferTable:
 
 
 class TestBackendResolution:
-    @pytest.fixture(autouse=True)
-    def _clear_env(self, monkeypatch):
-        # The auto-selection assertions must not inherit the CI matrix's
-        # REPRO_TABLE forcing (the dict-table-tests job sets it globally).
-        monkeypatch.delenv("REPRO_TABLE", raising=False)
-
     def test_auto_prefers_array_for_bounded_spaces(self):
         assert resolve_backend(1024) == "array"
         assert resolve_backend(ARRAY_SPACE_LIMIT) == "array"
+        assert isinstance(make_table(1024), ArrayBufferTable)
 
     def test_auto_falls_back_for_huge_or_unknown_spaces(self):
         assert resolve_backend(None) == "dict"
         assert resolve_backend(ARRAY_SPACE_LIMIT + 1) == "dict"
+        assert type(make_table(None)) is BufferTable
 
     def test_explicit_override_wins(self):
         assert resolve_backend(1024, "dict") == "dict"
         assert resolve_backend(ARRAY_SPACE_LIMIT + 1, "dict") == "dict"
+        assert resolve_backend(1024, "array") == "array"
+        assert type(make_table(1024, "dict")) is BufferTable
+        assert isinstance(make_table(1024, "array"), ArrayBufferTable)
 
     def test_array_needs_bounded_space(self):
         with pytest.raises(ValueError, match="bounded address space"):
@@ -108,17 +107,6 @@ class TestBackendResolution:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown translation backend"):
             resolve_backend(1024, "btree")
-
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TABLE", "dict")
-        assert resolve_backend(1024) == "dict"
-        assert isinstance(make_table(1024), BufferTable)
-        monkeypatch.setenv("REPRO_TABLE", "array")
-        assert isinstance(make_table(1024), ArrayBufferTable)
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TABLE", "dict")
-        assert resolve_backend(1024, "array") == "array"
 
 
 class TestO1Counters:

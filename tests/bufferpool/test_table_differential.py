@@ -2,12 +2,16 @@
 
 The translation vector (``ArrayBufferTable``) is a pure representation
 change — every observable behaviour of a manager stack must be
-byte-identical under ``table_backend="dict"`` and ``"array"``: RunMetrics
-(buffer, device, virtual time), the eviction order, residency and its
-iteration order, and the WAL record stream.  This suite drives the full
-policy battery (all registered policies, baseline and ACE, sanitizer on
-and off) over the paper's MS workload through both backends and asserts
-exactly that.
+byte-identical over the hash table and the array: RunMetrics (buffer,
+device, virtual time), the eviction order, residency and its iteration
+order, and the WAL record stream.  This suite drives the full policy
+battery (all registered policies, baseline and ACE, sanitizer on and off)
+over the paper's MS workload through both backends and asserts exactly
+that.
+
+The hash table is selected the way production selects it — by the device's
+address space exceeding ``ARRAY_SPACE_LIMIT`` — with the limit patched to 0
+for the dict-side run.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import dataclasses
 
 import pytest
 
+from repro.bufferpool import table
 from repro.bufferpool.manager import BufferPoolManager
-from repro.bufferpool.table import make_table
 from repro.bufferpool.wal import WriteAheadLog
 from repro.core.ace import ACEBufferPoolManager
 from repro.core.config import ACEConfig
@@ -34,8 +38,8 @@ CAPACITY = 48
 OPTIONS = ExecutionOptions(cpu_us_per_op=2.0)
 
 
-def build(policy_name, variant, backend, *, sanitize=False, with_wal=True):
-    """One fresh stack with an explicit translation backend."""
+def build(policy_name, variant, *, sanitize=False, with_wal=True):
+    """One fresh stack over whichever backend the address-space rule picks."""
     clock = VirtualClock()
     device = SimulatedSSD(TEST_PROFILE, num_pages=NUM_PAGES, clock=clock)
     device.format_pages(range(NUM_PAGES))
@@ -54,8 +58,7 @@ def build(policy_name, variant, backend, *, sanitize=False, with_wal=True):
     wal = WriteAheadLog(clock) if with_wal else None
     if variant == "baseline":
         manager = BufferPoolManager(
-            CAPACITY, policy, device, wal=wal,
-            sanitize=sanitize, table_backend=backend,
+            CAPACITY, policy, device, wal=wal, sanitize=sanitize
         )
     else:
         config = ACEConfig.for_device(
@@ -63,9 +66,8 @@ def build(policy_name, variant, backend, *, sanitize=False, with_wal=True):
         )
         manager = ACEBufferPoolManager(
             CAPACITY, policy, device, wal=wal, config=config,
-            sanitize=sanitize, table_backend=backend,
+            sanitize=sanitize,
         )
-    assert manager.table.backend == backend
     return manager, evictions
 
 
@@ -92,45 +94,50 @@ def fingerprint(manager, metrics, evictions):
 
 
 def run_one(policy_name, variant, backend, *, sanitize, ops, seed=7):
-    manager, evictions = build(
-        policy_name, variant, backend, sanitize=sanitize
-    )
+    manager, evictions = build(policy_name, variant, sanitize=sanitize)
+    assert manager.table.backend == backend
     trace = generate_trace(MS, NUM_PAGES, ops, seed=seed)
     metrics = run_trace(manager, trace, options=OPTIONS)
     return fingerprint(manager, metrics, evictions)
 
 
+def run_both(monkeypatch, policy_name, variant, *, sanitize, ops):
+    """``(dict run, array run)`` of one stack on the same trace."""
+    with monkeypatch.context() as patch:
+        patch.setattr(table, "ARRAY_SPACE_LIMIT", 0)
+        dict_run = run_one(
+            policy_name, variant, "dict", sanitize=sanitize, ops=ops
+        )
+    array_run = run_one(
+        policy_name, variant, "array", sanitize=sanitize, ops=ops
+    )
+    return dict_run, array_run
+
+
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 @pytest.mark.parametrize("variant", ["baseline", "ace"])
-def test_backends_agree(policy_name, variant):
+def test_backends_agree(monkeypatch, policy_name, variant):
     """Fast-path battery: every policy, dict vs array, no sanitizer."""
-    dict_run = run_one(policy_name, variant, "dict", sanitize=False, ops=3000)
-    array_run = run_one(policy_name, variant, "array", sanitize=False, ops=3000)
+    dict_run, array_run = run_both(
+        monkeypatch, policy_name, variant, sanitize=False, ops=3000
+    )
     assert dict_run == array_run
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 @pytest.mark.parametrize("variant", ["baseline", "ace"])
-def test_backends_agree_sanitized(policy_name, variant):
+def test_backends_agree_sanitized(monkeypatch, policy_name, variant):
     """Same battery under the invariant sanitizer (per-request path)."""
-    dict_run = run_one(policy_name, variant, "dict", sanitize=True, ops=700)
-    array_run = run_one(policy_name, variant, "array", sanitize=True, ops=700)
+    dict_run, array_run = run_both(
+        monkeypatch, policy_name, variant, sanitize=True, ops=700
+    )
     assert dict_run == array_run
 
 
 @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
-def test_backends_agree_with_prefetching(policy_name):
+def test_backends_agree_with_prefetching(monkeypatch, policy_name):
     """ACE + prefetching exercises the reader/prefetch install path."""
-    dict_run = run_one(policy_name, "ace+pf", "dict", sanitize=False, ops=3000)
-    array_run = run_one(policy_name, "ace+pf", "array", sanitize=False, ops=3000)
+    dict_run, array_run = run_both(
+        monkeypatch, policy_name, "ace+pf", sanitize=False, ops=3000
+    )
     assert dict_run == array_run
-
-
-def test_env_switch_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_TABLE", "dict")
-    assert make_table(NUM_PAGES).backend == "dict"
-    monkeypatch.setenv("REPRO_TABLE", "array")
-    assert make_table(NUM_PAGES).backend == "array"
-    monkeypatch.setenv("REPRO_TABLE", "auto")
-    assert make_table(NUM_PAGES).backend == "array"
-    assert make_table(None).backend == "dict"

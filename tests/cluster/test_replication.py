@@ -16,10 +16,10 @@ import pytest
 from repro.bufferpool.recovery import recover, simulate_crash
 from repro.cluster.engine import (
     ClusterConfig,
+    build_shard_stack,
     run_cluster,
     run_cluster_transactions,
 )
-from repro.cluster.replication import build_replica_stack
 from repro.engine.executor import ExecutionOptions
 from repro.errors import ClusterReplayError, NodeFailure
 from repro.faults.nodes import NodeFault, NodeFaultPlan
@@ -234,7 +234,7 @@ def reference_durable_images(config, pages, writes, committed):
     flushes, then crashes and recovers it — the durable images are the
     ground truth a promoted replica must match byte-for-byte.
     """
-    manager = build_replica_stack(config, 0)
+    manager = build_shard_stack(config, 0, with_wal=True)
     for index in range(committed):
         manager.access(pages[index], writes[index])
     manager.wal.flush()

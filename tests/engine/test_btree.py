@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.btree import BTreeIndex
-from repro.engine.database import Database
+from repro.bufferpool.database import Database
 
 
 def make_index(num_keys=10_000, fanout=10, leaf_capacity=10):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bufferpool.tag import BufferTag
-from repro.engine.database import AppendCursor, Database
+from repro.bufferpool.database import AppendCursor, Database
 from repro.storage.profiles import PCIE_SSD
 
 

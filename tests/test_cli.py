@@ -47,7 +47,6 @@ class TestParser:
         assert args.variant == "baseline"
         assert args.workers == 1
         assert args.smoke is False
-        assert args.record is False
 
 
 class TestCommands:

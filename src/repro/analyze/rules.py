@@ -87,7 +87,7 @@ R009 *iteration-order determinism*
 R010 *batched-counter exception safety*
     The executor fast paths accumulate commuting integer deltas in
     locals and flush them into stats/metrics objects once — the
-    ``_replay_turbo_baseline`` contract is that a mid-trace exception
+    ``_replay_turbo`` contract is that a mid-trace exception
     flushes the same totals the per-request path would have recorded.
     Mechanically: a local accumulated with ``+=`` inside a loop and
     flushed into a stats/metrics attribute must reach that flush on

@@ -8,9 +8,15 @@ One read is thereby "exchanged" for one write, irrespective of the device's
 asymmetry and concurrency.
 
 :class:`~repro.core.ace.ACEBufferPoolManager` subclasses this class and
-overrides only the miss-handling path, mirroring how the paper implements
-ACE as a wrapper inside PostgreSQL's ``bufmgr.c`` without touching the
-replacement policies themselves.
+changes one thing on the miss path — a dirty victim takes the next ``n_w``
+dirty pages with it in one batch — mirroring how the paper implements ACE
+as a wrapper inside PostgreSQL's ``bufmgr.c`` without touching the
+replacement policies themselves.  That one thing is a hook
+(``self.writer``) in the miss routine here, not a second routine: on a
+free frame or a clean victim Algorithm 1 *is* the classic path, so both
+stacks run the same code and this manager is the degenerate case
+"no batch" (the single-page write, inlined).  Only ACE's Reader
+(prefetching) replaces the routine.
 
 The per-request path is the hottest code in the simulator.  Translation is
 a single probe of the table's ``_slots`` vector (a flat array under the
@@ -22,8 +28,10 @@ aliases once.  Each request performs exactly one translation probe: the
 miss path returns the frame id it installed rather than forcing a second
 lookup.  On a bare :class:`~repro.storage.device.SimulatedSSD` (no fault
 injection, no subclass) the miss path additionally runs fully inlined —
-device accounting included — with accounting identical to the generic
-retry-capable path, which remains in place for faulty devices.
+device accounting included, ACE's batch excepted: that stays one
+``_write_back`` and one ``device.write_batch`` call — with accounting
+identical to the generic retry-capable path, which remains in place for
+faulty devices.
 """
 
 from __future__ import annotations
@@ -95,6 +103,13 @@ class BufferPoolManager:
     #: ``read_page``, so ``run_trace`` may resolve runs of read hits with
     #: inline translation probes (see :func:`repro.engine.executor.run_trace`).
     hit_run_ready = True
+
+    #: The batch hook.  ``None`` here: a dirty victim is written back alone.
+    #: :class:`~repro.core.ace.ACEBufferPoolManager` sets a
+    #: :class:`~repro.core.writer.Writer` (and an ``evictor`` beside it);
+    #: ``_handle_miss`` then hands the dirty victim to it — the single
+    #: point where Algorithm 1 leaves the classic path.
+    writer = None
 
     def __init__(
         self,
@@ -392,16 +407,23 @@ class BufferPoolManager:
     # -------------------------------------------------------- miss handling
 
     def _handle_miss(self, page: int) -> int:
-        """Classic miss path: make one frame available, read the page.
+        """The miss path: make one frame available, read the page.
 
         Returns the frame id the page was installed into, so the request
-        path never needs a second table lookup.  Subclasses (ACE) override
-        this method; everything else in the manager is shared.
+        path never needs a second table lookup.  This is the one miss
+        routine of every stack without a Reader.  A dirty victim is where
+        ACE (Algorithm 1, lines 25-27 and 38-39) leaves the classic
+        exchange: with a ``writer`` the next ``n_w`` dirty pages are
+        written as one batch — dispatched through ``writer.flush`` ->
+        ``_write_back`` on every miss, because ``n_w`` is retuned mid-run
+        and subclasses override ``_write_back`` — where the classic
+        manager writes the victim alone.
 
         On a bare device the whole exchange — victim write-back, eviction,
         read, install — runs inlined below with accounting identical to
         the generic helpers (``_write_back``/``_evict``/``_load``), which
-        handle the fault-capable devices.
+        handle the fault-capable devices.  The executor's
+        ``_replay_turbo`` inlines that branch once more, step for step.
         """
         device = self._plain_device
         if device is None:
@@ -410,15 +432,26 @@ class BufferPoolManager:
                 victim = self.policy.select_victim()
                 if victim is None:
                     raise self._pool_exhausted(page)
-                if victim in self._dirty_set:
-                    # The classic exchange: one write-back for one read.
-                    self.stats.dirty_evictions += 1
-                    self._write_back([victim])
-                    if victim in self._dirty_set:
-                        victim = self._degraded_victim(victim)
-                else:
+                dirty_set = self._dirty_set
+                if victim not in dirty_set:
                     self.stats.clean_evictions += 1
-                self._evict(victim)
+                    self._evict(victim)
+                else:
+                    self.stats.dirty_evictions += 1
+                    writer = self.writer
+                    if writer is None:
+                        # The classic exchange: one write-back for one read.
+                        self._write_back([victim])
+                    else:
+                        writer.flush(writer.select_writeback_set(victim))
+                    if victim in dirty_set:
+                        # The write tore or failed before reaching the
+                        # victim: fall back to the next clean page.
+                        victim = self._degraded_victim(victim)
+                    if writer is None:
+                        self._evict(victim)
+                    else:
+                        self.evictor.evict([victim])
             return self._load(page)
 
         (
@@ -453,7 +486,17 @@ class BufferPoolManager:
             if victim is None:
                 raise self._pool_exhausted(page)
             victim_frame = slots[victim]
-            if dirty_bits[victim_frame]:
+            if not dirty_bits[victim_frame]:
+                stats.clean_evictions += 1
+            elif self.writer is not None:
+                stats.dirty_evictions += 1
+                self.writer.flush(self.writer.select_writeback_set(victim))
+                if dirty_bits[victim_frame]:
+                    # Not on a bare device as it stands, but ``_write_back``
+                    # is overridable: keep the generic branch's fallback.
+                    victim = self._degraded_victim(victim)
+                    victim_frame = slots[victim]
+            else:
                 # The classic exchange, single-page write-back inlined
                 # end to end (identical accounting to ``_write_back`` +
                 # ``SimulatedSSD.write_batch`` with one page).
@@ -482,8 +525,6 @@ class BufferPoolManager:
                 note_clean(victim)
                 stats.writebacks += 1
                 stats.writeback_batches += 1
-            else:
-                stats.clean_evictions += 1
             # Eviction (the victim is clean and unpinned by construction).
             if prefetched_bits[victim_frame]:
                 stats.prefetch_unused += 1
@@ -530,11 +571,12 @@ class BufferPoolManager:
     ) -> PoolExhaustedError:
         """Build the uniform :class:`PoolExhaustedError` payload.
 
-        Both raise sites (the baseline miss path here and ACE's Evictor
-        miss path) funnel through this helper so shed/requeue logic in the
-        serving layer sees one shape.  ``candidates_examined`` defaults to
-        the resident-page count: a ``None`` victim means the policy walked
-        every resident candidate and found all of them pinned.
+        Every raise site (the miss routine here, the executor's inlined
+        copy and ACE's prefetching routine) funnels through this helper so
+        shed/requeue logic in the serving layer sees one shape.
+        ``candidates_examined`` defaults to the resident-page count: a
+        ``None`` victim means the policy walked every resident candidate
+        and found all of them pinned.
         """
         if candidates_examined is None:
             candidates_examined = len(self._frame_of)
@@ -572,7 +614,6 @@ class BufferPoolManager:
         dirty_bits = self._dirty_bits
         payloads = self._payloads
         batch: dict[int, object | None] = {}
-        frames: list[int] = []
         for page in pages:
             frame_id = frame_of.get(page)
             if frame_id is None:
@@ -580,7 +621,6 @@ class BufferPoolManager:
             if not dirty_bits[frame_id]:
                 raise ValueError(f"page {page} is not dirty")
             batch[page] = payloads[frame_id]
-            frames.append(frame_id)
         if not batch:
             return 0
         if self.wal is not None:
@@ -591,23 +631,22 @@ class BufferPoolManager:
             self.device.write_batch(batch)
         except IOFaultError as fault:
             return self._retry_write_back(batch, fault, background)
-        pin_counts = self._pin_counts
-        overlap = 0
-        for frame_id in frames:
-            dirty_bits[frame_id] = 0
-            if pin_counts[frame_id]:
-                overlap += 1
-        if overlap:
-            self._dirty_pinned_overlap -= overlap
+        for page in batch:
+            dirty_bits[frame_of[page]] = 0
+        pinned = self._pinned_set
+        if pinned:
+            self._dirty_pinned_overlap -= len(pinned.intersection(batch))
         self._dirty_set.difference_update(batch)
         note_clean = self._note_clean
         for page in batch:
             note_clean(page)
-        self.stats.writebacks += len(batch)
-        self.stats.writeback_batches += 1
+        written = len(batch)
+        stats = self.stats
+        stats.writebacks += written
+        stats.writeback_batches += 1
         if background:
-            self.stats.background_writebacks += len(batch)
-        return len(batch)
+            stats.background_writebacks += written
+        return written
 
     def _retry_write_back(
         self,

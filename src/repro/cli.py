@@ -25,6 +25,7 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 
 from repro.bench.parallel import WORKERS_ENV_VAR
 from repro.bench.report import format_table
@@ -467,8 +468,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     Builds each stack with ``sanitize=True`` so the invariant checker
     validates the full bufferpool state after every operation; also
-    exercises the pin/flush paths the trace replay does not reach.  Exits
-    non-zero on the first stack whose run violates an invariant.
+    exercises the pin/flush paths the trace replay does not reach.  The
+    same trace is then replayed on an unsanitised twin — which takes the
+    executor's inlined paths, where the sanitised stack goes request by
+    request — and the two must agree on metrics, residency order and
+    dirty set.  Exits non-zero on the first stack that violates an
+    invariant or differs from its twin.
     """
     from repro.bench.runner import VARIANTS
     from repro.engine.executor import run_trace
@@ -492,9 +497,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 options=options,
             )
             manager = build_stack(config)
+            twin = build_stack(replace(config, sanitize=False))
             label = f"{policy}/{variant}"
             try:
-                run_trace(manager, trace, options=options, label=label)
+                replayed = [
+                    (
+                        run_trace(stack, trace, options=options, label=label),
+                        stack.resident_pages(),
+                        stack.dirty_pages(),
+                    )
+                    for stack in (manager, twin)
+                ]
                 # The trace replay never pins or checkpoint-flushes; cover
                 # those operations too so their invariants are exercised.
                 resident = manager.resident_pages()
@@ -507,11 +520,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
             except SanitizerError as exc:
                 failures += 1
                 print(f"FAIL {label}: {exc}")
-            else:
-                checks = manager.sanitizer.checks_run
-                print(f"ok   {label}: {checks} operations validated")
+                continue
+            if replayed[0] != replayed[1]:
+                failures += 1
+                print(f"FAIL {label}: inlined replay differs from per-request")
+                continue
+            checks = manager.sanitizer.checks_run
+            print(f"ok   {label}: {checks} operations validated, twin identical")
     if failures:
-        print(f"{failures} stack(s) violated bufferpool invariants")
+        print(f"{failures} stack(s) violated invariants or differed from their twin")
         return 1
     print(f"all {len(policies) * len(VARIANTS)} stacks clean")
     return 0

@@ -4,9 +4,10 @@ A *cluster run* models N independent shard nodes, each a complete stack —
 its own :class:`~repro.storage.device.SimulatedSSD` on a private virtual
 clock, its own replacement policy instance, its own (baseline or ACE)
 :class:`~repro.bufferpool.manager.BufferPoolManager` riding the array
-translation layer and the executor's inlined turbo replay.  A
-deterministic :class:`~repro.cluster.router.ShardRouter` pre-partitions
-the workload into per-shard subtraces; each subtrace is replayed to
+translation layer and — either variant, unless the node is a
+replica-group member and so keeps a WAL — the executor's inlined turbo
+replay.  A deterministic :class:`~repro.cluster.router.ShardRouter`
+pre-partitions the workload into per-shard subtraces; each is replayed to
 completion on its shard (in a worker process when ``workers > 1``, in
 process otherwise); the per-shard :class:`~repro.engine.metrics.RunMetrics`
 are then merged in shard order.

@@ -6,17 +6,24 @@ a buffer miss whose eviction candidate is **dirty**:
 * the :class:`~repro.core.writer.Writer` concurrently writes back the next
   ``n_w`` dirty pages in the policy's virtual order (one device write wave
   when ``n_w = k_w``), amortising the asymmetric write cost;
-* without prefetching, the :class:`~repro.core.evictor.Evictor` then drops
-  just the (now clean) victim — ACE behaves exactly like the classic
-  manager otherwise;
-* with prefetching, the Evictor drops ``n_e`` pages and the
-  :class:`~repro.core.reader.Reader` concurrently reads the missed page
-  plus up to ``n_e - 1`` predicted pages, exploiting read concurrency.
+* without prefetching, just the (now clean) victim is then dropped — ACE
+  behaves exactly like the classic manager otherwise;
+* with prefetching, the :class:`~repro.core.evictor.Evictor` drops ``n_e``
+  pages and the :class:`~repro.core.reader.Reader` concurrently reads the
+  missed page plus up to ``n_e - 1`` predicted pages, exploiting read
+  concurrency.
 
 When the candidate is clean, or on a miss with free frames, ACE follows the
 classical path (modulo opportunistic prefetching into free slots), so a
 read-only workload behaves *identically* to the baseline — the paper's
 "no penalty" property.
+
+The code has the same shape.  Without a Reader there is no ACE miss routine:
+the stack runs :meth:`BufferPoolManager._handle_miss` — inlined bare-device
+branch, executor turbo loop and all — which hands a dirty victim to
+``self.writer`` where the classic manager (``writer = None``) writes the
+one page.  Only a Reader replaces the routine, with
+:meth:`ACEBufferPoolManager._prefetching_miss`.
 """
 
 from __future__ import annotations
@@ -92,6 +99,10 @@ class ACEBufferPoolManager(BufferPoolManager):
             # Per-access prefetcher training hook, consumed by the base
             # manager's request fast path.
             self._observer = self.reader.prefetcher.observe
+            # Only a Reader changes the miss routine itself; bound on the
+            # instance, so a Reader-less stack runs the inherited routine
+            # with no dispatch frame in between.
+            self._handle_miss = self._prefetching_miss
         #: (n_w, n_e) to restore when degraded batching ends; ``None`` while
         #: running at full batch sizes.
         self._degraded_batching: tuple[int, int] | None = None
@@ -140,17 +151,18 @@ class ACEBufferPoolManager(BufferPoolManager):
 
     # ------------------------------------------------------- Algorithm 1
 
-    def _handle_miss(self, page: int) -> int:
-        if self.reader is not None:
-            self.reader.prefetcher.on_miss(page)
+    def _prefetching_miss(self, page: int) -> int:
+        """The miss routine of a stack with a Reader (see ``__init__``)."""
+        self.reader.prefetcher.on_miss(page)
+        if not self.config.prefetch_enabled:
+            # A Reader that only trains its prefetcher: the shared path.
+            return BufferPoolManager._handle_miss(self, page)
 
         if self.pool.has_free():
-            # Lines 9-16: free slots available; optionally prefetch into
-            # them — "up to n_e - 1 pages, depending on available slots".
-            if self.prefetching_enabled:
-                limit = min(self.config.n_e - 1, self.pool.free_count - 1)
-                return self._fetch_with_prefetch(page, limit)
-            return self._load(page)
+            # Lines 9-16: free slots available; prefetch into them — "up
+            # to n_e - 1 pages, depending on available slots".
+            limit = min(self.config.n_e - 1, self.pool.free_count - 1)
+            return self._fetch_with_prefetch(page, limit)
 
         victim = self.policy.select_victim()
         if victim is None:
@@ -163,21 +175,10 @@ class ACEBufferPoolManager(BufferPoolManager):
             self._evict(victim)
             return self._load(page)
 
-        # Lines 25-27: dirty top page — concurrently write n_w dirty pages.
+        # Lines 25-27: dirty top page — concurrently write n_w dirty pages,
+        # lines 31-36: evict n_e pages and prefetch n_e - 1.
         self.stats.dirty_evictions += 1
         writeback_set = self.writer.select_writeback_set(victim)
-
-        if not self.prefetching_enabled:
-            # Lines 38-39: write the batch, evict only the victim.
-            self.writer.flush(writeback_set)
-            if victim in dirty_set:
-                # The batch tore or failed before reaching the victim: fall
-                # back to the next clean page in the virtual order.
-                victim = self._degraded_victim(victim)
-            self.evictor.evict([victim])
-            return self._load(page)
-
-        # Lines 31-36: evict n_e pages and prefetch n_e - 1.
         eviction_set = self.evictor.select_eviction_set(victim)
         # Pages about to be evicted must be clean; fold any dirty ones into
         # the same concurrent write batch ("pages written and to be evicted

@@ -26,10 +26,6 @@ class Evictor:
             raise ValueError(f"n_e must be at least 1: {n_e}")
         self.manager = manager
         self.n_e = n_e
-        self.multi_evictions = 0
-        self.pages_evicted = 0
-        #: Candidates skipped because a degraded write-back left them dirty.
-        self.skipped_dirty = 0
 
     def select_eviction_set(self, victim: int) -> list[int]:
         """Up to ``n_e`` pages to evict, led by the current victim.
@@ -57,12 +53,7 @@ class Evictor:
         dirty = manager._dirty_set
         dropped = 0
         for page in pages:
-            if page in dirty:
-                self.skipped_dirty += 1
-                continue
-            manager._evict(page)
-            dropped += 1
-        if dropped > 1:
-            self.multi_evictions += 1
-        self.pages_evicted += dropped
+            if page not in dirty:
+                manager._evict(page)
+                dropped += 1
         return dropped

@@ -34,10 +34,6 @@ class Reader:
         self.manager = manager
         self.prefetcher = prefetcher
         self.cold_placement = cold_placement
-        self.batched_fetches = 0
-        self.pages_prefetched = 0
-        #: Prefetch batches abandoned after a device fault.
-        self.aborted_batches = 0
 
     def select_prefetch_set(self, page: int, limit: int) -> list[int]:
         """Up to ``limit`` prefetchable pages for a miss on ``page``.
@@ -84,9 +80,6 @@ class Reader:
             manager._install_fetched(
                 candidate, payload, cold=self.cold_placement, prefetched=True
             )
-        if prefetch_pages:
-            self.batched_fetches += 1
-            self.pages_prefetched += len(prefetch_pages)
         return frame_id
 
     def _fetch_degraded(self, page: int, fault: IOFaultError) -> int:
@@ -99,7 +92,6 @@ class Reader:
         itself still propagates.
         """
         manager = self.manager
-        self.aborted_batches += 1
         manager.stats.io_faults += 1
         if fault.permanent and page in fault.pages:
             raise fault

@@ -27,10 +27,6 @@ class Writer:
             raise ValueError(f"n_w must be at least 1: {n_w}")
         self.manager = manager
         self.n_w = n_w
-        self.batches_issued = 0
-        self.pages_written = 0
-        #: Flushes that landed fewer pages than requested (fault path).
-        self.short_flushes = 0
 
     def select_writeback_set(self, victim: int) -> list[int]:
         """The paper's ``populate_pages_to_writeback()``.
@@ -40,26 +36,17 @@ class Writer:
         ``next_dirty`` is the policy's maintained fast path, so this is one
         bulk read of the dirty sub-order rather than a filtered rescan.
         """
-        candidates = [victim]
-        for page in self.manager.policy.next_dirty(self.n_w):
-            if len(candidates) >= self.n_w:
-                break
-            if page != victim:
-                candidates.append(page)
-        return candidates
+        n_w = self.n_w
+        pages = self.manager.policy.next_dirty(n_w)
+        if pages and pages[0] == victim:
+            return pages  # the victim heads the dirty sub-order: the usual case
+        return [victim] + [page for page in pages if page != victim][: n_w - 1]
 
     def flush(self, pages: list[int]) -> int:
         """Issue one concurrent write batch and mark the pages clean.
 
         Under fault injection the manager's write-back may land only part
         of the batch (``written < len(pages)``); the remainder stays dirty
-        and the Evictor degrades accordingly.
+        and the eviction degrades accordingly.
         """
-        if not pages:
-            return 0
-        written = self.manager._write_back(pages)
-        self.batches_issued += 1
-        self.pages_written += written
-        if written < len(pages):
-            self.short_flushes += 1
-        return written
+        return self.manager._write_back(pages)

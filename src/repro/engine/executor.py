@@ -61,20 +61,42 @@ class ExecutionOptions:
             raise ValueError("commit_every_ops cannot be negative")
 
 
-def _replay_turbo_baseline(manager: BufferPoolManager, trace: Trace) -> None:
-    """Replay ``trace`` against a bare baseline manager, fully inlined.
+def _turbo_ready(manager: BufferPoolManager) -> bool:
+    """Whether :func:`_replay_turbo` may stand in for ``manager.access``.
 
-    The strictest specialisation: requires the *base* manager class (no
-    ACE override of ``_handle_miss``), a bare :class:`SimulatedSSD` (the
-    manager's ``_turbo`` tuple exists), no WAL, and no observer.  Under
-    those conditions every step of the request path — probe, hit
-    bookkeeping, victim write-back, eviction, device read, install, dirty
-    marking — is straight-line code here, and the *commuting* integer
-    counters (hits, evictions, device read/write counts, the batch
-    histogram) are accumulated in locals and flushed once.  Floating-point
-    accounting (the virtual clock and device time sums) stays sequential
-    per event, so the resulting metrics are byte-identical to the
-    per-request replay, not merely equal modulo summation order.
+    Asked of capability, not of class: the miss routine must be the shared
+    :meth:`BufferPoolManager._handle_miss` that the loop inlines (a
+    subclass override, or the Reader's per-instance routine, is not), on a
+    bare device (the ``_turbo`` tuple exists), with no WAL and no observer
+    to call per request.  ACE without a Reader qualifies like baseline.
+    """
+    return (
+        getattr(manager._handle_miss, "__func__", None)
+        is BufferPoolManager._handle_miss
+        and manager._plain_device is not None
+        and manager.wal is None
+        and manager._observer is None
+    )
+
+
+def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
+    """Replay ``trace`` against a :func:`_turbo_ready` manager, fully inlined.
+
+    Every step of the request path — probe, hit bookkeeping, victim
+    write-back, eviction, device read, install, dirty marking — is
+    straight-line code here (the bare-device branch of ``_handle_miss``,
+    step for step), and the *commuting* integer counters (hits, evictions,
+    device read/write counts, the batch histogram) are accumulated in
+    locals and flushed once.  Floating-point accounting (the virtual clock
+    and device time sums) stays sequential per event, so the resulting
+    metrics are byte-identical to the per-request replay, not merely equal
+    modulo summation order.
+
+    ACE differs at one point, as in the manager: a dirty victim goes to
+    ``manager.writer`` (one ``_write_back`` + ``device.write_batch`` call
+    per batch, which do their own accounting) instead of the inlined
+    single-page write.  The Writer's methods and ``n_w`` are looked up per
+    batch — adaptive tuning and degraded batching change them mid-run.
 
     Counter locals that must not count a failed request (device reads,
     write-backs) are bumped exactly where the per-request path bumps
@@ -107,6 +129,7 @@ def _replay_turbo_baseline(manager: BufferPoolManager, trace: Trace) -> None:
     on_access = manager._policy_on_access
     note_dirty = manager._note_dirty
     dirty_add = manager._dirty_set.add
+    writer = manager.writer
     stats = manager.stats
     device_stats = manager._plain_device.stats
     hits = 0
@@ -142,13 +165,21 @@ def _replay_turbo_baseline(manager: BufferPoolManager, trace: Trace) -> None:
                 else:
                     read_requests += 1
                 # Miss: evict (when full), read, install — the manager's
-                # turbo ``_handle_miss`` body, step for step.
+                # bare-device ``_handle_miss`` branch, step for step.
                 if not free:
                     victim = select_victim()
                     if victim is None:
                         raise manager._pool_exhausted(page)
                     victim_frame = slots[victim]
-                    if dirty_bits[victim_frame]:
+                    if not dirty_bits[victim_frame]:
+                        clean_evictions += 1
+                    elif writer is not None:
+                        dirty_evictions += 1
+                        writer.flush(writer.select_writeback_set(victim))
+                        if dirty_bits[victim_frame]:
+                            victim = manager._degraded_victim(victim)
+                            victim_frame = slots[victim]
+                    else:
                         dirty_evictions += 1
                         clock._now_us += write_us
                         device_stats.write_time_us += write_us
@@ -161,8 +192,6 @@ def _replay_turbo_baseline(manager: BufferPoolManager, trace: Trace) -> None:
                             manager._dirty_pinned_overlap -= 1
                         note_clean(victim)
                         writebacks_done += 1
-                    else:
-                        clean_evictions += 1
                     if prefetched_bits[victim_frame]:
                         prefetch_unused += 1
                         prefetched_bits[victim_frame] = 0
@@ -275,96 +304,40 @@ def _replay_hit_runs(manager: BufferPoolManager, trace: Trace) -> None:
     read_requests = 0
     write_requests = 0
     try:
-        if observer is None:
-            for page, is_write in zip(trace.pages, trace.writes):
-                frame_id = slots[page] if 0 <= page < probe_space else -1
-                if not is_write:
-                    read_requests += 1
-                    if frame_id >= 0:
-                        hits += 1
-                        if prefetched_bits[frame_id]:
-                            prefetched_bits[frame_id] = 0
-                            prefetch_hits += 1
-                        on_access(page, False)
-                    else:
-                        misses += 1
-                        frame_id = handle_miss(page)
-                        if frame_id is None:
-                            raise PageNotBufferedError(
-                                f"miss handling failed to load page {page}"
-                            )
-                    continue
+        for page, is_write in zip(trace.pages, trace.writes):
+            frame_id = slots[page] if 0 <= page < probe_space else -1
+            if is_write:
                 write_requests += 1
-                if frame_id >= 0:
-                    hits += 1
-                    if prefetched_bits[frame_id]:
-                        prefetched_bits[frame_id] = 0
-                        prefetch_hits += 1
-                    on_access(page, True)
-                else:
-                    misses += 1
-                    frame_id = handle_miss(page)
-                    if frame_id is None:
-                        raise PageNotBufferedError(
-                            f"miss handling failed to load page {page}"
-                        )
-                if not dirty_bits[frame_id]:
-                    dirty_bits[frame_id] = 1
-                    dirty_add(page)
-                    if pin_counts[frame_id]:
-                        manager._dirty_pinned_overlap += 1
-                    note_dirty(page)
-                current = payloads[frame_id]
-                payload = (current if isinstance(current, int) else 0) + 1
-                payloads[frame_id] = payload
-                if wal_log is not None:
-                    wal_log(page, payload)
-        else:
-            for page, is_write in zip(trace.pages, trace.writes):
-                frame_id = slots[page] if 0 <= page < probe_space else -1
-                if not is_write:
-                    read_requests += 1
-                    if frame_id >= 0:
-                        hits += 1
-                        if prefetched_bits[frame_id]:
-                            prefetched_bits[frame_id] = 0
-                            prefetch_hits += 1
-                        on_access(page, False)
-                    else:
-                        misses += 1
-                        frame_id = handle_miss(page)
-                        if frame_id is None:
-                            raise PageNotBufferedError(
-                                f"miss handling failed to load page {page}"
-                            )
-                    observer(page)
-                    continue
-                write_requests += 1
-                if frame_id >= 0:
-                    hits += 1
-                    if prefetched_bits[frame_id]:
-                        prefetched_bits[frame_id] = 0
-                        prefetch_hits += 1
-                    on_access(page, True)
-                else:
-                    misses += 1
-                    frame_id = handle_miss(page)
-                    if frame_id is None:
-                        raise PageNotBufferedError(
-                            f"miss handling failed to load page {page}"
-                        )
+            else:
+                read_requests += 1
+            if frame_id >= 0:
+                hits += 1
+                if prefetched_bits[frame_id]:
+                    prefetched_bits[frame_id] = 0
+                    prefetch_hits += 1
+                on_access(page, is_write)
+            else:
+                misses += 1
+                frame_id = handle_miss(page)
+                if frame_id is None:
+                    raise PageNotBufferedError(
+                        f"miss handling failed to load page {page}"
+                    )
+            if observer is not None:
                 observer(page)
-                if not dirty_bits[frame_id]:
-                    dirty_bits[frame_id] = 1
-                    dirty_add(page)
-                    if pin_counts[frame_id]:
-                        manager._dirty_pinned_overlap += 1
-                    note_dirty(page)
-                current = payloads[frame_id]
-                payload = (current if isinstance(current, int) else 0) + 1
-                payloads[frame_id] = payload
-                if wal_log is not None:
-                    wal_log(page, payload)
+            if not is_write:
+                continue
+            if not dirty_bits[frame_id]:
+                dirty_bits[frame_id] = 1
+                dirty_add(page)
+                if pin_counts[frame_id]:
+                    manager._dirty_pinned_overlap += 1
+                note_dirty(page)
+            current = payloads[frame_id]
+            payload = (current if isinstance(current, int) else 0) + 1
+            payloads[frame_id] = payload
+            if wal_log is not None:
+                wal_log(page, payload)
     finally:
         # Flushed even if a request raised (pool exhaustion, device
         # errors) so the recorded stats match the per-request replay —
@@ -465,14 +438,8 @@ def run_trace(
         if manager.sanitizer is None and getattr(
             manager, "hit_run_ready", False
         ):
-            if (
-                type(manager) is BufferPoolManager
-                and manager._plain_device is not None
-                and manager.wal is None
-                and manager._observer is None
-            ):
-                # Bare baseline stack: the whole request path inlines.
-                _replay_turbo_baseline(manager, trace)
+            if _turbo_ready(manager):
+                _replay_turbo(manager, trace)
             else:
                 _replay_hit_runs(manager, trace)
         else:

@@ -238,17 +238,17 @@ class SimulatedSSD:
         ``ceil(n/k_w)`` write waves — this is the concurrency ACE exploits.
         """
         payloads = self._payloads
-        if isinstance(pages, Mapping):
-            items = list(pages.items())
-        else:
-            items = [(page, payloads.get(page)) for page in pages]
-        n = len(items)
+        if not isinstance(pages, Mapping):
+            page_ids = list(pages)
+            if len(set(page_ids)) != len(page_ids):
+                raise ValueError(f"duplicate pages in write batch: {page_ids}")
+            pages = {page: payloads.get(page) for page in page_ids}
+        n = len(pages)
         if n == 0:
             return
-        page_ids = [page for page, _ in items]
-        if len(set(page_ids)) != n:
-            raise ValueError(f"duplicate pages in write batch: {page_ids}")
-        self._check_pages(page_ids)
+        num_pages = self.num_pages
+        if num_pages is not None and not 0 <= min(pages) <= max(pages) < num_pages:
+            self._check_pages(pages)  # names the first page out of range
         elapsed = (
             self._single_write_us if n == 1 else self.model.write_batch_us(n)
         )
@@ -263,15 +263,14 @@ class SimulatedSSD:
             stats.largest_write_batch = n
         ftl = self.ftl
         if ftl is None:
-            for page, payload in items:
-                payloads[page] = payload
+            payloads.update(pages)
         else:
-            for page, payload in items:
+            for page, payload in pages.items():
                 payloads[page] = payload
                 ftl.write(page)
         checksums = self._checksums
         if checksums is not None:
-            for page, payload in items:
+            for page, payload in pages.items():
                 checksums[page] = page_checksum(page, payload)
 
     # ----------------------------------------------------------- checksums

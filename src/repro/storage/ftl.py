@@ -24,12 +24,16 @@ relocations), erase counts, and the resulting write amplification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 __all__ = ["FlashTranslationLayer", "FtlCounters", "FtlError"]
 
 _FREE = 0
 _VALID = 1
 _INVALID = 2
+
+#: Garbage collection's order of preference among candidate blocks.
+_GREEDY_KEY = attrgetter("valid_count", "erase_count")
 
 
 class FtlError(RuntimeError):
@@ -282,19 +286,17 @@ class FlashTranslationLayer:
         self._free_blocks.append(victim.index)
 
     def _pick_victim(self) -> _Block | None:
-        """Greedy victim choice: fewest valid pages, wear-aware tie-break."""
-        free = set(self._free_blocks)
-        best: _Block | None = None
-        for block in self._blocks:
-            if block.index == self._active.index or block.index in free:
-                continue
-            if block.valid_count >= block.write_ptr:
-                # No invalid slots: erasing would shuffle data without
-                # reclaiming any space (and could loop forever).
-                continue
-            if best is None or (block.valid_count, block.erase_count) < (
-                best.valid_count,
-                best.erase_count,
-            ):
-                best = block
-        return best
+        """Greedy victim choice: fewest valid pages, wear-aware tie-break.
+
+        Candidates are the blocks with an invalid slot — erasing any other
+        would shuffle data without reclaiming space (and could loop
+        forever); that also rules out the erased blocks of the free pool.
+        ``min`` keeps the first of equal keys: the lowest block index.
+        """
+        active = self._active
+        candidates = [
+            block
+            for block in self._blocks
+            if block.valid_count < block.write_ptr and block is not active
+        ]
+        return min(candidates, key=_GREEDY_KEY, default=None)

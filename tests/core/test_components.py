@@ -37,14 +37,16 @@ class TestWriter:
             manager.write_page(page)
         written = manager.writer.flush([0, 1])
         assert written == 2
-        assert manager.writer.batches_issued == 1
-        assert manager.writer.pages_written == 2
+        assert manager.stats.writeback_batches == 1
+        assert manager.stats.writebacks == 2
+        assert manager.device.stats.write_batch_size_histogram == {2: 1}
         assert not manager.is_dirty(0)
 
     def test_flush_empty_is_noop(self):
         manager = make_ace()
         assert manager.writer.flush([]) == 0
-        assert manager.writer.batches_issued == 0
+        assert manager.stats.writeback_batches == 0
+        assert manager.device.stats.write_batches == 0
 
 
 class TestEvictor:
@@ -67,15 +69,14 @@ class TestEvictor:
             manager.read_page(page)
         evicted = manager.evictor.evict([0, 1, 2])
         assert evicted == 3
-        assert manager.evictor.multi_evictions == 1
-        assert manager.evictor.pages_evicted == 3
+        assert manager.stats.evictions == 3
         assert not manager.contains(0)
 
     def test_single_eviction_not_counted_as_multi(self):
         manager = make_ace(capacity=6)
         manager.read_page(0)
-        manager.evictor.evict([0])
-        assert manager.evictor.multi_evictions == 0
+        assert manager.evictor.evict([0]) == 1
+        assert manager.stats.evictions == 1
 
 
 class TestReader:
@@ -103,8 +104,9 @@ class TestReader:
         order = list(manager.policy.eviction_order())
         assert order[-1] == 5          # requested page at MRU
         assert set(order[:2]) == {6, 7}  # prefetched pages at LRU end
-        assert manager.reader.pages_prefetched == 2
-        assert manager.reader.batched_fetches == 1
+        assert manager.stats.prefetch_issued == 2
+        assert manager.device.stats.read_batches == 1
+        assert manager.device.stats.reads == 3
 
     def test_hot_placement_ablation(self):
         prefetcher = ScriptedPrefetcher({})

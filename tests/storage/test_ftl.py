@@ -147,6 +147,36 @@ class TestGarbageCollection:
         assert erases, "expected some erases under churn"
         assert max(erases) <= 20 * (sum(erases) / len(erases))
 
+    def test_victim_is_fewest_valid_then_least_worn_then_lowest_index(self):
+        """Every collection picks what the definition picks, ties included."""
+        ftl = make_ftl(pages=128, ppb=8, op=0.3)
+        pick = ftl._pick_victim
+        decided_by = set()
+
+        def checked_pick():
+            ranked = sorted(
+                (
+                    block for block in ftl._blocks
+                    if block is not ftl._active
+                    and block.index not in ftl._free_blocks
+                    and block.valid_count < block.write_ptr
+                ),
+                key=lambda b: (b.valid_count, b.erase_count, b.index),
+            )
+            victim = pick()
+            assert victim is ranked[0]
+            if len(ranked) > 1 and ranked[1].valid_count == victim.valid_count:
+                same_wear = ranked[1].erase_count == victim.erase_count
+                decided_by.add("index" if same_wear else "wear")
+            return victim
+
+        ftl._pick_victim = checked_pick
+        rng = random.Random(4)
+        for _ in range(6_000):
+            ftl.write(rng.randrange(12 if rng.random() < 0.9 else 128))
+        assert ftl.counters.gc_invocations > 100
+        assert decided_by == {"wear", "index"}
+
     def test_unsatisfiable_gc_threshold_raises_instead_of_looping(self):
         """An impossible free-pool target surfaces as FtlError, not a hang."""
         ftl = make_ftl(pages=16, ppb=4)

@@ -122,6 +122,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ok   lru/baseline" in out
         assert "ok   clock/ace+pf" in out
+        assert out.count("twin identical") == 6
         assert "all 6 stacks clean" in out
 
     def test_check_unknown_policy_exits(self):

@@ -15,8 +15,8 @@ replacement policies themselves.  That one thing is a hook
 (``self.writer``) in the miss routine here, not a second routine: on a
 free frame or a clean victim Algorithm 1 *is* the classic path, so both
 stacks run the same code and this manager is the degenerate case
-"no batch" (the single-page write, inlined).  Only ACE's Reader
-(prefetching) replaces the routine.
+"no batch" (the single-page write, inlined).  ACE's Reader (prefetching) is
+the routine's second hook, ``self.reader``, not a second routine either.
 
 The per-request path is the hottest code in the simulator.  Translation is
 a single probe of the table's ``_slots`` vector (a flat array under the
@@ -110,6 +110,9 @@ class BufferPoolManager:
     #: ``_handle_miss`` then hands the dirty victim to it — the single
     #: point where Algorithm 1 leaves the classic path.
     writer = None
+
+    #: The prefetch hook: ACE's :class:`~repro.core.reader.Reader`, if any.
+    reader = None
 
     def __init__(
         self,
@@ -207,6 +210,7 @@ class BufferPoolManager:
                 policy.insert,
                 policy.note_clean,
                 self._dirty_set.discard,
+                self.reader,
             )
         #: The attached invariant checker, or ``None`` when sanitising is
         #: off (the common case: the request path then carries zero
@@ -411,24 +415,39 @@ class BufferPoolManager:
 
         Returns the frame id the page was installed into, so the request
         path never needs a second table lookup.  This is the one miss
-        routine of every stack without a Reader.  A dirty victim is where
-        ACE (Algorithm 1, lines 25-27 and 38-39) leaves the classic
-        exchange: with a ``writer`` the next ``n_w`` dirty pages are
-        written as one batch — dispatched through ``writer.flush`` ->
-        ``_write_back`` on every miss, because ``n_w`` is retuned mid-run
-        and subclasses override ``_write_back`` — where the classic
-        manager writes the victim alone.
+        routine of every stack.  A dirty victim is where ACE (Algorithm 1,
+        lines 25-27 and 38-39) leaves the classic exchange: with a
+        ``writer`` the next ``n_w`` dirty pages are written as one batch —
+        dispatched through ``writer.flush`` -> ``_write_back`` on every
+        miss, because ``n_w`` is retuned mid-run and subclasses override
+        ``_write_back`` — where the classic manager writes the victim
+        alone.  A ``reader`` hears ``on_miss`` first and, if it prefetches,
+        is asked twice: a miss into free frames may read ``n_e - 1``
+        predicted pages along (ll. 9-16), a dirty victim becomes the wide
+        exchange (ll. 25-36).  Its methods are looked up per call too.
 
         On a bare device the whole exchange — victim write-back, eviction,
         read, install — runs inlined below with accounting identical to
         the generic helpers (``_write_back``/``_evict``/``_load``), which
-        handle the fault-capable devices.  The executor's
-        ``_replay_turbo`` inlines that branch once more, step for step.
+        handle the fault-capable devices; only a non-empty prefetch set
+        and the wide exchange leave for ``reader.fetch``.  The executor's
+        ``_replay_turbo`` inlines the Reader-less branch, step for step.
         """
         device = self._plain_device
         if device is None:
             # Generic, retry-capable path (FaultyDevice or a subclass).
-            if not self.pool.has_free():
+            reader = self.reader
+            if reader is not None:
+                reader.prefetcher.on_miss(page)
+                if not self.config.prefetch_enabled:
+                    reader = None  # a Reader that only trains
+            if self.pool.has_free():
+                if reader is not None:
+                    # A batch even when the prefetch set comes back empty:
+                    # a faulty device draws its schedule per call.
+                    limit = min(self.evictor.n_e, self.pool.free_count) - 1
+                    return reader.fetch(page, reader.select_prefetch_set(page, limit))
+            else:
                 victim = self.policy.select_victim()
                 if victim is None:
                     raise self._pool_exhausted(page)
@@ -438,6 +457,11 @@ class BufferPoolManager:
                     self._evict(victim)
                 else:
                     self.stats.dirty_evictions += 1
+                    if reader is not None:
+                        limit = self._exchange_wide(victim)
+                        return reader.fetch(
+                            page, reader.select_prefetch_set(page, limit)
+                        )
                     writer = self.writer
                     if writer is None:
                         # The classic exchange: one write-back for one read.
@@ -478,10 +502,21 @@ class BufferPoolManager:
             policy_insert,
             note_clean,
             dirty_discard,
+            reader,
         ) = self._turbo
         stats = self.stats
         device_stats = device.stats
-        if not free:
+        if reader is not None:
+            reader.prefetcher.on_miss(page)
+            if not self.config.prefetch_enabled:
+                reader = None  # a Reader that only trains
+        if free:
+            if reader is not None:
+                limit = min(self.evictor.n_e, len(free)) - 1
+                chosen = reader.select_prefetch_set(page, limit)
+                if chosen:
+                    return reader.fetch(page, chosen)
+        else:
             victim = select_victim()
             if victim is None:
                 raise self._pool_exhausted(page)
@@ -490,6 +525,9 @@ class BufferPoolManager:
                 stats.clean_evictions += 1
             elif self.writer is not None:
                 stats.dirty_evictions += 1
+                if reader is not None:
+                    limit = self._exchange_wide(victim)
+                    return reader.fetch(page, reader.select_prefetch_set(page, limit))
                 self.writer.flush(self.writer.select_writeback_set(victim))
                 if dirty_bits[victim_frame]:
                     # Not on a bare device as it stands, but ``_write_back``
@@ -740,22 +778,29 @@ class BufferPoolManager:
         return selected[0] if selected else None
 
     def _evict(self, page: int) -> None:
-        """Drop a clean resident page from the pool."""
-        frame_id = self._frame_of.get(page)
+        """Drop a clean resident page from the pool (on its flat arrays)."""
+        frame_of = self._frame_of
+        frame_id = frame_of.get(page)
         if frame_id is None:
             raise PageNotBufferedError(f"page {page} is not resident")
         if self._dirty_bits[frame_id]:
             raise ValueError(
                 f"cannot evict dirty page {page}; write it back first"
             )
-        if self._pin_counts[frame_id] > 0:
+        if self._pin_counts[frame_id]:
             raise ValueError(f"cannot evict pinned page {page}")
+        stats = self.stats
         if self._prefetched_bits[frame_id]:
-            self.stats.prefetch_unused += 1
-        self.stats.evictions += 1
-        self.table.delete(page)
+            stats.prefetch_unused += 1
+            self._prefetched_bits[frame_id] = 0
+        stats.evictions += 1
+        del frame_of[page]
+        if self._array_slots:
+            self._slots[page] = -1
         self.policy.remove(page)
-        self.pool.free(frame_id)
+        self._page_of[frame_id] = -1
+        self._payloads[frame_id] = None
+        self.pool._free.append(frame_id)
 
     def _load(self, page: int, cold: bool = False) -> int:
         """Read ``page`` from the device and install it into a free frame."""

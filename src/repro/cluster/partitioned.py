@@ -58,6 +58,11 @@ class PartitionedBufferPoolManager:
 
     variant = "partitioned"
 
+    #: The executor asks every manager; sanitised partitions carry their
+    #: own checker, and the facade (no ``hit_run_ready`` handshake) is
+    #: replayed request by request either way.
+    sanitizer = None
+
     def __init__(
         self,
         capacity: int,
@@ -134,6 +139,14 @@ class PartitionedBufferPoolManager:
             for field in _STAT_FIELDS:
                 setattr(total, field, getattr(total, field) + getattr(stats, field))
         return total
+
+    @stats.setter
+    def stats(self, fresh: BufferStats) -> None:
+        """Restart the counters from ``fresh`` (the executor's warm-up
+        boundary assigns a zeroed instance): the aggregate reads back equal."""
+        for partition in self.partitions:
+            partition.stats = BufferStats()
+        self.partitions[0].stats = fresh
 
     def occupancy(self) -> list[int]:
         """Used frames per partition (imbalance diagnostics)."""

@@ -18,12 +18,13 @@ classical path (modulo opportunistic prefetching into free slots), so a
 read-only workload behaves *identically* to the baseline — the paper's
 "no penalty" property.
 
-The code has the same shape.  Without a Reader there is no ACE miss routine:
-the stack runs :meth:`BufferPoolManager._handle_miss` — inlined bare-device
-branch, executor turbo loop and all — which hands a dirty victim to
-``self.writer`` where the classic manager (``writer = None``) writes the
-one page.  Only a Reader replaces the routine, with
-:meth:`ACEBufferPoolManager._prefetching_miss`.
+The code has the same shape.  There is no ACE miss routine: every stack
+runs :meth:`BufferPoolManager._handle_miss` — inlined bare-device branch
+and, without a Reader, the executor's turbo loop — which hands a dirty
+victim to ``self.writer`` where the classic manager (``writer = None``)
+writes the one page, and asks ``self.reader`` at a miss into free frames
+and at a dirty victim.  Only the step without a classic counterpart lives
+here: the wide exchange, :meth:`ACEBufferPoolManager._exchange_wide`.
 """
 
 from __future__ import annotations
@@ -99,10 +100,9 @@ class ACEBufferPoolManager(BufferPoolManager):
             # Per-access prefetcher training hook, consumed by the base
             # manager's request fast path.
             self._observer = self.reader.prefetcher.observe
-            # Only a Reader changes the miss routine itself; bound on the
-            # instance, so a Reader-less stack runs the inherited routine
-            # with no dispatch frame in between.
-            self._handle_miss = self._prefetching_miss
+            if self._plain_device is not None:
+                # The inlined miss branch reads its hooks from the tuple.
+                self._turbo = (*self._turbo[:-1], self.reader)
         #: (n_w, n_e) to restore when degraded batching ends; ``None`` while
         #: running at full batch sizes.
         self._degraded_batching: tuple[int, int] | None = None
@@ -151,33 +151,11 @@ class ACEBufferPoolManager(BufferPoolManager):
 
     # ------------------------------------------------------- Algorithm 1
 
-    def _prefetching_miss(self, page: int) -> int:
-        """The miss routine of a stack with a Reader (see ``__init__``)."""
-        self.reader.prefetcher.on_miss(page)
-        if not self.config.prefetch_enabled:
-            # A Reader that only trains its prefetcher: the shared path.
-            return BufferPoolManager._handle_miss(self, page)
-
-        if self.pool.has_free():
-            # Lines 9-16: free slots available; prefetch into them — "up
-            # to n_e - 1 pages, depending on available slots".
-            limit = min(self.config.n_e - 1, self.pool.free_count - 1)
-            return self._fetch_with_prefetch(page, limit)
-
-        victim = self.policy.select_victim()
-        if victim is None:
-            raise self._pool_exhausted(page)
-
+    def _exchange_wide(self, victim: int) -> int:
+        """Lines 25-36, a prefetching stack's dirty victim: write ``n_w``
+        dirty pages concurrently, evict ``n_e`` pages led by ``victim``;
+        returns the prefetch budget (the freed frames but the missed page's)."""
         dirty_set = self._dirty_set
-        if victim not in dirty_set:
-            # Lines 19-22: clean top page — identical to the classic path.
-            self.stats.clean_evictions += 1
-            self._evict(victim)
-            return self._load(page)
-
-        # Lines 25-27: dirty top page — concurrently write n_w dirty pages,
-        # lines 31-36: evict n_e pages and prefetch n_e - 1.
-        self.stats.dirty_evictions += 1
         writeback_set = self.writer.select_writeback_set(victim)
         eviction_set = self.evictor.select_eviction_set(victim)
         # Pages about to be evicted must be clean; fold any dirty ones into
@@ -212,12 +190,7 @@ class ACEBufferPoolManager(BufferPoolManager):
         self.stats.clean_evictions += (
             len(clean_set) - 1 if victim in clean_set else len(clean_set)
         )
-        return self._fetch_with_prefetch(page, len(clean_set) - 1)
-
-    def _fetch_with_prefetch(self, page: int, limit: int) -> int:
-        assert self.reader is not None
-        prefetch_set = self.reader.select_prefetch_set(page, limit)
-        return self.reader.fetch(page, prefetch_set)
+        return len(clean_set) - 1
 
     # ----------------------------------------------------------- flushing
 

@@ -34,13 +34,11 @@ class Evictor:
         is normally its head, so asking for ``n_e`` candidates covers the
         ``n_e - 1`` non-victim pages needed either way.
         """
-        candidates = [victim]
-        for page in self.manager.policy.peek(self.n_e):
-            if len(candidates) >= self.n_e:
-                break
-            if page != victim:
-                candidates.append(page)
-        return candidates
+        n_e = self.n_e
+        pages = self.manager.policy.peek(n_e)
+        if pages and pages[0] == victim:
+            return pages  # the victim heads the virtual order: the usual case
+        return [victim] + [page for page in pages if page != victim][: n_e - 1]
 
     def evict(self, pages: list[int]) -> int:
         """Drop the given pages from the bufferpool.

@@ -6,7 +6,9 @@ Reader asks its prefetcher for up to ``n_e - 1`` predictions and reads them
 **in the same concurrent batch** as the page that missed.  The missed page
 is installed at the most-recently-used position; prefetched pages are
 installed at the least-recently-used position so that a wrong prediction is
-simply dropped at the next eviction without ever costing a write.
+simply dropped at the next eviction without ever costing a write.  It is a
+hook of the one miss routine (``BufferPoolManager._handle_miss``), not a
+routine: a miss whose prefetch set comes back empty is the classic read.
 """
 
 from __future__ import annotations
@@ -42,14 +44,15 @@ class Reader:
         duplicated are filtered out; the prefetcher's confidence rules
         (stream detection, fetch threshold) are applied inside ``suggest``.
         """
-        if limit <= 0:
-            return []
+        suggestions = self.prefetcher.suggest(page, limit) if limit > 0 else ()
+        if not suggestions:
+            return []  # the usual answer: no room, or no confident prediction
         manager = self.manager
         num_pages = manager.device.num_pages
         frame_of = manager._frame_of  # lint: allow-translation
         selected: list[int] = []
         seen = {page}
-        for candidate in self.prefetcher.suggest(page, limit):
+        for candidate in suggestions:
             if candidate in seen or candidate in frame_of:
                 continue
             if num_pages is not None and not 0 <= candidate < num_pages:

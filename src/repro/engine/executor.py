@@ -66,13 +66,15 @@ def _turbo_ready(manager: BufferPoolManager) -> bool:
 
     Asked of capability, not of class: the miss routine must be the shared
     :meth:`BufferPoolManager._handle_miss` that the loop inlines (a
-    subclass override, or the Reader's per-instance routine, is not), on a
-    bare device (the ``_turbo`` tuple exists), with no WAL and no observer
-    to call per request.  ACE without a Reader qualifies like baseline.
+    subclass override is not) with no Reader to ask — the loop carries the
+    Writer hook only — on a bare device (the ``_turbo`` tuple exists), with
+    no WAL and no observer to call per request.  ACE without a Reader
+    qualifies like baseline; a Reader stack takes :func:`_replay_hit_runs`.
     """
     return (
         getattr(manager._handle_miss, "__func__", None)
         is BufferPoolManager._handle_miss
+        and manager.reader is None
         and manager._plain_device is not None
         and manager.wal is None
         and manager._observer is None
@@ -124,6 +126,7 @@ def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
         policy_insert,
         note_clean,
         dirty_discard,
+        _reader,  # None: see _turbo_ready
     ) = manager._turbo
     probe_space = manager._probe_space
     on_access = manager._policy_on_access

@@ -33,6 +33,12 @@ class CompositePrefetcher(Prefetcher):
         self.history = history if history is not None else HistoryPrefetcher()
         self.sequential_suggestions = 0
         self.history_suggestions = 0
+        # Pure delegation, and ``observe`` runs once per access: bind the
+        # delegates themselves, unless a subclass defines the hook.
+        if type(self).observe is CompositePrefetcher.observe:
+            self.observe = self.history.observe
+        if type(self).on_miss is CompositePrefetcher.on_miss:
+            self.on_miss = self.sequential.on_miss
 
     def observe(self, page: int) -> None:
         self.history.observe(page)

@@ -65,47 +65,43 @@ class HistoryPrefetcher(Prefetcher):
             index = next_pages.index(page)
             if weights[index] < self.max_weight:
                 weights[index] += 1
-            return
-        if len(next_pages) < self.candidates_per_page:
+        elif len(next_pages) < self.candidates_per_page:
             next_pages.append(page)
             weights.append(1)
-            return
-        # Row is full: take the weakest slot or weaken it.
-        weakest = min(range(len(weights)), key=weights.__getitem__)
-        if weights[weakest] == 0:
-            next_pages[weakest] = page
-            weights[weakest] = 1
         else:
-            weights[weakest] -= 1
-
-    def best_successor(self, page: int, exclude: set[int]) -> int | None:
-        """Highest-weight successor of ``page`` clearing the threshold."""
-        row = self._table.get(page)
-        if row is None:
-            return None
-        next_pages, weights = row
-        best: int | None = None
-        best_weight = self.fetch_threshold - 1
-        for candidate, weight in zip(next_pages, weights):
-            if candidate in exclude:
-                continue
-            if weight > best_weight:
-                best = candidate
-                best_weight = weight
-        return best
+            # Row is full: take the weakest slot (first of equals) or weaken it.
+            lowest = min(weights)
+            weakest = weights.index(lowest)
+            if lowest:
+                weights[weakest] = lowest - 1
+            else:
+                next_pages[weakest] = page
+                weights[weakest] = 1
 
     def suggest(self, page: int, n: int) -> list[int]:
-        """Chain up to ``n`` predicted pages starting from ``page``."""
+        """Chain up to ``n`` predicted pages starting from ``page``: each
+        link the previous one's highest-weight successor (first of equals)
+        that clears the threshold and is not in the chain already."""
         suggestions: list[int] = []
+        table = self._table
+        floor = self.fetch_threshold - 1
         exclude = {page}
         current = page
-        for _ in range(n):
-            successor = self.best_successor(current, exclude)
-            if successor is None:
+        while len(suggestions) < n:
+            row = table.get(current)
+            if row is None or max(row[1]) <= floor:
+                break  # the common end: nothing here clears the threshold
+            best = None
+            best_weight = floor
+            for candidate, weight in zip(*row):
+                if weight > best_weight and candidate not in exclude:
+                    best = candidate
+                    best_weight = weight
+            if best is None:
                 break
-            suggestions.append(successor)
-            exclude.add(successor)
-            current = successor
+            suggestions.append(best)
+            exclude.add(best)
+            current = best
         return suggestions
 
     def row(self, page: int) -> tuple[list[int], list[int]] | None:

@@ -98,10 +98,11 @@ class TaPPrefetcher(Prefetcher):
         return dict(self._table)
 
     def _insert(self, expected_page: int, length: int) -> None:
-        if expected_page in self._table:
-            # Keep the longer stream interpretation.
-            length = max(length, self._table.pop(expected_page))
-        self._table[expected_page] = length
-        while len(self._table) > self.table_size:
-            # FIFO eviction of stale would-be streams, as in the paper.
-            self._table.popitem(last=False)
+        table = self._table
+        # Keep the longer stream interpretation (re-queued at the tail).
+        known = table.pop(expected_page, 0)
+        table[expected_page] = known if known > length else length
+        if len(table) > self.table_size:
+            # FIFO eviction of stale would-be streams (one insertion
+            # overflows the table by one entry at most).
+            table.popitem(last=False)

@@ -6,14 +6,19 @@ baseline or ACE — whole misses) inside the executor instead of calling
 the per-request path via the ``hit_run_ready`` handshake must leave every
 observable output byte-identical: RunMetrics, device counters, virtual
 clock, residency order, the policy's virtual order, dirty set, device
-payloads, FTL counters, and WAL records.  A Hypothesis test then holds the
-manager itself (LRU, baseline and ACE) to a reference pool that shares no
-code with it.
+payloads, FTL counters, and WAL records.  The two *branches* of the miss
+routine (inlined on a bare device, helpers behind a disarmed fault plan)
+must agree the same way for the Reader stacks, prefetcher state included,
+and the prefetcher must hear the same hook sequence on every replay.  A
+Hypothesis test then holds the manager itself (LRU; baseline, ACE and
+ACE+PF with a silent prefetcher) to a reference pool that shares no code
+with it, and the prefetchers' kernels are held to their first definitions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 from collections import OrderedDict
 
 import pytest
@@ -22,14 +27,24 @@ from hypothesis import strategies as st
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
+from repro.core.ace import ACEBufferPoolManager
 from repro.core.adaptive import AdaptiveACEBufferPoolManager
+from repro.core.config import ACEConfig
 from repro.core.stack import VARIANTS, build_manager
 from repro.engine import executor
 from repro.engine.executor import ExecutionOptions, run_trace
 from repro.errors import PoolExhaustedError
 from repro.faults import FaultPlan, FaultyDevice
 from repro.policies.registry import POLICY_NAMES, make_policy
+from repro.prefetch import (
+    CompositePrefetcher,
+    HistoryPrefetcher,
+    NPLPrefetcher,
+    NullPrefetcher,
+    TaPPrefetcher,
+)
 from repro.workloads.synthetic import MS, generate_trace
+from repro.workloads.trace import Trace
 
 from tests.bufferpool.conftest import make_device
 
@@ -221,7 +236,14 @@ PATHS = {
     "observer": (
         lambda: _observed(build("lru", "ace")), {"hit_runs", "handle_miss"},
     ),
-    "reader": (lambda: build("lru", "ace+pf"), {"hit_runs"}),
+    "reader": (lambda: build("lru", "ace+pf"), {"hit_runs", "handle_miss"}),
+    "reader that only trains": (
+        lambda: build_manager(
+            stack_device(), CAPACITY, "lru", "ace",
+            prefetcher=NullPrefetcher(), sanitize=False,
+        ),
+        {"hit_runs", "handle_miss"},
+    ),
     "sanitizer": (lambda: build("lru", "ace", sanitize=True), {"handle_miss"}),
     "subclass": (
         lambda: _OverridingManager(
@@ -260,6 +282,139 @@ def test_which_path_replays(label, monkeypatch):
     assert entered == expected
 
 
+def test_reader_stack_leaves_the_inlined_branch_only_to_prefetch():
+    """Bare device: ``reader.fetch`` is reached with a non-empty prefetch
+    set or after the wide (dirty-victim) exchange, never for the plain
+    single-page read every other miss ends in."""
+    manager = build("lru", "ace+pf")
+    exchanged, fetches = [], []
+    exchange, fetch = manager._exchange_wide, manager.reader.fetch
+
+    def recording_exchange(victim):
+        exchanged.append(victim)
+        return exchange(victim)
+
+    def recording_fetch(page, prefetch_pages):
+        assert prefetch_pages or exchanged
+        exchanged.clear()
+        fetches.append(page)
+        return fetch(page, prefetch_pages)
+
+    manager._exchange_wide = recording_exchange
+    manager.reader.fetch = recording_fetch  # looked up per call, like perfbench's
+    run_trace(manager, generate_trace(MS, NUM_PAGES, 1500, seed=2), options=OPTIONS)
+    assert 0 < len(fetches) < manager.stats.misses / 2
+    assert manager.device.stats.read_batches == manager.stats.misses
+
+
+# ------------------------------------------- the two branches, Reader stacks
+
+PREFETCHERS = {
+    "composite": lambda: CompositePrefetcher(max_page=NUM_PAGES),
+    "npl": lambda: NPLPrefetcher(4, max_page=NUM_PAGES),
+    "null": NullPrefetcher,
+}
+
+
+def prefetcher_state(prefetcher):
+    if not isinstance(prefetcher, CompositePrefetcher):
+        return None  # the lookahead prefetchers keep no state
+    history, tap = prefetcher.history, prefetcher.sequential
+    return {
+        "rows": [history.row(page) for page in range(NUM_PAGES)],
+        "trained_pairs": history.trained_pairs,
+        "tap": list(tap.table_contents().items()),  # FIFO order included
+        "streams_detected": tap.streams_detected,
+        "suggestions": (
+            prefetcher.sequential_suggestions, prefetcher.history_suggestions
+        ),
+    }
+
+
+#: MS turns the pool over with dirty pages; the scan that follows is what
+#: a prefetcher is for (and runs wide exchanges over MS's dirty leftovers).
+SCAN = Trace(
+    list(range(NUM_PAGES)) * 2, [page % 7 == 0 for page in range(NUM_PAGES)] * 2,
+    "scan",
+)
+
+
+@pytest.mark.parametrize("placement", ["cold", "hot"])
+@pytest.mark.parametrize("prefetcher_name", PREFETCHERS)
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_reader_branches_agree(policy_name, prefetcher_name, placement):
+    """Bare device (inlined branch) vs disarmed ``FaultPlan`` (helpers):
+    the oracle above compares replays inside one branch, this one the
+    branches themselves, where the Reader's hooks are spelled out twice."""
+    results = []
+    for stack in ("bare", "faultplan"):
+        manager = ACEBufferPoolManager(
+            CAPACITY, make_policy(policy_name, CAPACITY), stack_device(stack),
+            config=ACEConfig(
+                n_w=4, n_e=4, prefetch_enabled=True, prefetch_placement=placement
+            ),
+            prefetcher=PREFETCHERS[prefetcher_name](), sanitize=False,
+        )
+        runs = [
+            run_trace(manager, trace, options=OPTIONS, label=trace.name)
+            for trace in (generate_trace(MS, NUM_PAGES, 1200, seed=11), SCAN)
+        ]
+        results.append((
+            [dataclasses.asdict(metrics) for metrics in runs],
+            state(manager), prefetcher_state(manager.reader.prefetcher),
+        ))
+    assert results[0] == results[1]
+    buffer, device = results[0][1]["buffer"], results[0][1]["device"]
+    assert device["reads"] == buffer["misses"] + buffer["prefetch_issued"]
+    if prefetcher_name != "null":
+        assert buffer["prefetch_hits"] > 0
+        assert device["largest_read_batch"] > 1
+
+
+class RecordingPrefetcher(NPLPrefetcher):
+    """Lookahead of 4 that logs every hook call it receives."""
+
+    def __init__(self):
+        super().__init__(4, max_page=NUM_PAGES)
+        self.calls = []
+
+    def observe(self, page):
+        self.calls.append(("observe", page))
+
+    def on_miss(self, page):
+        self.calls.append(("on_miss", page))
+
+    def suggest(self, page, n):
+        self.calls.append(("suggest", page))
+        return super().suggest(page, n)
+
+
+@pytest.mark.parametrize("stack", ["bare", "faultplan"])
+def test_prefetcher_hears_the_same_hooks_on_every_replay(stack):
+    trace = generate_trace(MS, NUM_PAGES, 1500, seed=4)
+    heard = []
+    for force_slow in (False, True):
+        prefetcher = RecordingPrefetcher()
+        manager = build_manager(
+            stack_device(stack), CAPACITY, "lru", "ace+pf",
+            prefetcher=prefetcher, sanitize=False,
+        )
+        if force_slow:
+            manager.hit_run_ready = False
+        run_trace(manager, trace, options=OPTIONS)
+        heard.append(prefetcher.calls)
+        on_misses = sum(hook == "on_miss" for hook, _ in prefetcher.calls)
+        assert on_misses == manager.stats.misses
+    assert heard[0] == heard[1]
+    observed = [page for hook, page in heard[0] if hook == "observe"]
+    assert observed == trace.pages  # exactly one per access, in order
+    # A miss is on_miss [-> suggest] -> observe, all for the one page:
+    # ``on_miss`` comes first and ``observe`` closes the access.
+    for (hook, page), (_, following) in zip(heard[0], heard[0][1:]):
+        if hook != "observe":
+            assert following == page
+
+
 # ------------------------------------------------------ the reference pool
 
 
@@ -268,11 +423,13 @@ class ReferencePool:
 
     A miss on a full pool evicts the least recently used unpinned page; if
     it is dirty it is written back first — alone, or under ACE together
-    with the next dirty unpinned pages in LRU order, ``n_w`` in all.
+    with the next dirty unpinned pages in LRU order, ``n_w`` in all.  With
+    prefetching (``n_e`` > 1) the dirty victim takes the first ``n_e``
+    unpinned pages with it, their dirty members joining the same batch.
     """
 
-    def __init__(self, capacity, n_w=None):
-        self.capacity, self.n_w = capacity, n_w
+    def __init__(self, capacity, n_w=None, n_e=1):
+        self.capacity, self.n_w, self.n_e = capacity, n_w, n_e
         self.order = OrderedDict()  # page -> payload, LRU first
         self.dirty, self.pinned, self.device = set(), set(), {}
         self.hits = self.misses = self.writebacks = self.batches = 0
@@ -292,11 +449,15 @@ class ReferencePool:
             self.misses += 1
             if len(self.order) == self.capacity:
                 unpinned = [p for p in self.order if p not in self.pinned]
-                victim = unpinned[0]
-                if victim in self.dirty:
-                    queue = [p for p in unpinned if p in self.dirty]
-                    self.write_back(queue[: self.n_w or 1])
-                del self.order[victim]
+                doomed = unpinned[:1]
+                if doomed[0] in self.dirty:
+                    queue = [p for p in unpinned if p in self.dirty][: self.n_w or 1]
+                    doomed = unpinned[: self.n_e]
+                    self.write_back(
+                        queue + [p for p in doomed if p in self.dirty and p not in queue]
+                    )
+                for page_out in doomed:
+                    del self.order[page_out]
             self.order[page] = self.device.get(page, 0)
         if is_write:
             self.order[page] += 1
@@ -316,13 +477,19 @@ OPS = st.lists(
 )
 
 
-@pytest.mark.parametrize("variant", ["baseline", "ace"])
+@pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=60, deadline=None)
 @given(ops=OPS)
 def test_manager_matches_reference_pool(variant, ops):
     capacity = 6
-    manager = build_manager(stack_device(), capacity, "lru", variant, n_w=3)
-    model = ReferencePool(capacity, n_w=None if variant == "baseline" else 3)
+    n_e = 2 if variant == "ace+pf" else 1
+    manager = build_manager(
+        stack_device(), capacity, "lru", variant, n_w=3, n_e=n_e,
+        prefetcher=NullPrefetcher() if variant == "ace+pf" else None,
+    )
+    model = ReferencePool(
+        capacity, n_w=None if variant == "baseline" else 3, n_e=n_e
+    )
     for op, index in ops:
         if op in ("read", "write"):
             manager.access(index, op == "write")
@@ -354,3 +521,117 @@ def test_manager_matches_reference_pool(variant, ops):
     assert manager.device.snapshot_payloads() == (
         dict.fromkeys(range(NUM_PAGES), 0) | model.device
     )
+    assert manager.device.stats.reads == stats.misses + stats.prefetch_issued
+
+
+# ------------------------------------------------- the prefetchers' kernels
+
+
+class FirstHistory(HistoryPrefetcher):
+    """``observe``/``suggest`` as first written (paper Fig. 7), step by step."""
+
+    ties = 0  # weakest-slot picks decided by position
+    passed_over = 0  # successors that cleared the threshold but were excluded
+
+    def observe(self, page):
+        previous, self._previous_page = self._previous_page, page
+        if previous is None or previous == page:
+            return
+        self.trained_pairs += 1
+        row = self._table.get(previous)
+        if row is None:
+            self._table[previous] = ([page], [1])
+            return
+        next_pages, weights = row
+        if page in next_pages:
+            index = next_pages.index(page)
+            if weights[index] < self.max_weight:
+                weights[index] += 1
+            return
+        if len(next_pages) < self.candidates_per_page:
+            next_pages.append(page)
+            weights.append(1)
+            return
+        weakest = min(range(len(weights)), key=weights.__getitem__)
+        self.ties += weights.count(weights[weakest]) > 1
+        if weights[weakest] == 0:
+            next_pages[weakest] = page
+            weights[weakest] = 1
+        else:
+            weights[weakest] -= 1
+
+    def best_successor(self, page, exclude):
+        best, best_weight = None, self.fetch_threshold - 1
+        for candidate, weight in zip(*self._table.get(page, ((), ()))):
+            if candidate in exclude:
+                self.passed_over += weight >= self.fetch_threshold
+                continue
+            if weight > best_weight:
+                best, best_weight = candidate, weight
+        return best
+
+    def suggest(self, page, n):
+        suggestions, exclude, current = [], {page}, page
+        for _ in range(n):
+            successor = self.best_successor(current, exclude)
+            if successor is None:
+                break
+            suggestions.append(successor)
+            exclude.add(successor)
+            current = successor
+        return suggestions
+
+
+class FirstTaP(TaPPrefetcher):
+    """``_insert`` as first written: membership test, ``max``, ``while``."""
+
+    def _insert(self, expected_page, length):
+        if expected_page in self._table:
+            length = max(length, self._table.pop(expected_page))
+        self._table[expected_page] = length
+        while len(self._table) > self.table_size:
+            self._table.popitem(last=False)
+
+
+def test_history_kernel_matches_its_first_definition():
+    rng = random.Random(5)
+    pages = range(14)
+    kernel, first = HistoryPrefetcher(max_weight=5), FirstHistory(max_weight=5)
+    for step in range(5000):
+        # Skewed, so weights climb to the cap while cold slots tie at 0/1.
+        page = rng.choice(pages[:4]) if rng.random() < 0.6 else rng.choice(pages)
+        kernel.observe(page)
+        first.observe(page)
+        assert kernel.row(page) == first.row(page)
+        if step % 10 == 0:
+            for start in pages:
+                chain = kernel.suggest(start, 5)
+                assert chain == first.suggest(start, 5)
+                assert chain[:2] == kernel.suggest(start, 2)
+    assert [kernel.row(p) for p in pages] == [first.row(p) for p in pages]
+    assert kernel.trained_pairs == first.trained_pairs > 4000
+    assert first.ties > 50 and first.passed_over > 50
+
+
+def test_tap_kernel_matches_its_first_definition():
+    rng = random.Random(6)
+    kernel, first = (cls(table_size=6, trigger_length=3, max_page=60)
+                     for cls in (TaPPrefetcher, FirstTaP))
+    page, overflowed, merged = 0, 0, 0
+    for _ in range(5000):
+        # Runs of sequential misses from random starts, often overlapping
+        # (a shorter stream arriving where a longer one is expected).
+        page = page + 1 if rng.random() < 0.7 and page < 59 else rng.randrange(60)
+        before = first.table_contents()
+        for tap in (kernel, first):
+            tap.on_miss(page)
+        overflowed += len(before) == 6 and page not in before
+        merged += before.get(page + 1, 0) > before.get(page, 0) + 1
+        assert kernel.in_stream(page) == first.in_stream(page)
+        if rng.random() < 0.3:
+            assert kernel.suggest(page, 4) == first.suggest(page, 4)
+        assert list(kernel.table_contents().items()) == list(
+            first.table_contents().items()
+        )
+    assert kernel.streams_detected == first.streams_detected > 100
+    assert overflowed > 100 and merged > 10

@@ -1,8 +1,12 @@
 """Tests for the latency-triggered circuit breaker state machine."""
 
+import pytest
+
 from repro.core.ace import ACEBufferPoolManager, ACEConfig
 from repro.engine.serving import BreakerConfig, CircuitBreaker
+from repro.faults import FaultPlan, FaultyDevice
 from repro.policies.lru import LRUPolicy
+from repro.prefetch import NPLPrefetcher
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import PCIE_SSD
 
@@ -140,6 +144,29 @@ class TestActuation:
         assert manager.writer.n_w == 4
         assert manager.evictor.n_e == 4
         manager.exit_degraded_batching()
+
+    @pytest.mark.parametrize("disarmed_plan", [False, True])
+    def test_degraded_batching_degrades_free_frame_prefetch(self, disarmed_plan):
+        """A miss into free frames prefetches ``n_e - 1`` pages of the
+        *live* ``n_e`` (it used to read the configured one: an 8-page read
+        batch with the breaker open), on both miss branches."""
+        device = SimulatedSSD(PCIE_SSD, num_pages=64)
+        device.format_pages(range(64))
+        if disarmed_plan:  # the generic, retry-capable branch
+            device = FaultyDevice(device, FaultPlan())
+        manager = ACEBufferPoolManager(
+            32, LRUPolicy(), device,
+            config=ACEConfig(n_w=8, n_e=8, prefetch_enabled=True),
+            prefetcher=NPLPrefetcher(depth=8),
+        )
+        manager.enter_degraded_batching()  # breaker open: n_w = n_e = 1
+        manager.read_page(0)
+        assert manager.device.stats.largest_read_batch == 1
+        assert manager.stats.prefetch_issued == 0
+        manager.exit_degraded_batching()
+        manager.read_page(20)
+        assert manager.device.stats.largest_read_batch == 8
+        assert manager.stats.prefetch_issued == 7
 
     def test_baseline_manager_gets_bookkeeping_only(self):
         class Plain:

@@ -99,9 +99,10 @@ class BufferPoolManager:
     notifies_state_changes = True
 
     #: Executor handshake: the manager exposes ``_slots``/``_probe_space``/
-    #: ``_prefetched_bits`` with read-hit semantics identical to
-    #: ``read_page``, so ``run_trace`` may resolve runs of read hits with
-    #: inline translation probes (see :func:`repro.engine.executor.run_trace`).
+    #: ``_prefetched_bits`` and the per-frame state arrays with hit
+    #: semantics identical to ``read_page``/``write_page``, so the bulk
+    #: replay may resolve hits — reads and writes alike — with inline
+    #: translation probes (see :func:`repro.engine.executor.replay`).
     hit_run_ready = True
 
     #: The batch hook.  ``None`` here: a dirty victim is written back alone.
@@ -139,10 +140,6 @@ class BufferPoolManager:
         # the authoritative record.
         self._dirty_set: set[int] = set()
         self._pinned_set: set[int] = set()
-        #: ``|dirty ∩ pinned|``, maintained on every dirty/clean/pin/unpin
-        #: transition so :attr:`pool_pressure` is O(1) and allocation-free
-        #: (the serving layer's admission gate reads it per dispatch).
-        self._dirty_pinned_overlap = 0
         # Hot-path aliases.  The table's containers and the pool's state
         # arrays live for the manager's lifetime, so binding them here
         # removes attribute hops per request.
@@ -197,7 +194,6 @@ class BufferPoolManager:
                 pool._payloads,
                 pool.page_of,
                 pool.dirty_bits,
-                pool.pin_counts,
                 pool.prefetched_bits,
                 device._payloads,
                 device._single_read_us,
@@ -288,8 +284,6 @@ class BufferPoolManager:
         if not dirty_bits[frame_id]:
             dirty_bits[frame_id] = 1
             self._dirty_set.add(page)
-            if self._pin_counts[frame_id]:
-                self._dirty_pinned_overlap += 1
             self._note_dirty(page)
         payloads = self._payloads
         if payload is None:
@@ -319,16 +313,14 @@ class BufferPoolManager:
         write-back first, so ``|pinned ∪ dirty| / capacity`` approaches 1.0
         just before misses start stalling on write-backs or the pool
         exhausts outright.  The serving layer's admission gate sheds new
-        requests on this signal (see ``ServingConfig.pressure_threshold``),
-        calling this once per dispatch — it is O(1) and allocation-free,
-        computed from the maintained mirrors and the dirty∩pinned overlap
-        counter rather than fresh set arithmetic.
+        requests on this signal (see ``ServingConfig.pressure_threshold``).
+        Derived from the two mirror sets on demand: the overlap is a walk
+        of the pinned set, which is empty outside tests that pin.
         """
-        pressured = (
-            len(self._pinned_set)
-            + len(self._dirty_set)
-            - self._dirty_pinned_overlap
-        )
+        pinned, dirty = self._pinned_set, self._dirty_set
+        pressured = len(dirty)
+        if pinned:
+            pressured += len(pinned - dirty)
         return pressured / self.capacity
 
     @property
@@ -364,8 +356,6 @@ class BufferPoolManager:
         pin_counts[frame_id] = count
         if count == 1:
             self._pinned_set.add(page)
-            if self._dirty_bits[frame_id]:
-                self._dirty_pinned_overlap += 1
             self.policy.note_pinned(page)
 
     def unpin(self, page: int) -> None:
@@ -380,8 +370,6 @@ class BufferPoolManager:
         pin_counts[frame_id] = count
         if count == 0:
             self._pinned_set.discard(page)
-            if self._dirty_bits[frame_id]:
-                self._dirty_pinned_overlap -= 1
             self.policy.note_unpinned(page)
 
     def flush_page(self, page: int) -> None:
@@ -486,7 +474,6 @@ class BufferPoolManager:
             payloads,
             page_of,
             dirty_bits,
-            pin_counts,
             prefetched_bits,
             device_payloads,
             read_us,
@@ -558,8 +545,6 @@ class BufferPoolManager:
                     ftl.write(victim)
                 dirty_bits[victim_frame] = 0
                 dirty_discard(victim)
-                if pin_counts[victim_frame]:
-                    self._dirty_pinned_overlap -= 1
                 note_clean(victim)
                 stats.writebacks += 1
                 stats.writeback_batches += 1
@@ -626,20 +611,6 @@ class BufferPoolManager:
             candidates_examined=candidates_examined,
         )
 
-    def _descriptor_of(self, page: int):
-        frame_id = self._frame_of.get(page)
-        if frame_id is None:
-            raise PageNotBufferedError(f"page {page} is not resident")
-        return self.pool.descriptors[frame_id]
-
-    def _mark_dirty(self, page: int, frame_id: int) -> None:
-        if not self._dirty_bits[frame_id]:
-            self._dirty_bits[frame_id] = 1
-            self._dirty_set.add(page)
-            if self._pin_counts[frame_id]:
-                self._dirty_pinned_overlap += 1
-            self._note_dirty(page)
-
     def _write_back(self, pages: Iterable[int], background: bool = False) -> int:
         """Write the given resident dirty pages to the device in one batch.
 
@@ -671,9 +642,6 @@ class BufferPoolManager:
             return self._retry_write_back(batch, fault, background)
         for page in batch:
             dirty_bits[frame_of[page]] = 0
-        pinned = self._pinned_set
-        if pinned:
-            self._dirty_pinned_overlap -= len(pinned.intersection(batch))
         self._dirty_set.difference_update(batch)
         note_clean = self._note_clean
         for page in batch:
@@ -742,14 +710,11 @@ class BufferPoolManager:
             return 0
         frame_of = self._frame_of
         dirty_bits = self._dirty_bits
-        pin_counts = self._pin_counts
         note_clean = self._note_clean
         for page in landed:
             frame_id = frame_of.get(page)
             if frame_id is not None:
                 dirty_bits[frame_id] = 0
-                if pin_counts[frame_id]:
-                    self._dirty_pinned_overlap -= 1
                 note_clean(page)
         self._dirty_set.difference_update(landed)
         stats.writebacks += len(landed)

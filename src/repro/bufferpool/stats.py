@@ -86,3 +86,8 @@ class BufferStats:
 
     def copy(self) -> "BufferStats":
         return replace(self)
+
+    def merge(self, other: "BufferStats") -> None:
+        """Add ``other``'s counters to these, in place (every field sums)."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))

@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.stats import BufferStats
@@ -307,23 +307,19 @@ def _replay_shard(job: ShardJob) -> ShardResult:
     to exactly that contract.)
     """
     manager = build_shard_stack(job.config, job.shard)
-    label = f"{job.config.label}/shard{job.shard}"
     if job.transactions is not None:
-        stream = [(kind, list(requests)) for kind, requests in job.transactions]
-        start = time.perf_counter()  # lint: allow-wall-clock, allow-nondeterminism
-        metrics = run_transactions(
-            manager, stream, options=job.config.options, label=label
-        )
-        wall_s = time.perf_counter() - start  # lint: allow-wall-clock, allow-nondeterminism
-        return ShardResult(job.shard, metrics.ops, metrics, wall_s)
-    assert job.pages is not None and job.writes is not None
-    trace = Trace(list(job.pages), list(job.writes), name=job.trace_name)
+        run, work = run_transactions, job.transactions
+    else:
+        assert job.pages is not None and job.writes is not None
+        run = run_trace
+        work = Trace(list(job.pages), list(job.writes), name=job.trace_name)
     start = time.perf_counter()  # lint: allow-wall-clock, allow-nondeterminism
-    metrics = run_trace(
-        manager, trace, options=job.config.options, label=label
+    metrics = run(
+        manager, work, options=job.config.options,
+        label=f"{job.config.label}/shard{job.shard}",
     )
     wall_s = time.perf_counter() - start  # lint: allow-wall-clock, allow-nondeterminism
-    return ShardResult(job.shard, len(trace), metrics, wall_s)
+    return ShardResult(job.shard, metrics.ops, metrics, wall_s)
 
 
 @dataclass
@@ -392,20 +388,6 @@ class ClusterMetrics:
         )
 
 
-#: BufferStats counter names, summed field-wise in the merge.
-_BUFFER_FIELDS = tuple(f.name for f in fields(BufferStats))
-#: DeviceStats fields summed field-wise; the histogram and the
-#: ``largest_*`` maxima are merged explicitly.
-_DEVICE_SUM_FIELDS = tuple(
-    f.name
-    for f in fields(DeviceStats)
-    if f.name
-    not in ("write_batch_size_histogram", "largest_write_batch",
-            "largest_read_batch")
-)
-_FTL_FIELDS = tuple(f.name for f in fields(FtlCounters))
-
-
 def merge_shard_metrics(
     results: Sequence[ShardResult],
     label: str,
@@ -446,28 +428,10 @@ def merge_shard_metrics(
         makespan = max(makespan, metrics.elapsed_us)
         io_time += metrics.io_time_us
         cpu_time += metrics.cpu_time_us
-        for name in _BUFFER_FIELDS:
-            setattr(buffer, name,
-                    getattr(buffer, name) + getattr(metrics.buffer, name))
-        for name in _DEVICE_SUM_FIELDS:
-            setattr(device, name,
-                    getattr(device, name) + getattr(metrics.device, name))
-        device.largest_write_batch = max(
-            device.largest_write_batch, metrics.device.largest_write_batch
-        )
-        device.largest_read_batch = max(
-            device.largest_read_batch, metrics.device.largest_read_batch
-        )
-        for size, count in sorted(
-            metrics.device.write_batch_size_histogram.items()
-        ):
-            device.write_batch_size_histogram[size] = (
-                device.write_batch_size_histogram.get(size, 0) + count
-            )
+        buffer.merge(metrics.buffer)
+        device.merge(metrics.device)
         if ftl is not None:
-            for name in _FTL_FIELDS:
-                setattr(ftl, name,
-                        getattr(ftl, name) + getattr(metrics.ftl, name))
+            ftl.merge(metrics.ftl)
     return RunMetrics(
         label=label,
         elapsed_us=makespan + cross_shard_penalty_us,

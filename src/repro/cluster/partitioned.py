@@ -22,17 +22,12 @@ class can never disagree about which shard a page belongs to.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.stats import BufferStats
 from repro.cluster.router import HashShardRouter
 from repro.storage.device import SimulatedSSD
-
-#: Counter names aggregated across partitions (BufferStats is slotted, so
-#: ``vars()`` is unavailable).
-_STAT_FIELDS = tuple(field.name for field in dataclasses.fields(BufferStats))
 
 __all__ = ["PartitionedBufferPoolManager"]
 
@@ -135,9 +130,7 @@ class PartitionedBufferPoolManager:
         """Aggregated counters across all partitions."""
         total = BufferStats()
         for partition in self.partitions:
-            stats = partition.stats
-            for field in _STAT_FIELDS:
-                setattr(total, field, getattr(total, field) + getattr(stats, field))
+            total.merge(partition.stats)
         return total
 
     @stats.setter

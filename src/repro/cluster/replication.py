@@ -62,7 +62,7 @@ replica stack without going through the WAL-apply path here.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.bufferpool.recovery import (
     CrashImage,
@@ -293,14 +293,6 @@ class _GroupNode:
         self.frozen_stats = None
 
 
-def _sum_counter_fields(target, source) -> None:
-    for spec in fields(type(target)):
-        value = getattr(source, spec.name)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            setattr(target, spec.name,
-                    getattr(target, spec.name) + value)
-
-
 class _ReplicaGroup:
     """The in-worker failover state machine for one shard."""
 
@@ -352,17 +344,13 @@ class _ReplicaGroup:
               committed: int) -> None:
         """Apply one fault: crash the stack, schedule any rejoin."""
         self.pending.remove(fault)
-        node.frozen_stats = self.manager_stats(node)
+        node.frozen_stats = node.manager.stats.copy()
         if node.manager.wal is not None and node.manager.table is not None:
             simulate_crash(node.manager)
         node.alive = False
         self.crashes += 1
         if fault.rejoin_after_accesses is not None:
             node.rejoin_at = committed + fault.rejoin_after_accesses
-
-    @staticmethod
-    def manager_stats(node: _GroupNode) -> BufferStats:
-        return node.manager.stats.copy()
 
     # ------------------------------------------------------------ shipping
 
@@ -570,34 +558,19 @@ class _ReplicaGroup:
         wal_pages = 0
         io_time_us = 0.0
         for node in self.served:
-            stats = (
+            buffer.merge(
                 node.frozen_stats if node.frozen_stats is not None
                 else node.manager.stats
             )
-            _sum_counter_fields(buffer, stats)
             node_device = node.device.stats
-            _sum_counter_fields(device, node_device)
-            device.largest_write_batch = max(
-                device.largest_write_batch, node_device.largest_write_batch
-            )
-            device.largest_read_batch = max(
-                device.largest_read_batch, node_device.largest_read_batch
-            )
-            for size, count in sorted(
-                node_device.write_batch_size_histogram.items()
-            ):
-                device.write_batch_size_histogram[size] = (
-                    device.write_batch_size_histogram.get(size, 0) + count
-                )
+            device.merge(node_device)
             if ftl is not None:
                 if node.device.ftl is None:
                     ftl = None
                 else:
-                    _sum_counter_fields(ftl, node.device.ftl.counters)
+                    ftl.merge(node.device.ftl.counters)
             wal_pages += node.wal.pages_written
-            io_time_us += (
-                node_device.read_time_us + node_device.write_time_us
-            )
+            io_time_us += node_device.total_time_us
         return RunMetrics(
             label=label,
             elapsed_us=self.group_elapsed_us,

@@ -4,26 +4,42 @@ The executor is the simulator's analogue of the paper's pgbench / TPC-C
 clients hitting PostgreSQL: it replays page requests against a buffer
 manager, charges a small CPU cost per request on the shared virtual clock
 (so hit-heavy phases take nonzero time, as real query processing does), and
-optionally schedules the background writer and checkpointer on virtual-time
-intervals.  All reported latencies are virtual — the deterministic sum of
-modelled CPU and device time — which is what makes baseline-vs-ACE
-comparisons exact rather than noisy.
+optionally schedules the background writer, checkpointer and scrubber on
+virtual-time intervals.  All reported latencies are virtual — the
+deterministic sum of modelled CPU and device time — which is what makes
+baseline-vs-ACE comparisons exact rather than noisy.
+
+How a stretch of requests is driven depends on how it is *observed*.
+Nothing looks at the clock before the stretch ends (it is observed at an
+index: warm-up end, trace end, transaction end): :func:`replay`, the bulk
+entry over the two inlined loops, and the CPU charge follows in one
+advance.  Something compares the clock with a time while it runs
+(latencies, commit points, the background processes): the stepped loops of
+:func:`run_trace` and :func:`run_transactions`, charging each request as it
+runs — device latencies are not dyadic (a PCIe write is 90 x 2.8 us), so a
+deferred charge would move the clock's last bits under the observer.
+Admission control (``serving=``) is the serving layer's loop.  All three
+share a :class:`RunSession`: start marks, background tick, metrics.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.bufferpool.background import BackgroundWriter, Checkpointer
+from repro.bufferpool.background import (
+    BackgroundWriter,
+    Checkpointer,
+    IdleScrubber,
+)
 from repro.bufferpool.manager import BufferPoolManager
-from repro.errors import PageNotBufferedError
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
+from repro.errors import PageNotBufferedError
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
-__all__ = ["ExecutionOptions", "run_trace", "run_transactions"]
+__all__ = ["ExecutionOptions", "RunSession", "replay", "run_trace", "run_transactions"]
 
 
 @dataclass(frozen=True)
@@ -81,8 +97,10 @@ def _turbo_ready(manager: BufferPoolManager) -> bool:
     )
 
 
-def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
-    """Replay ``trace`` against a :func:`_turbo_ready` manager, fully inlined.
+def _replay_turbo(
+    manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool]
+) -> None:
+    """Replay the requests against a :func:`_turbo_ready` manager, fully inlined.
 
     Every step of the request path — probe, hit bookkeeping, victim
     write-back, eviction, device read, install, dirty marking — is
@@ -113,7 +131,6 @@ def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
         payloads,
         page_of,
         dirty_bits,
-        pin_counts,
         prefetched_bits,
         device_payloads,
         read_us,
@@ -147,7 +164,7 @@ def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
     reads_done = 0
     writebacks_done = 0
     try:
-        for page, is_write in zip(trace.pages, trace.writes):
+        for page, is_write in zip(pages, writes):
             frame_id = slots[page] if 0 <= page < probe_space else -1
             if frame_id >= 0:
                 hits += 1
@@ -191,8 +208,6 @@ def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
                             ftl.write(victim)
                         dirty_bits[victim_frame] = 0
                         dirty_discard(victim)
-                        if pin_counts[victim_frame]:
-                            manager._dirty_pinned_overlap -= 1
                         note_clean(victim)
                         writebacks_done += 1
                     if prefetched_bits[victim_frame]:
@@ -232,8 +247,6 @@ def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
             if not dirty_bits[frame_id]:
                 dirty_bits[frame_id] = 1
                 dirty_add(page)
-                if pin_counts[frame_id]:
-                    manager._dirty_pinned_overlap += 1
                 note_dirty(page)
             current = payloads[frame_id]
             payloads[frame_id] = (current if isinstance(current, int) else 0) + 1
@@ -265,8 +278,10 @@ def _replay_turbo(manager: BufferPoolManager, trace: Trace) -> None:
                 device_stats.largest_write_batch = 1
 
 
-def _replay_hit_runs(manager: BufferPoolManager, trace: Trace) -> None:
-    """Replay ``trace`` resolving runs of requests with inline probes.
+def _replay_hit_runs(
+    manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool]
+) -> None:
+    """Replay the requests resolving runs of them with inline probes.
 
     A request whose translation probe resolves (``slots[page] >= 0``) is
     a buffer hit by definition, and for a hit ``read_page``/``write_page``
@@ -291,7 +306,6 @@ def _replay_hit_runs(manager: BufferPoolManager, trace: Trace) -> None:
     probe_space = manager._probe_space
     prefetched_bits = manager._prefetched_bits
     dirty_bits = manager._dirty_bits
-    pin_counts = manager._pin_counts
     payloads = manager._payloads
     dirty_add = manager._dirty_set.add
     note_dirty = manager._note_dirty
@@ -307,7 +321,7 @@ def _replay_hit_runs(manager: BufferPoolManager, trace: Trace) -> None:
     read_requests = 0
     write_requests = 0
     try:
-        for page, is_write in zip(trace.pages, trace.writes):
+        for page, is_write in zip(pages, writes):
             frame_id = slots[page] if 0 <= page < probe_space else -1
             if is_write:
                 write_requests += 1
@@ -333,8 +347,6 @@ def _replay_hit_runs(manager: BufferPoolManager, trace: Trace) -> None:
             if not dirty_bits[frame_id]:
                 dirty_bits[frame_id] = 1
                 dirty_add(page)
-                if pin_counts[frame_id]:
-                    manager._dirty_pinned_overlap += 1
                 note_dirty(page)
             current = payloads[frame_id]
             payload = (current if isinstance(current, int) else 0) + 1
@@ -351,6 +363,114 @@ def _replay_hit_runs(manager: BufferPoolManager, trace: Trace) -> None:
         stats.hits += hits
         stats.misses += misses
         stats.prefetch_hits += prefetch_hits
+
+
+def replay(
+    manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool]
+) -> None:
+    """Replay a stretch of requests that nothing observes until it ends.
+
+    The one bulk entry point: the measured fast path, the warm-up and a
+    transaction between commit points all come through here.  Nothing is
+    charged to the clock but the device time the requests cost — a CPU
+    charge is the caller's to add, once, after the stretch — and the
+    state left behind is the per-request replay's to the byte, whichever
+    arm runs: the fully inlined loop for a :func:`_turbo_ready` manager,
+    the hit-run loop for any other ``hit_run_ready`` one, and the
+    reference arm — ``manager.access`` request by request — for sanitised
+    managers (instance-attribute op wrappers that must see every request)
+    and facades without the handshake (the partitioned pool).
+    """
+    if manager.sanitizer is None and getattr(manager, "hit_run_ready", False):
+        if _turbo_ready(manager):
+            _replay_turbo(manager, pages, writes)
+        else:
+            _replay_hit_runs(manager, pages, writes)
+    else:
+        access = manager.access
+        for page, is_write in zip(pages, writes):
+            access(page, is_write)
+
+
+class RunSession:
+    """One measured run: its start marks, its background tick, its metrics.
+
+    ``run_trace``, ``run_transactions`` and the serving layer's admission
+    loop each open one when measurement starts (after any warm-up), call
+    :meth:`tick` wherever their loop lets the background processes see the
+    clock, and end with :meth:`finish` — the one place a run's
+    :class:`RunMetrics` is assembled.
+    """
+
+    def __init__(
+        self,
+        manager: BufferPoolManager,
+        options: ExecutionOptions | None = None,
+        bg_writer: BackgroundWriter | None = None,
+        checkpointer: Checkpointer | None = None,
+        scrubber: IdleScrubber | None = None,
+    ) -> None:
+        device = manager.device
+        self.manager = manager
+        self.options = options if options is not None else ExecutionOptions()
+        self.clock = device.clock
+        self.start_us = self.clock.now_us
+        self._start_reads = device.stats.read_time_us
+        self._start_writes = device.stats.write_time_us
+        self._processes = (bg_writer, checkpointer, scrubber)
+        #: Whether anything watches the clock between requests.
+        self.background = any(process is not None for process in self._processes)
+        self._next_bg_writer_us = self.start_us + self.options.bg_writer_interval_us
+
+    def tick(self) -> None:
+        """Let the background processes act on the time that has passed."""
+        bg_writer, checkpointer, scrubber = self._processes
+        if bg_writer is not None and self.clock.now_us >= self._next_bg_writer_us:
+            bg_writer.run_round()
+            self._next_bg_writer_us = (
+                self.clock.now_us + self.options.bg_writer_interval_us
+            )
+        if checkpointer is not None:
+            checkpointer.maybe_checkpoint()
+        if scrubber is not None:
+            scrubber.maybe_scrub()
+
+    def finish(self, label: str, ops: int, **counts) -> RunMetrics:
+        """The run's metrics: elapsed since the start marks, counters now."""
+        manager, device = self.manager, self.manager.device
+        elapsed = self.clock.now_us - self.start_us
+        io_time = (
+            device.stats.read_time_us
+            - self._start_reads
+            + device.stats.write_time_us
+            - self._start_writes
+        )
+        return RunMetrics(
+            label=label,
+            elapsed_us=elapsed,
+            ops=ops,
+            buffer=manager.stats.copy(),
+            device=device.stats.copy(),
+            ftl=device.ftl.counters.copy() if device.ftl else None,
+            wal_pages_written=manager.wal.pages_written if manager.wal else 0,
+            io_time_us=io_time,
+            cpu_time_us=elapsed - io_time,
+            **counts,
+        )
+
+
+def _serving_layer(manager: BufferPoolManager, serving):
+    """``serving`` as a layer bound to ``manager`` (config or prebuilt)."""
+    from repro.engine.serving.layer import ServingLayer
+
+    layer = (
+        serving
+        if isinstance(serving, ServingLayer)
+        else ServingLayer(manager, serving)
+    )
+    if layer.manager is not manager:
+        raise ValueError("serving layer is bound to a different manager")
+    return layer
 
 
 def run_trace(
@@ -387,77 +507,40 @@ def run_trace(
     returned metrics carry a ``serving`` field.  ``None`` (the default)
     keeps the historical direct-replay path, at zero overhead.
     """
-    if options is None:
-        options = ExecutionOptions()
     if warmup_ops:
         if warmup_ops >= len(trace):
             raise ValueError(
                 f"warmup ({warmup_ops}) must leave measured requests "
                 f"(trace has {len(trace)})"
             )
-        for page, is_write in zip(
-            trace.pages[:warmup_ops], trace.writes[:warmup_ops]
-        ):
-            manager.access(page, is_write)
+        replay(manager, trace.pages[:warmup_ops], trace.writes[:warmup_ops])
         manager.stats = type(manager.stats)()
         # Measurement boundary: device (and FTL) counters must cover only
         # the measured window, matching the buffer-stats reset above.
         manager.device.reset_stats()
         trace = trace.slice(warmup_ops, len(trace))
+    session = RunSession(manager, options, bg_writer, checkpointer, scrubber)
     if serving is not None:
-        from repro.engine.serving.layer import ServingLayer
-
-        layer = (
-            serving
-            if isinstance(serving, ServingLayer)
-            else ServingLayer(manager, serving)
+        return _serving_layer(manager, serving).admit_trace(
+            session, trace, label, latencies
         )
-        if layer.manager is not manager:
-            raise ValueError("serving layer is bound to a different manager")
-        return layer.serve_trace(
-            trace,
-            options=options,
-            bg_writer=bg_writer,
-            checkpointer=checkpointer,
-            label=label,
-            latencies=latencies,
-        )
-    clock = manager.device.clock
-    start_us = clock.now_us
-    start_reads = manager.device.stats.read_time_us
-    start_writes = manager.device.stats.write_time_us
+    options = session.options
+    clock = session.clock
     cpu_per_op = options.cpu_us_per_op
 
-    if (
-        latencies is None
-        and bg_writer is None
-        and checkpointer is None
-        and scrubber is None
-        and not options.commit_every_ops
-    ):
-        # Fast path: nothing observes the clock between requests, so the
-        # per-op CPU charge can be applied in one advance at the end
-        # (identical modulo float-summation rounding).
-        if manager.sanitizer is None and getattr(
-            manager, "hit_run_ready", False
-        ):
-            if _turbo_ready(manager):
-                _replay_turbo(manager, trace)
-            else:
-                _replay_hit_runs(manager, trace)
-        else:
-            # Sanitised managers (instance-attribute op wrappers) and
-            # facade managers without the ``hit_run_ready`` handshake
-            # (e.g. the partitioned pool) replay request by request.
-            access = manager.access
-            for page, is_write in zip(trace.pages, trace.writes):
-                access(page, is_write)
+    if latencies is None and not session.background and not options.commit_every_ops:
+        # Bulk: nothing observes the clock between requests, so the per-op
+        # CPU charge can be applied in one advance at the end (identical
+        # modulo float-summation rounding).
+        replay(manager, trace.pages, trace.writes)
         if cpu_per_op:
             clock.advance(cpu_per_op * len(trace))
     else:
+        # Stepped: latencies and the background processes read the clock
+        # after every request, so every request charges its own CPU first.
         access = manager.access
         advance = clock.advance
-        next_bg_writer_us = start_us + options.bg_writer_interval_us
+        tick = session.tick if session.background else None
         commit_every = options.commit_every_ops
         wal = manager.wal
         since_commit = 0
@@ -473,31 +556,11 @@ def run_trace(
                     since_commit = 0
             if latencies is not None:
                 latencies.record(clock.now_us - request_start_us)
-            if bg_writer is not None and clock.now_us >= next_bg_writer_us:
-                bg_writer.run_round()
-                next_bg_writer_us = clock.now_us + options.bg_writer_interval_us
-            if checkpointer is not None:
-                checkpointer.maybe_checkpoint()
-            if scrubber is not None:
-                scrubber.maybe_scrub()
-
-    elapsed = clock.now_us - start_us
-    io_time = (
-        manager.device.stats.read_time_us
-        - start_reads
-        + manager.device.stats.write_time_us
-        - start_writes
-    )
-    return RunMetrics(
-        label=label if label is not None else f"{manager.variant}/{trace.name}",
-        elapsed_us=elapsed,
+            if tick is not None:
+                tick()
+    return session.finish(
+        label if label is not None else f"{manager.variant}/{trace.name}",
         ops=len(trace),
-        buffer=manager.stats.copy(),
-        device=manager.device.stats.copy(),
-        ftl=manager.device.ftl.counters.copy() if manager.device.ftl else None,
-        wal_pages_written=manager.wal.pages_written if manager.wal else 0,
-        io_time_us=io_time,
-        cpu_time_us=elapsed - io_time,
     )
 
 
@@ -521,93 +584,53 @@ def run_transactions(
     the admission layer with whole transactions as the admission unit; see
     :meth:`ServingLayer.serve_transactions`.
     """
-    if options is None:
-        options = ExecutionOptions()
+    session = RunSession(manager, options, bg_writer, checkpointer)
     if serving is not None:
-        from repro.engine.serving.layer import ServingLayer
-
-        layer = (
-            serving
-            if isinstance(serving, ServingLayer)
-            else ServingLayer(manager, serving)
+        return _serving_layer(manager, serving).admit_transactions(
+            session, transactions, label
         )
-        if layer.manager is not manager:
-            raise ValueError("serving layer is bound to a different manager")
-        return layer.serve_transactions(
-            transactions,
-            options=options,
-            bg_writer=bg_writer,
-            checkpointer=checkpointer,
-            label=label,
-        )
-    clock = manager.device.clock
-    start_us = clock.now_us
-    start_reads = manager.device.stats.read_time_us
-    start_writes = manager.device.stats.write_time_us
+    options = session.options
+    clock = session.clock
     cpu_per_op = options.cpu_us_per_op
-
+    cpu_per_transaction = options.cpu_us_per_transaction
+    wal = manager.wal
+    # Stepped when the background processes read the clock after every
+    # transaction: the charges then land request by request.  Otherwise
+    # bulk between commit points (see run_trace): each transaction is one
+    # ``replay`` and the CPU charges collapse into one advance at the end.
+    stepped = session.background
     ops = 0
     transaction_count = 0
     new_order_count = 0
-    if bg_writer is None and checkpointer is None:
-        # Fast path (see run_trace): no mid-run clock observers, so the
-        # per-op and per-transaction CPU charges collapse into one advance.
-        access = manager.access
-        wal = manager.wal
-        wal_flush = wal.flush if wal is not None else None
-        for kind, requests in transactions:
-            for request in requests:
-                access(request.page, request.is_write)
-            ops += len(requests)
-            if wal_flush is not None:
-                wal_flush()  # commit: WAL must be durable
-            transaction_count += 1
-            if kind is TransactionType.NEW_ORDER:
-                new_order_count += 1
-        cpu_total = (
-            options.cpu_us_per_transaction * transaction_count
-            + cpu_per_op * ops
-        )
-        if cpu_total:
-            clock.advance(cpu_total)
-    else:
-        next_bg_writer_us = start_us + options.bg_writer_interval_us
-        for kind, requests in transactions:
-            if options.cpu_us_per_transaction:
-                clock.advance(options.cpu_us_per_transaction)
+    for kind, requests in transactions:
+        if stepped:
+            if cpu_per_transaction:
+                clock.advance(cpu_per_transaction)
             for request in requests:
                 if cpu_per_op:
                     clock.advance(cpu_per_op)
                 manager.access(request.page, request.is_write)
-                ops += 1
-            if manager.wal is not None:
-                manager.wal.flush()  # commit: WAL must be durable
-            transaction_count += 1
-            if kind is TransactionType.NEW_ORDER:
-                new_order_count += 1
-            if bg_writer is not None and clock.now_us >= next_bg_writer_us:
-                bg_writer.run_round()
-                next_bg_writer_us = clock.now_us + options.bg_writer_interval_us
-            if checkpointer is not None:
-                checkpointer.maybe_checkpoint()
-
-    elapsed = clock.now_us - start_us
-    io_time = (
-        manager.device.stats.read_time_us
-        - start_reads
-        + manager.device.stats.write_time_us
-        - start_writes
-    )
-    return RunMetrics(
-        label=label,
-        elapsed_us=elapsed,
+        else:
+            replay(
+                manager,
+                [request.page for request in requests],
+                [request.is_write for request in requests],
+            )
+        ops += len(requests)
+        if wal is not None:
+            wal.flush()  # commit: WAL must be durable
+        transaction_count += 1
+        if kind is TransactionType.NEW_ORDER:
+            new_order_count += 1
+        if stepped:
+            session.tick()
+    if not stepped:
+        cpu_total = cpu_per_transaction * transaction_count + cpu_per_op * ops
+        if cpu_total:
+            clock.advance(cpu_total)
+    return session.finish(
+        label,
         ops=ops,
         transactions=transaction_count,
         new_order_transactions=new_order_count,
-        buffer=manager.stats.copy(),
-        device=manager.device.stats.copy(),
-        ftl=manager.device.ftl.counters.copy() if manager.device.ftl else None,
-        wal_pages_written=manager.wal.pages_written if manager.wal else 0,
-        io_time_us=io_time,
-        cpu_time_us=elapsed - io_time,
     )

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
+from repro.engine.executor import RunSession
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
 from repro.engine.serving.breaker import CircuitBreaker
@@ -44,7 +46,7 @@ class ServingLayer:
         #: Metrics of the most recent serve call.
         self.metrics: ServingMetrics | None = None
 
-    # -------------------------------------------------------- trace mode
+    # ------------------------------------------------------- entry points
 
     def serve_trace(
         self,
@@ -61,139 +63,8 @@ class ServingLayer:
         :func:`~repro.engine.multiclient.interleave_traces`) attributes
         requests to sessions; a plain trace is billed to client 0.
         """
-        options = self._resolve_options(options)
-        manager = self.manager
-        config = self.config
-        clock = manager.device.clock
-        start_us = clock.now_us
-        start_reads = manager.device.stats.read_time_us
-        start_writes = manager.device.stats.write_time_us
-
-        metrics = self._begin_run()
-        queue = self._queue
-        deferred = self._deferred
-        client_ids = trace.client_ids
-        pages = trace.pages
-        writes = trace.writes
-        total = len(trace)
-        interval = config.arrival_interval_us
-        deadline_us = config.deadline_us if config.deadline_us > 0 else _INF
-        cpu_per_op = options.cpu_us_per_op
-        commit_every = options.commit_every_ops
-        wal = manager.wal
-        next_bg_writer_us = start_us + options.bg_writer_interval_us
-        since_commit = 0
-        next_index = 0  # arrival pointer into the trace
-
-        while next_index < total or deferred or len(queue):
-            now = clock.now_us
-            # 1. Requeued requests whose backoff elapsed rejoin the queue.
-            self._promote_deferred(now)
-            # 2. Admit arrivals.
-            if interval:
-                while (
-                    next_index < total
-                    and start_us + next_index * interval <= now
-                ):
-                    arrival = start_us + next_index * interval
-                    self._admit(
-                        Request(
-                            next_index,
-                            client_ids[next_index] if client_ids else 0,
-                            pages[next_index],
-                            writes[next_index],
-                            arrival,
-                            arrival + deadline_us,
-                        )
-                    )
-                    next_index += 1
-            elif not len(queue) and next_index < total:
-                # Closed loop: the next request "arrives" as the server
-                # frees up, so backpressure cannot build by construction.
-                self._admit(
-                    Request(
-                        next_index,
-                        client_ids[next_index] if client_ids else 0,
-                        pages[next_index],
-                        writes[next_index],
-                        now,
-                        now + deadline_us,
-                    )
-                )
-                next_index += 1
-            # 3. Nothing runnable: jump the clock to the next event.
-            if not len(queue):
-                next_event = _INF
-                if deferred:
-                    next_event = deferred[0][0]
-                if interval and next_index < total:
-                    next_event = min(
-                        next_event, start_us + next_index * interval
-                    )
-                if next_event == _INF or next_event <= now:
-                    continue
-                clock.advance(next_event - now)
-                continue
-            # 4. Dispatch the queue head.
-            request = queue.pop()
-            if request.deadline_us <= now:
-                self._expire(request)
-                continue
-            if cpu_per_op:
-                clock.advance(cpu_per_op)
-            try:
-                manager.access(request.page, request.is_write)
-            except PoolExhaustedError:
-                self._requeue_or_fail(request, clock.now_us)
-            except IOFaultError as fault:
-                if _is_permanent(fault):
-                    self._fail(request)
-                else:
-                    self._requeue_or_fail(request, clock.now_us)
-            else:
-                self._complete(request, clock.now_us, latencies)
-                if wal is not None:
-                    if request.is_write:
-                        self._versions[request.page] = (
-                            self._versions.get(request.page, 0) + 1
-                        )
-                    if commit_every:
-                        since_commit += 1
-                        if since_commit >= commit_every:
-                            wal.flush()  # commit point: durable prefix
-                            metrics.committed_versions = dict(self._versions)
-                            since_commit = 0
-            if bg_writer is not None and clock.now_us >= next_bg_writer_us:
-                bg_writer.run_round()
-                next_bg_writer_us = clock.now_us + options.bg_writer_interval_us
-            if checkpointer is not None:
-                checkpointer.maybe_checkpoint()
-
-        self._end_run(clock.now_us - start_us)
-        io_time = (
-            manager.device.stats.read_time_us
-            - start_reads
-            + manager.device.stats.write_time_us
-            - start_writes
-        )
-        return RunMetrics(
-            label=(
-                label
-                if label is not None
-                else f"{manager.variant}/{trace.name}+serving"
-            ),
-            elapsed_us=metrics.elapsed_us,
-            ops=metrics.completed,
-            buffer=manager.stats.copy(),
-            device=manager.device.stats.copy(),
-            ftl=manager.device.ftl.counters.copy() if manager.device.ftl else None,
-            wal_pages_written=manager.wal.pages_written if manager.wal else 0,
-            io_time_us=io_time,
-            cpu_time_us=metrics.elapsed_us - io_time,
-            serving=metrics,
-        )
-
-    # -------------------------------------------------- transaction mode
+        session = RunSession(self.manager, options, bg_writer, checkpointer)
+        return self.admit_trace(session, trace, label, latencies)
 
     def serve_transactions(
         self,
@@ -212,65 +83,141 @@ class ServingLayer:
         applied yet (there is no rollback in the simulator); later
         failures count the transaction as ``failed``.
         """
-        options = self._resolve_options(options)
+        session = RunSession(self.manager, options, bg_writer, checkpointer)
+        return self.admit_transactions(session, transactions, label, client_ids)
+
+    def admit_trace(
+        self,
+        session: RunSession,
+        trace: Trace,
+        label: str | None,
+        latencies: LatencyRecorder | None,
+    ) -> RunMetrics:
+        """:meth:`serve_trace` inside a run session the caller opened.
+
+        A trace request is the one-request unit: no transaction CPU, a
+        commit point every ``commit_every_ops`` completions, latencies
+        forwarded to ``latencies``, and ``ops`` counts completions.
+        """
+        self._admit_units(
+            session, trace.pages, trace.writes, range(len(trace) + 1),
+            trace.client_ids, None, latencies,
+        )
+        return session.finish(
+            label
+            if label is not None
+            else f"{self.manager.variant}/{trace.name}+serving",
+            ops=self.metrics.completed,
+            serving=self.metrics,
+        )
+
+    def admit_transactions(
+        self,
+        session: RunSession,
+        transactions: Iterable[tuple[TransactionType, list[PageRequest]]],
+        label: str,
+        client_ids: Sequence[int] | None = None,
+    ) -> RunMetrics:
+        """:meth:`serve_transactions` inside a session the caller opened.
+
+        A transaction is the n-request unit: it pays the transaction CPU,
+        commits (WAL flush) before it completes, and ``ops`` counts every
+        page request that executed, completed transaction or not.
+        """
+        stream = list(transactions)
+        if client_ids is not None and len(client_ids) != len(stream):
+            raise ValueError(
+                f"client_ids ({len(client_ids)}) and transactions "
+                f"({len(stream)}) differ in length"
+            )
+        flat = Trace.from_requests(r for _, requests in stream for r in requests)
+        executed_ops, new_orders = self._admit_units(
+            session, flat.pages, flat.writes,
+            [0, *accumulate(len(requests) for _, requests in stream)],
+            client_ids, [kind for kind, _ in stream], None,
+        )
+        return session.finish(
+            label,
+            ops=executed_ops,
+            transactions=self.metrics.transactions_completed,
+            new_order_transactions=new_orders,
+            serving=self.metrics,
+        )
+
+    # ---------------------------------------------------- the admission loop
+
+    def _admit_units(
+        self,
+        session: RunSession,
+        pages: Sequence[int],
+        writes: Sequence[bool],
+        bounds: Sequence[int],
+        client_ids: Sequence[int] | None,
+        kinds: Sequence[TransactionType] | None,
+        latencies: LatencyRecorder | None,
+    ) -> tuple[int, int]:
+        """Admit, queue and execute every unit; the one admission loop.
+
+        Unit ``i`` is the page requests ``bounds[i]:bounds[i + 1]`` of the
+        flat ``pages``/``writes`` arrays.  ``kinds`` is ``None`` for a
+        trace (one-request units) and the transaction types otherwise —
+        the two differ only in when a unit commits and what it is charged
+        (see :meth:`admit_trace`/:meth:`admit_transactions`).  Returns
+        ``(page requests executed, NewOrder units completed)``.
+        """
         manager = self.manager
         config = self.config
-        clock = manager.device.clock
-        start_us = clock.now_us
-        start_reads = manager.device.stats.read_time_us
-        start_writes = manager.device.stats.write_time_us
-
+        options = session.options
+        clock = session.clock
+        start_us = session.start_us
         metrics = self._begin_run()
         queue = self._queue
         deferred = self._deferred
-        stream = list(transactions)
-        total = len(stream)
-        if client_ids is not None and len(client_ids) != total:
-            raise ValueError(
-                f"client_ids ({len(client_ids)}) and transactions ({total}) "
-                "differ in length"
-            )
+        versions = self._versions
+        total = len(bounds) - 1
+        transactional = kinds is not None
         interval = config.arrival_interval_us
         deadline_us = config.deadline_us if config.deadline_us > 0 else _INF
         cpu_per_op = options.cpu_us_per_op
+        cpu_per_unit = options.cpu_us_per_transaction if transactional else 0.0
+        commit_every = 1 if transactional else options.commit_every_ops
         wal = manager.wal
-        next_bg_writer_us = start_us + options.bg_writer_interval_us
-        next_index = 0
+        since_commit = 0
+        next_index = 0  # arrival pointer into the units
         executed_ops = 0
-        new_order_count = 0
+        new_orders = 0
+
+        def arrive(index: int, arrival_us: float) -> None:
+            head = bounds[index]
+            self._admit(
+                Request(
+                    index,
+                    client_ids[index] if client_ids else 0,
+                    -1 if transactional else pages[head],
+                    False if transactional else writes[head],
+                    arrival_us,
+                    arrival_us + deadline_us,
+                )
+            )
 
         while next_index < total or deferred or len(queue):
             now = clock.now_us
+            # 1. Requeued requests whose backoff elapsed rejoin the queue.
             self._promote_deferred(now)
+            # 2. Admit arrivals.
             if interval:
                 while (
                     next_index < total
                     and start_us + next_index * interval <= now
                 ):
-                    arrival = start_us + next_index * interval
-                    self._admit(
-                        Request(
-                            next_index,
-                            client_ids[next_index] if client_ids else 0,
-                            -1,
-                            False,
-                            arrival,
-                            arrival + deadline_us,
-                        )
-                    )
+                    arrive(next_index, start_us + next_index * interval)
                     next_index += 1
             elif not len(queue) and next_index < total:
-                self._admit(
-                    Request(
-                        next_index,
-                        client_ids[next_index] if client_ids else 0,
-                        -1,
-                        False,
-                        now,
-                        now + deadline_us,
-                    )
-                )
+                # Closed loop: the next request "arrives" as the server
+                # frees up, so backpressure cannot build by construction.
+                arrive(next_index, now)
                 next_index += 1
+            # 3. Nothing runnable: jump the clock to the next event.
             if not len(queue):
                 next_event = _INF
                 if deferred:
@@ -283,85 +230,63 @@ class ServingLayer:
                     continue
                 clock.advance(next_event - now)
                 continue
+            # 4. Dispatch the queue head and execute its unit.  A failure
+            # requeues the unit only while no write of it has been applied
+            # (there is no rollback in the simulator).
             request = queue.pop()
             if request.deadline_us <= now:
                 self._expire(request)
                 continue
-            kind, requests = stream[request.index]
-            if options.cpu_us_per_transaction:
-                clock.advance(options.cpu_us_per_transaction)
+            if cpu_per_unit:
+                clock.advance(cpu_per_unit)
             writes_applied = 0
             outcome = "completed"
-            for page_request in requests:
+            for position in range(bounds[request.index], bounds[request.index + 1]):
                 if cpu_per_op:
                     clock.advance(cpu_per_op)
+                page = pages[position]
                 try:
-                    manager.access(page_request.page, page_request.is_write)
+                    manager.access(page, writes[position])
                 except PoolExhaustedError:
-                    outcome = "requeue" if not writes_applied else "failed"
+                    outcome = "failed" if writes_applied else "requeue"
                     break
                 except IOFaultError as fault:
-                    if _is_permanent(fault) or writes_applied:
+                    if writes_applied or _is_permanent(fault):
                         outcome = "failed"
                     else:
                         outcome = "requeue"
                     break
-                else:
-                    executed_ops += 1
-                    if page_request.is_write:
-                        writes_applied += 1
-                        if wal is not None:
-                            self._versions[page_request.page] = (
-                                self._versions.get(page_request.page, 0) + 1
-                            )
+                executed_ops += 1
+                if writes[position]:
+                    writes_applied += 1
+                    if wal is not None:
+                        versions[page] = versions.get(page, 0) + 1
+            # 5. Requeue, fail or complete; a transaction commits before
+            # it completes, a trace request completes and then may commit.
             if outcome == "requeue":
                 self._requeue_or_fail(request, clock.now_us)
             elif outcome == "failed":
                 self._fail(request)
             else:
-                if wal is not None:
-                    wal.flush()  # commit: WAL must be durable
-                    metrics.committed_versions = dict(self._versions)
-                self._complete(request, clock.now_us, None)
-                metrics.transactions_completed += 1
-                if kind is TransactionType.NEW_ORDER:
-                    new_order_count += 1
-            if bg_writer is not None and clock.now_us >= next_bg_writer_us:
-                bg_writer.run_round()
-                next_bg_writer_us = clock.now_us + options.bg_writer_interval_us
-            if checkpointer is not None:
-                checkpointer.maybe_checkpoint()
+                if not transactional:
+                    self._complete(request, clock.now_us, latencies)
+                if wal is not None and commit_every:
+                    since_commit += 1
+                    if since_commit >= commit_every:
+                        wal.flush()  # commit point: durable prefix
+                        metrics.committed_versions = dict(versions)
+                        since_commit = 0
+                if transactional:
+                    self._complete(request, clock.now_us, latencies)
+                    metrics.transactions_completed += 1
+                    if kinds[request.index] is TransactionType.NEW_ORDER:
+                        new_orders += 1
+            session.tick()
 
         self._end_run(clock.now_us - start_us)
-        io_time = (
-            manager.device.stats.read_time_us
-            - start_reads
-            + manager.device.stats.write_time_us
-            - start_writes
-        )
-        return RunMetrics(
-            label=label,
-            elapsed_us=metrics.elapsed_us,
-            ops=executed_ops,
-            transactions=metrics.transactions_completed,
-            new_order_transactions=new_order_count,
-            buffer=manager.stats.copy(),
-            device=manager.device.stats.copy(),
-            ftl=manager.device.ftl.counters.copy() if manager.device.ftl else None,
-            wal_pages_written=manager.wal.pages_written if manager.wal else 0,
-            io_time_us=io_time,
-            cpu_time_us=metrics.elapsed_us - io_time,
-            serving=metrics,
-        )
+        return executed_ops, new_orders
 
     # ------------------------------------------------------- run plumbing
-
-    def _resolve_options(self, options):
-        if options is not None:
-            return options
-        from repro.engine.executor import ExecutionOptions
-
-        return ExecutionOptions()
 
     def _begin_run(self) -> ServingMetrics:
         config = self.config

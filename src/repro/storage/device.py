@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import zlib
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import CorruptPageError
 from repro.storage.clock import VirtualClock
@@ -91,25 +91,28 @@ class DeviceStats:
         return self.writes / self.write_batches
 
     def copy(self) -> "DeviceStats":
-        fresh = DeviceStats(
-            reads=self.reads,
-            writes=self.writes,
-            read_batches=self.read_batches,
-            write_batches=self.write_batches,
-            read_time_us=self.read_time_us,
-            write_time_us=self.write_time_us,
-            largest_write_batch=self.largest_write_batch,
-            largest_read_batch=self.largest_read_batch,
-            read_faults=self.read_faults,
-            write_faults=self.write_faults,
-            torn_batches=self.torn_batches,
-            latency_spikes=self.latency_spikes,
-            fault_delay_us=self.fault_delay_us,
-            silent_corruptions=self.silent_corruptions,
-            checksum_failures=self.checksum_failures,
+        return replace(
+            self, write_batch_size_histogram=dict(self.write_batch_size_histogram)
         )
-        fresh.write_batch_size_histogram = dict(self.write_batch_size_histogram)
-        return fresh
+
+    def merge(self, other: "DeviceStats") -> None:
+        """Add ``other``'s counters to these, in place.
+
+        Counts and times sum; the ``largest_*`` fields are maxima, so they
+        merge by ``max``; the histogram adds key-wise, walking ``other``'s
+        keys in sorted order so the merged dict never inherits an
+        insertion order from the run that produced it.
+        """
+        for name in self.__slots__:
+            value = getattr(other, name)
+            if name == "write_batch_size_histogram":
+                histogram = self.write_batch_size_histogram
+                for size, count in sorted(value.items()):
+                    histogram[size] = histogram.get(size, 0) + count
+            elif name.startswith("largest_"):
+                setattr(self, name, max(getattr(self, name), value))
+            else:
+                setattr(self, name, getattr(self, name) + value)
 
 
 class SimulatedSSD:

@@ -23,7 +23,7 @@ relocations), erase counts, and the resulting write amplification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 __all__ = ["FlashTranslationLayer", "FtlCounters", "FtlError"]
@@ -58,13 +58,12 @@ class FtlCounters:
         return self.physical_writes / self.logical_writes
 
     def copy(self) -> "FtlCounters":
-        return FtlCounters(
-            logical_writes=self.logical_writes,
-            physical_writes=self.physical_writes,
-            gc_relocations=self.gc_relocations,
-            erases=self.erases,
-            gc_invocations=self.gc_invocations,
-        )
+        return replace(self)
+
+    def merge(self, other: "FtlCounters") -> None:
+        """Add ``other``'s counters to these, in place (every field sums)."""
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 @dataclass

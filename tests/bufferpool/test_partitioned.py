@@ -1,10 +1,12 @@
 """Tests for the partitioned bufferpool."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.bufferpool.manager import BufferPoolManager
+from repro.bufferpool.stats import BufferStats
 from repro.cluster.partitioned import PartitionedBufferPoolManager
 from repro.core.ace import ACEBufferPoolManager
 from repro.core.config import ACEConfig
@@ -87,6 +89,12 @@ class TestAggregation:
         assert stats.write_requests == 1
         assert stats.hits == 1
         assert stats.misses == 2
+
+    def test_buffer_stats_merge_sums_every_field(self):
+        names = [field.name for field in dataclasses.fields(BufferStats)]
+        total = BufferStats(**{name: index for index, name in enumerate(names)})
+        total.merge(BufferStats(**dict.fromkeys(names, 10)))
+        assert dataclasses.astuple(total) == tuple(range(10, 10 + len(names)))
 
     def test_flush_all_across_partitions(self):
         manager = make_partitioned()

@@ -109,6 +109,26 @@ class TestFailover:
         assert 0 < summary.availability < 1
         assert metrics.ops == NUM_OPS
 
+    def test_largest_batches_merge_by_max_over_the_nodes_that_served(self):
+        """Two primaries served shard 0; ``largest_*`` is a maximum, not a
+        sum over them (it read 16 and 2 with ``n_w = 8`` when it was)."""
+        config = make_config(faults=[
+            NodeFault(shard=0, node=0, crash_at_access=900),
+        ])
+        metrics = run_cluster(config, make_trace(), workers=1)
+        assert metrics.replication.failovers == 1
+        for device in [shard.device for shard in metrics.per_shard] + [
+            metrics.merged.device
+        ]:
+            assert device.largest_write_batch == max(
+                device.write_batch_size_histogram
+            ) == 8
+            assert device.largest_read_batch == 1
+            assert device.writes == sum(
+                size * count
+                for size, count in device.write_batch_size_histogram.items()
+            )
+
     def test_no_faults_means_no_failovers_but_real_shipping(self):
         metrics = run_cluster(make_config(), make_trace(), workers=1)
         summary = metrics.replication

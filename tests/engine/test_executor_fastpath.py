@@ -1,8 +1,10 @@
 """Executor fast-path equivalence: inlined replay vs per-request replay.
 
-``run_trace`` resolves hit runs (and, for a bare Reader-less stack —
-baseline or ACE — whole misses) inside the executor instead of calling
-``manager.access`` per request.  That inlining is pure mechanics — forcing
+``replay`` — the bulk entry behind ``run_trace``'s unobserved path, the
+warm-up and each transaction of an unobserved ``run_transactions`` —
+resolves hit runs (and, for a bare Reader-less stack — baseline or ACE —
+whole misses) inside the executor instead of calling ``manager.access``
+per request.  That inlining is pure mechanics — forcing
 the per-request path via the ``hit_run_ready`` handshake must leave every
 observable output byte-identical: RunMetrics, device counters, virtual
 clock, residency order, the policy's virtual order, dirty set, device
@@ -32,7 +34,7 @@ from repro.core.adaptive import AdaptiveACEBufferPoolManager
 from repro.core.config import ACEConfig
 from repro.core.stack import VARIANTS, build_manager
 from repro.engine import executor
-from repro.engine.executor import ExecutionOptions, run_trace
+from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
 from repro.errors import PoolExhaustedError
 from repro.faults import FaultPlan, FaultyDevice
 from repro.policies.registry import POLICY_NAMES, make_policy
@@ -44,7 +46,8 @@ from repro.prefetch import (
     TaPPrefetcher,
 )
 from repro.workloads.synthetic import MS, generate_trace
-from repro.workloads.trace import Trace
+from repro.workloads.tpcc.driver import TPCCWorkload
+from repro.workloads.trace import PageRequest, Trace
 
 from tests.bufferpool.conftest import make_device
 
@@ -118,6 +121,50 @@ def test_fast_replay_matches_per_request(policy_name, variant, stack):
     assert fast["buffer"]["misses"] > CAPACITY  # the pool did turn over
     if variant != "baseline":
         assert fast["device"]["largest_write_batch"] > 1
+
+
+#: A TPC-C mix scaled to fit the 400-page device (396 pages, ~1,000 requests).
+TRANSACTIONS = list(
+    TPCCWorkload(
+        warehouses=1, row_scale=0.018, seed=5, initial_orders_per_district=5
+    ).transaction_stream(40)
+)
+
+
+def run_transactions_one(policy_name, variant, *, stack, force_slow):
+    """(fingerprint, ``manager.access`` calls) of one transaction run."""
+    manager = build(policy_name, variant, stack=stack)
+    if force_slow:
+        manager.hit_run_ready = False
+    access, calls = manager.access, []
+
+    def counted(page, is_write):
+        calls.append(page)
+        return access(page, is_write)
+
+    manager.access = counted
+    metrics = run_transactions(manager, TRANSACTIONS, options=OPTIONS)
+    return fingerprint(manager, metrics), len(calls)
+
+
+@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_transactions_replay_matches_per_request(policy_name, variant, stack):
+    """``run_transactions`` without background processes: one ``replay``
+    per transaction, then the commit flush, against ``access`` per request."""
+    fast, fast_calls = run_transactions_one(
+        policy_name, variant, stack=stack, force_slow=False
+    )
+    slow, slow_calls = run_transactions_one(
+        policy_name, variant, stack=stack, force_slow=True
+    )
+    assert fast == slow
+    assert (fast_calls, slow_calls) == (0, fast["ops"])
+    assert fast["transactions"] == len(TRANSACTIONS)
+    assert fast["buffer"]["misses"] > CAPACITY
+    if stack == "wal":
+        assert fast["wal_pages_written"] > 0
 
 
 @pytest.mark.parametrize("policy_name", ["lru", "clock", "lfu"])
@@ -194,6 +241,25 @@ def test_ace_pool_exhaustion_error_parity():
     _error_parity("ace", _all_pinned_trace, PoolExhaustedError)
 
 
+@pytest.mark.parametrize("variant", ["baseline", "ace"])
+def test_transactions_error_parity(variant):
+    """An out-of-range page in the middle of a transaction: same exception,
+    same counters and pool left behind, the earlier commits included."""
+    transactions = [(kind, list(requests)) for kind, requests in TRANSACTIONS]
+    requests = transactions[30][1]
+    requests[len(requests) // 2] = PageRequest(NUM_PAGES + 7, False)
+    results = []
+    for force_slow in (False, True):
+        manager = build("lru", variant, stack="wal")
+        if force_slow:
+            manager.hit_run_ready = False
+        with pytest.raises(IndexError) as raised:
+            run_transactions(manager, transactions, options=OPTIONS)
+        results.append((str(raised.value), state(manager)))
+    assert results[0] == results[1]
+    assert results[0][1]["buffer"]["misses"] > CAPACITY
+
+
 def test_adaptive_ace_tunes_alike_on_both_paths():
     """``n_w`` is retuned mid-run: the turbo loop must never cache it."""
     results = []
@@ -225,9 +291,27 @@ def _observed(manager):
 
 
 #: label -> (manager factory, functions a replay must enter, out of
-#: ``turbo`` / ``hit_runs`` / ``handle_miss``).
+#: ``turbo`` / ``hit_runs`` / ``handle_miss``[, how the manager is driven]).
 PATHS = {
     "bare baseline": (lambda: build("lru", "baseline"), {"turbo"}),
+    "warm-up": (
+        lambda: build("lru", "ace"), {"turbo"},
+        lambda manager, trace: run_trace(
+            manager, trace, options=OPTIONS, warmup_ops=120
+        ),
+    ),
+    "transactions": (
+        lambda: build("lru", "ace"), {"turbo"},
+        lambda manager, trace: run_transactions(
+            manager, TRANSACTIONS[:12], options=OPTIONS
+        ),
+    ),
+    "transactions with a wal": (
+        lambda: build("lru", "ace", stack="wal"), {"hit_runs", "handle_miss"},
+        lambda manager, trace: run_transactions(
+            manager, TRANSACTIONS[:12], options=OPTIONS
+        ),
+    ),
     "bare ace": (lambda: build("clock", "ace"), {"turbo"}),
     "wal": (lambda: build("lru", "ace", stack="wal"), {"hit_runs", "handle_miss"}),
     "disarmed fault plan": (
@@ -257,8 +341,9 @@ PATHS = {
 @pytest.mark.parametrize("label", PATHS)
 def test_which_path_replays(label, monkeypatch):
     """Pin the dispatch: bare Reader-less stacks never leave the turbo loop
-    (no ``_handle_miss`` call at all); anything the loop cannot see falls
-    back to the hit-run loop or, sanitised, to ``manager.access``."""
+    (no ``_handle_miss`` call at all) — warming up and between commit
+    points too; anything the loop cannot see falls back to the hit-run
+    loop or, sanitised, to ``manager.access``."""
     entered = set()
 
     def recording(name, original):
@@ -277,8 +362,12 @@ def test_which_path_replays(label, monkeypatch):
             executor, f"_replay_{name}",
             recording(name, getattr(executor, f"_replay_{name}")),
         )
-    factory, expected = PATHS[label]
-    run_trace(factory(), generate_trace(MS, NUM_PAGES, 300, seed=2), options=OPTIONS)
+    factory, expected, *drive = PATHS[label]
+    trace = generate_trace(MS, NUM_PAGES, 300, seed=2)
+    if drive:
+        drive[0](factory(), trace)
+    else:
+        run_trace(factory(), trace, options=OPTIONS)
     assert entered == expected
 
 

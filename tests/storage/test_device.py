@@ -145,6 +145,29 @@ class TestStats:
         # payloads survive a stats reset
         assert device.contains(0)
 
+    def test_merge_sums_counts_maxes_largest_and_adds_the_histogram(self):
+        """The one way device counters add (cluster merge, replica groups)."""
+        first, second = make_device(), make_device()
+        first.write_batch({p: 0 for p in range(6)})
+        first.read_page(0)
+        second.write_batch({p: 0 for p in range(4)})
+        second.write_page(9)
+        second.read_batch([1, 2, 3])
+        total = first.stats.copy()
+        total.merge(second.stats)
+        assert (total.reads, total.writes) == (4, 11)
+        assert (total.read_batches, total.write_batches) == (2, 3)
+        assert (total.largest_write_batch, total.largest_read_batch) == (6, 3)
+        assert list(total.write_batch_size_histogram.items()) == [
+            (6, 1), (1, 1), (4, 1)
+        ]
+        assert total.write_time_us == (
+            first.stats.write_time_us + second.stats.write_time_us
+        )
+        # The operands are untouched, the copy's histogram is its own.
+        assert first.stats.write_batch_size_histogram == {6: 1}
+        assert second.stats.largest_write_batch == 4
+
     def test_format_pages_resets_counters(self):
         device = make_device()
         device.format_pages(range(128))

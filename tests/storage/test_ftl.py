@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.ftl import FlashTranslationLayer, FtlError
+from repro.storage.ftl import FlashTranslationLayer, FtlCounters, FtlError
 
 
 def make_ftl(pages=128, ppb=8, op=0.15, threshold=2):
@@ -123,6 +123,14 @@ class TestCounters:
         ftl.write(1)
         assert snapshot.logical_writes == 1
         assert ftl.counters.logical_writes == 2
+
+
+def test_counters_merge_sums_every_field():
+    total = FtlCounters(logical_writes=3, physical_writes=5, erases=1)
+    total.merge(FtlCounters(logical_writes=2, physical_writes=2, gc_invocations=4))
+    assert total == FtlCounters(
+        logical_writes=5, physical_writes=7, erases=1, gc_invocations=4
+    )
 
 
 class TestGarbageCollection:

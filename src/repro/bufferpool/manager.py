@@ -198,6 +198,8 @@ class BufferPoolManager:
                 device._payloads,
                 device._single_read_us,
                 device._single_write_us,
+                device._single_read_ticks,
+                device._single_write_ticks,
                 device.num_pages,
                 device.ftl,
                 device.clock,
@@ -478,11 +480,12 @@ class BufferPoolManager:
             device_payloads,
             read_us,
             write_us,
+            # Direct clock bumps below: the tick counts ``advance`` would
+            # add for the two per-page costs, converted once per device.
+            read_ticks,
+            write_ticks,
             num_pages,
             ftl,
-            # Direct clock bumps below: ``advance`` only validates
-            # non-negativity, and the per-page costs are positive by
-            # construction.
             clock,
             select_victim,
             policy_remove,
@@ -529,7 +532,7 @@ class BufferPoolManager:
                 if self.wal is not None:
                     # WAL-before-data, as in the generic path.
                     self.wal.flush()
-                clock._now_us += write_us
+                clock.ticks += write_ticks
                 device_stats.writes += 1
                 device_stats.write_batches += 1
                 device_stats.write_time_us += write_us
@@ -566,7 +569,7 @@ class BufferPoolManager:
             raise IndexError(
                 f"page {page} out of device range [0, {num_pages})"
             )
-        clock._now_us += read_us
+        clock.ticks += read_ticks
         device_stats.reads += 1
         device_stats.read_batches += 1
         device_stats.read_time_us += read_us

@@ -84,7 +84,7 @@ from repro.cluster.router import CrossShardStats
 from repro.engine.metrics import RunMetrics
 from repro.errors import NodeFailure
 from repro.faults.nodes import NodeFault
-from repro.storage.clock import VirtualClock
+from repro.storage.clock import VirtualClock, to_us
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FtlCounters
 
@@ -266,8 +266,8 @@ class _GroupNode:
         #: the manager but the group still owes its serving segment to
         #: the shard metrics).
         self.frozen_stats: BufferStats | None = None
-        #: Primary clock mark when this node started serving.
-        self.serve_start_us = 0.0
+        #: Own-clock tick mark when this node started serving.
+        self.serve_start_ticks = 0
 
     @property
     def device(self) -> SimulatedSSD:
@@ -305,10 +305,11 @@ class _ReplicaGroup:
             for node_id in range(config.replication_factor + 1)
         ]
         self.primary = self.nodes[0]
-        self.primary.serve_start_us = self.primary.clock.now_us
+        self.primary.serve_start_ticks = self.primary.clock.ticks
         self.pending = list(faults)
         self.seq = 0
-        self.group_elapsed_us = 0.0
+        #: Serving segments and promotions, summed as tick counts.
+        self.group_elapsed_ticks = 0
         self.crashes = 0
         self.rejoins = 0
         self.shipped_records = 0
@@ -370,22 +371,21 @@ class _ReplicaGroup:
         primary.shipped_lsn = primary.wal.durable_lsn
         self.seq += 1
         primary.applied_seq = self.seq
-        max_apply_us = 0.0
+        max_apply_ticks = 0
         for node in self.nodes:
             if node is primary or not node.alive:
                 continue
-            apply_start_us = node.clock.now_us
+            apply_start = node.clock.ticks
             if records:
                 self._apply_shipment(node, records)
             node.applied_seq = self.seq
-            max_apply_us = max(max_apply_us,
-                               node.clock.now_us - apply_start_us)
+            max_apply_ticks = max(max_apply_ticks,
+                                  node.clock.ticks - apply_start)
             self.shipped_records += len(records)
-        if max_apply_us:
-            # Synchronous replication: the commit acknowledges only once
-            # the slowest replica has applied, so the wait is primary
-            # (= client-visible) virtual time.
-            primary.clock.advance(max_apply_us)
+        # Synchronous replication: the commit acknowledges only once the
+        # slowest replica has applied, so the wait is primary
+        # (= client-visible) virtual time.
+        primary.clock.ticks += max_apply_ticks
         for node in self.nodes:
             if node is primary or not node.alive:
                 continue
@@ -446,7 +446,9 @@ class _ReplicaGroup:
         """
         primary = self.primary
         crash_time_us = primary.clock.now_us
-        self.group_elapsed_us += crash_time_us - primary.serve_start_us
+        self.group_elapsed_ticks += (
+            primary.clock.ticks - primary.serve_start_ticks
+        )
         failed_node = primary.node_id
         self._kill(primary, fault, committed)
         candidates = sorted(
@@ -501,7 +503,7 @@ class _ReplicaGroup:
     def _promote(self, candidate: _GroupNode) -> float:
         """Drain the candidate's shipped-WAL tail via the PR 8 recovery
         path and install it as primary; returns the virtual cost."""
-        promote_start_us = candidate.clock.now_us
+        promote_start = candidate.clock.ticks
         image = CrashImage(
             device=candidate.device, wal=candidate.wal,
             lost_dirty_pages=(),
@@ -511,15 +513,15 @@ class _ReplicaGroup:
         # drain is idempotent — which is exactly the point of reusing
         # the recovery path instead of trusting the apply loop.
         recover(image)
-        latency_us = candidate.clock.now_us - promote_start_us
-        self.group_elapsed_us += latency_us
+        latency_ticks = candidate.clock.ticks - promote_start
+        self.group_elapsed_ticks += latency_ticks
         # All live members hold the identical committed prefix, so the
         # new primary's durable log is already fully shipped.
         candidate.shipped_lsn = candidate.wal.durable_lsn
         self.primary = candidate
         self.served.append(candidate)
-        candidate.serve_start_us = candidate.clock.now_us
-        return latency_us
+        candidate.serve_start_ticks = candidate.clock.ticks
+        return to_us(latency_ticks)
 
     def _durable_images(
         self, node: _GroupNode
@@ -536,10 +538,10 @@ class _ReplicaGroup:
 
     def close_final_segment(self) -> None:
         primary = self.primary
-        self.group_elapsed_us += (
-            primary.clock.now_us - primary.serve_start_us
+        self.group_elapsed_ticks += (
+            primary.clock.ticks - primary.serve_start_ticks
         )
-        primary.serve_start_us = primary.clock.now_us
+        primary.serve_start_ticks = primary.clock.ticks
 
     def shard_metrics(self, label: str, ops: int,
                       cpu_time_us: float) -> RunMetrics:
@@ -573,7 +575,7 @@ class _ReplicaGroup:
             io_time_us += node_device.total_time_us
         return RunMetrics(
             label=label,
-            elapsed_us=self.group_elapsed_us,
+            elapsed_us=to_us(self.group_elapsed_ticks),
             ops=ops,
             buffer=buffer,
             device=device,

@@ -32,6 +32,7 @@ from repro.core.ace import ACEBufferPoolManager
 from repro.core.config import ACEConfig
 from repro.policies.base import ReplacementPolicy
 from repro.prefetch.base import Prefetcher
+from repro.storage.clock import to_us
 from repro.storage.device import SimulatedSSD
 
 __all__ = ["AdaptiveACEBufferPoolManager", "DEFAULT_LADDER"]
@@ -126,9 +127,10 @@ class AdaptiveACEBufferPoolManager(ACEBufferPoolManager):
 
     def _write_back(self, pages, background: bool = False) -> int:
         page_list = list(pages)
-        t0 = self.device.clock.now_us
+        clock = self.device.clock
+        mark = clock.ticks
         written = super()._write_back(page_list, background=background)
-        elapsed = self.device.clock.now_us - t0
+        elapsed = to_us(clock.ticks - mark)
         if written:
             self._record(written, elapsed)
         return written

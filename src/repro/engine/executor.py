@@ -24,6 +24,7 @@ share a :class:`RunSession`: start marks, background tick, metrics.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from repro.bufferpool.manager import BufferPoolManager
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
 from repro.errors import PageNotBufferedError
+from repro.storage.clock import to_us
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
@@ -69,6 +71,14 @@ class ExecutionOptions:
     commit_every_ops: int = 0
 
     def __post_init__(self) -> None:
+        for name in (
+            "cpu_us_per_op",
+            "cpu_us_per_transaction",
+            "bg_writer_interval_us",
+            "checkpoint_interval_us",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.cpu_us_per_op < 0 or self.cpu_us_per_transaction < 0:
             raise ValueError("CPU costs cannot be negative")
         if self.bg_writer_interval_us <= 0 or self.checkpoint_interval_us <= 0:
@@ -107,10 +117,11 @@ def _replay_turbo(
     straight-line code here (the bare-device branch of ``_handle_miss``,
     step for step), and the *commuting* integer counters (hits, evictions,
     device read/write counts, the batch histogram) are accumulated in
-    locals and flushed once.  Floating-point accounting (the virtual clock
-    and device time sums) stays sequential per event, so the resulting
-    metrics are byte-identical to the per-request replay, not merely equal
-    modulo summation order.
+    locals and flushed once.  The clock is an integer tick count, bumped
+    per event by what ``advance`` would add; the floating-point device
+    time sums stay sequential per event, so the resulting metrics are
+    byte-identical to the per-request replay, not merely equal modulo
+    summation order.
 
     ACE differs at one point, as in the manager: a dirty victim goes to
     ``manager.writer`` (one ``_write_back`` + ``device.write_batch`` call
@@ -135,6 +146,8 @@ def _replay_turbo(
         device_payloads,
         read_us,
         write_us,
+        read_ticks,
+        write_ticks,
         num_pages,
         ftl,
         clock,
@@ -201,7 +214,7 @@ def _replay_turbo(
                             victim_frame = slots[victim]
                     else:
                         dirty_evictions += 1
-                        clock._now_us += write_us
+                        clock.ticks += write_ticks
                         device_stats.write_time_us += write_us
                         device_payloads[victim] = payloads[victim_frame]
                         if ftl is not None:
@@ -225,7 +238,7 @@ def _replay_turbo(
                     raise IndexError(
                         f"page {page} out of device range [0, {num_pages})"
                     )
-                clock._now_us += read_us
+                clock.ticks += read_ticks
                 device_stats.read_time_us += read_us
                 reads_done += 1
                 if ftl is not None:
@@ -415,6 +428,7 @@ class RunSession:
         self.options = options if options is not None else ExecutionOptions()
         self.clock = device.clock
         self.start_us = self.clock.now_us
+        self._start_ticks = self.clock.ticks
         self._start_reads = device.stats.read_time_us
         self._start_writes = device.stats.write_time_us
         self._processes = (bg_writer, checkpointer, scrubber)
@@ -435,10 +449,14 @@ class RunSession:
         if scrubber is not None:
             scrubber.maybe_scrub()
 
+    def elapsed_us(self) -> float:
+        """Virtual time since the start mark: the sum of the advances since."""
+        return to_us(self.clock.ticks - self._start_ticks)
+
     def finish(self, label: str, ops: int, **counts) -> RunMetrics:
         """The run's metrics: elapsed since the start marks, counters now."""
         manager, device = self.manager, self.manager.device
-        elapsed = self.clock.now_us - self.start_us
+        elapsed = self.elapsed_us()
         io_time = (
             device.stats.read_time_us
             - self._start_reads

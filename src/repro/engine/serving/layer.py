@@ -228,7 +228,7 @@ class ServingLayer:
                     )
                 if next_event == _INF or next_event <= now:
                     continue
-                clock.advance(next_event - now)
+                clock.advance_to(next_event)
                 continue
             # 4. Dispatch the queue head and execute its unit.  A failure
             # requeues the unit only while no write of it has been applied
@@ -283,7 +283,7 @@ class ServingLayer:
                         new_orders += 1
             session.tick()
 
-        self._end_run(clock.now_us - start_us)
+        self._end_run(session.elapsed_us())
         return executed_ops, new_orders
 
     # ------------------------------------------------------- run plumbing

@@ -7,52 +7,119 @@ paper isolates.  Instead, every component that "spends time" advances a
 shared :class:`VirtualClock`, and batch costs are computed analytically by
 :class:`repro.storage.latency.LatencyModel`.  This makes runs deterministic
 and lets the cost model match the paper's first-order analysis exactly.
+
+Exactly, because time is *counted*, not summed: the clock holds an integer
+number of ticks (1 tick = 1 ps, a Python ``int``, so there is no horizon).
+Every Table I constant is a microsecond figure of at most two decimals, so
+every modelled latency is a whole number of ticks (a PCIe page write,
+``253.29999999999998`` as a float, is 253 300 000 of them) and integer
+addition commutes: a stretch of requests costs the same clock whether its
+CPU charge is applied request by request or once after the stretch.  The
+contract the loops rely on:
+
+* **A duration** enters through :meth:`VirtualClock.advance` (microseconds,
+  one ``round`` to ticks) or is converted once with :func:`to_ticks` and
+  added to :attr:`VirtualClock.ticks` directly (the inlined miss paths, the
+  executor's per-stretch CPU charge).  Both spell the same number.
+* **An interval timer** subtracts tick counts — ``mark = clock.ticks`` …
+  ``to_us(clock.ticks - mark)`` — so a measured duration is the sum of the
+  advances inside it whenever it started.  ``now_us`` differences are not:
+  the float nearest to *t* depends on how large *t* already is.
+* **A jump to a time** is :meth:`VirtualClock.advance_to`, which lands on
+  the first tick with ``now_us >= deadline_us``; ``advance(deadline - now)``
+  can round to zero ticks short of the deadline and never arrive.
 """
 
 from __future__ import annotations
 
-__all__ = ["VirtualClock"]
+import math
+
+__all__ = ["TICKS_PER_US", "VirtualClock", "to_ticks", "to_us"]
+
+#: Clock resolution: 1 tick = 1 ps.
+TICKS_PER_US = 1_000_000
+
+_INF = math.inf
+
+
+def _refused(value: float, if_negative: str) -> ValueError:
+    if value < 0:
+        return ValueError(f"{if_negative}: {value}")
+    return ValueError(f"not a finite time: {value}")
+
+
+def to_ticks(duration_us: float) -> int:
+    """``duration_us`` as a whole number of ticks (what ``advance`` adds)."""
+    if not 0 <= duration_us < _INF:
+        raise _refused(duration_us, "a duration cannot be negative")
+    return round(duration_us * TICKS_PER_US)
+
+
+def to_us(ticks: int) -> float:
+    """A tick count (or difference of two) in microseconds."""
+    return ticks / TICKS_PER_US
 
 
 class VirtualClock:
     """A monotonic virtual clock measured in microseconds.
 
     The clock only moves forward.  Components call :meth:`advance` with the
-    duration of the work they modelled (an I/O batch, a slice of CPU time).
+    duration of the work they modelled (an I/O batch, a slice of CPU time);
+    :attr:`ticks` is the count itself, for interval timers and for adding
+    durations already converted with :func:`to_ticks`.
     """
 
-    __slots__ = ("_now_us",)
+    __slots__ = ("ticks",)
 
     def __init__(self, start_us: float = 0.0) -> None:
-        if start_us < 0:
-            raise ValueError(f"clock cannot start in the past: {start_us}")
-        self._now_us = float(start_us)
+        if not 0 <= start_us < _INF:
+            raise _refused(start_us, "clock cannot start in the past")
+        self.ticks = round(start_us * TICKS_PER_US)
 
     @property
     def now_us(self) -> float:
         """Current virtual time in microseconds."""
-        return self._now_us
+        return self.ticks / TICKS_PER_US
 
     @property
     def now_s(self) -> float:
         """Current virtual time in seconds."""
-        return self._now_us / 1e6
+        return self.ticks / (TICKS_PER_US * 1_000_000)
 
     def advance(self, delta_us: float) -> float:
         """Move the clock forward by ``delta_us`` and return the new time.
 
         Raises ``ValueError`` on negative deltas: virtual time is monotonic
         by construction and a negative advance always indicates a bug in the
-        caller's cost accounting.
+        caller's cost accounting.  NaN and infinity are refused too — a
+        clock that stopped comparing would silence every deadline.
         """
-        if delta_us < 0:
-            raise ValueError(f"cannot advance clock by negative time: {delta_us}")
-        self._now_us += delta_us
-        return self._now_us
+        if not 0 <= delta_us < _INF:
+            raise _refused(delta_us, "cannot advance clock by negative time")
+        self.ticks += round(delta_us * TICKS_PER_US)
+        return self.ticks / TICKS_PER_US
+
+    def advance_to(self, deadline_us: float) -> float:
+        """Jump to the first tick with ``now_us >= deadline_us``.
+
+        A deadline already reached leaves the clock where it is.  Returns
+        the new time.
+        """
+        if not -_INF < deadline_us < _INF:
+            raise ValueError(f"not a finite time: {deadline_us}")
+        target = math.ceil(deadline_us * TICKS_PER_US)
+        # The product above is rounded; settle on the exact first tick.
+        while target / TICKS_PER_US < deadline_us:
+            target += 1
+        while (target - 1) / TICKS_PER_US >= deadline_us:
+            target -= 1
+        if target > self.ticks:
+            self.ticks = target
+        return self.ticks / TICKS_PER_US
 
     def elapsed_since(self, t0_us: float) -> float:
         """Microseconds elapsed between ``t0_us`` and now."""
-        return self._now_us - t0_us
+        return self.now_us - t0_us
 
     def __repr__(self) -> str:
-        return f"VirtualClock(now_us={self._now_us:.3f})"
+        return f"VirtualClock(now_us={self.now_us:.3f})"

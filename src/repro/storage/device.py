@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 
 from repro.errors import CorruptPageError
-from repro.storage.clock import VirtualClock
+from repro.storage.clock import VirtualClock, to_ticks
 from repro.storage.ftl import FlashTranslationLayer
 from repro.storage.latency import LatencyModel
 from repro.storage.profiles import DeviceProfile
@@ -159,6 +159,10 @@ class SimulatedSSD:
         # write-back — are computed once.
         self._single_read_us = self.model.read_batch_us(1)
         self._single_write_us = self.model.write_batch_us(1)
+        # The same two as tick counts, for the inlined miss paths that add
+        # them to ``clock.ticks`` without the call (what ``advance`` adds).
+        self._single_read_ticks = to_ticks(self._single_read_us)
+        self._single_write_ticks = to_ticks(self._single_write_us)
         self.stats = DeviceStats()
         self._payloads: dict[int, object] = {}
         #: Out-of-band checksum metadata: page -> checksum of the payload

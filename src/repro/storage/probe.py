@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.storage.clock import to_us
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import DeviceProfile
 
@@ -57,15 +58,16 @@ def measure_asymmetry(
     device = _fresh_device(profile)
     pages = [rng.randrange(_PROBE_PAGES) for _ in range(samples)]
 
-    t0 = device.clock.now_us
+    clock = device.clock
+    mark = clock.ticks
     for page in pages:
         device.read_page(page)
-    read_us = (device.clock.now_us - t0) / samples
+    read_us = to_us(clock.ticks - mark) / samples
 
-    t0 = device.clock.now_us
+    mark = clock.ticks
     for page in pages:
         device.write_page(page, payload=0)
-    write_us = (device.clock.now_us - t0) / samples
+    write_us = to_us(clock.ticks - mark) / samples
 
     return write_us / read_us, read_us, write_us
 
@@ -96,14 +98,14 @@ def measure_concurrency(
     best_k = 1
     best_throughput = 0.0
     for n in range(1, max_batch + 1):
-        t0 = device.clock.now_us
+        mark = device.clock.ticks
         for _ in range(trials):
             batch = rng.sample(range(_PROBE_PAGES), n)
             if kind == "read":
                 device.read_batch(batch)
             else:
                 device.write_batch(dict.fromkeys(batch, 0))
-        mean_latency = (device.clock.now_us - t0) / trials
+        mean_latency = to_us(device.clock.ticks - mark) / trials
         throughput = n / mean_latency
         if throughput > best_throughput * (1.0 + 1e-9):
             best_throughput = throughput

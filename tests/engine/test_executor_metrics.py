@@ -168,3 +168,19 @@ class TestMetricsHelpers:
             ExecutionOptions(cpu_us_per_op=-1)
         with pytest.raises(ValueError):
             ExecutionOptions(bg_writer_interval_us=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cpu_us_per_op",
+            "cpu_us_per_transaction",
+            "bg_writer_interval_us",
+            "checkpoint_interval_us",
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_options_refuse_non_finite_times(self, field, bad):
+        # They reach the clock (CLI --cpu-us): a NaN there stops every
+        # deadline comparison without an error.
+        with pytest.raises(ValueError, match=f"{field} must be finite: {bad}"):
+            ExecutionOptions(**{field: bad})

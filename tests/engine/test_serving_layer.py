@@ -124,6 +124,48 @@ class TestOpenLoopOverload:
         assert serving.offered_per_s > serving.goodput_per_s
 
 
+class TestIdleJump:
+    def test_sub_tick_events_are_reached(self):
+        # Arrivals every 100/3 us and wake-ups 0.1 x 1.5^k us after a
+        # failure are not whole numbers of clock ticks.  The idle jump
+        # must land at or after the event it jumps to: an advance by the
+        # rounded difference stops a fraction of a tick short, sees the
+        # same event still ahead, and never moves again.
+        from repro.faults.retry import RetryPolicy
+
+        plan = FaultPlan(seed=3, read_error_rate=0.3)
+        manager = make_manager(capacity=64, fault_plan=plan,
+                               retry=RetryPolicy(max_attempts=1))
+        config = ServingConfig(
+            arrival_interval_us=100 / 3,
+            max_attempts=12,
+            requeue_backoff_us=0.1,
+            requeue_backoff_multiplier=1.5,
+        )
+        layer = ServingLayer(manager, config)
+        clock = manager.device.clock
+        admitted = []
+        admit = layer._admit
+
+        def recording_admit(request):
+            admitted.append((clock.now_us, request.arrival_us))
+            admit(request)
+
+        layer._admit = recording_admit
+        # Six requests per page: under capacity, so the server goes idle.
+        trace = Trace([(i // 6) % 50 for i in range(300)], [False] * 300, name="r")
+        serving = run_trace(
+            manager, trace, options=OPTIONS, serving=layer
+        ).serving
+        assert len(admitted) == serving.offered == 300
+        assert all(now_us >= arrival_us for now_us, arrival_us in admitted)
+        assert serving.requeued > 0
+        assert (
+            serving.shed + serving.expired + serving.failed + serving.completed
+            == serving.offered
+        )
+
+
 class TestRequeue:
     def test_pool_exhaustion_requeues_then_fails(self):
         manager = make_manager(capacity=4, num_pages=64)

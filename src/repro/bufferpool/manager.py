@@ -587,7 +587,7 @@ class BufferPoolManager:
         frame_of[page] = frame_id
         if array_slots:
             slots[page] = frame_id
-        policy_insert(page, cold=False)
+        policy_insert(page, False)
         return frame_id
 
     # ----------------------------------------------------------- internals

@@ -39,20 +39,19 @@ __all__ = ["TICKS_PER_US", "VirtualClock", "to_ticks", "to_us"]
 #: Clock resolution: 1 tick = 1 ps.
 TICKS_PER_US = 1_000_000
 
-_INF = math.inf
 
-
-def _refused(value: float, if_negative: str) -> ValueError:
-    if value < 0:
-        return ValueError(f"{if_negative}: {value}")
-    return ValueError(f"not a finite time: {value}")
+def _ticks(value_us: float, if_negative: str) -> int:
+    if value_us < 0:
+        raise ValueError(f"{if_negative}: {value_us}")
+    try:
+        return round(value_us * TICKS_PER_US)
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise ValueError(f"not a finite time: {value_us}") from None
 
 
 def to_ticks(duration_us: float) -> int:
     """``duration_us`` as a whole number of ticks (what ``advance`` adds)."""
-    if not 0 <= duration_us < _INF:
-        raise _refused(duration_us, "a duration cannot be negative")
-    return round(duration_us * TICKS_PER_US)
+    return _ticks(duration_us, "a duration cannot be negative")
 
 
 def to_us(ticks: int) -> float:
@@ -72,9 +71,7 @@ class VirtualClock:
     __slots__ = ("ticks",)
 
     def __init__(self, start_us: float = 0.0) -> None:
-        if not 0 <= start_us < _INF:
-            raise _refused(start_us, "clock cannot start in the past")
-        self.ticks = round(start_us * TICKS_PER_US)
+        self.ticks = _ticks(start_us, "clock cannot start in the past")
 
     @property
     def now_us(self) -> float:
@@ -94,9 +91,13 @@ class VirtualClock:
         caller's cost accounting.  NaN and infinity are refused too — a
         clock that stopped comparing would silence every deadline.
         """
-        if not 0 <= delta_us < _INF:
-            raise _refused(delta_us, "cannot advance clock by negative time")
-        self.ticks += round(delta_us * TICKS_PER_US)
+        # ``_ticks`` written out: every device I/O comes through here.
+        if delta_us < 0:
+            raise ValueError(f"cannot advance clock by negative time: {delta_us}")
+        try:
+            self.ticks += round(delta_us * TICKS_PER_US)
+        except (ValueError, OverflowError):  # NaN, infinity
+            raise ValueError(f"not a finite time: {delta_us}") from None
         return self.ticks / TICKS_PER_US
 
     def advance_to(self, deadline_us: float) -> float:
@@ -105,9 +106,10 @@ class VirtualClock:
         A deadline already reached leaves the clock where it is.  Returns
         the new time.
         """
-        if not -_INF < deadline_us < _INF:
-            raise ValueError(f"not a finite time: {deadline_us}")
-        target = math.ceil(deadline_us * TICKS_PER_US)
+        try:
+            target = math.ceil(deadline_us * TICKS_PER_US)
+        except (ValueError, OverflowError):  # NaN, infinity
+            raise ValueError(f"not a finite time: {deadline_us}") from None
         # The product above is rounded; settle on the exact first tick.
         while target / TICKS_PER_US < deadline_us:
             target += 1

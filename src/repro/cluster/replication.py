@@ -10,9 +10,9 @@ mid-replay.
 
 The protocol, end to end:
 
-1. **Serve.**  The primary replays the shard subtrace request by
-   request (the executor's slow-path semantics: per-op CPU charge, WAL
-   flush every ``commit_every`` ops).
+1. **Serve.**  The primary replays the shard subtrace in bulk segments
+   (:func:`repro.engine.executor.replay`, one CPU charge each) that end
+   where its fault plan can next fire or at the ``commit_every`` boundary.
 2. **Ship.**  At each group-commit boundary the primary flushes its WAL
    and forwards the *newly durable* UPDATE records to every live
    replica.  A replica re-logs the records into its own WAL, flushes,
@@ -81,10 +81,11 @@ from repro.cluster.engine import (
     build_shard_stack,
 )
 from repro.cluster.router import CrossShardStats
+from repro.engine.executor import replay
 from repro.engine.metrics import RunMetrics
 from repro.errors import NodeFailure
 from repro.faults.nodes import NodeFault
-from repro.storage.clock import VirtualClock, to_us
+from repro.storage.clock import VirtualClock, to_ticks, to_us
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FtlCounters
 
@@ -308,7 +309,6 @@ class _ReplicaGroup:
         self.primary.serve_start_ticks = self.primary.clock.ticks
         self.pending = list(faults)
         self.seq = 0
-        #: Serving segments and promotions, summed as tick counts.
         self.group_elapsed_ticks = 0
         self.crashes = 0
         self.rejoins = 0
@@ -323,23 +323,24 @@ class _ReplicaGroup:
 
     # ---------------------------------------------------------- fault plan
 
-    def _fault_due(self, node: _GroupNode, progress: int,
-                   time_us: float) -> NodeFault | None:
+    def _fault_due(self, node: _GroupNode, progress: int, time_us: float,
+                   horizon: int) -> tuple[NodeFault | None, int]:
+        """``node``'s first pending fault due at ``progress``/``time_us``,
+        else ``None`` and the index (at most ``horizon``) before which
+        none can fire: its next ``crash_at_access``, or the very next
+        access while a timed fault is pending (ask the clock again)."""
         for fault in self.pending:
             if fault.node != node.node_id:
                 continue
-            if (fault.crash_at_access is not None
-                    and progress >= fault.crash_at_access):
-                return fault
-            if fault.crash_at_us is not None and time_us >= fault.crash_at_us:
-                return fault
-        return None
-
-    def primary_fault_due(self, cursor: int) -> NodeFault | None:
-        """The primary's next due fault before serving access ``cursor``."""
-        return self._fault_due(
-            self.primary, cursor, self.primary.clock.now_us
-        )
+            if fault.crash_at_access is not None:
+                if progress >= fault.crash_at_access:
+                    return fault, progress
+                horizon = min(horizon, fault.crash_at_access)
+            elif time_us >= fault.crash_at_us:
+                return fault, progress
+            else:
+                horizon = min(horizon, progress + 1)
+        return None, horizon
 
     def _kill(self, node: _GroupNode, fault: NodeFault,
               committed: int) -> None:
@@ -379,18 +380,16 @@ class _ReplicaGroup:
             if records:
                 self._apply_shipment(node, records)
             node.applied_seq = self.seq
-            max_apply_ticks = max(max_apply_ticks,
-                                  node.clock.ticks - apply_start)
+            max_apply_ticks = max(max_apply_ticks, node.clock.ticks - apply_start)
             self.shipped_records += len(records)
-        # Synchronous replication: the commit acknowledges only once the
-        # slowest replica has applied, so the wait is primary
-        # (= client-visible) virtual time.
+        # Synchronous replication: the commit acknowledges once the slowest
+        # replica has applied; the wait is primary (= client-visible) time.
         primary.clock.ticks += max_apply_ticks
         for node in self.nodes:
             if node is primary or not node.alive:
                 continue
-            fault = self._fault_due(node, committed_end,
-                                    primary.clock.now_us)
+            fault, _ = self._fault_due(node, committed_end,
+                                       primary.clock.now_us, committed_end)
             if fault is not None:
                 self._kill(node, fault, committed_end)
         for node in self.nodes:
@@ -446,9 +445,7 @@ class _ReplicaGroup:
         """
         primary = self.primary
         crash_time_us = primary.clock.now_us
-        self.group_elapsed_ticks += (
-            primary.clock.ticks - primary.serve_start_ticks
-        )
+        self.close_segment()
         failed_node = primary.node_id
         self._kill(primary, fault, committed)
         candidates = sorted(
@@ -461,8 +458,8 @@ class _ReplicaGroup:
             # window (commit boundaries are when replica faults normally
             # fire, and the window never reached one): such a candidate
             # dies *during its promotion* — the double-failure case.
-            candidate_fault = self._fault_due(
-                candidate, committed + retried, crash_time_us
+            candidate_fault, _ = self._fault_due(
+                candidate, committed + retried, crash_time_us, committed
             )
             if candidate_fault is not None:
                 # Double failure: the chosen replica dies during its own
@@ -536,12 +533,11 @@ class _ReplicaGroup:
 
     # ------------------------------------------------------------- metrics
 
-    def close_final_segment(self) -> None:
-        primary = self.primary
-        self.group_elapsed_ticks += (
-            primary.clock.ticks - primary.serve_start_ticks
-        )
-        primary.serve_start_ticks = primary.clock.ticks
+    def close_segment(self) -> None:
+        """Bank the primary's serving time since its start mark."""
+        primary, now = self.primary, self.primary.clock.ticks
+        self.group_elapsed_ticks += now - primary.serve_start_ticks
+        primary.serve_start_ticks = now
 
     def shard_metrics(self, label: str, ops: int,
                       cpu_time_us: float) -> RunMetrics:
@@ -602,6 +598,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
         config.options.commit_every_ops or REPLICATION_COMMIT_EVERY
     )
     cpu_per_op = config.options.cpu_us_per_op
+    op_ticks = to_ticks(cpu_per_op)
     plan = config.node_faults
     faults = plan.faults_for(job.shard) if plan is not None else ()
     label = f"{config.label}/shard{job.shard}"
@@ -615,17 +612,18 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
         boundary = min(committed + commit_every, total)
         cursor = committed
         due: NodeFault | None = None
-        access = group.primary.manager.access
-        advance = group.primary.clock.advance
+        primary = group.primary
         while cursor < boundary:
-            due = group.primary_fault_due(cursor)
+            # Bulk up to where the plan can next fire on the primary, then
+            # the segment's CPU charge: one question, not one per access.
+            now_us = primary.clock.now_us
+            due, end = group._fault_due(primary, cursor, now_us, boundary)
             if due is not None:
                 break
-            if cpu_per_op:
-                advance(cpu_per_op)
-            access(pages[cursor], writes[cursor])
-            executed += 1
-            cursor += 1
+            replay(primary.manager, pages[cursor:end], writes[cursor:end])
+            primary.clock.ticks += (end - cursor) * op_ticks
+            executed += end - cursor
+            cursor = end
         if due is not None:
             retried = cursor - committed
             retried_total += retried
@@ -648,7 +646,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
             continue  # retry the uncommitted tail on the new primary
         group.commit(boundary)
         committed = boundary
-    group.close_final_segment()
+    group.close_segment()
 
     # The storm is over: take the exact PR 8 audit on the final primary.
     # Ledger = full-subtrace write counts (everything is committed by the

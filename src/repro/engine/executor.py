@@ -9,17 +9,17 @@ virtual-time intervals.  All reported latencies are virtual — the
 deterministic sum of modelled CPU and device time — which is what makes
 baseline-vs-ACE comparisons exact rather than noisy.
 
-How a stretch of requests is driven depends on how it is *observed*.
-Nothing looks at the clock before the stretch ends (it is observed at an
-index: warm-up end, trace end, transaction end): :func:`replay`, the bulk
-entry over the two inlined loops, and the CPU charge follows in one
-advance.  Something compares the clock with a time while it runs
-(latencies, commit points, the background processes): the stepped loops of
-:func:`run_trace` and :func:`run_transactions`, charging each request as it
-runs — device latencies are not dyadic (a PCIe write is 90 x 2.8 us), so a
-deferred charge would move the clock's last bits under the observer.
-Admission control (``serving=``) is the serving layer's loop.  All three
-share a :class:`RunSession`: start marks, background tick, metrics.
+How a stretch of requests is driven depends on how it is *observed*.  At
+an index — warm-up end, trace end, a transaction's commit and background
+tick: :func:`replay`, the bulk entry over the two inlined loops, then the
+stretch's CPU charge as one tick count.  The clock counts integer ticks
+(:mod:`repro.storage.clock`), so that is the very clock request-by-request
+charging reaches, and an observer between stretches cannot tell.  At a
+*time* inside the stretch — per-request latencies, ``commit_every_ops``,
+background processes under :func:`run_trace`: its stepped loop, charging
+each request as it runs.  Admission control (``serving=``) is the serving
+layer's loop.  All three share a :class:`RunSession`: start marks,
+background tick, metrics.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.bufferpool.manager import BufferPoolManager
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
 from repro.errors import PageNotBufferedError
-from repro.storage.clock import to_us
+from repro.storage.clock import to_ticks, to_us
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
@@ -54,6 +54,8 @@ class ExecutionOptions:
         CPU time charged per page request (query processing share).
     cpu_us_per_transaction:
         Extra CPU time charged per transaction (parse/plan/commit path).
+        Both reach the clock as whole ticks (``to_ticks``), one request at
+        a time or ``n`` at once; like the intervals they must be finite.
     bg_writer_interval_us, checkpoint_interval_us:
         Virtual-time periods for the background processes (when attached).
     commit_every_ops:
@@ -71,14 +73,9 @@ class ExecutionOptions:
     commit_every_ops: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "cpu_us_per_op",
-            "cpu_us_per_transaction",
-            "bg_writer_interval_us",
-            "checkpoint_interval_us",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):  # a NaN would silence every deadline
+                raise ValueError(f"{name} must be finite: {value}")
         if self.cpu_us_per_op < 0 or self.cpu_us_per_transaction < 0:
             raise ValueError("CPU costs cannot be negative")
         if self.bg_writer_interval_us <= 0 or self.checkpoint_interval_us <= 0:
@@ -117,11 +114,10 @@ def _replay_turbo(
     straight-line code here (the bare-device branch of ``_handle_miss``,
     step for step), and the *commuting* integer counters (hits, evictions,
     device read/write counts, the batch histogram) are accumulated in
-    locals and flushed once.  The clock is an integer tick count, bumped
-    per event by what ``advance`` would add; the floating-point device
-    time sums stay sequential per event, so the resulting metrics are
-    byte-identical to the per-request replay, not merely equal modulo
-    summation order.
+    locals and flushed once.  The clock gets the tick count ``advance``
+    would add, per event; the floating-point device time sums stay
+    sequential per event too, so the resulting metrics are byte-identical
+    to the per-request replay, not merely equal modulo summation order.
 
     ACE differs at one point, as in the manager: a dirty victim goes to
     ``manager.writer`` (one ``_write_back`` + ``device.write_batch`` call
@@ -548,11 +544,10 @@ def run_trace(
 
     if latencies is None and not session.background and not options.commit_every_ops:
         # Bulk: nothing observes the clock between requests, so the per-op
-        # CPU charge can be applied in one advance at the end (identical
-        # modulo float-summation rounding).
+        # CPU charges are applied as one tick count at the end (the same
+        # clock: integer addition commutes).
         replay(manager, trace.pages, trace.writes)
-        if cpu_per_op:
-            clock.advance(cpu_per_op * len(trace))
+        clock.ticks += len(trace) * to_ticks(cpu_per_op)
     else:
         # Stepped: latencies and the background processes read the clock
         # after every request, so every request charges its own CPU first.
@@ -607,45 +602,29 @@ def run_transactions(
         return _serving_layer(manager, serving).admit_transactions(
             session, transactions, label
         )
-    options = session.options
     clock = session.clock
-    cpu_per_op = options.cpu_us_per_op
-    cpu_per_transaction = options.cpu_us_per_transaction
+    op_ticks = to_ticks(session.options.cpu_us_per_op)
+    transaction_ticks = to_ticks(session.options.cpu_us_per_transaction)
     wal = manager.wal
-    # Stepped when the background processes read the clock after every
-    # transaction: the charges then land request by request.  Otherwise
-    # bulk between commit points (see run_trace): each transaction is one
-    # ``replay`` and the CPU charges collapse into one advance at the end.
-    stepped = session.background
     ops = 0
     transaction_count = 0
     new_order_count = 0
     for kind, requests in transactions:
-        if stepped:
-            if cpu_per_transaction:
-                clock.advance(cpu_per_transaction)
-            for request in requests:
-                if cpu_per_op:
-                    clock.advance(cpu_per_op)
-                manager.access(request.page, request.is_write)
-        else:
-            replay(
-                manager,
-                [request.page for request in requests],
-                [request.is_write for request in requests],
-            )
+        # A transaction is observed at its end (commit, background tick):
+        # bulk, then the tick count its per-request charges would sum to.
+        replay(
+            manager,
+            [request.page for request in requests],
+            [request.is_write for request in requests],
+        )
+        clock.ticks += transaction_ticks + len(requests) * op_ticks
         ops += len(requests)
         if wal is not None:
             wal.flush()  # commit: WAL must be durable
         transaction_count += 1
         if kind is TransactionType.NEW_ORDER:
             new_order_count += 1
-        if stepped:
-            session.tick()
-    if not stepped:
-        cpu_total = cpu_per_transaction * transaction_count + cpu_per_op * ops
-        if cpu_total:
-            clock.advance(cpu_total)
+        session.tick()
     return session.finish(
         label,
         ops=ops,

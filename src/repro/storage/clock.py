@@ -120,7 +120,8 @@ class VirtualClock:
         return self.ticks / TICKS_PER_US
 
     def elapsed_since(self, t0_us: float) -> float:
-        """Microseconds elapsed between ``t0_us`` and now."""
+        """Microseconds between a time ``t0_us`` and now (a float difference:
+        to measure an interval, subtract tick counts instead)."""
         return self.now_us - t0_us
 
     def __repr__(self) -> str:

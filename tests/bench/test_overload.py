@@ -1,5 +1,7 @@
 """Tests for the overload saturation-sweep harness."""
 
+import pytest
+
 from repro.bench.overload import (
     SMOKE_MULTIPLIERS,
     OverloadCell,
@@ -15,8 +17,10 @@ from repro.storage.profiles import PCIE_SSD
 
 
 class TestSmokeGrid:
-    def setup_method(self):
-        self.report = smoke_grid(seed=7)
+    @pytest.fixture(scope="class", autouse=True)
+    def _report(self, request):
+        # One deterministic grid for the six read-only checks below.
+        request.cls.report = smoke_grid(seed=7)
 
     def test_report_passes(self):
         assert self.report.ok, "\n".join(self.report.failures)

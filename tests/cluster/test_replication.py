@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 
 from repro.bufferpool.recovery import recover, simulate_crash
+from repro.cluster import replication
 from repro.cluster.engine import (
     ClusterConfig,
     build_shard_stack,
@@ -347,3 +348,79 @@ class TestDivergenceBattery:
         )
         assert images == reference
         assert summary.ok
+
+
+def _comparable(metrics):
+    """Merged cluster metrics minus the wall-clock fields."""
+    plain = dataclasses.asdict(metrics)
+    for wall in ("replay_wall_s", "elapsed_wall_s"):
+        plain.pop(wall, None)
+    return plain
+
+
+class TestSegmentedReplay:
+    """The primary runs ``replay`` over whole segments between the indices
+    where its fault plan can fire, with one CPU charge per segment.  The
+    reference is the loop that preceded it — one request per segment,
+    through ``manager.access`` — which the integer clock makes equal to
+    the last bit: summary, failover events, promotion images, metrics."""
+
+    FAULTS = {
+        "mid-window": [NodeFault(shard=0, node=0, crash_at_access=101)],
+        "first index of a commit window": [
+            NodeFault(shard=0, node=0, crash_at_access=96)
+        ],
+        "fail over and back": [
+            NodeFault(shard=0, node=0, crash_at_access=101,
+                      rejoin_after_accesses=32),
+            NodeFault(shard=0, node=1, crash_at_access=140),
+        ],
+        "replica dies, rejoins, is promoted": [
+            NodeFault(shard=0, node=1, crash_at_access=70,
+                      rejoin_after_accesses=64),
+            NodeFault(shard=0, node=0, crash_at_access=300),
+        ],
+        "timed": [NodeFault(shard=0, node=0, crash_at_us=30_000.0)],
+    }
+
+    @staticmethod
+    def _step_one_request_per_segment(monkeypatch):
+        fault_due = replication._ReplicaGroup._fault_due
+
+        def one_request(self, node, progress, time_us, horizon):
+            return fault_due(self, node, progress, time_us,
+                             min(horizon, progress + 1))
+
+        def access_each(manager, pages, writes):
+            assert len(pages) == 1
+            manager.access(pages[0], writes[0])
+
+        monkeypatch.setattr(replication._ReplicaGroup, "_fault_due", one_request)
+        monkeypatch.setattr(replication, "replay", access_each)
+
+    @pytest.mark.parametrize("case", FAULTS)
+    def test_segments_equal_request_by_request(self, case, monkeypatch):
+        config = make_config(num_shards=1, faults=self.FAULTS[case], capture=True)
+        trace = make_trace(num_ops=700)
+        segments = []
+        replay = replication.replay
+
+        def recording(manager, pages, writes):
+            segments.append(len(pages))
+            replay(manager, pages, writes)
+
+        monkeypatch.setattr(replication, "replay", recording)
+        bulk = run_cluster(config, trace, workers=1)
+        self._step_one_request_per_segment(monkeypatch)
+        stepped = run_cluster(config, trace, workers=1)
+
+        assert bulk.replication == stepped.replication
+        assert _comparable(bulk) == _comparable(stepped)
+        shard0 = bulk.replication.per_shard[0]
+        assert len(shard0.failovers) == len(shard0.promotion_images) >= 1
+        assert shard0.audit_ok
+        assert sum(segments) == 700 + shard0.retried_accesses
+        # A timed fault pending on the primary: the clock is asked after
+        # every request; otherwise (and once it has fired) whole windows.
+        assert segments[0] == (1 if case == "timed" else 32)
+        assert max(segments) == 32

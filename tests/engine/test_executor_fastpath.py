@@ -27,8 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bufferpool.background import BackgroundWriter, Checkpointer
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
+from repro.cluster.engine import ClusterConfig, run_cluster
 from repro.core.ace import ACEBufferPoolManager
 from repro.core.adaptive import AdaptiveACEBufferPoolManager
 from repro.core.config import ACEConfig
@@ -45,8 +47,10 @@ from repro.prefetch import (
     NullPrefetcher,
     TaPPrefetcher,
 )
+from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace
 from repro.workloads.tpcc.driver import TPCCWorkload
+from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
 from tests.bufferpool.conftest import make_device
@@ -131,9 +135,42 @@ TRANSACTIONS = list(
 )
 
 
-def run_transactions_one(policy_name, variant, *, stack, force_slow):
-    """(fingerprint, ``manager.access`` calls) of one transaction run."""
-    manager = build(policy_name, variant, stack=stack)
+#: Short enough that rounds and checkpoints fall mid-run (~90 ms virtual).
+BACKGROUND_OPTIONS = ExecutionOptions(
+    cpu_us_per_op=3.0, bg_writer_interval_us=4_000.0, checkpoint_interval_us=15_000.0
+)
+
+
+def _stepped_transactions(manager, transactions, options, bg_writer, checkpointer):
+    """The loop ``run_transactions`` had while the clock was a float sum:
+    every request charges its own CPU before it runs.  Kept here as the
+    reference the bulk spelling must equal, clock included."""
+    session = executor.RunSession(manager, options, bg_writer, checkpointer)
+    clock = session.clock
+    ops = new_orders = 0
+    for kind, requests in transactions:
+        clock.advance(options.cpu_us_per_transaction)
+        for request in requests:
+            clock.advance(options.cpu_us_per_op)
+            manager.access(request.page, request.is_write)
+        ops += len(requests)
+        manager.wal.flush()
+        new_orders += kind is TransactionType.NEW_ORDER
+        session.tick()
+    return session.finish(
+        "transactions", ops=ops, transactions=len(transactions),
+        new_order_transactions=new_orders,
+    )
+
+
+def run_transactions_one(policy_name, variant, *, stack, force_slow, stepped=False):
+    """(fingerprint, ``manager.access`` calls) of one transaction run.
+
+    The ``background`` surrounding is a WAL plus a background writer and a
+    checkpointer on intervals short enough to fire between transactions.
+    """
+    background = stack == "background"
+    manager = build(policy_name, variant, stack="wal" if background else stack)
     if force_slow:
         manager.hit_run_ready = False
     access, calls = manager.access, []
@@ -143,16 +180,34 @@ def run_transactions_one(policy_name, variant, *, stack, force_slow):
         return access(page, is_write)
 
     manager.access = counted
-    metrics = run_transactions(manager, TRANSACTIONS, options=OPTIONS)
-    return fingerprint(manager, metrics), len(calls)
+    if not background:
+        metrics = run_transactions(manager, TRANSACTIONS, options=OPTIONS)
+        return fingerprint(manager, metrics), len(calls)
+    n_w = manager.writer.n_w if manager.writer is not None else 1
+    bg_writer = BackgroundWriter(manager, pages_per_round=8, batch_size=n_w)
+    checkpointer = Checkpointer(
+        manager, interval_us=BACKGROUND_OPTIONS.checkpoint_interval_us, batch_size=n_w
+    )
+    run = _stepped_transactions if stepped else run_transactions
+    metrics = run(manager, TRANSACTIONS, BACKGROUND_OPTIONS, bg_writer, checkpointer)
+    assert bg_writer.rounds > 0 and checkpointer.checkpoints_taken > 0
+    fired = {
+        "rounds": bg_writer.rounds,
+        "bg_pages": bg_writer.pages_flushed,
+        "checkpoints": checkpointer.checkpoints_taken,
+        "checkpoint_pages": checkpointer.pages_flushed,
+    }
+    return fingerprint(manager, metrics) | fired, len(calls)
 
 
-@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("stack", (*STACKS, "background"))
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_transactions_replay_matches_per_request(policy_name, variant, stack):
-    """``run_transactions`` without background processes: one ``replay``
-    per transaction, then the commit flush, against ``access`` per request."""
+    """``run_transactions``, background processes or not: one ``replay``
+    per transaction, one CPU charge, the commit flush, the tick — against
+    ``access`` per request and, with the processes attached, against the
+    request-by-request charging the float clock once made necessary."""
     fast, fast_calls = run_transactions_one(
         policy_name, variant, stack=stack, force_slow=False
     )
@@ -163,8 +218,13 @@ def test_transactions_replay_matches_per_request(policy_name, variant, stack):
     assert (fast_calls, slow_calls) == (0, fast["ops"])
     assert fast["transactions"] == len(TRANSACTIONS)
     assert fast["buffer"]["misses"] > CAPACITY
-    if stack == "wal":
+    if stack in ("wal", "background"):
         assert fast["wal_pages_written"] > 0
+    if stack == "background":
+        stepped, _ = run_transactions_one(
+            policy_name, variant, stack=stack, force_slow=False, stepped=True
+        )
+        assert fast == stepped
 
 
 @pytest.mark.parametrize("policy_name", ["lru", "clock", "lfu"])
@@ -292,6 +352,13 @@ def _observed(manager):
 
 #: label -> (manager factory, functions a replay must enter, out of
 #: ``turbo`` / ``hit_runs`` / ``handle_miss``[, how the manager is driven]).
+#: One shard, primary + one replica, no faults: commit-to-commit segments.
+_REPLICATED = ClusterConfig(
+    profile=PCIE_SSD, policy="lru", variant="ace", num_pages=NUM_PAGES,
+    num_shards=1, replication_factor=1,
+    options=ExecutionOptions(cpu_us_per_op=3.0, commit_every_ops=32),
+)
+
 PATHS = {
     "bare baseline": (lambda: build("lru", "baseline"), {"turbo"}),
     "warm-up": (
@@ -311,6 +378,17 @@ PATHS = {
         lambda manager, trace: run_transactions(
             manager, TRANSACTIONS[:12], options=OPTIONS
         ),
+    ),
+    "transactions with a background writer": (
+        lambda: build("lru", "ace", stack="wal"), {"hit_runs", "handle_miss"},
+        lambda manager, trace: run_transactions(
+            manager, TRANSACTIONS[:12], options=BACKGROUND_OPTIONS,
+            bg_writer=BackgroundWriter(manager, pages_per_round=8),
+        ),
+    ),
+    "replicated shard": (
+        lambda: None, {"hit_runs", "handle_miss"},
+        lambda manager, trace: run_cluster(_REPLICATED, trace, workers=1),
     ),
     "bare ace": (lambda: build("clock", "ace"), {"turbo"}),
     "wal": (lambda: build("lru", "ace", stack="wal"), {"hit_runs", "handle_miss"}),
@@ -343,7 +421,11 @@ def test_which_path_replays(label, monkeypatch):
     """Pin the dispatch: bare Reader-less stacks never leave the turbo loop
     (no ``_handle_miss`` call at all) — warming up and between commit
     points too; anything the loop cannot see falls back to the hit-run
-    loop or, sanitised, to ``manager.access``."""
+    loop or, sanitised, to ``manager.access`` — and only then: a background
+    writer or a replica group no longer makes a stretch step."""
+    # The replica group builds its own stacks: like every other row, never
+    # sanitised by the environment.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     entered = set()
 
     def recording(name, original):
@@ -362,13 +444,17 @@ def test_which_path_replays(label, monkeypatch):
             executor, f"_replay_{name}",
             recording(name, getattr(executor, f"_replay_{name}")),
         )
+    monkeypatch.setattr(
+        BufferPoolManager, "access", recording("access", BufferPoolManager.access)
+    )
     factory, expected, *drive = PATHS[label]
     trace = generate_trace(MS, NUM_PAGES, 300, seed=2)
     if drive:
         drive[0](factory(), trace)
     else:
         run_trace(factory(), trace, options=OPTIONS)
-    assert entered == expected
+    assert ("access" in entered) == (label == "sanitizer")
+    assert entered - {"access"} == expected
 
 
 def test_reader_stack_leaves_the_inlined_branch_only_to_prefetch():

@@ -152,14 +152,17 @@ class TestVirtualClock:
         assert clock.now_us == 5.0
 
     def test_negative_advance_message_kept(self):
-        with pytest.raises(ValueError, match="cannot advance clock by negative time: -0.1"):
+        message = "cannot advance clock by negative time: -0.1"
+        with pytest.raises(ValueError, match=message):
             VirtualClock().advance(-0.1)
 
     @given(
         st.floats(min_value=0.0, max_value=1e9),
         st.floats(min_value=0.0, max_value=1e9),
     )
-    def test_advance_to_lands_on_the_first_tick_at_or_after(self, start_us, deadline_us):
+    def test_advance_to_lands_on_the_first_tick_at_or_after(
+        self, start_us, deadline_us
+    ):
         clock = VirtualClock(start_us=start_us)
         before = clock.ticks
         assert clock.advance_to(deadline_us) == clock.now_us

@@ -3,7 +3,12 @@
 A request used to be spelled out in ten loops; every copy is a place the
 next observer (a tracer, a fault boundary, a new background process) has to
 be threaded through by hand, and one of them had already dropped an
-argument.  So the set is pinned: the functions that reach ``manager.access``
+argument.  Five are left — the two inlined replays behind ``replay`` and
+the three below that step — since the clock counts integer ticks: a
+stretch observed at an *index* (transaction end, commit boundary, the next
+``crash_at_access``) is one ``replay`` plus one tick charge, so
+``run_transactions`` and the replicated shard no longer reach ``.access``.
+The set is pinned: the functions that reach ``manager.access``
 — called or bound — and the functions that construct a ``RunMetrics`` are
 exactly the ones below, each for the reason beside it.  A new per-request
 loop, or a second place that assembles a run's metrics, has to be argued for
@@ -33,17 +38,9 @@ ACCESS_SITES = {
         "stepped: latencies, commit points and the background processes "
         "read the clock after every request"
     ),
-    "repro.engine.executor.run_transactions": (
-        "stepped: the background processes read the clock after every "
-        "transaction, so each request charges its CPU as it runs"
-    ),
     "repro.engine.serving.layer.ServingLayer._admit_units": (
         "admitted: deadlines, backoffs and the breaker are times, and a "
         "unit can fail at any request"
-    ),
-    "repro.cluster.replication._replay_replicated_shard": (
-        "node faults are probed per access (ROADMAP 3(a) slices `replay` "
-        "at fault indices instead)"
     ),
     "repro.cluster.partitioned.PartitionedBufferPoolManager.access": (
         "the facade's delegation to the owning partition, not a loop"

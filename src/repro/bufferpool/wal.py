@@ -27,6 +27,8 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, repeat
+from operator import attrgetter
 
 from repro.errors import PowerFailure
 from repro.storage.clock import VirtualClock
@@ -74,11 +76,15 @@ class WalRecord:
     payload: object | None = None
 
 
+#: What a log page's checksum covers, per record.  ``_value_`` is the
+#: attribute behind ``Enum.value``: the same string without the Python-level
+#: descriptor, so the whole projection runs in C.
+_checksum_fields = attrgetter("lsn", "kind._value_", "page", "payload")
+
+
 def _records_checksum(records: tuple[WalRecord, ...]) -> int:
     """Checksum over a record group's full redo content."""
-    return zlib.crc32(repr(tuple(
-        (r.lsn, r.kind.value, r.page, r.payload) for r in records
-    )).encode())
+    return zlib.crc32(repr(tuple(map(_checksum_fields, records))).encode())
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,31 @@ class WriteAheadLog:
         if self._pending_records >= self.records_per_page:
             self._flush_buffer()
         return record.lsn
+
+    def append_batch(self, pages: list[int], payloads: list[object]) -> int:
+        """Append one update record per ``(page, payload)`` pair, in order;
+        returns the last LSN.
+
+        The log it leaves is physically the one ``log_update`` leaves pair
+        by pair: same LSNs, a sequential page write (and one ``flush_hook``
+        consultation) each time the buffer fills, and after a torn flush
+        nothing past the torn page has been appended.
+        """
+        records = self._records
+        per_page = self.records_per_page
+        kinds = repeat(WalRecordKind.UPDATE)
+        start, total = 0, len(pages)
+        while start < total:
+            stop = min(start + per_page - self._pending_records, total)
+            records.extend(map(
+                WalRecord, count(len(records) + 1), kinds,
+                pages[start:stop], payloads[start:stop],
+            ))
+            self._pending_records += stop - start
+            if self._pending_records >= per_page:
+                self._flush_buffer()
+            start = stop
+        return len(records)
 
     def flush(self) -> None:
         """Force any buffered records to the log device (commit barrier)."""

@@ -14,13 +14,14 @@ The protocol, end to end:
    (:func:`repro.engine.executor.replay`, one CPU charge each) that end
    where its fault plan can next fire or at the ``commit_every`` boundary.
 2. **Ship.**  At each group-commit boundary the primary flushes its WAL
-   and forwards the *newly durable* UPDATE records to every live
-   replica.  A replica re-logs the records into its own WAL, flushes,
-   and applies the deduplicated redo images to its device — the same
-   redo discipline :func:`repro.bufferpool.recovery.recover` uses, so a
-   replica's device is *definitionally* the committed durable prefix.
-   The commit waits for the slowest replica apply (synchronous
-   replication), charged to the primary's clock.
+   and packs the *newly durable* UPDATE records into one
+   :class:`_Shipment`, pushed whole to every live replica.  A replica
+   appends it to its own WAL in one batch, flushes, and writes the last
+   image per page as **one** device batch — ``ceil(n / k_w)`` write
+   waves, the concurrency the paper is about — so a replica's device is
+   *definitionally* the committed durable prefix.  The commit waits for
+   the slowest replica apply (synchronous replication), charged to the
+   primary's clock.
 3. **Fail over.**  When a :class:`~repro.faults.nodes.NodeFaultPlan`
    fault kills the primary, the group promotes the most-caught-up live
    replica (max applied commit sequence; ties to the lowest node id).
@@ -38,10 +39,8 @@ The protocol, end to end:
    live replica remains the group raises a structured
    :class:`~repro.errors.NodeFailure` carrying the partial metrics.
 4. **Rejoin.**  A crashed node with a rejoin schedule comes back empty
-   and catches up through an anti-entropy pass built on
-   :func:`repro.bufferpool.repair.redo_index`: the current primary's
-   durable records are re-logged into the rejoiner's fresh WAL and the
-   latest redo image per page is applied to its device.
+   and catches up through anti-entropy: the current primary's whole
+   durable history, packed and applied as one more shipment.
 
 Every step is a pure function of the job (config + subtrace + fault
 plan), so replicated cluster metrics remain byte-identical at any
@@ -63,6 +62,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.bufferpool.recovery import (
     CrashImage,
@@ -70,7 +70,6 @@ from repro.bufferpool.recovery import (
     recover,
     simulate_crash,
 )
-from repro.bufferpool.repair import redo_index
 from repro.bufferpool.stats import BufferStats
 from repro.bufferpool.wal import WalRecordKind, WriteAheadLog
 from repro.cluster.engine import (
@@ -246,6 +245,28 @@ class ReplicatedShardResult:
     report: ShardReplicationReport
 
 
+_page_of, _payload_of = attrgetter("page"), attrgetter("payload")
+
+
+class _Shipment:
+    """What one push carries: the shippable records of a stretch of the
+    primary's durable log — UPDATEs that name a page and hold a redo
+    image — packed once, whoever receives it."""
+
+    def __init__(self, records) -> None:
+        shipped = [
+            record for record in records
+            if record.kind is WalRecordKind.UPDATE
+            and record.page is not None
+            and record.payload is not None
+        ]
+        #: Parallel columns in log order: what the receiver re-logs.
+        self.pages = list(map(_page_of, shipped))
+        self.payloads = list(map(_payload_of, shipped))
+        #: Last image per page: what the receiver's device is written with.
+        self.images = dict(zip(self.pages, self.payloads))
+
+
 class _GroupNode:
     """One member of a replica group: a full stack plus group state."""
 
@@ -292,6 +313,14 @@ class _GroupNode:
         )
         self.shipped_lsn = 0
         self.frozen_stats = None
+
+    def apply(self, shipment: _Shipment) -> None:
+        """Receive one shipment: log it (the replica's WAL is the
+        promotion source of truth), flush, write the images as one batch."""
+        wal = self.wal
+        wal.append_batch(shipment.pages, shipment.payloads)
+        wal.flush()
+        self.device.write_batch(shipment.images)
 
 
 class _ReplicaGroup:
@@ -357,19 +386,14 @@ class _ReplicaGroup:
     # ------------------------------------------------------------ shipping
 
     def commit(self, committed_end: int) -> None:
-        """Group commit: flush, ship the new durable records, apply on
-        every live replica, then process replica deaths and rejoins due
-        at this boundary."""
+        """Group commit: flush, push the new durable records to every
+        live replica as one shipment, then process replica deaths and
+        rejoins due at this boundary."""
         primary = self.primary
-        primary.wal.flush()
-        records = [
-            record
-            for record in primary.wal.records_since(primary.shipped_lsn)
-            if record.kind is WalRecordKind.UPDATE
-            and record.page is not None
-            and record.payload is not None
-        ]
-        primary.shipped_lsn = primary.wal.durable_lsn
+        wal = primary.wal
+        wal.flush()
+        shipment = _Shipment(wal.records_since(primary.shipped_lsn))
+        primary.shipped_lsn = wal.durable_lsn
         self.seq += 1
         primary.applied_seq = self.seq
         max_apply_ticks = 0
@@ -377,11 +401,10 @@ class _ReplicaGroup:
             if node is primary or not node.alive:
                 continue
             apply_start = node.clock.ticks
-            if records:
-                self._apply_shipment(node, records)
+            node.apply(shipment)
             node.applied_seq = self.seq
             max_apply_ticks = max(max_apply_ticks, node.clock.ticks - apply_start)
-            self.shipped_records += len(records)
+            self.shipped_records += len(shipment.pages)
         # Synchronous replication: the commit acknowledges once the slowest
         # replica has applied; the wait is primary (= client-visible) time.
         primary.clock.ticks += max_apply_ticks
@@ -398,35 +421,11 @@ class _ReplicaGroup:
             if committed_end >= node.rejoin_at:
                 self._rejoin(node)
 
-    @staticmethod
-    def _apply_shipment(node: _GroupNode, records) -> None:
-        """Replicate one commit batch onto ``node``: re-log every record
-        (the replica's WAL is the promotion source of truth), flush, and
-        apply the recovery-style deduplicated redo images."""
-        for record in records:
-            node.wal.log_update(record.page, record.payload)
-        node.wal.flush()
-        redo_batch: dict[int, object] = {}
-        for record in records:
-            redo_batch[record.page] = record.payload
-        device = node.device
-        for page, payload in redo_batch.items():
-            device.write_page(page, payload=payload)
-
     def _rejoin(self, node: _GroupNode) -> None:
-        """Anti-entropy catch-up: rebuild the node empty, re-log the
-        primary's durable history, apply the latest image per page."""
-        primary = self.primary
+        """Anti-entropy catch-up: rebuild the node empty and push it the
+        primary's whole durable history as one shipment."""
         node.rebuild()
-        for record in primary.wal.records_since(0):
-            if (record.kind is not WalRecordKind.UPDATE
-                    or record.page is None or record.payload is None):
-                continue
-            node.wal.log_update(record.page, record.payload)
-        node.wal.flush()
-        device = node.device
-        for page, payload in redo_index(primary.wal).items():
-            device.write_page(page, payload=payload)
+        node.apply(_Shipment(self.primary.wal.records_since(0)))
         node.alive = True
         node.rejoin_at = None
         node.applied_seq = self.seq

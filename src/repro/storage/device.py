@@ -381,12 +381,16 @@ class SimulatedSSD:
         behaviour, mirroring the paper's device preconditioning step.
         """
         checksums = self._checksums
-        for page in pages:
-            self._payloads[page] = 0
-            if checksums is not None:
-                checksums[page] = page_checksum(page, 0)
-            if self.ftl is not None:
-                self.ftl.write(page)
+        if checksums is None and self.ftl is None:
+            # In place: the turbo loop holds a reference to this dict.
+            self._payloads.update(dict.fromkeys(pages, 0))
+        else:
+            for page in pages:
+                self._payloads[page] = 0
+                if checksums is not None:
+                    checksums[page] = page_checksum(page, 0)
+                if self.ftl is not None:
+                    self.ftl.write(page)
         self.reset_stats()
 
     def reset_stats(self) -> None:

@@ -1,0 +1,139 @@
+"""``WriteAheadLog.append_batch`` leaves the log ``log_update`` leaves.
+
+A replica's log is what promotion recovers from, so the batch append that
+receives a shipment must be *physically* the per-record append: same
+LSNs, same grouping into log pages, same page images and checksums, the
+flush hook consulted once per log page, and the same durable prefix when
+a flush tears.  The per-record spelling is the reference throughout.
+"""
+
+import zlib
+
+import pytest
+
+from repro.bufferpool.wal import (
+    WalRecord,
+    WalRecordKind,
+    WriteAheadLog,
+    _records_checksum,
+)
+from repro.errors import PowerFailure
+from repro.storage.clock import VirtualClock
+
+#: Straddling ``records_per_page`` (32): none, one, a page less one, a
+#: page, a page and one, two pages and a tail.
+SIZES = (0, 1, 31, 32, 33, 70)
+
+
+def updates(n, start=0):
+    """``n`` updates in which pages repeat and payloads vary in type."""
+    pages = [(start + 7 * i) % 23 for i in range(n)]
+    payloads = [(start + i, "v") if i % 3 else start + i + 1 for i in range(n)]
+    return pages, payloads
+
+
+def physical_state(wal):
+    """Everything of the log a crash leaves behind or a caller can read."""
+    return {
+        "lsn": wal.lsn,
+        "durable_lsn": wal.durable_lsn,
+        "durable": wal.durable_records(),
+        "pages_written": wal.pages_written,
+        "torn_flushes": wal.torn_flushes,
+        "images": wal.device.snapshot_payloads(),
+        "device_writes": wal.device.stats.writes,
+        "ticks": wal.device.clock.ticks,
+    }
+
+
+def twin_logs(pending):
+    """Two fresh logs, each with ``pending`` records already buffered."""
+    logs = WriteAheadLog(VirtualClock()), WriteAheadLog(VirtualClock())
+    for wal in logs:
+        for page, payload in zip(*updates(pending, start=100)):
+            wal.log_update(page, payload)
+    return logs
+
+
+@pytest.mark.parametrize("pending", (0, 5, 31))
+@pytest.mark.parametrize("n", SIZES)
+def test_batch_equals_record_by_record(n, pending):
+    batched, stepped = twin_logs(pending)
+    pages, payloads = updates(n)
+
+    last = batched.append_batch(pages, payloads)
+    stepped_last = stepped.lsn
+    for page, payload in zip(pages, payloads):
+        stepped_last = stepped.log_update(page, payload)
+
+    assert last == stepped_last == pending + n
+    assert physical_state(batched) == physical_state(stepped)
+    assert batched.pages_written == (pending + n) // 32
+    batched.flush()
+    stepped.flush()
+    assert physical_state(batched) == physical_state(stepped)
+    assert batched.verify_durable_records() == stepped.verify_durable_records()
+    assert [record.lsn for record in batched.durable_records()] == list(
+        range(1, pending + n + 1)
+    )
+
+
+def test_the_hook_sees_each_log_page_once():
+    batched, stepped = twin_logs(5)
+    seen_batched, seen_stepped = [], []
+    batched.flush_hook = seen_batched.append  # returns None: no tear
+    stepped.flush_hook = seen_stepped.append
+    pages, payloads = updates(70)
+    batched.append_batch(pages, payloads)
+    for page, payload in zip(pages, payloads):
+        stepped.log_update(page, payload)
+    assert seen_batched == seen_stepped
+    assert [len(group) for group in seen_batched] == [32, 32]
+
+
+def tear_second_flush(wal, tear):
+    """Arm the flush hook to tear the second log page after ``tear``."""
+    flushes = []
+
+    def hook(group):
+        flushes.append(len(group))
+        return tear if len(flushes) == 2 else None
+
+    wal.flush_hook = hook
+
+
+@pytest.mark.parametrize("tear", (0, 1, 17, 31))
+def test_a_tear_mid_batch_leaves_the_same_durable_prefix(tear):
+    batched, stepped = twin_logs(5)
+    tear_second_flush(batched, tear)
+    tear_second_flush(stepped, tear)
+    pages, payloads = updates(70)
+
+    with pytest.raises(PowerFailure) as batch_failure:
+        batched.append_batch(pages, payloads)
+    with pytest.raises(PowerFailure) as step_failure:
+        for page, payload in zip(pages, payloads):
+            stepped.log_update(page, payload)
+
+    assert str(batch_failure.value) == str(step_failure.value)
+    assert physical_state(batched) == physical_state(stepped)
+    # Power failed at the second page: the first is durable, the torn
+    # group is not, and nothing after it was ever appended.
+    assert batched.durable_lsn == 32
+    assert batched.lsn == 64
+    assert batched.verify_durable_records() == stepped.verify_durable_records()
+
+
+def test_checksum_is_the_crc_of_the_value_tuples():
+    """The stored CRC covers ``(lsn, kind.value, page, payload)`` per
+    record — spelled here the way it was first written."""
+    group = (
+        WalRecord(1, WalRecordKind.UPDATE, 7, 3),
+        WalRecord(2, WalRecordKind.UPDATE, 9, ("tuple", 1.5)),
+        WalRecord(3, WalRecordKind.UPDATE, 4, None),
+        WalRecord(4, WalRecordKind.CHECKPOINT),
+    )
+    for records in (group, group[:1], ()):
+        assert _records_checksum(records) == zlib.crc32(repr(tuple(
+            (r.lsn, r.kind.value, r.page, r.payload) for r in records
+        )).encode())

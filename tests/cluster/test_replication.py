@@ -21,9 +21,10 @@ from repro.cluster.engine import (
     run_cluster,
     run_cluster_transactions,
 )
-from repro.engine.executor import ExecutionOptions
+from repro.engine.executor import ExecutionOptions, replay
 from repro.errors import ClusterReplayError, NodeFailure
 from repro.faults.nodes import NodeFault, NodeFaultPlan
+from repro.storage.clock import to_ticks
 from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace
 
@@ -112,23 +113,29 @@ class TestFailover:
 
     def test_largest_batches_merge_by_max_over_the_nodes_that_served(self):
         """Two primaries served shard 0; ``largest_*`` is a maximum, not a
-        sum over them (it read 16 and 2 with ``n_w = 8`` when it was)."""
+        sum over them (it read 16 and 2 with ``n_w = 8`` when it was).  The
+        promoted one absorbed whole shipments while it was a replica, so
+        its largest batch is a commit window's image count, above the
+        ``n_w`` that is all a never-failed-over shard ever writes."""
         config = make_config(faults=[
             NodeFault(shard=0, node=0, crash_at_access=900),
         ])
         metrics = run_cluster(config, make_trace(), workers=1)
         assert metrics.replication.failovers == 1
-        for device in [shard.device for shard in metrics.per_shard] + [
-            metrics.merged.device
-        ]:
+        shard0, shard1 = (shard.device for shard in metrics.per_shard)
+        merged = metrics.merged.device
+        for device in (shard0, shard1, merged):
             assert device.largest_write_batch == max(
                 device.write_batch_size_histogram
-            ) == 8
+            )
             assert device.largest_read_batch == 1
             assert device.writes == sum(
                 size * count
                 for size, count in device.write_batch_size_histogram.items()
             )
+        assert shard1.largest_write_batch == 8
+        assert 8 < shard0.largest_write_batch <= OPTIONS.commit_every_ops
+        assert merged.largest_write_batch == shard0.largest_write_batch
 
     def test_no_faults_means_no_failovers_but_real_shipping(self):
         metrics = run_cluster(make_config(), make_trace(), workers=1)
@@ -348,6 +355,150 @@ class TestDivergenceBattery:
         )
         assert images == reference
         assert summary.ok
+
+
+def _apply_record_by_record(node, shipment):
+    """The apply that preceded the packed shipment, kept as the reference:
+    one ``log_update`` per record, a flush, a dedup dict, one
+    ``write_page`` per image."""
+    wal, device = node.wal, node.device
+    for page, payload in zip(shipment.pages, shipment.payloads):
+        wal.log_update(page, payload)
+    wal.flush()
+    latest = {}
+    for page, payload in zip(shipment.pages, shipment.payloads):
+        latest[page] = payload
+    for page, payload in latest.items():
+        device.write_page(page, payload=payload)
+
+
+def _keep_groups(monkeypatch):
+    """The list every replica group built from now on is appended to."""
+    groups = []
+    init = replication._ReplicaGroup.__init__
+
+    def keeping(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        groups.append(self)
+
+    monkeypatch.setattr(replication._ReplicaGroup, "__init__", keeping)
+    return groups
+
+
+class TestPackedShipment:
+    """A commit reaches a replica as one packed shipment — one WAL batch
+    append, one device batch.  What it leaves behind is what the
+    record-by-record apply left; what it costs is one batch."""
+
+    STORM = [
+        NodeFault(shard=0, node=1, crash_at_access=70,
+                  rejoin_after_accesses=64),
+        NodeFault(shard=0, node=0, crash_at_access=300),
+    ]
+
+    @pytest.mark.parametrize("policy", TestDivergenceBattery.POLICIES)
+    @pytest.mark.parametrize("variant", TestDivergenceBattery.VARIANTS)
+    def test_replicas_end_byte_identical_to_the_per_record_apply(
+        self, policy, variant, monkeypatch
+    ):
+        """Replica dies, rejoins by anti-entropy, is promoted: every
+        node's log (records and physical page images, checksums included)
+        and device end as the reference apply leaves them."""
+        config = make_config(policy=policy, variant=variant, num_shards=1,
+                             faults=self.STORM, capture=True)
+        trace = make_trace(num_ops=600)
+        groups = _keep_groups(monkeypatch)
+        packed = run_cluster(config, trace, workers=1)
+        monkeypatch.setattr(
+            replication._GroupNode, "apply", _apply_record_by_record
+        )
+        stepped = run_cluster(config, trace, workers=1)
+        group, reference = groups
+
+        report = packed.replication.per_shard[0]
+        assert (report.rejoins, len(report.failovers)) == (1, 1)
+        assert report.audit_ok and report.shipped_records > 0
+        assert report.promotion_images == \
+            stepped.replication.per_shard[0].promotion_images
+        assert report.shipped_records == \
+            stepped.replication.per_shard[0].shipped_records
+        for node, twin in zip(group.nodes, reference.nodes):
+            assert node.wal.durable_records() == twin.wal.durable_records()
+            assert node.wal.pages_written == twin.wal.pages_written
+            assert node.wal.device.snapshot_payloads() == \
+                twin.wal.device.snapshot_payloads()
+            assert node.device.snapshot_payloads() == \
+                twin.device.snapshot_payloads()
+            assert node.device.stats.writes == twin.device.stats.writes
+
+    @staticmethod
+    def _group_with_uncommitted_writes(replication_factor=2):
+        config = make_config(num_shards=1,
+                             replication_factor=replication_factor)
+        group = replication._ReplicaGroup(config, 0, ())
+        trace = make_trace(num_ops=64)
+        replay(group.primary.manager, trace.pages, trace.writes)
+        group.primary.wal.flush()
+        return group, trace
+
+    def test_apply_costs_one_device_batch_and_the_commit_waits_for_the_slowest(
+        self,
+    ):
+        group, trace = self._group_with_uncommitted_writes()
+        written = sum(trace.writes)
+        primary, fast, slow = group.nodes
+        apply = slow.apply
+
+        def apply_slowly(shipment):
+            apply(shipment)
+            slow.clock.advance(500.0)
+
+        slow.apply = apply_slowly
+        marks = [node.clock.ticks for node in group.nodes]
+        group.commit(64)
+        waited, fast_cost, slow_cost = (
+            node.clock.ticks - mark for node, mark in zip(group.nodes, marks)
+        )
+
+        images = fast.device.stats.writes
+        assert 8 < images <= written  # pages repeat within the window
+        assert fast.device.stats.write_batch_size_histogram == {images: 1}
+        log_pages = -(-written // fast.wal.records_per_page)
+        assert fast.wal.pages_written == log_pages
+        assert fast_cost == (
+            log_pages * to_ticks(fast.wal.device.model.write_batch_us(1))
+            + to_ticks(fast.device.model.write_batch_us(images))
+        )
+        # k_w at work: one batch, not one wave per image.
+        assert fast.device.stats.write_time_us < (
+            images * fast.device.model.write_batch_us(1) / 2
+        )
+        assert slow_cost == fast_cost + to_ticks(500.0)
+        # The primary's log was already flushed: all it did was wait.
+        assert waited == slow_cost
+        assert group.shipped_records == 2 * written
+
+    def test_anti_entropy_ships_what_a_commit_ships(self):
+        """A payload-less UPDATE is not shippable: the rejoiner neither
+        logs it nor writes ``None`` over the page (the hand-rolled
+        catch-up did the second)."""
+        group, trace = self._group_with_uncommitted_writes(
+            replication_factor=1
+        )
+        primary, replica = group.nodes
+        untouched = min(set(range(NUM_PAGES)) - set(trace.pages))
+        primary.wal.log_update(untouched)
+        group.commit(64)
+        survivor_log = replica.wal.durable_records()
+        survivor_pages = replica.device.snapshot_payloads()
+        assert len(survivor_log) == sum(trace.writes)
+
+        group._rejoin(replica)
+
+        assert replica.wal.durable_records() == survivor_log
+        assert replica.device.snapshot_payloads() == survivor_pages
+        assert replica.device.peek(untouched) == 0
+        assert replica.device.stats.write_batches == 1
 
 
 def _comparable(metrics):

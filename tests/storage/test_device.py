@@ -175,6 +175,22 @@ class TestStats:
         assert device.contains(127)
         assert device.clock.now_us == 0.0
 
+    def test_bulk_format_loads_the_same_dict_in_place(self):
+        """Without FTL or checksums ``format_pages`` loads in one update:
+        the payload dict keeps its identity (the turbo loop holds it) and
+        its insertion order, as the page-by-page spelling does."""
+        bulk = SimulatedSSD(FLAT, num_pages=64)
+        stepped = SimulatedSSD(FLAT, num_pages=64, checksums=True)
+        for device in (bulk, stepped):
+            held = device._payloads
+            device.write_batch({40: "old", 3: "older"})
+            device.format_pages(iter([5, 3, 9, 40, 1]))
+            assert device._payloads is held
+            assert device.stats.writes == 0
+        assert list(bulk._payloads.items()) == list(stepped._payloads.items())
+        assert list(bulk._payloads) == [40, 3, 5, 9, 1]
+        assert set(bulk._payloads.values()) == {0}
+
 
 class TestFtlIntegration:
     def test_ftl_requires_num_pages(self):

@@ -12,7 +12,8 @@ The set is pinned: the functions that reach ``manager.access``
 — called or bound — and the functions that construct a ``RunMetrics`` are
 exactly the ones below, each for the reason beside it.  A new per-request
 loop, or a second place that assembles a run's metrics, has to be argued for
-here.  Like ``test_env_census`` this is an AST walk over the whole package,
+here.  One module is also pinned by what it may *not* call: replicas are
+written through the shipment apply alone.  Like ``test_env_census`` this is an AST walk over the whole package,
 not a list of files to look in.
 """
 
@@ -57,6 +58,12 @@ RUN_METRICS_SITES = {
 }
 
 
+#: A replica is written by ``_GroupNode.apply`` — one ``append_batch``, one
+#: ``write_batch`` per shipment — and by nothing per record or per page.
+REPLICATION = "repro.cluster.replication"
+PER_RECORD_WRITES = {"log_update", "write_page"}
+
+
 def _scopes(tree: ast.Module, module: str):
     """``(qualified name, node)`` covering every node of the module once.
 
@@ -77,9 +84,10 @@ def _scopes(tree: ast.Module, module: str):
 
 
 @lru_cache(maxsize=None)
-def census() -> tuple[Counter, Counter]:
-    """Where ``.access`` is read and where ``RunMetrics(...)`` is called."""
-    access, run_metrics = Counter(), Counter()
+def census() -> tuple[Counter, Counter, Counter]:
+    """Where ``.access`` is read, where ``RunMetrics(...)`` is called, and
+    what the replication module calls."""
+    access, run_metrics, replication_calls = Counter(), Counter(), Counter()
     for path in collect_files([SRC]):
         source = SourceModule(path, path.read_text())
         for name, scope in _scopes(source.tree, source.module):
@@ -91,14 +99,22 @@ def census() -> tuple[Counter, Counter]:
                     called = getattr(callee, "id", getattr(callee, "attr", None))
                     if called == "RunMetrics":
                         run_metrics[name] += 1
-    return access, run_metrics
+                    if source.module == REPLICATION:
+                        replication_calls[called] += 1
+    return access, run_metrics, replication_calls
 
 
 def test_the_request_is_driven_from_exactly_these_places():
-    access, _ = census()
+    access, _, _ = census()
     assert access == Counter(dict.fromkeys(ACCESS_SITES, 1))
 
 
 def test_a_run_is_assembled_in_exactly_these_places():
-    _, run_metrics = census()
+    _, run_metrics, _ = census()
     assert run_metrics == Counter(dict.fromkeys(RUN_METRICS_SITES, 1))
+
+
+def test_replicas_are_written_only_through_the_shipment_apply():
+    _, _, calls = census()
+    assert (calls["append_batch"], calls["write_batch"]) == (1, 1)
+    assert not PER_RECORD_WRITES & set(calls)

@@ -575,8 +575,6 @@ class BufferPoolManager:
         device_stats.read_time_us += read_us
         if device_stats.largest_read_batch < 1:
             device_stats.largest_read_batch = 1
-        if ftl is not None:
-            ftl.read(page)
         try:
             payload = device_payloads[page]
         except KeyError:

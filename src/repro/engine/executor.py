@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.bufferpool.background import (
     BackgroundWriter,
@@ -42,6 +43,9 @@ from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
 __all__ = ["ExecutionOptions", "RunSession", "replay", "run_trace", "run_transactions"]
+
+#: A transaction's request columns, built in C (no frame per request).
+_page_of, _is_write_of = attrgetter("page"), attrgetter("is_write")
 
 
 @dataclass(frozen=True)
@@ -237,8 +241,6 @@ def _replay_turbo(
                 clock.ticks += read_ticks
                 device_stats.read_time_us += read_us
                 reads_done += 1
-                if ftl is not None:
-                    ftl.read(page)
                 try:
                     payload = device_payloads[page]
                 except KeyError:
@@ -614,8 +616,8 @@ def run_transactions(
         # bulk, then the tick count its per-request charges would sum to.
         replay(
             manager,
-            [request.page for request in requests],
-            [request.is_write for request in requests],
+            list(map(_page_of, requests)),
+            list(map(_is_write_of, requests)),
         )
         clock.ticks += transaction_ticks + len(requests) * op_ticks
         ops += len(requests)

@@ -194,8 +194,6 @@ class SimulatedSSD:
         stats.read_time_us += elapsed
         if stats.largest_read_batch < 1:
             stats.largest_read_batch = 1
-        if self.ftl is not None:
-            self.ftl.read(page)
         if self._checksums is not None:
             self._verify_checksum(page)
         return self._payloads.get(page)
@@ -218,9 +216,6 @@ class SimulatedSSD:
         stats.read_time_us += elapsed
         if n > stats.largest_read_batch:
             stats.largest_read_batch = n
-        if self.ftl is not None:
-            for page in pages:
-                self.ftl.read(page)
         if self._checksums is not None:
             for page in pages:
                 self._verify_checksum(page)
@@ -268,13 +263,9 @@ class SimulatedSSD:
         histogram[n] = histogram.get(n, 0) + 1
         if n > stats.largest_write_batch:
             stats.largest_write_batch = n
-        ftl = self.ftl
-        if ftl is None:
-            payloads.update(pages)
-        else:
-            for page, payload in pages.items():
-                payloads[page] = payload
-                ftl.write(page)
+        payloads.update(pages)
+        if self.ftl is not None:
+            self.ftl.write_batch(pages)
         checksums = self._checksums
         if checksums is not None:
             for page, payload in pages.items():
@@ -316,8 +307,6 @@ class SimulatedSSD:
         stats.read_time_us += elapsed
         if stats.largest_read_batch < 1:
             stats.largest_read_batch = 1
-        if self.ftl is not None:
-            self.ftl.read(page)
         checksums = self._checksums
         if checksums is None:
             return True
@@ -381,16 +370,15 @@ class SimulatedSSD:
         behaviour, mirroring the paper's device preconditioning step.
         """
         checksums = self._checksums
-        if checksums is None and self.ftl is None:
-            # In place: the turbo loop holds a reference to this dict.
-            self._payloads.update(dict.fromkeys(pages, 0))
-        else:
+        if checksums is not None or self.ftl is not None:
+            pages = list(pages)
+        # In place: the turbo loop holds a reference to this dict.
+        self._payloads.update(dict.fromkeys(pages, 0))
+        if checksums is not None:
             for page in pages:
-                self._payloads[page] = 0
-                if checksums is not None:
-                    checksums[page] = page_checksum(page, 0)
-                if self.ftl is not None:
-                    self.ftl.write(page)
+                checksums[page] = page_checksum(page, 0)
+        if self.ftl is not None:
+            self.ftl.write_batch(pages)
         self.reset_stats()
 
     def reset_stats(self) -> None:

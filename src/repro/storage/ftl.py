@@ -23,17 +23,10 @@ relocations), erase counts, and the resulting write amplification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from collections.abc import Collection
+from dataclasses import dataclass, replace
 
 __all__ = ["FlashTranslationLayer", "FtlCounters", "FtlError"]
-
-_FREE = 0
-_VALID = 1
-_INVALID = 2
-
-#: Garbage collection's order of preference among candidate blocks.
-_GREEDY_KEY = attrgetter("valid_count", "erase_count")
 
 
 class FtlError(RuntimeError):
@@ -66,36 +59,6 @@ class FtlCounters:
             setattr(self, name, getattr(self, name) + value)
 
 
-@dataclass
-class _Block:
-    """One erase block: per-slot state plus wear bookkeeping."""
-
-    index: int
-    pages_per_block: int
-    erase_count: int = 0
-    write_ptr: int = 0
-    valid_count: int = 0
-    slot_state: list[int] = field(default_factory=list)
-    slot_owner: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.slot_state:
-            self.slot_state = [_FREE] * self.pages_per_block
-            self.slot_owner = [-1] * self.pages_per_block
-
-    @property
-    def is_full(self) -> bool:
-        return self.write_ptr >= self.pages_per_block
-
-    def erase(self) -> None:
-        self.erase_count += 1
-        self.write_ptr = 0
-        self.valid_count = 0
-        for i in range(self.pages_per_block):
-            self.slot_state[i] = _FREE
-            self.slot_owner[i] = -1
-
-
 class FlashTranslationLayer:
     """Page-mapped FTL with greedy, wear-aware garbage collection.
 
@@ -114,6 +77,11 @@ class FlashTranslationLayer:
     gc_free_block_threshold:
         Garbage collection starts when the free-block pool drops below this
         count and runs until the pool is replenished above it.
+
+    State is flat integer lists, like the buffer table's.  Slot ``s`` is
+    slot ``s % pages_per_block`` of block ``s // pages_per_block``.  A block
+    is free, *active* (programmed up to ``_frontier < _end``; kept when full
+    until a program needs room) or *sealed* (full).
     """
 
     def __init__(
@@ -144,18 +112,25 @@ class FlashTranslationLayer:
         # Reserve headroom so GC always has room to relocate one full block
         # plus the free pool it must maintain.
         num_blocks += gc_free_block_threshold + 2
-        self._blocks = [_Block(i, pages_per_block) for i in range(num_blocks)]
+        # Physical slot -> logical page, and logical page -> physical slot;
+        # -1 for a free or invalid slot and an unmapped page.
+        self._owner = [-1] * (num_blocks * pages_per_block)
+        self._mapping = [-1] * num_logical_pages
+        self._valid = [0] * num_blocks
+        self._erases = [0] * num_blocks
         self._free_blocks: list[int] = list(range(num_blocks - 1, 0, -1))
-        self._active: _Block = self._blocks[0]
-        # logical page -> (block index, slot) or None when unmapped
-        self._mapping: list[tuple[int, int] | None] = [None] * num_logical_pages
+        self._active = self._frontier = 0
+        self._end = pages_per_block
+        # The victim index: _sealed[v] holds the _rank of each sealed block
+        # with v valid slots (its erase count is fixed while it is sealed).
+        self._sealed: list[set[int]] = [set() for _ in range(pages_per_block + 1)]
         self.counters = FtlCounters()
 
     # ------------------------------------------------------------------ API
 
     @property
     def num_blocks(self) -> int:
-        return len(self._blocks)
+        return len(self._valid)
 
     @property
     def free_block_count(self) -> int:
@@ -164,69 +139,84 @@ class FlashTranslationLayer:
     def is_mapped(self, lpn: int) -> bool:
         """Whether logical page ``lpn`` has ever been written."""
         self._check_lpn(lpn)
-        return self._mapping[lpn] is not None
+        return self._mapping[lpn] >= 0
 
     def physical_location(self, lpn: int) -> tuple[int, int] | None:
         """Current (block, slot) of ``lpn``, or ``None`` if unmapped."""
         self._check_lpn(lpn)
-        return self._mapping[lpn]
+        slot = self._mapping[lpn]
+        return None if slot < 0 else divmod(slot, self.pages_per_block)
 
     def write(self, lpn: int) -> None:
         """Record a host write of logical page ``lpn`` (out-of-place)."""
-        self._check_lpn(lpn)
-        self.counters.logical_writes += 1
-        self._program(lpn, is_relocation=False)
-        self._maybe_collect()
+        self.write_batch((lpn,))
 
-    def read(self, lpn: int) -> bool:
-        """Record a host read; returns whether the page was ever written."""
-        self._check_lpn(lpn)
-        return self._mapping[lpn] is not None
+    def write_batch(self, lpns: Collection[int]) -> None:
+        """Record host writes of ``lpns`` in order: ``n`` × :meth:`write`.
+
+        GC is checked after every page, where single writes check it.  An
+        out-of-range page raises ``IndexError`` before anything is written.
+        """
+        if not lpns:
+            return
+        self._check_lpn(min(lpns))
+        self._check_lpn(max(lpns))
+        self.counters.logical_writes += len(lpns)
+        self.counters.physical_writes += len(lpns)
+        mapping = self._mapping
+        owner = self._owner
+        valid = self._valid
+        free = self._free_blocks
+        threshold = self.gc_free_block_threshold
+        for lpn in lpns:
+            old = mapping[lpn]
+            if old >= 0:
+                self._invalidate(old)
+            slot = self._frontier
+            if slot == self._end:
+                slot = self._open_new_active()
+            owner[slot] = lpn
+            mapping[lpn] = slot
+            valid[self._active] += 1
+            self._frontier = slot + 1
+            if len(free) < threshold:
+                self._collect()
 
     def trim(self, lpn: int) -> None:
         """Discard logical page ``lpn`` (e.g. file deletion)."""
         self._check_lpn(lpn)
-        location = self._mapping[lpn]
-        if location is not None:
-            self._invalidate(location)
-            self._mapping[lpn] = None
+        slot = self._mapping[lpn]
+        if slot >= 0:
+            self._invalidate(slot)
+            self._mapping[lpn] = -1
 
     def erase_counts(self) -> list[int]:
         """Per-block erase counts (wear-leveling diagnostics)."""
-        return [block.erase_count for block in self._blocks]
+        return list(self._erases)
 
     def reset_counters(self) -> None:
         """Zero the write/erase counters without touching the mapping."""
         self.counters = FtlCounters()
 
     def check_invariants(self) -> None:
-        """Raise ``AssertionError`` if internal bookkeeping is inconsistent.
-
-        Used by the property-based test suite: total valid slots must equal
-        the number of mapped logical pages, every mapping must point at a
-        VALID slot owned by that page, and valid counts must be exact.
+        """Raise ``AssertionError`` unless mapping and slot owners are
+        inverse, valid counts exact, no data lies past the frontier, and the
+        victim index holds exactly the sealed blocks by valid count and rank.
         """
-        mapped = 0
-        for lpn, location in enumerate(self._mapping):
-            if location is None:
-                continue
-            mapped += 1
-            block_idx, slot = location
-            block = self._blocks[block_idx]
-            assert block.slot_state[slot] == _VALID, (
-                f"lpn {lpn} maps to non-valid slot {location}"
-            )
-            assert block.slot_owner[slot] == lpn, (
-                f"slot {location} owned by {block.slot_owner[slot]}, not {lpn}"
-            )
-        total_valid = sum(block.valid_count for block in self._blocks)
-        assert total_valid == mapped, f"valid slots {total_valid} != mapped {mapped}"
-        for block in self._blocks:
-            actual = sum(1 for s in block.slot_state if s == _VALID)
-            assert actual == block.valid_count, (
-                f"block {block.index}: counted {actual} valid, cached "
-                f"{block.valid_count}"
-            )
+        owner, ppb, valid = self._owner, self.pages_per_block, self._valid
+        mapped = [(slot, lpn) for lpn, slot in enumerate(self._mapping) if slot >= 0]
+        live = [(slot, lpn) for slot, lpn in enumerate(owner) if lpn >= 0]
+        assert sorted(mapped) == live, "mapping and slot owners disagree"
+        assert valid == [
+            ppb - owner[block * ppb : (block + 1) * ppb].count(-1)
+            for block in range(self.num_blocks)
+        ], "stale valid count"
+        unwritten = owner[self._frontier : self._end]
+        assert unwritten.count(-1) == len(unwritten), "data past the frontier"
+        sealed = set(range(self.num_blocks)) - {self._active, *self._free_blocks}
+        assert sorted(
+            (rank, count) for count, ranks in enumerate(self._sealed) for rank in ranks
+        ) == sorted((self._rank(b), valid[b]) for b in sealed), "victim index stale"
 
     # ------------------------------------------------------------- internals
 
@@ -236,66 +226,74 @@ class FlashTranslationLayer:
                 f"logical page {lpn} out of range [0, {self.num_logical_pages})"
             )
 
-    def _invalidate(self, location: tuple[int, int]) -> None:
-        block_idx, slot = location
-        block = self._blocks[block_idx]
-        block.slot_state[slot] = _INVALID
-        block.slot_owner[slot] = -1
-        block.valid_count -= 1
+    def _rank(self, block: int) -> int:
+        """Victim order among equally valid blocks: least worn, lowest index."""
+        return self._erases[block] * len(self._erases) + block
 
-    def _program(self, lpn: int, is_relocation: bool) -> None:
-        old = self._mapping[lpn]
-        if old is not None:
-            self._invalidate(old)
-        if self._active.is_full:
-            self._open_new_active()
-        block = self._active
-        slot = block.write_ptr
-        block.write_ptr += 1
-        block.slot_state[slot] = _VALID
-        block.slot_owner[slot] = lpn
-        block.valid_count += 1
-        self._mapping[lpn] = (block.index, slot)
-        self.counters.physical_writes += 1
-        if is_relocation:
-            self.counters.gc_relocations += 1
+    def _invalidate(self, slot: int) -> None:
+        self._owner[slot] = -1
+        block = slot // self.pages_per_block
+        self._valid[block] -= 1
+        if block != self._active:  # sealed: one bucket down
+            count, rank = self._valid[block], self._rank(block)
+            self._sealed[count + 1].remove(rank)
+            self._sealed[count].add(rank)
 
-    def _open_new_active(self) -> None:
+    def _open_new_active(self) -> int:
+        """Seal the full active block, open the next free one; its 1st slot."""
         if not self._free_blocks:
             raise FtlError(
                 "no free blocks left: over-provisioning exhausted "
                 "(GC threshold too low for this write pattern)"
             )
-        self._active = self._blocks[self._free_blocks.pop()]
+        full = self._active
+        self._sealed[self._valid[full]].add(self._rank(full))
+        self._active = self._free_blocks.pop()
+        self._frontier = self._active * self.pages_per_block
+        self._end = self._frontier + self.pages_per_block
+        return self._frontier
 
-    def _maybe_collect(self) -> None:
-        while len(self._free_blocks) < self.gc_free_block_threshold:
-            self._collect_one()
+    def _collect(self) -> None:
+        """Collect victims until the free pool is back at the threshold.
 
-    def _collect_one(self) -> None:
-        victim = self._pick_victim()
-        if victim is None:
-            raise FtlError("garbage collection found no victim block")
-        self.counters.gc_invocations += 1
-        for slot in range(self.pages_per_block):
-            if victim.slot_state[slot] == _VALID:
-                self._program(victim.slot_owner[slot], is_relocation=True)
-        victim.erase()
-        self.counters.erases += 1
-        self._free_blocks.append(victim.index)
-
-    def _pick_victim(self) -> _Block | None:
-        """Greedy victim choice: fewest valid pages, wear-aware tie-break.
-
-        Candidates are the blocks with an invalid slot — erasing any other
-        would shuffle data without reclaiming space (and could loop
-        forever); that also rules out the erased blocks of the free pool.
-        ``min`` keeps the first of equal keys: the lowest block index.
+        Live pages move to the frontier in slot order as runs, opening a
+        block where page-by-page programming would; the erase blanks the
+        victim's slots, not one invalidation each.
         """
-        active = self._active
-        candidates = [
-            block
-            for block in self._blocks
-            if block.valid_count < block.write_ptr and block is not active
-        ]
-        return min(candidates, key=_GREEDY_KEY, default=None)
+        owner, mapping, valid = self._owner, self._mapping, self._valid
+        counters, ppb = self.counters, self.pages_per_block
+        while len(self._free_blocks) < self.gc_free_block_threshold:
+            victim = self._pick_victim()
+            start = victim * ppb
+            live = list(filter((-1).__ne__, owner[start : start + ppb]))
+            counters.gc_invocations += 1
+            counters.physical_writes += len(live)
+            counters.gc_relocations += len(live)
+            while live:
+                if self._frontier == self._end:
+                    self._open_new_active()
+                frontier = self._frontier
+                run = live[: self._end - frontier]
+                del live[: len(run)]
+                owner[frontier : frontier + len(run)] = run
+                for slot, lpn in enumerate(run, frontier):
+                    mapping[lpn] = slot
+                valid[self._active] += len(run)
+                self._frontier = frontier + len(run)
+            owner[start : start + ppb] = [-1] * ppb
+            valid[victim] = 0
+            self._erases[victim] += 1
+            self._free_blocks.append(victim)
+            counters.erases += 1
+
+    def _pick_victim(self) -> int:
+        """Take the greedy victim out of the index: fewest valid pages, then
+        fewest erases, then lowest index.  Only blocks with an invalid slot
+        qualify (erasing any other reclaims nothing, and could loop).
+        """
+        bucket = next(filter(None, self._sealed[: self.pages_per_block]), None)
+        if bucket is None:
+            raise FtlError("garbage collection found no victim block")
+        rank = min(bucket)
+        bucket.remove(rank)
+        return rank % len(self._erases)

@@ -1,58 +1,24 @@
-"""Static and dynamic correctness tooling for the reproduction.
+"""Runtime correctness tooling for the reproduction.
 
-PR 1 made the simulator's hot paths fast by introducing exactly the kind of
-state the type system cannot check: lazily materialised virtual orders,
-mirror sets shadowing descriptor bits, picklable job specs for the parallel
-fan-out.  This package holds the tooling that keeps those invariants true
-as the codebase grows:
+The simulator's hot paths are fast because of exactly the kind of state
+the type system cannot check: lazily materialised virtual orders, mirror
+sets shadowing descriptor bits, direct aliases of the translation vector.  :mod:`repro.analyze.sanitizer` keeps those invariants true at run
+time: enabled with ``REPRO_SANITIZE=1`` or
+``BufferPoolManager(sanitize=True)``, it cross-checks the buffer table,
+descriptors, mirror sets, free list, and replacement-policy state after
+every public bufferpool operation, and raises a structured
+:class:`~repro.errors.SanitizerError` on the first violation.
 
-:mod:`repro.analyze.lint`
-    A custom AST lint framework with repo-specific rules (R001-R011),
-    run as ``python -m repro lint``.  The rules encode the contracts prose
-    comments used to carry: determinism of the simulation packages,
-    descriptor encapsulation, virtual-order purity, picklability of grid
-    jobs, and no-silent-swallowing of injected I/O faults.
-
-:mod:`repro.analyze.graph` / :mod:`repro.analyze.cfg` /
-:mod:`repro.analyze.dataflow`
-    The whole-program side of the linter: the project import graph with
-    the declared layer DAG (enforced as R008), and a per-function
-    CFG + forward-dataflow framework (reaching definitions, taint)
-    backing the flow-sensitive rules R009-R011.
-
-:mod:`repro.analyze.sanitizer`
-    A runtime invariant sanitizer for the bufferpool, enabled with
-    ``REPRO_SANITIZE=1`` or ``BufferPoolManager(sanitize=True)``.  After
-    every public bufferpool operation it cross-checks the buffer table,
-    descriptors, mirror sets, free list, and replacement-policy state, and
-    raises a structured :class:`~repro.errors.SanitizerError` on the first
-    violation.
+The structural contracts (determinism, layering, encapsulation, where
+faults may be caught) are pinned by census tests over the source tree,
+``tests/test_*census.py``; see ``docs/architecture.md``, "Contracts pinned
+by tests".
 """
 
-from repro.analyze.cfg import CFG, BasicBlock, build_cfg
-from repro.analyze.dataflow import ReachingDefinitions, TaintAnalysis, TaintSpec
-from repro.analyze.graph import LAYER_DEPS, ImportEdge, ProjectGraph
-from repro.analyze.lint import LintRule, SourceModule, Violation, run_lint
-from repro.analyze.rules import DEFAULT_RULES, RULES_BY_CODE
 from repro.analyze.sanitizer import InvariantSanitizer, attach, env_enabled
 
 __all__ = [
-    "CFG",
-    "BasicBlock",
-    "DEFAULT_RULES",
-    "ImportEdge",
     "InvariantSanitizer",
-    "LAYER_DEPS",
-    "LintRule",
-    "ProjectGraph",
-    "RULES_BY_CODE",
-    "ReachingDefinitions",
-    "SourceModule",
-    "TaintAnalysis",
-    "TaintSpec",
-    "Violation",
     "attach",
     "env_enabled",
-    "build_cfg",
-    "run_lint",
 ]

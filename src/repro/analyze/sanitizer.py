@@ -8,8 +8,8 @@ those is an invariant that a one-line bug can silently break — a stale
 mirror entry changes *which pages CFLRU evicts* without failing a single
 assertion.
 
-This module is the dynamic counterpart to the :mod:`repro.analyze.rules`
-lint pass: an :class:`InvariantSanitizer` attached to a
+This module is the dynamic counterpart to the census tests that pin the
+source tree's structure: an :class:`InvariantSanitizer` attached to a
 :class:`~repro.bufferpool.manager.BufferPoolManager` re-validates the full
 invariant set after **every public operation** (``read_page``,
 ``write_page``, ``pin``, ``unpin``, ``flush_page``, ``flush_all``):
@@ -137,7 +137,7 @@ class InvariantSanitizer:
 
     def _check_pins(self, operation: str) -> None:
         manager = self.manager
-        frame_of = manager.table._frame_of  # lint: allow-translation
+        frame_of = manager.table._frame_of
         pinned_pages: set[int] = set()
         for descriptor in manager.pool.descriptors:
             if descriptor.pin_count < 0:
@@ -229,7 +229,7 @@ class InvariantSanitizer:
     def _check_free_list(self, operation: str) -> None:
         manager = self.manager
         pool = manager.pool
-        frame_of = manager.table._frame_of  # lint: allow-translation
+        frame_of = manager.table._frame_of
         free = pool._free
         if len(free) + len(frame_of) != pool.capacity:
             raise SanitizerError(
@@ -254,7 +254,7 @@ class InvariantSanitizer:
 
     def _check_residency(self, operation: str) -> None:
         manager = self.manager
-        frame_of = manager.table._frame_of  # lint: allow-translation
+        frame_of = manager.table._frame_of
         descriptors = manager.pool.descriptors
         for page, frame_id in frame_of.items():
             if descriptors[frame_id].page != page:
@@ -307,7 +307,7 @@ class InvariantSanitizer:
                 f"eviction_order() mutated policy state: {changed} "
                 f"({type(policy).__name__})",
             )
-        resident = manager.table._frame_of  # lint: allow-translation
+        resident = manager.table._frame_of
         seen: set[int] = set()
         for page in order:
             if page in seen:

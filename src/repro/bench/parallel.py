@@ -122,7 +122,7 @@ def _materialise(trace: Trace | TraceSpec) -> Trace:
         cached = _TRACE_CACHE.get(trace)
         if cached is None:
             # Deliberate per-process memo: each worker warms its own copy.
-            cached = _TRACE_CACHE[trace] = trace.materialise()  # lint: allow-shared-state
+            cached = _TRACE_CACHE[trace] = trace.materialise()
         return cached
     return trace
 
@@ -140,7 +140,7 @@ def _execute_job(job: GridJob) -> RunMetrics:
 def resolve_workers(workers: int | None = None) -> int:
     """Resolve the worker count: argument > ``REPRO_WORKERS`` > cpu count."""
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)  # lint: allow-wall-clock
+        env = os.environ.get(WORKERS_ENV_VAR)
         if env is not None:
             try:
                 workers = int(env)

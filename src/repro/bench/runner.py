@@ -125,7 +125,7 @@ class StackConfig:
 
 def _env_fault_plan() -> FaultPlan | None:
     """The ``REPRO_FAULTS`` plan, or ``None`` when the switch is unset."""
-    spec = os.environ.get(FAULTS_ENV_VAR)  # lint: allow-wall-clock
+    spec = os.environ.get(FAULTS_ENV_VAR)
     if spec is None or not spec.strip():
         return None
     return FaultPlan.parse(spec)

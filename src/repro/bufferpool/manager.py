@@ -143,8 +143,8 @@ class BufferPoolManager:
         # Hot-path aliases.  The table's containers and the pool's state
         # arrays live for the manager's lifetime, so binding them here
         # removes attribute hops per request.
-        self._slots = self.table._slots  # lint: allow-translation
-        self._frame_of = self.table._frame_of  # lint: allow-translation
+        self._slots = self.table._slots
+        self._frame_of = self.table._frame_of
         self._probe_space = self.table.probe_space
         self._array_slots = self.table.backend == "array"
         pool = self.pool

@@ -89,8 +89,8 @@ def simulate_crash(manager: BufferPoolManager) -> CrashImage:
     # The request fast paths run on bound aliases of the table/policy
     # internals, so wiping the objects above is not enough — clear the
     # aliases too, or a "dead" manager would keep serving hits.
-    manager._slots = None  # lint: allow-translation
-    manager._frame_of = None  # lint: allow-translation
+    manager._slots = None
+    manager._frame_of = None
     manager._policy_on_access = None  # type: ignore[assignment]
     manager._policy_select_victim = None  # type: ignore[assignment]
     manager._policy_insert = None  # type: ignore[assignment]

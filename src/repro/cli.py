@@ -7,7 +7,6 @@ Usage (after ``pip install -e .``)::
     python -m repro compare --workload WIS --policies lru,cflru
     python -m repro tpcc --warehouses 4 --transactions 300
     python -m repro experiment fig8                # regenerate a paper figure
-    python -m repro lint src                       # repo-specific AST lint
     python -m repro check                          # invariant-sanitized smoke run
     python -m repro chaos                          # fault-injection durability sweep
     python -m repro crashpoints --smoke            # exhaustive crash-point verification
@@ -153,30 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "summary", help="assemble EXPERIMENTS.md from results/"
     )
     summary.add_argument("--output", default="EXPERIMENTS.md")
-
-    lint = sub.add_parser(
-        "lint", help="run the repo-specific AST lint rules (R001-R014)"
-    )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule codes to run (default: all)")
-    lint.add_argument("--exclude", action="append", default=[],
-                      metavar="PATTERN",
-                      help="fnmatch pattern of paths to skip (repeatable)")
-    lint.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the per-file pass")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      default="text", dest="fmt",
-                      help="output format (default: text)")
-    lint.add_argument("--output", default=None,
-                      help="write the report to a file instead of stdout")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file: known findings warn, new ones fail")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="record current findings as the baseline and exit")
 
     check = sub.add_parser(
         "check",
@@ -445,22 +420,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         os.environ[WORKERS_ENV_VAR] = str(args.workers)
     table[name]()
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analyze.lint import run_cli
-
-    return run_cli(
-        args.paths,
-        list_rules=args.list_rules,
-        select=args.select.split(",") if args.select else None,
-        exclude=args.exclude,
-        jobs=args.jobs,
-        fmt=args.fmt,
-        output=args.output,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
-    )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -734,7 +693,6 @@ _COMMANDS = {
     "tpcc": _cmd_tpcc,
     "experiment": _cmd_experiment,
     "summary": _cmd_summary,
-    "lint": _cmd_lint,
     "check": _cmd_check,
     "chaos": _cmd_chaos,
     "crashpoints": _cmd_crashpoints,

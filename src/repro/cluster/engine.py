@@ -303,8 +303,8 @@ def _replay_shard(job: ShardJob) -> ShardResult:
 
     Everything this function touches is local to the call: the stack is
     built from the job, the subtrace comes with the job, and the result
-    is returned, not stored.  (Lint rule R013 holds worker entry points
-    to exactly that contract.)
+    is returned, not stored.  (The worker-count identity tests in
+    ``tests/cluster`` hold worker entry points to exactly that contract.)
     """
     manager = build_shard_stack(job.config, job.shard)
     if job.transactions is not None:
@@ -313,12 +313,12 @@ def _replay_shard(job: ShardJob) -> ShardResult:
         assert job.pages is not None and job.writes is not None
         run = run_trace
         work = Trace(list(job.pages), list(job.writes), name=job.trace_name)
-    start = time.perf_counter()  # lint: allow-wall-clock, allow-nondeterminism
+    start = time.perf_counter()
     metrics = run(
         manager, work, options=job.config.options,
         label=f"{job.config.label}/shard{job.shard}",
     )
-    wall_s = time.perf_counter() - start  # lint: allow-wall-clock, allow-nondeterminism
+    wall_s = time.perf_counter() - start
     return ShardResult(job.shard, metrics.ops, metrics, wall_s)
 
 

@@ -53,9 +53,9 @@ After the storm, each shard takes PR 8's **exact** audit: final crash,
 write-count ledger over the whole page space — zero lost updates *and*
 zero phantom redo, per shard, cluster-wide.
 
-This module is the sanctioned home of direct replica mutation: lint
-rule R014 ("replica-write-path") flags any other code writing to a
-replica stack without going through the WAL-apply path here.
+This module is the sanctioned home of direct replica mutation: the
+source census (``tests/test_source_census.py``) fails on any other code
+writing to a replica stack without going through the WAL-apply path here.
 """
 
 from __future__ import annotations
@@ -587,7 +587,8 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
     Pure function of the job, like the plain shard worker: stacks,
     faults, and the whole failover history derive from the job's config
     and subtrace, nothing is read from or stored in process state.
-    (Lint rule R013 holds worker entry points to that contract.)
+    (The worker-count identity tests hold worker entry points to that
+    contract.)
     """
     config = job.config
     assert job.pages is not None and job.writes is not None
@@ -602,7 +603,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
     faults = plan.faults_for(job.shard) if plan is not None else ()
     label = f"{config.label}/shard{job.shard}"
 
-    start = time.perf_counter()  # lint: allow-wall-clock, allow-nondeterminism
+    start = time.perf_counter()
     group = _ReplicaGroup(config, job.shard, faults)
     committed = 0
     executed = 0
@@ -664,7 +665,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
     audit = audit_committed(
         image, None, ledger, exact=True, pages=range(config.num_pages)
     )
-    wall_s = time.perf_counter() - start  # lint: allow-wall-clock, allow-nondeterminism
+    wall_s = time.perf_counter() - start
 
     report = ShardReplicationReport(
         shard=job.shard,

@@ -49,7 +49,7 @@ class Reader:
             return []  # the usual answer: no room, or no confident prediction
         manager = self.manager
         num_pages = manager.device.num_pages
-        frame_of = manager._frame_of  # lint: allow-translation
+        frame_of = manager._frame_of
         selected: list[int] = []
         seen = {page}
         for candidate in suggestions:

@@ -313,7 +313,7 @@ def _replay_hit_runs(
     ``_slots``/``_probe_space``/``_prefetched_bits`` handshake) without a
     sanitizer attached (its op wrappers must see every request).
     """
-    slots = manager._slots  # lint: allow-translation
+    slots = manager._slots
     probe_space = manager._probe_space
     prefetched_bits = manager._prefetched_bits
     dirty_bits = manager._dirty_bits

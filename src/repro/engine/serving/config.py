@@ -1,8 +1,8 @@
 """Configuration for the overload-resilient serving layer.
 
 All time quantities are **virtual microseconds** on the shared
-:class:`~repro.storage.clock.VirtualClock` — lint rule R006 forbids wall
-clocks anywhere in this package, which is what keeps every admission,
+:class:`~repro.storage.clock.VirtualClock` — the source census admits no
+wall clock anywhere in this package, which is what keeps every admission,
 deadline, and breaker decision byte-reproducible across runs.
 """
 

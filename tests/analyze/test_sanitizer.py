@@ -36,7 +36,7 @@ class ShufflingPolicy(LRUPolicy):
     def eviction_order(self):
         order = list(self._order)
         if order:
-            self._order.move_to_end(order[0])  # lint: allow-mutation
+            self._order.move_to_end(order[0])
         yield from order
 
 

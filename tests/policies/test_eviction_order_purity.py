@@ -9,9 +9,9 @@ policy into a populated, dirty/pinned-mixed state and asserts that
 consuming the order — fully, partially, or twice — leaves the policy's
 state bit-identical and the order itself stable.
 
-The static side of the same contract is lint rule R003; the runtime side
-is the sanitizer's ``virtual-order-purity`` check.  This suite is the
-exhaustive per-policy proof.
+The runtime side of the same contract is the sanitizer's
+``virtual-order-purity`` check; this suite is the exhaustive per-policy
+proof.
 """
 
 import random

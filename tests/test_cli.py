@@ -21,11 +21,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--policy", "nope"])
 
-    def test_lint_defaults(self):
-        args = build_parser().parse_args(["lint"])
-        assert args.paths == ["src"]
-        assert args.list_rules is False
-
     def test_check_defaults(self):
         args = build_parser().parse_args(["check"])
         assert args.pages == 600

@@ -10,13 +10,8 @@ constants (local or imported) — not a list of files to look in.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-import repro
-from repro.analyze.lint import SourceModule, collect_files
-from repro.analyze.rules import _ImportTable
-
-SRC = Path(repro.__file__).resolve().parent
+from tests._source import SRC, ImportTable, trees
 
 EXPECTED = {
     "REPRO_SANITIZE",
@@ -26,16 +21,10 @@ EXPECTED = {
 }
 
 
-def _modules() -> dict[str, ast.Module]:
-    """``dotted name -> tree`` of every module, as the linter names them."""
-    sources = (SourceModule(path, path.read_text()) for path in collect_files([SRC]))
-    return {source.module: source.tree for source in sources}
-
-
-def _string_constants(trees: dict[str, ast.Module]) -> dict[str, str]:
+def _string_constants(modules: dict[str, ast.Module]) -> dict[str, str]:
     """``module.NAME -> value`` for every module-level ``NAME = "..."``."""
     constants = {}
-    for module, tree in trees.items():
+    for module, tree in modules.items():
         for node in tree.body:
             if (
                 isinstance(node, ast.Assign)
@@ -48,7 +37,7 @@ def _string_constants(trees: dict[str, ast.Module]) -> dict[str, str]:
     return constants
 
 
-def _key_nodes(tree: ast.Module, imports: _ImportTable):
+def _key_nodes(tree: ast.Module, imports: ImportTable):
     """The key expression of every environment use in one module."""
     parents = {
         child: parent
@@ -76,11 +65,10 @@ def _key_nodes(tree: ast.Module, imports: _ImportTable):
 
 
 def environment_variables() -> set[str]:
-    trees = _modules()
-    constants = _string_constants(trees)
+    constants = _string_constants(trees(SRC))
     found = set()
-    for module, tree in trees.items():
-        imports = _ImportTable(tree)
+    for module, tree in trees(SRC).items():
+        imports = ImportTable(tree)
         for node, key in _key_nodes(tree, imports):
             where = f"{module}:{node.lineno}"
             if isinstance(key, ast.Constant) and isinstance(key.value, str):

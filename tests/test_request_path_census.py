@@ -12,8 +12,9 @@ The set is pinned: the functions that reach ``manager.access``
 — called or bound — and the functions that construct a ``RunMetrics`` are
 exactly the ones below, each for the reason beside it.  A new per-request
 loop, or a second place that assembles a run's metrics, has to be argued for
-here.  One module is also pinned by what it may *not* call: replicas are
-written through the shipment apply alone.  Like ``test_env_census`` this is an AST walk over the whole package,
+here.  Replicas are pinned from both sides: the replication module writes
+them through the shipment apply alone, and no other module writes them at
+all.  Like ``test_env_census`` this is an AST walk over the whole package,
 not a list of files to look in.
 """
 
@@ -22,12 +23,8 @@ from __future__ import annotations
 import ast
 from collections import Counter
 from functools import lru_cache
-from pathlib import Path
 
-import repro
-from repro.analyze.lint import SourceModule, collect_files
-
-SRC = Path(repro.__file__).resolve().parent
+from tests._source import SRC, scopes, trees
 
 #: function -> why it must step request by request.
 ACCESS_SITES = {
@@ -62,25 +59,9 @@ RUN_METRICS_SITES = {
 #: ``write_batch`` per shipment — and by nothing per record or per page.
 REPLICATION = "repro.cluster.replication"
 PER_RECORD_WRITES = {"log_update", "write_page"}
-
-
-def _scopes(tree: ast.Module, module: str):
-    """``(qualified name, node)`` covering every node of the module once.
-
-    Functions and methods go by their qualified name (closures belong to
-    the function that holds them: walking it walks them); any other
-    statement goes by the module or class whose body it sits in.
-    """
-    stack = [(module, tree)]
-    while stack:
-        prefix, scope = stack.pop()
-        for node in ast.iter_child_nodes(scope):
-            if isinstance(node, ast.ClassDef):
-                stack.append((f"{prefix}.{node.name}", node))
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield f"{prefix}.{node.name}", node
-            else:
-                yield prefix, node
+#: Calls that write a stack: outside the replication module, none is made
+#: on a receiver whose name says replica.
+STACK_WRITES = {"access", "mark_dirty", "write", "write_batch", "write_page"}
 
 
 @lru_cache(maxsize=None)
@@ -88,9 +69,8 @@ def census() -> tuple[Counter, Counter, Counter]:
     """Where ``.access`` is read, where ``RunMetrics(...)`` is called, and
     what the replication module calls."""
     access, run_metrics, replication_calls = Counter(), Counter(), Counter()
-    for path in collect_files([SRC]):
-        source = SourceModule(path, path.read_text())
-        for name, scope in _scopes(source.tree, source.module):
+    for module, tree in trees(SRC).items():
+        for name, scope in scopes(tree, module):
             for node in ast.walk(scope):
                 if isinstance(node, ast.Attribute) and node.attr == "access":
                     access[name] += 1
@@ -99,7 +79,7 @@ def census() -> tuple[Counter, Counter, Counter]:
                     called = getattr(callee, "id", getattr(callee, "attr", None))
                     if called == "RunMetrics":
                         run_metrics[name] += 1
-                    if source.module == REPLICATION:
+                    if module == REPLICATION:
                         replication_calls[called] += 1
     return access, run_metrics, replication_calls
 
@@ -118,3 +98,27 @@ def test_replicas_are_written_only_through_the_shipment_apply():
     _, _, calls = census()
     assert (calls["append_batch"], calls["write_batch"]) == (1, 1)
     assert not PER_RECORD_WRITES & set(calls)
+
+
+def _names_a_replica(node: ast.AST) -> bool:
+    """Whether any link of a receiver chain (``group.replicas[1].device``)
+    is named for a replica."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        if "replica" in getattr(node, "attr", "").lower():
+            return True
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return isinstance(node, ast.Name) and "replica" in node.id.lower()
+
+
+def test_no_other_module_writes_a_replica():
+    writes = [
+        f"{module}:{node.lineno} .{node.func.attr}()"
+        for module, tree in trees(SRC).items()
+        if module != REPLICATION
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in STACK_WRITES
+        and _names_a_replica(node.func.value)
+    ]
+    assert writes == []

@@ -27,9 +27,9 @@ invariant set after **every public operation** (``read_page``,
   ``eviction_order()``, and its notification-fed pin mirror agrees with
   the manager's — the runtime teeth behind the incremental virtual-order
   engine;
-* the WAL's durable record/LSN index (when a WAL is attached) stays
-  aligned at its tail — length-consistent, strictly increasing, with
-  ``durable_lsn`` equal to the last indexed LSN.
+* the WAL's columns (when a WAL is attached) stay the same length, its
+  durable count is every record that left the buffer (no more, and no
+  fewer unless a flush tore), and the last checkpoint is durable.
 
 The first violation raises a structured
 :class:`~repro.errors.SanitizerError` naming the invariant, the operation,
@@ -184,46 +184,38 @@ class InvariantSanitizer:
             )
 
     def _check_wal_index(self, operation: str) -> None:
-        """The WAL's durable index must stay internally consistent.
+        """The WAL's columns and its durable count must stay consistent.
 
-        Recovery and the bisect-backed ``records_since`` both trust the
-        in-memory durable index; a record list that disagrees with its LSN
-        index (length mismatch, non-monotone LSNs, or a ``durable_lsn``
-        that is not the index tail) would silently corrupt the redo window.
+        Recovery, ``records_since`` and ``redo_since`` all slice the
+        columns up to ``durable_lsn``; columns of unequal length, a durable
+        count that is not what left the buffer, or a checkpoint LSN past it
+        would silently corrupt the redo window.  O(1) per op on purpose:
+        the log grows with the run.
         """
         wal = self.manager.wal
         if wal is None:
             return
-        lsns = wal._durable_lsns
-        records = wal._durable_records
-        if len(lsns) != len(records):
+        logged, durable = wal.lsn, wal.durable_lsn
+        if not len(wal._pages) == len(wal._payloads) == logged:
             raise SanitizerError(
-                "wal-index", operation,
-                f"durable LSN index has {len(lsns)} entries for "
-                f"{len(records)} durable records",
+                "wal-columns", operation,
+                f"log columns hold {logged} kinds, {len(wal._pages)} pages "
+                f"and {len(wal._payloads)} payloads",
             )
-        if not lsns:
-            return
-        # O(1) per op on purpose (the index grows with the run): the tail
-        # is where every append lands, so tail corruption is caught on the
-        # very operation that introduced it.
-        if len(lsns) >= 2 and lsns[-2] >= lsns[-1]:
+        # Everything that left the buffer is durable unless a flush tore
+        # (which stops the machine).
+        flushed = logged - wal._pending_records
+        if not 0 <= durable <= flushed or (not wal.torn_flushes and durable != flushed):
             raise SanitizerError(
-                "wal-index", operation,
-                f"durable LSN index tail is not increasing "
-                f"({lsns[-2]} >= {lsns[-1]})",
+                "wal-durable", operation,
+                f"durable_lsn {durable} is not the {flushed} records that "
+                f"left the buffer of a {logged}-record log",
             )
-        if records[-1].lsn != lsns[-1]:
+        if not 0 <= wal.last_checkpoint_lsn <= durable:
             raise SanitizerError(
-                "wal-index", operation,
-                f"durable index tail {lsns[-1]} disagrees with the last "
-                f"durable record's LSN {records[-1].lsn}",
-            )
-        if wal.durable_lsn != lsns[-1]:
-            raise SanitizerError(
-                "wal-index", operation,
-                f"durable_lsn {wal.durable_lsn} is not the index tail "
-                f"{lsns[-1]}",
+                "wal-checkpoint", operation,
+                f"checkpoint LSN {wal.last_checkpoint_lsn} is past "
+                f"durable_lsn {durable}",
             )
 
     def _check_free_list(self, operation: str) -> None:

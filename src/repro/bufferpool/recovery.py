@@ -25,7 +25,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.bufferpool.manager import BufferPoolManager
-from repro.bufferpool.wal import WalRecordKind, WriteAheadLog
+from repro.bufferpool.wal import WriteAheadLog
 from repro.errors import IOFaultError, RetriesExhaustedError
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.storage.device import SimulatedSSD
@@ -125,23 +125,16 @@ def recover(
         retry = DEFAULT_RETRY_POLICY
     wal = image.wal
     # Recovery trusts only what physically survived: revalidate the log's
-    # page images (cached after the first pass) so a flush torn by the
-    # crash is excluded from redo rather than half-replayed.
-    wal.verify_durable_records()
-    start_lsn = min(wal.last_checkpoint_lsn, wal.durable_lsn)
-    records = wal.records_since(start_lsn)
-    applied = 0
-    skipped = 0
-    redo_batch: dict[int, object] = {}
-    for record in records:
-        if record.kind is not WalRecordKind.UPDATE:
-            continue
-        if record.page is None or record.payload is None:
-            skipped += 1
-            continue
-        # Later records overwrite earlier ones: one device write per page.
-        redo_batch[record.page] = record.payload
-        applied += 1
+    # page images (each read once, however often recovery runs) so a flush
+    # torn by the crash is excluded from redo rather than half-replayed.
+    durable_lsn = wal.verify_durable()
+    start_lsn = min(wal.last_checkpoint_lsn, durable_lsn)
+    # Past the last durable checkpoint every record is an update, so what
+    # carries no redo image is a skipped update.
+    pages, payloads = wal.redo_since(start_lsn)
+    scanned = durable_lsn - start_lsn
+    # Later records overwrite earlier ones: one device write per page.
+    redo_batch = dict(zip(pages, payloads))
     device = image.device
     clock = device.clock
     redo_retries = 0
@@ -167,9 +160,9 @@ def recover(
                 attempt += 1
     return RecoveryReport(
         start_lsn=start_lsn,
-        records_scanned=len(records),
-        redo_applied=applied,
-        redo_skipped=skipped,
+        records_scanned=scanned,
+        redo_applied=len(pages),
+        redo_skipped=scanned - len(pages),
         redo_retries=redo_retries,
     )
 

@@ -7,10 +7,11 @@ identical for baseline and ACE runs.  The simulator models group commit:
 records accumulate in a WAL buffer and one sequential page write is issued
 per ``records_per_page`` records (or on an explicit flush/checkpoint).
 
-Records carry physical redo information (the page's new payload), so
-:mod:`repro.bufferpool.recovery` can replay committed work after a
-simulated crash — the durability property that makes it safe for both the
-classic manager and ACE to delay data-page writes.
+Records carry redo images (a page's new payload) for
+:mod:`repro.bufferpool.recovery`.  The log is columns — ``kinds`` / ``pages``
+/ ``payloads``, LSN = index + 1 — with a count, ``durable_lsn``, for its
+durable prefix (a torn flush stops the machine, so the prefix is
+contiguous); a :class:`WalRecord` is a view built for consumers only.
 
 Every flushed log page is a :class:`WalPageImage` carrying a checksum over
 the *intended* record group, so a flush torn by power loss mid-page leaves
@@ -23,11 +24,10 @@ replaying half a group commit.  The crash-point engine drives this through
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from operator import attrgetter
 
 from repro.errors import PowerFailure
@@ -66,6 +66,11 @@ class WalRecordKind(Enum):
     CHECKPOINT = "checkpoint"
 
 
+_UPDATE, _CHECKPOINT = WalRecordKind.UPDATE, WalRecordKind.CHECKPOINT
+#: ``Enum.value`` minus its Python-level descriptor: checksums run in C.
+_kind_value = attrgetter("_value_")
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One log record: an update's redo image or a checkpoint marker."""
@@ -76,38 +81,41 @@ class WalRecord:
     payload: object | None = None
 
 
-#: What a log page's checksum covers, per record.  ``_value_`` is the
-#: attribute behind ``Enum.value``: the same string without the Python-level
-#: descriptor, so the whole projection runs in C.
-_checksum_fields = attrgetter("lsn", "kind._value_", "page", "payload")
-
-
-def _records_checksum(records: tuple[WalRecord, ...]) -> int:
-    """Checksum over a record group's full redo content."""
-    return zlib.crc32(repr(tuple(map(_checksum_fields, records))).encode())
+def _records_checksum(first_lsn: int, kinds, pages, payloads) -> int:
+    """CRC of the ``repr`` of a group's ``(lsn, kind.value, page, payload)``."""
+    return zlib.crc32(repr(tuple(zip(
+        count(first_lsn), map(_kind_value, kinds), pages, payloads
+    ))).encode())
 
 
 @dataclass(frozen=True)
 class WalPageImage:
-    """What one flushed WAL page physically stores.
+    """What one flushed WAL page physically stores: a group, as columns.
 
     ``checksum`` always covers the *intended* group of ``intended_count``
-    records.  A clean flush stores all of them; a flush torn by power loss
-    stores only a prefix, so verification recomputes a different checksum
-    and the page — and with it every record of the group — is excluded
-    from redo.  This is the page-level atomicity unit real WALs get from
-    per-page CRCs.
+    records.  A flush torn by power loss stores only a prefix, so
+    verification recomputes a different checksum and the page — every
+    record of the group — is excluded from redo: the page-level atomicity
+    unit real WALs get from per-page CRCs.
     """
 
-    records: tuple[WalRecord, ...]
+    first_lsn: int
+    kinds: tuple[WalRecordKind, ...]
+    pages: tuple[int | None, ...]
+    payloads: tuple[object, ...]
     intended_count: int
     checksum: int
 
     @property
+    def records(self) -> tuple[WalRecord, ...]:
+        return tuple(map(
+            WalRecord, count(self.first_lsn), self.kinds, self.pages, self.payloads
+        ))
+
+    @property
     def is_valid(self) -> bool:
-        return (
-            len(self.records) == self.intended_count
-            and _records_checksum(self.records) == self.checksum
+        return len(self.kinds) == self.intended_count and self.checksum == (
+            _records_checksum(self.first_lsn, self.kinds, self.pages, self.payloads)
         )
 
 
@@ -124,57 +132,43 @@ class WriteAheadLog:
             raise ValueError("records_per_page must be positive")
         self.device = SimulatedSSD(profile, num_pages=_WAL_PAGES, clock=clock)
         self.records_per_page = records_per_page
-        self._records: list[WalRecord] = []
+        # The log's columns, one entry per record (LSN = index + 1).
+        self._kinds, self._pages, self._payloads = [], [], []
         self._pending_records = 0
-        self._next_page = 0
         self.pages_written = 0
         self.checkpoints = 0
         #: Flushes that tore mid-page under a crash schedule.
         self.torn_flushes = 0
         #: LSN of the most recent durable checkpoint record (0 = none).
         self.last_checkpoint_lsn = 0
-        # Durable records indexed flat and by LSN: ``records_since`` is a
-        # bisect + slice, so the crash-point engine's repeated recoveries
-        # stay linear in the redo window instead of rescanning the log.
-        self._durable_records: list[WalRecord] = []
-        self._durable_lsns: list[int] = []
+        #: All records with lsn <= durable_lsn survive a crash.
+        self.durable_lsn = 0
         #: Crash-schedule hook consulted on every buffer flush.  Called
         #: with the record group about to be written; returning ``None``
         #: lands the page atomically, returning ``j`` (0 <= j < len)
         #: simulates power loss mid-page — a torn image holding only the
         #: first ``j`` records is written and :class:`PowerFailure` raised.
         self.flush_hook: Callable[[tuple[WalRecord, ...]], int | None] | None = None
-        # Device-scan verification cache: log pages verified so far.
-        self._verified_pages = 0
+        # Device-scan cache: log pages (and their records) verified so far.
+        self._verified_pages = self._verified_lsn = 0
 
     @property
     def lsn(self) -> int:
         """Log sequence number: total records appended so far."""
-        return len(self._records)
-
-    @property
-    def records_logged(self) -> int:
-        return len(self._records)
-
-    @property
-    def durable_lsn(self) -> int:
-        """All records with lsn <= durable_lsn survive a crash."""
-        return self._durable_lsns[-1] if self._durable_lsns else 0
+        return len(self._kinds)
 
     def log_update(self, page: int, payload: object | None = None) -> int:
         """Append an update record for ``page``; returns the record's LSN.
 
         A sequential page write is issued whenever the WAL buffer fills.
         """
-        record = WalRecord(
-            lsn=self.lsn + 1, kind=WalRecordKind.UPDATE,
-            page=page, payload=payload,
-        )
-        self._records.append(record)
+        self._kinds.append(_UPDATE)
+        self._pages.append(page)
+        self._payloads.append(payload)
         self._pending_records += 1
         if self._pending_records >= self.records_per_page:
             self._flush_buffer()
-        return record.lsn
+        return len(self._kinds)
 
     def append_batch(self, pages: list[int], payloads: list[object]) -> int:
         """Append one update record per ``(page, payload)`` pair, in order;
@@ -185,21 +179,18 @@ class WriteAheadLog:
         consultation) each time the buffer fills, and after a torn flush
         nothing past the torn page has been appended.
         """
-        records = self._records
         per_page = self.records_per_page
-        kinds = repeat(WalRecordKind.UPDATE)
         start, total = 0, len(pages)
         while start < total:
             stop = min(start + per_page - self._pending_records, total)
-            records.extend(map(
-                WalRecord, count(len(records) + 1), kinds,
-                pages[start:stop], payloads[start:stop],
-            ))
+            self._kinds += repeat(_UPDATE, stop - start)
+            self._pages += pages[start:stop]
+            self._payloads += payloads[start:stop]
             self._pending_records += stop - start
             if self._pending_records >= per_page:
                 self._flush_buffer()
             start = stop
-        return len(records)
+        return len(self._kinds)
 
     def flush(self) -> None:
         """Force any buffered records to the log device (commit barrier)."""
@@ -215,73 +206,87 @@ class WriteAheadLog:
         record is durable: a flush torn mid-page never advances
         ``last_checkpoint_lsn``.
         """
-        record = WalRecord(lsn=self.lsn + 1, kind=WalRecordKind.CHECKPOINT)
-        self._records.append(record)
+        self._kinds.append(_CHECKPOINT)
+        self._pages.append(None)
+        self._payloads.append(None)
         self._pending_records += 1
         self._flush_buffer()
         self.checkpoints += 1
-        self.last_checkpoint_lsn = record.lsn
-        return record.lsn
+        self.last_checkpoint_lsn = len(self._kinds)
+        return self.last_checkpoint_lsn
 
     def durable_records(self) -> list[WalRecord]:
         """Records that survive a crash (flushed to the log device)."""
-        return list(self._durable_records)
+        return self.records_since(0)
 
     def records_since(self, lsn: int) -> list[WalRecord]:
         """Durable records with LSN strictly greater than ``lsn``."""
         if lsn < 0:
             raise ValueError(f"lsn cannot be negative: {lsn}")
-        start = bisect_right(self._durable_lsns, lsn)
-        return self._durable_records[start:]
+        start, end = min(lsn, self.durable_lsn), self.durable_lsn
+        return list(map(WalRecord, count(start + 1), self._kinds[start:end],
+                        self._pages[start:end], self._payloads[start:end]))
 
-    def verify_durable_records(self) -> list[WalRecord]:
-        """Durable records revalidated against the log device's images.
+    def redo_since(self, lsn: int) -> tuple[list, list]:
+        """``(pages, payloads)`` of the durable records past ``lsn`` that carry
+        a redo image, in log order: what redo and a replica shipment read."""
+        end = self.durable_lsn
+        pages, payloads = self._pages[lsn:end], self._payloads[lsn:end]
+        if None in payloads:  # a checkpoint marker, an update without image
+            keep = [payload is not None for payload in payloads]
+            return list(compress(pages, keep)), list(compress(payloads, keep))
+        return pages, payloads
+
+    def verify_durable(self) -> int:
+        """Revalidate the durable prefix against the log device; returns it.
 
         Recovery must not trust in-memory bookkeeping — after a crash only
         the device survives.  This scans the physical log pages, validates
         each :class:`WalPageImage` checksum, and stops at the first invalid
         (torn) page: everything after a tear is unreachable, exactly as a
-        sequential-scan redo pass would see it.  The scan is cached per
-        flushed page, so repeated recoveries (the crash-point engine's
-        crash-during-recovery replays) verify each page once.
-
-        Raises ``RuntimeError`` if the physical log diverges from the
-        in-memory durable index — that would mean the WAL itself lost
-        acknowledged writes, which the simulator does not model.
+        sequential-scan redo pass would see it.  Each scan resumes where the
+        last stopped, so repeated recoveries verify each page once.  A device
+        that diverges from the durable prefix (the WAL lost acknowledged
+        writes, which the simulator does not model) raises ``RuntimeError``.
         """
-        if self._verified_pages == self.pages_written:
-            return list(self._durable_records)
-        scanned: list[WalRecord] = []
-        for page_no in range(self.pages_written):
+        page_no, verified = self._verified_pages, self._verified_lsn
+        while page_no < self.pages_written:
             image = self.device.peek(page_no % _WAL_PAGES)
-            if not isinstance(image, WalPageImage) or not image.is_valid:
+            if not (isinstance(image, WalPageImage) and image.is_valid
+                    and image.first_lsn == verified + 1):
                 break  # torn tail: the log ends here
-            scanned.extend(image.records)
-        if [r.lsn for r in scanned] != self._durable_lsns:
+            verified += image.intended_count
+            page_no += 1
+        if verified != self.durable_lsn:
             raise RuntimeError(
                 "WAL device scan diverges from the durable index: "
-                f"{len(scanned)} records on device vs "
-                f"{len(self._durable_lsns)} indexed"
+                f"{verified} records on device vs {self.durable_lsn} indexed"
             )
-        self._verified_pages = self.pages_written
-        return list(self._durable_records)
+        self._verified_pages, self._verified_lsn = page_no, verified
+        return verified
+
+    def verify_durable_records(self) -> list[WalRecord]:
+        """Durable records, revalidated by :meth:`verify_durable`."""
+        self.verify_durable()
+        return self.durable_records()
 
     def _flush_buffer(self) -> None:
-        pending = tuple(self._records[len(self._records) - self._pending_records:])
+        intended = self._pending_records
+        start = len(self._kinds) - intended
+        kinds, pages = tuple(self._kinds[start:]), tuple(self._pages[start:])
+        payloads = tuple(self._payloads[start:])
         tear: int | None = None
         hook = self.flush_hook
         if hook is not None:
-            tear = hook(pending)
-            if tear is not None and not 0 <= tear < len(pending):
+            tear = hook(tuple(map(WalRecord, count(start + 1), kinds, pages, payloads)))
+            if tear is not None and not 0 <= tear < intended:
                 tear = None  # landing the full group is not a tear
-        checksum = _records_checksum(pending)
-        stored = pending if tear is None else pending[:tear]
-        image = WalPageImage(
-            records=stored, intended_count=len(pending), checksum=checksum,
-        )
-        page_no = self._next_page % _WAL_PAGES
-        self.device.write_page(page_no, payload=image)
-        self._next_page += 1
+        checksum = _records_checksum(start + 1, kinds, pages, payloads)
+        if tear is not None:
+            site = "wal-checkpoint" if _CHECKPOINT in kinds else "wal-flush"
+            kinds, pages, payloads = kinds[:tear], pages[:tear], payloads[:tear]
+        image = WalPageImage(start + 1, kinds, pages, payloads, intended, checksum)
+        self.device.write_page(self.pages_written % _WAL_PAGES, payload=image)
         self.pages_written += 1
         self._pending_records = 0
         if tear is not None:
@@ -289,14 +294,8 @@ class WriteAheadLog:
             # durable (the torn image will not verify), and the machine
             # stops here.
             self.torn_flushes += 1
-            site = (
-                "wal-checkpoint"
-                if any(r.kind is WalRecordKind.CHECKPOINT for r in pending)
-                else "wal-flush"
-            )
             raise PowerFailure(
                 site, self.pages_written - 1,
-                f"flush torn after {tear}/{len(pending)} records",
+                f"flush torn after {tear}/{intended} records",
             )
-        self._durable_records.extend(pending)
-        self._durable_lsns.extend(record.lsn for record in pending)
+        self.durable_lsn += intended

@@ -28,7 +28,7 @@ The protocol, end to end:
    Promotion reuses PR 8's recovery machinery verbatim — a
    :class:`~repro.bufferpool.recovery.CrashImage` over the replica's own
    device and WAL through :func:`~repro.bufferpool.recovery.recover`,
-   which runs ``verify_durable_records`` and drains the shipped-WAL
+   which runs ``verify_durable`` and drains the shipped-WAL
    tail.  The promotion's virtual cost is the shard's failover latency.
    In-flight accesses past the last commit boundary died with the old
    primary; the group **rewinds to the boundary and retries them** on
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.bufferpool.recovery import (
     CrashImage,
@@ -71,7 +70,7 @@ from repro.bufferpool.recovery import (
     simulate_crash,
 )
 from repro.bufferpool.stats import BufferStats
-from repro.bufferpool.wal import WalRecordKind, WriteAheadLog
+from repro.bufferpool.wal import WriteAheadLog
 from repro.cluster.engine import (
     ShardJob,
     _assemble,
@@ -245,26 +244,16 @@ class ReplicatedShardResult:
     report: ShardReplicationReport
 
 
-_page_of, _payload_of = attrgetter("page"), attrgetter("payload")
-
-
 class _Shipment:
-    """What one push carries: the shippable records of a stretch of the
-    primary's durable log — UPDATEs that name a page and hold a redo
-    image — packed once, whoever receives it."""
+    """What one push carries: the redo images of a stretch of the primary's
+    durable log (``WriteAheadLog.redo_since``), packed once, whoever
+    receives it."""
 
-    def __init__(self, records) -> None:
-        shipped = [
-            record for record in records
-            if record.kind is WalRecordKind.UPDATE
-            and record.page is not None
-            and record.payload is not None
-        ]
+    def __init__(self, pages: list, payloads: list) -> None:
         #: Parallel columns in log order: what the receiver re-logs.
-        self.pages = list(map(_page_of, shipped))
-        self.payloads = list(map(_payload_of, shipped))
+        self.pages, self.payloads = pages, payloads
         #: Last image per page: what the receiver's device is written with.
-        self.images = dict(zip(self.pages, self.payloads))
+        self.images = dict(zip(pages, payloads))
 
 
 class _GroupNode:
@@ -392,7 +381,7 @@ class _ReplicaGroup:
         primary = self.primary
         wal = primary.wal
         wal.flush()
-        shipment = _Shipment(wal.records_since(primary.shipped_lsn))
+        shipment = _Shipment(*wal.redo_since(primary.shipped_lsn))
         primary.shipped_lsn = wal.durable_lsn
         self.seq += 1
         primary.applied_seq = self.seq
@@ -425,7 +414,7 @@ class _ReplicaGroup:
         """Anti-entropy catch-up: rebuild the node empty and push it the
         primary's whole durable history as one shipment."""
         node.rebuild()
-        node.apply(_Shipment(self.primary.wal.records_since(0)))
+        node.apply(_Shipment(*self.primary.wal.redo_since(0)))
         node.alive = True
         node.rejoin_at = None
         node.applied_seq = self.seq
@@ -504,7 +493,7 @@ class _ReplicaGroup:
             device=candidate.device, wal=candidate.wal,
             lost_dirty_pages=(),
         )
-        # verify_durable_records + redo of every durable shipped record:
+        # verify_durable + redo of every durable shipped record:
         # the replica's device already holds the applied prefix, so the
         # drain is idempotent — which is exactly the point of reusing
         # the recovery path instead of trusting the apply loop.

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import eq
 
 __all__ = [
     "ShardRouter",
@@ -183,21 +185,19 @@ class ShardRouter:
         Returns one ``(pages, writes)`` pair per shard (index = shard
         id).  Each subtrace preserves the relative order of its requests,
         so replaying shard ``i``'s subtrace is exactly what shard ``i``
-        would have observed serving the interleaved stream.
+        would have observed serving the interleaved stream.  In bulk: one
+        ``shard_of`` per page, then one ``compress`` per shard and column.
         """
         if len(pages) != len(writes):
             raise ValueError(
                 f"pages ({len(pages)}) and writes ({len(writes)}) differ "
                 "in length"
             )
-        shard_of = self.shard_of
-        split: list[tuple[list[int], list[bool]]] = [
-            ([], []) for _ in range(self.num_shards)
-        ]
-        for page, is_write in zip(pages, writes):
-            sub_pages, sub_writes = split[shard_of(page)]
-            sub_pages.append(page)
-            sub_writes.append(is_write)
+        owners = list(map(self.shard_of, pages))
+        split: list[tuple[list[int], list[bool]]] = []
+        for shard in range(self.num_shards):
+            owned = list(map(eq, owners, repeat(shard)))
+            split.append((list(compress(pages, owned)), list(compress(writes, owned))))
         return split
 
     def split_transactions(

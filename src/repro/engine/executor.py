@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 
 from repro.bufferpool.background import (
@@ -35,6 +36,7 @@ from repro.bufferpool.background import (
     IdleScrubber,
 )
 from repro.bufferpool.manager import BufferPoolManager
+from repro.bufferpool.wal import WriteAheadLog
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
 from repro.errors import PageNotBufferedError
@@ -95,17 +97,51 @@ def _turbo_ready(manager: BufferPoolManager) -> bool:
     :meth:`BufferPoolManager._handle_miss` that the loop inlines (a
     subclass override is not) with no Reader to ask — the loop carries the
     Writer hook only — on a bare device (the ``_turbo`` tuple exists), with
-    no WAL and no observer to call per request.  ACE without a Reader
-    qualifies like baseline; a Reader stack takes :func:`_replay_hit_runs`.
+    no observer to call per request.  ACE without a Reader qualifies like
+    baseline; a Reader stack takes :func:`_replay_hit_runs`.  A WAL
+    qualifies unless it has a ``flush_hook``: the loop appends the log only
+    where it is observed (see :func:`_log_stretch`), but a crash schedule's
+    hook observes every log page as it fills, so it steps through
+    ``log_update`` on :func:`_replay_hit_runs`.
     """
+    wal = manager.wal
     return (
         getattr(manager._handle_miss, "__func__", None)
         is BufferPoolManager._handle_miss
         and manager.reader is None
         and manager._plain_device is not None
-        and manager.wal is None
+        and (wal is None or wal.flush_hook is None)
         and manager._observer is None
     )
+
+
+def _log_stretch(
+    wal: WriteAheadLog, payloads: list, frame_of, pages: Sequence[int],
+    writes: Sequence[bool], start: int, stop: int,
+) -> int:
+    """Log the writes among requests ``start:stop`` of a stretch; returns
+    ``stop``, where the log now stands.
+
+    :func:`_replay_turbo` logs only where the log is observed: before a
+    write-back (WAL-before-data) and when the stretch ends.  In between, a
+    written page cannot leave the pool — it is dirty, and only a write-back
+    cleans it — so its records are consecutive versions ending at its
+    frame's payload now: derived here, one ``append_batch`` call, the log
+    ``log_update`` per write would have left.
+    """
+    written = list(compress(pages[start:stop], writes[start:stop]))
+    if written:
+        versions = list(map(payloads.__getitem__, map(frame_of.__getitem__, written)))
+        if len(set(written)) < len(written):
+            # A page written k times holds its k-th version: step back.
+            later: dict[int, int] = {}
+            for index in range(len(written) - 1, -1, -1):
+                page = written[index]
+                back = later.get(page, 0)
+                versions[index] -= back
+                later[page] = back + 1
+        wal.append_batch(written, versions)
+    return stop
 
 
 def _replay_turbo(
@@ -128,6 +164,9 @@ def _replay_turbo(
     per batch, which do their own accounting) instead of the inlined
     single-page write.  The Writer's methods and ``n_w`` are looked up per
     batch — adaptive tuning and degraded batching change them mid-run.
+    A WAL is appended where it is observed, never per write: before each
+    write-back (the inlined one then flushes it, as ``_handle_miss`` does)
+    and once when the stretch ends, raising or not (:func:`_log_stretch`).
 
     Counter locals that must not count a failed request (device reads,
     write-backs) are bumped exactly where the per-request path bumps
@@ -163,8 +202,13 @@ def _replay_turbo(
     note_dirty = manager._note_dirty
     dirty_add = manager._dirty_set.add
     writer = manager.writer
+    wal = manager.wal
     stats = manager.stats
     device_stats = manager._plain_device.stats
+    # Requests whose writes the log holds; at a write-back the missing
+    # request itself is counted (hits + misses) but not yet applied.
+    logged = 0
+    raised = True
     hits = 0
     misses = 0
     prefetch_hits = 0
@@ -208,12 +252,23 @@ def _replay_turbo(
                         clean_evictions += 1
                     elif writer is not None:
                         dirty_evictions += 1
+                        if wal is not None:  # WAL-before-data, in _write_back
+                            logged = _log_stretch(
+                                wal, payloads, frame_of, pages, writes, logged,
+                                hits + misses - 1,
+                            )
                         writer.flush(writer.select_writeback_set(victim))
                         if dirty_bits[victim_frame]:
                             victim = manager._degraded_victim(victim)
                             victim_frame = slots[victim]
                     else:
                         dirty_evictions += 1
+                        if wal is not None:  # WAL-before-data, as in _handle_miss
+                            logged = _log_stretch(
+                                wal, payloads, frame_of, pages, writes, logged,
+                                hits + misses - 1,
+                            )
+                            wal.flush()
                         clock.ticks += write_ticks
                         device_stats.write_time_us += write_us
                         device_payloads[victim] = payloads[victim_frame]
@@ -261,7 +316,14 @@ def _replay_turbo(
                 note_dirty(page)
             current = payloads[frame_id]
             payloads[frame_id] = (current if isinstance(current, int) else 0) + 1
+        raised = False
     finally:
+        if wal is not None:
+            # A request that raised was counted but never applied.
+            _log_stretch(
+                wal, payloads, frame_of, pages, writes, logged,
+                hits + misses - raised,
+            )
         # One flush of the commuting integer counters (identical totals to
         # the per-request replay, including on mid-trace exceptions — see
         # the docstring).

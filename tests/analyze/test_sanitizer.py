@@ -11,8 +11,10 @@ import pytest
 
 from repro.analyze.sanitizer import InvariantSanitizer, attach, env_enabled
 from repro.bufferpool.manager import BufferPoolManager
+from repro.bufferpool.wal import WriteAheadLog
 from repro.errors import SanitizerError
 from repro.policies.lru import LRUPolicy
+from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import DeviceProfile
 
@@ -216,6 +218,50 @@ class TestCorruptions:
             manager.read_page(6)
         assert exc.value.invariant == "dirty-mirror"
         assert exc.value.operation == "read_page"
+
+
+class TestWalChecks:
+    """The WAL's columns and durable count, one planted corruption each."""
+
+    @staticmethod
+    def wal_manager():
+        manager = make_manager(
+            sanitize=True, wal=WriteAheadLog(VirtualClock(), records_per_page=4)
+        )
+        for page in range(6):  # one log page durable, two records buffered
+            manager.write_page(page)
+        manager.flush_all()  # a durable checkpoint
+        manager.write_page(1)
+        assert manager.wal.durable_lsn == 7 and manager.wal.lsn == 8
+        return manager
+
+    def corrupted(self, corrupt):
+        manager = self.wal_manager()
+        corrupt(manager.wal)
+        with pytest.raises(SanitizerError) as exc:
+            manager.read_page(2)
+        return exc.value.invariant
+
+    def test_clean_log_passes(self):
+        self.wal_manager().sanitizer.assert_clean()
+
+    def test_columns_of_unequal_length(self):
+        assert self.corrupted(lambda wal: wal._payloads.append(1)) == "wal-columns"
+
+    def test_durable_count_ahead_of_the_flushed_records(self):
+        def ahead(wal):
+            wal.durable_lsn += 1
+        assert self.corrupted(ahead) == "wal-durable"
+
+    def test_durable_count_behind_without_a_tear(self):
+        def behind(wal):
+            wal.durable_lsn -= 1
+        assert self.corrupted(behind) == "wal-durable"
+
+    def test_checkpoint_past_the_durable_count(self):
+        def past(wal):
+            wal.last_checkpoint_lsn = wal.durable_lsn + 1
+        assert self.corrupted(past) == "wal-checkpoint"
 
 
 class TestVirtualOrderChecks:

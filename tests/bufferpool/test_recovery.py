@@ -38,7 +38,8 @@ class TestWalRecords:
     def test_update_records_carry_redo_payload(self):
         manager, wal = make_wal_manager()
         manager.write_page(3)
-        record = wal._records[-1]
+        wal.flush()
+        record = wal.durable_records()[-1]
         assert record.kind is WalRecordKind.UPDATE
         assert record.page == 3
         assert record.payload == 1

@@ -31,7 +31,7 @@ from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
 from repro.workloads.synthetic import MS, generate_trace
 
-from tests.bufferpool.conftest import TEST_PROFILE
+from tests.bufferpool.conftest import TEST_PROFILE, wal_state
 
 NUM_PAGES = 512
 CAPACITY = 48
@@ -87,9 +87,7 @@ def fingerprint(manager, metrics, evictions):
         "residency_order": manager.table.pages(),
         "dirty": sorted(manager.dirty_pages()),
         "pool_pressure": manager.pool_pressure,
-        "wal_records": None if wal is None else wal._records,
-        "wal_pages_written": None if wal is None else wal.pages_written,
-        "wal_durable_lsn": None if wal is None else wal.durable_lsn,
+        "wal": wal_state(wal),  # last: it flushes the log
     }
 
 

@@ -23,7 +23,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(VirtualClock(), records_per_page=4)
         for _ in range(3):
             wal.log_update(1)
-        assert wal.records_logged == 3
+        assert wal.lsn == 3
         assert wal.pages_written == 0
 
     def test_full_buffer_triggers_sequential_write(self):
@@ -67,12 +67,12 @@ class TestWalIntegration:
     def test_page_write_is_logged(self):
         manager, wal = make_wal_manager()
         manager.write_page(3)
-        assert wal.records_logged == 1
+        assert wal.lsn == 1
 
     def test_reads_are_not_logged(self):
         manager, wal = make_wal_manager()
         manager.read_page(3)
-        assert wal.records_logged == 0
+        assert wal.lsn == 0
 
     def test_wal_flushed_before_writeback(self):
         """WAL-before-data ordering: eviction write forces a log flush."""

@@ -134,6 +134,8 @@ def test_checksum_is_the_crc_of_the_value_tuples():
         WalRecord(4, WalRecordKind.CHECKPOINT),
     )
     for records in (group, group[:1], ()):
-        assert _records_checksum(records) == zlib.crc32(repr(tuple(
+        columns = [[getattr(r, field) for r in records]
+                   for field in ("kind", "page", "payload")]
+        assert _records_checksum(1, *columns) == zlib.crc32(repr(tuple(
             (r.lsn, r.kind.value, r.page, r.payload) for r in records
         )).encode())

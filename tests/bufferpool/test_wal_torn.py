@@ -11,7 +11,7 @@ behaviour all agree that a torn group was never committed.
 import pytest
 
 from repro.bufferpool.manager import BufferPoolManager
-from repro.bufferpool.recovery import recover, simulate_crash
+from repro.bufferpool.recovery import CrashImage, recover, simulate_crash
 from repro.bufferpool.wal import (
     WalPageImage,
     WalRecordKind,
@@ -68,7 +68,7 @@ class TestTornFlush:
         assert not image.is_valid
         # The checksum covers the full intended group, not the prefix.
         assert image.checksum == _records_checksum(
-            tuple(wal._records[:3])
+            1, (WalRecordKind.UPDATE,) * 3, (0, 1, 2), (1, 1, 1)
         )
 
     def test_torn_records_are_not_durable(self):
@@ -167,3 +167,55 @@ class TestTornFlushRecovery:
                 (report.redo_applied, [image.device.peek(p) for p in (1, 2, 3)])
             )
         assert results[0] == results[1]
+
+
+class TestIncrementalVerification:
+    """``verify_durable`` resumes where the last scan stopped: each log
+    page is read off the device once, however often recovery runs."""
+
+    @staticmethod
+    def counting_peeks(wal):
+        peeked = []
+        peek = wal.device.peek
+
+        def counted(page):
+            peeked.append(page)
+            return peek(page)
+
+        wal.device.peek = counted
+        return peeked
+
+    def test_two_recoveries_read_each_log_page_once(self):
+        device = SimulatedSSD(TEST_PROFILE, num_pages=16)
+        device.format_pages(range(16))
+        wal = WriteAheadLog(device.clock, records_per_page=4)
+        peeked = self.counting_peeks(wal)
+        image = CrashImage(device=device, wal=wal, lost_dirty_pages=())
+        for page in range(8):
+            wal.log_update(page, payload=1)
+        assert recover(image).redo_applied == 8
+        assert peeked == [0, 1]
+        for page in range(6):  # the log grows: one full page and a tail
+            wal.log_update(page, payload=2)
+        wal.flush()
+        assert recover(image).redo_applied == 14
+        assert peeked == [0, 1, 2, 3]  # only the two new pages
+        assert wal.verify_durable_records() == wal.durable_records()
+        assert peeked == [0, 1, 2, 3]
+
+    def test_a_torn_tail_still_ends_the_scan(self):
+        wal = make_wal()
+        peeked = self.counting_peeks(wal)
+        for page in range(4):
+            wal.log_update(page, payload=1)
+        assert wal.verify_durable() == 4
+        for page in range(3):
+            wal.log_update(10 + page, payload=1)
+        tear_at(wal, 2)
+        with pytest.raises(PowerFailure):
+            wal.flush()
+        # The torn page is read and ends the scan; nothing past it counts.
+        assert wal.verify_durable() == 4
+        assert wal.verify_durable_records() == wal.durable_records()
+        assert [r.lsn for r in wal.durable_records()] == [1, 2, 3, 4]
+        assert peeked == [0, 1, 1]

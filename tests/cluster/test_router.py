@@ -72,6 +72,51 @@ class TestSplit:
             HashShardRouter(2).split([1, 2], [True])
 
 
+def split_request_by_request(router, pages, writes):
+    """The per-request loop ``split`` replaced, kept as its reference."""
+    if len(pages) != len(writes):
+        raise ValueError("length mismatch")
+    split = [([], []) for _ in range(router.num_shards)]
+    for page, is_write in zip(pages, writes):
+        sub_pages, sub_writes = split[router.shard_of(page)]
+        sub_pages.append(page)
+        sub_writes.append(is_write)
+    return split
+
+
+ROUTERS = {
+    "hash": lambda shards: HashShardRouter(shards),
+    # A vector shorter than the page space: pages past it fall back to hash.
+    "mapped": lambda shards: MappedShardRouter(
+        [(7 * page) % shards for page in range(40)], shards
+    ),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("router_name", ROUTERS)
+class TestSplitInBulk:
+    """``split`` in bulk equals the per-request loop it replaced."""
+
+    @pytest.mark.parametrize("length", [0, 1, 250])
+    def test_matches_the_per_request_loop(self, router_name, shards, length):
+        router = ROUTERS[router_name](shards)
+        pages = [(page * 37) % 100 for page in range(length)]  # past the vector too
+        writes = [page % 3 == 0 for page in pages]
+        split = router.split(pages, writes)
+        assert split == split_request_by_request(router, pages, writes)
+        assert len(split) == shards
+        # Any sequence in, lists out.
+        assert router.split(tuple(pages), tuple(writes)) == split
+
+    def test_length_mismatch_raises_before_routing(self, router_name, shards):
+        router = ROUTERS[router_name](shards)
+        with pytest.raises(ValueError, match="differ in length"):
+            router.split([1, 2, 3], [True, False])
+        with pytest.raises(ValueError):
+            split_request_by_request(router, [1, 2, 3], [True, False])
+
+
 class TestSplitTransactions:
     @staticmethod
     def _txn(pages):

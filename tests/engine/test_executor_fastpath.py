@@ -8,7 +8,10 @@ per request.  That inlining is pure mechanics — forcing
 the per-request path via the ``hit_run_ready`` handshake must leave every
 observable output byte-identical: RunMetrics, device counters, virtual
 clock, residency order, the policy's virtual order, dirty set, device
-payloads, FTL counters, and WAL records.  The two *branches* of the miss
+payloads, FTL counters, and the log (records through the public API, each
+log page's image with its checksum, the log device's counters — the
+inlined loop appends it only where it is observed, so this is where a
+misplaced append shows).  The two *branches* of the miss
 routine (inlined on a bare device, helpers behind a disarmed fault plan)
 must agree the same way for the Reader stacks, prefetcher state included,
 and the prefetcher must hear the same hook sequence on every replay.  A
@@ -53,7 +56,7 @@ from repro.workloads.tpcc.driver import TPCCWorkload
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
-from tests.bufferpool.conftest import make_device
+from tests.bufferpool.conftest import make_device, wal_state
 
 NUM_PAGES = 400
 CAPACITY = 32
@@ -94,7 +97,7 @@ def state(manager):
         "payloads": device.snapshot_payloads(),
         "ftl": device.ftl
         and (dataclasses.asdict(device.ftl.counters), device.ftl.erase_counts()),
-        "wal_records": None if wal is None else wal._records,
+        "wal": wal_state(wal),  # last: it flushes the log
     }
 
 
@@ -236,7 +239,8 @@ def test_turbo_baseline_matches_per_request(policy_name):
 
 
 def test_hit_run_path_with_wal_matches_per_request():
-    """A WAL disqualifies the turbo path; the hit-run path must agree too."""
+    """A WAL stack — hit-run path once, inlined loop since WALs without a
+    ``flush_hook`` are turbo-ready — agrees with the per-request path."""
     fast = run_one("lru", "baseline", stack="wal", force_slow=False, ops=2500)
     slow = run_one("lru", "baseline", stack="wal", force_slow=True, ops=2500)
     assert fast == slow
@@ -283,6 +287,42 @@ def _all_pinned_trace(manager):
     return trace
 
 
+def _pinned_writes_then_miss(manager):
+    """Writes (pages repeat) land on pinned, resident pages, then a miss
+    finds every frame pinned: the log holds writes when the replay raises."""
+    for page in range(CAPACITY):
+        manager.read_page(page)
+        manager.pin(page)
+    pages = [3, 5, 3, 7, 3, 9, 5, CAPACITY + 1, 11]
+    return Trace(pages, [page != 7 for page in pages], "pinned")
+
+
+@pytest.mark.parametrize(
+    "prepare", [_pinned_writes_then_miss, _out_of_range_trace],
+    ids=["pinned", "out-of-range"],
+)
+@pytest.mark.parametrize("variant", ["baseline", "ace"])
+def test_a_raising_replay_leaves_the_same_log(variant, prepare):
+    """The turbo loop logs the stretch in its ``finally``: after a raise the
+    durable log and the buffered one (compared after a flush) are what
+    ``log_update`` per write left — the failing request logged nothing."""
+    results = []
+    for force_slow in (False, True):
+        manager = build("lru", variant, stack="wal")
+        if force_slow:
+            manager.hit_run_ready = False
+        trace = prepare(manager)
+        with pytest.raises((PoolExhaustedError, IndexError)) as raised:
+            run_trace(manager, trace, options=OPTIONS)
+        results.append((str(raised.value), manager.wal.durable_lsn, state(manager)))
+    assert results[0] == results[1]
+    logged = results[0][2]["wal"]["records"]
+    if prepare is _pinned_writes_then_miss:
+        assert [(r.page, r.payload) for r in logged] == [
+            (3, 1), (5, 1), (3, 2), (3, 3), (9, 1), (5, 2)
+        ]
+
+
 def test_fast_path_error_parity():
     """A mid-trace out-of-range page fails identically on both paths."""
     _error_parity("baseline", _out_of_range_trace, IndexError)
@@ -320,12 +360,14 @@ def test_transactions_error_parity(variant):
     assert results[0][1]["buffer"]["misses"] > CAPACITY
 
 
-def test_adaptive_ace_tunes_alike_on_both_paths():
-    """``n_w`` is retuned mid-run: the turbo loop must never cache it."""
+def _adaptive_runs(with_wal):
+    """(tuner state, fingerprint) of an AdaptiveACE run, fast and per request."""
     results = []
     for force_slow in (False, True):
+        device = stack_device()
         manager = AdaptiveACEBufferPoolManager(
-            CAPACITY, make_policy("lru", CAPACITY), stack_device(),
+            CAPACITY, make_policy("lru", CAPACITY), device,
+            wal=WriteAheadLog(device.clock) if with_wal else None,
             explore_pages=32, exploit_pages=256,
         )
         if force_slow:
@@ -338,6 +380,21 @@ def test_adaptive_ace_tunes_alike_on_both_paths():
         ))
     assert results[0] == results[1]
     assert len(results[0][3]["device"]["write_batch_size_histogram"]) > 2
+    return results[0]
+
+
+def test_adaptive_ace_tunes_alike_on_both_paths():
+    """``n_w`` is retuned mid-run: the turbo loop must never cache it."""
+    _adaptive_runs(with_wal=False)
+
+
+def test_adaptive_ace_with_a_wal_tunes_alike_on_both_paths():
+    """The tuner times each ``_write_back``, WAL flush included: the turbo
+    loop must append the log *before* the timed call, as ``log_update``
+    per write would have, or the measured costs (and ``n_w``) drift."""
+    costs, _, _, state = _adaptive_runs(with_wal=True)
+    assert state["wal"]["device"]["writes"] > 0
+    assert _adaptive_runs(with_wal=False)[0] != costs  # the log is timed
 
 
 class _OverridingManager(BufferPoolManager):
@@ -347,6 +404,11 @@ class _OverridingManager(BufferPoolManager):
 
 def _observed(manager):
     manager._observer = lambda page: None
+    return manager
+
+
+def _hooked(manager):
+    manager.wal.flush_hook = lambda records: None  # sees every page, tears none
     return manager
 
 
@@ -374,24 +436,27 @@ PATHS = {
         ),
     ),
     "transactions with a wal": (
-        lambda: build("lru", "ace", stack="wal"), {"hit_runs", "handle_miss"},
+        lambda: build("lru", "ace", stack="wal"), {"turbo"},
         lambda manager, trace: run_transactions(
             manager, TRANSACTIONS[:12], options=OPTIONS
         ),
     ),
     "transactions with a background writer": (
-        lambda: build("lru", "ace", stack="wal"), {"hit_runs", "handle_miss"},
+        lambda: build("lru", "ace", stack="wal"), {"turbo"},
         lambda manager, trace: run_transactions(
             manager, TRANSACTIONS[:12], options=BACKGROUND_OPTIONS,
             bg_writer=BackgroundWriter(manager, pages_per_round=8),
         ),
     ),
     "replicated shard": (
-        lambda: None, {"hit_runs", "handle_miss"},
+        lambda: None, {"turbo"},
         lambda manager, trace: run_cluster(_REPLICATED, trace, workers=1),
     ),
     "bare ace": (lambda: build("clock", "ace"), {"turbo"}),
-    "wal": (lambda: build("lru", "ace", stack="wal"), {"hit_runs", "handle_miss"}),
+    "wal": (lambda: build("lru", "ace", stack="wal"), {"turbo"}),
+    "wal with a flush_hook": (
+        lambda: _hooked(build("lru", "ace", stack="wal")), {"hit_runs", "handle_miss"},
+    ),
     "disarmed fault plan": (
         lambda: build("lru", "ace", stack="faultplan"), {"hit_runs", "handle_miss"},
     ),

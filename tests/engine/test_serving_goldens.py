@@ -27,12 +27,12 @@ import hashlib
 import pprint
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 import pytest
 
 from repro.bufferpool.background import BackgroundWriter, Checkpointer
-from repro.bufferpool.wal import WriteAheadLog
+from repro.bufferpool.wal import WalRecord, WriteAheadLog
 from repro.core.stack import build_manager
 from repro.engine.executor import ExecutionOptions, run_trace
 from repro.engine.latency import LatencyRecorder
@@ -138,7 +138,11 @@ def state(manager):
         "virtual_order": manager.policy.peek(manager.capacity),
         "dirty": manager.dirty_pages(),
         "payloads": device.snapshot_payloads(),
-        "wal_records": wal._records,
+        # Every record, buffered ones too, as the list the digests were
+        # recorded over (the log once kept one object per record).
+        "wal_records": list(map(
+            WalRecord, count(1), wal._kinds, wal._pages, wal._payloads
+        )),
         "wal_durable_lsn": wal.durable_lsn,
         "n_w": manager.writer.n_w,
     }

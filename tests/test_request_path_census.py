@@ -14,8 +14,11 @@ exactly the ones below, each for the reason beside it.  A new per-request
 loop, or a second place that assembles a run's metrics, has to be argued for
 here.  Replicas are pinned from both sides: the replication module writes
 them through the shipment apply alone, and no other module writes them at
-all.  Like ``test_env_census`` this is an AST walk over the whole package,
-not a list of files to look in.
+all.  The log is pinned too: it is columns, a ``WalRecord`` is built only
+for the accessors that hand records out, and only the reference arm and
+the hit-run loop append a record per write (the turbo loop appends where
+the log is observed).  Like ``test_env_census`` this is an AST walk over
+the whole package, not a list of files to look in.
 """
 
 from __future__ import annotations
@@ -54,6 +57,30 @@ RUN_METRICS_SITES = {
     ),
 }
 
+#: function -> why it builds ``WalRecord`` views.  The log is columns; a
+#: record object exists only where a consumer asks for records.
+WAL_RECORD_VIEWS = {
+    "repro.bufferpool.wal.WalPageImage.records": (
+        "a log page's records, for whoever reads the log device"
+    ),
+    "repro.bufferpool.wal.WriteAheadLog.records_since": (
+        "durable records; durable_records and verify_durable_records too"
+    ),
+    "repro.bufferpool.wal.WriteAheadLog._flush_buffer": (
+        "the flush_hook's argument: a crash schedule inspects each group"
+    ),
+}
+
+#: function -> why it appends one log record per write.
+LOG_UPDATE_SITES = {
+    "repro.bufferpool.manager.BufferPoolManager.write_page": (
+        "the reference arm: one request, one record"
+    ),
+    "repro.engine.executor._replay_hit_runs": (
+        "a WAL the turbo loop refuses (a flush_hook sees every log page "
+        "fill) is logged write by write"
+    ),
+}
 
 #: A replica is written by ``_GroupNode.apply`` — one ``append_batch``, one
 #: ``write_batch`` per shipment — and by nothing per record or per page.
@@ -98,6 +125,33 @@ def test_replicas_are_written_only_through_the_shipment_apply():
     _, _, calls = census()
     assert (calls["append_batch"], calls["write_batch"]) == (1, 1)
     assert not PER_RECORD_WRITES & set(calls)
+
+
+@lru_cache(maxsize=None)
+def wal_census() -> tuple[Counter, Counter]:
+    """Who calls ``WalRecord`` or hands it to a call (``map``), and who
+    reads ``.log_update`` (called or bound)."""
+    views, log_updates = Counter(), Counter()
+    for module, tree in trees(SRC).items():
+        for name, scope in scopes(tree, module):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Attribute) and node.attr == "log_update":
+                    log_updates[name] += 1
+                elif isinstance(node, ast.Call) and "WalRecord" in {
+                    getattr(arg, "id", None) for arg in (node.func, *node.args)
+                }:
+                    views[name] += 1
+    return views, log_updates
+
+
+def test_wal_records_are_built_only_for_their_consumers():
+    views, _ = wal_census()
+    assert views == Counter(dict.fromkeys(WAL_RECORD_VIEWS, 1))
+
+
+def test_the_log_is_appended_per_write_only_in_these_places():
+    _, log_updates = wal_census()
+    assert log_updates == Counter(dict.fromkeys(LOG_UPDATE_SITES, 1))
 
 
 def _names_a_replica(node: ast.AST) -> bool:

@@ -166,8 +166,11 @@ class BufferPoolManager:
             if type(device) is SimulatedSSD and not device.checksums_enabled
             else None
         )
-        #: Prefetcher-training callback invoked once per access; installed
-        #: by the ACE manager when a reader/prefetcher is attached.
+        #: Prefetcher-training callback; installed by the ACE manager when a
+        #: reader/prefetcher is attached.  It hears every access's page, in
+        #: access order, no later than the next miss's ``on_miss`` — the
+        #: executor's inlined loop defers it to there — so it must not read
+        #: pool state.
         self._observer = None
         policy.bind(self)
         # Bound notification hooks (hot path: one attribute hop saved per
@@ -421,7 +424,9 @@ class BufferPoolManager:
         the generic helpers (``_write_back``/``_evict``/``_load``), which
         handle the fault-capable devices; only a non-empty prefetch set
         and the wide exchange leave for ``reader.fetch``.  The executor's
-        ``_replay_turbo`` inlines the Reader-less branch, step for step.
+        ``_replay_turbo`` inlines this branch, Reader included, step for
+        step; a bulk replay reaches this routine only for a WAL with a
+        ``flush_hook`` or a subclass that overrides it.
         """
         device = self._plain_device
         if device is None:
@@ -444,7 +449,7 @@ class BufferPoolManager:
                 dirty_set = self._dirty_set
                 if victim not in dirty_set:
                     self.stats.clean_evictions += 1
-                    self._evict(victim)
+                    self._evict([victim])
                 else:
                     self.stats.dirty_evictions += 1
                     if reader is not None:
@@ -463,7 +468,7 @@ class BufferPoolManager:
                         # victim: fall back to the next clean page.
                         victim = self._degraded_victim(victim)
                     if writer is None:
-                        self._evict(victim)
+                        self._evict([victim])
                     else:
                         self.evictor.evict([victim])
             return self._load(page)
@@ -743,30 +748,46 @@ class BufferPoolManager:
         selected = self.policy.next_clean(1)
         return selected[0] if selected else None
 
-    def _evict(self, page: int) -> None:
-        """Drop a clean resident page from the pool (on its flat arrays)."""
+    def _evict(self, pages: Iterable[int]) -> None:
+        """Drop clean, unpinned resident pages from the pool, in order, on
+        its flat arrays: one call for the classic victim and for ACE's
+        ``n_e`` alike, the counters added once."""
         frame_of = self._frame_of
-        frame_id = frame_of.get(page)
-        if frame_id is None:
-            raise PageNotBufferedError(f"page {page} is not resident")
-        if self._dirty_bits[frame_id]:
-            raise ValueError(
-                f"cannot evict dirty page {page}; write it back first"
-            )
-        if self._pin_counts[frame_id]:
-            raise ValueError(f"cannot evict pinned page {page}")
-        stats = self.stats
-        if self._prefetched_bits[frame_id]:
-            stats.prefetch_unused += 1
-            self._prefetched_bits[frame_id] = 0
-        stats.evictions += 1
-        del frame_of[page]
-        if self._array_slots:
-            self._slots[page] = -1
-        self.policy.remove(page)
-        self._page_of[frame_id] = -1
-        self._payloads[frame_id] = None
-        self.pool._free.append(frame_id)
+        dirty_bits = self._dirty_bits
+        pin_counts = self._pin_counts
+        prefetched_bits = self._prefetched_bits
+        slots = self._slots if self._array_slots else None
+        policy_remove = self._policy_remove
+        page_of = self._page_of
+        payloads = self._payloads
+        free = self.pool._free
+        evicted = unused = 0
+        try:
+            for page in pages:
+                frame_id = frame_of.get(page)
+                if frame_id is None:
+                    raise PageNotBufferedError(f"page {page} is not resident")
+                if dirty_bits[frame_id]:
+                    raise ValueError(
+                        f"cannot evict dirty page {page}; write it back first"
+                    )
+                if pin_counts[frame_id]:
+                    raise ValueError(f"cannot evict pinned page {page}")
+                if prefetched_bits[frame_id]:
+                    unused += 1
+                    prefetched_bits[frame_id] = 0
+                evicted += 1
+                del frame_of[page]
+                if slots is not None:
+                    slots[page] = -1
+                policy_remove(page)
+                page_of[frame_id] = -1
+                payloads[frame_id] = None
+                free.append(frame_id)
+        finally:
+            stats = self.stats
+            stats.evictions += evicted
+            stats.prefetch_unused += unused
 
     def _load(self, page: int, cold: bool = False) -> int:
         """Read ``page`` from the device and install it into a free frame."""

@@ -20,7 +20,7 @@ read-only workload behaves *identically* to the baseline — the paper's
 
 The code has the same shape.  There is no ACE miss routine: every stack
 runs :meth:`BufferPoolManager._handle_miss` — inlined bare-device branch
-and, without a Reader, the executor's turbo loop — which hands a dirty
+and, Reader or not, the executor's turbo loop — which hands a dirty
 victim to ``self.writer`` where the classic manager (``writer = None``)
 writes the one page, and asks ``self.reader`` at a miss into free frames
 and at a dirty victim.  Only the step without a classic counterpart lives

@@ -10,6 +10,7 @@ why ACE composes with any replacement algorithm.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -45,13 +46,10 @@ class Evictor:
 
         Pages that are (still) dirty — a degraded write-back can leave a
         candidate unclean — are skipped rather than dropped: losing an
-        unflushed update is never an acceptable fallback.
+        unflushed update is never an acceptable fallback.  The clean ones
+        leave in one manager call.
         """
         manager = self.manager
-        dirty = manager._dirty_set
-        dropped = 0
-        for page in pages:
-            if page not in dirty:
-                manager._evict(page)
-                dropped += 1
-        return dropped
+        clean = list(filterfalse(manager._dirty_set.__contains__, pages))
+        manager._evict(clean)
+        return len(clean)

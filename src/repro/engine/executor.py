@@ -25,6 +25,7 @@ background tick, metrics.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -48,6 +49,9 @@ __all__ = ["ExecutionOptions", "RunSession", "replay", "run_trace", "run_transac
 
 #: A transaction's request columns, built in C (no frame per request).
 _page_of, _is_write_of = attrgetter("page"), attrgetter("is_write")
+
+#: Drains an iterator in C (``_consume(map(hook, pages))``, no frame per page).
+_consume = deque(maxlen=0).extend
 
 
 @dataclass(frozen=True)
@@ -95,23 +99,21 @@ def _turbo_ready(manager: BufferPoolManager) -> bool:
 
     Asked of capability, not of class: the miss routine must be the shared
     :meth:`BufferPoolManager._handle_miss` that the loop inlines (a
-    subclass override is not) with no Reader to ask — the loop carries the
-    Writer hook only — on a bare device (the ``_turbo`` tuple exists), with
-    no observer to call per request.  ACE without a Reader qualifies like
-    baseline; a Reader stack takes :func:`_replay_hit_runs`.  A WAL
-    qualifies unless it has a ``flush_hook``: the loop appends the log only
-    where it is observed (see :func:`_log_stretch`), but a crash schedule's
-    hook observes every log page as it fills, so it steps through
-    ``log_update`` on :func:`_replay_hit_runs`.
+    subclass override is not), on a bare device (the ``_turbo`` tuple
+    exists).  Baseline, ACE and ACE with a Reader all qualify: the loop
+    carries both hooks, and an observer hears the stretch at the next miss
+    (see :func:`_replay_turbo`).  A WAL qualifies unless it has a
+    ``flush_hook``: the loop appends the log only where it is observed (see
+    :func:`_log_stretch`), but a crash schedule's hook observes every log
+    page as it fills, so it steps through ``log_update`` on
+    :func:`_replay_hit_runs`.
     """
     wal = manager.wal
     return (
         getattr(manager._handle_miss, "__func__", None)
         is BufferPoolManager._handle_miss
-        and manager.reader is None
         and manager._plain_device is not None
         and (wal is None or wal.flush_hook is None)
-        and manager._observer is None
     )
 
 
@@ -168,10 +170,23 @@ def _replay_turbo(
     write-back (the inlined one then flushes it, as ``_handle_miss`` does)
     and once when the stretch ends, raising or not (:func:`_log_stretch`).
 
+    A Reader is the miss routine's second hook, spelled as there: it hears
+    ``on_miss`` first and, if it prefetches, leaves the inlined code for
+    ``reader.fetch`` twice — a non-empty prefetch set into free frames, and
+    the wide exchange (``manager._exchange_wide``) at a dirty victim.  Its
+    methods and ``evictor.n_e`` are looked up per call, as the manager
+    does.  The observer (the prefetcher's ``observe``) is not called per
+    request: its state is read only at a miss, so the requests since the
+    last miss are replayed into it, in order, just before the next
+    ``on_miss`` and when the stretch ends — the same sequence of hook calls
+    the per-request path makes, with no cost on a hit.
+
     Counter locals that must not count a failed request (device reads,
     write-backs) are bumped exactly where the per-request path bumps
     them, so an exception mid-trace flushes the same totals the
-    per-request replay would have recorded.
+    per-request replay would have recorded.  The read/write request
+    counts come from the ``writes`` column, the failing request included,
+    as ``read_page``/``write_page`` count it before they miss.
     """
     (
         free,
@@ -195,7 +210,7 @@ def _replay_turbo(
         policy_insert,
         note_clean,
         dirty_discard,
-        _reader,  # None: see _turbo_ready
+        reader,
     ) = manager._turbo
     probe_space = manager._probe_space
     on_access = manager._policy_on_access
@@ -205,15 +220,21 @@ def _replay_turbo(
     wal = manager.wal
     stats = manager.stats
     device_stats = manager._plain_device.stats
-    # Requests whose writes the log holds; at a write-back the missing
-    # request itself is counted (hits + misses) but not yet applied.
+    observe = manager._observer
+    hooked = reader is not None or observe is not None
+    prefetching = False
+    if reader is not None:
+        on_miss = reader.prefetcher.on_miss
+        prefetching = manager.config.prefetch_enabled  # else it only trains
+    # Requests the observer has heard, and those whose writes the log
+    # holds; at a miss the missing request itself is counted (hits +
+    # misses) but neither heard nor applied yet.
+    trained = 0
     logged = 0
     raised = True
     hits = 0
     misses = 0
     prefetch_hits = 0
-    read_requests = 0
-    write_requests = 0
     evictions = 0
     clean_evictions = 0
     dirty_evictions = 0
@@ -229,18 +250,38 @@ def _replay_turbo(
                     prefetched_bits[frame_id] = 0
                     prefetch_hits += 1
                 if is_write:
-                    write_requests += 1
                     on_access(page, True)
                 else:
-                    read_requests += 1
                     on_access(page, False)
                     continue
             else:
                 misses += 1
-                if is_write:
-                    write_requests += 1
-                else:
-                    read_requests += 1
+                if hooked:
+                    if observe is not None:  # everything up to this request
+                        stop = hits + misses - 1
+                        _consume(map(observe, pages[trained:stop]))
+                        trained = stop
+                    if reader is not None:
+                        on_miss(page)
+                        if prefetching and free:
+                            chosen = reader.select_prefetch_set(
+                                page, min(manager.evictor.n_e, len(free)) - 1
+                            )
+                            if chosen:
+                                frame_id = reader.fetch(page, chosen)
+                                # The write post-work, repeated at both
+                                # fetches: a shared exit would cost every
+                                # stack's miss one more test.
+                                if is_write:
+                                    if not dirty_bits[frame_id]:
+                                        dirty_bits[frame_id] = 1
+                                        dirty_add(page)
+                                        note_dirty(page)
+                                    current = payloads[frame_id]
+                                    payloads[frame_id] = (
+                                        current if isinstance(current, int) else 0
+                                    ) + 1
+                                continue
                 # Miss: evict (when full), read, install — the manager's
                 # bare-device ``_handle_miss`` branch, step for step.
                 if not free:
@@ -257,6 +298,25 @@ def _replay_turbo(
                                 wal, payloads, frame_of, pages, writes, logged,
                                 hits + misses - 1,
                             )
+                        if prefetching:
+                            # The wide exchange: n_w written, n_e dropped,
+                            # the freed frames but one prefetched.
+                            frame_id = reader.fetch(
+                                page,
+                                reader.select_prefetch_set(
+                                    page, manager._exchange_wide(victim)
+                                ),
+                            )
+                            if is_write:
+                                if not dirty_bits[frame_id]:
+                                    dirty_bits[frame_id] = 1
+                                    dirty_add(page)
+                                    note_dirty(page)
+                                current = payloads[frame_id]
+                                payloads[frame_id] = (
+                                    current if isinstance(current, int) else 0
+                                ) + 1
+                            continue
                         writer.flush(writer.select_writeback_set(victim))
                         if dirty_bits[victim_frame]:
                             victim = manager._degraded_victim(victim)
@@ -318,8 +378,10 @@ def _replay_turbo(
             payloads[frame_id] = (current if isinstance(current, int) else 0) + 1
         raised = False
     finally:
+        # A request that raised was counted but never observed or applied.
+        if observe is not None:
+            _consume(map(observe, pages[trained : hits + misses - raised]))
         if wal is not None:
-            # A request that raised was counted but never applied.
             _log_stretch(
                 wal, payloads, frame_of, pages, writes, logged,
                 hits + misses - raised,
@@ -327,9 +389,10 @@ def _replay_turbo(
         # One flush of the commuting integer counters (identical totals to
         # the per-request replay, including on mid-trace exceptions — see
         # the docstring).
+        write_requests = sum(writes[: hits + misses])
         stats.hits += hits
         stats.misses += misses
-        stats.read_requests += read_requests
+        stats.read_requests += hits + misses - write_requests
         stats.write_requests += write_requests
         stats.prefetch_hits += prefetch_hits
         stats.evictions += evictions
@@ -373,7 +436,9 @@ def _replay_hit_runs(
 
     Only called for managers advertising ``hit_run_ready`` (the
     ``_slots``/``_probe_space``/``_prefetched_bits`` handshake) without a
-    sanitizer attached (its op wrappers must see every request).
+    sanitizer attached (its op wrappers must see every request) that
+    :func:`_turbo_ready` turns away: a wrapped device, a WAL with a
+    ``flush_hook``, a subclass's own ``_handle_miss``.
     """
     slots = manager._slots
     probe_space = manager._probe_space

@@ -20,7 +20,12 @@ class Prefetcher(ABC):
     name = "base"
 
     def observe(self, page: int) -> None:
-        """Record that ``page`` was accessed (hit or miss); trains the model."""
+        """Record that ``page`` was accessed (hit or miss); trains the model.
+
+        Every access's page arrives, in access order, but no later than the
+        next miss's :meth:`on_miss` — a bulk replay defers the calls to
+        there — so an implementation must not read the bufferpool's state.
+        """
 
     def on_miss(self, page: int) -> None:
         """Record that ``page`` missed in the bufferpool."""

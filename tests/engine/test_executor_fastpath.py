@@ -2,9 +2,9 @@
 
 ``replay`` — the bulk entry behind ``run_trace``'s unobserved path, the
 warm-up and each transaction of an unobserved ``run_transactions`` —
-resolves hit runs (and, for a bare Reader-less stack — baseline or ACE —
-whole misses) inside the executor instead of calling ``manager.access``
-per request.  That inlining is pure mechanics — forcing
+resolves hit runs (and, for a bare stack — baseline, ACE or ACE with a
+Reader — whole misses) inside the executor instead of calling
+``manager.access`` per request.  That inlining is pure mechanics — forcing
 the per-request path via the ``hit_run_ready`` handshake must leave every
 observable output byte-identical: RunMetrics, device counters, virtual
 clock, residency order, the policy's virtual order, dirty set, device
@@ -323,6 +323,45 @@ def test_a_raising_replay_leaves_the_same_log(variant, prepare):
         ]
 
 
+@pytest.mark.parametrize("prefetcher_name", ["composite", "recording"])
+@pytest.mark.parametrize(
+    "prepare", [_pinned_writes_then_miss, _out_of_range_trace],
+    ids=["pinned", "out-of-range"],
+)
+@pytest.mark.parametrize("stack", ["bare", "wal"])
+def test_a_raising_replay_trains_the_same_prefetcher(stack, prepare, prefetcher_name):
+    """A Reader stack's turbo loop trains the observer at each miss and in
+    its ``finally``: after a raise the prefetcher holds what per-request
+    ``observe`` calls left — the history rows and TaP table, or the exact
+    hook sequence — and the failing request was heard by ``on_miss`` only."""
+    results = []
+    for force_slow in (False, True):
+        storage = stack_device()
+        prefetcher = (
+            CompositePrefetcher(max_page=NUM_PAGES)
+            if prefetcher_name == "composite" else RecordingPrefetcher()
+        )
+        manager = build_manager(
+            storage, CAPACITY, "lru", "ace+pf", prefetcher=prefetcher,
+            wal=WriteAheadLog(storage.clock) if stack == "wal" else None,
+            sanitize=False,
+        )
+        if force_slow:
+            manager.hit_run_ready = False
+        trace = prepare(manager)
+        with pytest.raises((PoolExhaustedError, IndexError)) as raised:
+            run_trace(manager, trace, options=OPTIONS)
+        results.append((
+            str(raised.value), state(manager), prefetcher_state(prefetcher),
+            getattr(prefetcher, "calls", None),
+        ))
+    assert results[0] == results[1]
+    calls = results[0][3]
+    if calls is not None:
+        failing = CAPACITY + 1 if prepare is _pinned_writes_then_miss else NUM_PAGES + 7
+        assert ("on_miss", failing) in calls and ("observe", failing) not in calls
+
+
 def test_fast_path_error_parity():
     """A mid-trace out-of-range page fails identically on both paths."""
     _error_parity("baseline", _out_of_range_trace, IndexError)
@@ -460,16 +499,17 @@ PATHS = {
     "disarmed fault plan": (
         lambda: build("lru", "ace", stack="faultplan"), {"hit_runs", "handle_miss"},
     ),
-    "observer": (
-        lambda: _observed(build("lru", "ace")), {"hit_runs", "handle_miss"},
-    ),
-    "reader": (lambda: build("lru", "ace+pf"), {"hit_runs", "handle_miss"}),
+    "observer": (lambda: _observed(build("lru", "ace")), {"turbo"}),
+    "reader": (lambda: build("lru", "ace+pf"), {"turbo"}),
     "reader that only trains": (
         lambda: build_manager(
             stack_device(), CAPACITY, "lru", "ace",
             prefetcher=NullPrefetcher(), sanitize=False,
         ),
-        {"hit_runs", "handle_miss"},
+        {"turbo"},
+    ),
+    "reader on a disarmed FaultPlan": (
+        lambda: build("lru", "ace+pf", stack="faultplan"), {"hit_runs", "handle_miss"},
     ),
     "sanitizer": (lambda: build("lru", "ace", sanitize=True), {"handle_miss"}),
     "subclass": (
@@ -483,11 +523,12 @@ PATHS = {
 
 @pytest.mark.parametrize("label", PATHS)
 def test_which_path_replays(label, monkeypatch):
-    """Pin the dispatch: bare Reader-less stacks never leave the turbo loop
-    (no ``_handle_miss`` call at all) — warming up and between commit
-    points too; anything the loop cannot see falls back to the hit-run
-    loop or, sanitised, to ``manager.access`` — and only then: a background
-    writer or a replica group no longer makes a stretch step."""
+    """Pin the dispatch: bare stacks — a Reader or an observer included —
+    never leave the turbo loop (no ``_handle_miss`` call at all) — warming
+    up and between commit points too; a wrapped device, a hooked WAL or an
+    overriding subclass falls back to the hit-run loop and, sanitised, a
+    stack to ``manager.access`` — and only then: a background writer or a
+    replica group no longer makes a stretch step."""
     # The replica group builds its own stacks: like every other row, never
     # sanitised by the environment.
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -579,17 +620,15 @@ SCAN = Trace(
 )
 
 
-@pytest.mark.parametrize("placement", ["cold", "hot"])
-@pytest.mark.parametrize("prefetcher_name", PREFETCHERS)
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
-def test_reader_branches_agree(policy_name, prefetcher_name, placement):
-    """Bare device (inlined branch) vs disarmed ``FaultPlan`` (helpers):
-    the oracle above compares replays inside one branch, this one the
-    branches themselves, where the Reader's hooks are spelled out twice."""
+def _reader_branches(policy_name, prefetcher_name, placement, with_wal):
+    """Bare device vs disarmed ``FaultPlan``, one ACE+PF stack each: the
+    fingerprint both leave behind after MS and then the scan."""
     results = []
     for stack in ("bare", "faultplan"):
+        storage = stack_device(stack)
         manager = ACEBufferPoolManager(
-            CAPACITY, make_policy(policy_name, CAPACITY), stack_device(stack),
+            CAPACITY, make_policy(policy_name, CAPACITY), storage,
+            wal=WriteAheadLog(storage.clock) if with_wal else None,
             config=ACEConfig(
                 n_w=4, n_e=4, prefetch_enabled=True, prefetch_placement=placement
             ),
@@ -609,6 +648,29 @@ def test_reader_branches_agree(policy_name, prefetcher_name, placement):
     if prefetcher_name != "null":
         assert buffer["prefetch_hits"] > 0
         assert device["largest_read_batch"] > 1
+    return results[0][1]
+
+
+@pytest.mark.parametrize("placement", ["cold", "hot"])
+@pytest.mark.parametrize("prefetcher_name", PREFETCHERS)
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_reader_branches_agree(policy_name, prefetcher_name, placement):
+    """Bare device (the turbo loop) vs disarmed ``FaultPlan`` (hit runs +
+    the routine's helpers): the oracle above compares replays inside one
+    branch, this one the branches themselves, where the Reader's hooks are
+    spelled out twice."""
+    _reader_branches(policy_name, prefetcher_name, placement, with_wal=False)
+
+
+@pytest.mark.parametrize("prefetcher_name", PREFETCHERS)
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_reader_branches_agree_with_a_wal(policy_name, prefetcher_name):
+    """The same, both stacks logging: the turbo loop's appends must land
+    where ``log_update`` per write would have — before the wide exchange's
+    write-back flushes the log.  (Placement moves prefetched pages, not
+    the log: the default, cold, stands for both.)"""
+    log = _reader_branches(policy_name, prefetcher_name, "cold", with_wal=True)["wal"]
+    assert log["records"] and log["device"]["writes"] > 0
 
 
 class RecordingPrefetcher(NPLPrefetcher):

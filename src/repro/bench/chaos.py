@@ -38,6 +38,7 @@ from repro.bufferpool.recovery import (
     audit_committed,
     recover,
     simulate_crash,
+    write_ledger,
 )
 from repro.core.ace import ACEBufferPoolManager
 from repro.engine.executor import ExecutionOptions, run_trace
@@ -196,11 +197,9 @@ def run_cell(
     committed: dict[int, int] = {}
     if serving is None:
         boundary = (crash_at // commit_every) * commit_every
-        for page, is_write in zip(
+        committed = write_ledger(
             prefix.pages[:boundary], prefix.writes[:boundary]
-        ):
-            if is_write:
-                committed[page] = committed.get(page, 0) + 1
+        )
 
     if isinstance(manager, ACEBufferPoolManager):
         batch_size = manager.config.n_w
@@ -351,10 +350,7 @@ def run_corruption_cell(
 
     # Every trace write executes (no serving layer), so the final ledger
     # is each page's total write count.
-    ledger: dict[int, int] = {}
-    for page, is_write in zip(trace.pages, trace.writes):
-        if is_write:
-            ledger[page] = ledger.get(page, 0) + 1
+    ledger = write_ledger(trace.pages, trace.writes)
 
     if isinstance(manager, ACEBufferPoolManager):
         batch_size = manager.config.n_w

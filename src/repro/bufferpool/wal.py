@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 from repro.errors import PowerFailure
 from repro.storage.clock import VirtualClock
@@ -88,15 +89,16 @@ def _records_checksum(first_lsn: int, kinds, pages, payloads) -> int:
     ))).encode())
 
 
-@dataclass(frozen=True)
-class WalPageImage:
+class WalPageImage(NamedTuple):
     """What one flushed WAL page physically stores: a group, as columns.
 
     ``checksum`` always covers the *intended* group of ``intended_count``
     records.  A flush torn by power loss stores only a prefix, so
     verification recomputes a different checksum and the page — every
     record of the group — is excluded from redo: the page-level atomicity
-    unit real WALs get from per-page CRCs.
+    unit real WALs get from per-page CRCs.  A named tuple, not a frozen
+    dataclass: one is built per log-page flush, and building a tuple skips
+    the six ``object.__setattr__`` calls of a frozen ``__init__``.
     """
 
     first_lsn: int
@@ -181,6 +183,12 @@ class WriteAheadLog:
         """
         per_page = self.records_per_page
         start, total = 0, len(pages)
+        if self._pending_records + total < per_page:  # no page fills
+            self._kinds += repeat(_UPDATE, total)
+            self._pages += pages
+            self._payloads += payloads
+            self._pending_records += total
+            return len(self._kinds)
         while start < total:
             stop = min(start + per_page - self._pending_records, total)
             self._kinds += repeat(_UPDATE, stop - start)

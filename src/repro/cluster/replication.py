@@ -68,6 +68,7 @@ from repro.bufferpool.recovery import (
     audit_committed,
     recover,
     simulate_crash,
+    write_ledger,
 )
 from repro.bufferpool.stats import BufferStats
 from repro.bufferpool.wal import WriteAheadLog
@@ -641,10 +642,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
     # Ledger = full-subtrace write counts (everything is committed by the
     # final boundary flush); exact mode over the whole page space proves
     # zero lost updates *and* zero phantom redo.
-    ledger: dict[int, int] = {}
-    for page, is_write in zip(pages, writes):
-        if is_write:
-            ledger[page] = ledger.get(page, 0) + 1
+    ledger = write_ledger(pages, writes)
     final_primary = group.primary
     metrics = group.shard_metrics(
         label, ops=total, cpu_time_us=cpu_per_op * executed

@@ -225,8 +225,28 @@ class SimulatedSSD:
     # ---------------------------------------------------------------- writes
 
     def write_page(self, page: int, payload: object | None = None) -> None:
-        """Write a single page; advances the clock by one write latency."""
-        self.write_batch({page: payload})
+        """Write a single page; advances the clock by one write latency.
+
+        ``write_batch({page: payload})`` written out, as :meth:`read_page`
+        is: every log-page flush and every redo write comes through here.
+        """
+        num_pages = self.num_pages
+        if num_pages is not None and not 0 <= page < num_pages:
+            raise IndexError(f"page {page} out of device range [0, {num_pages})")
+        self.clock.ticks += self._single_write_ticks
+        stats = self.stats
+        stats.writes += 1
+        stats.write_batches += 1
+        stats.write_time_us += self._single_write_us
+        histogram = stats.write_batch_size_histogram
+        histogram[1] = histogram.get(1, 0) + 1
+        if stats.largest_write_batch < 1:
+            stats.largest_write_batch = 1
+        self._payloads[page] = payload
+        if self.ftl is not None:
+            self.ftl.write(page)
+        if self._checksums is not None:
+            self._checksums[page] = page_checksum(page, payload)
 
     def write_batch(
         self,
@@ -240,7 +260,8 @@ class SimulatedSSD:
         ``ceil(n/k_w)`` write waves — this is the concurrency ACE exploits.
         """
         payloads = self._payloads
-        if not isinstance(pages, Mapping):
+        # A dict first: the ABC check runs Python code on its first call.
+        if type(pages) is not dict and not isinstance(pages, Mapping):
             page_ids = list(pages)
             if len(set(page_ids)) != len(page_ids):
                 raise ValueError(f"duplicate pages in write batch: {page_ids}")

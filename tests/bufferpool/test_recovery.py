@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.recovery import (
     CrashImage,
+    DurabilityAudit,
     audit_committed,
     recover,
     simulate_crash,
+    write_ledger,
 )
 from repro.bufferpool.wal import WalRecordKind, WriteAheadLog
 from repro.core.ace import ACEBufferPoolManager
@@ -222,3 +224,97 @@ class TestAuditCommitted:
         image = self.make_image({1: "garbage"})
         audit = audit_committed(image, None, {1: 1})
         assert audit.lost == ((1, 1, 0),)
+
+
+def per_page_audit(device, ledger, exact, pages):
+    """The audit as a page-by-page read: the reference its bulk clean
+    check must agree with."""
+
+    def durable(page):
+        payload = device.peek(page)
+        return payload if isinstance(payload, int) else 0
+
+    lost, phantoms = [], []
+    for page, version in ledger.items():
+        if durable(page) < version:
+            lost.append((page, version, durable(page)))
+        elif exact and durable(page) != version:
+            phantoms.append((page, version, durable(page)))
+    if exact and pages is not None:
+        for page in pages:
+            if page not in ledger and durable(page) != 0:
+                phantoms.append((page, 0, durable(page)))
+    return DurabilityAudit(sum(ledger.values()), tuple(lost), tuple(phantoms))
+
+
+#: Stored payloads the audit must read as the loop does: counters, a bool
+#: (an ``int``), a float equal to a counter (version 0), no image, a
+#: corrupted tuple and a string.
+PAYLOADS = (0, 1, 3, 5, True, False, 3.0, 0.0, None, ("bitrot", 3), "3")
+#: Out of order on purpose: ``lost`` follows the ledger, ``phantoms`` the
+#: ledger then ``pages``.
+LEDGER = {4: 2, 0: 3, 2: 1, 6: 0}
+PAGES = {
+    "none": lambda: None,
+    "range": lambda: range(10),
+    "list": lambda: [9, 5, 3, 1, 0, 7, 4, 2, 8, 6, 11],
+    "generator": lambda: (page for page in (7, 1, 5, 3, 11, 4)),
+}
+
+
+class TestAuditMatchesThePerPageLoop:
+    """``audit_committed`` decides a clean device in bulk; whatever it
+    decides must be what the page-by-page loop finds, entry for entry."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("pages", PAGES.values(), ids=list(PAGES))
+    def test_identical_audit(self, exact, pages):
+        device = SimulatedSSD(TEST_PROFILE, num_pages=12)
+        image = CrashImage(device=device, wal=None, lost_dirty_pages=())
+        clean = {**dict.fromkeys(range(10), 0), **LEDGER}
+        outcomes = set()
+        for ledgered in PAYLOADS:
+            for unledgered in PAYLOADS:
+                for page_four in (2, 1, 5):  # exact, behind, ahead
+                    device.restore_payloads(
+                        {**clean, 0: ledgered, 5: unledgered, 4: page_four}
+                    )
+                    expected = per_page_audit(device, LEDGER, exact, pages())
+                    audit = audit_committed(
+                        image, None, LEDGER, exact=exact, pages=pages()
+                    )
+                    assert audit == expected, (ledgered, unledgered, page_four)
+                    outcomes.add(audit.ok)
+        assert outcomes == {True, False}
+
+    def test_the_clean_verdict_reads_no_page_by_page(self, monkeypatch):
+        device = SimulatedSSD(TEST_PROFILE, num_pages=12)
+        device.restore_payloads({**dict.fromkeys(range(12), None), **LEDGER})
+        image = CrashImage(device=device, wal=None, lost_dirty_pages=())
+
+        def refuse(page):
+            raise AssertionError(f"page {page} peeked")
+
+        monkeypatch.setattr(device, "peek", refuse)
+        audit = audit_committed(image, None, LEDGER, exact=True, pages=range(12))
+        assert audit == DurabilityAudit(committed_updates=6)
+
+    def test_a_one_shot_pages_iterable_survives_the_fall_through(self):
+        device = SimulatedSSD(TEST_PROFILE, num_pages=12)
+        device.restore_payloads({**LEDGER, 0: 1, 9: 7})
+        image = CrashImage(device=device, wal=None, lost_dirty_pages=())
+        audit = audit_committed(
+            image, None, LEDGER, exact=True, pages=iter(range(12))
+        )
+        assert audit.lost == ((0, 3, 1),)
+        assert audit.phantoms == ((9, 0, 7),)
+
+
+class TestWriteLedger:
+    def test_counts_each_written_page_in_first_write_order(self):
+        pages = [5, 3, 5, 9, 3, 5, 1]
+        writes = [True, False, True, 1, True, 0, False]
+        ledger = write_ledger(pages, writes)
+        assert ledger == {5: 2, 9: 1, 3: 1}
+        assert list(ledger) == [5, 9, 3]
+        assert type(ledger) is dict

@@ -20,6 +20,8 @@ from repro.bufferpool.wal import (
 from repro.errors import PowerFailure
 from repro.storage.clock import VirtualClock
 
+from tests.bufferpool.conftest import wal_state
+
 #: Straddling ``records_per_page`` (32): none, one, a page less one, a
 #: page, a page and one, two pages and a tail.
 SIZES = (0, 1, 31, 32, 33, 70)
@@ -89,6 +91,40 @@ def test_the_hook_sees_each_log_page_once():
         stepped.log_update(page, payload)
     assert seen_batched == seen_stepped
     assert [len(group) for group in seen_batched] == [32, 32]
+
+
+@pytest.mark.parametrize("per_page", (4, 32))
+@pytest.mark.parametrize("pending", (0, 3))
+@pytest.mark.parametrize("past_the_page", (-1, 0, 1))
+def test_the_page_boundary_with_a_recording_hook(per_page, pending, past_the_page):
+    """``pending + n`` one short of a page (appended without a flush),
+    exactly a page, and one record past it."""
+    n = per_page - pending + past_the_page
+    logs = tuple(
+        WriteAheadLog(VirtualClock(), records_per_page=per_page) for _ in range(2)
+    )
+    calls = ([], [])
+    for wal, seen in zip(logs, calls):
+        for page, payload in zip(*updates(pending, start=100)):
+            wal.log_update(page, payload)
+        wal.flush_hook = seen.append
+    batched, stepped = logs
+    pages, payloads = updates(n)
+
+    batched.append_batch(pages, payloads)
+    for page, payload in zip(pages, payloads):
+        stepped.log_update(page, payload)
+    assert calls[0] == calls[1]
+    assert len(calls[0]) == (past_the_page >= 0)
+    assert physical_state(batched) == physical_state(stepped)
+
+    # What was left buffered fills the next page the same way.
+    pages, payloads = updates(per_page + 2, start=50)
+    batched.append_batch(pages, payloads)
+    for page, payload in zip(pages, payloads):
+        stepped.log_update(page, payload)
+    assert calls[0] == calls[1]
+    assert wal_state(batched) == wal_state(stepped)
 
 
 def tear_second_flush(wal, tear):

@@ -43,6 +43,29 @@ def tear_at(wal, j, times=1):
     wal.flush_hook = hook
 
 
+class TestPageImage:
+    def test_a_flushed_page_reads_back_as_its_fields(self):
+        wal = make_wal()
+        wal.log_update(3, payload=7)
+        wal.checkpoint_record()
+        image = wal.device.peek(0)
+        kinds = (WalRecordKind.UPDATE, WalRecordKind.CHECKPOINT)
+        checksum = _records_checksum(1, kinds, (3, None), (7, None))
+        assert image == WalPageImage(1, kinds, (3, None), (7, None), 2, checksum)
+        assert image._fields == (
+            "first_lsn", "kinds", "pages", "payloads", "intended_count",
+            "checksum",
+        )
+        assert repr(image) == (
+            f"WalPageImage(first_lsn=1, kinds={kinds!r}, pages=(3, None), "
+            f"payloads=(7, None), intended_count=2, checksum={checksum})"
+        )
+        assert image.is_valid
+        assert [(r.lsn, r.page) for r in image.records] == [(1, 3), (2, None)]
+        with pytest.raises(AttributeError):
+            image.checksum = 0
+
+
 class TestTornFlush:
     def test_torn_flush_raises_power_failure(self):
         wal = make_wal()

@@ -1,5 +1,8 @@
 """Tests for the simulated SSD."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +193,73 @@ class TestStats:
         assert list(bulk._payloads.items()) == list(stepped._payloads.items())
         assert list(bulk._payloads) == [40, 3, 5, 9, 1]
         assert set(bulk._payloads.values()) == {0}
+
+
+def device_state(device):
+    """Everything a write can move: counters, payloads (in order), checksum
+    map, clock ticks, and the FTL's counters, wear and page locations."""
+    ftl = device.ftl
+    return {
+        "stats": dataclasses.asdict(device.stats),
+        "payloads": list(device._payloads.items()),
+        "checksums": device._checksums,
+        "ticks": device.clock.ticks,
+        "ftl": None if ftl is None else (
+            dataclasses.asdict(ftl.counters),
+            ftl.erase_counts(),
+            [ftl.physical_location(page) for page in range(device.num_pages)],
+        ),
+    }
+
+
+#: Device shapes ``write_page`` must agree with ``write_batch`` on.
+SHAPES = {
+    "bare": dict(num_pages=64),
+    "with_ftl": dict(num_pages=64, with_ftl=True, pages_per_block=8),
+    "checksums": dict(num_pages=64, checksums=True),
+    "unbounded": dict(num_pages=None),
+}
+
+
+class TestWritePage:
+    """``write_page`` is ``write_batch({page: payload})`` written out."""
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=list(SHAPES))
+    def test_matches_a_one_page_batch(self, shape):
+        # PCIE_SSD: a write latency that is not a whole float number of us.
+        single, batched = (SimulatedSSD(PCIE_SSD, **shape) for _ in range(2))
+        for device in (single, batched):
+            device.format_pages(range(64))
+        rng = random.Random(7)
+        for step in range(600):
+            page = rng.randrange(64)
+            payload = rng.choice((step, None, ("image", step), "s"))
+            single.write_page(page, payload)
+            batched.write_batch({page: payload})
+            if step % 97 == 0:  # a wider batch between, on both
+                for device in (single, batched):
+                    device.write_batch(dict.fromkeys(range(8, 13), step))
+        assert device_state(single) == device_state(batched)
+        assert single.stats.write_batch_size_histogram[1] == 600
+        if single.ftl is not None:
+            assert sum(single.ftl.erase_counts()) > 0  # GC ran
+
+    @pytest.mark.parametrize("page", [64, -1])
+    @pytest.mark.parametrize(
+        "shape", [SHAPES["bare"], SHAPES["with_ftl"]], ids=["bare", "with_ftl"]
+    )
+    def test_out_of_range_raises_the_same_error_and_writes_nothing(
+        self, shape, page
+    ):
+        single, batched = (SimulatedSSD(PCIE_SSD, **shape) for _ in range(2))
+        with pytest.raises(IndexError) as by_page:
+            single.write_page(page, 1)
+        with pytest.raises(IndexError) as by_batch:
+            batched.write_batch({page: 1})
+        assert str(by_page.value) == str(by_batch.value)
+        assert str(by_page.value) == f"page {page} out of device range [0, 64)"
+        assert device_state(single) == device_state(batched)
+        assert single.stats.writes == 0
 
 
 class TestFtlIntegration:

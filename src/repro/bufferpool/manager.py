@@ -26,12 +26,11 @@ pool's parallel flat arrays rather than descriptor objects.  All of these
 containers live for the manager's lifetime, so ``__init__`` binds direct
 aliases once.  Each request performs exactly one translation probe: the
 miss path returns the frame id it installed rather than forcing a second
-lookup.  On a bare :class:`~repro.storage.device.SimulatedSSD` (no fault
-injection, no subclass) the miss path additionally runs fully inlined —
-device accounting included, ACE's batch excepted: that stays one
-``_write_back`` and one ``device.write_batch`` call — with accounting
-identical to the generic retry-capable path, which remains in place for
-faulty devices.
+lookup.  The miss routine is written once, over the retry-capable
+helpers; on a bare :class:`~repro.storage.device.SimulatedSSD` (no fault
+injection, no subclass) the executor's bulk replay runs the same exchange
+fully inlined, with identical accounting, from the ``_turbo`` tuple bound
+here.
 """
 
 from __future__ import annotations
@@ -98,13 +97,6 @@ class BufferPoolManager:
     #: its virtual order incrementally instead of re-deriving it per miss.
     notifies_state_changes = True
 
-    #: Executor handshake: the manager exposes ``_slots``/``_probe_space``/
-    #: ``_prefetched_bits`` and the per-frame state arrays with hit
-    #: semantics identical to ``read_page``/``write_page``, so the bulk
-    #: replay may resolve hits — reads and writes alike — with inline
-    #: translation probes (see :func:`repro.engine.executor.replay`).
-    hit_run_ready = True
-
     #: The batch hook.  ``None`` here: a dirty victim is written back alone.
     #: :class:`~repro.core.ace.ACEBufferPoolManager` sets a
     #: :class:`~repro.core.writer.Writer` (and an ``evictor`` beside it);
@@ -155,10 +147,10 @@ class BufferPoolManager:
         self._payloads = pool._payloads
         #: The device, iff it is a *bare* simulated SSD: no fault injection
         #: layer, no subclass, no checksum metadata.  Such a device cannot
-        #: raise :class:`~repro.errors.IOFaultError`, so the miss path may
-        #: run fully inlined (``_handle_miss``'s turbo branch) with
-        #: accounting identical to the generic path.  A checksum-enabled
-        #: device must go through the generic path: the inlined branch
+        #: raise :class:`~repro.errors.IOFaultError`, so the executor may
+        #: replay the miss routine fully inlined (``_replay_turbo``) with
+        #: accounting identical to ``_handle_miss``.  A checksum-enabled
+        #: device must go through ``_handle_miss``: the inlined loop
         #: writes payloads directly and would leave the checksum metadata
         #: stale (and skip read verification).
         self._plain_device = (
@@ -184,10 +176,10 @@ class BufferPoolManager:
         self._policy_insert = policy.insert
         self._policy_remove = policy.remove
         if self._plain_device is not None:
-            # Everything the inlined miss path touches that is immutable
-            # for the manager's lifetime, packed into one tuple: a single
-            # load + unpack per miss replaces a dozen ``self.<attr>``
-            # lookups.  ``self.stats`` and ``device.stats`` are NOT cached
+            # Everything the executor's inlined loop touches that is
+            # immutable for the manager's lifetime, packed into one tuple:
+            # a single load + unpack per replay replaces a dozen
+            # ``self.<attr>`` lookups.  ``self.stats`` and ``device.stats`` are NOT cached
             # — both are replaced wholesale (warmup reset, ``reset_stats``).
             self._turbo = (
                 pool._free,
@@ -419,179 +411,53 @@ class BufferPoolManager:
         predicted pages along (ll. 9-16), a dirty victim becomes the wide
         exchange (ll. 25-36).  Its methods are looked up per call too.
 
-        On a bare device the whole exchange — victim write-back, eviction,
-        read, install — runs inlined below with accounting identical to
-        the generic helpers (``_write_back``/``_evict``/``_load``), which
-        handle the fault-capable devices; only a non-empty prefetch set
-        and the wide exchange leave for ``reader.fetch``.  The executor's
-        ``_replay_turbo`` inlines this branch, Reader included, step for
-        step; a bulk replay reaches this routine only for a WAL with a
-        ``flush_hook`` or a subclass that overrides it.
+        The exchange runs on the helpers (``_write_back``/``_evict``/
+        ``_load``), which also retry, repair or degrade a faulty device's
+        I/O.  The executor's ``_replay_turbo`` is this routine inlined,
+        Reader included, step for step, for a bare device; every other
+        stack (a wrapped device, a WAL with a ``flush_hook``, a subclass
+        that overrides this routine, a sanitised manager) reaches it
+        through ``read_page``/``write_page``.
         """
-        device = self._plain_device
-        if device is None:
-            # Generic, retry-capable path (FaultyDevice or a subclass).
-            reader = self.reader
-            if reader is not None:
-                reader.prefetcher.on_miss(page)
-                if not self.config.prefetch_enabled:
-                    reader = None  # a Reader that only trains
-            if self.pool.has_free():
-                if reader is not None:
-                    # A batch even when the prefetch set comes back empty:
-                    # a faulty device draws its schedule per call.
-                    limit = min(self.evictor.n_e, self.pool.free_count) - 1
-                    return reader.fetch(page, reader.select_prefetch_set(page, limit))
-            else:
-                victim = self.policy.select_victim()
-                if victim is None:
-                    raise self._pool_exhausted(page)
-                dirty_set = self._dirty_set
-                if victim not in dirty_set:
-                    self.stats.clean_evictions += 1
-                    self._evict([victim])
-                else:
-                    self.stats.dirty_evictions += 1
-                    if reader is not None:
-                        limit = self._exchange_wide(victim)
-                        return reader.fetch(
-                            page, reader.select_prefetch_set(page, limit)
-                        )
-                    writer = self.writer
-                    if writer is None:
-                        # The classic exchange: one write-back for one read.
-                        self._write_back([victim])
-                    else:
-                        writer.flush(writer.select_writeback_set(victim))
-                    if victim in dirty_set:
-                        # The write tore or failed before reaching the
-                        # victim: fall back to the next clean page.
-                        victim = self._degraded_victim(victim)
-                    if writer is None:
-                        self._evict([victim])
-                    else:
-                        self.evictor.evict([victim])
-            return self._load(page)
-
-        (
-            free,
-            slots,
-            frame_of,
-            array_slots,
-            payloads,
-            page_of,
-            dirty_bits,
-            prefetched_bits,
-            device_payloads,
-            read_us,
-            write_us,
-            # Direct clock bumps below: the tick counts ``advance`` would
-            # add for the two per-page costs, converted once per device.
-            read_ticks,
-            write_ticks,
-            num_pages,
-            ftl,
-            clock,
-            select_victim,
-            policy_remove,
-            policy_insert,
-            note_clean,
-            dirty_discard,
-            reader,
-        ) = self._turbo
-        stats = self.stats
-        device_stats = device.stats
+        reader = self.reader
         if reader is not None:
             reader.prefetcher.on_miss(page)
             if not self.config.prefetch_enabled:
                 reader = None  # a Reader that only trains
-        if free:
+        if self.pool.has_free():
             if reader is not None:
-                limit = min(self.evictor.n_e, len(free)) - 1
-                chosen = reader.select_prefetch_set(page, limit)
-                if chosen:
-                    return reader.fetch(page, chosen)
+                # A batch even when the prefetch set comes back empty:
+                # a faulty device draws its schedule per call.
+                limit = min(self.evictor.n_e, self.pool.free_count) - 1
+                return reader.fetch(page, reader.select_prefetch_set(page, limit))
         else:
-            victim = select_victim()
+            victim = self.policy.select_victim()
             if victim is None:
                 raise self._pool_exhausted(page)
-            victim_frame = slots[victim]
-            if not dirty_bits[victim_frame]:
-                stats.clean_evictions += 1
-            elif self.writer is not None:
-                stats.dirty_evictions += 1
+            dirty_set = self._dirty_set
+            if victim not in dirty_set:
+                self.stats.clean_evictions += 1
+                self._evict([victim])
+            else:
+                self.stats.dirty_evictions += 1
                 if reader is not None:
                     limit = self._exchange_wide(victim)
                     return reader.fetch(page, reader.select_prefetch_set(page, limit))
-                self.writer.flush(self.writer.select_writeback_set(victim))
-                if dirty_bits[victim_frame]:
-                    # Not on a bare device as it stands, but ``_write_back``
-                    # is overridable: keep the generic branch's fallback.
+                writer = self.writer
+                if writer is None:
+                    # The classic exchange: one write-back for one read.
+                    self._write_back([victim])
+                else:
+                    writer.flush(writer.select_writeback_set(victim))
+                if victim in dirty_set:
+                    # The write tore or failed before reaching the victim:
+                    # fall back to the next clean page.
                     victim = self._degraded_victim(victim)
-                    victim_frame = slots[victim]
-            else:
-                # The classic exchange, single-page write-back inlined
-                # end to end (identical accounting to ``_write_back`` +
-                # ``SimulatedSSD.write_batch`` with one page).
-                stats.dirty_evictions += 1
-                if self.wal is not None:
-                    # WAL-before-data, as in the generic path.
-                    self.wal.flush()
-                clock.ticks += write_ticks
-                device_stats.writes += 1
-                device_stats.write_batches += 1
-                device_stats.write_time_us += write_us
-                histogram = device_stats.write_batch_size_histogram
-                try:
-                    histogram[1] += 1
-                except KeyError:
-                    histogram[1] = 1
-                if device_stats.largest_write_batch < 1:
-                    device_stats.largest_write_batch = 1
-                device_payloads[victim] = payloads[victim_frame]
-                if ftl is not None:
-                    ftl.write(victim)
-                dirty_bits[victim_frame] = 0
-                dirty_discard(victim)
-                note_clean(victim)
-                stats.writebacks += 1
-                stats.writeback_batches += 1
-            # Eviction (the victim is clean and unpinned by construction).
-            if prefetched_bits[victim_frame]:
-                stats.prefetch_unused += 1
-                prefetched_bits[victim_frame] = 0
-            stats.evictions += 1
-            del frame_of[victim]
-            if array_slots:
-                slots[victim] = -1
-            policy_remove(victim)
-            page_of[victim_frame] = -1
-            payloads[victim_frame] = None
-            free.append(victim_frame)
-        # Read the missed page (identical accounting to
-        # ``SimulatedSSD.read_page``) and install it into a free frame.
-        if num_pages is not None and not 0 <= page < num_pages:
-            raise IndexError(
-                f"page {page} out of device range [0, {num_pages})"
-            )
-        clock.ticks += read_ticks
-        device_stats.reads += 1
-        device_stats.read_batches += 1
-        device_stats.read_time_us += read_us
-        if device_stats.largest_read_batch < 1:
-            device_stats.largest_read_batch = 1
-        try:
-            payload = device_payloads[page]
-        except KeyError:
-            payload = None
-        frame_id = free.pop()
-        page_of[frame_id] = page
-        payloads[frame_id] = payload
-        frame_of[page] = frame_id
-        if array_slots:
-            slots[page] = frame_id
-        policy_insert(page, False)
-        return frame_id
+                if writer is None:
+                    self._evict([victim])
+                else:
+                    self.evictor.evict([victim])
+        return self._load(page)
 
     # ----------------------------------------------------------- internals
 
@@ -600,9 +466,9 @@ class BufferPoolManager:
     ) -> PoolExhaustedError:
         """Build the uniform :class:`PoolExhaustedError` payload.
 
-        Every raise site (the miss routine here, the executor's inlined
-        copy and ACE's prefetching routine) funnels through this helper so
-        shed/requeue logic in the serving layer sees one shape.
+        Both raise sites (the miss routine here and the executor's inlined
+        copy) funnel through this helper so shed/requeue logic in the
+        serving layer sees one shape.
         ``candidates_examined`` defaults to the resident-page count: a
         ``None`` victim means the policy walked every resident candidate
         and found all of them pinned.

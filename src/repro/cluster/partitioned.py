@@ -54,8 +54,8 @@ class PartitionedBufferPoolManager:
     variant = "partitioned"
 
     #: The executor asks every manager; sanitised partitions carry their
-    #: own checker, and the facade (no ``hit_run_ready`` handshake) is
-    #: replayed request by request either way.
+    #: own checker, and the facade (no ``_plain_device``, so never
+    #: turbo-ready) is replayed request by request either way.
     sanitizer = None
 
     def __init__(

@@ -19,8 +19,8 @@ read-only workload behaves *identically* to the baseline — the paper's
 "no penalty" property.
 
 The code has the same shape.  There is no ACE miss routine: every stack
-runs :meth:`BufferPoolManager._handle_miss` — inlined bare-device branch
-and, Reader or not, the executor's turbo loop — which hands a dirty
+runs :meth:`BufferPoolManager._handle_miss` — or, on a bare device, the
+executor's turbo loop that inlines it, Reader or not — which hands a dirty
 victim to ``self.writer`` where the classic manager (``writer = None``)
 writes the one page, and asks ``self.reader`` at a miss into free frames
 and at a dirty victim.  Only the step without a classic counterpart lives
@@ -101,7 +101,7 @@ class ACEBufferPoolManager(BufferPoolManager):
             # manager's request fast path.
             self._observer = self.reader.prefetcher.observe
             if self._plain_device is not None:
-                # The inlined miss branch reads its hooks from the tuple.
+                # The executor's inlined loop reads its hooks from the tuple.
                 self._turbo = (*self._turbo[:-1], self.reader)
         #: (n_w, n_e) to restore when degraded batching ends; ``None`` while
         #: running at full batch sizes.

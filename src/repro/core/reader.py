@@ -7,8 +7,10 @@ Reader asks its prefetcher for up to ``n_e - 1`` predictions and reads them
 is installed at the most-recently-used position; prefetched pages are
 installed at the least-recently-used position so that a wrong prediction is
 simply dropped at the next eviction without ever costing a write.  It is a
-hook of the one miss routine (``BufferPoolManager._handle_miss``), not a
-routine: a miss whose prefetch set comes back empty is the classic read.
+hook of the one miss routine (``BufferPoolManager._handle_miss``, inlined
+on a bare device by the executor's ``_replay_turbo``), not a routine: a
+miss whose prefetch set comes back empty reads the one page, a batch of
+one in the routine and the classic read in the inlined loop.
 """
 
 from __future__ import annotations

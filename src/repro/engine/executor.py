@@ -11,8 +11,9 @@ baseline-vs-ACE comparisons exact rather than noisy.
 
 How a stretch of requests is driven depends on how it is *observed*.  At
 an index — warm-up end, trace end, a transaction's commit and background
-tick: :func:`replay`, the bulk entry over the two inlined loops, then the
-stretch's CPU charge as one tick count.  The clock counts integer ticks
+tick: :func:`replay`, the bulk entry (the inlined loop for a bare stack,
+``manager.access`` per request otherwise), then the stretch's CPU charge
+as one tick count.  The clock counts integer ticks
 (:mod:`repro.storage.clock`), so that is the very clock request-by-request
 charging reaches, and an observer between stretches cannot tell.  At a
 *time* inside the stretch — per-request latencies, ``commit_every_ops``,
@@ -40,7 +41,6 @@ from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
-from repro.errors import PageNotBufferedError
 from repro.storage.clock import to_ticks, to_us
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
@@ -97,22 +97,22 @@ class ExecutionOptions:
 def _turbo_ready(manager: BufferPoolManager) -> bool:
     """Whether :func:`_replay_turbo` may stand in for ``manager.access``.
 
-    Asked of capability, not of class: the miss routine must be the shared
-    :meth:`BufferPoolManager._handle_miss` that the loop inlines (a
-    subclass override is not), on a bare device (the ``_turbo`` tuple
-    exists).  Baseline, ACE and ACE with a Reader all qualify: the loop
-    carries both hooks, and an observer hears the stretch at the next miss
-    (see :func:`_replay_turbo`).  A WAL qualifies unless it has a
-    ``flush_hook``: the loop appends the log only where it is observed (see
-    :func:`_log_stretch`), but a crash schedule's hook observes every log
-    page as it fills, so it steps through ``log_update`` on
-    :func:`_replay_hit_runs`.
+    Asked of capability, not of class: a bare device (``_plain_device``,
+    which the partitioned facade does not have; the ``_turbo`` tuple
+    exists), and the shared :meth:`BufferPoolManager._handle_miss` that the
+    loop inlines (a subclass override is not).  Baseline, ACE and ACE with
+    a Reader all qualify: the loop carries both hooks, and an observer
+    hears the stretch at the next miss (see :func:`_replay_turbo`).  A WAL
+    qualifies unless it has a ``flush_hook``: the loop appends the log only
+    where it is observed (see :func:`_log_stretch`), but a crash schedule's
+    hook observes every log page as it fills, so it steps through
+    ``write_page``'s ``log_update``.
     """
     wal = manager.wal
     return (
-        getattr(manager._handle_miss, "__func__", None)
+        getattr(manager, "_plain_device", None) is not None
+        and getattr(manager._handle_miss, "__func__", None)
         is BufferPoolManager._handle_miss
-        and manager._plain_device is not None
         and (wal is None or wal.flush_hook is None)
     )
 
@@ -153,10 +153,10 @@ def _replay_turbo(
 
     Every step of the request path — probe, hit bookkeeping, victim
     write-back, eviction, device read, install, dirty marking — is
-    straight-line code here (the bare-device branch of ``_handle_miss``,
-    step for step), and the *commuting* integer counters (hits, evictions,
-    device read/write counts, the batch histogram) are accumulated in
-    locals and flushed once.  The clock gets the tick count ``advance``
+    straight-line code here (``_handle_miss`` and its helpers on a bare
+    device, step for step), and the *commuting* integer counters (hits,
+    evictions, device read/write counts, the batch histogram) are
+    accumulated in locals and flushed once.  The clock gets the tick count ``advance``
     would add, per event; the floating-point device time sums stay
     sequential per event too, so the resulting metrics are byte-identical
     to the per-request replay, not merely equal modulo summation order.
@@ -283,7 +283,7 @@ def _replay_turbo(
                                     ) + 1
                                 continue
                 # Miss: evict (when full), read, install — the manager's
-                # bare-device ``_handle_miss`` branch, step for step.
+                # ``_handle_miss`` on a bare device, step for step.
                 if not free:
                     victim = select_victim()
                     if victim is None:
@@ -414,95 +414,6 @@ def _replay_turbo(
                 device_stats.largest_write_batch = 1
 
 
-def _replay_hit_runs(
-    manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool]
-) -> None:
-    """Replay the requests resolving runs of them with inline probes.
-
-    A request whose translation probe resolves (``slots[page] >= 0``) is
-    a buffer hit by definition, and for a hit ``read_page``/``write_page``
-    do a short, fixed sequence of steps: bump counters, clear the
-    prefetched bit (counting a prefetch hit), notify the policy and the
-    observer, and — for writes — mark the frame dirty, bump the payload
-    version, and log to the WAL.  Doing all of that inline — no executor
-    frame, no ``read_page``/``write_page`` frame — and flushing the
-    counters in one add at the end is what the translation vector buys
-    the executor.  A miss falls back to the manager's own
-    ``_handle_miss`` (the retry/fault-capable entry point), so semantics,
-    metrics, and determinism are byte-identical to the request-by-request
-    replay (counter addition commutes; nothing observes the stats mid-run
-    on this path, and the per-request step order within each access is
-    preserved exactly).
-
-    Only called for managers advertising ``hit_run_ready`` (the
-    ``_slots``/``_probe_space``/``_prefetched_bits`` handshake) without a
-    sanitizer attached (its op wrappers must see every request) that
-    :func:`_turbo_ready` turns away: a wrapped device, a WAL with a
-    ``flush_hook``, a subclass's own ``_handle_miss``.
-    """
-    slots = manager._slots
-    probe_space = manager._probe_space
-    prefetched_bits = manager._prefetched_bits
-    dirty_bits = manager._dirty_bits
-    payloads = manager._payloads
-    dirty_add = manager._dirty_set.add
-    note_dirty = manager._note_dirty
-    on_access = manager.policy.on_access
-    handle_miss = manager._handle_miss
-    observer = manager._observer
-    wal = manager.wal
-    wal_log = wal.log_update if wal is not None else None
-    stats = manager.stats
-    hits = 0
-    misses = 0
-    prefetch_hits = 0
-    read_requests = 0
-    write_requests = 0
-    try:
-        for page, is_write in zip(pages, writes):
-            frame_id = slots[page] if 0 <= page < probe_space else -1
-            if is_write:
-                write_requests += 1
-            else:
-                read_requests += 1
-            if frame_id >= 0:
-                hits += 1
-                if prefetched_bits[frame_id]:
-                    prefetched_bits[frame_id] = 0
-                    prefetch_hits += 1
-                on_access(page, is_write)
-            else:
-                misses += 1
-                frame_id = handle_miss(page)
-                if frame_id is None:
-                    raise PageNotBufferedError(
-                        f"miss handling failed to load page {page}"
-                    )
-            if observer is not None:
-                observer(page)
-            if not is_write:
-                continue
-            if not dirty_bits[frame_id]:
-                dirty_bits[frame_id] = 1
-                dirty_add(page)
-                note_dirty(page)
-            current = payloads[frame_id]
-            payload = (current if isinstance(current, int) else 0) + 1
-            payloads[frame_id] = payload
-            if wal_log is not None:
-                wal_log(page, payload)
-    finally:
-        # Flushed even if a request raised (pool exhaustion, device
-        # errors) so the recorded stats match the per-request replay —
-        # the failing request's request/miss counters were bumped before
-        # its miss handler raised, exactly as in ``read_page``.
-        stats.read_requests += read_requests
-        stats.write_requests += write_requests
-        stats.hits += hits
-        stats.misses += misses
-        stats.prefetch_hits += prefetch_hits
-
-
 def replay(
     manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool]
 ) -> None:
@@ -513,17 +424,15 @@ def replay(
     charged to the clock but the device time the requests cost — a CPU
     charge is the caller's to add, once, after the stretch — and the
     state left behind is the per-request replay's to the byte, whichever
-    arm runs: the fully inlined loop for a :func:`_turbo_ready` manager,
-    the hit-run loop for any other ``hit_run_ready`` one, and the
-    reference arm — ``manager.access`` request by request — for sanitised
-    managers (instance-attribute op wrappers that must see every request)
-    and facades without the handshake (the partitioned pool).
+    of the two arms runs: the fully inlined loop for an unsanitised
+    :func:`_turbo_ready` manager, and the reference arm —
+    ``manager.access`` request by request — for everything else: a
+    wrapped device, a WAL with a ``flush_hook``, a subclass's own
+    ``_handle_miss``, a sanitised manager (instance-attribute op wrappers
+    that must see every request) and the partitioned facade.
     """
-    if manager.sanitizer is None and getattr(manager, "hit_run_ready", False):
-        if _turbo_ready(manager):
-            _replay_turbo(manager, pages, writes)
-        else:
-            _replay_hit_runs(manager, pages, writes)
+    if manager.sanitizer is None and _turbo_ready(manager):
+        _replay_turbo(manager, pages, writes)
     else:
         access = manager.access
         for page, is_write in zip(pages, writes):

@@ -19,8 +19,8 @@ contract the loops rely on:
 
 * **A duration** enters through :meth:`VirtualClock.advance` (microseconds,
   one ``round`` to ticks) or is converted once with :func:`to_ticks` and
-  added to :attr:`VirtualClock.ticks` directly (the inlined miss paths, the
-  executor's per-stretch CPU charge).  Both spell the same number.
+  added to :attr:`VirtualClock.ticks` directly (the inlined miss path, the
+  device's single-page write, the executor's per-stretch CPU charge).  Both spell the same number.
 * **An interval timer** subtracts tick counts — ``mark = clock.ticks`` …
   ``to_us(clock.ticks - mark)`` — so a measured duration is the sum of the
   advances inside it whenever it started.  ``now_us`` differences are not:

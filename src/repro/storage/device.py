@@ -42,8 +42,8 @@ def page_checksum(page: int, payload: object | None) -> int:
     return zlib.crc32(repr((page, payload)).encode())
 
 
-# ``slots=True``: the buffer manager's inlined miss path bumps these
-# counters on every device-bound request.
+# ``slots=True``: the executor's inlined miss path bumps these counters on
+# every device-bound request.
 @dataclass(slots=True)
 class DeviceStats:
     """Logical I/O counters for one simulated device."""
@@ -137,7 +137,7 @@ class SimulatedSSD:
         matches its checksum raise :class:`~repro.errors.CorruptPageError`.
         Off by default: a disabled device carries no per-I/O overhead
         beyond a single ``is None`` test on the generic paths, and the
-        manager's inlined miss path bypasses it entirely.
+        executor's inlined miss path bypasses it entirely.
     """
 
     def __init__(
@@ -159,8 +159,9 @@ class SimulatedSSD:
         # write-back — are computed once.
         self._single_read_us = self.model.read_batch_us(1)
         self._single_write_us = self.model.write_batch_us(1)
-        # The same two as tick counts, for the inlined miss paths that add
-        # them to ``clock.ticks`` without the call (what ``advance`` adds).
+        # The same two as tick counts, for the inlined miss path and
+        # ``write_page``, which add them to ``clock.ticks`` without the
+        # call (what ``advance`` adds).
         self._single_read_ticks = to_ticks(self._single_read_us)
         self._single_write_ticks = to_ticks(self._single_write_us)
         self.stats = DeviceStats()

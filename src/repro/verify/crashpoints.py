@@ -159,9 +159,10 @@ class CrashHookDevice:
     the schedule whether the power fails at this boundary.  A tear lands a
     proper prefix through the base device (charging its normal batch cost —
     the device was mid-flight when the lights went out) and raises
-    :class:`PowerFailure`.  Not being a bare ``SimulatedSSD`` also routes
-    the manager off its inlined miss path onto the generic, instrumentable
-    one — exactly what a verification harness wants.
+    :class:`PowerFailure`.  Not being a bare ``SimulatedSSD`` also keeps
+    the stack off the executor's inlined loop: every request goes through
+    ``manager.access`` and the miss routine's helpers, each an
+    instrumentable call — exactly what a verification harness wants.
     """
 
     def __init__(self, base: SimulatedSSD, schedule: CrashSchedule) -> None:

@@ -125,11 +125,15 @@ def test_backends_agree(monkeypatch, policy_name, variant):
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 @pytest.mark.parametrize("variant", ["baseline", "ace"])
 def test_backends_agree_sanitized(monkeypatch, policy_name, variant):
-    """Same battery under the invariant sanitizer (per-request path)."""
+    """Same battery under the invariant sanitizer (per-request path), on a
+    trace just long enough that every cell turns the pool over and writes
+    a dirty victim back."""
     dict_run, array_run = run_both(
-        monkeypatch, policy_name, variant, sanitize=True, ops=700
+        monkeypatch, policy_name, variant, sanitize=True, ops=250
     )
     assert dict_run == array_run
+    assert dict_run["buffer"]["misses"] > CAPACITY
+    assert dict_run["buffer"]["dirty_evictions"] > 0
 
 
 @pytest.mark.parametrize("policy_name", PAPER_POLICIES)

@@ -1,30 +1,33 @@
 """Executor fast-path equivalence: inlined replay vs per-request replay.
 
 ``replay`` — the bulk entry behind ``run_trace``'s unobserved path, the
-warm-up and each transaction of an unobserved ``run_transactions`` —
-resolves hit runs (and, for a bare stack — baseline, ACE or ACE with a
-Reader — whole misses) inside the executor instead of calling
-``manager.access`` per request.  That inlining is pure mechanics — forcing
-the per-request path via the ``hit_run_ready`` handshake must leave every
-observable output byte-identical: RunMetrics, device counters, virtual
-clock, residency order, the policy's virtual order, dirty set, device
-payloads, FTL counters, and the log (records through the public API, each
-log page's image with its checksum, the log device's counters — the
-inlined loop appends it only where it is observed, so this is where a
-misplaced append shows).  The two *branches* of the miss
-routine (inlined on a bare device, helpers behind a disarmed fault plan)
-must agree the same way for the Reader stacks, prefetcher state included,
-and the prefetcher must hear the same hook sequence on every replay.  A
-Hypothesis test then holds the manager itself (LRU; baseline, ACE and
-ACE+PF with a silent prefetcher) to a reference pool that shares no code
-with it, and the prefetchers' kernels are held to their first definitions.
+warm-up and each transaction of an unobserved ``run_transactions`` — runs
+a bare stack (baseline, ACE or ACE with a Reader) inside the executor's
+inlined loop instead of calling ``manager.access`` per request; every
+other stack takes ``manager.access``.  That inlining is pure mechanics —
+forcing the per-request path (patching ``executor._turbo_ready``) must
+leave every observable output byte-identical: RunMetrics, device
+counters, virtual clock, residency order, the policy's virtual order,
+dirty set, device payloads, FTL counters, and the log (records through
+the public API, each log page's image with its checksum, the log device's
+counters — the inlined loop appends it only where it is observed, so this
+is where a misplaced append shows).  The inlined loop and the miss
+routine (a bare device vs a disarmed fault plan) must agree the same way
+for the Reader stacks, prefetcher state included, and the prefetcher
+must hear the same hook sequence on every replay.  A Hypothesis test then
+holds the miss routine itself (LRU; baseline, ACE and ACE+PF with a
+silent prefetcher, ``manager.access`` on a bare device) to a reference
+pool that shares no code with it, and the prefetchers' kernels are held
+to their first definitions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -63,13 +66,21 @@ CAPACITY = 32
 OPTIONS = ExecutionOptions(cpu_us_per_op=3.0)
 
 #: What surrounds the manager: nothing (the turbo loop's case), a WAL, an
-#: FTL-backed device, a disarmed ``FaultPlan`` (the generic miss branch).
+#: FTL-backed device, a disarmed ``FaultPlan`` (never turbo-ready).
 STACKS = ("bare", "wal", "ftl", "faultplan")
 
 
 def stack_device(stack="bare"):
     device = make_device(NUM_PAGES, with_ftl=(stack == "ftl"))
     return FaultyDevice(device, FaultPlan()) if stack == "faultplan" else device
+
+
+def per_request(force_slow):
+    """While active (if ``force_slow``), ``replay`` takes its reference arm:
+    ``manager.access`` request by request, whatever the stack."""
+    if not force_slow:
+        return contextlib.nullcontext()
+    return mock.patch.object(executor, "_turbo_ready", lambda manager: False)
 
 
 def build(policy_name="lru", variant="baseline", *, stack="bare", sanitize=False):
@@ -107,13 +118,10 @@ def fingerprint(manager, metrics):
 
 def run_one(policy_name, variant, *, stack, force_slow, ops=1500, seed=11):
     manager = build(policy_name, variant, stack=stack)
-    assert type(manager).hit_run_ready is True
-    if force_slow:
-        # Instance override defeats the handshake: run_trace falls back
-        # to the per-request ``manager.access`` loop.
-        manager.hit_run_ready = False
+    assert executor._turbo_ready(manager) is (stack != "faultplan")
     trace = generate_trace(MS, NUM_PAGES, ops, seed=seed)
-    metrics = run_trace(manager, trace, options=OPTIONS)
+    with per_request(force_slow):
+        metrics = run_trace(manager, trace, options=OPTIONS)
     return fingerprint(manager, metrics)
 
 
@@ -174,8 +182,6 @@ def run_transactions_one(policy_name, variant, *, stack, force_slow, stepped=Fal
     """
     background = stack == "background"
     manager = build(policy_name, variant, stack="wal" if background else stack)
-    if force_slow:
-        manager.hit_run_ready = False
     access, calls = manager.access, []
 
     def counted(page, is_write):
@@ -184,7 +190,8 @@ def run_transactions_one(policy_name, variant, *, stack, force_slow, stepped=Fal
 
     manager.access = counted
     if not background:
-        metrics = run_transactions(manager, TRANSACTIONS, options=OPTIONS)
+        with per_request(force_slow):
+            metrics = run_transactions(manager, TRANSACTIONS, options=OPTIONS)
         return fingerprint(manager, metrics), len(calls)
     n_w = manager.writer.n_w if manager.writer is not None else 1
     bg_writer = BackgroundWriter(manager, pages_per_round=8, batch_size=n_w)
@@ -192,7 +199,8 @@ def run_transactions_one(policy_name, variant, *, stack, force_slow, stepped=Fal
         manager, interval_us=BACKGROUND_OPTIONS.checkpoint_interval_us, batch_size=n_w
     )
     run = _stepped_transactions if stepped else run_transactions
-    metrics = run(manager, TRANSACTIONS, BACKGROUND_OPTIONS, bg_writer, checkpointer)
+    with per_request(force_slow):
+        metrics = run(manager, TRANSACTIONS, BACKGROUND_OPTIONS, bg_writer, checkpointer)
     assert bg_writer.rounds > 0 and checkpointer.checkpoints_taken > 0
     fired = {
         "rounds": bg_writer.rounds,
@@ -210,7 +218,8 @@ def test_transactions_replay_matches_per_request(policy_name, variant, stack):
     """``run_transactions``, background processes or not: one ``replay``
     per transaction, one CPU charge, the commit flush, the tick — against
     ``access`` per request and, with the processes attached, against the
-    request-by-request charging the float clock once made necessary."""
+    request-by-request charging the float clock once made necessary.  A
+    disarmed fault plan is never turbo-ready: both sides step."""
     fast, fast_calls = run_transactions_one(
         policy_name, variant, stack=stack, force_slow=False
     )
@@ -218,7 +227,8 @@ def test_transactions_replay_matches_per_request(policy_name, variant, stack):
         policy_name, variant, stack=stack, force_slow=True
     )
     assert fast == slow
-    assert (fast_calls, slow_calls) == (0, fast["ops"])
+    fast_steps = fast["ops"] if stack == "faultplan" else 0
+    assert (fast_calls, slow_calls) == (fast_steps, fast["ops"])
     assert fast["transactions"] == len(TRANSACTIONS)
     assert fast["buffer"]["misses"] > CAPACITY
     if stack in ("wal", "background"):
@@ -239,8 +249,8 @@ def test_turbo_baseline_matches_per_request(policy_name):
 
 
 def test_hit_run_path_with_wal_matches_per_request():
-    """A WAL stack — hit-run path once, inlined loop since WALs without a
-    ``flush_hook`` are turbo-ready — agrees with the per-request path."""
+    """A WAL stack — turbo-ready since WALs without a ``flush_hook`` are —
+    agrees with the per-request path."""
     fast = run_one("lru", "baseline", stack="wal", force_slow=False, ops=2500)
     slow = run_one("lru", "baseline", stack="wal", force_slow=True, ops=2500)
     assert fast == slow
@@ -264,10 +274,9 @@ def _error_parity(variant, prepare, error):
     results = []
     for force_slow in (False, True):
         manager = build("lru", variant)
-        if force_slow:
-            manager.hit_run_ready = False
-        with pytest.raises(error) as raised:
-            run_trace(manager, prepare(manager), options=OPTIONS)
+        trace = prepare(manager)
+        with per_request(force_slow), pytest.raises(error) as raised:
+            run_trace(manager, trace, options=OPTIONS)
         results.append((str(raised.value), state(manager)))
     assert results[0] == results[1]
 
@@ -309,10 +318,10 @@ def test_a_raising_replay_leaves_the_same_log(variant, prepare):
     results = []
     for force_slow in (False, True):
         manager = build("lru", variant, stack="wal")
-        if force_slow:
-            manager.hit_run_ready = False
         trace = prepare(manager)
-        with pytest.raises((PoolExhaustedError, IndexError)) as raised:
+        with per_request(force_slow), pytest.raises(
+            (PoolExhaustedError, IndexError)
+        ) as raised:
             run_trace(manager, trace, options=OPTIONS)
         results.append((str(raised.value), manager.wal.durable_lsn, state(manager)))
     assert results[0] == results[1]
@@ -346,10 +355,10 @@ def test_a_raising_replay_trains_the_same_prefetcher(stack, prepare, prefetcher_
             wal=WriteAheadLog(storage.clock) if stack == "wal" else None,
             sanitize=False,
         )
-        if force_slow:
-            manager.hit_run_ready = False
         trace = prepare(manager)
-        with pytest.raises((PoolExhaustedError, IndexError)) as raised:
+        with per_request(force_slow), pytest.raises(
+            (PoolExhaustedError, IndexError)
+        ) as raised:
             run_trace(manager, trace, options=OPTIONS)
         results.append((
             str(raised.value), state(manager), prefetcher_state(prefetcher),
@@ -390,9 +399,7 @@ def test_transactions_error_parity(variant):
     results = []
     for force_slow in (False, True):
         manager = build("lru", variant, stack="wal")
-        if force_slow:
-            manager.hit_run_ready = False
-        with pytest.raises(IndexError) as raised:
+        with per_request(force_slow), pytest.raises(IndexError) as raised:
             run_transactions(manager, transactions, options=OPTIONS)
         results.append((str(raised.value), state(manager)))
     assert results[0] == results[1]
@@ -409,10 +416,9 @@ def _adaptive_runs(with_wal):
             wal=WriteAheadLog(device.clock) if with_wal else None,
             explore_pages=32, exploit_pages=256,
         )
-        if force_slow:
-            manager.hit_run_ready = False
         trace = generate_trace(MS, NUM_PAGES, 4000, seed=7)
-        metrics = run_trace(manager, trace, options=OPTIONS)
+        with per_request(force_slow):
+            metrics = run_trace(manager, trace, options=OPTIONS)
         results.append((
             manager.measured_costs(), manager.current_n_w, manager.reprobes,
             fingerprint(manager, metrics),
@@ -452,13 +458,16 @@ def _hooked(manager):
 
 
 #: label -> (manager factory, functions a replay must enter, out of
-#: ``turbo`` / ``hit_runs`` / ``handle_miss``[, how the manager is driven]).
+#: ``turbo`` / ``access`` / ``handle_miss``[, how the manager is driven]).
 #: One shard, primary + one replica, no faults: commit-to-commit segments.
 _REPLICATED = ClusterConfig(
     profile=PCIE_SSD, policy="lru", variant="ace", num_pages=NUM_PAGES,
     num_shards=1, replication_factor=1,
     options=ExecutionOptions(cpu_us_per_op=3.0, commit_every_ops=32),
 )
+
+#: The reference arm: ``manager.access`` per request, misses in the routine.
+STEPPED = {"access", "handle_miss"}
 
 PATHS = {
     "bare baseline": (lambda: build("lru", "baseline"), {"turbo"}),
@@ -494,10 +503,10 @@ PATHS = {
     "bare ace": (lambda: build("clock", "ace"), {"turbo"}),
     "wal": (lambda: build("lru", "ace", stack="wal"), {"turbo"}),
     "wal with a flush_hook": (
-        lambda: _hooked(build("lru", "ace", stack="wal")), {"hit_runs", "handle_miss"},
+        lambda: _hooked(build("lru", "ace", stack="wal")), STEPPED,
     ),
     "disarmed fault plan": (
-        lambda: build("lru", "ace", stack="faultplan"), {"hit_runs", "handle_miss"},
+        lambda: build("lru", "ace", stack="faultplan"), STEPPED,
     ),
     "observer": (lambda: _observed(build("lru", "ace")), {"turbo"}),
     "reader": (lambda: build("lru", "ace+pf"), {"turbo"}),
@@ -509,14 +518,14 @@ PATHS = {
         {"turbo"},
     ),
     "reader on a disarmed FaultPlan": (
-        lambda: build("lru", "ace+pf", stack="faultplan"), {"hit_runs", "handle_miss"},
+        lambda: build("lru", "ace+pf", stack="faultplan"), STEPPED,
     ),
-    "sanitizer": (lambda: build("lru", "ace", sanitize=True), {"handle_miss"}),
+    "sanitizer": (lambda: build("lru", "ace", sanitize=True), STEPPED),
     "subclass": (
         lambda: _OverridingManager(
             CAPACITY, make_policy("lru", CAPACITY), stack_device(), sanitize=False
         ),
-        {"hit_runs", "handle_miss"},
+        STEPPED,
     ),
 }
 
@@ -525,10 +534,10 @@ PATHS = {
 def test_which_path_replays(label, monkeypatch):
     """Pin the dispatch: bare stacks — a Reader or an observer included —
     never leave the turbo loop (no ``_handle_miss`` call at all) — warming
-    up and between commit points too; a wrapped device, a hooked WAL or an
-    overriding subclass falls back to the hit-run loop and, sanitised, a
-    stack to ``manager.access`` — and only then: a background writer or a
-    replica group no longer makes a stretch step."""
+    up and between commit points too; a wrapped device, a hooked WAL, an
+    overriding subclass or a sanitised stack falls back to ``manager.access``
+    — and only then: a background writer or a replica group no longer makes
+    a stretch step."""
     # The replica group builds its own stacks: like every other row, never
     # sanitised by the environment.
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -545,11 +554,9 @@ def test_which_path_replays(label, monkeypatch):
         BufferPoolManager, "_handle_miss",
         recording("handle_miss", BufferPoolManager._handle_miss),
     )
-    for name in ("turbo", "hit_runs"):
-        monkeypatch.setattr(
-            executor, f"_replay_{name}",
-            recording(name, getattr(executor, f"_replay_{name}")),
-        )
+    monkeypatch.setattr(
+        executor, "_replay_turbo", recording("turbo", executor._replay_turbo)
+    )
     monkeypatch.setattr(
         BufferPoolManager, "access", recording("access", BufferPoolManager.access)
     )
@@ -559,8 +566,7 @@ def test_which_path_replays(label, monkeypatch):
         drive[0](factory(), trace)
     else:
         run_trace(factory(), trace, options=OPTIONS)
-    assert ("access" in entered) == (label == "sanitizer")
-    assert entered - {"access"} == expected
+    assert entered == expected
 
 
 def test_reader_stack_leaves_the_inlined_branch_only_to_prefetch():
@@ -588,7 +594,7 @@ def test_reader_stack_leaves_the_inlined_branch_only_to_prefetch():
     assert manager.device.stats.read_batches == manager.stats.misses
 
 
-# ------------------------------------------- the two branches, Reader stacks
+# ------------------------------------------ the two spellings, Reader stacks
 
 PREFETCHERS = {
     "composite": lambda: CompositePrefetcher(max_page=NUM_PAGES),
@@ -655,10 +661,9 @@ def _reader_branches(policy_name, prefetcher_name, placement, with_wal):
 @pytest.mark.parametrize("prefetcher_name", PREFETCHERS)
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_reader_branches_agree(policy_name, prefetcher_name, placement):
-    """Bare device (the turbo loop) vs disarmed ``FaultPlan`` (hit runs +
-    the routine's helpers): the oracle above compares replays inside one
-    branch, this one the branches themselves, where the Reader's hooks are
-    spelled out twice."""
+    """Bare device (the turbo loop) vs disarmed ``FaultPlan`` (``access``
+    per request, the miss routine's helpers): the Reader's hooks spelled
+    out twice, prefetcher state and placement included."""
     _reader_branches(policy_name, prefetcher_name, placement, with_wal=False)
 
 
@@ -701,9 +706,8 @@ def test_prefetcher_hears_the_same_hooks_on_every_replay(stack):
             stack_device(stack), CAPACITY, "lru", "ace+pf",
             prefetcher=prefetcher, sanitize=False,
         )
-        if force_slow:
-            manager.hit_run_ready = False
-        run_trace(manager, trace, options=OPTIONS)
+        with per_request(force_slow):
+            run_trace(manager, trace, options=OPTIONS)
         heard.append(prefetcher.calls)
         on_misses = sum(hook == "on_miss" for hook, _ in prefetcher.calls)
         assert on_misses == manager.stats.misses

@@ -3,22 +3,23 @@
 A request used to be spelled out in ten loops; every copy is a place the
 next observer (a tracer, a fault boundary, a new background process) has to
 be threaded through by hand, and one of them had already dropped an
-argument.  Five are left — the two inlined replays behind ``replay`` and
-the three below that step — since the clock counts integer ticks: a
-stretch observed at an *index* (transaction end, commit boundary, the next
+argument.  Four are left — the inlined replay behind ``replay`` and the
+three below that step — since the clock counts integer ticks: a stretch
+observed at an *index* (transaction end, commit boundary, the next
 ``crash_at_access``) is one ``replay`` plus one tick charge, so
 ``run_transactions`` and the replicated shard no longer reach ``.access``.
 The set is pinned: the functions that reach ``manager.access``
 — called or bound — and the functions that construct a ``RunMetrics`` are
 exactly the ones below, each for the reason beside it.  A new per-request
 loop, or a second place that assembles a run's metrics, has to be argued for
-here.  Replicas are pinned from both sides: the replication module writes
-them through the shipment apply alone, and no other module writes them at
-all.  The log is pinned too: it is columns, a ``WalRecord`` is built only
-for the accessors that hand records out, and only the reference arm and
-the hit-run loop append a record per write (the turbo loop appends where
-the log is observed).  Like ``test_env_census`` this is an AST walk over
-the whole package, not a list of files to look in.
+here.  The miss exchange is inlined once: only ``_replay_turbo`` reads the
+manager's ``_turbo`` tuple.  Replicas are pinned from both sides: the
+replication module writes them through the shipment apply alone, and no
+other module writes them at all.  The log is pinned too: it is columns, a
+``WalRecord`` is built only for the accessors that hand records out, and
+only the reference arm appends a record per write (the turbo loop appends
+where the log is observed).  Like ``test_env_census`` this is an AST walk
+over the whole package, not a list of files to look in.
 """
 
 from __future__ import annotations
@@ -76,9 +77,24 @@ LOG_UPDATE_SITES = {
     "repro.bufferpool.manager.BufferPoolManager.write_page": (
         "the reference arm: one request, one record"
     ),
-    "repro.engine.executor._replay_hit_runs": (
-        "a WAL the turbo loop refuses (a flush_hook sees every log page "
-        "fill) is logged write by write"
+}
+
+#: function -> why it reads the manager's ``_turbo`` tuple: everything the
+#: inlined exchange touches, bound once.  A second reader is a second
+#: inlined copy of the miss routine.
+TURBO_READS = {
+    "repro.engine.executor._replay_turbo": (
+        "the one inlined copy of _handle_miss, unpacked once per stretch"
+    ),
+}
+
+#: function -> why it binds the tuple (and may read what it rebinds).
+TURBO_WRITES = {
+    "repro.bufferpool.manager.BufferPoolManager.__init__": (
+        "binds it for a bare device"
+    ),
+    "repro.core.ace.ACEBufferPoolManager.__init__": (
+        "rebinds its last slot, the Reader hook"
     ),
 }
 
@@ -114,6 +130,18 @@ def census() -> tuple[Counter, Counter, Counter]:
 def test_the_request_is_driven_from_exactly_these_places():
     access, _, _ = census()
     assert access == Counter(dict.fromkeys(ACCESS_SITES, 1))
+
+
+def test_the_miss_exchange_is_inlined_exactly_once():
+    reads, writes = Counter(), Counter()
+    for module, tree in trees(SRC).items():
+        for name, scope in scopes(tree, module):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Attribute) and node.attr == "_turbo":
+                    stored = isinstance(node.ctx, ast.Store)
+                    (writes if stored else reads)[name] += 1
+    assert writes.keys() == TURBO_WRITES.keys()
+    assert reads.keys() - TURBO_WRITES.keys() == TURBO_READS.keys()
 
 
 def test_a_run_is_assembled_in_exactly_these_places():

@@ -107,9 +107,6 @@ TRANSLATION_READS = {
     "repro.bufferpool.recovery.simulate_crash": (
         2, "a crash clears those aliases, or a dead manager keeps serving hits",
     ),
-    "repro.engine.executor._replay_hit_runs": (
-        1, "the inlined loop's translation probe",
-    ),
     "repro.core.reader.Reader.select_prefetch_set": (
         1, "skips prefetch candidates that are already resident",
     ),
@@ -371,15 +368,12 @@ def test_no_module_scope_import_cycle():
 
 # -- the inlined loops' counters -------------------------------------------
 
-#: The two inlined replay loops batch commuting counters in locals and add
+#: The inlined replay loop batches commuting counters in locals and adds
 #: them to ``stats`` / ``device_stats`` once, in the ``finally``: a request
 #: that raises mid-stretch leaves the totals the per-request path would
 #: have.  ``tests/engine/test_executor_fastpath.py``'s ``*_error_parity``
 #: tests check those totals.
-BATCHED_LOOPS = (
-    "repro.engine.executor._replay_turbo",
-    "repro.engine.executor._replay_hit_runs",
-)
+BATCHED_LOOPS = ("repro.engine.executor._replay_turbo",)
 
 
 @pytest.mark.parametrize("qualified", BATCHED_LOOPS)

@@ -9,7 +9,8 @@ The paper modifies both so that under ACE "they always perform ``n_w``
 writes concurrently".  Both classes therefore take a ``batch_size``: 1
 reproduces the stock one-I/O-at-a-time behaviour, ``n_w`` the ACE-augmented
 one.  The execution engine invokes :meth:`BackgroundWriter.run_round` /
-:meth:`Checkpointer.maybe_checkpoint` on a virtual-time schedule.
+:meth:`Checkpointer.maybe_checkpoint` on a virtual-time schedule, and asks
+each timer's ``due_ticks`` where the next stretch of requests must stop.
 
 A third maintenance process rides the same schedule: :class:`IdleScrubber`
 binds a :class:`~repro.bufferpool.repair.Scrubber` to a manager so latent
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.repair import Scrubber
+from repro.storage.clock import first_tick
 
 __all__ = ["BackgroundWriter", "Checkpointer", "IdleScrubber"]
 
@@ -96,6 +98,11 @@ class IdleScrubber:
     def stats(self):
         return self.scrubber.stats
 
+    def due_ticks(self) -> int:
+        """The first tick at which :meth:`maybe_scrub` scrubs."""
+        last, interval = self._last_round_us, self.interval_us
+        return first_tick(lambda now_us: now_us - last >= interval, last + interval)
+
     def maybe_scrub(self) -> bool:
         """Run one scrub round if the interval elapsed."""
         now = self.manager.device.clock.now_us
@@ -128,6 +135,11 @@ class Checkpointer:
         #: Checkpoints whose record was withheld because degraded
         #: write-backs left dirty pages behind (see :meth:`checkpoint`).
         self.checkpoints_skipped = 0
+
+    def due_ticks(self) -> int:
+        """The first tick at which :meth:`maybe_checkpoint` checkpoints."""
+        last, interval = self._last_checkpoint_us, self.interval_us
+        return first_tick(lambda now_us: now_us - last >= interval, last + interval)
 
     def maybe_checkpoint(self) -> bool:
         """Run a checkpoint if the interval elapsed; returns whether it did."""

@@ -159,6 +159,11 @@ class WriteAheadLog:
         """Log sequence number: total records appended so far."""
         return len(self._kinds)
 
+    @property
+    def room(self) -> int:
+        """How many more records fill the buffer (the last writes a page)."""
+        return self.records_per_page - self._pending_records
+
     def log_update(self, page: int, payload: object | None = None) -> int:
         """Append an update record for ``page``; returns the record's LSN.
 

@@ -84,7 +84,7 @@ from repro.engine.executor import replay
 from repro.engine.metrics import RunMetrics
 from repro.errors import NodeFailure
 from repro.faults.nodes import NodeFault
-from repro.storage.clock import VirtualClock, to_ticks, to_us
+from repro.storage.clock import VirtualClock, tick_at, to_ticks, to_us
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FtlCounters
 
@@ -342,24 +342,27 @@ class _ReplicaGroup:
 
     # ---------------------------------------------------------- fault plan
 
-    def _fault_due(self, node: _GroupNode, progress: int, time_us: float,
-                   horizon: int) -> tuple[NodeFault | None, int]:
+    def _fault_due(
+        self, node: _GroupNode, progress: int, time_us: float, horizon: int
+    ) -> tuple[NodeFault | None, int, int | None]:
         """``node``'s first pending fault due at ``progress``/``time_us``,
-        else ``None`` and the index (at most ``horizon``) before which
-        none can fire: its next ``crash_at_access``, or the very next
-        access while a timed fault is pending (ask the clock again)."""
+        else ``None``, the index (at most ``horizon``) before which none
+        can fire — its next ``crash_at_access`` — and the tick from which
+        a pending timed fault fires (``None``: none is pending)."""
+        deadline = None
         for fault in self.pending:
             if fault.node != node.node_id:
                 continue
             if fault.crash_at_access is not None:
                 if progress >= fault.crash_at_access:
-                    return fault, progress
+                    return fault, progress, None
                 horizon = min(horizon, fault.crash_at_access)
             elif time_us >= fault.crash_at_us:
-                return fault, progress
+                return fault, progress, None
             else:
-                horizon = min(horizon, progress + 1)
-        return None, horizon
+                due = tick_at(fault.crash_at_us)
+                deadline = due if deadline is None else min(deadline, due)
+        return None, horizon, deadline
 
     def _kill(self, node: _GroupNode, fault: NodeFault,
               committed: int) -> None:
@@ -401,8 +404,8 @@ class _ReplicaGroup:
         for node in self.nodes:
             if node is primary or not node.alive:
                 continue
-            fault, _ = self._fault_due(node, committed_end,
-                                       primary.clock.now_us, committed_end)
+            fault = self._fault_due(node, committed_end,
+                                    primary.clock.now_us, committed_end)[0]
             if fault is not None:
                 self._kill(node, fault, committed_end)
         for node in self.nodes:
@@ -447,9 +450,9 @@ class _ReplicaGroup:
             # window (commit boundaries are when replica faults normally
             # fire, and the window never reached one): such a candidate
             # dies *during its promotion* — the double-failure case.
-            candidate_fault, _ = self._fault_due(
+            candidate_fault = self._fault_due(
                 candidate, committed + retried, crash_time_us, committed
-            )
+            )[0]
             if candidate_fault is not None:
                 # Double failure: the chosen replica dies during its own
                 # promotion; fall through to the next one.
@@ -604,16 +607,17 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
         due: NodeFault | None = None
         primary = group.primary
         while cursor < boundary:
-            # Bulk up to where the plan can next fire on the primary, then
-            # the segment's CPU charge: one question, not one per access.
-            now_us = primary.clock.now_us
-            due, end = group._fault_due(primary, cursor, now_us, boundary)
+            # Replay up to where the plan can next fire on the primary: an
+            # index, or the tick a timed fault is due at.
+            due, end, until = group._fault_due(
+                primary, cursor, primary.clock.now_us, boundary
+            )
             if due is not None:
                 break
-            replay(primary.manager, pages[cursor:end], writes[cursor:end])
-            primary.clock.ticks += (end - cursor) * op_ticks
-            executed += end - cursor
-            cursor = end
+            ran = replay(primary.manager, pages[cursor:end], writes[cursor:end],
+                         op_ticks, until)
+            executed += ran
+            cursor += ran
         if due is not None:
             retried = cursor - committed
             retried_total += retried

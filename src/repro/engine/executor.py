@@ -9,28 +9,30 @@ virtual-time intervals.  All reported latencies are virtual — the
 deterministic sum of modelled CPU and device time — which is what makes
 baseline-vs-ACE comparisons exact rather than noisy.
 
-How a stretch of requests is driven depends on how it is *observed*.  At
-an index — warm-up end, trace end, a transaction's commit and background
-tick: :func:`replay`, the bulk entry (the inlined loop for a bare stack,
-``manager.access`` per request otherwise), then the stretch's CPU charge
-as one tick count.  The clock counts integer ticks
+Every request goes through :func:`replay`: the inlined loop for a bare
+stack, ``manager.access`` per request otherwise.  It charges the stretch's
+CPU as one tick count — the clock counts integer ticks
 (:mod:`repro.storage.clock`), so that is the very clock request-by-request
-charging reaches, and an observer between stretches cannot tell.  At a
-*time* inside the stretch — per-request latencies, ``commit_every_ops``,
-background processes under :func:`run_trace`: its stepped loop, charging
-each request as it runs.  Admission control (``serving=``) is the serving
-layer's loop.  All three share a :class:`RunSession`: start marks,
-background tick, metrics.
+charging reaches — and stops at a *deadline*: after the first request
+whose end reaches a tick.  A caller that observes an index (warm-up end,
+trace end, a transaction's commit, a commit point, a unit of the serving
+layer, a replica group's commit window) slices there; one that observes a
+time (a background process due, a timed node fault) passes the tick; each
+then charges, acts and replays on.  Per-request latencies are the CPU
+charge plus the I/O ticks ``replay`` reports per stalled request.
+:func:`run_trace`, :func:`run_transactions` and the serving layer share a
+:class:`RunSession`: start marks, the background timers, metrics.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, truediv
 
 from repro.bufferpool.background import (
     BackgroundWriter,
@@ -41,7 +43,7 @@ from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
-from repro.storage.clock import to_ticks, to_us
+from repro.storage.clock import TICKS_PER_US, tick_at, to_ticks, to_us
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
@@ -125,7 +127,8 @@ def _log_stretch(
     ``stop``, where the log now stands.
 
     :func:`_replay_turbo` logs only where the log is observed: before a
-    write-back (WAL-before-data) and when the stretch ends.  In between, a
+    write-back (WAL-before-data), when the stretch ends and, under a
+    watch, where the clock is read.  In between, a
     written page cannot leave the pool — it is dirty, and only a write-back
     cleans it — so its records are consecutive versions ending at its
     frame's payload now: derived here, one ``append_batch`` call, the log
@@ -146,9 +149,30 @@ def _log_stretch(
     return stop
 
 
+def _cut(
+    requests, done: int, now: int, until_ticks: int | None, op_ticks: int,
+    wal: WriteAheadLog | None, write_at: list[int] | None, total: int,
+):
+    """``requests`` (the stretch from request ``done`` on, the clock at
+    ``now``) cut where the clock must be read though no miss came: after
+    the request whose end hits alone bring to the deadline (time advances
+    ``op_ticks`` a hit), and after the write that fills a log page
+    (``write_at`` indexes the writes), whose page write is then that
+    request's, as under ``log_update``."""
+    cut = total
+    if until_ticks is not None and op_ticks:
+        cut = done + max(1, -((now + done * op_ticks - until_ticks) // op_ticks))
+    if wal is not None:
+        index = bisect_left(write_at, done) + wal.room - 1
+        if index < len(write_at):
+            cut = min(cut, write_at[index] + 1)
+    return islice(requests, cut - done)
+
+
 def _replay_turbo(
-    manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool]
-) -> None:
+    manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool],
+    op_ticks: int, until_ticks: int | None, stalls: list | None,
+) -> int:
     """Replay the requests against a :func:`_turbo_ready` manager, fully inlined.
 
     Every step of the request path — probe, hit bookkeeping, victim
@@ -187,6 +211,10 @@ def _replay_turbo(
     per-request replay would have recorded.  The read/write request
     counts come from the ``writes`` column, the failing request included,
     as ``read_page``/``write_page`` count it before they miss.
+
+    Under a watch (a deadline or a ``stalls`` list: ``timed``) the clock
+    is read where it can have moved: after each miss, and where
+    :func:`_cut` ends the stretch.  A hit never tests anything.
     """
     (
         free,
@@ -231,6 +259,15 @@ def _replay_turbo(
     # misses) but neither heard nor applied yet.
     trained = 0
     logged = 0
+    timed = until_ticks is not None or stalls is not None
+    requests = base = zip(pages, writes)
+    if timed:
+        last = clock.ticks  # the clock where it was last read
+        write_at = list(compress(count(), writes)) if wal is not None else None
+        cutting = until_ticks is not None or wal is not None
+        if cutting:
+            requests = _cut(base, 0, last, until_ticks, op_ticks, wal, write_at,
+                            len(pages))
     raised = True
     hits = 0
     misses = 0
@@ -242,36 +279,74 @@ def _replay_turbo(
     reads_done = 0
     writebacks_done = 0
     try:
-        for page, is_write in zip(pages, writes):
-            frame_id = slots[page] if 0 <= page < probe_space else -1
-            if frame_id >= 0:
-                hits += 1
-                if prefetched_bits[frame_id]:
-                    prefetched_bits[frame_id] = 0
-                    prefetch_hits += 1
-                if is_write:
-                    on_access(page, True)
+        while True:
+            for page, is_write in requests:
+                frame_id = slots[page] if 0 <= page < probe_space else -1
+                if frame_id >= 0:
+                    hits += 1
+                    if prefetched_bits[frame_id]:
+                        prefetched_bits[frame_id] = 0
+                        prefetch_hits += 1
+                    if is_write:
+                        on_access(page, True)
+                    else:
+                        on_access(page, False)
+                        continue
                 else:
-                    on_access(page, False)
-                    continue
-            else:
-                misses += 1
-                if hooked:
-                    if observe is not None:  # everything up to this request
-                        stop = hits + misses - 1
-                        _consume(map(observe, pages[trained:stop]))
-                        trained = stop
-                    if reader is not None:
-                        on_miss(page)
-                        if prefetching and free:
-                            chosen = reader.select_prefetch_set(
-                                page, min(manager.evictor.n_e, len(free)) - 1
-                            )
-                            if chosen:
-                                frame_id = reader.fetch(page, chosen)
-                                # The write post-work, repeated at both
-                                # fetches: a shared exit would cost every
-                                # stack's miss one more test.
+                    misses += 1
+                    if hooked:
+                        if observe is not None:  # everything up to this request
+                            stop = hits + misses - 1
+                            _consume(map(observe, pages[trained:stop]))
+                            trained = stop
+                        if reader is not None:
+                            on_miss(page)
+                            if prefetching and free:
+                                chosen = reader.select_prefetch_set(
+                                    page, min(manager.evictor.n_e, len(free)) - 1
+                                )
+                                if chosen:
+                                    frame_id = reader.fetch(page, chosen)
+                                    # The write post-work, repeated at every
+                                    # miss exit: a shared exit would cost
+                                    # every stack's miss one more test.
+                                    if is_write:
+                                        if not dirty_bits[frame_id]:
+                                            dirty_bits[frame_id] = 1
+                                            dirty_add(page)
+                                            note_dirty(page)
+                                        current = payloads[frame_id]
+                                        payloads[frame_id] = (
+                                            current if isinstance(current, int) else 0
+                                        ) + 1
+                                    if timed:
+                                        break
+                                    continue
+                    # Miss: evict (when full), read, install — the manager's
+                    # ``_handle_miss`` on a bare device, step for step.
+                    if not free:
+                        victim = select_victim()
+                        if victim is None:
+                            raise manager._pool_exhausted(page)
+                        victim_frame = slots[victim]
+                        if not dirty_bits[victim_frame]:
+                            clean_evictions += 1
+                        elif writer is not None:
+                            dirty_evictions += 1
+                            if wal is not None:  # WAL-before-data, in _write_back
+                                logged = _log_stretch(
+                                    wal, payloads, frame_of, pages, writes, logged,
+                                    hits + misses - 1,
+                                )
+                            if prefetching:
+                                # The wide exchange: n_w written, n_e dropped,
+                                # the freed frames but one prefetched.
+                                frame_id = reader.fetch(
+                                    page,
+                                    reader.select_prefetch_set(
+                                        page, manager._exchange_wide(victim)
+                                    ),
+                                )
                                 if is_write:
                                     if not dirty_bits[frame_id]:
                                         dirty_bits[frame_id] = 1
@@ -281,162 +356,183 @@ def _replay_turbo(
                                     payloads[frame_id] = (
                                         current if isinstance(current, int) else 0
                                     ) + 1
+                                if timed:
+                                    break
                                 continue
-                # Miss: evict (when full), read, install — the manager's
-                # ``_handle_miss`` on a bare device, step for step.
-                if not free:
-                    victim = select_victim()
-                    if victim is None:
-                        raise manager._pool_exhausted(page)
-                    victim_frame = slots[victim]
-                    if not dirty_bits[victim_frame]:
-                        clean_evictions += 1
-                    elif writer is not None:
-                        dirty_evictions += 1
-                        if wal is not None:  # WAL-before-data, in _write_back
-                            logged = _log_stretch(
-                                wal, payloads, frame_of, pages, writes, logged,
-                                hits + misses - 1,
-                            )
-                        if prefetching:
-                            # The wide exchange: n_w written, n_e dropped,
-                            # the freed frames but one prefetched.
-                            frame_id = reader.fetch(
-                                page,
-                                reader.select_prefetch_set(
-                                    page, manager._exchange_wide(victim)
-                                ),
-                            )
-                            if is_write:
-                                if not dirty_bits[frame_id]:
-                                    dirty_bits[frame_id] = 1
-                                    dirty_add(page)
-                                    note_dirty(page)
-                                current = payloads[frame_id]
-                                payloads[frame_id] = (
-                                    current if isinstance(current, int) else 0
-                                ) + 1
-                            continue
-                        writer.flush(writer.select_writeback_set(victim))
-                        if dirty_bits[victim_frame]:
-                            victim = manager._degraded_victim(victim)
-                            victim_frame = slots[victim]
-                    else:
-                        dirty_evictions += 1
-                        if wal is not None:  # WAL-before-data, as in _handle_miss
-                            logged = _log_stretch(
-                                wal, payloads, frame_of, pages, writes, logged,
-                                hits + misses - 1,
-                            )
-                            wal.flush()
-                        clock.ticks += write_ticks
-                        device_stats.write_time_us += write_us
-                        device_payloads[victim] = payloads[victim_frame]
-                        if ftl is not None:
-                            ftl.write(victim)
-                        dirty_bits[victim_frame] = 0
-                        dirty_discard(victim)
-                        note_clean(victim)
-                        writebacks_done += 1
-                    if prefetched_bits[victim_frame]:
-                        prefetch_unused += 1
-                        prefetched_bits[victim_frame] = 0
-                    evictions += 1
-                    del frame_of[victim]
+                            writer.flush(writer.select_writeback_set(victim))
+                            if dirty_bits[victim_frame]:
+                                victim = manager._degraded_victim(victim)
+                                victim_frame = slots[victim]
+                        else:
+                            dirty_evictions += 1
+                            if wal is not None:  # WAL-before-data, as in _handle_miss
+                                logged = _log_stretch(
+                                    wal, payloads, frame_of, pages, writes, logged,
+                                    hits + misses - 1,
+                                )
+                                wal.flush()
+                            clock.ticks += write_ticks
+                            device_stats.write_time_us += write_us
+                            device_payloads[victim] = payloads[victim_frame]
+                            if ftl is not None:
+                                ftl.write(victim)
+                            dirty_bits[victim_frame] = 0
+                            dirty_discard(victim)
+                            note_clean(victim)
+                            writebacks_done += 1
+                        if prefetched_bits[victim_frame]:
+                            prefetch_unused += 1
+                            prefetched_bits[victim_frame] = 0
+                        evictions += 1
+                        del frame_of[victim]
+                        if array_slots:
+                            slots[victim] = -1
+                        policy_remove(victim)
+                        page_of[victim_frame] = -1
+                        payloads[victim_frame] = None
+                        free.append(victim_frame)
+                    if num_pages is not None and not 0 <= page < num_pages:
+                        raise IndexError(
+                            f"page {page} out of device range [0, {num_pages})"
+                        )
+                    clock.ticks += read_ticks
+                    device_stats.read_time_us += read_us
+                    reads_done += 1
+                    try:
+                        payload = device_payloads[page]
+                    except KeyError:
+                        payload = None
+                    frame_id = free.pop()
+                    page_of[frame_id] = page
+                    payloads[frame_id] = payload
+                    frame_of[page] = frame_id
                     if array_slots:
-                        slots[victim] = -1
-                    policy_remove(victim)
-                    page_of[victim_frame] = -1
-                    payloads[victim_frame] = None
-                    free.append(victim_frame)
-                if num_pages is not None and not 0 <= page < num_pages:
-                    raise IndexError(
-                        f"page {page} out of device range [0, {num_pages})"
-                    )
-                clock.ticks += read_ticks
-                device_stats.read_time_us += read_us
-                reads_done += 1
-                try:
-                    payload = device_payloads[page]
-                except KeyError:
-                    payload = None
-                frame_id = free.pop()
-                page_of[frame_id] = page
-                payloads[frame_id] = payload
-                frame_of[page] = frame_id
-                if array_slots:
-                    slots[page] = frame_id
-                policy_insert(page, False)
-                if not is_write:
+                        slots[page] = frame_id
+                    policy_insert(page, False)
+                    if is_write:
+                        if not dirty_bits[frame_id]:
+                            dirty_bits[frame_id] = 1
+                            dirty_add(page)
+                            note_dirty(page)
+                        current = payloads[frame_id]
+                        payloads[frame_id] = (
+                            current if isinstance(current, int) else 0
+                        ) + 1
+                    if timed:
+                        break
                     continue
-            # Write post-work (hit or miss): dirty marking + version bump.
-            if not dirty_bits[frame_id]:
-                dirty_bits[frame_id] = 1
-                dirty_add(page)
-                note_dirty(page)
-            current = payloads[frame_id]
-            payloads[frame_id] = (current if isinstance(current, int) else 0) + 1
+                # A write hit: dirty marking + version bump.
+                if not dirty_bits[frame_id]:
+                    dirty_bits[frame_id] = 1
+                    dirty_add(page)
+                    note_dirty(page)
+                current = payloads[frame_id]
+                payloads[frame_id] = (current if isinstance(current, int) else 0) + 1
+            else:
+                if not timed:
+                    break
+            # A watched stretch reads the clock here: after a miss, or where
+            # it was cut.  The log first: a page it fills is this request's.
+            done = hits + misses
+            if wal is not None:
+                logged = _log_stretch(
+                    wal, payloads, frame_of, pages, writes, logged, done
+                )
+            now = clock.ticks
+            if stalls is not None and now != last:
+                stalls.append((done - 1, now - last))
+            last = now
+            if done == len(pages) or (
+                until_ticks is not None and now + done * op_ticks >= until_ticks
+            ):
+                break
+            if cutting:
+                requests = _cut(base, done, now, until_ticks, op_ticks, wal,
+                                write_at, len(pages))
         raised = False
     finally:
+        done = hits + misses
         # A request that raised was counted but never observed or applied.
         if observe is not None:
-            _consume(map(observe, pages[trained : hits + misses - raised]))
+            _consume(map(observe, pages[trained : done - raised]))
         if wal is not None:
             _log_stretch(
-                wal, payloads, frame_of, pages, writes, logged,
-                hits + misses - raised,
+                wal, payloads, frame_of, pages, writes, logged, done - raised
             )
         # One flush of the commuting integer counters (identical totals to
         # the per-request replay, including on mid-trace exceptions — see
         # the docstring).
-        write_requests = sum(writes[: hits + misses])
+        write_requests = sum(writes[:done])
         stats.hits += hits
         stats.misses += misses
-        stats.read_requests += hits + misses - write_requests
+        stats.read_requests += done - write_requests
         stats.write_requests += write_requests
-        stats.prefetch_hits += prefetch_hits
-        stats.evictions += evictions
-        stats.clean_evictions += clean_evictions
-        stats.dirty_evictions += dirty_evictions
-        stats.prefetch_unused += prefetch_unused
-        stats.writebacks += writebacks_done
-        stats.writeback_batches += writebacks_done
-        device_stats.reads += reads_done
-        device_stats.read_batches += reads_done
-        if reads_done and device_stats.largest_read_batch < 1:
-            device_stats.largest_read_batch = 1
-        device_stats.writes += writebacks_done
-        device_stats.write_batches += writebacks_done
-        if writebacks_done:
-            histogram = device_stats.write_batch_size_histogram
-            histogram[1] = histogram.get(1, 0) + writebacks_done
-            if device_stats.largest_write_batch < 1:
-                device_stats.largest_write_batch = 1
+        if prefetch_hits:
+            stats.prefetch_hits += prefetch_hits
+        if misses:  # the rest is counted at misses only
+            stats.evictions += evictions
+            stats.clean_evictions += clean_evictions
+            stats.dirty_evictions += dirty_evictions
+            stats.prefetch_unused += prefetch_unused
+            stats.writebacks += writebacks_done
+            stats.writeback_batches += writebacks_done
+            device_stats.reads += reads_done
+            device_stats.read_batches += reads_done
+            if reads_done and device_stats.largest_read_batch < 1:
+                device_stats.largest_read_batch = 1
+            device_stats.writes += writebacks_done
+            device_stats.write_batches += writebacks_done
+            if writebacks_done:
+                histogram = device_stats.write_batch_size_histogram
+                histogram[1] = histogram.get(1, 0) + writebacks_done
+                if device_stats.largest_write_batch < 1:
+                    device_stats.largest_write_batch = 1
+        clock.ticks += done * op_ticks
+    return done
 
 
 def replay(
-    manager: BufferPoolManager, pages: Sequence[int], writes: Sequence[bool]
-) -> None:
-    """Replay a stretch of requests that nothing observes until it ends.
+    manager: BufferPoolManager,
+    pages: Sequence[int],
+    writes: Sequence[bool],
+    op_ticks: int = 0,
+    until_ticks: int | None = None,
+    stalls: list[tuple[int, int]] | None = None,
+) -> int:
+    """Replay a stretch of requests; returns how many ran.
 
-    The one bulk entry point: the measured fast path, the warm-up and a
-    transaction between commit points all come through here.  Nothing is
-    charged to the clock but the device time the requests cost — a CPU
-    charge is the caller's to add, once, after the stretch — and the
-    state left behind is the per-request replay's to the byte, whichever
-    of the two arms runs: the fully inlined loop for an unsanitised
+    The one request loop: every stretch of every run comes through here.
+    Each request costs ``op_ticks`` of CPU, charged to the clock once, as
+    the stretch ends (a request that raises included).  With
+    ``until_ticks`` the stretch stops after the first request whose end —
+    the clock plus the CPU of the requests so far — reaches that tick; at
+    least one request runs.  ``stalls`` receives ``(index, ticks)`` for
+    every request whose I/O moved the clock, in order.  The state left
+    behind is the per-request replay's to the byte, whichever of the two
+    arms runs: the fully inlined loop for an unsanitised
     :func:`_turbo_ready` manager, and the reference arm —
-    ``manager.access`` request by request — for everything else: a
-    wrapped device, a WAL with a ``flush_hook``, a subclass's own
-    ``_handle_miss``, a sanitised manager (instance-attribute op wrappers
-    that must see every request) and the partitioned facade.
+    ``manager.access`` request by request, the clock read after each — for
+    everything else: a wrapped device, a WAL with a ``flush_hook``, a
+    subclass's own ``_handle_miss``, a sanitised manager (instance-attribute
+    op wrappers that must see every request) and the partitioned facade.
     """
     if manager.sanitizer is None and _turbo_ready(manager):
-        _replay_turbo(manager, pages, writes)
-    else:
-        access = manager.access
+        return _replay_turbo(manager, pages, writes, op_ticks, until_ticks, stalls)
+    clock = manager.device.clock
+    access = manager.access
+    done = 0
+    try:
         for page, is_write in zip(pages, writes):
+            mark = clock.ticks
+            done += 1
             access(page, is_write)
+            if stalls is not None and clock.ticks != mark:
+                stalls.append((done - 1, clock.ticks - mark))
+            if until_ticks is not None and clock.ticks + done * op_ticks >= until_ticks:
+                break
+    finally:
+        clock.ticks += done * op_ticks
+    return done
 
 
 class RunSession:
@@ -445,8 +541,9 @@ class RunSession:
     ``run_trace``, ``run_transactions`` and the serving layer's admission
     loop each open one when measurement starts (after any warm-up), call
     :meth:`tick` wherever their loop lets the background processes see the
-    clock, and end with :meth:`finish` — the one place a run's
-    :class:`RunMetrics` is assembled.
+    clock (``run_trace`` also ends a stretch at :meth:`due_ticks`), and
+    end with :meth:`finish` — the one place a run's :class:`RunMetrics` is
+    assembled.
     """
 
     def __init__(
@@ -466,12 +563,28 @@ class RunSession:
         self._start_reads = device.stats.read_time_us
         self._start_writes = device.stats.write_time_us
         self._processes = (bg_writer, checkpointer, scrubber)
-        #: Whether anything watches the clock between requests.
-        self.background = any(process is not None for process in self._processes)
         self._next_bg_writer_us = self.start_us + self.options.bg_writer_interval_us
+        self._due = self._first_due()
+
+    def _first_due(self) -> int | None:
+        """The first tick at which one of the timers fires."""
+        bg_writer, checkpointer, scrubber = self._processes
+        dues = [process.due_ticks() for process in (checkpointer, scrubber)
+                if process is not None]
+        if bg_writer is not None:
+            dues.append(tick_at(self._next_bg_writer_us))
+        return min(dues, default=None)
+
+    def due_ticks(self) -> int | None:
+        """The first tick at which :meth:`tick` will run a background
+        process (``None``: none is attached): where a stretch must stop."""
+        return self._due
 
     def tick(self) -> None:
         """Let the background processes act on the time that has passed."""
+        due = self._due
+        if due is None or self.clock.ticks < due:
+            return
         bg_writer, checkpointer, scrubber = self._processes
         if bg_writer is not None and self.clock.now_us >= self._next_bg_writer_us:
             bg_writer.run_round()
@@ -482,6 +595,7 @@ class RunSession:
             checkpointer.maybe_checkpoint()
         if scrubber is not None:
             scrubber.maybe_scrub()
+        self._due = self._first_due()
 
     def elapsed_us(self) -> float:
         """Virtual time since the start mark: the sum of the advances since."""
@@ -576,39 +690,35 @@ def run_trace(
         return _serving_layer(manager, serving).admit_trace(
             session, trace, label, latencies
         )
-    options = session.options
     clock = session.clock
-    cpu_per_op = options.cpu_us_per_op
-
-    if latencies is None and not session.background and not options.commit_every_ops:
-        # Bulk: nothing observes the clock between requests, so the per-op
-        # CPU charges are applied as one tick count at the end (the same
-        # clock: integer addition commutes).
-        replay(manager, trace.pages, trace.writes)
-        clock.ticks += len(trace) * to_ticks(cpu_per_op)
-    else:
-        # Stepped: latencies and the background processes read the clock
-        # after every request, so every request charges its own CPU first.
-        access = manager.access
-        advance = clock.advance
-        tick = session.tick if session.background else None
-        commit_every = options.commit_every_ops
-        wal = manager.wal
-        since_commit = 0
-        for page, is_write in zip(trace.pages, trace.writes):
-            request_start_us = clock.now_us
-            if cpu_per_op:
-                advance(cpu_per_op)
-            access(page, is_write)
-            if commit_every and wal is not None:
-                since_commit += 1
-                if since_commit >= commit_every:
-                    wal.flush()  # commit point: updates so far are durable
-                    since_commit = 0
-            if latencies is not None:
-                latencies.record(clock.now_us - request_start_us)
-            if tick is not None:
-                tick()
+    op_ticks = to_ticks(session.options.cpu_us_per_op)
+    wal = manager.wal
+    commit_every = session.options.commit_every_ops if wal is not None else 0
+    pages, writes, total = trace.pages, trace.writes, len(trace)
+    stalls = None if latencies is None else []
+    position = 0
+    while position < total:
+        # To the next commit point, or where a background process is due.
+        stop = total
+        if commit_every:
+            stop = min(total, (position // commit_every + 1) * commit_every)
+        ran = replay(
+            manager, pages[position:stop], writes[position:stop], op_ticks,
+            session.due_ticks(), stalls,
+        )
+        position += ran
+        mark = clock.ticks
+        if commit_every and position % commit_every == 0:
+            wal.flush()  # commit point: updates so far are durable
+        if stalls is not None:
+            # A request's latency: its CPU, its I/O, and a commit it ends.
+            spent = [op_ticks] * ran
+            for index, ticks in stalls:
+                spent[index] += ticks
+            spent[-1] += clock.ticks - mark
+            stalls.clear()
+            latencies.extend(map(truediv, spent, repeat(TICKS_PER_US)))  # to_us
+        session.tick()
     return session.finish(
         label if label is not None else f"{manager.variant}/{trace.name}",
         ops=len(trace),
@@ -649,14 +759,14 @@ def run_transactions(
     new_order_count = 0
     for kind, requests in transactions:
         # A transaction is observed at its end (commit, background tick):
-        # bulk, then the tick count its per-request charges would sum to.
-        replay(
+        # one stretch, then the transaction's own CPU.
+        ops += replay(
             manager,
             list(map(_page_of, requests)),
             list(map(_is_write_of, requests)),
+            op_ticks,
         )
-        clock.ticks += transaction_ticks + len(requests) * op_ticks
-        ops += len(requests)
+        clock.ticks += transaction_ticks
         if wal is not None:
             wal.flush()  # commit: WAL must be durable
         transaction_count += 1

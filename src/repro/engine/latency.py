@@ -13,6 +13,7 @@ reflects the batch stalls).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 __all__ = ["LatencyRecorder"]
 
@@ -29,6 +30,11 @@ class LatencyRecorder:
         if latency_us < 0:
             raise ValueError(f"latency cannot be negative: {latency_us}")
         self._samples_us.append(latency_us)
+        self._sorted = None
+
+    def extend(self, latencies_us: Iterable[float]) -> None:
+        """Add requests' latencies (never negative), in request order."""
+        self._samples_us += latencies_us
         self._sorted = None
 
     def __len__(self) -> int:

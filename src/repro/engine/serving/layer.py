@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Sequence
-from itertools import accumulate
+from itertools import accumulate, compress
 
-from repro.engine.executor import RunSession
+from repro.engine.executor import RunSession, replay
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
 from repro.engine.serving.breaker import CircuitBreaker
@@ -29,6 +29,7 @@ from repro.engine.serving.config import ServingConfig
 from repro.engine.serving.metrics import ServingMetrics
 from repro.engine.serving.queue import AdmissionQueue, Request
 from repro.errors import IOFaultError, PoolExhaustedError
+from repro.storage.clock import to_ticks
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
@@ -178,7 +179,7 @@ class ServingLayer:
         transactional = kinds is not None
         interval = config.arrival_interval_us
         deadline_us = config.deadline_us if config.deadline_us > 0 else _INF
-        cpu_per_op = options.cpu_us_per_op
+        op_ticks = to_ticks(options.cpu_us_per_op)
         cpu_per_unit = options.cpu_us_per_transaction if transactional else 0.0
         commit_every = 1 if transactional else options.commit_every_ops
         wal = manager.wal
@@ -239,28 +240,27 @@ class ServingLayer:
                 continue
             if cpu_per_unit:
                 clock.advance(cpu_per_unit)
-            writes_applied = 0
+            head, tail = bounds[request.index], bounds[request.index + 1]
+            stats = manager.stats
+            counted = stats.read_requests + stats.write_requests
             outcome = "completed"
-            for position in range(bounds[request.index], bounds[request.index + 1]):
-                if cpu_per_op:
-                    clock.advance(cpu_per_op)
-                page = pages[position]
-                try:
-                    manager.access(page, writes[position])
-                except PoolExhaustedError:
-                    outcome = "failed" if writes_applied else "requeue"
-                    break
-                except IOFaultError as fault:
-                    if writes_applied or _is_permanent(fault):
-                        outcome = "failed"
-                    else:
-                        outcome = "requeue"
-                    break
-                executed_ops += 1
-                if writes[position]:
-                    writes_applied += 1
-                    if wal is not None:
-                        versions[page] = versions.get(page, 0) + 1
+            try:
+                replay(manager, pages[head:tail], writes[head:tail], op_ticks)
+            except (PoolExhaustedError, IOFaultError) as error:
+                # Both arms count the failing request before it can fail,
+                # and charge its CPU: the requests before it were applied.
+                stats = manager.stats
+                tail = head + stats.read_requests + stats.write_requests - counted - 1
+                if any(writes[head:tail]) or (
+                    isinstance(error, IOFaultError) and _is_permanent(error)
+                ):
+                    outcome = "failed"
+                else:
+                    outcome = "requeue"
+            executed_ops += tail - head
+            if wal is not None:
+                for page in compress(pages[head:tail], writes[head:tail]):
+                    versions[page] = versions.get(page, 0) + 1
             # 5. Requeue, fail or complete; a transaction commits before
             # it completes, a trace request completes and then may commit.
             if outcome == "requeue":

@@ -26,15 +26,20 @@ contract the loops rely on:
   advances inside it whenever it started.  ``now_us`` differences are not:
   the float nearest to *t* depends on how large *t* already is.
 * **A jump to a time** is :meth:`VirtualClock.advance_to`, which lands on
-  the first tick with ``now_us >= deadline_us``; ``advance(deadline - now)``
-  can round to zero ticks short of the deadline and never arrive.
+  the first tick with ``now_us >= deadline_us`` (:func:`tick_at`);
+  ``advance(deadline - now)`` can round to zero ticks short of the deadline
+  and never arrive.  A timer that compares ``now_us`` floats answers when
+  it is next due the same way, with :func:`first_tick` over its predicate.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
-__all__ = ["TICKS_PER_US", "VirtualClock", "to_ticks", "to_us"]
+__all__ = [
+    "TICKS_PER_US", "VirtualClock", "first_tick", "tick_at", "to_ticks", "to_us",
+]
 
 #: Clock resolution: 1 tick = 1 ps.
 TICKS_PER_US = 1_000_000
@@ -57,6 +62,29 @@ def to_ticks(duration_us: float) -> int:
 def to_us(ticks: int) -> float:
     """A tick count (or difference of two) in microseconds."""
     return ticks / TICKS_PER_US
+
+
+def first_tick(holds: Callable[[float], bool], near_us: float) -> int:
+    """The first tick whose time (``to_us(tick)``, what ``now_us`` reads)
+    satisfies ``holds``, stepping from ``near_us``.
+
+    ``holds`` must be monotone in time (false, then true for good), as a
+    comparison of the time with fixed floats is.
+    """
+    try:
+        tick = math.ceil(near_us * TICKS_PER_US)  # rounded: settle exactly
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise ValueError(f"not a finite time: {near_us}") from None
+    while not holds(tick / TICKS_PER_US):
+        tick += 1
+    while holds((tick - 1) / TICKS_PER_US):
+        tick -= 1
+    return tick
+
+
+def tick_at(time_us: float) -> int:
+    """The first tick with ``now_us >= time_us`` (where ``advance_to`` lands)."""
+    return first_tick(float(time_us).__le__, time_us)
 
 
 class VirtualClock:
@@ -106,15 +134,7 @@ class VirtualClock:
         A deadline already reached leaves the clock where it is.  Returns
         the new time.
         """
-        try:
-            target = math.ceil(deadline_us * TICKS_PER_US)
-        except (ValueError, OverflowError):  # NaN, infinity
-            raise ValueError(f"not a finite time: {deadline_us}") from None
-        # The product above is rounded; settle on the exact first tick.
-        while target / TICKS_PER_US < deadline_us:
-            target += 1
-        while (target - 1) / TICKS_PER_US >= deadline_us:
-            target -= 1
+        target = tick_at(deadline_us)
         if target > self.ticks:
             self.ticks = target
         return self.ticks / TICKS_PER_US

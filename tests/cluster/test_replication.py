@@ -163,6 +163,15 @@ class TestFailover:
         event = summary.per_shard[0].failovers[0]
         assert event.virtual_time_us >= 30_000.0
         assert summary.ok
+        # The primary fires after the first request whose end reaches
+        # 30 ms, as when the clock was asked before every request.
+        assert event == replication.FailoverEvent(
+            shard=0, failed_node=0, promoted_node=1, ordinal=1,
+            virtual_time_us=30002.53, failover_latency_us=17731.0,
+            retried_accesses=19, candidates_lost=0,
+        )
+        assert summary.per_shard[0].attempted_accesses == 1304
+        assert (summary.final_epoch, summary.final_primaries) == (1, (1, 0))
 
     def test_double_failure_falls_through_to_second_replica(self):
         config = make_config(replication_factor=2, faults=[
@@ -511,10 +520,12 @@ def _comparable(metrics):
 
 class TestSegmentedReplay:
     """The primary runs ``replay`` over whole segments between the indices
-    where its fault plan can fire, with one CPU charge per segment.  The
-    reference is the loop that preceded it — one request per segment,
-    through ``manager.access`` — which the integer clock makes equal to
-    the last bit: summary, failover events, promotion images, metrics."""
+    where its fault plan can fire — a timed fault is a deadline, not an
+    index — with one CPU charge per segment.  The reference is the loop
+    that preceded it — one request per segment, through
+    ``manager.access``, the clock asked before each — which the integer
+    clock makes equal to the last bit: summary, failover events,
+    promotion images, metrics."""
 
     FAULTS = {
         "mid-window": [NodeFault(shard=0, node=0, crash_at_access=101)],
@@ -539,12 +550,15 @@ class TestSegmentedReplay:
         fault_due = replication._ReplicaGroup._fault_due
 
         def one_request(self, node, progress, time_us, horizon):
-            return fault_due(self, node, progress, time_us,
-                             min(horizon, progress + 1))
+            fault, end, _ = fault_due(self, node, progress, time_us,
+                                      min(horizon, progress + 1))
+            return fault, end, None
 
-        def access_each(manager, pages, writes):
-            assert len(pages) == 1
+        def access_each(manager, pages, writes, op_ticks, until_ticks):
+            assert len(pages) == 1 and until_ticks is None
             manager.access(pages[0], writes[0])
+            manager.device.clock.ticks += op_ticks
+            return 1
 
         monkeypatch.setattr(replication._ReplicaGroup, "_fault_due", one_request)
         monkeypatch.setattr(replication, "replay", access_each)
@@ -556,9 +570,9 @@ class TestSegmentedReplay:
         segments = []
         replay = replication.replay
 
-        def recording(manager, pages, writes):
-            segments.append(len(pages))
-            replay(manager, pages, writes)
+        def recording(manager, pages, writes, *deadline):
+            segments.append(replay(manager, pages, writes, *deadline))
+            return segments[-1]
 
         monkeypatch.setattr(replication, "replay", recording)
         bulk = run_cluster(config, trace, workers=1)
@@ -571,7 +585,8 @@ class TestSegmentedReplay:
         assert len(shard0.failovers) == len(shard0.promotion_images) >= 1
         assert shard0.audit_ok
         assert sum(segments) == 700 + shard0.retried_accesses
-        # A timed fault pending on the primary: the clock is asked after
-        # every request; otherwise (and once it has fired) whole windows.
-        assert segments[0] == (1 if case == "timed" else 32)
-        assert max(segments) == 32
+        # Whole commit windows, a timed fault pending or not: one replay
+        # per window, plus at most two more per fault (the cut window and
+        # its retry), however many requests precede the crash.
+        assert segments[0] == max(segments) == 32
+        assert len(segments) <= -(-700 // 32) + 2 * len(self.FAULTS[case])

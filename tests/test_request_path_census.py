@@ -3,11 +3,14 @@
 A request used to be spelled out in ten loops; every copy is a place the
 next observer (a tracer, a fault boundary, a new background process) has to
 be threaded through by hand, and one of them had already dropped an
-argument.  Four are left — the inlined replay behind ``replay`` and the
-three below that step — since the clock counts integer ticks: a stretch
-observed at an *index* (transaction end, commit boundary, the next
-``crash_at_access``) is one ``replay`` plus one tick charge, so
-``run_transactions`` and the replicated shard no longer reach ``.access``.
+argument.  Two are left: ``replay`` — its inlined loop and its reference
+arm — and the partitioned facade's delegation.  A stretch observed at an
+*index* (transaction end, commit point, a serving unit, the next
+``crash_at_access``) is one ``replay`` sliced there; one observed at a
+*time* (a background process due, a timed node fault) is one ``replay``
+given that tick as its deadline; latencies are the I/O ticks ``replay``
+reports per stalled request.  So ``run_trace``, the serving layer's
+admission loop and the replicated shard no longer reach ``.access``.
 The set is pinned: the functions that reach ``manager.access``
 — called or bound — and the functions that construct a ``RunMetrics`` are
 exactly the ones below, each for the reason beside it.  A new per-request
@@ -35,14 +38,6 @@ ACCESS_SITES = {
     "repro.engine.executor.replay": (
         "the bulk entry's reference arm: sanitised managers wrap their ops "
         "per instance and facades have no translation vector to inline"
-    ),
-    "repro.engine.executor.run_trace": (
-        "stepped: latencies, commit points and the background processes "
-        "read the clock after every request"
-    ),
-    "repro.engine.serving.layer.ServingLayer._admit_units": (
-        "admitted: deadlines, backoffs and the breaker are times, and a "
-        "unit can fail at any request"
     ),
     "repro.cluster.partitioned.PartitionedBufferPoolManager.access": (
         "the facade's delegation to the owning partition, not a loop"

@@ -59,6 +59,21 @@ from repro.storage.device import SimulatedSSD
 __all__ = ["BufferPoolManager"]
 
 
+def _transition(update, note):
+    """The callable for one dirty/clean transition: the mirror set's
+    ``update`` alone when the policy does not listen (``note`` is
+    ``None``), else update-then-note (the policy then reads its view
+    already moved)."""
+    if note is None:
+        return update
+
+    def transition(page: int) -> None:
+        update(page)
+        note(page)
+
+    return transition
+
+
 class BufferPoolManager:
     """Classic bufferpool: policy-driven replacement, single-page write-back.
 
@@ -92,9 +107,10 @@ class BufferPoolManager:
     #: Variant label used in reports ("baseline" vs "ace"/"ace+pf").
     variant = "baseline"
 
-    #: PageStateView handshake: this view pushes every dirty/pin transition
-    #: into the policy's ``note_*`` hooks, which lets the bound policy keep
-    #: its virtual order incrementally instead of re-deriving it per miss.
+    #: PageStateView handshake: this view pushes every dirty/pin transition,
+    #: once, into the policy's ``note_*`` hooks (a dirty hook only if the
+    #: policy listens), which lets the bound policy keep its virtual
+    #: order incrementally instead of re-deriving it per miss.
     notifies_state_changes = True
 
     #: The batch hook.  ``None`` here: a dirty victim is written back alone.
@@ -132,6 +148,11 @@ class BufferPoolManager:
         # the authoritative record.
         self._dirty_set: set[int] = set()
         self._pinned_set: set[int] = set()
+        # The PageStateView, answered in C: the mirror sets' own membership
+        # tests, bound as instance attributes, so a policy filtering its
+        # order through them runs no Python frame per page.
+        self.is_dirty = self._dirty_set.__contains__
+        self.is_pinned = self._pinned_set.__contains__
         # Hot-path aliases.  The table's containers and the pool's state
         # arrays live for the manager's lifetime, so binding them here
         # removes attribute hops per request.
@@ -165,16 +186,19 @@ class BufferPoolManager:
         #: pool state.
         self._observer = None
         policy.bind(self)
-        # Bound notification hooks (hot path: one attribute hop saved per
-        # dirty/clean transition).
-        self._note_dirty = policy.note_dirty
-        self._note_clean = policy.note_clean
-        # Bound policy entry points for the per-request paths (saves the
-        # ``self.policy.<method>`` chain on every access and eviction).
+        # The per-request policy calls.  The reference arm's hits call the
+        # policy's own ``on_access`` (its membership check included); the
+        # inlined loop, and eviction and warm install on both arms, call
+        # what ``policy.hooks()`` publishes, on pages the table already
+        # vouches for (the table's own checks guard those).
         self._policy_on_access = policy.on_access
-        self._policy_select_victim = policy.select_victim
-        self._policy_insert = policy.insert
-        self._policy_remove = policy.remove
+        hit, self._policy_insert, self._policy_remove, dirtied, cleaned = (
+            policy.hooks()
+        )
+        # One callable per dirty/clean transition: the mirror set's own
+        # ``add``/``discard``, then the policy's hook only if it listens.
+        self._mark_dirty = _transition(self._dirty_set.add, dirtied)
+        self._mark_clean = _transition(self._dirty_set.discard, cleaned)
         if self._plain_device is not None:
             # Everything the executor's inlined loop touches that is
             # immutable for the manager's lifetime, packed into one tuple:
@@ -198,11 +222,12 @@ class BufferPoolManager:
                 device.num_pages,
                 device.ftl,
                 device.clock,
+                hit,
                 policy.select_victim,
-                policy.remove,
-                policy.insert,
-                policy.note_clean,
-                self._dirty_set.discard,
+                self._policy_remove,
+                self._policy_insert,
+                self._mark_dirty,
+                self._mark_clean,
                 self.reader,
             )
         #: The attached invariant checker, or ``None`` when sanitising is
@@ -214,14 +239,6 @@ class BufferPoolManager:
             sanitize = _sanitize_env_enabled()
         if sanitize:
             _attach_sanitizer(self)
-
-    # ------------------------------------------------------ PageStateView
-
-    def is_dirty(self, page: int) -> bool:
-        return page in self._dirty_set
-
-    def is_pinned(self, page: int) -> bool:
-        return page in self._pinned_set
 
     # --------------------------------------------------------- client API
 
@@ -280,8 +297,7 @@ class BufferPoolManager:
         dirty_bits = self._dirty_bits
         if not dirty_bits[frame_id]:
             dirty_bits[frame_id] = 1
-            self._dirty_set.add(page)
-            self._note_dirty(page)
+            self._mark_dirty(page)
         payloads = self._payloads
         if payload is None:
             current = payloads[frame_id]
@@ -512,12 +528,10 @@ class BufferPoolManager:
             self.device.write_batch(batch)
         except IOFaultError as fault:
             return self._retry_write_back(batch, fault, background)
+        mark_clean = self._mark_clean
         for page in batch:
             dirty_bits[frame_of[page]] = 0
-        self._dirty_set.difference_update(batch)
-        note_clean = self._note_clean
-        for page in batch:
-            note_clean(page)
+            mark_clean(page)
         written = len(batch)
         stats = self.stats
         stats.writebacks += written
@@ -582,13 +596,12 @@ class BufferPoolManager:
             return 0
         frame_of = self._frame_of
         dirty_bits = self._dirty_bits
-        note_clean = self._note_clean
+        mark_clean = self._mark_clean
         for page in landed:
             frame_id = frame_of.get(page)
             if frame_id is not None:
                 dirty_bits[frame_id] = 0
-                note_clean(page)
-        self._dirty_set.difference_update(landed)
+                mark_clean(page)
         stats.writebacks += len(landed)
         stats.writeback_batches += 1
         if background:
@@ -736,7 +749,10 @@ class BufferPoolManager:
             self.stats.prefetch_issued += 1
         self._payloads[frame_id] = payload
         self.table.insert(page, frame_id)
-        self.policy.insert(page, cold=cold)
+        if cold:
+            self.policy.insert(page, cold=True)
+        else:
+            self._policy_insert(page, None)
         return frame_id
 
     def __repr__(self) -> str:

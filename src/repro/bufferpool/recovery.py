@@ -89,17 +89,19 @@ def simulate_crash(manager: BufferPoolManager) -> CrashImage:
         descriptor.reset()
     manager.table = None  # type: ignore[assignment]
     manager.policy = None  # type: ignore[assignment]
-    # The request fast paths run on bound aliases of the table/policy
-    # internals, so wiping the objects above is not enough — clear the
-    # aliases too, or a "dead" manager would keep serving hits.
+    # The request paths run on bound aliases of the table/policy internals
+    # (the inlined loop on the ``_turbo`` tuple, whose policy hooks may be
+    # the policy's containers' own methods), so wiping the objects above is
+    # not enough — clear the aliases too, or a "dead" manager would keep
+    # serving hits.
     manager._slots = None
     manager._frame_of = None
+    manager._turbo = None
     manager._policy_on_access = None  # type: ignore[assignment]
-    manager._policy_select_victim = None  # type: ignore[assignment]
     manager._policy_insert = None  # type: ignore[assignment]
     manager._policy_remove = None  # type: ignore[assignment]
-    manager._note_dirty = None  # type: ignore[assignment]
-    manager._note_clean = None  # type: ignore[assignment]
+    manager._mark_dirty = None  # type: ignore[assignment]
+    manager._mark_clean = None  # type: ignore[assignment]
     return CrashImage(
         device=manager.device,
         wal=manager.wal,

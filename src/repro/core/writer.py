@@ -33,13 +33,14 @@ class Writer:
 
         Returns up to ``n_w`` dirty pages led by the current (dirty) victim,
         followed by the next dirty pages in the policy's virtual order —
-        ``next_dirty`` is the policy's maintained fast path, so this is one
-        bulk read of the dirty sub-order rather than a filtered rescan.
+        ``next_dirty`` is the policy's maintained fast path (for the LRU
+        family a scan of the LRU order filtered in C through the manager's
+        dirty set, which stops at the ``n_w``-th dirty page).
         """
         n_w = self.n_w
         pages = self.manager.policy.next_dirty(n_w)
         if pages and pages[0] == victim:
-            return pages  # the victim heads the dirty sub-order: the usual case
+            return pages  # the victim is the first dirty page: the usual case
         return [victim] + [page for page in pages if page != victim][: n_w - 1]
 
     def flush(self, pages: list[int]) -> int:

@@ -184,6 +184,12 @@ def _replay_turbo(
     would add, per event; the floating-point device time sums stay
     sequential per event too, so the resulting metrics are byte-identical
     to the per-request replay, not merely equal modulo summation order.
+    The policy is called through what ``policy.hooks()`` published (exact
+    LRU: its ordered map's own methods, so a hit, an install and an
+    eviction run no policy frame) and a dirty/clean transition through the
+    manager's one bound callable; the spelling is the same for every
+    policy.  The translation already vouches for membership here; only
+    the reference arm's hits keep the policy's own "not tracked" check.
 
     ACE differs at one point, as in the manager: a dirty victim goes to
     ``manager.writer`` (one ``_write_back`` + ``device.write_batch`` call
@@ -233,17 +239,15 @@ def _replay_turbo(
         num_pages,
         ftl,
         clock,
+        hit,
         select_victim,
         policy_remove,
         policy_insert,
-        note_clean,
-        dirty_discard,
+        mark_dirty,
+        mark_clean,
         reader,
     ) = manager._turbo
     probe_space = manager._probe_space
-    on_access = manager._policy_on_access
-    note_dirty = manager._note_dirty
-    dirty_add = manager._dirty_set.add
     writer = manager.writer
     wal = manager.wal
     stats = manager.stats
@@ -288,9 +292,9 @@ def _replay_turbo(
                         prefetched_bits[frame_id] = 0
                         prefetch_hits += 1
                     if is_write:
-                        on_access(page, True)
+                        hit(page, True)
                     else:
-                        on_access(page, False)
+                        hit(page)
                         continue
                 else:
                     misses += 1
@@ -313,8 +317,7 @@ def _replay_turbo(
                                     if is_write:
                                         if not dirty_bits[frame_id]:
                                             dirty_bits[frame_id] = 1
-                                            dirty_add(page)
-                                            note_dirty(page)
+                                            mark_dirty(page)
                                         current = payloads[frame_id]
                                         payloads[frame_id] = (
                                             current if isinstance(current, int) else 0
@@ -350,8 +353,7 @@ def _replay_turbo(
                                 if is_write:
                                     if not dirty_bits[frame_id]:
                                         dirty_bits[frame_id] = 1
-                                        dirty_add(page)
-                                        note_dirty(page)
+                                        mark_dirty(page)
                                     current = payloads[frame_id]
                                     payloads[frame_id] = (
                                         current if isinstance(current, int) else 0
@@ -377,8 +379,7 @@ def _replay_turbo(
                             if ftl is not None:
                                 ftl.write(victim)
                             dirty_bits[victim_frame] = 0
-                            dirty_discard(victim)
-                            note_clean(victim)
+                            mark_clean(victim)
                             writebacks_done += 1
                         if prefetched_bits[victim_frame]:
                             prefetch_unused += 1
@@ -408,12 +409,11 @@ def _replay_turbo(
                     frame_of[page] = frame_id
                     if array_slots:
                         slots[page] = frame_id
-                    policy_insert(page, False)
+                    policy_insert(page, None)
                     if is_write:
                         if not dirty_bits[frame_id]:
                             dirty_bits[frame_id] = 1
-                            dirty_add(page)
-                            note_dirty(page)
+                            mark_dirty(page)
                         current = payloads[frame_id]
                         payloads[frame_id] = (
                             current if isinstance(current, int) else 0
@@ -424,8 +424,7 @@ def _replay_turbo(
                 # A write hit: dirty marking + version bump.
                 if not dirty_bits[frame_id]:
                     dirty_bits[frame_id] = 1
-                    dirty_add(page)
-                    note_dirty(page)
+                    mark_dirty(page)
                 current = payloads[frame_id]
                 payloads[frame_id] = (current if isinstance(current, int) else 0) + 1
             else:

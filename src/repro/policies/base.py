@@ -28,8 +28,8 @@ manager's descriptors stay the authoritative record, mirroring how
 PostgreSQL's freelist code reads buffer descriptor flags.  A view that
 declares ``notifies_state_changes`` additionally pushes per-page
 dirty/pin transitions into the policy's ``note_*`` hooks, which lets a
-policy maintain its virtual order *incrementally* (a dirty sub-order, a
-clean-first window counter) and answer the bulk fast paths —
+policy maintain its virtual order *incrementally* (a clean-first window
+counter, a pin mirror) and answer the bulk fast paths —
 :meth:`ReplacementPolicy.peek`, :meth:`ReplacementPolicy.next_dirty`,
 :meth:`ReplacementPolicy.next_clean` — in O(answer) instead of
 re-deriving the order per call.  ``eviction_order()`` remains the pure
@@ -44,7 +44,7 @@ from collections.abc import Iterator
 from itertools import islice
 from typing import Protocol
 
-__all__ = ["PageStateView", "ReplacementPolicy", "NullPageStateView"]
+__all__ = ["PageStateView", "ReplacementPolicy", "NullPageStateView", "inherited"]
 
 
 class PageStateView(Protocol):
@@ -53,13 +53,15 @@ class PageStateView(Protocol):
     A view may additionally expose a truthy ``notifies_state_changes``
     attribute, promising to call the policy's ``note_dirty`` /
     ``note_clean`` / ``note_pinned`` / ``note_unpinned`` hooks on every
-    state transition.  Policies bound to such a view may maintain
-    incremental virtual-order structures (dirty sub-orders, window
-    counters) and serve :meth:`ReplacementPolicy.peek` /
+    state transition, exactly once each.  Policies bound to such a view
+    may maintain incremental virtual-order structures (window counters)
+    and serve :meth:`ReplacementPolicy.peek` /
     :meth:`ReplacementPolicy.next_dirty` / :meth:`ReplacementPolicy.next_clean`
-    from them instead of filtering a fresh ``eviction_order()`` scan.
+    from their own order instead of a fresh ``eviction_order()`` scan.
     Views without the attribute (tests, standalone use) get the reference
-    behaviour unchanged.
+    behaviour unchanged.  The buffer manager answers both questions in C
+    (its mirror sets' ``__contains__``), so a policy may filter its order
+    through them without a Python frame per page.
     """
 
     def is_dirty(self, page: int) -> bool:
@@ -79,6 +81,12 @@ class NullPageStateView:
 
     def is_pinned(self, page: int) -> bool:
         return False
+
+
+def inherited(method, function) -> bool:
+    """Whether ``method``, a hook as a policy instance resolves it, is
+    ``function`` itself: no subclass override, no instance attribute."""
+    return getattr(method, "__func__", None) is function
 
 
 class ReplacementPolicy(ABC):
@@ -120,8 +128,9 @@ class ReplacementPolicy(ABC):
     # -- state-change notifications ----------------------------------------
     #
     # Called by a view that declares ``notifies_state_changes`` on every
-    # transition of the named page.  The base class tracks pins; policies
-    # that maintain dirty sub-orders override the dirty pair (and call up).
+    # transition of the named page.  The base class tracks pins; a policy
+    # that counts dirty pages (CFLRU's window) overrides the dirty pair.
+    # The manager calls the dirty pair only if :meth:`hooks` publishes it.
 
     def note_dirty(self, page: int) -> None:
         """``page`` transitioned clean -> dirty."""
@@ -164,6 +173,31 @@ class ReplacementPolicy(ABC):
     @abstractmethod
     def pages(self) -> list[int]:
         """All tracked pages (order unspecified)."""
+
+    def hooks(self) -> tuple:
+        """The callables the buffer manager and the executor's inlined loop
+        call per request: ``(hit, insert, remove, dirtied, cleaned)``.
+
+        ``hit(page)`` is a read hit and ``hit(page, True)`` a write hit,
+        ``insert(page, None)`` a warm install and ``remove(page)`` an
+        eviction, each only on a page whose membership the buffer table
+        already vouches for.  ``dirtied`` / ``cleaned`` are the policy's
+        ``note_dirty`` / ``note_clean``, or ``None`` when it does not
+        listen (the hook is the base no-op), so a transition then costs it
+        nothing.  Each hook is resolved on the instance: an override, in a
+        subclass or as an instance attribute, is the one published.  The
+        policy's own methods here; a policy whose hook is one container
+        operation may hand over the container's method instead (see
+        :meth:`LRUPolicy.hooks`).
+        """
+        note_dirty, note_clean = self.note_dirty, self.note_clean
+        return (
+            self.on_access,
+            self.insert,
+            self.remove,
+            None if inherited(note_dirty, ReplacementPolicy.note_dirty) else note_dirty,
+            None if inherited(note_clean, ReplacementPolicy.note_clean) else note_clean,
+        )
 
     # -- decisions ---------------------------------------------------------
 

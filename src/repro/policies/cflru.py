@@ -15,18 +15,21 @@ full), so the window boundary is maintained *incrementally*: ``_window``
 and ``_rest`` are the two segments of the LRU list as ordered maps, with
 the head of ``_rest`` being exactly the page that slides into the window
 when a window page leaves.  Together with ``_window_dirty`` (the count of
-dirty window pages, updated from the ``note_dirty``/``note_clean`` hooks)
-victim selection is O(1) for the all-clean and all-dirty windows and a
-dict-membership scan to the first clean page otherwise — no per-page view
-calls.  The segments mirror ``_order``; the single authoritative
-description of the clean-first order remains ``eviction_order()``, which
-``select_victim`` consumes directly on the reference path.
+dirty window pages, updated from the ``note_dirty``/``note_clean`` hooks —
+CFLRU is the one policy that listens to dirty transitions) victim
+selection is O(1) for the all-clean and all-dirty windows and a scan to
+the first clean page otherwise, filtered through the view's ``is_dirty``
+(the manager's dirty set, in C).  The segments mirror ``_order``; the
+single authoritative description of the clean-first order remains
+``eviction_order()``, which ``select_victim`` consumes directly on the
+reference path.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterator
+from itertools import filterfalse
 
 from repro.policies.base import PageStateView
 from repro.policies.lru import LRUPolicy
@@ -38,11 +41,6 @@ class CFLRUPolicy(LRUPolicy):
     """CFLRU: LRU order with a clean-first eviction window."""
 
     name = "cflru"
-
-    # select_victim reads the dirty sub-order (window counter + membership
-    # scan), so tracking must be live from the first eviction, not lazily
-    # from the first bulk read.
-    _EAGER_DIRTY_TRACKING = True
 
     def __init__(self, capacity: int, window_fraction: float = 1.0 / 3.0) -> None:
         super().__init__()
@@ -63,8 +61,9 @@ class CFLRUPolicy(LRUPolicy):
         # only while ``_window`` is full.
         self._window: OrderedDict[int, None] = OrderedDict()
         self._rest: OrderedDict[int, None] = OrderedDict()
-        #: Number of window pages present in ``_dirty_order`` (meaningful
-        #: only under a notifying view; stays 0 otherwise).
+        #: Number of dirty window pages (meaningful only under a notifying
+        #: view, whose transitions keep it; the fast paths read it only
+        #: there).
         self._window_dirty = 0
 
     def bind(self, view: PageStateView) -> None:
@@ -86,7 +85,7 @@ class CFLRUPolicy(LRUPolicy):
                 rest = self._rest
                 rest[demoted] = None
                 rest.move_to_end(demoted, last=False)
-                if demoted in self._dirty_order:
+                if self._view.is_dirty(demoted):
                     self._window_dirty -= 1
         elif len(window) < self.window_size:
             window[page] = None  # rest is empty: MRU end is the window end
@@ -94,19 +93,19 @@ class CFLRUPolicy(LRUPolicy):
             self._rest[page] = None
 
     def remove(self, page: int) -> None:
-        was_dirty = page in self._dirty_order
         super().remove(page)
         window = self._window
         if page in window:
             del window[page]
-            if was_dirty:
+            is_dirty = self._view.is_dirty
+            if is_dirty(page):
                 self._window_dirty -= 1
             rest = self._rest
             if rest:
                 head = next(iter(rest))
                 del rest[head]
                 window[head] = None
-                if head in self._dirty_order:
+                if is_dirty(head):
                     self._window_dirty += 1
         else:
             del self._rest[page]
@@ -123,29 +122,28 @@ class CFLRUPolicy(LRUPolicy):
             window.move_to_end(page)
             return
         del window[page]
-        dirty = self._dirty_order
-        if page in dirty:
+        is_dirty = self._view.is_dirty
+        if is_dirty(page):
             self._window_dirty -= 1
         head = next(iter(rest))
         del rest[head]
         window[head] = None
-        if head in dirty:
+        if is_dirty(head):
             self._window_dirty += 1
         rest[page] = None
 
     # -- notifications -----------------------------------------------------
+    #
+    # The view reports each transition exactly once, so the counter moves
+    # by the page's segment alone.
 
     def note_dirty(self, page: int) -> None:
-        if page in self._dirty_order:
-            return
-        super().note_dirty(page)
-        if page in self._dirty_order and page in self._window:
+        if page in self._window:
             self._window_dirty += 1
 
     def note_clean(self, page: int) -> None:
-        if page in self._dirty_order and page in self._window:
+        if page in self._window:
             self._window_dirty -= 1
-        super().note_clean(page)
 
     # -- decisions ---------------------------------------------------------
 
@@ -159,11 +157,7 @@ class CFLRUPolicy(LRUPolicy):
                 # All clean: the LRU page is clean.  All dirty: CFLRU falls
                 # back to the LRU page.  Either way: the window's front.
                 return next(iter(window))
-            dirty = self._dirty_order
-            for page in window:
-                if page not in dirty:
-                    return page
-            return next(iter(window))
+            return next(filterfalse(self._view.is_dirty, window))
         # The victim is by definition the head of the virtual order; the
         # clean-first window scan lives exactly once, in eviction_order().
         return next(iter(self.eviction_order()), None)
@@ -214,10 +208,10 @@ class CFLRUPolicy(LRUPolicy):
         selected: list[int] = []
         if n == 0:
             return selected
-        dirty = self._dirty_order
+        is_dirty = self._view.is_dirty
         deferred: list[int] = []
         for page in self._window:
-            if page in dirty:
+            if is_dirty(page):
                 if len(deferred) < n:
                     deferred.append(page)
             else:

@@ -8,33 +8,26 @@ CFLRU and LRU-WSR on top of it; we mirror that layering
 The implementation is an ordered map: iteration order runs from the
 least-recently-used page (eviction end) to the most-recently-used page.
 
-When bound to a notifying view (the buffer manager), the policy also keeps
-``_dirty_order`` — the dirty pages as a sub-order of the LRU list — updated
-from the ``note_dirty`` / ``note_clean`` hooks.  This is valid in O(1)
-because the manager only dirties a page immediately after ``on_access`` or
-``insert`` placed it at the MRU end, so appending preserves the sub-order
-invariant; ``note_dirty`` still verifies the position and rebuilds on the
-(never observed) off-MRU case.  ``next_dirty(n)`` then reads the first
-``n`` entries directly instead of filtering the whole LRU list through
-per-page view calls.
+Dirty state is not mirrored here.  Under a notifying view (the buffer
+manager) ``next_dirty(n)`` / ``next_clean(n)`` are a filtered scan of the
+LRU order through the view's ``is_dirty`` — the manager's dirty set's own
+``__contains__``, so the scan runs in C — and plain LRU listens to no
+dirty/clean transition.  The scans are shallow: the dirty pages sit near
+the eviction end, so a batch of ``n_w`` reads little more than ``n_w``
+entries (docs/architecture.md, "Virtual-order engine").
 
-The sub-order is maintained *lazily*: plain LRU never consults it for
-victim selection, so a baseline (non-ACE) manager would pay per-write
-bookkeeping for a structure nobody reads.  Tracking therefore switches on
-at the first ``next_dirty``/``next_clean`` fast-path call (seeded with one
-pass over the LRU order through the view) and stays incremental from then
-on.  Subclasses whose ``select_victim`` depends on the sub-order (CFLRU's
-window counter, LRU-WSR's cold-dirty probe) opt into eager tracking at
-bind time via ``_EAGER_DIRTY_TRACKING``.
+Each per-request hook is one ordered-map operation, so :meth:`hooks`
+hands the executor's inlined loop the map's own bound methods; a hook
+overridden in a subclass or on the instance is handed over as is.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterator
-from itertools import islice
+from itertools import filterfalse, islice
 
-from repro.policies.base import PageStateView, ReplacementPolicy
+from repro.policies.base import ReplacementPolicy, inherited
 
 __all__ = ["LRUPolicy"]
 
@@ -44,24 +37,10 @@ class LRUPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    #: Subclasses that read ``_dirty_order`` inside ``select_victim`` set
-    #: this so tracking starts at bind time instead of on first bulk read.
-    _EAGER_DIRTY_TRACKING = False
-
     def __init__(self) -> None:
         super().__init__()
         # Front (first item) = least recently used = next eviction candidate.
         self._order: OrderedDict[int, None] = OrderedDict()
-        # Dirty pages in the same relative order as ``_order`` (front =
-        # first write-back candidate).  Maintained only under a notifying
-        # view and only once tracking is active; empty otherwise.
-        self._dirty_order: OrderedDict[int, None] = OrderedDict()
-        self._dirty_tracking = False
-
-    def bind(self, view: PageStateView) -> None:
-        super().bind(view)
-        self._dirty_order.clear()
-        self._dirty_tracking = self._EAGER_DIRTY_TRACKING and self._notified
 
     # -- membership -------------------------------------------------------
 
@@ -78,16 +57,12 @@ class LRUPolicy(ReplacementPolicy):
         if page not in self._order:
             raise KeyError(f"page {page} not tracked")
         del self._order[page]
-        if self._dirty_tracking:
-            self._dirty_order.pop(page, None)
 
     def on_access(self, page: int, is_write: bool = False) -> None:
         try:
             self._order.move_to_end(page)
         except KeyError:
             raise KeyError(f"page {page} not tracked") from None
-        if self._dirty_tracking and page in self._dirty_order:
-            self._dirty_order.move_to_end(page)
 
     def __contains__(self, page: int) -> bool:
         return page in self._order
@@ -102,40 +77,20 @@ class LRUPolicy(ReplacementPolicy):
         """Pages from least to most recently used (for subclasses/tests)."""
         return list(self._order)
 
-    # -- notifications -----------------------------------------------------
-
-    def note_dirty(self, page: int) -> None:
-        if not self._dirty_tracking:
-            return
-        dirty = self._dirty_order
-        if page in dirty:
-            return
-        dirty[page] = None
-        # Pages are dirtied right after on_access/insert put them at the
-        # MRU end, which is what makes the O(1) append order-preserving.
-        if self._order and next(reversed(self._order)) != page:
-            self._rebuild_dirty_order()
-
-    def note_clean(self, page: int) -> None:
-        if self._dirty_tracking:
-            self._dirty_order.pop(page, None)
-
-    def _rebuild_dirty_order(self) -> None:
-        members = set(self._dirty_order)
-        self._dirty_order.clear()
-        for page in self._order:
-            if page in members:
-                self._dirty_order[page] = None
-
-    def _activate_dirty_tracking(self) -> None:
-        """Seed the dirty sub-order from the view and go incremental."""
-        is_dirty = self._view.is_dirty
-        dirty = self._dirty_order
-        dirty.clear()
-        for page in self._order:
-            if is_dirty(page):
-                dirty[page] = None
-        self._dirty_tracking = True
+    def hooks(self) -> tuple:
+        # A hook this class defines is one ordered-map call on a page the
+        # table vouches for: hand over the map's method (``move_to_end``
+        # with ``last`` omitted or True, ``order[page] = None``, ``del``).
+        # An override, in a subclass or on the instance, is published as is.
+        hit, insert, remove, dirtied, cleaned = super().hooks()
+        order = self._order
+        if inherited(hit, LRUPolicy.on_access):
+            hit = order.move_to_end
+        if inherited(insert, LRUPolicy.insert):
+            insert = order.__setitem__
+        if inherited(remove, LRUPolicy.remove):
+            remove = order.__delitem__
+        return hit, insert, remove, dirtied, cleaned
 
     # -- decisions ---------------------------------------------------------
 
@@ -168,27 +123,12 @@ class LRUPolicy(ReplacementPolicy):
         if self._notified and not self._pinned_pages:
             if n < 0:
                 raise ValueError(f"n must be non-negative: {n}")
-            if not self._dirty_tracking:
-                self._activate_dirty_tracking()
-            return list(islice(self._dirty_order, n))
+            return list(islice(filter(self._view.is_dirty, self._order), n))
         return self._reference_next_dirty(n)
 
     def next_clean(self, n: int) -> list[int]:
         if self._notified and not self._pinned_pages:
             if n < 0:
                 raise ValueError(f"n must be non-negative: {n}")
-            if not self._dirty_tracking:
-                self._activate_dirty_tracking()
-            dirty = self._dirty_order
-            if not dirty:
-                return list(islice(self._order, n))
-            selected: list[int] = []
-            if n == 0:
-                return selected
-            for page in self._order:
-                if page not in dirty:
-                    selected.append(page)
-                    if len(selected) == n:
-                        break
-            return selected
+            return list(islice(filterfalse(self._view.is_dirty, self._order), n))
         return self._reference_next_clean(n)

@@ -10,12 +10,12 @@ eviction time:
   flag is set and the page moves to the most-recently-used position, and
   the search continues down the LRU order.
 
-Under a notifying view the inherited ``_dirty_order`` sub-order makes both
-decisions cheap: ``select_victim`` probes candidates with dict lookups
-instead of per-page view calls, and ``next_dirty(n)`` is two passes over
-the dirty sub-order (cold dirty pages first — they are evicted where they
-stand — then the not-cold ones in the order they would be deferred to the
-MRU end).
+Under a notifying view both decisions read dirty state through the view's
+``is_dirty`` (the manager's dirty set, in C): ``select_victim`` probes
+candidates one lookup each, and ``next_dirty(n)`` is two passes over the
+LRU order filtered to its dirty pages (cold dirty pages first — they are
+evicted where they stand — then the not-cold ones in the order they would
+be deferred to the MRU end).
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class LRUWSRPolicy(LRUPolicy):
     """LRU-WSR: second chance for hot dirty pages via a cold flag."""
 
     name = "lru_wsr"
-
-    # select_victim probes dirty state via the sub-order, so tracking must
-    # be live from the first eviction, not lazily from the first bulk read.
-    _EAGER_DIRTY_TRACKING = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -67,21 +63,19 @@ class LRUWSRPolicy(LRUPolicy):
         """Second chance: set the cold flag, rotate to the MRU position."""
         self._cold[candidate] = True
         self._order.move_to_end(candidate)
-        if candidate in self._dirty_order:
-            self._dirty_order.move_to_end(candidate)
 
     def select_victim(self) -> int | None:
         # At most one full pass can defer pages; after that every dirty page
         # has its cold flag set and the next candidate wins.
         if self._notified and not self._pinned_pages:
             order = self._order
-            dirty = self._dirty_order
+            is_dirty = self._view.is_dirty
             cold = self._cold
             for _ in range(2 * len(order) + 1):
                 candidate = next(iter(order), None)
                 if candidate is None:
                     return None
-                if candidate not in dirty or cold[candidate]:
+                if not is_dirty(candidate) or cold[candidate]:
                     return candidate
                 self._defer(candidate)
             return None
@@ -133,11 +127,11 @@ class LRUWSRPolicy(LRUPolicy):
         selected: list[int] = []
         if n == 0:
             return selected
-        dirty = self._dirty_order
+        is_dirty = self._view.is_dirty
         cold = self._cold
         deferred: list[int] = []
         for page in self._order:
-            if page in dirty and not cold[page]:
+            if is_dirty(page) and not cold[page]:
                 if len(deferred) < n:
                     deferred.append(page)
             else:
@@ -159,13 +153,13 @@ class LRUWSRPolicy(LRUPolicy):
         if n == 0:
             return selected
         cold = self._cold
-        dirty = self._dirty_order
-        for page in dirty:
+        is_dirty = self._view.is_dirty
+        for page in filter(is_dirty, self._order):
             if cold[page]:
                 selected.append(page)
                 if len(selected) == n:
                     return selected
-        for page in dirty:
+        for page in filter(is_dirty, self._order):
             if not cold[page]:
                 selected.append(page)
                 if len(selected) == n:

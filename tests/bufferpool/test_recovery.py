@@ -16,6 +16,8 @@ from repro.bufferpool.recovery import (
 from repro.bufferpool.wal import WalRecordKind, WriteAheadLog
 from repro.core.ace import ACEBufferPoolManager
 from repro.core.config import ACEConfig
+from repro.core.stack import VARIANTS, build_manager
+from repro.engine.executor import replay
 from repro.policies.lru import LRUPolicy
 from repro.storage.device import SimulatedSSD
 
@@ -89,6 +91,22 @@ class TestCrash:
         simulate_crash(manager)
         with pytest.raises(Exception):
             manager.read_page(3)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_crashed_manager_refuses_replay(self, variant):
+        # The inlined loop runs on the ``_turbo`` tuple, whose hooks for
+        # LRU are its ordered map's own methods: a crash that left them
+        # bound would let the dead manager serve these hits (and log the
+        # write into the crash image's WAL).
+        device = SimulatedSSD(TEST_PROFILE, num_pages=128)
+        device.format_pages(range(128))
+        wal = WriteAheadLog(device.clock, records_per_page=4)
+        manager = build_manager(device, 8, "lru", variant, wal=wal, sanitize=False)
+        replay(manager, [3], [False])
+        simulate_crash(manager)
+        with pytest.raises(TypeError):
+            replay(manager, [3, 3, 3], [False, True, False])
+        assert wal.lsn == 0
 
 
 class TestRecovery:

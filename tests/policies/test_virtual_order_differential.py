@@ -22,6 +22,7 @@ import pytest
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.policies import POLICY_NAMES, make_policy
+from repro.policies.cflru import CFLRUPolicy
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import DeviceProfile
 
@@ -38,8 +39,8 @@ class NotifyingView:
     """A PageStateView that honours the notification contract.
 
     Unlike ``FakeView``, it advertises ``notifies_state_changes`` and
-    forwards every dirty/clean/pin/unpin transition to the bound policy's
-    ``note_*`` hooks — exactly what :class:`BufferPoolManager` does — so
+    forwards every dirty/clean/pin/unpin transition, once, to the bound
+    policy's ``note_*`` hooks — what :class:`BufferPoolManager` does — so
     the policies' maintained fast paths switch on.
     """
 
@@ -125,8 +126,9 @@ def drive(policy, view, rng, steps: int, allow_pins: bool) -> None:
             if is_write:
                 view.mark_dirty(page)
         elif roll < 0.70:
-            # Dirty an arbitrary resident page (not necessarily the MRU —
-            # exercises the note_dirty resync path).
+            # Dirty an arbitrary resident page, not necessarily the MRU:
+            # neither the filtered scans nor CFLRU's window counter may
+            # assume a page is dirtied only where it was just touched.
             view.mark_dirty(rng.choice(tracked))
         elif roll < 0.80:
             dirty = [p for p in tracked if view.is_dirty(p)]
@@ -145,6 +147,12 @@ def drive(policy, view, rng, steps: int, allow_pins: bool) -> None:
                 policy.remove(page)
                 view.forget(page)
         assert_fast_paths_match(policy, f"after step {step}")
+        if isinstance(policy, CFLRUPolicy):
+            recount = sum(map(view.is_dirty, policy._window))
+            assert policy._window_dirty == recount, (
+                f"CFLRU's window counter drifted after step {step}: "
+                f"{policy._window_dirty} != {recount}"
+            )
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)

@@ -91,6 +91,9 @@ TURBO_WRITES = {
     "repro.core.ace.ACEBufferPoolManager.__init__": (
         "rebinds its last slot, the Reader hook"
     ),
+    "repro.bufferpool.recovery.simulate_crash": (
+        "clears it, so a crashed manager cannot serve hits through replay"
+    ),
 }
 
 #: A replica is written by ``_GroupNode.apply`` — one ``append_batch``, one

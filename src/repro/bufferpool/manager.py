@@ -35,7 +35,8 @@ here.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import deque
+from itertools import repeat
 
 from repro.analyze.sanitizer import attach as _attach_sanitizer
 from repro.analyze.sanitizer import env_enabled as _sanitize_env_enabled
@@ -57,6 +58,9 @@ from repro.policies.base import ReplacementPolicy
 from repro.storage.device import SimulatedSSD
 
 __all__ = ["BufferPoolManager"]
+
+#: Drains an iterator in C (``_consume(map(hook, pages))``, no frame per page).
+_consume = deque(maxlen=0).extend
 
 
 def _transition(update, note):
@@ -442,8 +446,11 @@ class BufferPoolManager:
                 reader = None  # a Reader that only trains
         if self.pool.has_free():
             if reader is not None:
-                # A batch even when the prefetch set comes back empty:
-                # a faulty device draws its schedule per call.
+                # A batch even when the prefetch set comes back empty, here
+                # and after the wide exchange: a faulty device draws its
+                # fault schedule per call, so a batch of one is not a
+                # ``read_page``.  (The inlined loop, on a bare device only,
+                # reads an empty set's page alone: the same cost.)
                 limit = min(self.evictor.n_e, self.pool.free_count) - 1
                 return reader.fetch(page, reader.select_prefetch_set(page, limit))
         else:
@@ -499,27 +506,24 @@ class BufferPoolManager:
             candidates_examined=candidates_examined,
         )
 
-    def _write_back(self, pages: Iterable[int], background: bool = False) -> int:
+    def _write_back(self, pages: list[int], background: bool = False) -> int:
         """Write the given resident dirty pages to the device in one batch.
 
         The baseline manager always calls this with a single page; ACE's
         Writer calls it with up to ``n_w`` pages, which the device executes
-        concurrently.  Pages are marked clean afterwards.  Returns the
-        number of pages written.
+        concurrently.  Pages are marked clean afterwards, each distinct
+        page once.  Returns the number of pages written.  A page that is
+        not resident or not dirty refuses the whole batch before anything
+        is written: the error names the first such page.  The frames are
+        resolved, checked and cleaned a column at a time, in C.
         """
-        frame_of = self._frame_of
+        frames = list(map(self._frame_of.get, pages))
         dirty_bits = self._dirty_bits
-        payloads = self._payloads
-        batch: dict[int, object | None] = {}
-        for page in pages:
-            frame_id = frame_of.get(page)
-            if frame_id is None:
-                raise PageNotBufferedError(f"page {page} is not resident")
-            if not dirty_bits[frame_id]:
-                raise ValueError(f"page {page} is not dirty")
-            batch[page] = payloads[frame_id]
-        if not batch:
+        if None in frames or not all(map(dirty_bits.__getitem__, frames)):
+            raise self._refusal(pages, evicting=False)[1]
+        if not frames:
             return 0
+        batch = dict(zip(pages, map(self._payloads.__getitem__, frames)))
         if self.wal is not None:
             # WAL-before-data: log records covering these pages must be
             # durable before the pages themselves are written.
@@ -528,10 +532,8 @@ class BufferPoolManager:
             self.device.write_batch(batch)
         except IOFaultError as fault:
             return self._retry_write_back(batch, fault, background)
-        mark_clean = self._mark_clean
-        for page in batch:
-            dirty_bits[frame_of[page]] = 0
-            mark_clean(page)
+        _consume(map(dirty_bits.__setitem__, frames, repeat(0)))
+        _consume(map(self._mark_clean, batch))
         written = len(batch)
         stats = self.stats
         stats.writebacks += written
@@ -627,46 +629,65 @@ class BufferPoolManager:
         selected = self.policy.next_clean(1)
         return selected[0] if selected else None
 
-    def _evict(self, pages: Iterable[int]) -> None:
-        """Drop clean, unpinned resident pages from the pool, in order, on
-        its flat arrays: one call for the classic victim and for ACE's
-        ``n_e`` alike, the counters added once."""
+    def _evict(self, pages: list[int]) -> None:
+        """Drop clean, unpinned resident pages from the pool, in order: one
+        call for the classic victim and for ACE's ``n_e`` alike, each flat
+        array updated in one C-level pass, the counters added once.
+
+        A page that is not resident (a repeat included: its first copy has
+        left), dirty or pinned stops the eviction there, as a page-by-page
+        loop would: the pages before it leave and are counted, and the
+        error names it.
+        """
+        frames = list(map(self._frame_of.get, pages))
+        if (
+            None in frames
+            or any(map(self._dirty_bits.__getitem__, frames))
+            or any(map(self._pin_counts.__getitem__, frames))
+            or len(set(frames)) < len(frames)
+        ):
+            index, error = self._refusal(pages, evicting=True)
+            self._evict(pages[:index])
+            raise error
+        prefetched_bits = self._prefetched_bits
+        unused = sum(map(prefetched_bits.__getitem__, frames))
+        if unused:
+            _consume(map(prefetched_bits.__setitem__, frames, repeat(0)))
+        _consume(map(self._frame_of.__delitem__, pages))
+        if self._array_slots:
+            _consume(map(self._slots.__setitem__, pages, repeat(-1)))
+        _consume(map(self._policy_remove, pages))
+        _consume(map(self._page_of.__setitem__, frames, repeat(-1)))
+        _consume(map(self._payloads.__setitem__, frames, repeat(None)))
+        self.pool._free += frames
+        stats = self.stats
+        stats.evictions += len(frames)
+        stats.prefetch_unused += unused
+
+    def _refusal(self, pages: list[int], evicting: bool) -> tuple[int, Exception]:
+        """The first page of ``pages`` that ``_evict`` (``evicting``) or
+        ``_write_back`` must refuse, as ``(index, error)``: one that is not
+        resident, or for an eviction one that is dirty, pinned or a
+        repeat, or for a write-back one that is clean."""
         frame_of = self._frame_of
         dirty_bits = self._dirty_bits
-        pin_counts = self._pin_counts
-        prefetched_bits = self._prefetched_bits
-        slots = self._slots if self._array_slots else None
-        policy_remove = self._policy_remove
-        page_of = self._page_of
-        payloads = self._payloads
-        free = self.pool._free
-        evicted = unused = 0
-        try:
-            for page in pages:
-                frame_id = frame_of.get(page)
-                if frame_id is None:
-                    raise PageNotBufferedError(f"page {page} is not resident")
-                if dirty_bits[frame_id]:
-                    raise ValueError(
-                        f"cannot evict dirty page {page}; write it back first"
-                    )
-                if pin_counts[frame_id]:
-                    raise ValueError(f"cannot evict pinned page {page}")
-                if prefetched_bits[frame_id]:
-                    unused += 1
-                    prefetched_bits[frame_id] = 0
-                evicted += 1
-                del frame_of[page]
-                if slots is not None:
-                    slots[page] = -1
-                policy_remove(page)
-                page_of[frame_id] = -1
-                payloads[frame_id] = None
-                free.append(frame_id)
-        finally:
-            stats = self.stats
-            stats.evictions += evicted
-            stats.prefetch_unused += unused
+        gone: set[int] = set()
+        for index, page in enumerate(pages):
+            frame_id = frame_of.get(page)
+            if frame_id is None or page in gone:
+                return index, PageNotBufferedError(f"page {page} is not resident")
+            if not evicting:
+                if not dirty_bits[frame_id]:
+                    return index, ValueError(f"page {page} is not dirty")
+                continue
+            if dirty_bits[frame_id]:
+                return index, ValueError(
+                    f"cannot evict dirty page {page}; write it back first"
+                )
+            if self._pin_counts[frame_id]:
+                return index, ValueError(f"cannot evict pinned page {page}")
+            gone.add(page)
+        raise AssertionError(f"no page of {pages} is refused")
 
     def _load(self, page: int, cold: bool = False) -> int:
         """Read ``page`` from the device and install it into a free frame."""

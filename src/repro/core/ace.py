@@ -29,6 +29,8 @@ here: the wide exchange, :meth:`ACEBufferPoolManager._exchange_wide`.
 
 from __future__ import annotations
 
+from itertools import chain, filterfalse
+
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
 from repro.core.config import ACEConfig
@@ -155,21 +157,19 @@ class ACEBufferPoolManager(BufferPoolManager):
         """Lines 25-36, a prefetching stack's dirty victim: write ``n_w``
         dirty pages concurrently, evict ``n_e`` pages led by ``victim``;
         returns the prefetch budget (the freed frames but the missed page's)."""
-        dirty_set = self._dirty_set
+        is_dirty = self._dirty_set.__contains__
         writeback_set = self.writer.select_writeback_set(victim)
         eviction_set = self.evictor.select_eviction_set(victim)
         # Pages about to be evicted must be clean; fold any dirty ones into
         # the same concurrent write batch ("pages written and to be evicted
         # can be different", Algorithm 1 comment).
-        batch = dict.fromkeys(writeback_set)
-        for candidate in eviction_set:
-            if candidate in dirty_set:
-                batch.setdefault(candidate)
-        self.writer.flush(list(batch))
+        self.writer.flush(
+            list(dict.fromkeys(chain(writeback_set, filter(is_dirty, eviction_set))))
+        )
         # Degradation: a torn/failed batch leaves some candidates dirty.
         # Evict only the pages that actually came back clean; the rest stay
         # resident and re-queued, and the prefetch budget shrinks to match.
-        clean_set = [p for p in eviction_set if p not in dirty_set]
+        clean_set = list(filterfalse(is_dirty, eviction_set))
         skipped = len(eviction_set) - len(clean_set)
         if skipped:
             self.stats.degraded_evictions += skipped

@@ -8,9 +8,12 @@ is installed at the most-recently-used position; prefetched pages are
 installed at the least-recently-used position so that a wrong prediction is
 simply dropped at the next eviction without ever costing a write.  It is a
 hook of the one miss routine (``BufferPoolManager._handle_miss``, inlined
-on a bare device by the executor's ``_replay_turbo``), not a routine: a
-miss whose prefetch set comes back empty reads the one page, a batch of
-one in the routine and the classic read in the inlined loop.
+on a bare device by the executor's ``_replay_turbo``), not a routine.  It
+is asked at two exits, a miss into free frames and the wide exchange at a
+dirty victim; at either, a prefetch set that comes back empty reads the
+one page — a batch of one through :meth:`Reader.fetch` in the routine
+(a faulty device draws its fault schedule per call), the classic read
+inline in the loop, at the same cost.
 """
 
 from __future__ import annotations

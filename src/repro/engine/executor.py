@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
@@ -39,7 +38,7 @@ from repro.bufferpool.background import (
     Checkpointer,
     IdleScrubber,
 )
-from repro.bufferpool.manager import BufferPoolManager
+from repro.bufferpool.manager import BufferPoolManager, _consume
 from repro.bufferpool.wal import WriteAheadLog
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
@@ -51,9 +50,6 @@ __all__ = ["ExecutionOptions", "RunSession", "replay", "run_trace", "run_transac
 
 #: A transaction's request columns, built in C (no frame per request).
 _page_of, _is_write_of = attrgetter("page"), attrgetter("is_write")
-
-#: Drains an iterator in C (``_consume(map(hook, pages))``, no frame per page).
-_consume = deque(maxlen=0).extend
 
 
 @dataclass(frozen=True)
@@ -201,11 +197,15 @@ def _replay_turbo(
     and once when the stretch ends, raising or not (:func:`_log_stretch`).
 
     A Reader is the miss routine's second hook, spelled as there: it hears
-    ``on_miss`` first and, if it prefetches, leaves the inlined code for
-    ``reader.fetch`` twice — a non-empty prefetch set into free frames, and
-    the wide exchange (``manager._exchange_wide``) at a dirty victim.  Its
-    methods and ``evictor.n_e`` are looked up per call, as the manager
-    does.  The observer (the prefetcher's ``observe``) is not called per
+    ``on_miss`` first and, if it prefetches, is asked for a prefetch set at
+    two exits — a miss into free frames, and the wide exchange
+    (``manager._exchange_wide``: ``n_w`` written, ``n_e`` evicted in bulk)
+    at a dirty victim.  Only a non-empty set leaves the inlined code for
+    ``reader.fetch``; an empty one, at either exit, takes the classic read
+    and install inline (the routine reads a batch of one there — the same
+    state, counters and clock on a bare device).  Its methods and
+    ``evictor.n_e`` are looked up per call, as the manager does.  The
+    observer (the prefetcher's ``observe``) is not called per
     request: its state is read only at a miss, so the requests since the
     last miss are replayed into it, in order, just before the next
     ``on_miss`` and when the stretch ends — the same sequence of hook calls
@@ -344,12 +344,36 @@ def _replay_turbo(
                             if prefetching:
                                 # The wide exchange: n_w written, n_e dropped,
                                 # the freed frames but one prefetched.
-                                frame_id = reader.fetch(
-                                    page,
-                                    reader.select_prefetch_set(
-                                        page, manager._exchange_wide(victim)
-                                    ),
+                                chosen = reader.select_prefetch_set(
+                                    page, manager._exchange_wide(victim)
                                 )
+                                if chosen:
+                                    frame_id = reader.fetch(page, chosen)
+                                else:
+                                    # Nothing to prefetch: the classic read
+                                    # and install below, repeated here, as
+                                    # the write post-work is.
+                                    if num_pages is not None and not (
+                                        0 <= page < num_pages
+                                    ):
+                                        raise IndexError(
+                                            f"page {page} out of device range "
+                                            f"[0, {num_pages})"
+                                        )
+                                    clock.ticks += read_ticks
+                                    device_stats.read_time_us += read_us
+                                    reads_done += 1
+                                    try:
+                                        payload = device_payloads[page]
+                                    except KeyError:
+                                        payload = None
+                                    frame_id = free.pop()
+                                    page_of[frame_id] = page
+                                    payloads[frame_id] = payload
+                                    frame_of[page] = frame_id
+                                    if array_slots:
+                                        slots[page] = frame_id
+                                    policy_insert(page, None)
                                 if is_write:
                                     if not dirty_bits[frame_id]:
                                         dirty_bits[frame_id] = 1

@@ -47,8 +47,9 @@ class CompositePrefetcher(Prefetcher):
         self.sequential.on_miss(page)
 
     def suggest(self, page: int, n: int) -> list[int]:
-        if self.sequential.in_stream(page):
-            suggestions = self.sequential.suggest(page, n)
+        sequential = self.sequential
+        if sequential._active_stream_page == page:  # ``in_stream(page)``, inline
+            suggestions = sequential.suggest(page, n)
             if suggestions:
                 self.sequential_suggestions += len(suggestions)
                 return suggestions

@@ -82,15 +82,14 @@ class HistoryPrefetcher(Prefetcher):
         """Chain up to ``n`` predicted pages starting from ``page``: each
         link the previous one's highest-weight successor (first of equals)
         that clears the threshold and is not in the chain already."""
-        suggestions: list[int] = []
         table = self._table
         floor = self.fetch_threshold - 1
+        row = table.get(page)
+        if row is None or max(row[1]) <= floor or n < 1:
+            return []  # the common answer, decided before allocating
+        suggestions: list[int] = []
         exclude = {page}
-        current = page
-        while len(suggestions) < n:
-            row = table.get(current)
-            if row is None or max(row[1]) <= floor:
-                break  # the common end: nothing here clears the threshold
+        while True:
             best = None
             best_weight = floor
             for candidate, weight in zip(*row):
@@ -100,8 +99,12 @@ class HistoryPrefetcher(Prefetcher):
             if best is None:
                 break
             suggestions.append(best)
+            if len(suggestions) == n:
+                break
             exclude.add(best)
-            current = best
+            row = table.get(best)
+            if row is None or max(row[1]) <= floor:
+                break  # nothing here clears the threshold
         return suggestions
 
     def row(self, page: int) -> tuple[list[int], list[int]] | None:

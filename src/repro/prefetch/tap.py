@@ -52,18 +52,23 @@ class TaPPrefetcher(Prefetcher):
     def on_miss(self, page: int) -> None:
         """Feed a buffer miss to the sequential detection module."""
         self._active_stream_page = None
-        length = self._table.pop(page, None)
-        if length is None:
-            # Possibly the start of a new stream: watch for page + 1.
-            self._insert(page + 1, 1)
-            return
-        new_length = length + 1
-        self._insert(page + 1, new_length)
-        if new_length >= self.trigger_length:
-            if new_length == self.trigger_length:
+        table = self._table
+        # A miss the table expected extends that stream by one; any other
+        # may start one (length 1): either way, watch for ``page + 1``,
+        # keeping the longer stream interpretation (re-queued at the tail).
+        length = table.pop(page, 0) + 1
+        expected = page + 1
+        known = table.pop(expected, 0)
+        table[expected] = known if known > length else length
+        if len(table) > self.table_size:
+            # FIFO eviction of stale would-be streams (one insertion
+            # overflows the table by one entry at most).
+            table.popitem(last=False)
+        if length >= self.trigger_length:
+            if length == self.trigger_length:
                 self.streams_detected += 1
             self._active_stream_page = page
-            self._active_stream_length = new_length
+            self._active_stream_length = length
 
     def in_stream(self, page: int) -> bool:
         """Whether ``page``'s most recent miss extended a confirmed stream.
@@ -77,32 +82,25 @@ class TaPPrefetcher(Prefetcher):
         """The next ``n`` sequential pages, if ``page`` is in a stream.
 
         Issuing a prefetch also *sustains* the stream: the page right after
-        the prefetched run is inserted into the table so that the miss
-        ending the run re-enters the confirmed stream immediately instead
-        of re-paying the detection warm-up.
+        the prefetched run is inserted into the table (as ``on_miss``
+        inserts) so that the miss ending the run re-enters the confirmed
+        stream immediately instead of re-paying the detection warm-up.
         """
-        if not self.in_stream(page):
+        if self._active_stream_page != page:
             return []
-        suggestions = [page + offset for offset in range(1, n + 1)]
-        if self.max_page is not None:
-            suggestions = [p for p in suggestions if p < self.max_page]
+        stop = page + n + 1
+        if self.max_page is not None and stop > self.max_page:
+            stop = self.max_page
+        suggestions = list(range(page + 1, stop))
         if suggestions:
-            continuation = suggestions[-1] + 1
-            self._insert(
-                continuation, self._active_stream_length + len(suggestions)
-            )
+            length = self._active_stream_length + len(suggestions)
+            table = self._table
+            known = table.pop(stop, 0)
+            table[stop] = known if known > length else length
+            if len(table) > self.table_size:
+                table.popitem(last=False)
         return suggestions
 
     def table_contents(self) -> dict[int, int]:
         """Snapshot of the TaP table (tests/diagnostics)."""
         return dict(self._table)
-
-    def _insert(self, expected_page: int, length: int) -> None:
-        table = self._table
-        # Keep the longer stream interpretation (re-queued at the tail).
-        known = table.pop(expected_page, 0)
-        table[expected_page] = known if known > length else length
-        if len(table) > self.table_size:
-            # FIFO eviction of stale would-be streams (one insertion
-            # overflows the table by one entry at most).
-            table.popitem(last=False)

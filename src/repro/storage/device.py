@@ -164,6 +164,11 @@ class SimulatedSSD:
         # call (what ``advance`` adds).
         self._single_read_ticks = to_ticks(self._single_read_us)
         self._single_write_ticks = to_ticks(self._single_write_us)
+        # Every batch size's cost as ``(us, ticks)``, memoised on first use
+        # and seeded with the single-page pair: a batch then adds its ticks
+        # to the clock as ``write_page`` does, with no model call.
+        self._read_costs = {1: (self._single_read_us, self._single_read_ticks)}
+        self._write_costs = {1: (self._single_write_us, self._single_write_ticks)}
         self.stats = DeviceStats()
         self._payloads: dict[int, object] = {}
         #: Out-of-band checksum metadata: page -> checksum of the payload
@@ -209,8 +214,12 @@ class SimulatedSSD:
         if n == 0:
             return []
         self._check_pages(pages)
-        elapsed = self.model.read_batch_us(n)
-        self.clock.advance(elapsed)
+        cost = self._read_costs.get(n)
+        if cost is None:
+            elapsed = self.model.read_batch_us(n)
+            cost = self._read_costs[n] = (elapsed, to_ticks(elapsed))
+        elapsed, ticks = cost
+        self.clock.ticks += ticks
         stats = self.stats
         stats.reads += n
         stats.read_batches += 1
@@ -273,10 +282,12 @@ class SimulatedSSD:
         num_pages = self.num_pages
         if num_pages is not None and not 0 <= min(pages) <= max(pages) < num_pages:
             self._check_pages(pages)  # names the first page out of range
-        elapsed = (
-            self._single_write_us if n == 1 else self.model.write_batch_us(n)
-        )
-        self.clock.advance(elapsed)
+        cost = self._write_costs.get(n)
+        if cost is None:
+            elapsed = self.model.write_batch_us(n)
+            cost = self._write_costs[n] = (elapsed, to_ticks(elapsed))
+        elapsed, ticks = cost
+        self.clock.ticks += ticks
         stats = self.stats
         stats.writes += n
         stats.write_batches += 1

@@ -1,15 +1,19 @@
 """Tests for the baseline buffer manager."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bufferpool.manager import BufferPoolManager
+from repro.bufferpool.wal import WriteAheadLog
 from repro.errors import PageNotBufferedError, PoolExhaustedError
 from repro.policies.clock import ClockSweepPolicy
 from repro.policies.lru import LRUPolicy
+from repro.storage.device import SimulatedSSD
 
-from tests.bufferpool.conftest import make_device, make_manager
+from tests.bufferpool.conftest import TEST_PROFILE, make_device, make_manager
 
 
 class TestHitsAndMisses:
@@ -266,3 +270,151 @@ class TestPropertyBased:
         assert manager.pool.used_count <= 5
         assert len(manager.policy) == manager.pool.used_count
         assert set(manager.policy.pages()) == set(manager.resident_pages())
+
+
+class TestBulkFailureContract:
+    """``_evict`` and ``_write_back`` fail as a page-by-page loop would:
+    the error names the first offending page in request order.  An
+    eviction keeps the pages before that offender evicted (and counted);
+    a write-back has no side effect at all."""
+
+    #: offence -> (exception type, message for page ``p``).
+    EVICT_OFFENCES = {
+        "absent": (PageNotBufferedError, "page {p} is not resident"),
+        "dirty": (ValueError, "cannot evict dirty page {p}; write it back first"),
+        "pinned": (ValueError, "cannot evict pinned page {p}"),
+        "dirty and pinned": (
+            ValueError, "cannot evict dirty page {p}; write it back first",
+        ),
+        "repeat": (PageNotBufferedError, "page {p} is not resident"),
+    }
+
+    @staticmethod
+    def _manager(backend, wal=False):
+        """A sanitised 8-frame pool on a bounded device (the array
+        translation) or an unbounded one (the dict translation)."""
+        device = (
+            make_device(64) if backend == "array"
+            else SimulatedSSD(TEST_PROFILE, num_pages=None)
+        )
+        manager = BufferPoolManager(
+            8, LRUPolicy(), device,
+            wal=WriteAheadLog(device.clock) if wal else None, sanitize=True,
+        )
+        assert manager.table.backend == backend
+        return manager
+
+    def _resident(self, backend="array"):
+        manager = self._manager(backend)
+        for page in range(8):
+            manager.read_page(page)
+        return manager
+
+    @pytest.mark.parametrize(
+        ("offence", "k"),
+        # A repeat needs an earlier page: it cannot lead the list.
+        [(offence, k) for offence in EVICT_OFFENCES for k in (0, 2, 4)
+         if k or offence != "repeat"],
+    )
+    @pytest.mark.parametrize("backend", ["array", "dict"])
+    def test_evict_stops_at_the_first_offender(self, offence, k, backend):
+        manager = self._resident(backend)
+        pages = [0, 1, 2, 3, 4, 5]
+        # Prefetched pages on both sides of the offender: only those that
+        # leave count as unused.
+        for page in (1, 5):
+            manager._prefetched_bits[manager._frame_of[page]] = 1
+        offender = 40
+        if offence == "repeat":
+            offender = 0
+        elif offence != "absent":
+            offender = pages[k]
+            if "dirty" in offence:
+                manager.write_page(offender)
+            if "pinned" in offence:
+                manager.pin(offender)
+        if offence in ("absent", "repeat"):
+            pages.insert(k, offender)
+        # A second offender further on: only the first is named.
+        pages.insert(k + 2, 41)
+        error, message = self.EVICT_OFFENCES[offence]
+        stats = manager.stats
+        evictions, unused = stats.evictions, stats.prefetch_unused
+        free = list(manager.pool._free)
+        with pytest.raises(error) as raised:
+            manager._evict(pages)
+        assert type(raised.value) is error
+        assert str(raised.value) == message.format(p=offender)
+        left = pages[:k]
+        assert all(not manager.contains(page) for page in left)
+        assert all(manager.contains(page) for page in pages[k + 1:] if page < 8)
+        assert stats.evictions == evictions + len(left)
+        assert stats.prefetch_unused == unused + sum(page in (1, 5) for page in left)
+        assert manager.pool._free[:len(free)] == free
+        assert len(manager.pool._free) == len(free) + len(left)
+        assert sorted(manager.policy.pages()) == sorted(manager.resident_pages())
+        manager.sanitizer.assert_clean()
+
+    def test_evict_whole_list(self):
+        manager = self._resident()
+        manager._prefetched_bits[manager._frame_of[2]] = 1
+        frames = [manager._frame_of[page] for page in (3, 2, 6)]
+        manager._evict([3, 2, 6])
+        assert manager.resident_pages() == [0, 1, 4, 5, 7]
+        assert manager.pool._free[-3:] == frames
+        assert (manager.stats.evictions, manager.stats.prefetch_unused) == (3, 1)
+        manager._evict([])
+        assert manager.stats.evictions == 3
+        manager.sanitizer.assert_clean()
+
+    @pytest.mark.parametrize("backend", ["array", "dict"])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("offence", ["absent", "clean"])
+    def test_write_back_raises_before_any_side_effect(self, offence, position, backend):
+        manager = self._manager(backend, wal=True)
+        device, wal = manager.device, manager.wal
+        for page in range(8):
+            manager.write_page(page)
+        pages = [0, 1, 2, 3, 4]
+        if offence == "absent":
+            offender = 50
+            pages.insert(position, offender)
+            error, message = PageNotBufferedError, f"page {offender} is not resident"
+        else:
+            offender = pages[position]
+            manager.flush_page(offender)  # flushes the log too
+            error, message = ValueError, f"page {offender} is not dirty"
+        pages.append(51)  # a later offender is never named
+        for page in (5, 6, 7):
+            manager.write_page(page)  # records a write-back would flush
+        assert wal.durable_lsn < wal.lsn
+        before = (
+            dataclasses.asdict(device.stats), device.clock.ticks,
+            wal.durable_lsn, dataclasses.asdict(wal.device.stats),
+            dataclasses.asdict(manager.stats), manager.dirty_pages(),
+        )
+        with pytest.raises(error) as raised:
+            manager._write_back(pages)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+        assert before == (
+            dataclasses.asdict(device.stats), device.clock.ticks,
+            wal.durable_lsn, dataclasses.asdict(wal.device.stats),
+            dataclasses.asdict(manager.stats), manager.dirty_pages(),
+        )
+        manager.sanitizer.assert_clean()
+
+    def test_write_back_cleans_each_distinct_page_once(self):
+        manager = BufferPoolManager(8, LRUPolicy(), make_device(64))
+        for page in range(8):
+            manager.write_page(page)
+        cleaned = []
+        mark_clean = manager._mark_clean
+        manager._mark_clean = lambda page: (cleaned.append(page), mark_clean(page))
+        assert manager._write_back([3, 1, 3, 5, 1]) == 3
+        assert cleaned == [3, 1, 5]
+        assert manager.dirty_pages() == [0, 2, 4, 6, 7]
+        assert manager.device.stats.write_batch_size_histogram == {3: 1}
+        assert manager.device.peek(3) == 1
+        assert (manager.stats.writebacks, manager.stats.writeback_batches) == (3, 1)
+        assert manager._write_back([]) == 0

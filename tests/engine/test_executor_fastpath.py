@@ -43,6 +43,7 @@ from repro.core.config import ACEConfig
 from repro.core.stack import VARIANTS, build_manager
 from repro.engine import executor
 from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
+from repro.engine.latency import LatencyRecorder
 from repro.errors import PoolExhaustedError
 from repro.faults import FaultPlan, FaultyDevice
 from repro.policies.registry import POLICY_NAMES, make_policy
@@ -571,8 +572,9 @@ def test_which_path_replays(label, monkeypatch):
 
 def test_reader_stack_leaves_the_inlined_branch_only_to_prefetch():
     """Bare device: ``reader.fetch`` is reached with a non-empty prefetch
-    set or after the wide (dirty-victim) exchange, never for the plain
-    single-page read every other miss ends in."""
+    set only, into free frames or after the wide (dirty-victim) exchange;
+    every other miss, an empty wide exchange's included, ends in the
+    plain single-page read."""
     manager = build("lru", "ace+pf")
     exchanged, fetches = [], []
     exchange, fetch = manager._exchange_wide, manager.reader.fetch
@@ -582,16 +584,87 @@ def test_reader_stack_leaves_the_inlined_branch_only_to_prefetch():
         return exchange(victim)
 
     def recording_fetch(page, prefetch_pages):
-        assert prefetch_pages or exchanged
-        exchanged.clear()
+        assert prefetch_pages
         fetches.append(page)
         return fetch(page, prefetch_pages)
 
     manager._exchange_wide = recording_exchange
     manager.reader.fetch = recording_fetch  # looked up per call, like perfbench's
     run_trace(manager, generate_trace(MS, NUM_PAGES, 1500, seed=2), options=OPTIONS)
-    assert 0 < len(fetches) < manager.stats.misses / 2
+    assert 0 < len(fetches) < len(exchanged) < manager.stats.misses / 2
     assert manager.device.stats.read_batches == manager.stats.misses
+
+
+#: How a run is driven: one stretch, latencies (a stall list, so the
+#: stretch breaks after every miss), or a background writer's deadlines.
+DRIVES = ("untimed", "latencies", "deadlines")
+
+
+def _empty_wide_exchange_run(with_wal, drive, force_slow):
+    """An ACE+PF stack whose prefetcher never suggests anything, so every
+    dirty victim is a wide exchange with an empty prefetch set: the
+    fingerprint it leaves, and the reads the Reader and device were asked
+    for as batches."""
+    storage = stack_device()
+    manager = build_manager(
+        storage, CAPACITY, "lru", "ace+pf",
+        wal=WriteAheadLog(storage.clock) if with_wal else None,
+        prefetcher=NullPrefetcher(), sanitize=False,
+    )
+    batched = []
+    fetch, read_batch = manager.reader.fetch, storage.read_batch
+
+    def recording_fetch(page, prefetch_pages):
+        batched.append(("fetch", page))
+        return fetch(page, prefetch_pages)
+
+    def recording_read_batch(pages):
+        batched.append(("read_batch", *pages))
+        return read_batch(pages)
+
+    manager.reader.fetch = recording_fetch
+    storage.read_batch = recording_read_batch
+    trace = generate_trace(MS, NUM_PAGES, 1500, seed=3)
+    latencies = LatencyRecorder() if drive == "latencies" else None
+    bg_writer = (
+        BackgroundWriter(manager, pages_per_round=4) if drive == "deadlines" else None
+    )
+    with per_request(force_slow):
+        metrics = run_trace(
+            manager, trace, options=BACKGROUND_OPTIONS, latencies=latencies,
+            bg_writer=bg_writer,
+        )
+    result = fingerprint(manager, metrics)
+    if latencies is not None:
+        result["latencies"] = latencies._samples_us
+    if bg_writer is not None:
+        assert bg_writer.rounds > 0
+        result["bg_pages"] = bg_writer.pages_flushed
+    return result, batched
+
+
+@pytest.mark.parametrize("drive", DRIVES)
+@pytest.mark.parametrize("with_wal", [False, True], ids=["no_wal", "wal"])
+def test_an_empty_wide_exchange_reads_alone(with_wal, drive):
+    """The wide exchange's second exit: with nothing to prefetch, the
+    inlined loop reads the missed page itself, as at a free frame, where
+    the reference arm reads a batch of one through ``Reader.fetch`` — the
+    state, counters and clock both leave must agree to the byte."""
+    fast, fast_batched = _empty_wide_exchange_run(with_wal, drive, force_slow=False)
+    slow, slow_batched = _empty_wide_exchange_run(with_wal, drive, force_slow=True)
+    assert fast == slow
+    buffer, device = fast["buffer"], fast["device"]
+    assert buffer["dirty_evictions"] > 0
+    assert device["largest_write_batch"] > 1
+    assert device["reads"] == device["read_batches"] == buffer["misses"]
+    assert fast_batched == []
+    # The reference arm: a batch of one per Reader miss, each wide exchange's
+    # and each free frame's.
+    fetched = slow_batched[::2]
+    assert slow_batched[1::2] == [("read_batch", page) for _, page in fetched]
+    assert len(fetched) > buffer["dirty_evictions"]
+    if with_wal:
+        assert fast["wal"]["device"]["writes"] > 0
 
 
 # ------------------------------------------ the two spellings, Reader stacks
@@ -889,7 +962,34 @@ class FirstHistory(HistoryPrefetcher):
 
 
 class FirstTaP(TaPPrefetcher):
-    """``_insert`` as first written: membership test, ``max``, ``while``."""
+    """``on_miss``/``suggest`` as first written, through one ``_insert``
+    (membership test, ``max``, ``while``) and ``in_stream``."""
+
+    def on_miss(self, page):
+        self._active_stream_page = None
+        length = self._table.pop(page, None)
+        if length is None:
+            self._insert(page + 1, 1)
+            return
+        new_length = length + 1
+        self._insert(page + 1, new_length)
+        if new_length >= self.trigger_length:
+            if new_length == self.trigger_length:
+                self.streams_detected += 1
+            self._active_stream_page = page
+            self._active_stream_length = new_length
+
+    def suggest(self, page, n):
+        if not self.in_stream(page):
+            return []
+        suggestions = [page + offset for offset in range(1, n + 1)]
+        if self.max_page is not None:
+            suggestions = [p for p in suggestions if p < self.max_page]
+        if suggestions:
+            self._insert(
+                suggestions[-1] + 1, self._active_stream_length + len(suggestions)
+            )
+        return suggestions
 
     def _insert(self, expected_page, length):
         if expected_page in self._table:
@@ -914,6 +1014,8 @@ def test_history_kernel_matches_its_first_definition():
                 chain = kernel.suggest(start, 5)
                 assert chain == first.suggest(start, 5)
                 assert chain[:2] == kernel.suggest(start, 2)
+                assert chain[:1] == kernel.suggest(start, 1)
+                assert kernel.suggest(start, 0) == []
     assert [kernel.row(p) for p in pages] == [first.row(p) for p in pages]
     assert kernel.trained_pairs == first.trained_pairs > 4000
     assert first.ties > 50 and first.passed_over > 50
@@ -935,7 +1037,8 @@ def test_tap_kernel_matches_its_first_definition():
         merged += before.get(page + 1, 0) > before.get(page, 0) + 1
         assert kernel.in_stream(page) == first.in_stream(page)
         if rng.random() < 0.3:
-            assert kernel.suggest(page, 4) == first.suggest(page, 4)
+            n = rng.choice((0, 1, 4, 9))  # 9: runs past ``max_page`` near its end
+            assert kernel.suggest(page, n) == first.suggest(page, n)
         assert list(kernel.table_contents().items()) == list(
             first.table_contents().items()
         )

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
-from repro.storage.profiles import PCIE_SSD, DeviceProfile
+from repro.storage.profiles import (
+    PAPER_DEVICES,
+    PCIE_SSD,
+    DeviceProfile,
+    emulated_profile,
+)
 
 FLAT = DeviceProfile(
     name="flat", alpha=2.0, k_r=4, k_w=4, read_latency_us=100.0,
@@ -101,6 +106,51 @@ class TestBatches:
         device.write_batch({})
         assert device.clock.now_us == 0.0
         assert device.stats.total_ios == 0
+
+
+#: Every shipped profile, plus shapes whose batch costs differ per ``n``.
+COST_PROFILES = (*PAPER_DEVICES, FLAT, emulated_profile(3.0, 8))
+
+
+class TestBatchCosts:
+    """A batch moves the clock and the device time exactly as
+    ``advance(model.*_batch_us(n))`` does, for every size, first seen or
+    repeated, in any order."""
+
+    @pytest.mark.parametrize(
+        "profile", COST_PROFILES, ids=[p.name for p in COST_PROFILES]
+    )
+    def test_batches_cost_what_the_model_says(self, profile):
+        device = make_device(num_pages=64, profile=profile)
+        model = profile.latency_model()
+        clock = VirtualClock()
+        write_us = read_us = 0.0
+        histogram: dict[int, int] = {}
+        largest_write = largest_read = 0
+        sizes = list(range(1, 2 * profile.k_w + 1)) * 3
+        random.Random(profile.name).shuffle(sizes)
+        for n in sizes:
+            device.write_batch(dict.fromkeys(range(n), n))
+            elapsed = model.write_batch_us(n)
+            clock.advance(elapsed)
+            write_us += elapsed
+            histogram[n] = histogram.get(n, 0) + 1
+            largest_write = max(largest_write, n)
+            assert device.clock.ticks == clock.ticks
+            assert device.read_batch(list(range(n))) == [n] * n
+            elapsed = model.read_batch_us(n)
+            clock.advance(elapsed)
+            read_us += elapsed
+            largest_read = max(largest_read, n)
+            assert device.clock.ticks == clock.ticks
+        stats = device.stats
+        assert (stats.write_time_us, stats.read_time_us) == (write_us, read_us)
+        assert stats.write_batch_size_histogram == histogram
+        assert (stats.largest_write_batch, stats.largest_read_batch) == (
+            largest_write, largest_read,
+        )
+        assert stats.writes == stats.reads == sum(sizes)
+        assert stats.write_batches == stats.read_batches == len(sizes)
 
 
 class TestStats:

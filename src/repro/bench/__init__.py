@@ -1,7 +1,7 @@
 """Benchmark harness: experiment runner, statistical repeats, reports, plots."""
 
 from repro.bench.plot import heatmap, line_chart
-from repro.bench.repeats import ReplicatedResult, replicate, replicate_speedup
+from repro.bench.repeats import ReplicatedResult, replicate_speedup
 from repro.bench.report import format_series, format_table, results_dir, write_report
 from repro.bench.runner import (
     VARIANTS,
@@ -27,7 +27,6 @@ __all__ = [
     "line_chart",
     "heatmap",
     "ReplicatedResult",
-    "replicate",
     "replicate_speedup",
     "assemble_experiments_md",
 ]

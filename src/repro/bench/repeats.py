@@ -11,15 +11,13 @@ coefficient-of-variation reporting.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.bench.runner import StackConfig, run_config
-from repro.engine.metrics import RunMetrics
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
-from repro.workloads.trace import Trace
 
-__all__ = ["ReplicatedResult", "replicate", "replicate_speedup"]
+__all__ = ["ReplicatedResult", "replicate_speedup"]
 
 
 @dataclass(frozen=True)
@@ -58,30 +56,6 @@ class ReplicatedResult:
             f"{self.label}: mean={self.mean:.4g} std={self.std:.3g} "
             f"cv={self.cv:.2%} (n={self.n})"
         )
-
-
-def replicate(
-    config: StackConfig,
-    trace_factory: Callable[[int], Trace],
-    seeds: Sequence[int],
-    metric: Callable[[RunMetrics], float] = lambda m: m.elapsed_us,
-    label: str | None = None,
-) -> ReplicatedResult:
-    """Run ``config`` once per seed and summarise ``metric``.
-
-    ``trace_factory(seed)`` builds the workload for each iteration; each
-    run gets a fresh device/manager stack.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    values = []
-    for seed in seeds:
-        metrics = run_config(config, trace_factory(seed))
-        values.append(metric(metrics))
-    return ReplicatedResult(
-        label=label if label is not None else config.label,
-        values=tuple(values),
-    )
 
 
 def replicate_speedup(

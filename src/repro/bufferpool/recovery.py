@@ -65,10 +65,6 @@ class RecoveryReport:
     #: Device retries spent while reapplying redo images (fault injection).
     redo_retries: int = 0
 
-    @property
-    def recovered_pages(self) -> int:
-        return self.redo_applied
-
 
 def simulate_crash(manager: BufferPoolManager) -> CrashImage:
     """Tear down a running manager as a power failure would.

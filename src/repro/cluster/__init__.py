@@ -9,7 +9,7 @@ in its own worker process, and merge the per-shard metrics
 deterministically.  Four sub-modules:
 
 * :mod:`repro.cluster.router` — the page→shard contract (hash and
-  mapped routing, trace/transaction splitting, cross-shard accounting);
+  mapped routing, trace splitting, epoch-stamped failover remaps);
 * :mod:`repro.cluster.placement` — shard assignment as graph
   partitioning (co-access graphs, hash vs locality-optimized placement,
   cut/imbalance scoring);
@@ -31,13 +31,11 @@ from repro.cluster.engine import (
     build_shard_stack,
     merge_shard_metrics,
     run_cluster,
-    run_cluster_transactions,
 )
 from repro.cluster.partitioned import PartitionedBufferPoolManager
 from repro.cluster.placement import (
     CoAccessGraph,
     coaccess_from_trace,
-    coaccess_from_transactions,
     cut_weight,
     hash_placement,
     imbalance,
@@ -52,11 +50,9 @@ from repro.cluster.replication import (
     run_replicated_cluster,
 )
 from repro.cluster.router import (
-    CrossShardStats,
     HashShardRouter,
     MappedShardRouter,
     ShardRouter,
-    SplitTransactions,
     StaleRouteError,
 )
 
@@ -70,7 +66,6 @@ __all__ = [
     "build_shard_stack",
     "merge_shard_metrics",
     "run_cluster",
-    "run_cluster_transactions",
     # replication
     "FailoverEvent",
     "ReplicatedShardResult",
@@ -82,17 +77,14 @@ __all__ = [
     # placement
     "CoAccessGraph",
     "coaccess_from_trace",
-    "coaccess_from_transactions",
     "cut_weight",
     "hash_placement",
     "imbalance",
     "locality_placement",
     "placement_report",
     # router
-    "CrossShardStats",
     "HashShardRouter",
     "MappedShardRouter",
     "ShardRouter",
-    "SplitTransactions",
     "StaleRouteError",
 ]

@@ -26,36 +26,27 @@ Merge semantics (see docs/architecture.md "Sharded cluster"):
 
 * counters (buffer, device, FTL, WAL) are summed in shard order —
   integer sums commute, float sums are fixed to shard order;
-* ``elapsed_us`` is the **makespan**: the max over shard virtual clocks,
-  plus the cross-shard coordination penalty — shards are independent
-  nodes serving in parallel, so cluster virtual time is bounded by the
-  slowest shard;
+* ``elapsed_us`` is the **makespan**: the max over shard virtual clocks —
+  shards are independent nodes serving in parallel, so cluster virtual
+  time is bounded by the slowest shard;
 * ``serial_elapsed_us`` preserves the sum (what a single node doing all
   the work would have taken) — the 1-shard cluster and the differential
-  tests key off it;
-* cross-shard transactions (a split transaction's coordination) charge
-  ``cross_shard_penalty_us`` per extra shard touched, on top of the
-  makespan.
+  tests key off it.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.stats import BufferStats
 from repro.bufferpool.wal import WriteAheadLog
-from repro.cluster.router import (
-    CrossShardStats,
-    HashShardRouter,
-    MappedShardRouter,
-    ShardRouter,
-)
+from repro.cluster.router import HashShardRouter, MappedShardRouter, ShardRouter
 from repro.core.stack import VARIANTS, build_manager
-from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
+from repro.engine.executor import ExecutionOptions, run_trace
 from repro.engine.metrics import RunMetrics
 from repro.errors import ClusterReplayError, NodeFailure
 from repro.faults.nodes import NodeFaultPlan
@@ -75,7 +66,6 @@ __all__ = [
     "build_shard_stack",
     "merge_shard_metrics",
     "run_cluster",
-    "run_cluster_transactions",
 ]
 
 #: Total tries per shard job, mirroring ``repro.bench.parallel``: a
@@ -111,9 +101,6 @@ class ClusterConfig:
     assignment:
         Page→shard vector from :mod:`repro.cluster.placement`, required
         for (and only meaningful with) ``placement="locality"``.
-    cross_shard_penalty_us:
-        Virtual-time coordination cost charged per *extra* shard a
-        transaction touches (two-phase-commit style; 0 disables).
     n_w, n_e, options:
         As in :class:`~repro.bench.runner.StackConfig`.
     replication_factor:
@@ -141,7 +128,6 @@ class ClusterConfig:
     pool_fraction: float = 0.06
     placement: str = "hash"
     assignment: tuple[int, ...] | None = None
-    cross_shard_penalty_us: float = 0.0
     n_w: int | None = None
     n_e: int | None = None
     options: ExecutionOptions = field(default_factory=ExecutionOptions)
@@ -168,8 +154,6 @@ class ClusterConfig:
             )
         if self.placement == "locality" and self.assignment is None:
             raise ValueError("locality placement needs an assignment vector")
-        if self.cross_shard_penalty_us < 0:
-            raise ValueError("cross-shard penalty cannot be negative")
         if self.replication_factor < 0:
             raise ValueError(
                 f"replication factor cannot be negative: "
@@ -262,27 +246,16 @@ def build_shard_stack(
 class ShardJob:
     """One shard's complete replay recipe — pure and picklable.
 
-    Exactly one of ``pages``/``writes`` (a subtrace) and ``transactions``
-    (a per-shard transaction stream) is set.  The job carries everything
-    the worker needs; nothing is read from process state, which is what
-    makes the result independent of *where* the job runs.
+    The shard's subtrace (``pages``/``writes``) and its config are
+    everything the worker needs; nothing is read from process state,
+    which is what makes the result independent of *where* the job runs.
     """
 
     shard: int
     config: ClusterConfig
-    pages: tuple[int, ...] | None = None
-    writes: tuple[bool, ...] | None = None
-    transactions: tuple[tuple[object, tuple], ...] | None = None
+    pages: tuple[int, ...]
+    writes: tuple[bool, ...]
     trace_name: str = "cluster"
-
-    def __post_init__(self) -> None:
-        if (self.pages is None) == (self.transactions is None):
-            raise ValueError(
-                "a ShardJob needs exactly one of pages/writes and "
-                "transactions"
-            )
-        if self.pages is not None and self.writes is None:
-            raise ValueError("pages without writes")
 
 
 @dataclass(frozen=True)
@@ -307,15 +280,10 @@ def _replay_shard(job: ShardJob) -> ShardResult:
     ``tests/cluster`` hold worker entry points to exactly that contract.)
     """
     manager = build_shard_stack(job.config, job.shard)
-    if job.transactions is not None:
-        run, work = run_transactions, job.transactions
-    else:
-        assert job.pages is not None and job.writes is not None
-        run = run_trace
-        work = Trace(list(job.pages), list(job.writes), name=job.trace_name)
+    trace = Trace(list(job.pages), list(job.writes), name=job.trace_name)
     start = time.perf_counter()
-    metrics = run(
-        manager, work, options=job.config.options,
+    metrics = run_trace(
+        manager, trace, options=job.config.options,
         label=f"{job.config.label}/shard{job.shard}",
     )
     wall_s = time.perf_counter() - start
@@ -337,9 +305,6 @@ class ClusterMetrics:
     per_shard_ops: list[int]
     #: Sum of shard virtual elapsed times (single-node-equivalent work).
     serial_elapsed_us: float
-    #: Transaction-affinity accounting from the split (zero for traces).
-    cross_shard: CrossShardStats = field(default_factory=CrossShardStats)
-    cross_shard_penalty_us: float = 0.0
     #: Per-shard replay wall seconds (measurement side-channel; excluded
     #: from determinism comparisons, obviously).
     replay_wall_s: list[float] = field(default_factory=list)
@@ -378,29 +343,17 @@ class ClusterMetrics:
             self.merged.ops / len(self.per_shard_ops)
         )
 
-    def summary(self) -> str:
-        merged = self.merged
-        return (
-            f"{self.label}: {self.num_shards} shards, {merged.ops} ops, "
-            f"miss={merged.miss_ratio:.3%}, "
-            f"imbalance={self.ops_imbalance:.2f}, "
-            f"cross-shard={self.cross_shard.cross_shard_transactions}"
-        )
-
 
 def merge_shard_metrics(
-    results: Sequence[ShardResult],
-    label: str,
-    cross_shard_penalty_us: float = 0.0,
+    results: Sequence[ShardResult], label: str
 ) -> RunMetrics:
     """Merge per-shard runs into one cluster-level :class:`RunMetrics`.
 
     Deterministic by construction: results are processed in shard order
     whatever order they completed in, integer counters sum exactly, and
     float sums always run in the same (shard) order.  ``elapsed_us`` is
-    the makespan (max shard virtual time) plus the cross-shard penalty;
-    ``io_time_us``/``cpu_time_us`` stay sums — they are *work*, not
-    spans.
+    the makespan (max shard virtual time); ``io_time_us``/``cpu_time_us``
+    stay sums — they are *work*, not spans.
     """
     ordered = sorted(results, key=lambda result: result.shard)
     if not ordered:
@@ -434,7 +387,7 @@ def merge_shard_metrics(
             ftl.merge(metrics.ftl)
     return RunMetrics(
         label=label,
-        elapsed_us=makespan + cross_shard_penalty_us,
+        elapsed_us=makespan,
         ops=ops,
         transactions=transactions,
         new_order_transactions=new_order,
@@ -577,59 +530,20 @@ def run_cluster(
         for shard, (sub_pages, sub_writes) in enumerate(split)
     ]
     results = _execute_jobs(jobs, workers)
-    return _assemble(config, results, CrossShardStats(), label, trace.name)
-
-
-def run_cluster_transactions(
-    config: ClusterConfig,
-    transactions: Iterable[tuple[object, list]],
-    workers: int | None = None,
-    label: str | None = None,
-) -> ClusterMetrics:
-    """Route a transaction stream across the cluster and replay it.
-
-    Each shard replays its slice of every transaction that touches it;
-    transactions spanning shards are counted by the router and charged
-    ``config.cross_shard_penalty_us`` per extra shard touched in the
-    merged elapsed time (the coordination the split cost the cluster).
-    """
-    if config.replicated:
-        raise ValueError(
-            "transaction streams do not support replication yet; use a "
-            "page trace or replication_factor=0"
-        )
-    split = build_router(config).split_transactions(transactions)
-    jobs = [
-        ShardJob(
-            shard=shard,
-            config=config,
-            transactions=tuple(
-                (kind, tuple(requests)) for kind, requests in stream
-            ),
-        )
-        for shard, stream in enumerate(split.per_shard)
-    ]
-    results = _execute_jobs(jobs, workers)
-    return _assemble(config, results, split.stats, label, "transactions")
+    return _assemble(config, results, label, trace.name)
 
 
 def _assemble(
     config: ClusterConfig,
     results: Sequence[ShardResult],
-    cross_shard: CrossShardStats,
     label: str | None,
-    stream_name: str,
+    trace_name: str,
 ) -> ClusterMetrics:
     ordered = sorted(results, key=lambda result: result.shard)
-    penalty_us = (
-        config.cross_shard_penalty_us * cross_shard.extra_shard_touches
-    )
     merged_label = (
-        label if label is not None else f"{config.label}/{stream_name}"
+        label if label is not None else f"{config.label}/{trace_name}"
     )
-    merged = merge_shard_metrics(
-        ordered, merged_label, cross_shard_penalty_us=penalty_us
-    )
+    merged = merge_shard_metrics(ordered, merged_label)
     return ClusterMetrics(
         label=merged_label,
         num_shards=config.num_shards,
@@ -640,7 +554,5 @@ def _assemble(
         serial_elapsed_us=sum(
             result.metrics.elapsed_us for result in ordered
         ),
-        cross_shard=cross_shard,
-        cross_shard_penalty_us=penalty_us,
         replay_wall_s=[result.replay_wall_s for result in ordered],
     )

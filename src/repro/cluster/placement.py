@@ -17,31 +17,23 @@ placement on any workload with transaction locality.
 
 Everything here is pure and deterministic: dict/list structures only,
 iteration in sorted or insertion order, no RNG, no ``repro`` imports (the
-graph builders are duck-typed over ``pages``/``writes`` sequences and
-``(kind, requests)`` transaction streams).
+graph builder is duck-typed over a ``pages`` sequence).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
     "CoAccessGraph",
     "coaccess_from_trace",
-    "coaccess_from_transactions",
     "hash_placement",
     "locality_placement",
     "cut_weight",
     "imbalance",
     "placement_report",
 ]
-
-#: Transactions touching more distinct pages than this link consecutive
-#: pages instead of all pairs, keeping graph construction linear in the
-#: stream (a 200-page scan would otherwise contribute ~20k edges).
-_ALL_PAIRS_LIMIT = 24
-
 
 @dataclass
 class CoAccessGraph:
@@ -83,20 +75,6 @@ class CoAccessGraph:
         return sum(self.weights.values())
 
 
-def _link_group(graph: CoAccessGraph, group: list[int]) -> None:
-    """Add co-access edges for one affinity group (transaction/window)."""
-    distinct = sorted(set(group))
-    if len(distinct) <= 1:
-        return
-    if len(distinct) <= _ALL_PAIRS_LIMIT:
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1:]:
-                graph.add_edge(a, b)
-    else:
-        for a, b in zip(distinct, distinct[1:]):
-            graph.add_edge(a, b)
-
-
 def coaccess_from_trace(
     pages: Sequence[int],
     num_pages: int,
@@ -124,28 +102,6 @@ def coaccess_from_trace(
         tail.append(page)
         if len(tail) >= window:
             del tail[0]
-    return graph
-
-
-def coaccess_from_transactions(
-    transactions: Iterable[tuple[object, list]],
-    num_pages: int,
-) -> CoAccessGraph:
-    """Build the co-access graph of a ``(kind, requests)`` stream.
-
-    Affinity is *transactional*: every pair of distinct pages inside one
-    transaction is co-accessed (consecutive pages only for very large
-    transactions; see :data:`_ALL_PAIRS_LIMIT`).  This is the graph whose
-    cut edges are exactly the cross-shard transaction hazards the cluster
-    engine charges for.
-    """
-    graph = CoAccessGraph(num_pages=num_pages)
-    for _, requests in transactions:
-        group: list[int] = []
-        for request in requests:
-            graph.add_access(request.page)
-            group.append(request.page)
-        _link_group(graph, group)
     return graph
 
 

@@ -79,7 +79,6 @@ from repro.cluster.engine import (
     build_router,
     build_shard_stack,
 )
-from repro.cluster.router import CrossShardStats
 from repro.engine.executor import replay
 from repro.engine.metrics import RunMetrics
 from repro.errors import NodeFailure
@@ -708,7 +707,7 @@ def run_replicated_cluster(config, trace, workers=None, label=None):
         for shard, (sub_pages, sub_writes) in enumerate(split)
     ]
     results = _execute_jobs(jobs, workers, worker=_replay_replicated_shard)
-    metrics = _assemble(config, results, CrossShardStats(), label, trace.name)
+    metrics = _assemble(config, results, label, trace.name)
     ordered = sorted(results, key=lambda result: result.shard)
     for result in ordered:
         for event in result.report.failovers:

@@ -18,25 +18,23 @@ Two routers cover the design space the bench sweeps:
   the vector fall back to hash routing so the router is total.
 
 Routers are **epoch-stamped**: every remap — a shard failing over to a
-replica node, a page range reassigned to another shard — produces a *new*
-router with ``epoch + 1``, and :meth:`ShardRouter.route` refuses a caller
-presenting a stale epoch with a loud :class:`StaleRouteError` rather than
-silently routing to the old owner.  The epoch chain is what lets the
-replicated cluster engine prove that every post-failover access went
-through the remapped table (see docs/architecture.md "Replication &
-failover").
+replica node — produces a *new* router with ``epoch + 1``, and
+:meth:`ShardRouter.route` refuses a caller presenting a stale epoch with a
+loud :class:`StaleRouteError` rather than silently routing to the old
+owner.  The epoch chain is what lets the replicated cluster engine prove
+that every post-failover access went through the remapped table (see
+docs/architecture.md "Replication & failover").
 
 Deliberately free of ``repro`` imports (including ``repro.errors`` —
-:class:`StaleRouteError` lives here): the split helpers are duck-typed
-over parallel ``pages``/``writes`` sequences and ``(kind, requests)``
-transaction streams, so anything may import this module without
-dragging the whole cluster stack (or an import cycle) with it.
+:class:`StaleRouteError` lives here): the split is duck-typed over
+parallel ``pages``/``writes`` sequences, so anything may import this
+module without dragging the whole cluster stack (or an import cycle)
+with it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from itertools import compress, repeat
 from operator import eq
 
@@ -44,8 +42,6 @@ __all__ = [
     "ShardRouter",
     "HashShardRouter",
     "MappedShardRouter",
-    "CrossShardStats",
-    "SplitTransactions",
     "StaleRouteError",
 ]
 
@@ -68,44 +64,6 @@ class StaleRouteError(RuntimeError):
         )
 
 
-@dataclass
-class CrossShardStats:
-    """Transaction-affinity accounting produced by a transaction split.
-
-    A transaction that touches pages owned by more than one shard is
-    *cross-shard*: a real cluster pays coordination (two-phase commit,
-    remote reads) for it, which the cluster engine models as a virtual
-    time penalty per extra shard touched.
-    """
-
-    #: Transactions whose page set spans more than one shard.
-    cross_shard_transactions: int = 0
-    #: Page requests belonging to those transactions.
-    cross_shard_accesses: int = 0
-    #: Sum over cross-shard transactions of (shards touched - 1) — the
-    #: unit the engine multiplies by its per-hop penalty.
-    extra_shard_touches: int = 0
-    #: Total transactions examined (the denominator for ratios).
-    transactions: int = 0
-
-    @property
-    def cross_shard_ratio(self) -> float:
-        if self.transactions == 0:
-            return 0.0
-        return self.cross_shard_transactions / self.transactions
-
-
-@dataclass
-class SplitTransactions:
-    """Result of routing a transaction stream across shards."""
-
-    #: Per-shard ``(kind, requests)`` streams, index = shard id.  A shard
-    #: receives its slice of every transaction that touches it, in stream
-    #: order, so per-shard replay preserves the original relative order.
-    per_shard: list[list[tuple[object, list]]]
-    stats: CrossShardStats = field(default_factory=CrossShardStats)
-
-
 class ShardRouter:
     """Base router: a total, deterministic ``page -> shard`` function.
 
@@ -113,8 +71,7 @@ class ShardRouter:
     counter bumped by every topology change and a per-shard primary-node
     map (which replica-group member currently serves each shard; node 0
     until a failover promotes someone else).  Remaps never mutate a
-    router in place — :meth:`with_failover` (and
-    :meth:`MappedShardRouter.with_reassignment`) return a *new* router at
+    router in place — :meth:`with_failover` returns a *new* router at
     ``epoch + 1``, so holders of the old object keep a consistent but
     provably stale view that :meth:`route` rejects.
     """
@@ -153,7 +110,7 @@ class ShardRouter:
 
     def _spawn(self) -> "ShardRouter":
         """A fresh router with this router's routing function (subclass
-        hook for the remap constructors)."""
+        hook for :meth:`with_failover`)."""
         raise NotImplementedError
 
     def with_failover(self, shard: int, node: int) -> "ShardRouter":
@@ -199,35 +156,6 @@ class ShardRouter:
             owned = list(map(eq, owners, repeat(shard)))
             split.append((list(compress(pages, owned)), list(compress(writes, owned))))
         return split
-
-    def split_transactions(
-        self, transactions: Iterable[tuple[object, list]]
-    ) -> SplitTransactions:
-        """Route a ``(kind, requests)`` stream, accounting affinity.
-
-        Each transaction is sliced per shard (a shard sees only its own
-        requests, as its transaction branch); a transaction whose
-        requests span several shards is counted in
-        :class:`CrossShardStats` so the engine can charge the
-        coordination penalty.
-        """
-        shard_of = self.shard_of
-        per_shard: list[list[tuple[object, list]]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        stats = CrossShardStats()
-        for kind, requests in transactions:
-            stats.transactions += 1
-            by_shard: dict[int, list] = {}
-            for request in requests:
-                by_shard.setdefault(shard_of(request.page), []).append(request)
-            for shard in sorted(by_shard):
-                per_shard[shard].append((kind, by_shard[shard]))
-            if len(by_shard) > 1:
-                stats.cross_shard_transactions += 1
-                stats.cross_shard_accesses += len(requests)
-                stats.extra_shard_touches += len(by_shard) - 1
-        return SplitTransactions(per_shard=per_shard, stats=stats)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_shards={self.num_shards})"
@@ -281,40 +209,6 @@ class MappedShardRouter(ShardRouter):
 
     def _spawn(self) -> "MappedShardRouter":
         return MappedShardRouter(self.assignment, self.num_shards)
-
-    def with_reassignment(
-        self, page_range: range, shard: int
-    ) -> "MappedShardRouter":
-        """A new router (``epoch + 1``) with ``page_range`` owned by
-        ``shard``.
-
-        This is the "shard moved" remap: pages change owner, so every
-        holder of the old router has a wrong page→shard view, not just a
-        wrong node map — which is why the epoch bump (and
-        :meth:`ShardRouter.route`'s stale-epoch check) is load-bearing
-        here.  The assignment vector is extended as needed; pages newly
-        covered by the extension keep their previous (hash-fallback)
-        owner unless they are in ``page_range``, so the remap changes
-        exactly the requested range.
-        """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(
-                f"shard {shard} outside [0, {self.num_shards})"
-            )
-        if len(page_range) == 0:
-            raise ValueError("cannot reassign an empty page range")
-        if page_range[0] < 0:
-            raise ValueError(
-                f"page range starts below zero: {page_range[0]}"
-            )
-        size = max(self._size, page_range[-1] + 1)
-        assignment = [self.shard_of(page) for page in range(size)]
-        for page in page_range:
-            assignment[page] = shard
-        remapped = MappedShardRouter(assignment, self.num_shards)
-        remapped.epoch = self.epoch + 1
-        remapped._primary_node = list(self._primary_node)
-        return remapped
 
     def __repr__(self) -> str:
         return (

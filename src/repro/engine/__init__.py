@@ -4,7 +4,7 @@ from repro.bufferpool.database import AppendCursor, Database, Relation
 from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics, percent_delta, speedup
-from repro.engine.multiclient import interleave_traces, interleave_transactions
+from repro.engine.multiclient import interleave_traces
 from repro.engine.serving import (
     BreakerConfig,
     CircuitBreaker,
@@ -24,7 +24,6 @@ __all__ = [
     "speedup",
     "percent_delta",
     "interleave_traces",
-    "interleave_transactions",
     "LatencyRecorder",
     "BreakerConfig",
     "CircuitBreaker",

@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from repro.workloads.trace import PageRequest, Trace
+from repro.workloads.trace import Trace
 
-__all__ = ["interleave_traces", "interleave_transactions"]
+__all__ = ["interleave_traces"]
 
 
 def interleave_traces(
@@ -121,29 +121,3 @@ def interleave_traces(
     label = name if name is not None else f"interleaved[{len(traces)}]"
     return Trace(pages, writes, name=label, client_ids=client_ids)
 
-
-def interleave_transactions(
-    client_streams: Sequence[Sequence[tuple[object, list[PageRequest]]]],
-    seed: int = 42,
-) -> list[tuple[object, list[PageRequest]]]:
-    """Randomly interleave per-client transaction streams.
-
-    Transactions stay atomic (their page requests are not split); only the
-    transaction order across clients is interleaved, as a DBMS serialising
-    short transactions would exhibit.
-    """
-    if not client_streams:
-        raise ValueError("need at least one client stream")
-    rng = random.Random(seed)
-    positions = [0] * len(client_streams)
-    active = [
-        index for index, stream in enumerate(client_streams) if len(stream)
-    ]
-    merged: list[tuple[object, list[PageRequest]]] = []
-    while active:
-        index = active[rng.randrange(len(active))]
-        merged.append(client_streams[index][positions[index]])
-        positions[index] += 1
-        if positions[index] == len(client_streams[index]):
-            active.remove(index)
-    return merged

@@ -126,10 +126,6 @@ class ServingMetrics:
             return 0.0
         return self.offered / (self.elapsed_us / 1e6)
 
-    @property
-    def breaker_tripped(self) -> int:
-        return len(self.breaker_trips)
-
     def summary(self) -> dict[str, float]:
         return {
             "offered": float(self.offered),

@@ -282,9 +282,5 @@ class ReplacementPolicy(ABC):
         """
         return self._reference_next_clean(n)
 
-    def next_evictable(self, n: int) -> list[int]:
-        """The next ``n`` pages in the virtual order (alias of :meth:`peek`)."""
-        return self.peek(n)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(pages={len(self)})"

@@ -1,15 +1,14 @@
-"""Read-ahead substrate: OPL/NPL, TaP, history table, and the ACE composite."""
+"""Read-ahead substrate: NPL, TaP, history table, and the ACE composite."""
 
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.prefetch.composite import CompositePrefetcher
 from repro.prefetch.history import HistoryPrefetcher
-from repro.prefetch.sequential import NPLPrefetcher, OPLPrefetcher
+from repro.prefetch.sequential import NPLPrefetcher
 from repro.prefetch.tap import TaPPrefetcher
 
 __all__ = [
     "Prefetcher",
     "NullPrefetcher",
-    "OPLPrefetcher",
     "NPLPrefetcher",
     "TaPPrefetcher",
     "HistoryPrefetcher",

@@ -1,9 +1,9 @@
-"""Simple sequential lookahead prefetchers: OPL and NPL (paper §III-D).
+"""Simple sequential lookahead: NPL (paper §III-D).
 
-One-Page Lookahead (OPL) prefetches the single page after the requested
-page; N-Page Lookahead (NPL) prefetches the next ``depth`` pages.  These are
-the "very simple prefetching techniques" commercial systems use; they are
-included both as baselines and to demonstrate that ACE's Reader accepts any
+N-Page Lookahead (NPL) prefetches the next ``depth`` pages after the
+requested page (One-Page Lookahead is NPL with ``depth=1``).  It is one of
+the "very simple prefetching techniques" commercial systems use, included
+both as a baseline and to demonstrate that ACE's Reader accepts any
 prefetching technique.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.prefetch.base import Prefetcher
 
-__all__ = ["NPLPrefetcher", "OPLPrefetcher"]
+__all__ = ["NPLPrefetcher"]
 
 
 class NPLPrefetcher(Prefetcher):
@@ -32,11 +32,3 @@ class NPLPrefetcher(Prefetcher):
             suggestions = [p for p in suggestions if p < self.max_page]
         return suggestions
 
-
-class OPLPrefetcher(NPLPrefetcher):
-    """One-Page Lookahead: NPL with depth 1."""
-
-    name = "opl"
-
-    def __init__(self, max_page: int | None = None) -> None:
-        super().__init__(depth=1, max_page=max_page)

@@ -1,6 +1,5 @@
-"""Workload substrate: traces, synthetic mixes, pgbench, TPC-C."""
+"""Workload substrate: traces, synthetic mixes, YCSB, TPC-C."""
 
-from repro.workloads.pgbench import PgbenchWorkload
 from repro.workloads.synthetic import (
     MS,
     MU,
@@ -12,12 +11,9 @@ from repro.workloads.synthetic import (
     rw_ratio_spec,
 )
 from repro.workloads.trace import PageRequest, Trace
-from repro.workloads.traceio import load_trace, save_trace
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBConfig, generate_ycsb_trace
 
 __all__ = [
-    "save_trace",
-    "load_trace",
     "YCSBConfig",
     "YCSB_WORKLOADS",
     "generate_ycsb_trace",
@@ -31,5 +27,4 @@ __all__ = [
     "PAPER_WORKLOADS",
     "generate_trace",
     "rw_ratio_spec",
-    "PgbenchWorkload",
 ]

@@ -88,20 +88,6 @@ class Trace:
     def __getitem__(self, index: int) -> PageRequest:
         return PageRequest(self.pages[index], self.writes[index])
 
-    def concat(self, other: "Trace", name: str | None = None) -> "Trace":
-        """A new trace running this trace followed by ``other``."""
-        client_ids: list[int] | None = None
-        if self.client_ids is not None or other.client_ids is not None:
-            client_ids = (self.client_ids or [0] * len(self)) + (
-                other.client_ids or [0] * len(other)
-            )
-        return Trace(
-            self.pages + other.pages,
-            self.writes + other.writes,
-            name if name is not None else f"{self.name}+{other.name}",
-            client_ids=client_ids,
-        )
-
     def slice(self, start: int, stop: int) -> "Trace":
         client_ids = (
             self.client_ids[start:stop] if self.client_ids is not None else None

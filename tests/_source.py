@@ -39,7 +39,7 @@ def scopes(tree: ast.Module, module: str):
 class ImportTable:
     """Resolve names through one module's ``import`` / ``from`` aliases."""
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, tree: ast.AST) -> None:
         self.names: dict[str, str] = {}  # "np" -> "numpy", "choice" -> "random.choice"
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -51,6 +51,13 @@ class ImportTable:
                 for alias in node.names:
                     full = f"{node.module}.{alias.name}"
                     self.names[alias.asname or alias.name] = full
+
+    def within(self, scope: ast.AST) -> "ImportTable":
+        """This table with ``scope``'s own imports shadowing it: an import
+        inside a function binds its name only there."""
+        table = ImportTable(scope)
+        table.names = {**self.names, **table.names}
+        return table
 
     def resolve(self, node: ast.AST) -> str | None:
         """Canonical dotted name of a bare name or attribute chain, or None."""

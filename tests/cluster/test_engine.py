@@ -6,19 +6,16 @@ from repro.cluster.engine import (
     ClusterConfig,
     MAX_SHARD_ATTEMPTS,
     ShardJob,
-    ShardResult,
     _replay_shard,
     build_router,
     build_shard_stack,
     merge_shard_metrics,
-    run_cluster_transactions,
 )
 from repro.cluster.router import HashShardRouter, MappedShardRouter
 from repro.core.ace import ACEBufferPoolManager
 from repro.engine.executor import ExecutionOptions
 from repro.errors import ClusterReplayError, ReproError
 from repro.storage.profiles import PCIE_SSD
-from repro.workloads.trace import PageRequest
 
 OPTIONS = ExecutionOptions(cpu_us_per_op=10.0)
 
@@ -50,8 +47,6 @@ class TestClusterConfig:
             make_config(placement="random")
         with pytest.raises(ValueError):
             make_config(placement="locality")  # needs an assignment
-        with pytest.raises(ValueError):
-            make_config(cross_shard_penalty_us=-1.0)
 
     def test_capacity_split(self):
         config = make_config(num_pages=256, num_shards=4, pool_fraction=0.06)
@@ -101,18 +96,6 @@ class TestBuildShardStack:
             build_shard_stack(make_config(), 4)
 
 
-class TestShardJob:
-    def test_needs_exactly_one_stream(self):
-        config = make_config()
-        with pytest.raises(ValueError):
-            ShardJob(shard=0, config=config)
-        with pytest.raises(ValueError):
-            ShardJob(shard=0, config=config, pages=(1,), writes=(False,),
-                     transactions=())
-        with pytest.raises(ValueError):
-            ShardJob(shard=0, config=config, pages=(1,))
-
-
 class TestMerge:
     @staticmethod
     def _result(shard, pages, writes, config):
@@ -149,44 +132,9 @@ class TestMerge:
             [b, a], "m"
         )
 
-    def test_penalty_added_to_elapsed(self):
-        config = make_config(num_shards=1)
-        a = self._result(0, [0, 1], [False, False], config)
-        plain = merge_shard_metrics([a], "m")
-        charged = merge_shard_metrics([a], "m", cross_shard_penalty_us=7.5)
-        assert charged.elapsed_us == plain.elapsed_us + 7.5
-
     def test_merge_rejects_empty(self):
         with pytest.raises(ValueError):
             merge_shard_metrics([], "m")
-
-
-class TestTransactions:
-    @staticmethod
-    def _txn(pages, is_write=False):
-        return ("t", [PageRequest(page=p, is_write=is_write) for p in pages])
-
-    def test_cross_shard_penalty_charged(self):
-        config = make_config(num_shards=2, cross_shard_penalty_us=100.0)
-        stream = [self._txn([0, 1, 2, 3]), self._txn([0, 2])]
-        metrics = run_cluster_transactions(config, stream, workers=1)
-        assert metrics.cross_shard.cross_shard_transactions == 1
-        assert metrics.cross_shard.extra_shard_touches == 1
-        assert metrics.cross_shard_penalty_us == 100.0
-        no_penalty = run_cluster_transactions(
-            make_config(num_shards=2), stream, workers=1
-        )
-        assert metrics.merged.elapsed_us == (
-            no_penalty.merged.elapsed_us + 100.0
-        )
-
-    def test_transaction_counts_merge(self):
-        config = make_config(num_shards=2)
-        stream = [self._txn([0, 2]), self._txn([1, 3]), self._txn([0, 1])]
-        metrics = run_cluster_transactions(config, stream, workers=1)
-        # The split transaction is counted once per shard branch replayed.
-        assert metrics.merged.transactions == 4
-        assert metrics.cross_shard.transactions == 3
 
 
 class TestClusterReplayError:

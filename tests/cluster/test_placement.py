@@ -5,14 +5,12 @@ import pytest
 from repro.cluster.placement import (
     CoAccessGraph,
     coaccess_from_trace,
-    coaccess_from_transactions,
     cut_weight,
     hash_placement,
     imbalance,
     locality_placement,
     placement_report,
 )
-from repro.workloads.trace import PageRequest
 from repro.workloads.tpcc.driver import TPCCWorkload
 
 
@@ -44,14 +42,6 @@ class TestCoAccessGraph:
         assert graph.adjacency[0].get(1) == 1
         assert graph.adjacency[10].get(11) == 1
         assert 10 not in graph.adjacency.get(0, {})
-
-    def test_transactions_link_all_pairs(self):
-        txn = ("t", [PageRequest(page=p, is_write=False) for p in (0, 1, 2)])
-        graph = coaccess_from_transactions([txn], 4)
-        assert graph.adjacency[0][1] == 1
-        assert graph.adjacency[0][2] == 1
-        assert graph.adjacency[1][2] == 1
-
 
 class TestPlacement:
     def test_hash_placement_matches_router(self):
@@ -108,7 +98,8 @@ class TestTPCCImprovement:
         workload = TPCCWorkload(warehouses=4, row_scale=0.05, seed=7)
         stream = list(workload.transaction_stream(200))
         num_pages = workload.total_pages
-        graph = coaccess_from_transactions(stream, num_pages)
+        pages = [request.page for _, requests in stream for request in requests]
+        graph = coaccess_from_trace(pages, num_pages)
         num_shards = 4
 
         hash_assignment = hash_placement(num_pages, num_shards)

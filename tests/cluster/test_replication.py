@@ -19,7 +19,6 @@ from repro.cluster.engine import (
     ClusterConfig,
     build_shard_stack,
     run_cluster,
-    run_cluster_transactions,
 )
 from repro.engine.executor import ExecutionOptions, replay
 from repro.errors import ClusterReplayError, NodeFailure
@@ -82,11 +81,6 @@ class TestConfig:
     def test_negative_replication_rejected(self):
         with pytest.raises(ValueError):
             make_config(replication_factor=-1)
-
-    def test_transactions_refuse_replication(self):
-        with pytest.raises(ValueError):
-            run_cluster_transactions(make_config(), [])
-
 
 class TestFailover:
     def test_single_primary_crash_fails_over_and_audits_clean(self):

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.cluster.router import (
-    CrossShardStats,
     HashShardRouter,
     MappedShardRouter,
     ShardRouter,
     StaleRouteError,
 )
-from repro.workloads.trace import PageRequest
 
 
 class TestHashShardRouter:
@@ -117,38 +115,7 @@ class TestSplitInBulk:
             split_request_by_request(router, [1, 2, 3], [True, False])
 
 
-class TestSplitTransactions:
-    @staticmethod
-    def _txn(pages):
-        return ("t", [PageRequest(page=p, is_write=False) for p in pages])
-
-    def test_local_transaction_stays_whole(self):
-        router = HashShardRouter(2)
-        split = router.split_transactions([self._txn([0, 2, 4])])
-        assert len(split.per_shard[0]) == 1
-        assert split.per_shard[1] == []
-        assert split.stats.cross_shard_transactions == 0
-        assert split.stats.extra_shard_touches == 0
-
-    def test_cross_shard_transaction_sliced_and_counted(self):
-        router = HashShardRouter(2)
-        split = router.split_transactions([self._txn([0, 1, 2, 3])])
-        assert [r.page for _, r0 in split.per_shard[0] for r in r0] == [0, 2]
-        assert [r.page for _, r1 in split.per_shard[1] for r in r1] == [1, 3]
-        assert split.stats.cross_shard_transactions == 1
-        assert split.stats.cross_shard_accesses == 4
-        assert split.stats.extra_shard_touches == 1
-
-    def test_extra_touches_scale_with_spread(self):
-        router = HashShardRouter(4)
-        split = router.split_transactions([self._txn([0, 1, 2, 3])])
-        assert split.stats.extra_shard_touches == 3
-
-    def test_cross_shard_ratio(self):
-        stats = CrossShardStats(cross_shard_transactions=1, transactions=4)
-        assert stats.cross_shard_ratio == 0.25
-        assert CrossShardStats().cross_shard_ratio == 0.0
-
+class TestBaseRouter:
     def test_base_router_is_abstract(self):
         with pytest.raises(NotImplementedError):
             ShardRouter(2).shard_of(1)
@@ -200,40 +167,3 @@ class TestRemapEpochs:
     def test_node_of_validates_shard(self):
         with pytest.raises(ValueError):
             HashShardRouter(2).node_of(2)
-
-    def test_with_reassignment_moves_exactly_the_range(self):
-        router = MappedShardRouter([0, 0, 1, 1], 2)
-        moved = router.with_reassignment(range(2, 4), 0)
-        assert moved.epoch == 1
-        assert [moved.shard_of(p) for p in range(4)] == [0, 0, 0, 0]
-        # The old router still answers (its view is consistent), but its
-        # epoch no longer routes.
-        assert [router.shard_of(p) for p in range(4)] == [0, 0, 1, 1]
-        with pytest.raises(StaleRouteError):
-            moved.route(0, epoch=0)
-
-    def test_with_reassignment_materializes_hash_fallback(self):
-        # Extending the vector must freeze the previous (hash) owner of
-        # newly covered pages, so only the requested range changes owner.
-        router = MappedShardRouter([0, 0], 2)
-        before = [router.shard_of(p) for p in range(10)]
-        moved = router.with_reassignment(range(6, 8), 0)
-        after = [moved.shard_of(p) for p in range(10)]
-        for page in range(10):
-            expected = 0 if page in (6, 7) else before[page]
-            assert after[page] == expected
-
-    def test_with_reassignment_preserves_primary_map(self):
-        router = MappedShardRouter([0, 1], 2).with_failover(1, 2)
-        moved = router.with_reassignment(range(0, 1), 1)
-        assert moved.epoch == 2
-        assert moved.node_of(1) == 2
-
-    def test_with_reassignment_validation(self):
-        router = MappedShardRouter([0, 1], 2)
-        with pytest.raises(ValueError):
-            router.with_reassignment(range(0, 1), 2)
-        with pytest.raises(ValueError):
-            router.with_reassignment(range(3, 3), 0)
-        with pytest.raises(ValueError):
-            router.with_reassignment(range(-2, 1), 0)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.engine.multiclient import interleave_traces, interleave_transactions
-from repro.workloads.trace import PageRequest, Trace
+from repro.engine.multiclient import interleave_traces
+from repro.workloads.trace import Trace
 
 
 def client(pages, writes=None, name="c"):
@@ -178,31 +178,3 @@ class TestWeights:
         assert merged.pages == [1, 2]
         assert merged.client_ids == [0, 0]
 
-
-class TestInterleaveTransactions:
-    def test_atomic_transactions(self):
-        streams = [
-            [("t1", [PageRequest(1, True), PageRequest(2, True)])],
-            [("t2", [PageRequest(3, False)])],
-        ]
-        merged = interleave_transactions(streams, seed=2)
-        assert len(merged) == 2
-        kinds = [kind for kind, _ in merged]
-        assert sorted(kinds) == ["t1", "t2"]
-        for _, requests in merged:
-            assert isinstance(requests, list)
-
-    def test_per_client_order_preserved(self):
-        streams = [
-            [("a1", []), ("a2", []), ("a3", [])],
-            [("b1", []), ("b2", [])],
-        ]
-        merged = interleave_transactions(streams, seed=3)
-        a_order = [kind for kind, _ in merged if kind.startswith("a")]
-        b_order = [kind for kind, _ in merged if kind.startswith("b")]
-        assert a_order == ["a1", "a2", "a3"]
-        assert b_order == ["b1", "b2"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            interleave_transactions([])

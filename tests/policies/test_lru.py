@@ -99,14 +99,14 @@ class TestVirtualOrderHelpers:
 
     def test_next_evictable(self, view):
         policy = make_lru(view, [1, 2, 3])
-        assert policy.next_evictable(2) == [1, 2]
+        assert policy.peek(2) == [1, 2]
 
     def test_negative_n_rejected(self, view):
         policy = make_lru(view, [1])
         with pytest.raises(ValueError):
             policy.next_dirty(-1)
         with pytest.raises(ValueError):
-            policy.next_evictable(-1)
+            policy.peek(-1)
 
 
 class TestPropertyBased:

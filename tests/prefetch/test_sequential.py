@@ -1,9 +1,9 @@
-"""Tests for OPL/NPL lookahead prefetchers."""
+"""Tests for the NPL lookahead prefetcher (OPL is NPL at depth 1)."""
 
 import pytest
 
 from repro.prefetch.base import NullPrefetcher
-from repro.prefetch.sequential import NPLPrefetcher, OPLPrefetcher
+from repro.prefetch.sequential import NPLPrefetcher
 
 
 class TestNull:
@@ -13,10 +13,10 @@ class TestNull:
 
 class TestOPL:
     def test_suggests_next_page(self):
-        assert OPLPrefetcher().suggest(5, 10) == [6]
+        assert NPLPrefetcher(depth=1).suggest(5, 10) == [6]
 
     def test_respects_max_page(self):
-        assert OPLPrefetcher(max_page=6).suggest(5, 10) == []
+        assert NPLPrefetcher(depth=1, max_page=6).suggest(5, 10) == []
 
 
 class TestNPL:

@@ -1,12 +1,57 @@
 """Tests for the top-level public API surface."""
 
+import ast
+import re
+
 import repro
+from tests._source import REPO
+
+#: A ``from repro import ...`` statement, one line or parenthesised.
+REPRO_IMPORT = re.compile(r"from repro import (?:\([^)]*\)|[^\n]*)")
+
+
+def documented_imports() -> dict[str, str]:
+    """``name -> where`` for every name a ``from repro import`` in the
+    README, ``docs/*.md``, ``examples/*.py`` or the package docstring takes."""
+    texts = {
+        "repro.__doc__": repro.__doc__,
+        "README.md": (REPO / "README.md").read_text(),
+    }
+    for path in [*sorted(REPO.glob("docs/*.md")), *sorted(REPO.glob("examples/*.py"))]:
+        texts[str(path.relative_to(REPO))] = path.read_text()
+    names = {}
+    for where, text in texts.items():
+        for statement in REPRO_IMPORT.findall(text):
+            for node in ast.walk(ast.parse(statement)):
+                if isinstance(node, ast.ImportFrom):
+                    names.update({alias.name: where for alias in node.names})
+    return names
 
 
 class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ names missing symbol {name}"
+
+    def test_every_documented_import_is_exported(self):
+        documented = documented_imports()
+        assert len(documented) > 20  # the scan finds the examples' imports
+        missing = {
+            name: where
+            for name, where in documented.items()
+            if name not in repro.__all__
+        }
+        assert missing == {}
+
+    def test_all_is_exactly_what_the_package_imports(self):
+        tree = ast.parse((REPO / "src/repro/__init__.py").read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert sorted(repro.__all__) == sorted(imported | {"__version__"})
 
     def test_version(self):
         assert repro.__version__.count(".") == 2

@@ -53,13 +53,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace([], []).footprint()
 
-    def test_concat(self):
-        a = Trace([1], [True], name="a")
-        b = Trace([2], [False], name="b")
-        combined = a.concat(b)
-        assert combined.pages == [1, 2]
-        assert combined.name == "a+b"
-
     def test_slice(self):
         trace = Trace([1, 2, 3], [True, False, True])
         part = trace.slice(1, 3)
@@ -94,14 +87,3 @@ class TestClientIds:
 
     def test_slice_without_client_ids_stays_none(self):
         assert Trace([1, 2], [True, False]).slice(0, 1).client_ids is None
-
-    def test_concat_fills_missing_side_with_client_zero(self):
-        tagged = Trace([1, 2], [True, False], client_ids=[3, 4])
-        plain = Trace([5], [False])
-        assert tagged.concat(plain).client_ids == [3, 4, 0]
-        assert plain.concat(tagged).client_ids == [0, 3, 4]
-
-    def test_concat_of_untagged_traces_stays_none(self):
-        a = Trace([1], [True])
-        b = Trace([2], [False])
-        assert a.concat(b).client_ids is None

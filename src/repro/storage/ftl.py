@@ -121,9 +121,11 @@ class FlashTranslationLayer:
         self._free_blocks: list[int] = list(range(num_blocks - 1, 0, -1))
         self._active = self._frontier = 0
         self._end = pages_per_block
-        # The victim index: _sealed[v] holds the _rank of each sealed block
-        # with v valid slots (its erase count is fixed while it is sealed).
+        # The victim index: _sealed[v] holds each sealed block with v valid
+        # slots; _rank_of[b] orders equal buckets, least worn then lowest
+        # index (erases * num_blocks + b, grown by num_blocks per erase).
         self._sealed: list[set[int]] = [set() for _ in range(pages_per_block + 1)]
+        self._rank_of = list(range(num_blocks))
         self.counters = FtlCounters()
 
     # ------------------------------------------------------------------ API
@@ -154,41 +156,67 @@ class FlashTranslationLayer:
     def write_batch(self, lpns: Collection[int]) -> None:
         """Record host writes of ``lpns`` in order: ``n`` × :meth:`write`.
 
-        GC is checked after every page, where single writes check it.  An
-        out-of-range page raises ``IndexError`` before anything is written.
+        One loop over locals: each overwrite invalidates its old slot in
+        place, and the active block's valid count is settled once per
+        stretch.  Only opening a block shrinks the free pool, so GC is
+        checked right after a block opens — where per-page checks would
+        fire.  An out-of-range page raises ``IndexError`` before anything
+        is written.
         """
         if not lpns:
             return
-        self._check_lpn(min(lpns))
-        self._check_lpn(max(lpns))
-        self.counters.logical_writes += len(lpns)
-        self.counters.physical_writes += len(lpns)
-        mapping = self._mapping
-        owner = self._owner
-        valid = self._valid
-        free = self._free_blocks
-        threshold = self.gc_free_block_threshold
+        low, high = min(lpns), max(lpns)
+        if low < 0 or high >= self.num_logical_pages:
+            self._check_lpn(low if low < 0 else high)
+        counters = self.counters
+        counters.logical_writes += len(lpns)
+        counters.physical_writes += len(lpns)
+        mapping, owner, valid = self._mapping, self._owner, self._valid
+        sealed, ppb = self._sealed, self.pages_per_block
+        active, slot, end = self._active, self._frontier, self._end
+        start = slot
         for lpn in lpns:
             old = mapping[lpn]
             if old >= 0:
-                self._invalidate(old)
-            slot = self._frontier
-            if slot == self._end:
-                slot = self._open_new_active()
+                owner[old] = -1
+                block = old // ppb
+                count = valid[block]
+                valid[block] = count - 1
+                if block != active:  # sealed: one bucket down
+                    sealed[count].remove(block)
+                    sealed[count - 1].add(block)
+            if slot != end:
+                owner[slot] = lpn
+                mapping[lpn] = slot
+                slot += 1
+                continue
+            # The active block is full: settle it, seal it, open the next.
+            valid[active] += slot - start
+            self._frontier = slot
+            slot = self._open_new_active()
             owner[slot] = lpn
             mapping[lpn] = slot
             valid[self._active] += 1
             self._frontier = slot + 1
-            if len(free) < threshold:
+            if len(self._free_blocks) < self.gc_free_block_threshold:
                 self._collect()
+            active, slot, end = self._active, self._frontier, self._end
+            start = slot
+        valid[active] += slot - start
+        self._frontier = slot
 
     def trim(self, lpn: int) -> None:
         """Discard logical page ``lpn`` (e.g. file deletion)."""
         self._check_lpn(lpn)
         slot = self._mapping[lpn]
         if slot >= 0:
-            self._invalidate(slot)
-            self._mapping[lpn] = -1
+            self._mapping[lpn] = self._owner[slot] = -1
+            block = slot // self.pages_per_block
+            count = self._valid[block]
+            self._valid[block] = count - 1
+            if block != self._active:  # sealed: one bucket down
+                self._sealed[count].remove(block)
+                self._sealed[count - 1].add(block)
 
     def erase_counts(self) -> list[int]:
         """Per-block erase counts (wear-leveling diagnostics)."""
@@ -215,8 +243,11 @@ class FlashTranslationLayer:
         assert unwritten.count(-1) == len(unwritten), "data past the frontier"
         sealed = set(range(self.num_blocks)) - {self._active, *self._free_blocks}
         assert sorted(
-            (rank, count) for count, ranks in enumerate(self._sealed) for rank in ranks
-        ) == sorted((self._rank(b), valid[b]) for b in sealed), "victim index stale"
+            (count, b) for count, blocks in enumerate(self._sealed) for b in blocks
+        ) == sorted((valid[b], b) for b in sealed), "victim index stale"
+        assert self._rank_of == [
+            erases * self.num_blocks + b for b, erases in enumerate(self._erases)
+        ], "victim index ranks stale"
 
     # ------------------------------------------------------------- internals
 
@@ -226,19 +257,6 @@ class FlashTranslationLayer:
                 f"logical page {lpn} out of range [0, {self.num_logical_pages})"
             )
 
-    def _rank(self, block: int) -> int:
-        """Victim order among equally valid blocks: least worn, lowest index."""
-        return self._erases[block] * len(self._erases) + block
-
-    def _invalidate(self, slot: int) -> None:
-        self._owner[slot] = -1
-        block = slot // self.pages_per_block
-        self._valid[block] -= 1
-        if block != self._active:  # sealed: one bucket down
-            count, rank = self._valid[block], self._rank(block)
-            self._sealed[count + 1].remove(rank)
-            self._sealed[count].add(rank)
-
     def _open_new_active(self) -> int:
         """Seal the full active block, open the next free one; its 1st slot."""
         if not self._free_blocks:
@@ -247,7 +265,7 @@ class FlashTranslationLayer:
                 "(GC threshold too low for this write pattern)"
             )
         full = self._active
-        self._sealed[self._valid[full]].add(self._rank(full))
+        self._sealed[self._valid[full]].add(full)
         self._active = self._free_blocks.pop()
         self._frontier = self._active * self.pages_per_block
         self._end = self._frontier + self.pages_per_block
@@ -283,6 +301,7 @@ class FlashTranslationLayer:
             owner[start : start + ppb] = [-1] * ppb
             valid[victim] = 0
             self._erases[victim] += 1
+            self._rank_of[victim] += len(valid)
             self._free_blocks.append(victim)
             counters.erases += 1
 
@@ -294,6 +313,6 @@ class FlashTranslationLayer:
         bucket = next(filter(None, self._sealed[: self.pages_per_block]), None)
         if bucket is None:
             raise FtlError("garbage collection found no victim block")
-        rank = min(bucket)
-        bucket.remove(rank)
-        return rank % len(self._erases)
+        victim = min(bucket, key=self._rank_of.__getitem__)
+        bucket.remove(victim)
+        return victim

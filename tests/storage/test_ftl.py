@@ -79,6 +79,10 @@ class ReferenceFtl:
         while len(self._free_blocks) < self.gc_free_block_threshold:
             self._collect_one()
 
+    def write_batch(self, lpns):
+        for lpn in lpns:
+            self.write(lpn)
+
     def trim(self, lpn):
         location = self._mapping[lpn]
         if location is not None:
@@ -143,9 +147,10 @@ def assert_same_state(ftl, reference):
 
 
 def run_against_reference(operations, pages, ppb, op, threshold):
-    """Apply (kind, page) operations to both FTLs, comparing as they go:
-    counters, erase counts and free pool after every operation, every
-    page's location at the end.
+    """Apply (kind, argument) operations to both FTLs, comparing as they
+    go: counters, erase counts and free pool after every operation, every
+    page's location at the end.  ``write`` and ``trim`` take a page,
+    ``write_batch`` a list of pages (the reference writes them one by one).
 
     Returns the flat FTL.  An ``FtlError`` must hit both at the same
     operation; the run stops there.
@@ -155,11 +160,11 @@ def run_against_reference(operations, pages, ppb, op, threshold):
     )
     ftl = FlashTranslationLayer(pages, **config)
     reference = ReferenceFtl(pages, **config)
-    for step, (kind, page) in enumerate(operations):
+    for step, (kind, argument) in enumerate(operations):
         outcomes = []
         for target in (ftl, reference):
             try:
-                getattr(target, kind)(page)
+                getattr(target, kind)(argument)
                 outcomes.append(None)
             except FtlError:
                 outcomes.append(FtlError)
@@ -433,6 +438,51 @@ class TestAgainstReference:
     def test_random_operations_match_reference(self, ppb, op, threshold, operations):
         run_against_reference(operations, 64, ppb, op, threshold)
 
+    @pytest.mark.parametrize("ppb", [2, 4, 8, 64])
+    @pytest.mark.parametrize("op,threshold", [(0.05, 1), (0.2, 2), (0.5, 3)])
+    def test_seeded_batches_match_reference(self, ppb, op, threshold):
+        """Hot batches with repeated pages, longer than a block, under GC."""
+        pages = 16 * ppb
+        rng = random.Random(ppb * 10 + threshold)
+        operations = [
+            (
+                "write_batch",
+                [
+                    rng.randrange(pages // 8 if rng.random() < 0.8 else pages)
+                    for _ in range(rng.randrange(1, 3 * ppb))
+                ],
+            )
+            for _ in range(160)
+        ]
+        batches = [batch for _, batch in operations]
+        assert any(len(set(batch)) < len(batch) for batch in batches)
+        assert any(len(batch) > ppb for batch in batches)
+        ftl = run_against_reference(operations, pages, ppb, op, threshold)
+        assert ftl.counters.logical_writes == sum(map(len, batches))  # ran to the end
+        assert ftl.counters.gc_invocations > 10  # every one inside a batch
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ppb=st.sampled_from([2, 4, 8, 64]),
+        op=st.floats(0.05, 0.5),
+        threshold=st.integers(1, 3),
+        operations=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["write", "trim"]), st.integers(0, 63)),
+                st.tuples(
+                    st.just("write_batch"), st.lists(st.integers(0, 63), max_size=40)
+                ),
+                st.tuples(  # a hot range: pages repeat within the batch
+                    st.just("write_batch"), st.lists(st.integers(0, 7), max_size=40)
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_random_batches_match_reference(self, ppb, op, threshold, operations):
+        run_against_reference(operations, 64, ppb, op, threshold)
+
 
 class TestWriteBatch:
     @settings(max_examples=30, deadline=None)
@@ -465,17 +515,23 @@ class TestWriteBatch:
 
 
 class TestVictimIndex:
-    def test_check_invariants_sees_a_misfiled_block(self):
+    """``check_invariants`` sees each way the block-keyed index can go stale."""
+
+    def churned_ftl(self):
         ftl = make_ftl(pages=64, ppb=8)
         rng = random.Random(9)
         for _ in range(500):
             ftl.write(rng.randrange(64))
         ftl.check_invariants()
-        count, ranks = next(
-            (count, ranks) for count, ranks in enumerate(ftl._sealed) if ranks
+        return ftl
+
+    def test_check_invariants_sees_a_misfiled_block(self):
+        ftl = self.churned_ftl()
+        count, blocks = next(
+            (count, blocks) for count, blocks in enumerate(ftl._sealed) if blocks
         )
-        rank = ranks.pop()
-        ftl._sealed[count - 1 if count else count + 1].add(rank)
+        block = blocks.pop()
+        ftl._sealed[count - 1 if count else count + 1].add(block)
         with pytest.raises(AssertionError, match="victim index"):
             ftl.check_invariants()
 
@@ -484,6 +540,15 @@ class TestVictimIndex:
         for page in range(12):
             ftl.write(page)
         ftl.check_invariants()
-        ftl._sealed[ftl._valid[ftl._active]].add(ftl._rank(ftl._active))
+        ftl._sealed[ftl._valid[ftl._active]].add(ftl._active)
         with pytest.raises(AssertionError, match="victim index"):
+            ftl.check_invariants()
+
+    def test_check_invariants_sees_a_stale_rank(self):
+        """An erase whose rank did not grow: the block would be picked as
+        if it were still as little worn as before."""
+        ftl = self.churned_ftl()
+        erased = next(b for b, erases in enumerate(ftl.erase_counts()) if erases)
+        ftl._rank_of[erased] -= ftl.num_blocks
+        with pytest.raises(AssertionError, match="victim index ranks"):
             ftl.check_invariants()

@@ -27,9 +27,9 @@ import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count, repeat
-from operator import attrgetter
-from typing import NamedTuple
+from itertools import accumulate, compress, count, repeat
+from operator import attrgetter, mod
+from typing import NamedTuple, NoReturn
 
 from repro.errors import PowerFailure
 from repro.storage.clock import VirtualClock
@@ -58,6 +58,9 @@ WAL_DEVICE_PROFILE = DeviceProfile(
 
 #: Practically unbounded log capacity, recycled by checkpoints.
 _WAL_PAGES = 1 << 22
+#: Log pages one ``verify_durable`` window reads and checks as columns:
+#: bounded, so a long log never holds every image's columns at once.
+_SCAN_WINDOW = 256
 
 
 class WalRecordKind(Enum):
@@ -87,6 +90,13 @@ def _records_checksum(first_lsn: int, kinds, pages, payloads) -> int:
     return zlib.crc32(repr(tuple(zip(
         count(first_lsn), map(_kind_value, kinds), pages, payloads
     ))).encode())
+
+
+def _checksum_column(firsts, kinds, pages, payloads) -> tuple[int, ...]:
+    """:func:`_records_checksum` of each group of a column of groups, in C."""
+    return tuple(map(zlib.crc32, map(str.encode, map(repr, map(tuple, map(
+        zip, map(count, firsts), map(map, repeat(_kind_value), kinds), pages, payloads
+    ))))))
 
 
 class WalPageImage(NamedTuple):
@@ -243,6 +253,8 @@ class WriteAheadLog:
     def redo_since(self, lsn: int) -> tuple[list, list]:
         """``(pages, payloads)`` of the durable records past ``lsn`` that carry
         a redo image, in log order: what redo and a replica shipment read."""
+        if lsn < 0:
+            raise ValueError(f"lsn cannot be negative: {lsn}")
         end = self.durable_lsn
         pages, payloads = self._pages[lsn:end], self._payloads[lsn:end]
         if None in payloads:  # a checkpoint marker, an update without image
@@ -261,15 +273,33 @@ class WriteAheadLog:
         last stopped, so repeated recoveries verify each page once.  A device
         that diverges from the durable prefix (the WAL lost acknowledged
         writes, which the simulator does not model) raises ``RuntimeError``.
+
+        The scan reads :data:`_SCAN_WINDOW` pages per ``peek_many`` and
+        checks a window as columns, in C: every payload an image, first
+        LSNs contiguous, every group whole, every checksum equal to the
+        recomputed one.  Only a window that fails is walked page by page —
+        the images already read — to find where the log ends.
         """
         page_no, verified = self._verified_pages, self._verified_lsn
-        while page_no < self.pages_written:
-            image = self.device.peek(page_no % _WAL_PAGES)
-            if not (isinstance(image, WalPageImage) and image.is_valid
-                    and image.first_lsn == verified + 1):
-                break  # torn tail: the log ends here
-            verified += image.intended_count
-            page_no += 1
+        written, peek_many = self.pages_written, self.device.peek_many
+        while page_no < written:
+            stop = min(page_no + _SCAN_WINDOW, written)
+            images = peek_many(map(mod, range(page_no, stop), repeat(_WAL_PAGES)))
+            if all(map(isinstance, images, repeat(WalPageImage))):
+                firsts, kinds, pages, payloads, counts, checksums = zip(*images)
+                starts = tuple(accumulate(counts, initial=verified + 1))
+                if firsts == starts[:-1] and tuple(map(len, kinds)) == counts and (
+                    checksums == _checksum_column(firsts, kinds, pages, payloads)
+                ):
+                    page_no, verified = stop, starts[-1] - 1
+                    continue
+            for image in images:  # the window holds the tear: find it
+                if not (isinstance(image, WalPageImage) and image.is_valid
+                        and image.first_lsn == verified + 1):
+                    break  # torn tail: the log ends here
+                verified += image.intended_count
+                page_no += 1
+            break
         if verified != self.durable_lsn:
             raise RuntimeError(
                 "WAL device scan diverges from the durable index: "
@@ -288,27 +318,38 @@ class WriteAheadLog:
         start = len(self._kinds) - intended
         kinds, pages = tuple(self._kinds[start:]), tuple(self._pages[start:])
         payloads = tuple(self._payloads[start:])
-        tear: int | None = None
-        hook = self.flush_hook
-        if hook is not None:
-            tear = hook(tuple(map(WalRecord, count(start + 1), kinds, pages, payloads)))
-            if tear is not None and not 0 <= tear < intended:
-                tear = None  # landing the full group is not a tear
         checksum = _records_checksum(start + 1, kinds, pages, payloads)
-        if tear is not None:
-            site = "wal-checkpoint" if _CHECKPOINT in kinds else "wal-flush"
-            kinds, pages, payloads = kinds[:tear], pages[:tear], payloads[:tear]
-        image = WalPageImage(start + 1, kinds, pages, payloads, intended, checksum)
+        if self.flush_hook is not None:
+            tear = self.flush_hook(
+                tuple(map(WalRecord, count(start + 1), kinds, pages, payloads))
+            )
+            if tear is not None and 0 <= tear < intended:  # all of it is no tear
+                self._torn_flush(start + 1, kinds, pages, payloads, tear, checksum)
+        # ``tuple.__new__`` builds the named tuple without its Python ``__new__``.
+        self.device.write_page(self.pages_written % _WAL_PAGES, tuple.__new__(
+            WalPageImage, (start + 1, kinds, pages, payloads, intended, checksum)
+        ))
+        self.pages_written += 1
+        self._pending_records = 0
+        self.durable_lsn += intended
+
+    def _torn_flush(
+        self, first_lsn: int, kinds: tuple, pages: tuple, payloads: tuple,
+        tear: int, checksum: int,
+    ) -> NoReturn:
+        """Power fails mid-flush: a torn image holding the group's first
+        ``tear`` records lands, none of the group's records become durable
+        (the torn image will not verify), and the machine stops here."""
+        intended = len(kinds)
+        site = "wal-checkpoint" if _CHECKPOINT in kinds else "wal-flush"
+        image = WalPageImage(
+            first_lsn, kinds[:tear], pages[:tear], payloads[:tear], intended, checksum
+        )
         self.device.write_page(self.pages_written % _WAL_PAGES, payload=image)
         self.pages_written += 1
         self._pending_records = 0
-        if tear is not None:
-            # Power fails mid-flush: none of the group's records become
-            # durable (the torn image will not verify), and the machine
-            # stops here.
-            self.torn_flushes += 1
-            raise PowerFailure(
-                site, self.pages_written - 1,
-                f"flush torn after {tear}/{intended} records",
-            )
-        self.durable_lsn += intended
+        self.torn_flushes += 1
+        raise PowerFailure(
+            site, self.pages_written - 1,
+            f"flush torn after {tear}/{intended} records",
+        )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import compress, repeat
-from operator import eq
+from operator import eq, mod
 
 __all__ = [
     "ShardRouter",
@@ -142,20 +142,26 @@ class ShardRouter:
         Returns one ``(pages, writes)`` pair per shard (index = shard
         id).  Each subtrace preserves the relative order of its requests,
         so replaying shard ``i``'s subtrace is exactly what shard ``i``
-        would have observed serving the interleaved stream.  In bulk: one
-        ``shard_of`` per page, then one ``compress`` per shard and column.
+        would have observed serving the interleaved stream.  In bulk: the
+        owners column from :meth:`_owners`, then one ``compress`` per shard
+        and column.
         """
         if len(pages) != len(writes):
             raise ValueError(
                 f"pages ({len(pages)}) and writes ({len(writes)}) differ "
                 "in length"
             )
-        owners = list(map(self.shard_of, pages))
+        owners = self._owners(pages)
         split: list[tuple[list[int], list[bool]]] = []
         for shard in range(self.num_shards):
             owned = list(map(eq, owners, repeat(shard)))
             split.append((list(compress(pages, owned)), list(compress(writes, owned))))
         return split
+
+    def _owners(self, pages: Sequence[int]) -> list[int]:
+        """The owning shard of each page, in order (subclass hook for
+        :meth:`split`): one ``shard_of`` per page unless overridden."""
+        return list(map(self.shard_of, pages))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_shards={self.num_shards})"
@@ -174,6 +180,10 @@ class HashShardRouter(ShardRouter):
 
     def shard_of(self, page: int) -> int:
         return hash(page) % self.num_shards
+
+    def _owners(self, pages: Sequence[int]) -> list[int]:
+        # ``shard_of`` over the column in C: no frame per page.
+        return list(map(mod, map(hash, pages), repeat(self.num_shards)))
 
     def _spawn(self) -> "HashShardRouter":
         return HashShardRouter(self.num_shards)

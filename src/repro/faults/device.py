@@ -94,6 +94,9 @@ class FaultyDevice:
     def peek(self, page: int) -> object | None:
         return self.base.peek(page)
 
+    def peek_many(self, pages: Iterable[int]) -> list:
+        return self.base.peek_many(pages)
+
     @property
     def checksums_enabled(self) -> bool:
         return self.base.checksums_enabled

@@ -396,6 +396,11 @@ class SimulatedSSD:
         """
         return self._payloads.get(page)
 
+    def peek_many(self, pages: Iterable[int]) -> list:
+        """:meth:`peek` for a column of pages, in one C call: the stored
+        payloads, in order.  Diagnostics only, like :meth:`peek`."""
+        return list(map(self._payloads.get, pages))
+
     def format_pages(self, pages: Iterable[int]) -> None:
         """Pre-populate pages (database load) without advancing the clock.
 

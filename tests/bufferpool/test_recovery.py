@@ -63,6 +63,15 @@ class TestWalRecords:
         with pytest.raises(ValueError):
             wal.records_since(-1)
 
+    def test_redo_since_rejects_a_negative_lsn(self):
+        manager, wal = make_wal_manager(records_per_page=1)
+        for page in range(5):
+            manager.write_page(page, payload=page)
+        assert wal.redo_since(3) == ([3, 4], [3, 4])
+        # A negative slice would hand back the log's tail.
+        with pytest.raises(ValueError, match="negative"):
+            wal.redo_since(-1)
+
     def test_checkpoint_sets_last_checkpoint_lsn(self):
         manager, wal = make_wal_manager()
         manager.write_page(0)

@@ -115,6 +115,32 @@ class TestSplitInBulk:
             split_request_by_request(router, [1, 2, 3], [True, False])
 
 
+class TestHashSplitOwners:
+    """``HashShardRouter`` computes ``split``'s owners column in C; it must
+    be ``shard_of`` page by page, negative and past-the-hash-modulus pages
+    included (``hash(-1) == -2``, and ``hash`` wraps past ``2**61 - 1``)."""
+
+    PAGES = [
+        -1, -2, -3, -7, -(2**61), 0, 1, 5, 2**31, 2**61 - 2, 2**61 - 1,
+        2**61, 2**64 + 3, 10**30,
+    ]
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    def test_split_equals_the_per_page_shard_of_split(self, shards):
+        router = HashShardRouter(shards)
+        pages = self.PAGES * 2
+        writes = [index % 2 == 0 for index in range(len(pages))]
+        assert router._owners(pages) == [router.shard_of(page) for page in pages]
+        assert router.split(pages, writes) == split_request_by_request(
+            router, pages, writes
+        )
+
+    def test_owners_hash_before_the_modulo(self):
+        router = HashShardRouter(3)
+        assert router.shard_of(-1) == hash(-1) % 3 != -1 % 3
+        assert router.split([-1], [True])[hash(-1) % 3] == ([-1], [True])
+
+
 class TestBaseRouter:
     def test_base_router_is_abstract(self):
         with pytest.raises(NotImplementedError):

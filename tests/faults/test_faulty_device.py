@@ -31,6 +31,10 @@ class TestNullPlanPassThrough:
         assert wrapped.clock.now_us == bare.clock.now_us
         assert dataclasses.asdict(wrapped.stats) == dataclasses.asdict(bare.stats)
         assert wrapped.peek(20) == bare.peek(20) == "x"
+        pages = [20, 21, 5, 99]
+        assert wrapped.peek_many(pages) == bare.peek_many(pages) == [
+            bare.peek(page) for page in pages
+        ]
         assert wrapped.stats.faults_injected == 0
 
     def test_delegated_surface(self):

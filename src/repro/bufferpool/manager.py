@@ -689,7 +689,7 @@ class BufferPoolManager:
             gone.add(page)
         raise AssertionError(f"no page of {pages} is refused")
 
-    def _load(self, page: int, cold: bool = False) -> int:
+    def _load(self, page: int) -> int:
         """Read ``page`` from the device and install it into a free frame."""
         try:
             payload = self.device.read_page(page)
@@ -697,7 +697,7 @@ class BufferPoolManager:
             payload = self._repair_corrupt_read(page, corrupt)
         except IOFaultError as fault:
             payload = self._read_page_with_retry(page, fault)
-        return self._install_fetched(page, payload, cold=cold, prefetched=False)
+        return self._install_fetched(page, payload)
 
     def _repair_corrupt_read(
         self, page: int, corrupt: CorruptPageError
@@ -757,24 +757,78 @@ class BufferPoolManager:
             except IOFaultError as next_fault:
                 fault = next_fault
 
-    def _install_fetched(self, page: int, payload: object | None,
-                         cold: bool, prefetched: bool) -> int:
-        """Install a page whose payload was already read in a batch.
+    def _install_fetched(self, page: int, payload: object | None) -> int:
+        """Install a missed page, read alone, hot into a free frame.
 
         Returns the frame id the page now occupies.
         """
         frame_id = self.pool.allocate_frame()
         self._page_of[frame_id] = page
-        if prefetched:
-            self._prefetched_bits[frame_id] = 1
-            self.stats.prefetch_issued += 1
         self._payloads[frame_id] = payload
         self.table.insert(page, frame_id)
-        if cold:
-            self.policy.insert(page, cold=True)
-        else:
-            self._policy_insert(page, None)
+        self._policy_insert(page, None)
         return frame_id
+
+    def _fetch_batch(self, pages: list[int], cold: bool) -> int:
+        """Read ``pages`` in one device batch and install them all.
+
+        ``pages[0]`` is the page that missed and enters hot; the rest are
+        prefetched, flagged, and enter cold if ``cold``.  Returns the missed
+        page's frame id.  The batch is installed whole or not at all: enough
+        free frames, no page resident or repeated, and every page inside
+        the translation space are checked, in C, before the read; a refused
+        batch names its first bad page and charges nothing.  The frames
+        leave the free list in ``allocate_frame``'s order, and each state
+        array is filled in one C-level pass.
+        """
+        free = self.pool._free
+        frame_of = self._frame_of
+        n = len(pages)
+        if (
+            n > len(free)
+            or len(set(pages)) < n
+            or not frame_of.keys().isdisjoint(pages)
+            or (self._array_slots
+                and not 0 <= min(pages) <= max(pages) < self._probe_space)
+        ):
+            raise self._fetch_refusal(pages)
+        payloads = self.device.read_batch(pages)
+        frames = free[: -n - 1 : -1]
+        del free[-n:]
+        _consume(map(self._page_of.__setitem__, frames, pages))
+        _consume(map(self._payloads.__setitem__, frames, payloads))
+        frame_of.update(zip(pages, frames))
+        if self._array_slots:
+            _consume(map(self._slots.__setitem__, pages, frames))
+        self._policy_insert(pages[0], None)
+        if n > 1:
+            prefetched = pages[1:]
+            _consume(map(self._prefetched_bits.__setitem__, frames[1:], repeat(1)))
+            self.stats.prefetch_issued += n - 1
+            if cold:
+                _consume(map(self.policy.insert, prefetched, repeat(True)))
+            else:
+                _consume(map(self._policy_insert, prefetched, repeat(None)))
+        return frames[0]
+
+    def _fetch_refusal(self, pages: list[int]) -> Exception:
+        """Why :meth:`_fetch_batch` refuses ``pages``: its first page outside
+        the translation space, resident or repeated, else too few frames."""
+        frame_of = self._frame_of
+        space = self.table.address_space
+        seen: set[int] = set()
+        for page in pages:
+            if space is not None and not 0 <= page < space:
+                # The vector is sized by the device: the device's own error.
+                return IndexError(f"page {page} out of device range [0, {space})")
+            if page in frame_of:
+                return ValueError(
+                    f"page {page} already mapped to frame {frame_of[page]}"
+                )
+            if page in seen:
+                return ValueError(f"page {page} is repeated in the batch")
+            seen.add(page)
+        return RuntimeError("frame pool exhausted — evict before allocating")
 
     def __repr__(self) -> str:
         return (

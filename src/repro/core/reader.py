@@ -73,22 +73,16 @@ class Reader:
 
         The missed page enters hot (MRU); prefetched pages enter cold (LRU
         end) and are flagged so prefetch accuracy can be measured.  Returns
-        the frame id the missed page was installed into.
+        the frame id the missed page was installed into.  A batch the pool
+        cannot take (too few frames, a page resident, repeated or out of
+        range) raises before anything is read or installed.
         """
-        manager = self.manager
-        batch = [page] + prefetch_pages
         try:
-            payloads = manager.device.read_batch(batch)
+            return self.manager._fetch_batch(
+                [page, *prefetch_pages], self.cold_placement
+            )
         except IOFaultError as fault:
             return self._fetch_degraded(page, fault)
-        frame_id = manager._install_fetched(
-            page, payloads[0], cold=False, prefetched=False
-        )
-        for candidate, payload in zip(prefetch_pages, payloads[1:]):
-            manager._install_fetched(
-                candidate, payload, cold=self.cold_placement, prefetched=True
-            )
-        return frame_id
 
     def _fetch_degraded(self, page: int, fault: IOFaultError) -> int:
         """A faulted prefetch batch degrades to the missed page alone.
@@ -107,6 +101,4 @@ class Reader:
             payload = manager.device.read_page(page)
         except IOFaultError as single_fault:
             payload = manager._read_page_with_retry(page, single_fault)
-        return manager._install_fetched(
-            page, payload, cold=False, prefetched=False
-        )
+        return manager._install_fetched(page, payload)

@@ -53,6 +53,12 @@ class CompositePrefetcher(Prefetcher):
             if suggestions:
                 self.sequential_suggestions += len(suggestions)
                 return suggestions
-        suggestions = self.history.suggest(page, n)
+        history = self.history
+        # The history's first link, in place: a row whose best weight does
+        # not clear the threshold (the usual answer) opens no frame.
+        row = history._table.get(page)
+        if row is None or max(row[1]) < history.fetch_threshold:
+            return []
+        suggestions = history.suggest(page, n)
         self.history_suggestions += len(suggestions)
         return suggestions

@@ -15,6 +15,12 @@ page is updated —
 Prefetch suggestions chain through the table: the best successor of the
 missed page, then the best successor of that page, and so on, stopping when
 no candidate clears the ``fetch_threshold`` weight.
+
+A row is allocated at its full width, ``candidates_per_page`` slots, and an
+empty slot holds ``None`` at weight 0.  That is the paper's rule unchanged,
+because weights fall only in a full row: in a row that is not full every
+weight is at least 1, so the first zero-weight slot is the first empty one,
+and filling it is exactly an append.  One branch then serves both cases.
 """
 
 from __future__ import annotations
@@ -44,8 +50,11 @@ class HistoryPrefetcher(Prefetcher):
         self.candidates_per_page = candidates_per_page
         self.fetch_threshold = fetch_threshold
         self.max_weight = max_weight
-        # page -> parallel lists (next_pages, weights), bounded rows.
-        self._table: dict[int, tuple[list[int], list[int]]] = {}
+        # page -> parallel lists (next_pages, weights), each of width
+        # ``candidates_per_page``; an empty slot is ``None`` at weight 0.
+        self._table: dict[int, tuple[list[int | None], list[int]]] = {}
+        self._empty_pages = [None] * (candidates_per_page - 1)
+        self._empty_weights = [0] * (candidates_per_page - 1)
         self._previous_page: int | None = None
         self.trained_pairs = 0
 
@@ -58,18 +67,18 @@ class HistoryPrefetcher(Prefetcher):
         self.trained_pairs += 1
         row = self._table.get(previous)
         if row is None:
-            self._table[previous] = ([page], [1])
+            self._table[previous] = (
+                [page, *self._empty_pages], [1, *self._empty_weights]
+            )
             return
         next_pages, weights = row
         if page in next_pages:
             index = next_pages.index(page)
             if weights[index] < self.max_weight:
                 weights[index] += 1
-        elif len(next_pages) < self.candidates_per_page:
-            next_pages.append(page)
-            weights.append(1)
         else:
-            # Row is full: take the weakest slot (first of equals) or weaken it.
+            # Take the weakest slot (first of equals: in a row that is not
+            # full, its first empty slot) or, if it still counts, weaken it.
             lowest = min(weights)
             weakest = weights.index(lowest)
             if lowest:
@@ -85,34 +94,48 @@ class HistoryPrefetcher(Prefetcher):
         table = self._table
         floor = self.fetch_threshold - 1
         row = table.get(page)
-        if row is None or max(row[1]) <= floor or n < 1:
+        if row is None or n < 1:
+            return []
+        next_pages, weights = row
+        top = max(weights)
+        if top <= floor:
             return []  # the common answer, decided before allocating
-        suggestions: list[int] = []
-        exclude = {page}
+        chain = [page]
         while True:
-            best = None
-            best_weight = floor
-            for candidate, weight in zip(*row):
-                if weight > best_weight and candidate not in exclude:
-                    best = candidate
-                    best_weight = weight
-            if best is None:
+            # The row's best successor, found in C; only when the chain
+            # already holds it does the link take the scan for the best
+            # successor outside the chain (an empty slot never clears).
+            best = next_pages[weights.index(top)]
+            if best in chain:
+                best = None
+                best_weight = floor
+                for candidate, weight in zip(next_pages, weights):
+                    if weight > best_weight and candidate not in chain:
+                        best = candidate
+                        best_weight = weight
+                if best is None:
+                    break
+            chain.append(best)
+            if len(chain) > n:
                 break
-            suggestions.append(best)
-            if len(suggestions) == n:
-                break
-            exclude.add(best)
             row = table.get(best)
-            if row is None or max(row[1]) <= floor:
+            if row is None:
+                break
+            next_pages, weights = row
+            top = max(weights)
+            if top <= floor:
                 break  # nothing here clears the threshold
-        return suggestions
+        return chain[1:]
 
     def row(self, page: int) -> tuple[list[int], list[int]] | None:
-        """The (NextPages, Weights) row for ``page`` (tests/diagnostics)."""
+        """The (NextPages, Weights) row for ``page``, its filled slots only
+        (tests/diagnostics)."""
         row = self._table.get(page)
         if row is None:
             return None
-        return list(row[0]), list(row[1])
+        next_pages, weights = row
+        filled = next_pages.index(None) if None in next_pages else len(next_pages)
+        return next_pages[:filled], weights[:filled]
 
     def table_size(self) -> int:
         """Number of populated rows (the paper notes ~0.6% of DB size)."""

@@ -213,7 +213,9 @@ class SimulatedSSD:
         n = len(pages)
         if n == 0:
             return []
-        self._check_pages(pages)
+        num_pages = self.num_pages
+        if num_pages is not None and not 0 <= min(pages) <= max(pages) < num_pages:
+            self._check_pages(pages)  # names the first page out of range
         cost = self._read_costs.get(n)
         if cost is None:
             elapsed = self.model.read_batch_us(n)
@@ -229,8 +231,7 @@ class SimulatedSSD:
         if self._checksums is not None:
             for page in pages:
                 self._verify_checksum(page)
-        payloads = self._payloads
-        return [payloads.get(page) for page in pages]
+        return list(map(self._payloads.get, pages))
 
     # ---------------------------------------------------------------- writes
 

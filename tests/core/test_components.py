@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.evictor import Evictor
 from repro.core.reader import Reader
+from repro.core.stack import build_manager
 from repro.core.writer import Writer
+from repro.storage.device import SimulatedSSD
+from repro.storage.profiles import PCIE_SSD
 
 from tests.core.conftest import ScriptedPrefetcher, make_ace
 
@@ -107,6 +110,49 @@ class TestReader:
         assert manager.stats.prefetch_issued == 2
         assert manager.device.stats.read_batches == 1
         assert manager.device.stats.reads == 3
+
+    @pytest.mark.parametrize(
+        "page, prefetch, error",
+        [
+            (5, [5], ValueError),  # the missed page repeated
+            (5, [6, 6], ValueError),  # a prefetched page repeated
+            (5, [6, 0], ValueError),  # a resident page
+            (0, [6], ValueError),  # the missed page resident
+            (5, [6, 100], IndexError),  # past the device's last page
+            (-1, [6], IndexError),
+            (20, list(range(21, 30)), RuntimeError),  # 10 pages, 9 free frames
+        ],
+        ids=["missed-repeated", "prefetched-repeated", "prefetched-resident",
+             "missed-resident", "past-the-end", "negative", "too-few-frames"],
+    )
+    def test_fetch_refuses_a_bad_batch_before_reading_anything(
+        self, page, prefetch, error
+    ):
+        device = SimulatedSSD(PCIE_SSD, num_pages=100)
+        device.format_pages(range(100))
+        manager = build_manager(device, 10, "lru", "ace+pf")
+        manager.read_page(0)
+        pool = manager.pool
+
+        def state():
+            return (
+                list(pool._free), list(pool.page_of), list(pool.prefetched_bits),
+                dict(manager.table._frame_of), list(manager.policy.eviction_order()),
+                device.clock.ticks, device.stats.copy(), manager.stats.copy(),
+            )
+
+        before = state()
+        with pytest.raises(error):
+            manager.reader.fetch(page, prefetch)
+        assert state() == before
+        # The pool is whole: a good batch still lands, every stamped frame
+        # mapped, and only its own pages counted as prefetched.
+        frame_id = manager.reader.fetch(7, [8, 9])
+        assert pool.page_of[frame_id] == 7
+        stamped = sorted(p for p in pool.page_of if p >= 0)
+        assert stamped == sorted(manager.resident_pages()) == [0, 7, 8, 9]
+        assert manager.stats.prefetch_issued == 2
+        assert device.stats.reads == 4 and device.stats.read_batches == 2
 
     def test_hot_placement_ablation(self):
         prefetcher = ScriptedPrefetcher({})

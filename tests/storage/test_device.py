@@ -312,6 +312,36 @@ class TestWritePage:
         assert single.stats.writes == 0
 
 
+class TestReadBatchRange:
+    """``read_batch``'s range gate is ``read_page``'s, passed before the
+    batch is charged."""
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end", "twice"])
+    @pytest.mark.parametrize("page", [64, -1])
+    @pytest.mark.parametrize(
+        "shape", [SHAPES["bare"], SHAPES["with_ftl"]], ids=["bare", "with_ftl"]
+    )
+    def test_out_of_range_raises_read_pages_error_and_charges_nothing(
+        self, shape, page, where
+    ):
+        device = SimulatedSSD(PCIE_SSD, **shape)
+        device.write_batch(dict.fromkeys(range(8), 1))
+        batch = {
+            "start": [page, 1, 2],
+            "middle": [1, page, 2],
+            "end": [1, 2, page],
+            "twice": [1, page, 2, 99],  # the first one is named
+        }[where]
+        before = device_state(device)
+        with pytest.raises(IndexError) as by_page:
+            device.read_page(page)
+        with pytest.raises(IndexError) as by_batch:
+            device.read_batch(batch)
+        assert str(by_batch.value) == str(by_page.value)
+        assert str(by_page.value) == f"page {page} out of device range [0, 64)"
+        assert device_state(device) == before
+
+
 class TestFtlIntegration:
     def test_ftl_requires_num_pages(self):
         with pytest.raises(ValueError):

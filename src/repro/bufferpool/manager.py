@@ -223,7 +223,6 @@ class BufferPoolManager:
                 device._single_write_us,
                 device._single_read_ticks,
                 device._single_write_ticks,
-                device.num_pages,
                 device.ftl,
                 device.clock,
                 hit,

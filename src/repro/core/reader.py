@@ -18,6 +18,7 @@ inline in the loop, at the same cost.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.errors import IOFaultError
@@ -54,13 +55,15 @@ class Reader:
             return []  # the usual answer: no room, or no confident prediction
         manager = self.manager
         num_pages = manager.device.num_pages
+        if num_pages is None:
+            num_pages = math.inf  # unbounded, but never negative
         frame_of = manager._frame_of
         selected: list[int] = []
         seen = {page}
         for candidate in suggestions:
             if candidate in seen or candidate in frame_of:
                 continue
-            if num_pages is not None and not 0 <= candidate < num_pages:
+            if not 0 <= candidate < num_pages:
                 continue
             seen.add(candidate)
             selected.append(candidate)

@@ -180,8 +180,10 @@ def _replay_turbo(
     would add, per event; the floating-point device time sums stay
     sequential per event too, so the resulting metrics are byte-identical
     to the per-request replay, not merely equal modulo summation order.
-    The policy is called through what ``policy.hooks()`` published (exact
-    LRU: its ordered map's own methods, so a hit, an install and an
+    Every page is inside the probe space and the device (:func:`replay`
+    checked the stretch), so the probe is one index and a miss tests no
+    bound.  The policy is called through what ``policy.hooks()`` published
+    (exact LRU: its ordered map's own methods, so a hit, an install and an
     eviction run no policy frame) and a dirty/clean transition through the
     manager's one bound callable; the spelling is the same for every
     policy.  The translation already vouches for membership here; only
@@ -236,7 +238,6 @@ def _replay_turbo(
         write_us,
         read_ticks,
         write_ticks,
-        num_pages,
         ftl,
         clock,
         hit,
@@ -247,7 +248,6 @@ def _replay_turbo(
         mark_clean,
         reader,
     ) = manager._turbo
-    probe_space = manager._probe_space
     writer = manager.writer
     wal = manager.wal
     stats = manager.stats
@@ -285,7 +285,7 @@ def _replay_turbo(
     try:
         while True:
             for page, is_write in requests:
-                frame_id = slots[page] if 0 <= page < probe_space else -1
+                frame_id = slots[page]
                 if frame_id >= 0:
                     hits += 1
                     if prefetched_bits[frame_id]:
@@ -353,13 +353,6 @@ def _replay_turbo(
                                     # Nothing to prefetch: the classic read
                                     # and install below, repeated here, as
                                     # the write post-work is.
-                                    if num_pages is not None and not (
-                                        0 <= page < num_pages
-                                    ):
-                                        raise IndexError(
-                                            f"page {page} out of device range "
-                                            f"[0, {num_pages})"
-                                        )
                                     clock.ticks += read_ticks
                                     device_stats.read_time_us += read_us
                                     reads_done += 1
@@ -416,10 +409,6 @@ def _replay_turbo(
                         page_of[victim_frame] = -1
                         payloads[victim_frame] = None
                         free.append(victim_frame)
-                    if num_pages is not None and not 0 <= page < num_pages:
-                        raise IndexError(
-                            f"page {page} out of device range [0, {num_pages})"
-                        )
                     clock.ticks += read_ticks
                     device_stats.read_time_us += read_us
                     reads_done += 1
@@ -538,9 +527,33 @@ def replay(
     everything else: a wrapped device, a WAL with a ``flush_hook``, a
     subclass's own ``_handle_miss``, a sanitised manager (instance-attribute
     op wrappers that must see every request) and the partitioned facade.
+
+    The inlined loop trusts every page it is given: the stretch's range is
+    checked here, once, in C — inside the translation's probe space and
+    the device.  A stretch with a page outside is handed off at it: the
+    inlined loop replays the requests before it, and unless those already
+    reached the deadline the reference arm replays the rest, from that page
+    on (one outside the device raises there, after the eviction, as the
+    miss routine does).
     """
+    start = 0
     if manager.sanitizer is None and _turbo_ready(manager):
-        return _replay_turbo(manager, pages, writes, op_ticks, until_ticks, stalls)
+        bound = min(manager._probe_space, manager._plain_device._page_limit)
+        if not pages or 0 <= min(pages) <= max(pages) < bound:
+            return _replay_turbo(manager, pages, writes, op_ticks, until_ticks, stalls)
+        start = next(
+            index for index, page in enumerate(pages) if not 0 <= page < bound
+        )
+        if start:
+            done = _replay_turbo(
+                manager, pages[:start], writes[:start], op_ticks, until_ticks, stalls
+            )
+            # The prefix stops early only at the deadline, and then the
+            # clock, its CPU charged, has reached it: request ``start``
+            # must not run.
+            if until_ticks is not None and manager.device.clock.ticks >= until_ticks:
+                return done
+            pages, writes = pages[start:], writes[start:]
     clock = manager.device.clock
     access = manager.access
     done = 0
@@ -550,12 +563,12 @@ def replay(
             done += 1
             access(page, is_write)
             if stalls is not None and clock.ticks != mark:
-                stalls.append((done - 1, clock.ticks - mark))
+                stalls.append((start + done - 1, clock.ticks - mark))
             if until_ticks is not None and clock.ticks + done * op_ticks >= until_ticks:
                 break
     finally:
         clock.ticks += done * op_ticks
-    return done
+    return start + done
 
 
 class RunSession:

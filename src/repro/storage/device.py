@@ -16,6 +16,7 @@ afterwards" — can be property-tested end to end.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
@@ -154,6 +155,10 @@ class SimulatedSSD:
         self.model: LatencyModel = profile.latency_model()
         self.clock = clock if clock is not None else VirtualClock()
         self.num_pages = num_pages
+        #: The exclusive bound every entry point checks a page against:
+        #: ``num_pages``, or ``inf`` when unbounded.  Page numbers are never
+        #: negative, bounded or not.
+        self._page_limit = num_pages if num_pages is not None else math.inf
         # The latency model is a pure function of the batch size, so the
         # single-page costs — paid on every cache miss and every classic
         # write-back — are computed once.
@@ -188,10 +193,8 @@ class SimulatedSSD:
 
     def read_page(self, page: int) -> object | None:
         """Read a single page; advances the clock by one read latency."""
-        if self.num_pages is not None and not 0 <= page < self.num_pages:
-            raise IndexError(
-                f"page {page} out of device range [0, {self.num_pages})"
-            )
+        if not 0 <= page < self._page_limit:
+            raise self._range_error(page)
         elapsed = self._single_read_us
         self.clock.advance(elapsed)
         stats = self.stats
@@ -213,8 +216,7 @@ class SimulatedSSD:
         n = len(pages)
         if n == 0:
             return []
-        num_pages = self.num_pages
-        if num_pages is not None and not 0 <= min(pages) <= max(pages) < num_pages:
+        if not 0 <= min(pages) <= max(pages) < self._page_limit:
             self._check_pages(pages)  # names the first page out of range
         cost = self._read_costs.get(n)
         if cost is None:
@@ -241,9 +243,8 @@ class SimulatedSSD:
         ``write_batch({page: payload})`` written out, as :meth:`read_page`
         is: every log-page flush and every redo write comes through here.
         """
-        num_pages = self.num_pages
-        if num_pages is not None and not 0 <= page < num_pages:
-            raise IndexError(f"page {page} out of device range [0, {num_pages})")
+        if not 0 <= page < self._page_limit:
+            raise self._range_error(page)
         self.clock.ticks += self._single_write_ticks
         stats = self.stats
         stats.writes += 1
@@ -280,8 +281,7 @@ class SimulatedSSD:
         n = len(pages)
         if n == 0:
             return
-        num_pages = self.num_pages
-        if num_pages is not None and not 0 <= min(pages) <= max(pages) < num_pages:
+        if not 0 <= min(pages) <= max(pages) < self._page_limit:
             self._check_pages(pages)  # names the first page out of range
         cost = self._write_costs.get(n)
         if cost is None:
@@ -329,10 +329,8 @@ class SimulatedSSD:
         trivially verifies — the scrubber then relies on WAL cross-checks
         alone.
         """
-        if self.num_pages is not None and not 0 <= page < self.num_pages:
-            raise IndexError(
-                f"page {page} out of device range [0, {self.num_pages})"
-            )
+        if not 0 <= page < self._page_limit:
+            raise self._range_error(page)
         elapsed = self._single_read_us
         self.clock.advance(elapsed)
         stats = self.stats
@@ -427,13 +425,13 @@ class SimulatedSSD:
             self.ftl.reset_counters()
 
     def _check_pages(self, pages: Iterable[int]) -> None:
-        if self.num_pages is None:
-            return
+        limit = self._page_limit
         for page in pages:
-            if not 0 <= page < self.num_pages:
-                raise IndexError(
-                    f"page {page} out of device range [0, {self.num_pages})"
-                )
+            if not 0 <= page < limit:
+                raise self._range_error(page)
+
+    def _range_error(self, page: int) -> IndexError:
+        return IndexError(f"page {page} out of device range [0, {self._page_limit})")
 
     def __repr__(self) -> str:
         return (

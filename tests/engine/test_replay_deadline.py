@@ -15,11 +15,17 @@ What holds them to the loops they replaced:
 * ``replay``'s edges agree on both arms and with that loop: the deadline
   crossed at a hit (after a miss that did not cross), at a miss, already
   due on entry, with no CPU charge, and a request that raises;
+* a stretch with a page outside the device is handed off at that page:
+  the inlined loop before it, the reference arm from it, unless the
+  deadline fell first — and a negative page raises even on an unbounded
+  device;
 * each background timer names the exact first tick it fires at;
 * on a bare stack none of those callers reaches ``manager.access``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.bufferpool.background import BackgroundWriter, Checkpointer, IdleScrubber
 from repro.bufferpool.manager import BufferPoolManager
+from repro.policies import LRUPolicy
 from repro.cluster.engine import ClusterConfig, run_cluster
 from repro.engine import executor
 from repro.engine.executor import ExecutionOptions, RunSession, replay, run_trace
@@ -34,6 +41,7 @@ from repro.engine.latency import LatencyRecorder
 from repro.engine.serving import ServingLayer
 from repro.faults.nodes import NodeFault, NodeFaultPlan
 from repro.storage.clock import tick_at, to_ticks, to_us
+from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace
 from repro.workloads.trace import Trace
@@ -159,10 +167,10 @@ def _warm(variant, stack):
 STRETCH = generate_trace(MS, NUM_PAGES, 400, seed=4)
 
 
-def _step(manager, pages, writes, op_ticks, until_ticks):
+def _step(manager, pages, writes, op_ticks, until_ticks, stalls=None):
     """One request at a time, CPU first: (ran, stalls, ends)."""
     clock = manager.device.clock
-    stalls, ends = [], []
+    stalls, ends = [] if stalls is None else stalls, []
     for index, (page, is_write) in enumerate(zip(pages, writes)):
         mark = clock.ticks
         clock.ticks += op_ticks
@@ -176,17 +184,22 @@ def _step(manager, pages, writes, op_ticks, until_ticks):
 
 
 def _replay_three_ways(variant, stack, pages, writes, op_ticks, until_ticks):
-    """(ran, stalls, state) of both arms and of the stepped loop; equal."""
+    """(ran, stalls, state) of both arms and of the stepped loop; equal.
+    A request out of the device's range stands in for ``ran`` as the text
+    of the ``IndexError`` it raised."""
     results = []
-    for arm in ("inlined loop", "reference arm"):
+    for arm in ("inlined loop", "reference arm", "request by request"):
         manager = _warm(variant, stack)
         stalls = []
-        with per_request(arm == "reference arm"):
-            ran = replay(manager, pages, writes, op_ticks, until_ticks, stalls)
+        try:
+            if arm == "request by request":
+                ran, _, _ = _step(manager, pages, writes, op_ticks, until_ticks, stalls)
+            else:
+                with per_request(arm == "reference arm"):
+                    ran = replay(manager, pages, writes, op_ticks, until_ticks, stalls)
+        except IndexError as error:
+            ran = str(error)
         results.append((ran, stalls, state(manager)))
-    manager = _warm(variant, stack)
-    ran, stalls, _ = _step(manager, pages, writes, op_ticks, until_ticks)
-    results.append((ran, stalls, state(manager)))
     assert results[0] == results[1] == results[2]
     return results[0][:2]
 
@@ -306,6 +319,98 @@ def test_a_raising_request_mid_stretch(variant, stack):
     assert outcomes[0] == outcomes[1] == outcomes[2]
     buffer = outcomes[0]["buffer"]
     assert buffer["misses"] + buffer["hits"] == 300 + 151  # warm-up, then 151
+
+
+# ------------------------------------------------------------ the hand-off
+
+#: A page beyond the device, and the error every arm raises for it.
+OUTSIDE = NUM_PAGES + 7
+OUTSIDE_ERROR = f"page {OUTSIDE} out of device range [0, {NUM_PAGES})"
+
+
+def _with_outside(at):
+    """The stretch with ``OUTSIDE`` read before request ``at``."""
+    pages, writes = STRETCH.pages, STRETCH.writes
+    return [*pages[:at], OUTSIDE, *pages[at:]], [*writes[:at], False, *writes[at:]]
+
+
+@pytest.mark.parametrize("at", [0, 150, len(STRETCH)], ids=["start", "middle", "end"])
+@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_page_outside_the_device_is_handed_off(variant, stack, at):
+    """The inlined loop replays the requests before it, the reference arm
+    the rest: the page raises where it does request by request."""
+    pages, writes = _with_outside(at)
+    ran, stalls = _replay_three_ways(variant, stack, pages, writes, OP_TICKS, None)
+    assert ran == OUTSIDE_ERROR
+    assert all(index < at for index, _ in stalls)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "after"])
+@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_hand_off_honours_the_deadline(variant, stack, offset):
+    """A deadline that the last request before the outside page reaches
+    ends the stretch there: the page never runs, so nothing raises."""
+    _, _, ends = _trajectory(variant, stack)
+    pages, writes = _with_outside(150)
+    ran, stalls = _replay_three_ways(
+        variant, stack, pages, writes, OP_TICKS, ends[149] + offset
+    )
+    assert ran == (150 if offset <= 0 else OUTSIDE_ERROR)
+
+
+def test_a_page_past_the_probe_space_is_served_by_the_reference_arm():
+    """On a device of no size the dict table's probe space still ends; a
+    page past it is no error, so the reference arm replays the rest of the
+    stretch, its stalls indexed from the stretch's start."""
+    pages = [1, 2, 1, 2**63, 3, 4, 5, 6, 2, 1]
+    writes = [False, True] * 5
+    results = []
+    for arm in ("inlined loop", "reference arm"):
+        manager = BufferPoolManager(4, LRUPolicy(), SimulatedSSD(PCIE_SSD))
+        stalls = []
+        with per_request(arm == "reference arm"):
+            ran = replay(manager, pages, writes, OP_TICKS, None, stalls)
+        results.append((ran, stalls, manager.table.pages(), state(manager)))
+    assert results[0] == results[1]
+    ran, stalls, _, _ = results[0]
+    assert ran == len(pages)
+    assert [index for index, _ in stalls] == [0, 1, 3, 4, 5, 6, 7, 8, 9]
+
+
+def _unbounded_run(arm, warm_pages):
+    """A dict-table pool on a device of no size, warmed by reads of
+    ``warm_pages``, then asked for page -1 twice."""
+    manager = BufferPoolManager(4, LRUPolicy(), SimulatedSSD(PCIE_SSD))
+    assert manager.table.backend == "dict" and executor._turbo_ready(manager)
+    with per_request(arm == "reference arm"):
+        replay(manager, warm_pages, [False] * len(warm_pages), OP_TICKS)
+        reads = manager.device.stats.reads
+        for _ in range(2):
+            with pytest.raises(IndexError, match=r"page -1 out of device range"):
+                replay(manager, [-1, -1], [False, False], OP_TICKS)
+    pool = manager.pool
+    assert manager.device.stats.reads == reads
+    return (
+        list(pool._free), manager.table.pages(), list(pool.page_of),
+        manager.device.clock.ticks, dataclasses.asdict(manager.device.stats),
+        dataclasses.asdict(manager.stats),
+    )
+
+
+@pytest.mark.parametrize("warm_pages", [[1, 2], [1, 2, 3, 4]], ids=["free", "full"])
+def test_a_negative_page_raises_on_an_unbounded_device(warm_pages):
+    """Page numbers are never negative, bounded device or not: both arms
+    raise at the first request (a full pool having evicted first), read
+    nothing, map nothing and leak no frame."""
+    inlined = _unbounded_run("inlined loop", warm_pages)
+    assert inlined == _unbounded_run("reference arm", warm_pages)
+    free, table, page_of, _, _, stats = inlined
+    assert -1 not in table
+    assert sorted(page for page in page_of if page >= 0) == sorted(table)
+    assert len(free) + len(table) == 4
+    assert stats["misses"] == len(warm_pages) + 2
 
 
 # ---------------------------------------------------------- the timers

@@ -66,6 +66,25 @@ class TestBasics:
         device.write_page(10**9, payload=1)
         assert device.read_page(10**9) == 1
 
+    def test_unbounded_device_refuses_a_negative_page(self):
+        """Page numbers start at 0 on every device: each entry point refuses
+        -1, charging, counting and storing nothing."""
+        device = SimulatedSSD(FLAT)
+        device.write_page(3, payload=1)
+        before = device_state(device)
+        for call in (
+            device.read_page,
+            device.verify_page,
+            device.write_page,
+            lambda page: device.read_batch([3, page]),
+            lambda page: device.write_batch({3: 2, page: 1}),
+        ):
+            with pytest.raises(
+                IndexError, match=r"^page -1 out of device range \[0, inf\)$"
+            ):
+                call(-1)
+        assert device_state(device) == before
+
     def test_contains(self):
         device = make_device()
         assert not device.contains(5)

@@ -16,7 +16,9 @@ The set is pinned: the functions that reach ``manager.access``
 exactly the ones below, each for the reason beside it.  A new per-request
 loop, or a second place that assembles a run's metrics, has to be argued for
 here.  The miss exchange is inlined once: only ``_replay_turbo`` reads the
-manager's ``_turbo`` tuple.  Replicas are pinned from both sides: the
+manager's ``_turbo`` tuple, and it tests no page's range: ``replay``
+checks a stretch's range once, in C, and hands the rest of a stretch off
+at its first page outside.  Replicas are pinned from both sides: the
 replication module writes them through the shipment apply alone, and no
 other module writes them at all.  The log is pinned too: it is columns, a
 ``WalRecord`` is built only for the accessors that hand records out, and
@@ -140,6 +142,25 @@ def test_the_miss_exchange_is_inlined_exactly_once():
                     (writes if stored else reads)[name] += 1
     assert writes.keys() == TURBO_WRITES.keys()
     assert reads.keys() - TURBO_WRITES.keys() == TURBO_READS.keys()
+
+
+def test_the_inlined_loop_compares_no_page():
+    """``_replay_turbo`` trusts every page it is given (``replay`` range-
+    checks the stretch): its probe is ``slots[page]`` and its miss path
+    tests no device bound.  A per-request range test would add no
+    function row to the opcode attribution, so it is pinned here."""
+    module = "repro.engine.executor"
+    loop = dict(scopes(trees(SRC)[module], module))[f"{module}._replay_turbo"]
+    compared = [
+        node.lineno
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Name) and operand.id == "page"
+            for operand in (node.left, *node.comparators)
+        )
+    ]
+    assert compared == []
 
 
 def test_a_run_is_assembled_in_exactly_these_places():

@@ -2,8 +2,8 @@
 
 A from-scratch reproduction of *"ACEing the Bufferpool Management Paradigm
 for Modern Storage Devices"* (Papon & Athanassoulis, ICDE 2023): a
-PostgreSQL-style bufferpool, four replacement policies (Clock Sweep, LRU,
-CFLRU, LRU-WSR) plus extras, the ACE wrapper (batched concurrent
+PostgreSQL-style bufferpool, the paper's four replacement policies (Clock
+Sweep, LRU, CFLRU, LRU-WSR), the ACE wrapper (batched concurrent
 write-back, decoupled eviction, concurrent prefetching), a virtual-clock
 SSD simulator with an FTL, pgbench-style synthetic mixes and TPC-C, and a
 benchmark harness regenerating every table and figure of the paper's

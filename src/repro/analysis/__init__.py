@@ -1,25 +1,5 @@
 """Analytical models: ACE's ideal speedup and Che's LRU approximation."""
 
-from repro.analysis.che import (
-    characteristic_time,
-    expected_hit_ratio,
-    lru_hit_ratio,
-    two_class_popularities,
-)
-from repro.analysis.model import (
-    amortization_factor,
-    ideal_speedup,
-    speedup_grid,
-    speedup_vs_alpha,
-)
+from repro.analysis.che import expected_hit_ratio
 
-__all__ = [
-    "amortization_factor",
-    "ideal_speedup",
-    "speedup_vs_alpha",
-    "speedup_grid",
-    "characteristic_time",
-    "lru_hit_ratio",
-    "two_class_popularities",
-    "expected_hit_ratio",
-]
+__all__ = ["expected_hit_ratio"]

@@ -14,11 +14,3 @@ faults may be caught) are pinned by census tests over the source tree,
 ``tests/test_*census.py``; see ``docs/architecture.md``, "Contracts pinned
 by tests".
 """
-
-from repro.analyze.sanitizer import InvariantSanitizer, attach, env_enabled
-
-__all__ = [
-    "InvariantSanitizer",
-    "attach",
-    "env_enabled",
-]

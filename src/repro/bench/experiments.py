@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.model import speedup_grid, speedup_vs_alpha
-from repro.bench.parallel import GridJob, TraceSpec, run_grid
+from repro.bench.parallel import GridJob, TraceSpec, run_keyed_grid
 from repro.bench.plot import heatmap, line_chart
 from repro.bench.report import format_series, format_table, write_report
 from repro.bench.runner import StackConfig, build_stack, run_config
@@ -133,22 +133,6 @@ def _run(
     return run_config(config, trace)
 
 
-def _run_grid(
-    keyed_jobs: list[tuple[object, GridJob]],
-    workers: int | None = None,
-) -> dict[object, RunMetrics]:
-    """Fan a keyed job list over :func:`run_grid`, preserving key order.
-
-    The experiment functions batch every independent (config, trace) pair
-    of a figure into one call, so the whole figure parallelises across
-    ``workers`` processes (``REPRO_WORKERS`` / ``--workers``); results are
-    identical to the serial path.
-    """
-    keys = [key for key, _ in keyed_jobs]
-    metrics = run_grid([job for _, job in keyed_jobs], workers=workers)
-    return dict(zip(keys, metrics))
-
-
 # --------------------------------------------------------------- Table I
 
 
@@ -248,7 +232,7 @@ def fig2_ideal_speedup(
         for variant in ("baseline", "ace"):
             config = _config(profile, "lru", variant, scale)
             jobs.append(((alpha, variant), GridJob(config, trace=spec)))
-    results = _run_grid(jobs, workers=workers)
+    results = run_keyed_grid(jobs, workers=workers)
     measured_curve = [
         speedup(results[(alpha, "baseline")], results[(alpha, "ace")])
         for alpha in alphas
@@ -293,7 +277,7 @@ def fig8_synthetic_runtime(
                 jobs.append(
                     ((spec.name, policy, variant), GridJob(config, trace=trace_spec))
                 )
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     results: dict[str, dict[tuple[str, str], RunMetrics]] = {}
     for spec in PAPER_WORKLOADS:
         results[spec.name] = {
@@ -361,7 +345,7 @@ def table3_overheads(
                 jobs.append(
                     ((spec.name, policy, variant), GridJob(config, trace=trace_spec))
                 )
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     results: dict[str, dict[str, dict[str, float]]] = {}
     rows = []
     for spec in PAPER_WORKLOADS:
@@ -480,7 +464,7 @@ def fig10ab_low_asymmetry_devices(
                         (profile.name, spec.name, policy, variant),
                         GridJob(config, trace=trace_spec),
                     ))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     data: dict[str, dict[str, dict[str, float]]] = {}
     sections = []
     for profile in (SATA_SSD, VIRTUAL_SSD):
@@ -532,7 +516,7 @@ def fig10cd_rw_ratio_sweep(
                     (read_fraction, policy, variant),
                     GridJob(config, trace=trace_spec),
                 ))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     speedups: dict[str, list[float]] = {policy: [] for policy in policies}
     runtimes: dict[str, list[float]] = {}
     for policy in policies:
@@ -589,7 +573,7 @@ def fig10ef_memory_pressure(
                     (fraction, policy, variant),
                     GridJob(config, trace=trace_spec),
                 ))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     runtimes: dict[str, list[float]] = {}
     speedups: dict[str, list[float]] = {policy: [] for policy in policies}
     for policy in policies:
@@ -647,7 +631,7 @@ def fig10g_nw_sweep(
         for n_w in n_ws:
             config = _config(PCIE_SSD, policy, "ace", scale, n_w=n_w, n_e=n_w)
             jobs.append(((policy, "ace", n_w), GridJob(config, trace=trace_spec)))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     speedups: dict[str, list[float]] = {}
     for policy in policies:
         base = flat[(policy, "baseline", None)]
@@ -699,7 +683,7 @@ def fig10h_asymmetry_continuum(
         for n_w in n_ws:
             config = _config(profile, "lru", "ace", scale, n_w=n_w, n_e=n_w)
             jobs.append(((alpha, "ace", n_w), GridJob(config, trace=trace_spec)))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     measured: list[list[float]] = []
     for alpha in alphas:
         baseline = flat[(alpha, "baseline", None)]
@@ -759,7 +743,7 @@ def fig10i_device_comparison(
                     (profile.name, read_fraction, variant),
                     GridJob(config, trace=trace_spec),
                 ))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     speedups: dict[str, list[float]] = {}
     for profile in PAPER_DEVICES:
         speedups[profile.name] = [
@@ -837,7 +821,7 @@ def fig11_tpcc_transactions(
                         label=f"tpcc/{case_name}/{policy}/{variant}",
                     ),
                 ))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     data: dict[str, dict[str, float]] = {}
     rows = []
     for case_name, _only, _count in workload_cases:
@@ -900,7 +884,7 @@ def fig12_tpcc_scaling(
                     label=f"tpcc-scale/{warehouses}/{label}",
                 ),
             ))
-    flat = _run_grid(jobs, workers=workers)
+    flat = run_keyed_grid(jobs, workers=workers)
     tpmc: dict[str, list[float]] = {"LRU": [], "ACE-LRU": []}
     gains: list[float] = []
     for warehouses in warehouse_counts:

@@ -28,6 +28,7 @@ materialises and caches the trace once, however many jobs share it.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,7 +38,10 @@ from repro.workloads.synthetic import WorkloadSpec, generate_trace
 from repro.workloads.trace import PageRequest, Trace
 from repro.workloads.tpcc.transactions import TransactionType
 
-__all__ = ["TraceSpec", "GridJob", "GridFailure", "resolve_workers", "run_grid"]
+__all__ = [
+    "TraceSpec", "GridJob", "GridFailure", "resolve_workers", "run_grid",
+    "run_keyed_grid",
+]
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
@@ -230,3 +234,24 @@ def run_grid(
                         still_failing.append(index)
         pending = still_failing
     return results  # type: ignore[return-value]
+
+
+def run_keyed_grid(
+    keyed_jobs: Iterable[tuple[object, GridJob]],
+    workers: int | None = None,
+) -> dict[object, RunMetrics]:
+    """:func:`run_grid` over ``(key, job)`` pairs: metrics by key, in order.
+
+    A figure or a comparison needs every cell, so a :class:`GridFailure`
+    is not a result here: the grid runs to the end, then raises a
+    ``RuntimeError`` naming each failed cell's label and error.
+    """
+    keyed_jobs = list(keyed_jobs)
+    results = run_grid([job for _, job in keyed_jobs], workers=workers)
+    failures = [result for result in results if isinstance(result, GridFailure)]
+    if failures:
+        raise RuntimeError(
+            f"{len(failures)} of {len(results)} grid cells failed: "
+            + "; ".join(f"{failure.label}: {failure.error}" for failure in failures)
+        )
+    return {key: result for (key, _), result in zip(keyed_jobs, results)}

@@ -213,12 +213,11 @@ def compare_policies(
     serial path).  Results are identical either way.
     """
     # Imported here: repro.bench.parallel imports this module.
-    from repro.bench.parallel import GridJob, run_grid
+    from repro.bench.parallel import GridJob, run_keyed_grid
 
     if options is None:
         options = ExecutionOptions()
-    keys: list[tuple[str, str]] = []
-    jobs: list[GridJob] = []
+    jobs: list[tuple[tuple[str, str], GridJob]] = []
     for policy in policies:
         for variant in variants:
             config = StackConfig(
@@ -232,9 +231,8 @@ def compare_policies(
                 with_ftl=with_ftl,
                 options=options,
             )
-            keys.append((policy, variant))
-            jobs.append(
-                GridJob(config, trace=trace, label=f"{config.label}/{trace.name}")
-            )
-    metrics = run_grid(jobs, workers=workers)
-    return dict(zip(keys, metrics))
+            jobs.append((
+                (policy, variant),
+                GridJob(config, trace=trace, label=f"{config.label}/{trace.name}"),
+            ))
+    return run_keyed_grid(jobs, workers=workers)

@@ -103,7 +103,7 @@ class BufferPoolManager:
         Policy applied when a device I/O raises
         :class:`~repro.errors.IOFaultError` (only possible when the device
         is a :class:`~repro.faults.FaultyDevice`).  Defaults to
-        :data:`~repro.faults.DEFAULT_RETRY_POLICY`.  The fault path is
+        :data:`~repro.faults.retry.DEFAULT_RETRY_POLICY`.  The fault path is
         reached exclusively through ``except`` handlers, so a fault-free
         device pays nothing for it.
     """

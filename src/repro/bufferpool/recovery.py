@@ -116,7 +116,7 @@ def recover(
     (pure dirtying without a logged image) are skipped and counted.
 
     Redo writes run under ``retry`` (default
-    :data:`~repro.faults.DEFAULT_RETRY_POLICY`) when the crashed device
+    :data:`~repro.faults.retry.DEFAULT_RETRY_POLICY`) when the crashed device
     still injects faults: recovery is precisely when giving up on a
     transient error would turn a committed update into lost data, so a
     redo write that stays unwritable after retries raises rather than

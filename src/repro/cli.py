@@ -31,7 +31,7 @@ from repro.bench.report import format_table
 from repro.bench.runner import StackConfig, build_stack, run_config
 from repro.engine.executor import ExecutionOptions, run_transactions
 from repro.engine.metrics import speedup
-from repro.policies.registry import PAPER_POLICIES, POLICY_NAMES, display_name
+from repro.policies.registry import PAPER_POLICIES, display_name
 from repro.storage.probe import probe_device
 from repro.storage.profiles import (
     OPTANE_SSD,
@@ -60,6 +60,18 @@ _WORKLOADS = {"MS": MS, "WIS": WIS, "RIS": RIS, "MU": MU}
 def _csv(text: str) -> tuple[str, ...]:
     """The non-empty, stripped items of a comma-separated option value."""
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _policies(text: str) -> tuple[str, ...]:
+    """The policy names of a ``--policies`` value; exits on an unknown name
+    or on a list that names none."""
+    policies = _csv(text)
+    unknown = [name for name in policies if name not in PAPER_POLICIES]
+    if unknown:
+        raise SystemExit(f"unknown policies: {', '.join(unknown)}")
+    if not policies:
+        raise SystemExit(f"--policies names no policy: {text!r}")
+    return policies
 
 
 def _resolve_device(args: argparse.Namespace) -> DeviceProfile:
@@ -113,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one workload/policy/variant")
     add_run_options(run)
-    run.add_argument("--policy", choices=POLICY_NAMES, default="lru")
+    run.add_argument("--policy", choices=PAPER_POLICIES, default="lru")
     run.add_argument(
         "--variant", choices=("baseline", "ace", "ace+pf"), default="ace"
     )
@@ -131,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     tpcc.add_argument("--warehouses", type=int, default=4)
     tpcc.add_argument("--transactions", type=int, default=300)
     tpcc.add_argument("--row-scale", type=float, default=0.05)
-    tpcc.add_argument("--policy", choices=POLICY_NAMES, default="clock")
+    tpcc.add_argument("--policy", choices=PAPER_POLICIES, default="clock")
     tpcc.add_argument("--device", choices=sorted(_DEVICES), default="pcie")
     tpcc.add_argument("--cpu-us", type=float, default=10.0)
     tpcc.add_argument("--seed", type=int, default=42)
@@ -158,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a smoke workload through every policy/variant with "
              "the runtime invariant sanitizer attached",
     )
-    check.add_argument("--policies", default=",".join(POLICY_NAMES),
+    check.add_argument("--policies", default=",".join(PAPER_POLICIES),
                        help="comma-separated policy names (default: all)")
     check.add_argument("--device", choices=sorted(_DEVICES), default="pcie")
     check.add_argument("--pages", type=int, default=600)
@@ -190,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
              "write boundary, crash there, recover, and audit the device "
              "against the durable-write ledger byte for byte",
     )
-    crashpoints.add_argument("--policies", default=",".join(POLICY_NAMES),
+    crashpoints.add_argument("--policies", default=",".join(PAPER_POLICIES),
                              help="comma-separated policy names")
     crashpoints.add_argument("--variants", default="baseline,ace",
                              help="comma-separated variants (baseline|ace)")
@@ -321,9 +333,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.bench.runner import compare_policies
 
+    policies = _policies(args.policies)
     spec = _resolve_workload(args.workload, args.read_fraction)
     trace = generate_trace(spec, args.pages, args.ops, seed=args.seed)
-    policies = _csv(args.policies)
     results = compare_policies(
         _resolve_device(args),
         policies,
@@ -438,10 +450,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.engine.executor import run_trace
     from repro.errors import SanitizerError
 
-    policies = _csv(args.policies)
-    unknown = [name for name in policies if name not in POLICY_NAMES]
-    if unknown:
-        raise SystemExit(f"unknown policies: {', '.join(unknown)}")
+    policies = _policies(args.policies)
     trace = generate_trace(MS, args.pages, args.ops, seed=args.seed)
     options = ExecutionOptions(cpu_us_per_op=10.0)
     failures = 0
@@ -504,7 +513,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     else:
         report = run_chaos(
             rates=tuple(float(part) for part in _csv(args.rates)),
-            policies=_csv(args.policies),
+            policies=_policies(args.policies),
             variants=_csv(args.variants),
             profile=_DEVICES[args.device],
             num_pages=args.pages,
@@ -562,7 +571,7 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
         report = smoke_report(seed=args.seed)
     else:
         report = run_crashpoints(
-            policies=_csv(args.policies),
+            policies=_policies(args.policies),
             variants=_csv(args.variants),
             num_pages=args.pages,
             ops=args.ops,
@@ -617,7 +626,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         report = run_sweep(
             shards=tuple(int(part) for part in _csv(args.shards)),
             placements=_csv(args.placements),
-            policies=_csv(args.policies),
+            policies=_policies(args.policies),
             variant=args.variant,
             num_pages=args.pages,
             num_ops=args.ops,
@@ -644,7 +653,7 @@ def _cmd_failover(args: argparse.Namespace) -> int:
         report = run_sweep(
             rates=tuple(float(part) for part in _csv(args.rates)),
             replication=tuple(int(part) for part in _csv(args.replication)),
-            policies=_csv(args.policies),
+            policies=_policies(args.policies),
             variants=_csv(args.variants),
             num_pages=args.pages,
             num_ops=args.ops,
@@ -672,7 +681,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
         report = smoke_grid(seed=args.seed)
     else:
         report = run_overload(
-            policies=_csv(args.policies), ops=args.ops, seed=args.seed
+            policies=_policies(args.policies), ops=args.ops, seed=args.seed
         )
     print(format_report(report))
     return 0 if report.ok else 1

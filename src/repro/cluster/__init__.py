@@ -19,72 +19,9 @@ deterministically.  Four sub-modules:
   shipping, deterministic failover/promotion, anti-entropy rejoin and
   the cluster-wide exact durability audit;
 * :mod:`repro.cluster.partitioned` — the in-process
-  :class:`PartitionedBufferPoolManager`.
+  :class:`~repro.cluster.partitioned.PartitionedBufferPoolManager`.
 """
 
-from repro.cluster.engine import (
-    ClusterConfig,
-    ClusterMetrics,
-    ShardJob,
-    ShardResult,
-    build_router,
-    build_shard_stack,
-    merge_shard_metrics,
-    run_cluster,
-)
-from repro.cluster.partitioned import PartitionedBufferPoolManager
-from repro.cluster.placement import (
-    CoAccessGraph,
-    coaccess_from_trace,
-    cut_weight,
-    hash_placement,
-    imbalance,
-    locality_placement,
-    placement_report,
-)
-from repro.cluster.replication import (
-    FailoverEvent,
-    ReplicatedShardResult,
-    ReplicationSummary,
-    ShardReplicationReport,
-    run_replicated_cluster,
-)
-from repro.cluster.router import (
-    HashShardRouter,
-    MappedShardRouter,
-    ShardRouter,
-    StaleRouteError,
-)
+from repro.cluster.engine import ClusterConfig, run_cluster
 
-__all__ = [
-    # engine
-    "ClusterConfig",
-    "ClusterMetrics",
-    "ShardJob",
-    "ShardResult",
-    "build_router",
-    "build_shard_stack",
-    "merge_shard_metrics",
-    "run_cluster",
-    # replication
-    "FailoverEvent",
-    "ReplicatedShardResult",
-    "ReplicationSummary",
-    "ShardReplicationReport",
-    "run_replicated_cluster",
-    # partitioned
-    "PartitionedBufferPoolManager",
-    # placement
-    "CoAccessGraph",
-    "coaccess_from_trace",
-    "cut_weight",
-    "hash_placement",
-    "imbalance",
-    "locality_placement",
-    "placement_report",
-    # router
-    "HashShardRouter",
-    "MappedShardRouter",
-    "ShardRouter",
-    "StaleRouteError",
-]
+__all__ = ["ClusterConfig", "run_cluster"]

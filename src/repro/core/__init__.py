@@ -1,18 +1,11 @@
 """The paper's contribution: the ACE bufferpool manager and its components."""
 
 from repro.core.ace import ACEBufferPoolManager
-from repro.core.adaptive import DEFAULT_LADDER, AdaptiveACEBufferPoolManager
+from repro.core.adaptive import AdaptiveACEBufferPoolManager
 from repro.core.config import ACEConfig
-from repro.core.evictor import Evictor
-from repro.core.reader import Reader
-from repro.core.writer import Writer
 
 __all__ = [
     "ACEBufferPoolManager",
     "AdaptiveACEBufferPoolManager",
-    "DEFAULT_LADDER",
     "ACEConfig",
-    "Writer",
-    "Evictor",
-    "Reader",
 ]

@@ -11,15 +11,11 @@ deterministic on the virtual clock — see ``docs/architecture.md``,
 from repro.engine.serving.breaker import CircuitBreaker
 from repro.engine.serving.config import SHED_POLICIES, BreakerConfig, ServingConfig
 from repro.engine.serving.layer import ServingLayer
-from repro.engine.serving.metrics import ClientStats, ServingMetrics
-from repro.engine.serving.queue import AdmissionQueue, Request
+from repro.engine.serving.metrics import ServingMetrics
 
 __all__ = [
-    "AdmissionQueue",
     "BreakerConfig",
     "CircuitBreaker",
-    "ClientStats",
-    "Request",
     "ServingConfig",
     "ServingLayer",
     "ServingMetrics",

@@ -27,18 +27,11 @@ end-to-end durability invariant lives in :mod:`repro.bench.chaos`
 """
 
 from repro.faults.device import FaultyDevice
-from repro.faults.nodes import NodeFault, NodeFaultPlan
-from repro.faults.plan import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.faults.plan import FaultPlan
+from repro.faults.retry import RetryPolicy
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
     "FaultPlan",
     "FaultyDevice",
-    "NodeFault",
-    "NodeFaultPlan",
     "RetryPolicy",
 ]

@@ -1,42 +1,13 @@
 """Page replacement policies and the virtual-order API ACE builds on."""
 
-from repro.policies.arc import ARCPolicy
-from repro.policies.base import NullPageStateView, PageStateView, ReplacementPolicy
-from repro.policies.cflru import CFLRUPolicy
-from repro.policies.clock import ClockSweepPolicy
-from repro.policies.fifo import FIFOPolicy, SecondChancePolicy
-from repro.policies.flash_for import FORPolicy
-from repro.policies.lfu import LFUPolicy
-from repro.policies.lirs import LIRSPolicy
+from repro.policies.base import ReplacementPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.lru_wsr import LRUWSRPolicy
-from repro.policies.registry import (
-    PAPER_POLICIES,
-    POLICY_NAMES,
-    display_name,
-    make_policy,
-    register_policy,
-)
-from repro.policies.twoq import TwoQPolicy
+from repro.policies.registry import register_policy
 
 __all__ = [
     "ReplacementPolicy",
-    "PageStateView",
-    "NullPageStateView",
     "LRUPolicy",
-    "ClockSweepPolicy",
-    "CFLRUPolicy",
     "LRUWSRPolicy",
-    "FIFOPolicy",
-    "SecondChancePolicy",
-    "LFUPolicy",
-    "FORPolicy",
-    "LIRSPolicy",
-    "TwoQPolicy",
-    "ARCPolicy",
-    "make_policy",
     "register_policy",
-    "display_name",
-    "POLICY_NAMES",
-    "PAPER_POLICIES",
 ]

@@ -1,29 +1,23 @@
 """Name-based construction of replacement policies.
 
-Benchmarks and examples refer to policies by name ("clock", "lru", "cflru",
-"lru_wsr", ...).  Factories receive the bufferpool capacity because some
-policies (CFLRU's window, 2Q's queue targets, ARC's adaptation bound) are
-sized relative to it.
+Benchmarks and examples refer to policies by name: the paper's four
+("clock", "lru", "cflru", "lru_wsr") are built in, and
+:func:`register_policy` adds any other.  Factories receive the bufferpool
+capacity because some policies (CFLRU's clean-first window) are sized
+relative to it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.policies.arc import ARCPolicy
 from repro.policies.base import ReplacementPolicy
 from repro.policies.cflru import CFLRUPolicy
 from repro.policies.clock import ClockSweepPolicy
-from repro.policies.fifo import FIFOPolicy, SecondChancePolicy
-from repro.policies.flash_for import FORPolicy
-from repro.policies.lfu import LFUPolicy
-from repro.policies.lirs import LIRSPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.lru_wsr import LRUWSRPolicy
-from repro.policies.twoq import TwoQPolicy
 
 __all__ = [
-    "POLICY_NAMES",
     "PAPER_POLICIES",
     "make_policy",
     "register_policy",
@@ -32,36 +26,19 @@ __all__ = [
 PolicyFactory = Callable[[int], ReplacementPolicy]
 
 _FACTORIES: dict[str, PolicyFactory] = {
-    "lru": lambda capacity: LRUPolicy(),
     "clock": lambda capacity: ClockSweepPolicy(),
+    "lru": lambda capacity: LRUPolicy(),
     "cflru": lambda capacity: CFLRUPolicy(capacity),
     "lru_wsr": lambda capacity: LRUWSRPolicy(),
-    "fifo": lambda capacity: FIFOPolicy(),
-    "second_chance": lambda capacity: SecondChancePolicy(),
-    "lfu": lambda capacity: LFUPolicy(),
-    "twoq": lambda capacity: TwoQPolicy(capacity),
-    "arc": lambda capacity: ARCPolicy(capacity),
-    "for": lambda capacity: FORPolicy(),
-    "lirs": lambda capacity: LIRSPolicy(capacity),
 }
 
 #: Display names used in reports, matching the paper's terminology.
 DISPLAY_NAMES = {
-    "lru": "LRU",
     "clock": "Clock Sweep",
+    "lru": "LRU",
     "cflru": "CFLRU",
     "lru_wsr": "LRU-WSR",
-    "fifo": "FIFO",
-    "second_chance": "Second Chance",
-    "lfu": "LFU",
-    "twoq": "2Q",
-    "arc": "ARC",
-    "for": "FOR",
-    "lirs": "LIRS",
 }
-
-#: All registered policy names.
-POLICY_NAMES = tuple(_FACTORIES)
 
 #: The four policies the paper evaluates, in the paper's order.
 PAPER_POLICIES = ("clock", "lru", "cflru", "lru_wsr")

@@ -5,46 +5,15 @@ with deterministic simulators parameterised by the same (alpha, k_r, k_w)
 characteristics the paper measures in Table I.
 """
 
-from repro.storage.clock import VirtualClock
-from repro.storage.device import DeviceStats, SimulatedSSD
-from repro.storage.ftl import FlashTranslationLayer, FtlCounters, FtlError
-from repro.storage.latency import LatencyModel
-from repro.storage.probe import (
-    MeasuredProfile,
-    measure_asymmetry,
-    measure_concurrency,
-    probe_device,
-)
-from repro.storage.profiles import (
-    OPTANE_SSD,
-    PAPER_DEVICES,
-    PCIE_SSD,
-    SATA_SSD,
-    VIRTUAL_SSD,
-    DeviceProfile,
-    emulated_profile,
-)
-from repro.storage.smart import SmartAttributes, SmartMonitor
+from repro.storage.device import SimulatedSSD
+from repro.storage.probe import probe_device
+from repro.storage.profiles import PAPER_DEVICES, PCIE_SSD
+from repro.storage.smart import SmartMonitor
 
 __all__ = [
-    "VirtualClock",
     "SimulatedSSD",
-    "DeviceStats",
-    "FlashTranslationLayer",
-    "FtlCounters",
-    "FtlError",
-    "LatencyModel",
-    "DeviceProfile",
-    "OPTANE_SSD",
     "PCIE_SSD",
-    "SATA_SSD",
-    "VIRTUAL_SSD",
     "PAPER_DEVICES",
-    "emulated_profile",
-    "MeasuredProfile",
-    "measure_asymmetry",
-    "measure_concurrency",
     "probe_device",
-    "SmartAttributes",
     "SmartMonitor",
 ]

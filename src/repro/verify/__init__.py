@@ -8,26 +8,6 @@ audits the result byte-for-byte — including re-crashing inside recovery
 itself.
 """
 
-from repro.verify.crashpoints import (
-    CrashConfigReport,
-    CrashPoint,
-    CrashPointOutcome,
-    CrashPointReport,
-    CrashSchedule,
-    CrashHookDevice,
-    run_crashpoint_config,
-    run_crashpoints,
-    smoke_report,
-)
+from repro.verify.crashpoints import run_crashpoints, smoke_report
 
-__all__ = [
-    "CrashConfigReport",
-    "CrashPoint",
-    "CrashPointOutcome",
-    "CrashPointReport",
-    "CrashSchedule",
-    "CrashHookDevice",
-    "run_crashpoint_config",
-    "run_crashpoints",
-    "smoke_report",
-]
+__all__ = ["run_crashpoints", "smoke_report"]

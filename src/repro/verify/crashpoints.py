@@ -49,7 +49,7 @@ from repro.core.ace import ACEBufferPoolManager
 from repro.core.stack import build_manager
 from repro.engine.executor import ExecutionOptions, run_trace
 from repro.errors import PowerFailure
-from repro.policies import POLICY_NAMES
+from repro.policies.registry import PAPER_POLICIES
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import PCIE_SSD, DeviceProfile
@@ -613,7 +613,7 @@ def _test_point(
 
 
 def run_crashpoints(
-    policies: tuple[str, ...] = POLICY_NAMES,
+    policies: tuple[str, ...] = PAPER_POLICIES,
     variants: tuple[str, ...] = DEFAULT_VARIANTS,
     num_pages: int = 400,
     ops: int = 1_500,

@@ -1,19 +1,10 @@
 """TPC-C benchmark substrate: schema layout, transactions, mix driver."""
 
 from repro.workloads.tpcc.driver import TPCCWorkload
-from repro.workloads.tpcc.schema import DISTRICTS_PER_WAREHOUSE, TPCCDatabase, nurand
-from repro.workloads.tpcc.transactions import (
-    STANDARD_MIX,
-    TPCCTransactionGenerator,
-    TransactionType,
-)
+from repro.workloads.tpcc.transactions import STANDARD_MIX, TransactionType
 
 __all__ = [
     "TPCCWorkload",
-    "TPCCDatabase",
-    "TPCCTransactionGenerator",
     "TransactionType",
     "STANDARD_MIX",
-    "DISTRICTS_PER_WAREHOUSE",
-    "nurand",
 ]

@@ -26,12 +26,13 @@ from repro.bufferpool.wal import WriteAheadLog
 from repro.core.ace import ACEBufferPoolManager
 from repro.core.config import ACEConfig
 from repro.engine.executor import ExecutionOptions, run_trace
-from repro.policies.registry import PAPER_POLICIES, POLICY_NAMES, make_policy
+from repro.policies.registry import PAPER_POLICIES, make_policy
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
 from repro.workloads.synthetic import MS, generate_trace
 
 from tests.bufferpool.conftest import TEST_PROFILE, wal_state
+from tests.policies.classic import EVERY_POLICY
 
 NUM_PAGES = 512
 CAPACITY = 48
@@ -115,7 +116,7 @@ def run_both(monkeypatch, policy_name, variant, *, sanitize, ops):
     return dict_run, array_run
 
 
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@pytest.mark.parametrize("policy_name", EVERY_POLICY)
 @pytest.mark.parametrize("variant", ["baseline", "ace"])
 def test_backends_agree(monkeypatch, policy_name, variant):
     """Fast-path battery: every policy, dict vs array, no sanitizer."""
@@ -125,7 +126,7 @@ def test_backends_agree(monkeypatch, policy_name, variant):
     assert dict_run == array_run
 
 
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@pytest.mark.parametrize("policy_name", EVERY_POLICY)
 @pytest.mark.parametrize("variant", ["baseline", "ace"])
 def test_backends_agree_sanitized(monkeypatch, policy_name, variant):
     """Same battery under the invariant sanitizer (per-request path), on a

@@ -46,7 +46,7 @@ from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
 from repro.engine.latency import LatencyRecorder
 from repro.errors import PoolExhaustedError
 from repro.faults import FaultPlan, FaultyDevice
-from repro.policies.registry import POLICY_NAMES, make_policy
+from repro.policies.registry import make_policy
 from repro.prefetch import (
     CompositePrefetcher,
     HistoryPrefetcher,
@@ -61,6 +61,8 @@ from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
 from tests.bufferpool.conftest import make_device, wal_state
+from tests.policies.classic import EVERY_POLICY
+from tests.policies.mru import MRU
 
 NUM_PAGES = 400
 CAPACITY = 32
@@ -128,7 +130,7 @@ def run_one(policy_name, variant, *, stack, force_slow, ops=1500, seed=11):
 
 @pytest.mark.parametrize("stack", STACKS)
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@pytest.mark.parametrize("policy_name", EVERY_POLICY)
 def test_fast_replay_matches_per_request(policy_name, variant, stack):
     """The oracle: every policy x variant x surrounding, both replays."""
     fast = run_one(policy_name, variant, stack=stack, force_slow=False)
@@ -214,7 +216,7 @@ def run_transactions_one(policy_name, variant, *, stack, force_slow, stepped=Fal
 
 @pytest.mark.parametrize("stack", (*STACKS, "background"))
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@pytest.mark.parametrize("policy_name", EVERY_POLICY)
 def test_transactions_replay_matches_per_request(policy_name, variant, stack):
     """``run_transactions``, background processes or not: one ``replay``
     per transaction, one CPU charge, the commit flush, the tick — against
@@ -241,7 +243,7 @@ def test_transactions_replay_matches_per_request(policy_name, variant, stack):
         assert fast == stepped
 
 
-@pytest.mark.parametrize("policy_name", ["lru", "clock", "lfu"])
+@pytest.mark.parametrize("policy_name", ["lru", "clock", "lfu", MRU])
 def test_turbo_baseline_matches_per_request(policy_name):
     """Bare baseline stack: the fully inlined miss path vs access()."""
     fast = run_one(policy_name, "baseline", stack="bare", force_slow=False, ops=2500)
@@ -732,7 +734,7 @@ def _reader_branches(policy_name, prefetcher_name, placement, with_wal):
 
 @pytest.mark.parametrize("placement", ["cold", "hot"])
 @pytest.mark.parametrize("prefetcher_name", PREFETCHERS)
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@pytest.mark.parametrize("policy_name", EVERY_POLICY)
 def test_reader_branches_agree(policy_name, prefetcher_name, placement):
     """Bare device (the turbo loop) vs disarmed ``FaultPlan`` (``access``
     per request, the miss routine's helpers): the Reader's hooks spelled
@@ -741,7 +743,7 @@ def test_reader_branches_agree(policy_name, prefetcher_name, placement):
 
 
 @pytest.mark.parametrize("prefetcher_name", PREFETCHERS)
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@pytest.mark.parametrize("policy_name", EVERY_POLICY)
 def test_reader_branches_agree_with_a_wal(policy_name, prefetcher_name):
     """The same, both stacks logging: the turbo loop's appends must land
     where ``log_update`` per write would have — before the wide exchange's

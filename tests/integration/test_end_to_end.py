@@ -15,6 +15,9 @@ from repro.workloads.synthetic import MS, RIS, WIS, generate_trace, rw_ratio_spe
 from repro.workloads.tpcc.driver import TPCCWorkload
 from repro.workloads.tpcc.transactions import TransactionType
 
+from tests.policies.classic import CLASSIC_POLICIES
+from tests.policies.mru import MRU
+
 SMALL_PAGES = 4000
 SMALL_OPS = 8000
 FAST_OPTS = ExecutionOptions(cpu_us_per_op=5.0)
@@ -39,13 +42,13 @@ class TestAcrossPolicies:
         # Functional sanity: same number of client ops served.
         assert ace.ops == base.ops == ace_pf.ops
 
-    @pytest.mark.parametrize("policy", ("fifo", "second_chance", "twoq", "arc"))
+    @pytest.mark.parametrize("policy", (MRU, *CLASSIC_POLICIES))
     def test_ace_wraps_extra_policies_too(self, policy):
         """The paper's claim: ACE composes with ANY replacement policy."""
         trace = small_trace(MS)
         results = compare_policies(
             PCIE_SSD, (policy,), trace, num_pages=SMALL_PAGES,
-            variants=("baseline", "ace"), options=FAST_OPTS,
+            variants=("baseline", "ace"), options=FAST_OPTS, workers=1,
         )
         assert speedup(results[(policy, "baseline")], results[(policy, "ace")]) > 1.05
 

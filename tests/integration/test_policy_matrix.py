@@ -1,4 +1,4 @@
-"""Consistency matrix: every registered policy x every manager variant.
+"""Consistency matrix: every policy the batteries know x every variant.
 
 Randomised mixed workloads driven through each (policy, variant) pair with
 the full invariant set checked afterwards: pool bounds, policy/table
@@ -10,8 +10,9 @@ import random
 import pytest
 
 from repro.bench.runner import StackConfig, build_stack
-from repro.policies.registry import POLICY_NAMES
 from repro.storage.profiles import PCIE_SSD
+
+from tests.policies.classic import EVERY_POLICY
 
 NUM_PAGES = 512
 CAPACITY_FRACTION = 0.05  # ~25 frames: heavy eviction pressure
@@ -56,14 +57,14 @@ def check_invariants(manager, versions):
         assert manager.device._payloads[page] == version
 
 
-@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("policy", EVERY_POLICY)
 @pytest.mark.parametrize("variant", ("baseline", "ace", "ace+pf"))
 def test_policy_variant_matrix(policy, variant):
     manager, versions = run_mixed(policy, variant)
     check_invariants(manager, versions)
 
 
-@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("policy", EVERY_POLICY)
 def test_ace_improves_or_matches_every_policy(policy):
     """ACE wraps any registered policy without losing (paper's claim)."""
     base_manager, _ = run_mixed(policy, "baseline", seed=23)

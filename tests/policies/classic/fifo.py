@@ -2,7 +2,7 @@
 
 These are not part of the paper's evaluation quartet, but the paper's thesis
 is that ACE wraps *any* replacement algorithm; including the simplest
-policies lets the test suite and ablation benches demonstrate exactly that.
+policies lets the test suite demonstrate exactly that.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Generic properties every registered replacement policy must satisfy."""
+"""Generic properties every replacement policy must satisfy: the paper's
+four, MRU and the seven classic fixtures."""
 
 import random
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.policies.registry import POLICY_NAMES, make_policy
+from repro.policies.registry import make_policy
 
 from tests.policies.fake_view import FakeView
+from tests.policies.classic import EVERY_POLICY
 
 CAPACITY = 12
 
@@ -47,7 +49,7 @@ operations_strategy = st.lists(
 )
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", EVERY_POLICY)
 class TestEveryPolicy:
     @settings(max_examples=15, deadline=None)
     @given(operations=operations_strategy)

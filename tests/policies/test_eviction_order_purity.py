@@ -4,8 +4,9 @@ ACE's Writer and Evictor consume the virtual order repeatedly between
 accesses (paper Section III); any state mutation inside
 ``eviction_order()`` would make the bufferpool's behaviour depend on *how
 often the background components look*, which is exactly the coupling the
-virtual-order refactoring removes.  This suite drives every registered
-policy into a populated, dirty/pinned-mixed state and asserts that
+virtual-order refactoring removes.  This suite drives every policy the
+batteries know (the paper's four, MRU and the seven classic fixtures)
+into a populated, dirty/pinned-mixed state and asserts that
 consuming the order — fully, partially, or twice — leaves the policy's
 state bit-identical and the order itself stable.
 
@@ -19,9 +20,10 @@ import random
 import pytest
 
 from repro.analyze.sanitizer import _snapshot
-from repro.policies.registry import POLICY_NAMES, make_policy
+from repro.policies.registry import make_policy
 
 from tests.policies.fake_view import FakeView
+from tests.policies.classic import EVERY_POLICY
 
 CAPACITY = 12
 
@@ -71,7 +73,7 @@ def populated_policy(name, seed=42):
     return policy, view, resident
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", EVERY_POLICY)
 class TestEvictionOrderPurity:
     def test_full_consumption_is_pure(self, name):
         policy, _, _ = populated_policy(name)

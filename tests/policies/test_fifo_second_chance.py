@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.policies.fifo import FIFOPolicy, SecondChancePolicy
+from tests.policies.classic.fifo import FIFOPolicy, SecondChancePolicy
 
 
 def make(policy_cls, view, pages=()):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.policies.flash_for import FORPolicy
+from tests.policies.classic.flash_for import FORPolicy
 
 
 def make_for(view, pages=(), alpha=2.0, decay=0.95):

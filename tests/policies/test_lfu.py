@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.policies.lfu import LFUPolicy
+from tests.policies.classic.lfu import LFUPolicy
 
 
 def make_lfu(view, pages=()):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.policies.lirs import LIRSPolicy
+from tests.policies.classic.lirs import LIRSPolicy
 
 
 def make_lirs(view, capacity=10, hir_fraction=0.2, pages=()):

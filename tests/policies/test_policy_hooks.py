@@ -20,7 +20,7 @@ from repro.core.stack import VARIANTS
 from repro.engine import executor
 from repro.engine.executor import run_trace
 from repro.policies.lru import LRUPolicy
-from repro.policies.registry import POLICY_NAMES, make_policy
+from repro.policies.registry import make_policy
 from repro.workloads.synthetic import MS, generate_trace
 
 from tests.engine.test_executor_fastpath import (
@@ -32,6 +32,7 @@ from tests.engine.test_executor_fastpath import (
     per_request,
     stack_device,
 )
+from tests.policies.classic import EVERY_POLICY
 
 #: The policy method behind each published per-request slot.
 SLOTS = ("on_access", "insert", "remove")
@@ -56,7 +57,7 @@ def map_methods(policy: LRUPolicy) -> tuple:
     return order.move_to_end, order.__setitem__, order.__delitem__
 
 
-@pytest.mark.parametrize("name", (*POLICY_NAMES, "touch_counting_lru"))
+@pytest.mark.parametrize("name", (*EVERY_POLICY, "touch_counting_lru"))
 def test_capability_census(name):
     """Each slot is the ordered map's method iff the class inherits LRU's
     own hook, and the policy's bound method otherwise."""
@@ -108,7 +109,7 @@ def test_instance_overrides_are_published():
     assert len(policy) == 0
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", EVERY_POLICY)
 def test_the_manager_wires_the_published_hooks(name):
     manager = build(name, "ace")
     _, insert, remove, _, _ = manager.policy.hooks()

@@ -7,11 +7,12 @@ from repro.policies.cflru import CFLRUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.registry import (
     PAPER_POLICIES,
-    POLICY_NAMES,
     display_name,
     make_policy,
     register_policy,
 )
+
+from tests.policies.classic import EVERY_POLICY
 
 
 class TestRegistry:
@@ -21,12 +22,12 @@ class TestRegistry:
             assert isinstance(policy, ReplacementPolicy)
 
     def test_all_registered_names_construct(self):
-        for name in POLICY_NAMES:
+        for name in EVERY_POLICY:
             assert isinstance(make_policy(name, 16), ReplacementPolicy)
 
     def test_unknown_name_raises_with_suggestions(self):
         with pytest.raises(KeyError, match="known policies"):
-            make_policy("mru", 16)
+            make_policy("bogus", 16)
 
     def test_capacity_forwarded_to_cflru(self):
         policy = make_policy("cflru", capacity=30)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.policies.arc import ARCPolicy
-from repro.policies.twoq import TwoQPolicy
+from tests.policies.classic.arc import ARCPolicy
+from tests.policies.classic.twoq import TwoQPolicy
 
 
 def make_twoq(view, capacity=8, pages=()):

@@ -21,10 +21,12 @@ import random
 import pytest
 
 from repro.bufferpool.manager import BufferPoolManager
-from repro.policies import POLICY_NAMES, make_policy
 from repro.policies.cflru import CFLRUPolicy
+from repro.policies.registry import make_policy
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import DeviceProfile
+
+from tests.policies.classic import EVERY_POLICY
 
 CAPACITY = 12
 
@@ -155,7 +157,7 @@ def drive(policy, view, rng, steps: int, allow_pins: bool) -> None:
             )
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", EVERY_POLICY)
 @pytest.mark.parametrize("seed", [7, 191])
 def test_fast_paths_match_reference(name, seed):
     """No pins: the maintained fast paths run live and must agree."""
@@ -166,7 +168,7 @@ def test_fast_paths_match_reference(name, seed):
     drive(policy, view, random.Random(seed), steps=300, allow_pins=False)
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", EVERY_POLICY)
 def test_fast_paths_match_reference_with_pins(name):
     """With pins: gated paths fall back, always-on paths filter pins."""
     policy = make_policy(name, CAPACITY)
@@ -175,7 +177,7 @@ def test_fast_paths_match_reference_with_pins(name):
     drive(policy, view, random.Random(29), steps=300, allow_pins=True)
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", EVERY_POLICY)
 def test_unnotified_view_keeps_reference_semantics(name):
     """Without the handshake the fast paths must not trust stale mirrors."""
     from tests.policies.fake_view import FakeView
@@ -197,7 +199,7 @@ def test_unnotified_view_keeps_reference_semantics(name):
         assert_fast_paths_match(policy, "under an unnotified view")
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", EVERY_POLICY)
 def test_sanitized_manager_workload(name):
     """End-to-end: a sanitised manager validates the fast paths per op."""
     device = SimulatedSSD(TEST_PROFILE, num_pages=64)

@@ -4,6 +4,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: Every subcommand that takes ``--policies``.
+POLICY_LIST_COMMANDS = (
+    "compare", "check", "chaos", "crashpoints", "cluster", "failover", "overload",
+)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -123,6 +128,26 @@ class TestCommands:
     def test_check_unknown_policy_exits(self):
         with pytest.raises(SystemExit, match="unknown policies"):
             main(["check", "--policies", "nope"])
+
+    @pytest.mark.parametrize("value", ["bogus", ","])
+    @pytest.mark.parametrize("command", POLICY_LIST_COMMANDS)
+    def test_every_policy_list_is_checked(self, command, value):
+        """An unknown name or a list naming none exits with a message
+        before any work: no traceback, and no sweep passing vacuously."""
+        match = "unknown policies: bogus" if value == "bogus" else "names no policy"
+        with pytest.raises(SystemExit, match=match):
+            main([command, "--policies", value])
+
+    def test_compare_names_a_failed_cell_and_its_error(self):
+        with pytest.raises(
+            RuntimeError,
+            match=r"2 of 3 grid cells failed: lru/ace/MS: "
+                  r"ValueError: n_w must be at least 1: 0; lru/ace\+pf/MS",
+        ):
+            main([
+                "compare", "--policies", "lru", "--pages", "200", "--ops",
+                "200", "--n-w", "0", "--workers", "1",
+            ])
 
     def test_chaos_small_sweep(self, capsys):
         code = main([

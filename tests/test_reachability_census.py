@@ -18,16 +18,21 @@ each tree (``tests/_source.py``):
 The scope is modules and their module-level public functions and classes.
 A module or name the program does not reach is either deleted, with its
 tests, or listed in ``KEPT`` with the reason it stays.
+
+Re-exports are a separate, wider check: a subpackage ``__init__`` imports
+a name only if some module (tests and examples included) or a docs
+snippet imports it through that package.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import deque
 from collections.abc import Iterable
 from functools import cache
 
-from tests._source import SRC, ImportTable, trees
+from tests._source import REPO, SRC, ImportTable, trees
 
 #: Module or ``module.name`` the program does not reach -> why it stays.
 #: A listed module covers its names.
@@ -52,6 +57,11 @@ KEPT = {
 
 #: The program's entry points, beside ``repro.cli`` and ``repro.__main__``.
 PROGRAM_ROOTS = ("benchmarks", "perfbench")
+
+#: Where a re-exported name may be imported through its package.
+IMPORTING_ROOTS = (SRC, "tests", "benchmarks", "perfbench", "examples")
+DOCS = ("README.md", "DESIGN.md", "docs/*.md")
+SNIPPET_IMPORT = re.compile(r"from (repro[\w.]*) import \(?([\w\s,]+)\)?")
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -187,6 +197,47 @@ def test_kept_code_is_exercised_by_an_example():
     dead code."""
     reached = census().reach(_roots(("examples",)))
     assert {key for key in KEPT if key not in reached} == set()
+
+
+def _reexports() -> set[str]:
+    """``package.name`` for each name a subpackage ``__init__`` imports;
+    ``repro``'s own are the public API, pinned by ``test_public_api.py``."""
+    modules = trees(SRC)
+    return {
+        f"{package}.{alias.asname or alias.name}"
+        for package, tree in modules.items()
+        if package != "repro"
+        and any(module.startswith(f"{package}.") for module in modules)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and not node.level
+        and node.module != "__future__"
+        for alias in node.names
+    }
+
+
+def _imported_through_packages() -> set[str]:
+    """Every dotted name a module imports or spells out, and every name a
+    docs snippet imports."""
+    found = set()
+    for root in IMPORTING_ROOTS:
+        for tree in trees(root).values():
+            imports = ImportTable(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and not node.level:
+                    found |= {f"{node.module}.{alias.name}" for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    found.add(imports.resolve(node) or "")
+    for pattern in DOCS:
+        for doc in REPO.glob(pattern):
+            for module, names in SNIPPET_IMPORT.findall(doc.read_text()):
+                found |= {f"{module}.{name.strip()}" for name in names.split(",")}
+    return found
+
+
+def test_every_reexport_is_imported_through_its_package():
+    """A name nothing imports through the package is imported from the
+    module that defines it, and the ``__init__`` drops it."""
+    assert _reexports() - _imported_through_packages() == set()
 
 
 def test_an_aliased_import_is_followed():

@@ -19,6 +19,13 @@ a detectably partial image: the stored prefix no longer matches the
 checksum, and recovery excludes the whole torn page from redo instead of
 replaying half a group commit.  The crash-point engine drives this through
 :attr:`WriteAheadLog.flush_hook`.
+
+A flush is observable only through the shared clock until someone reads the
+log device, so the executor's inlined loop defers its own flushes
+(:meth:`WriteAheadLog.append_deferred`): each charges its page write's ticks
+and advances ``durable_lsn`` at once, and the stretch end builds and stores
+every deferred page as columns (:meth:`WriteAheadLog.write_out`).  Any other
+flush writes its page at once, after the deferred ones.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, count, repeat
-from operator import attrgetter, mod
+from operator import add, attrgetter, mod
 from typing import NamedTuple, NoReturn
 
 from repro.errors import PowerFailure
@@ -93,10 +100,15 @@ def _records_checksum(first_lsn: int, kinds, pages, payloads) -> int:
 
 
 def _checksum_column(firsts, kinds, pages, payloads) -> tuple[int, ...]:
-    """:func:`_records_checksum` of each group of a column of groups, in C."""
-    return tuple(map(zlib.crc32, map(str.encode, map(repr, map(tuple, map(
+    """:func:`_records_checksum` of each group of a column of groups, in C.
+
+    Collected in a list first: ``tuple`` over an iterator of unknown length
+    allocates ten slots and resizes, which leaves the freed tuple on the
+    free list of its final size — a per-call drift that holds memory when
+    the columns are short (a write-out's few groups)."""
+    return tuple(list(map(zlib.crc32, map(str.encode, map(repr, map(tuple, map(
         zip, map(count, firsts), map(map, repeat(_kind_value), kinds), pages, payloads
-    ))))))
+    )))))))
 
 
 class WalPageImage(NamedTuple):
@@ -131,6 +143,12 @@ class WalPageImage(NamedTuple):
         )
 
 
+def _unequal(pages, payloads) -> ValueError:
+    return ValueError(
+        f"{len(pages)} pages but {len(payloads)} payloads: one of each per record"
+    )
+
+
 class WriteAheadLog:
     """A sequential, group-committed log of page updates."""
 
@@ -161,6 +179,11 @@ class WriteAheadLog:
         #: simulates power loss mid-page — a torn image holding only the
         #: first ``j`` records is written and :class:`PowerFailure` raised.
         self.flush_hook: Callable[[tuple[WalRecord, ...]], int | None] | None = None
+        #: Sizes of the deferred flushes' groups, in log order: timed and
+        #: durable, their page images not stored until :meth:`write_out`.
+        self.unwritten: list[int] = []
+        # What one log-page write adds to the shared clock.
+        self._clock, self._page_ticks = clock, self.device._single_write_ticks
         # Device-scan cache: log pages (and their records) verified so far.
         self._verified_pages = self._verified_lsn = 0
 
@@ -194,10 +217,13 @@ class WriteAheadLog:
         The log it leaves is physically the one ``log_update`` leaves pair
         by pair: same LSNs, a sequential page write (and one ``flush_hook``
         consultation) each time the buffer fills, and after a torn flush
-        nothing past the torn page has been appended.
+        nothing past the torn page has been appended.  Columns of unequal
+        length raise ``ValueError`` before anything is appended.
         """
         per_page = self.records_per_page
         start, total = 0, len(pages)
+        if len(payloads) != total:
+            raise _unequal(pages, payloads)
         if self._pending_records + total < per_page:  # no page fills
             self._kinds += repeat(_UPDATE, total)
             self._pages += pages
@@ -214,6 +240,42 @@ class WriteAheadLog:
                 self._flush_buffer()
             start = stop
         return len(self._kinds)
+
+    def append_deferred(
+        self, pages: list[int], payloads: list[object], flush: bool = False
+    ) -> None:
+        """:meth:`append_batch`, then :meth:`flush` if ``flush``, with every
+        page this fills or flushes *deferred*: timed and durable at once —
+        its write's ticks on the clock, ``durable_lsn`` past its records,
+        its size in :attr:`unwritten` — with only its image left for
+        :meth:`write_out`.
+
+        The caller must call :meth:`write_out` before anyone reads the log
+        device (the inlined loop does when its stretch ends), and must not
+        defer on a log with a ``flush_hook``: a crash schedule observes each
+        page as it lands.  A filled page holds ``records_per_page`` records,
+        so the pages a batch fills are closed as a column.
+        """
+        total = len(pages)
+        if len(payloads) != total:
+            raise _unequal(pages, payloads)
+        self._kinds += repeat(_UPDATE, total)
+        self._pages += pages
+        self._payloads += payloads
+        buffered = self._pending_records + total
+        per_page = self.records_per_page
+        if buffered >= per_page:  # whole pages fill
+            filled = buffered // per_page
+            self._clock.ticks += filled * self._page_ticks
+            self.unwritten += repeat(per_page, filled)
+            self.durable_lsn += filled * per_page
+            buffered -= filled * per_page
+        if flush and buffered:
+            self._clock.ticks += self._page_ticks
+            self.unwritten.append(buffered)
+            self.durable_lsn += buffered
+            buffered = 0
+        self._pending_records = buffered
 
     def flush(self) -> None:
         """Force any buffered records to the log device (commit barrier)."""
@@ -314,6 +376,12 @@ class WriteAheadLog:
         return self.durable_records()
 
     def _flush_buffer(self) -> None:
+        """Write the buffered records as one log page, after any deferred
+        pages (:meth:`write_out`): the page write charges the clock and the
+        group becomes durable.  A ``flush_hook`` sees the group first and
+        may tear it."""
+        if self.unwritten:
+            self.write_out()  # the log's earlier pages land first
         intended = self._pending_records
         start = len(self._kinds) - intended
         kinds, pages = tuple(self._kinds[start:]), tuple(self._pages[start:])
@@ -332,6 +400,39 @@ class WriteAheadLog:
         self.pages_written += 1
         self._pending_records = 0
         self.durable_lsn += intended
+
+    def write_out(self) -> None:
+        """Build and store the page images of the groups in :attr:`unwritten`,
+        in log order, as columns.
+
+        The groups sit right before the buffered records.  Their record
+        columns, first LSNs and checksums (:func:`_checksum_column`) are
+        built in C, and the images land through one
+        ``SimulatedSSD.store_writes`` call, which keeps ``write_page``'s
+        checks and adds its counters in bulk: the log and its device end
+        as a ``write_page`` per flush leaves them.  The columns are lists,
+        not tuples, for the reason :func:`_checksum_column` gives.
+        """
+        groups = self.unwritten
+        self.unwritten = []
+        bounds = list(accumulate(
+            groups, initial=len(self._kinds) - self._pending_records - sum(groups)
+        ))
+        spans = list(map(slice, bounds, bounds[1:]))
+        firsts = list(map(add, bounds[:-1], repeat(1)))
+        kinds = list(map(tuple, map(self._kinds.__getitem__, spans)))
+        pages = list(map(tuple, map(self._pages.__getitem__, spans)))
+        payloads = list(map(tuple, map(self._payloads.__getitem__, spans)))
+        written = self.pages_written
+        self.pages_written = written + len(groups)
+        # ``tuple.__new__`` builds the named tuples without their Python ``__new__``.
+        self.device.store_writes(
+            list(map(mod, range(written, self.pages_written), repeat(_WAL_PAGES))),
+            list(map(tuple.__new__, repeat(WalPageImage), zip(
+                firsts, kinds, pages, payloads, groups,
+                _checksum_column(firsts, kinds, pages, payloads),
+            ))),
+        )
 
     def _torn_flush(
         self, first_lsn: int, kinds: tuple, pages: tuple, payloads: tuple,

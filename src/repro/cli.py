@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crashpoints.add_argument("--policies", default=",".join(PAPER_POLICIES),
                              help="comma-separated policy names")
-    crashpoints.add_argument("--variants", default="baseline,ace",
-                             help="comma-separated variants (baseline|ace)")
+    crashpoints.add_argument("--variants", default="baseline,ace,ace+pf",
+                             help="comma-separated variants (baseline|ace|ace+pf)")
     crashpoints.add_argument("--pages", type=int, default=400)
     crashpoints.add_argument("--ops", type=int, default=1500)
     crashpoints.add_argument("--seed", type=int, default=7)

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
-from operator import attrgetter, truediv
+from operator import attrgetter, sub, truediv
 
 from repro.bufferpool.background import (
     BackgroundWriter,
@@ -117,31 +117,35 @@ def _turbo_ready(manager: BufferPoolManager) -> bool:
 
 def _log_stretch(
     wal: WriteAheadLog, payloads: list, frame_of, pages: Sequence[int],
-    writes: Sequence[bool], start: int, stop: int,
+    writes: Sequence[bool], start: int, stop: int, flush: bool = False,
 ) -> int:
-    """Log the writes among requests ``start:stop`` of a stretch; returns
-    ``stop``, where the log now stands.
+    """Log the writes among requests ``start:stop`` of a stretch, then flush
+    the log if ``flush``; returns ``stop``, where the log now stands.
 
     :func:`_replay_turbo` logs only where the log is observed: before a
     write-back (WAL-before-data), when the stretch ends and, under a
     watch, where the clock is read.  In between, a
     written page cannot leave the pool — it is dirty, and only a write-back
     cleans it — so its records are consecutive versions ending at its
-    frame's payload now: derived here, one ``append_batch`` call, the log
-    ``log_update`` per write would have left.
+    frame's payload now: derived here, one ``append_deferred`` call, the log
+    ``log_update`` per write would have left.  The log pages it fills or
+    flushes are timed and durable at once; their images wait for the
+    stretch end's ``write_out``, since no one reads the log device before.
     """
     written = list(compress(pages[start:stop], writes[start:stop]))
     if written:
         versions = list(map(payloads.__getitem__, map(frame_of.__getitem__, written)))
         if len(set(written)) < len(written):
-            # A page written k times holds its k-th version: step back.
-            later: dict[int, int] = {}
-            for index in range(len(written) - 1, -1, -1):
-                page = written[index]
-                back = later.get(page, 0)
-                versions[index] -= back
-                later[page] = back + 1
-        wal.append_batch(written, versions)
+            # A page written k times holds its k-th version: each write
+            # steps back by the writes to its page after it, counted from
+            # the end with one counter per page, in C.
+            later = dict(zip(written, map(count, repeat(0))))
+            versions = list(map(sub, versions, reversed(list(map(
+                next, map(later.__getitem__, reversed(written))
+            )))))
+        wal.append_deferred(written, versions, flush)
+    elif flush:
+        wal.append_deferred([], [], True)
     return stop
 
 
@@ -195,8 +199,13 @@ def _replay_turbo(
     single-page write.  The Writer's methods and ``n_w`` are looked up per
     batch — adaptive tuning and degraded batching change them mid-run.
     A WAL is appended where it is observed, never per write: before each
-    write-back (the inlined one then flushes it, as ``_handle_miss`` does)
-    and once when the stretch ends, raising or not (:func:`_log_stretch`).
+    write-back (the inlined one flushes it in the same call, as
+    ``_handle_miss`` flushes) and once when the stretch ends, raising or
+    not (:func:`_log_stretch`).  The loop's own log flushes are deferred:
+    each charges its page write's ticks and advances ``durable_lsn`` at
+    once, and the stretch end — the raising exit included — stores every
+    deferred page in one ``wal.write_out``, since no one reads the log
+    device before then.
 
     A Reader is the miss routine's second hook, spelled as there: it hears
     ``on_miss`` first and, if it prefetches, is asked for a prefetch set at
@@ -387,9 +396,8 @@ def _replay_turbo(
                             if wal is not None:  # WAL-before-data, as in _handle_miss
                                 logged = _log_stretch(
                                     wal, payloads, frame_of, pages, writes, logged,
-                                    hits + misses - 1,
+                                    hits + misses - 1, True,
                                 )
-                                wal.flush()
                             clock.ticks += write_ticks
                             device_stats.write_time_us += write_us
                             device_payloads[victim] = payloads[victim_frame]
@@ -471,6 +479,8 @@ def _replay_turbo(
             _log_stretch(
                 wal, payloads, frame_of, pages, writes, logged, done - raised
             )
+            if wal.unwritten:  # the log is observable again: store its pages
+                wal.write_out()
         # One flush of the commuting integer counters (identical totals to
         # the per-request replay, including on mid-trace exceptions — see
         # the docstring).

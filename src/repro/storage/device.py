@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from repro.errors import CorruptPageError
 from repro.storage.clock import VirtualClock, to_ticks
@@ -241,7 +244,9 @@ class SimulatedSSD:
         """Write a single page; advances the clock by one write latency.
 
         ``write_batch({page: payload})`` written out, as :meth:`read_page`
-        is: every log-page flush and every redo write comes through here.
+        is: every redo write and every log page flushed outside the
+        executor's inlined loop come through here (that loop's log pages
+        land through :meth:`store_writes`).
         """
         if not 0 <= page < self._page_limit:
             raise self._range_error(page)
@@ -259,6 +264,40 @@ class SimulatedSSD:
             self.ftl.write(page)
         if self._checksums is not None:
             self._checksums[page] = page_checksum(page, payload)
+
+    def store_writes(self, pages: Sequence[int], payloads: Sequence[object]) -> None:
+        """Land ``len(pages)`` single-page writes, in order, in one call:
+        ``write_page`` for each ``(page, payload)`` pair but the clock, which
+        the caller charged (``_single_write_ticks`` a write) when it issued
+        each.  A log page is timed at its flush and stored when the log is
+        next observed (``WriteAheadLog.write_out``).
+
+        The same range check (before anything lands), counters, size-1
+        histogram bucket, payloads, FTL writes and checksums;
+        ``write_time_us`` gains ``_single_write_us`` ``n`` times, one
+        addition after another, so the float sum is ``write_page``'s.
+        """
+        n = len(pages)
+        if not n:
+            return
+        if not 0 <= min(pages) <= max(pages) < self._page_limit:
+            self._check_pages(pages)  # names the first page out of range
+        stats = self.stats
+        stats.writes += n
+        stats.write_batches += n
+        stats.write_time_us = reduce(
+            add, repeat(self._single_write_us, n), stats.write_time_us
+        )
+        histogram = stats.write_batch_size_histogram
+        histogram[1] = histogram.get(1, 0) + n
+        if stats.largest_write_batch < 1:
+            stats.largest_write_batch = 1
+        self._payloads.update(zip(pages, payloads))
+        if self.ftl is not None:
+            self.ftl.write_batch(pages)
+        checksums = self._checksums
+        if checksums is not None:
+            checksums.update(zip(pages, map(page_checksum, pages, payloads)))
 
     def write_batch(
         self,

@@ -68,7 +68,7 @@ __all__ = [
     "smoke_report",
 ]
 
-DEFAULT_VARIANTS = ("baseline", "ace")
+DEFAULT_VARIANTS = ("baseline", "ace", "ace+pf")
 
 #: The synthetic crash point appended after the last real boundary: the
 #: run completes, power fails at the very end.
@@ -637,7 +637,7 @@ def run_crashpoints(
 
 
 def smoke_report(seed: int = 7) -> CrashPointReport:
-    """The CI smoke sweep: two policies x both variants, tightly bounded."""
+    """The CI smoke sweep: two policies x the three variants, tightly bounded."""
     return run_crashpoints(
         policies=("lru", "clock"),
         num_pages=240,

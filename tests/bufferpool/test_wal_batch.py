@@ -5,8 +5,12 @@ receives a shipment must be *physically* the per-record append: same
 LSNs, same grouping into log pages, same page images and checksums, the
 flush hook consulted once per log page, and the same durable prefix when
 a flush tears.  The per-record spelling is the reference throughout.
+``append_deferred`` (the inlined loop's append, whose pages land at the
+next ``write_out``) must leave what ``append_batch`` and ``flush`` leave,
+device counters and clock included.
 """
 
+import dataclasses
 import zlib
 
 import pytest
@@ -78,6 +82,58 @@ def test_batch_equals_record_by_record(n, pending):
     assert [record.lsn for record in batched.durable_records()] == list(
         range(1, pending + n + 1)
     )
+
+
+@pytest.mark.parametrize("flush", (False, True), ids=("append", "append+flush"))
+@pytest.mark.parametrize("per_page", (1, 3, 32))
+@pytest.mark.parametrize("pending", (0, 2, 31))
+@pytest.mark.parametrize("n", SIZES)
+def test_deferred_batch_equals_batch_then_flush(n, pending, per_page, flush):
+    """Two deferred appends, then one ``write_out``: the same log, images,
+    device counters (``write_time_us`` to the last bit) and clock."""
+    logs = tuple(WriteAheadLog(VirtualClock(), records_per_page=per_page)
+                 for _ in range(2))
+    for wal in logs:
+        for page, payload in zip(*updates(pending % per_page, start=100)):
+            wal.log_update(page, payload)
+    deferred, reference = logs
+    for start in (0, 1000):
+        pages, payloads = updates(n, start)
+        deferred.append_deferred(pages, payloads, flush)
+        reference.append_batch(pages, payloads)
+        if flush:
+            reference.flush()
+        assert deferred.durable_lsn == reference.durable_lsn
+        assert deferred.room == reference.room
+        assert deferred.device.clock.ticks == reference.device.clock.ticks
+    # Timed and durable, not stored: each page waits as one group size.
+    assert deferred.pages_written + len(deferred.unwritten) == reference.pages_written
+    if deferred.unwritten:
+        deferred.write_out()
+    assert deferred.unwritten == []
+    assert physical_state(deferred) == physical_state(reference)
+    assert dataclasses.asdict(deferred.device.stats) == dataclasses.asdict(
+        reference.device.stats
+    )
+    assert wal_state(deferred) == wal_state(reference)
+
+
+@pytest.mark.parametrize("pending", (0, 31))
+@pytest.mark.parametrize("append", ("append_batch", "append_deferred"))
+def test_unequal_columns_are_refused_before_anything_is_appended(append, pending):
+    """Two pages and one payload used to append two records and one image:
+    ``lsn`` and ``durable_lsn`` counted two, the durable records one, and
+    the checksum zipped to the shorter column, so verification passed."""
+    refused, untouched = twin_logs(pending)
+    for pages, payloads in (([1, 2], [5]), ([1], [5, 6]), ([], [5])):
+        with pytest.raises(ValueError, match="pages but .* payloads"):
+            getattr(refused, append)(pages, payloads)
+        assert physical_state(refused) == physical_state(untouched)
+    refused.flush()
+    untouched.flush()
+    assert physical_state(refused) == physical_state(untouched)
+    assert refused.redo_since(0) == untouched.redo_since(0)
+    assert refused.verify_durable_records() == untouched.verify_durable_records()
 
 
 def test_the_hook_sees_each_log_page_once():

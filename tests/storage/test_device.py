@@ -331,6 +331,50 @@ class TestWritePage:
         assert single.stats.writes == 0
 
 
+class TestStoreWrites:
+    """``store_writes`` is ``write_page`` pair by pair but the clock, which
+    its caller charged as each write was issued."""
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=list(SHAPES))
+    def test_matches_write_page_pair_by_pair(self, shape):
+        single, stored = (SimulatedSSD(PCIE_SSD, **shape) for _ in range(2))
+        for device in (single, stored):
+            device.format_pages(range(64))
+        rng = random.Random(11)
+        for step in range(60):
+            n = rng.randrange(1, 40)
+            pages = [rng.randrange(64) for _ in range(n)]  # repeats too
+            payloads = [rng.choice((step, None, ("image", i), "s")) for i in range(n)]
+            for page, payload in zip(pages, payloads):
+                single.write_page(page, payload)
+            stored.clock.ticks += n * stored._single_write_ticks
+            stored.store_writes(pages, payloads)
+        stored.store_writes([], [])  # nothing lands, nothing counts
+        assert device_state(single) == device_state(stored)
+        # The float sum is one addition per write, as ``write_page`` adds;
+        # a product of the count would differ in the last bits.
+        writes = stored.stats.writes
+        assert stored.stats.write_time_us != writes * stored._single_write_us
+        if single.ftl is not None:
+            assert sum(single.ftl.erase_counts()) > 0  # GC ran
+
+    @pytest.mark.parametrize("page", [64, -1])
+    @pytest.mark.parametrize(
+        "shape", [SHAPES["bare"], SHAPES["with_ftl"]], ids=["bare", "with_ftl"]
+    )
+    def test_out_of_range_raises_write_pages_error_and_stores_nothing(
+        self, shape, page
+    ):
+        single, stored = (SimulatedSSD(PCIE_SSD, **shape) for _ in range(2))
+        with pytest.raises(IndexError) as by_page:
+            single.write_page(page, 1)
+        with pytest.raises(IndexError) as by_store:
+            stored.store_writes([1, page, 2], [1, 1, 1])
+        assert str(by_page.value) == str(by_store.value)
+        assert device_state(single) == device_state(stored)
+        assert stored.stats.writes == 0 and not stored.contains(1)
+
+
 class TestReadBatchRange:
     """``read_batch``'s range gate is ``read_page``'s, passed before the
     batch is charged."""

@@ -23,7 +23,8 @@ replication module writes them through the shipment apply alone, and no
 other module writes them at all.  The log is pinned too: it is columns, a
 ``WalRecord`` is built only for the accessors that hand records out, and
 only the reference arm appends a record per write (the turbo loop appends
-where the log is observed).  Like ``test_env_census`` this is an AST walk
+where the log is observed, and stores the log pages it flushes in one call
+when its stretch ends).  Like ``test_env_census`` this is an AST walk
 over the whole package, not a list of files to look in.
 """
 
@@ -33,7 +34,14 @@ import ast
 from collections import Counter
 from functools import lru_cache
 
+from repro.bufferpool.manager import BufferPoolManager
+from repro.bufferpool.wal import WriteAheadLog
+from repro.engine import executor
+from repro.policies import LRUPolicy
+from repro.workloads.synthetic import MS, generate_trace
+
 from tests._source import SRC, scopes, trees
+from tests.bufferpool.conftest import make_device
 
 #: function -> why it must step request by request.
 ACCESS_SITES = {
@@ -223,3 +231,31 @@ def test_no_other_module_writes_a_replica():
         and _names_a_replica(node.func.value)
     ]
     assert writes == []
+
+
+def test_a_turbo_stretch_stores_its_log_pages_in_one_call():
+    """The inlined loop's flushes — a page fill, a write-back's
+    WAL-before-data — are timed and durable at once, and their pages land
+    in the stretch end's one ``store_writes``: no ``write_page`` per flush.
+    A commit flush outside the stretch still writes its page at once."""
+    device = make_device(400)
+    wal = WriteAheadLog(device.clock, records_per_page=3)
+    manager = BufferPoolManager(32, LRUPolicy(), device, wal=wal, sanitize=False)
+    assert executor._turbo_ready(manager)
+    calls = Counter()
+    for name in ("write_page", "store_writes", "write_batch"):
+        method = getattr(wal.device, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(wal.device, name, counted)
+    trace = generate_trace(MS, 400, 1500, seed=3)
+    executor.replay(manager, trace.pages, trace.writes)
+    assert manager.stats.dirty_evictions > 0 and wal.pages_written > 100
+    assert calls == Counter(store_writes=1)
+    assert wal.device.stats.writes == wal.pages_written
+    manager.write_page(trace.pages[-1])
+    wal.flush()
+    assert calls == Counter(store_writes=1, write_page=1)

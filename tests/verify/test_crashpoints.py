@@ -204,6 +204,21 @@ class TestEngine:
             c.points_tested for c in report.configs
         )
 
+    def test_the_default_sweep_covers_the_three_variants(self):
+        """``ace+pf`` is crash-tested by default: its wide exchange's bulk
+        write-back and eviction and the Reader's batched install are the
+        code it adds at a write boundary."""
+        report = run_crashpoints(
+            policies=("lru",), num_pages=96, ops=160, seed=7,
+            commit_every=16, max_points=6, max_redo_crashes=1,
+            profile=TEST_PROFILE,
+        )
+        assert report.ok
+        assert [c.label for c in report.configs] == [
+            "lru/baseline", "lru/ace", "lru/ace+pf",
+        ]
+        assert all(c.points_tested > 0 for c in report.configs)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             run_crashpoint_config(
@@ -230,3 +245,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "lru/baseline" in out
+
+    def test_cli_default_variants_include_ace_pf(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "crashpoints", "--policies", "lru", "--pages", "96", "--ops", "160",
+            "--max-points", "4", "--max-redo-crashes", "1",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines() if line[:3] == "ok "] == [
+            "lru/baseline", "lru/ace", "lru/ace+pf",
+        ]

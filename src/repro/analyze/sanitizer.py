@@ -24,9 +24,8 @@ invariant set after **every public operation** (``read_page``,
   consume / compare) and yields resident, unpinned, duplicate-free pages;
 * the policy's maintained fast paths (``peek`` / ``next_dirty`` /
   ``next_clean``) return exactly the reference prefixes derived from
-  ``eviction_order()``, and its notification-fed pin mirror agrees with
-  the manager's — the runtime teeth behind the incremental virtual-order
-  engine;
+  ``eviction_order()`` — the runtime teeth behind the incremental
+  virtual-order engine;
 * the WAL's columns (when a WAL is attached) stay the same length, its
   durable count is every record that left the buffer (no more, and no
   fewer unless a flush tore), and the last checkpoint is durable.
@@ -60,6 +59,7 @@ __all__ = [
     "SanitizerError",
     "attach",
     "env_enabled",
+    "reference_prefixes",
 ]
 
 #: Environment switch: any value other than empty/0/false/no/off enables
@@ -326,33 +326,15 @@ class InvariantSanitizer:
         """The maintained bulk reads must match the reference prefixes.
 
         ``peek``/``next_dirty``/``next_clean`` are each compared against
-        the base class's ``_reference_*`` helpers, which derive the same
-        prefix directly from ``eviction_order()`` — the definitional
-        contract of the incremental virtual-order engine.  When the policy
-        is notification-fed, its pin mirror must also agree with the
-        manager's (``_check_virtual_order`` already ran, so the reference
-        prefixes themselves are trustworthy here).
+        :func:`reference_prefixes`, which derives the same prefix directly
+        from ``eviction_order()`` — the definitional contract of the
+        incremental virtual-order engine (``_check_virtual_order`` already
+        ran, so the reference prefixes themselves are trustworthy here).
         """
-        manager = self.manager
-        policy = manager.policy
-        if policy._notified and policy._pinned_pages != manager._pinned_set:
-            diff = policy._pinned_pages.symmetric_difference(
-                manager._pinned_set
-            )
-            raise SanitizerError(
-                "policy-pin-mirror", operation,
-                f"policy pin mirror disagrees with the manager on "
-                f"{sorted(diff)} ({type(policy).__name__})",
-                page=next(iter(diff)),
-            )
+        policy = self.manager.policy
         k = self.FAST_PATH_PREFIX
-        for label, fast, reference in (
-            ("peek", policy.peek, policy._reference_peek),
-            ("next_dirty", policy.next_dirty, policy._reference_next_dirty),
-            ("next_clean", policy.next_clean, policy._reference_next_clean),
-        ):
-            got = fast(k)
-            expected = reference(k)
+        for label, expected in reference_prefixes(policy, k).items():
+            got = getattr(policy, label)(k)
             if got != expected:
                 raise SanitizerError(
                     f"fast-path-{label}", operation,
@@ -362,6 +344,32 @@ class InvariantSanitizer:
                         iter(set(got).symmetric_difference(expected)), None
                     ),
                 )
+
+
+def reference_prefixes(policy, n: int) -> dict[str, list[int]]:
+    """What ``policy.peek(n)``, ``next_dirty(n)`` and ``next_clean(n)``
+    must return: the first ``n`` pages of its ``eviction_order()``, of the
+    dirty pages in it and of the clean ones, keyed by method name.
+
+    The one reference copy of the derivation, spelled as one plain pass
+    so that it shares no code with the policies' own bulk reads.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative: {n}")
+    is_dirty = policy._view.is_dirty
+    order: list[int] = []
+    dirty: list[int] = []
+    clean: list[int] = []
+    if n:
+        for page in policy.eviction_order():
+            if len(order) < n:
+                order.append(page)
+            same_state = dirty if is_dirty(page) else clean
+            if len(same_state) < n:
+                same_state.append(page)
+            if len(dirty) == n and len(clean) == n:
+                break
+    return {"peek": order, "next_dirty": dirty, "next_clean": clean}
 
 
 def _wrap_operation(sanitizer: InvariantSanitizer, name: str, original):

@@ -111,12 +111,6 @@ class BufferPoolManager:
     #: Variant label used in reports ("baseline" vs "ace"/"ace+pf").
     variant = "baseline"
 
-    #: PageStateView handshake: this view pushes every dirty/pin transition,
-    #: once, into the policy's ``note_*`` hooks (a dirty hook only if the
-    #: policy listens), which lets the bound policy keep its virtual
-    #: order incrementally instead of re-deriving it per miss.
-    notifies_state_changes = True
-
     #: The batch hook.  ``None`` here: a dirty victim is written back alone.
     #: :class:`~repro.core.ace.ACEBufferPoolManager` sets a
     #: :class:`~repro.core.writer.Writer` (and an ``evictor`` beside it);
@@ -154,9 +148,11 @@ class BufferPoolManager:
         self._pinned_set: set[int] = set()
         # The PageStateView, answered in C: the mirror sets' own membership
         # tests, bound as instance attributes, so a policy filtering its
-        # order through them runs no Python frame per page.
+        # order through them runs no Python frame per page; ``pinned`` is
+        # the live set a policy gates its fast paths on.
         self.is_dirty = self._dirty_set.__contains__
         self.is_pinned = self._pinned_set.__contains__
+        self.pinned = self._pinned_set
         # Hot-path aliases.  The table's containers and the pool's state
         # arrays live for the manager's lifetime, so binding them here
         # removes attribute hops per request.
@@ -372,7 +368,6 @@ class BufferPoolManager:
         pin_counts[frame_id] = count
         if count == 1:
             self._pinned_set.add(page)
-            self.policy.note_pinned(page)
 
     def unpin(self, page: int) -> None:
         frame_id = self._frame_of.get(page)
@@ -386,7 +381,6 @@ class BufferPoolManager:
         pin_counts[frame_id] = count
         if count == 0:
             self._pinned_set.discard(page)
-            self.policy.note_unpinned(page)
 
     def flush_page(self, page: int) -> None:
         """Write a resident dirty page back to the device (stays resident)."""

@@ -425,12 +425,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if name not in table:
         known = ", ".join(sorted(table))
         raise SystemExit(f"unknown experiment {args.name!r}; known: {known}")
-    if args.workers is not None:
-        # Experiments resolve workers via REPRO_WORKERS (some take no
-        # workers parameter, e.g. the stateful fig9), so the flag is
-        # threaded through the environment for the duration of the run.
-        os.environ[WORKERS_ENV_VAR] = str(args.workers)
-    table[name]()
+    if args.workers is None:
+        table[name]()
+        return 0
+    # Experiments resolve workers via REPRO_WORKERS (some take no
+    # workers parameter, e.g. the stateful fig9), so the flag is
+    # threaded through the environment for the duration of the run.
+    previous = os.environ.get(WORKERS_ENV_VAR)
+    os.environ[WORKERS_ENV_VAR] = str(args.workers)
+    try:
+        table[name]()
+    finally:
+        if previous is None:
+            del os.environ[WORKERS_ENV_VAR]
+        else:
+            os.environ[WORKERS_ENV_VAR] = previous
     return 0
 
 

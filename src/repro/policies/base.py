@@ -24,24 +24,24 @@ Accordingly, every policy here exposes two views of the same decision:
 
 Policies learn page dirty/pinned state through a :class:`PageStateView`
 supplied by the buffer manager via :meth:`ReplacementPolicy.bind`; the
-manager's descriptors stay the authoritative record, mirroring how
-PostgreSQL's freelist code reads buffer descriptor flags.  A view that
-declares ``notifies_state_changes`` additionally pushes per-page
-dirty/pin transitions into the policy's ``note_*`` hooks, which lets a
-policy maintain its virtual order *incrementally* (a clean-first window
-counter, a pin mirror) and answer the bulk fast paths —
+manager's state is the only record, read the way PostgreSQL's freelist
+code reads buffer descriptor flags.  The view's ``pinned`` set is live, so
+a policy takes it once at ``bind`` and serves the bulk fast paths —
 :meth:`ReplacementPolicy.peek`, :meth:`ReplacementPolicy.next_dirty`,
-:meth:`ReplacementPolicy.next_clean` — in O(answer) instead of
-re-deriving the order per call.  ``eviction_order()`` remains the pure
-reference implementation that the sanitizer and the differential tests
-hold every fast path to.
+:meth:`ReplacementPolicy.next_clean` — from its own order while nothing is
+pinned, in O(answer) instead of re-deriving the order per call.  With a
+page pinned they fall back to the base class's derivation over
+``eviction_order()``, the pure reference that the sanitizer and the
+differential tests hold every fast path to.  A policy that keeps a count
+over dirty pages (CFLRU's window) listens to the view's dirty transitions
+through ``note_dirty`` / ``note_clean``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
-from itertools import islice
+from collections.abc import Iterator, Set
+from itertools import filterfalse, islice
 from typing import Protocol
 
 __all__ = ["PageStateView", "ReplacementPolicy", "NullPageStateView", "inherited"]
@@ -50,19 +50,17 @@ __all__ = ["PageStateView", "ReplacementPolicy", "NullPageStateView", "inherited
 class PageStateView(Protocol):
     """What a policy may ask the buffer manager about a buffered page.
 
-    A view may additionally expose a truthy ``notifies_state_changes``
-    attribute, promising to call the policy's ``note_dirty`` /
-    ``note_clean`` / ``note_pinned`` / ``note_unpinned`` hooks on every
-    state transition, exactly once each.  Policies bound to such a view
-    may maintain incremental virtual-order structures (window counters)
-    and serve :meth:`ReplacementPolicy.peek` /
-    :meth:`ReplacementPolicy.next_dirty` / :meth:`ReplacementPolicy.next_clean`
-    from their own order instead of a fresh ``eviction_order()`` scan.
-    Views without the attribute (tests, standalone use) get the reference
-    behaviour unchanged.  The buffer manager answers both questions in C
-    (its mirror sets' ``__contains__``), so a policy may filter its order
+    ``pinned`` is the live set of pinned pages behind ``is_pinned``: a
+    policy keeps the reference it takes at ``bind`` and gates its fast
+    paths on the set being empty.  A view calls the policy's ``note_dirty``
+    / ``note_clean`` on every dirty transition, exactly once each, when
+    :meth:`ReplacementPolicy.hooks` publishes them (the manager does so in
+    ``_transition``).  The buffer manager answers both questions in C (its
+    mirror sets' ``__contains__``), so a policy may filter its order
     through them without a Python frame per page.
     """
+
+    pinned: Set[int]
 
     def is_dirty(self, page: int) -> bool:
         """Whether the buffered page has unflushed modifications."""
@@ -75,6 +73,8 @@ class PageStateView(Protocol):
 
 class NullPageStateView:
     """A view for standalone policy use: nothing dirty, nothing pinned."""
+
+    pinned: Set[int] = frozenset()
 
     def is_dirty(self, page: int) -> bool:
         return False
@@ -110,41 +110,27 @@ class ReplacementPolicy(ABC):
 
     def __init__(self) -> None:
         self._view: PageStateView = NullPageStateView()
-        #: Whether the bound view promises ``note_*`` state-change
-        #: callbacks; incremental fast paths engage only when it does.
-        self._notified = False
-        #: Pages currently pinned, mirrored from ``note_pinned`` /
-        #: ``note_unpinned``.  Fast paths that assume "nothing pinned"
-        #: gate on this set being empty and otherwise fall back to the
-        #: reference scans, which consult the view per page.
-        self._pinned_pages: set[int] = set()
+        self._pinned: Set[int] = self._view.pinned
 
     def bind(self, view: PageStateView) -> None:
         """Attach the buffer manager's page-state view."""
         self._view = view
-        self._notified = bool(getattr(view, "notifies_state_changes", False))
-        self._pinned_pages.clear()
+        #: The view's live pinned set: fast paths that assume "nothing
+        #: pinned" gate on it being empty and otherwise fall back to the
+        #: derivation over ``eviction_order()``.
+        self._pinned = view.pinned
 
-    # -- state-change notifications ----------------------------------------
+    # -- dirty notifications -----------------------------------------------
     #
-    # Called by a view that declares ``notifies_state_changes`` on every
-    # transition of the named page.  The base class tracks pins; a policy
-    # that counts dirty pages (CFLRU's window) overrides the dirty pair.
-    # The manager calls the dirty pair only if :meth:`hooks` publishes it.
+    # Called by the view on every dirty transition of the named page, when
+    # :meth:`hooks` publishes them.  A policy that counts dirty pages
+    # (CFLRU's window) overrides the pair.
 
     def note_dirty(self, page: int) -> None:
         """``page`` transitioned clean -> dirty."""
 
     def note_clean(self, page: int) -> None:
         """``page`` transitioned dirty -> clean (write-back landed)."""
-
-    def note_pinned(self, page: int) -> None:
-        """``page`` transitioned unpinned -> pinned."""
-        self._pinned_pages.add(page)
-
-    def note_unpinned(self, page: int) -> None:
-        """``page`` transitioned pinned -> unpinned."""
-        self._pinned_pages.discard(page)
 
     # -- membership -------------------------------------------------------
 
@@ -220,51 +206,19 @@ class ReplacementPolicy(ABC):
 
     # -- derived helpers used by ACE ---------------------------------------
     #
-    # ``peek`` / ``next_dirty`` / ``next_clean`` are the bulk fast paths the
-    # ACE Writer, Evictor, and the manager's degraded-eviction fallback
-    # consume.  The ``_reference_*`` forms below are the definitional
-    # implementations over ``eviction_order()``; policies with maintained
-    # structures override the public methods and *must* return exactly the
-    # reference result (the sanitizer and the differential suite check
-    # this), using the reference as the fallback whenever the bound view
-    # does not notify or pinned pages invalidate the maintained shortcut.
-
-    def _reference_peek(self, n: int) -> list[int]:
-        if n < 0:
-            raise ValueError(f"n must be non-negative: {n}")
-        return list(islice(self.eviction_order(), n))
-
-    def _reference_next_dirty(self, n: int) -> list[int]:
-        if n < 0:
-            raise ValueError(f"n must be non-negative: {n}")
-        selected: list[int] = []
-        if n == 0:
-            return selected
-        is_dirty = self._view.is_dirty
-        for page in self.eviction_order():
-            if is_dirty(page):
-                selected.append(page)
-                if len(selected) == n:
-                    break
-        return selected
-
-    def _reference_next_clean(self, n: int) -> list[int]:
-        if n < 0:
-            raise ValueError(f"n must be non-negative: {n}")
-        selected: list[int] = []
-        if n == 0:
-            return selected
-        is_dirty = self._view.is_dirty
-        for page in self.eviction_order():
-            if not is_dirty(page):
-                selected.append(page)
-                if len(selected) == n:
-                    break
-        return selected
+    # ``peek`` / ``next_dirty`` / ``next_clean`` are the bulk reads the ACE
+    # Writer, Evictor, and the manager's degraded-eviction fallback
+    # consume.  Here they are the definitional derivation over
+    # ``eviction_order()``; a policy with maintained structures overrides
+    # them and *must* return exactly this result (the sanitizer and the
+    # differential suite check it), calling ``super()`` whenever a pinned
+    # page invalidates its shortcut.
 
     def peek(self, n: int) -> list[int]:
         """The next ``n`` pages in the virtual order (may be fewer)."""
-        return self._reference_peek(n)
+        if n < 0:
+            raise ValueError(f"n must be non-negative: {n}")
+        return list(islice(self.eviction_order(), n))
 
     def next_dirty(self, n: int) -> list[int]:
         """The next ``n`` dirty pages in the virtual order (may be fewer).
@@ -272,7 +226,9 @@ class ReplacementPolicy(ABC):
         This is exactly the paper's ``populate_pages_to_writeback()``: the
         candidate set for ACE's concurrent write-back.
         """
-        return self._reference_next_dirty(n)
+        if n < 0:
+            raise ValueError(f"n must be non-negative: {n}")
+        return list(islice(filter(self._view.is_dirty, self.eviction_order()), n))
 
     def next_clean(self, n: int) -> list[int]:
         """The next ``n`` clean pages in the virtual order (may be fewer).
@@ -280,7 +236,11 @@ class ReplacementPolicy(ABC):
         The degraded-eviction fallback: when a write-back fails, the
         manager evicts the first clean page in the virtual order instead.
         """
-        return self._reference_next_clean(n)
+        if n < 0:
+            raise ValueError(f"n must be non-negative: {n}")
+        return list(
+            islice(filterfalse(self._view.is_dirty, self.eviction_order()), n)
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(pages={len(self)})"

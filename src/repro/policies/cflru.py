@@ -21,8 +21,8 @@ selection is O(1) for the all-clean and all-dirty windows and a scan to
 the first clean page otherwise, filtered through the view's ``is_dirty``
 (the manager's dirty set, in C).  The segments mirror ``_order``; the
 single authoritative description of the clean-first order remains
-``eviction_order()``, which ``select_victim`` consumes directly on the
-reference path.
+``eviction_order()``, which ``select_victim`` consumes directly while a
+page is pinned.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ class CFLRUPolicy(LRUPolicy):
         # only while ``_window`` is full.
         self._window: OrderedDict[int, None] = OrderedDict()
         self._rest: OrderedDict[int, None] = OrderedDict()
-        #: Number of dirty window pages (meaningful only under a notifying
-        #: view, whose transitions keep it; the fast paths read it only
-        #: there).
+        #: Number of dirty window pages, kept by the view's dirty
+        #: transitions (``note_dirty`` / ``note_clean``).
         self._window_dirty = 0
 
     def bind(self, view: PageStateView) -> None:
@@ -132,7 +131,7 @@ class CFLRUPolicy(LRUPolicy):
             self._window_dirty += 1
         rest[page] = None
 
-    # -- notifications -----------------------------------------------------
+    # -- dirty notifications -----------------------------------------------
     #
     # The view reports each transition exactly once, so the counter moves
     # by the page's segment alone.
@@ -148,19 +147,19 @@ class CFLRUPolicy(LRUPolicy):
     # -- decisions ---------------------------------------------------------
 
     def select_victim(self) -> int | None:
-        if self._notified and not self._pinned_pages:
-            window = self._window
-            if not window:
-                return None
-            dirty_in_window = self._window_dirty
-            if dirty_in_window == 0 or dirty_in_window >= len(window):
-                # All clean: the LRU page is clean.  All dirty: CFLRU falls
-                # back to the LRU page.  Either way: the window's front.
-                return next(iter(window))
-            return next(filterfalse(self._view.is_dirty, window))
-        # The victim is by definition the head of the virtual order; the
-        # clean-first window scan lives exactly once, in eviction_order().
-        return next(iter(self.eviction_order()), None)
+        if self._pinned:
+            # The victim is by definition the head of the virtual order; the
+            # clean-first window scan lives exactly once, in eviction_order().
+            return next(self.eviction_order(), None)
+        window = self._window
+        if not window:
+            return None
+        dirty_in_window = self._window_dirty
+        if dirty_in_window == 0 or dirty_in_window >= len(window):
+            # All clean: the LRU page is clean.  All dirty: CFLRU falls
+            # back to the LRU page.  Either way: the window's front.
+            return next(iter(window))
+        return next(filterfalse(self._view.is_dirty, window))
 
     def eviction_order(self) -> Iterator[int]:
         """Virtual order: window clean pages, then window dirty, then rest.
@@ -201,10 +200,8 @@ class CFLRUPolicy(LRUPolicy):
     # clean subsequences equal plain LRU's.
 
     def peek(self, n: int) -> list[int]:
-        if not (self._notified and not self._pinned_pages):
-            return self._reference_peek(n)
-        if n < 0:
-            raise ValueError(f"n must be non-negative: {n}")
+        if self._pinned or n < 0:
+            return super().peek(n)
         selected: list[int] = []
         if n == 0:
             return selected

@@ -8,9 +8,9 @@ CFLRU and LRU-WSR on top of it; we mirror that layering
 The implementation is an ordered map: iteration order runs from the
 least-recently-used page (eviction end) to the most-recently-used page.
 
-Dirty state is not mirrored here.  Under a notifying view (the buffer
-manager) ``next_dirty(n)`` / ``next_clean(n)`` are a filtered scan of the
-LRU order through the view's ``is_dirty`` — the manager's dirty set's own
+Dirty state is not mirrored here.  While nothing is pinned
+``next_dirty(n)`` / ``next_clean(n)`` are a filtered scan of the LRU order
+through the view's ``is_dirty`` — the manager's dirty set's own
 ``__contains__``, so the scan runs in C — and plain LRU listens to no
 dirty/clean transition.  The scans are shallow: the dirty pages sit near
 the eviction end, so a batch of ``n_w`` reads little more than ``n_w``
@@ -95,12 +95,9 @@ class LRUPolicy(ReplacementPolicy):
     # -- decisions ---------------------------------------------------------
 
     def select_victim(self) -> int | None:
-        if self._notified and not self._pinned_pages:
+        if not self._pinned:
             return next(iter(self._order), None)
-        for page in self._order:
-            if not self._view.is_pinned(page):
-                return page
-        return None
+        return next(filterfalse(self._view.is_pinned, self._order), None)
 
     def eviction_order(self) -> Iterator[int]:
         # Iterate the live order directly: consumers materialise their
@@ -111,24 +108,21 @@ class LRUPolicy(ReplacementPolicy):
                 yield page
 
     # -- maintained fast paths ---------------------------------------------
+    #
+    # Nothing pinned: the virtual order is the ordered map itself.  The
+    # base derivation serves the pinned case and rejects a negative ``n``.
 
     def peek(self, n: int) -> list[int]:
-        if self._notified and not self._pinned_pages:
-            if n < 0:
-                raise ValueError(f"n must be non-negative: {n}")
-            return list(islice(self._order, n))
-        return self._reference_peek(n)
+        if self._pinned or n < 0:
+            return super().peek(n)
+        return list(islice(self._order, n))
 
     def next_dirty(self, n: int) -> list[int]:
-        if self._notified and not self._pinned_pages:
-            if n < 0:
-                raise ValueError(f"n must be non-negative: {n}")
-            return list(islice(filter(self._view.is_dirty, self._order), n))
-        return self._reference_next_dirty(n)
+        if self._pinned or n < 0:
+            return super().next_dirty(n)
+        return list(islice(filter(self._view.is_dirty, self._order), n))
 
     def next_clean(self, n: int) -> list[int]:
-        if self._notified and not self._pinned_pages:
-            if n < 0:
-                raise ValueError(f"n must be non-negative: {n}")
-            return list(islice(filterfalse(self._view.is_dirty, self._order), n))
-        return self._reference_next_clean(n)
+        if self._pinned or n < 0:
+            return super().next_clean(n)
+        return list(islice(filterfalse(self._view.is_dirty, self._order), n))

@@ -10,17 +10,19 @@ eviction time:
   flag is set and the page moves to the most-recently-used position, and
   the search continues down the LRU order.
 
-Under a notifying view both decisions read dirty state through the view's
-``is_dirty`` (the manager's dirty set, in C): ``select_victim`` probes
-candidates one lookup each, and ``next_dirty(n)`` is two passes over the
-LRU order filtered to its dirty pages (cold dirty pages first — they are
-evicted where they stand — then the not-cold ones in the order they would
-be deferred to the MRU end).
+Both decisions read dirty state through the view's ``is_dirty`` (the
+manager's dirty set, in C): ``select_victim`` probes candidates one
+lookup each, and ``next_dirty(n)`` is two passes over the LRU order
+filtered to its dirty pages (cold dirty pages first — they are evicted
+where they stand — then the not-cold ones in the order they would be
+deferred to the MRU end).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
+from itertools import filterfalse
 
 from repro.policies.lru import LRUPolicy
 
@@ -66,30 +68,17 @@ class LRUWSRPolicy(LRUPolicy):
 
     def select_victim(self) -> int | None:
         # At most one full pass can defer pages; after that every dirty page
-        # has its cold flag set and the next candidate wins.
-        if self._notified and not self._pinned_pages:
-            order = self._order
-            is_dirty = self._view.is_dirty
-            cold = self._cold
-            for _ in range(2 * len(order) + 1):
-                candidate = next(iter(order), None)
-                if candidate is None:
-                    return None
-                if not is_dirty(candidate) or cold[candidate]:
-                    return candidate
-                self._defer(candidate)
-            return None
-        for _ in range(2 * len(self._order) + 1):
-            candidate = None
-            for page in self._order:
-                if not self._view.is_pinned(page):
-                    candidate = page
-                    break
+        # has its cold flag set and the next candidate wins.  A candidate is
+        # the LRU page, the first unpinned one while any page is pinned.
+        first = partial(filterfalse, self._view.is_pinned) if self._pinned else iter
+        order = self._order
+        is_dirty = self._view.is_dirty
+        cold = self._cold
+        for _ in range(2 * len(order) + 1):
+            candidate = next(first(order), None)
             if candidate is None:
                 return None
-            if not self._view.is_dirty(candidate):
-                return candidate
-            if self._cold[candidate]:
+            if not is_dirty(candidate) or cold[candidate]:
                 return candidate
             # Dirty and not cold: second chance.
             self._defer(candidate)
@@ -120,10 +109,8 @@ class LRUWSRPolicy(LRUPolicy):
     # clean pages in LRU order.
 
     def peek(self, n: int) -> list[int]:
-        if not (self._notified and not self._pinned_pages):
-            return self._reference_peek(n)
-        if n < 0:
-            raise ValueError(f"n must be non-negative: {n}")
+        if self._pinned or n < 0:
+            return super().peek(n)
         selected: list[int] = []
         if n == 0:
             return selected
@@ -145,10 +132,8 @@ class LRUWSRPolicy(LRUPolicy):
         return selected
 
     def next_dirty(self, n: int) -> list[int]:
-        if not (self._notified and not self._pinned_pages):
-            return self._reference_next_dirty(n)
-        if n < 0:
-            raise ValueError(f"n must be non-negative: {n}")
+        if self._pinned or n < 0:
+            return super().next_dirty(n)
         selected: list[int] = []
         if n == 0:
             return selected

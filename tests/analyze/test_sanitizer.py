@@ -297,6 +297,24 @@ class TestVirtualOrderChecks:
         assert exc.value.operation == "pin"
 
 
+class TestFastPathChecks:
+    """A bulk read that strays from ``eviction_order()`` is named."""
+
+    @pytest.mark.parametrize("label", ["peek", "next_dirty", "next_clean"])
+    def test_wrong_bulk_read_detected(self, label):
+        manager = make_manager(sanitize=True)
+        manager.read_page(1)
+        manager.write_page(2)
+        # Page 1 is clean, page 2 dirty: every reference prefix is
+        # non-empty, so an empty answer is wrong for each of the three.
+        setattr(manager.policy, label, lambda n: [])
+        with pytest.raises(SanitizerError) as exc:
+            manager.read_page(3)
+        assert exc.value.invariant == f"fast-path-{label}"
+        assert exc.value.operation == "read_page"
+        assert exc.value.page in (1, 2)
+
+
 class TestStructuredError:
     def test_attributes_and_message(self):
         error = SanitizerError(

@@ -122,7 +122,7 @@ class ARCPolicy(ReplacementPolicy):
         return len(self._t1) > self.p
 
     def select_victim(self) -> int | None:
-        if self._notified and not self._pinned_pages:
+        if not self._pinned:
             first, second = (
                 (self._t1, self._t2)
                 if self._replace_from_t1()
@@ -141,7 +141,7 @@ class ARCPolicy(ReplacementPolicy):
         return None
 
     def eviction_order(self) -> Iterator[int]:
-        if self._notified and not self._pinned_pages:
+        if not self._pinned:
             # Nothing pinned: the unpinned lists are the queues themselves,
             # so the order streams lazily off the live OrderedDicts —
             # O(consumed) for ACE's short peeks instead of materialising

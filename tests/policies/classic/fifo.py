@@ -51,7 +51,7 @@ class FIFOPolicy(ReplacementPolicy):
         return list(self._order)
 
     def select_victim(self) -> int | None:
-        if self._notified and not self._pinned_pages:
+        if not self._pinned:
             return next(iter(self._order), None)
         for page in self._order:
             if not self._view.is_pinned(page):
@@ -88,7 +88,7 @@ class SecondChancePolicy(FIFOPolicy):
         self._referenced[page] = True
 
     def select_victim(self) -> int | None:
-        if self._notified and not self._pinned_pages:
+        if not self._pinned:
             order = self._order
             referenced = self._referenced
             for _ in range(2 * len(order) + 1):

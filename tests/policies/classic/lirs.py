@@ -196,7 +196,7 @@ class LIRSPolicy(ReplacementPolicy):
                 yield page
 
     def select_victim(self) -> int | None:
-        if self._notified and not self._pinned_pages:
+        if not self._pinned:
             # Nothing pinned: the victim is the queue's front (or, with an
             # empty queue, the coldest LIR page) — no per-page view calls.
             return next(self._victim_order(), None)

@@ -111,7 +111,7 @@ class TwoQPolicy(ReplacementPolicy):
         return len(self._a1in) > self.kin
 
     def select_victim(self) -> int | None:
-        if self._notified and not self._pinned_pages:
+        if not self._pinned:
             if self._a1in_over_target():
                 return next(iter(self._a1in))
             if self._am:

@@ -7,7 +7,7 @@ from repro.policies.cflru import CFLRUPolicy
 
 def make_cflru(view, pages=(), capacity=6, window_fraction=0.5):
     policy = CFLRUPolicy(capacity=capacity, window_fraction=window_fraction)
-    policy.bind(view)
+    view.bind(policy)
     for page in pages:
         policy.insert(page)
     return policy
@@ -37,12 +37,12 @@ class TestCleanFirstEviction:
     def test_clean_page_preferred_inside_window(self, view):
         # LRU order: 1 2 3 4 5 6; window (fraction .5 of capacity 6) = {1,2,3}
         policy = make_cflru(view, [1, 2, 3, 4, 5, 6])
-        view.dirty.update([1, 2])
+        view.mark_dirty(1, 2)
         assert policy.select_victim() == 3
 
     def test_falls_back_to_lru_dirty_when_window_all_dirty(self, view):
         policy = make_cflru(view, [1, 2, 3, 4, 5, 6])
-        view.dirty.update([1, 2, 3])
+        view.mark_dirty(1, 2, 3)
         assert policy.select_victim() == 1
 
     def test_behaves_like_lru_when_all_clean(self, view):
@@ -52,7 +52,7 @@ class TestCleanFirstEviction:
     def test_clean_page_outside_window_not_preferred(self, view):
         """A clean page beyond the window must not jump the queue."""
         policy = make_cflru(view, [1, 2, 3, 4, 5, 6])
-        view.dirty.update([1, 2, 3])
+        view.mark_dirty(1, 2, 3)
         # 4 is clean but outside the window; CFLRU evicts dirty LRU page 1.
         assert policy.select_victim() == 1
 
@@ -67,14 +67,14 @@ class TestCleanFirstEviction:
     def test_access_moves_page_out_of_window(self, view):
         policy = make_cflru(view, [1, 2, 3, 4, 5, 6])
         policy.on_access(1)  # 1 becomes MRU; window now {2, 3, 4}
-        view.dirty.add(2)
+        view.mark_dirty(2)
         assert policy.select_victim() == 3
 
 
 class TestEvictionOrder:
     def test_order_clean_window_then_dirty_window_then_rest(self, view):
         policy = make_cflru(view, [1, 2, 3, 4, 5, 6])
-        view.dirty.update([1, 3])
+        view.mark_dirty(1, 3)
         order = list(policy.eviction_order())
         assert order == [2, 1, 3, 4, 5, 6]
 
@@ -85,12 +85,12 @@ class TestEvictionOrder:
 
     def test_order_head_matches_victim(self, view):
         policy = make_cflru(view, [1, 2, 3, 4, 5, 6])
-        view.dirty.update([1, 2])
+        view.mark_dirty(1, 2)
         order = list(policy.eviction_order())
         assert policy.select_victim() == order[0]
 
     def test_next_dirty_follows_virtual_order(self, view):
         policy = make_cflru(view, [1, 2, 3, 4, 5, 6])
-        view.dirty.update([1, 3, 5])
+        view.mark_dirty(1, 3, 5)
         # virtual order: clean window [2], dirty window [1, 3], rest [4,5,6]
         assert policy.next_dirty(3) == [1, 3, 5]

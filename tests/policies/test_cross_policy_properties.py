@@ -33,7 +33,7 @@ def drive(policy, view, operations):
             is_write = page % 2 == 0
             policy.on_access(page, is_write=is_write)
             if is_write:
-                view.dirty.add(page)
+                view.mark_dirty(page)
         elif op == "remove" and page in resident and not view.is_dirty(page):
             policy.remove(page)
             resident.discard(page)
@@ -56,7 +56,7 @@ class TestEveryPolicy:
     def test_membership_consistency(self, name, operations):
         view = FakeView()
         policy = make_policy(name, CAPACITY)
-        policy.bind(view)
+        view.bind(policy)
         resident = drive(policy, view, operations)
         assert len(policy) == len(resident)
         assert set(policy.pages()) == resident
@@ -69,7 +69,7 @@ class TestEveryPolicy:
         """The virtual order yields every unpinned page exactly once."""
         view = FakeView()
         policy = make_policy(name, CAPACITY)
-        policy.bind(view)
+        view.bind(policy)
         resident = drive(policy, view, operations)
         order = list(policy.eviction_order())
         assert len(order) == len(set(order)), f"{name} yielded duplicates"
@@ -80,7 +80,7 @@ class TestEveryPolicy:
     def test_victim_is_resident_and_unpinned(self, name, operations):
         view = FakeView()
         policy = make_policy(name, CAPACITY)
-        policy.bind(view)
+        view.bind(policy)
         resident = drive(policy, view, operations)
         victim = policy.select_victim()
         if resident:
@@ -94,7 +94,7 @@ class TestEveryPolicy:
         rng = random.Random(seed)
         view = FakeView()
         policy = make_policy(name, CAPACITY)
-        policy.bind(view)
+        view.bind(policy)
         pages = list(range(8))
         for page in pages:
             policy.insert(page)
@@ -112,7 +112,7 @@ class TestEveryPolicy:
         predictions have to be cheap for every policy ACE wraps."""
         view = FakeView()
         policy = make_policy(name, CAPACITY)
-        policy.bind(view)
+        view.bind(policy)
         for page in range(6):
             policy.insert(page)
             policy.on_access(page)

@@ -41,7 +41,7 @@ def populated_policy(name, seed=42):
     """A policy driven through a deterministic mixed workload."""
     view = FakeView()
     policy = make_policy(name, CAPACITY)
-    policy.bind(view)
+    view.bind(policy)
     rng = random.Random(seed)
     resident = set()
     for _ in range(200):
@@ -62,7 +62,7 @@ def populated_policy(name, seed=42):
             is_write = rng.random() < 0.4
             policy.on_access(page, is_write=is_write)
             if is_write:
-                view.dirty.add(page)
+                view.mark_dirty(page)
         elif op == "remove" and page in resident and page not in view.pinned:
             policy.remove(page)
             resident.discard(page)

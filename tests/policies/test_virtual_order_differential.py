@@ -4,14 +4,14 @@ The incremental virtual-order engine gives every policy maintained
 ``peek`` / ``next_dirty`` / ``next_clean`` bulk reads; ``eviction_order()``
 survives as the *reference* implementation.  These tests drive each policy
 through long randomized access/dirty/pin/remove sequences behind a
-notifying view (the same ``notifies_state_changes`` handshake the real
-manager offers) and assert, after every step, that each fast path returns
-exactly the prefix the reference ``eviction_order()`` derivation gives.
+``FakeView`` that forwards dirty transitions as the real manager does, and
+assert, after every step, that each fast path returns exactly the prefix
+the sanitizer's :func:`~repro.analyze.sanitizer.reference_prefixes`
+derives from ``eviction_order()``.
 
 A second battery runs a real sanitised :class:`BufferPoolManager` per
-policy, so the sanitizer's own fast-path check (``fast-path-*`` /
-``policy-pin-mirror`` invariants) is exercised end-to-end under mixed
-read/write/pin traffic.
+policy, so the sanitizer's own fast-path check (the ``fast-path-*``
+invariants) is exercised end-to-end under mixed read/write/pin traffic.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.analyze.sanitizer import reference_prefixes
 from repro.bufferpool.manager import BufferPoolManager
 from repro.policies.cflru import CFLRUPolicy
 from repro.policies.registry import make_policy
@@ -27,6 +28,7 @@ from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import DeviceProfile
 
 from tests.policies.classic import EVERY_POLICY
+from tests.policies.fake_view import FakeView
 
 CAPACITY = 12
 
@@ -37,72 +39,11 @@ TEST_PROFILE = DeviceProfile(
 )
 
 
-class NotifyingView:
-    """A PageStateView that honours the notification contract.
-
-    Unlike ``FakeView``, it advertises ``notifies_state_changes`` and
-    forwards every dirty/clean/pin/unpin transition, once, to the bound
-    policy's ``note_*`` hooks — what :class:`BufferPoolManager` does — so
-    the policies' maintained fast paths switch on.
-    """
-
-    notifies_state_changes = True
-
-    def __init__(self) -> None:
-        self.policy = None
-        self.dirty: set[int] = set()
-        self.pinned: set[int] = set()
-
-    def bind(self, policy) -> None:
-        self.policy = policy
-        policy.bind(self)
-
-    def is_dirty(self, page: int) -> bool:
-        return page in self.dirty
-
-    def is_pinned(self, page: int) -> bool:
-        return page in self.pinned
-
-    # -- state transitions, mirrored to the policy ------------------------
-
-    def mark_dirty(self, page: int) -> None:
-        if page not in self.dirty:
-            self.dirty.add(page)
-            self.policy.note_dirty(page)
-
-    def mark_clean(self, page: int) -> None:
-        if page in self.dirty:
-            self.dirty.discard(page)
-            self.policy.note_clean(page)
-
-    def pin(self, page: int) -> None:
-        if page not in self.pinned:
-            self.pinned.add(page)
-            self.policy.note_pinned(page)
-
-    def unpin(self, page: int) -> None:
-        if page in self.pinned:
-            self.pinned.discard(page)
-            self.policy.note_unpinned(page)
-
-    def forget(self, page: int) -> None:
-        """Drop residual state for a page the policy no longer tracks."""
-        self.dirty.discard(page)
-        self.pinned.discard(page)
-
-
 def assert_fast_paths_match(policy, context: str) -> None:
     """Every bulk read equals its reference prefix, for several widths."""
     for n in (0, 1, 3, 8, len(policy) + 2):
-        for label, fast, reference in (
-            ("peek", policy.peek, policy._reference_peek),
-            ("next_dirty", policy.next_dirty,
-             policy._reference_next_dirty),
-            ("next_clean", policy.next_clean,
-             policy._reference_next_clean),
-        ):
-            got = fast(n)
-            expected = reference(n)
+        for label, expected in reference_prefixes(policy, n).items():
+            got = getattr(policy, label)(n)
             assert got == expected, (
                 f"{type(policy).__name__}.{label}({n}) diverged from the "
                 f"reference order {context}: {got} != {expected}"
@@ -139,15 +80,15 @@ def drive(policy, view, rng, steps: int, allow_pins: bool) -> None:
         elif roll < 0.90 and allow_pins:
             page = rng.choice(tracked)
             if view.is_pinned(page):
-                view.unpin(page)
+                view.pinned.discard(page)
             else:
-                view.pin(page)
+                view.pinned.add(page)
         else:
             unpinned = [p for p in tracked if not view.is_pinned(p)]
             if unpinned:
                 page = rng.choice(unpinned)
                 policy.remove(page)
-                view.forget(page)
+                view.dirty.discard(page)
         assert_fast_paths_match(policy, f"after step {step}")
         if isinstance(policy, CFLRUPolicy):
             recount = sum(map(view.is_dirty, policy._window))
@@ -162,9 +103,8 @@ def drive(policy, view, rng, steps: int, allow_pins: bool) -> None:
 def test_fast_paths_match_reference(name, seed):
     """No pins: the maintained fast paths run live and must agree."""
     policy = make_policy(name, CAPACITY)
-    view = NotifyingView()
+    view = FakeView()
     view.bind(policy)
-    assert policy._notified is True
     drive(policy, view, random.Random(seed), steps=300, allow_pins=False)
 
 
@@ -172,20 +112,19 @@ def test_fast_paths_match_reference(name, seed):
 def test_fast_paths_match_reference_with_pins(name):
     """With pins: gated paths fall back, always-on paths filter pins."""
     policy = make_policy(name, CAPACITY)
-    view = NotifyingView()
+    view = FakeView()
     view.bind(policy)
     drive(policy, view, random.Random(29), steps=300, allow_pins=True)
 
 
 @pytest.mark.parametrize("name", EVERY_POLICY)
 def test_unnotified_view_keeps_reference_semantics(name):
-    """Without the handshake the fast paths must not trust stale mirrors."""
-    from tests.policies.fake_view import FakeView
-
+    """The bulk reads never depend on dirty notifications: a view that
+    dirties and cleans pages without telling the policy gets the
+    reference prefixes all the same."""
     policy = make_policy(name, CAPACITY)
     view = FakeView()
     policy.bind(view)
-    assert policy._notified is False
     rng = random.Random(3)
     for page in range(8):
         policy.insert(page)
@@ -196,7 +135,7 @@ def test_unnotified_view_keeps_reference_semantics(name):
             view.dirty.add(page)
         elif page in view.dirty:
             view.dirty.discard(page)
-        assert_fast_paths_match(policy, "under an unnotified view")
+        assert_fast_paths_match(policy, "with unnotified dirty state")
 
 
 @pytest.mark.parametrize("name", EVERY_POLICY)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -112,6 +114,23 @@ class TestCommands:
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         assert main(["experiment", "table2"]) == 0
         assert (tmp_path / "table2_workloads.txt").exists()
+
+    @pytest.mark.parametrize("before", [None, "3"])
+    def test_experiment_workers_flag_lasts_for_the_run(self, monkeypatch, before):
+        from repro.bench import experiments
+
+        if before is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", before)
+        seen = []
+        monkeypatch.setattr(
+            experiments, "table2_workload_definitions",
+            lambda: seen.append(os.environ.get("REPRO_WORKERS")),
+        )
+        assert main(["experiment", "table2", "--workers", "1"]) == 0
+        assert seen == ["1"]
+        assert os.environ.get("REPRO_WORKERS") == before
 
     def test_check_runs_sanitized_stacks(self, capsys):
         code = main([

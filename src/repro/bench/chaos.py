@@ -28,11 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.runner import StackConfig, build_stack
-from repro.bufferpool.background import (
-    BackgroundWriter,
-    Checkpointer,
-    IdleScrubber,
-)
+from repro.bufferpool.background import IdleScrubber
 from repro.bufferpool.recovery import (
     CrashImage,
     audit_committed,
@@ -40,8 +36,7 @@ from repro.bufferpool.recovery import (
     simulate_crash,
     write_ledger,
 )
-from repro.core.ace import ACEBufferPoolManager
-from repro.engine.executor import ExecutionOptions, run_trace
+from repro.engine.executor import DurableRun
 from repro.engine.serving import ServingConfig, ServingLayer
 from repro.errors import ReproError
 from repro.faults import FaultPlan, RetryPolicy
@@ -165,12 +160,6 @@ def run_cell(
     if retry is None:
         retry = RetryPolicy()
     plan = FaultPlan.uniform(rate, seed=seed)
-    options = ExecutionOptions(
-        cpu_us_per_op=2.0,
-        bg_writer_interval_us=20_000.0,
-        checkpoint_interval_us=100_000.0,
-        commit_every_ops=commit_every,
-    )
     config = StackConfig(
         profile=profile,
         policy=policy,
@@ -179,7 +168,6 @@ def run_cell(
         with_wal=True,
         fault_plan=plan,
         retry=retry,
-        options=options,
     )
     manager = build_stack(config)
     trace = generate_trace(MU, num_pages, ops, seed=seed)
@@ -201,14 +189,7 @@ def run_cell(
             prefix.pages[:boundary], prefix.writes[:boundary]
         )
 
-    if isinstance(manager, ACEBufferPoolManager):
-        batch_size = manager.config.n_w
-    else:
-        batch_size = 1
-    bg_writer = BackgroundWriter(manager, pages_per_round=16,
-                                 batch_size=batch_size)
-    checkpointer = Checkpointer(manager, interval_us=options.checkpoint_interval_us,
-                                batch_size=batch_size)
+    durable = DurableRun(manager, commit_every)
 
     # A prebuilt layer (rather than passing the config through run_trace)
     # keeps its metrics — and with them the committed-version ledger —
@@ -217,11 +198,8 @@ def run_cell(
     metrics = None
     error: str | None = None
     try:
-        metrics = run_trace(
-            manager, prefix, options=options,
-            bg_writer=bg_writer, checkpointer=checkpointer,
-            label=f"chaos/{policy}/{variant}@{rate:g}",
-            serving=layer,
+        metrics = durable.run(
+            prefix, f"chaos/{policy}/{variant}@{rate:g}", serving=layer
         )
     except ReproError as exc:
         # The workload itself died (e.g. a client-visible read exhausted
@@ -250,7 +228,7 @@ def run_cell(
         io_retries=buffer_stats.io_retries,
         degraded_writebacks=buffer_stats.degraded_writebacks,
         failed_writebacks=buffer_stats.failed_writebacks,
-        checkpoints_skipped=checkpointer.checkpoints_skipped,
+        checkpoints_skipped=durable.checkpointer.checkpoints_skipped,
         redo_applied=report.redo_applied,
         redo_retries=report.redo_retries,
         error=error,
@@ -329,12 +307,6 @@ def run_corruption_cell(
     neighbours clobbered by misdirected writes.
     """
     plan = FaultPlan.silent(rate, seed=seed)
-    options = ExecutionOptions(
-        cpu_us_per_op=2.0,
-        bg_writer_interval_us=20_000.0,
-        checkpoint_interval_us=100_000.0,
-        commit_every_ops=commit_every,
-    )
     config = StackConfig(
         profile=profile,
         policy=policy,
@@ -343,7 +315,6 @@ def run_corruption_cell(
         with_wal=True,
         checksums=True,
         fault_plan=plan,
-        options=options,
     )
     manager = build_stack(config)
     trace = generate_trace(MU, num_pages, ops, seed=seed)
@@ -352,25 +323,15 @@ def run_corruption_cell(
     # is each page's total write count.
     ledger = write_ledger(trace.pages, trace.writes)
 
-    if isinstance(manager, ACEBufferPoolManager):
-        batch_size = manager.config.n_w
-    else:
-        batch_size = 1
-    bg_writer = BackgroundWriter(manager, pages_per_round=16,
-                                 batch_size=batch_size)
-    checkpointer = Checkpointer(manager,
-                                interval_us=options.checkpoint_interval_us,
-                                batch_size=batch_size)
+    durable = DurableRun(manager, commit_every)
     scrubber = IdleScrubber(manager, interval_us=40_000.0)
 
     error: str | None = None
     metrics = None
     try:
-        metrics = run_trace(
-            manager, trace, options=options,
-            bg_writer=bg_writer, checkpointer=checkpointer,
+        metrics = durable.run(
+            trace, f"corruption/{policy}/{variant}@{rate:g}",
             scrubber=scrubber,
-            label=f"corruption/{policy}/{variant}@{rate:g}",
         )
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -379,7 +340,7 @@ def run_corruption_cell(
     # ledger everywhere, then heal until a full scrub pass finds nothing.
     # Repair writes flow through the injector too, so one pass may not
     # converge; the bound keeps a pathological seed from looping forever.
-    checkpointer.checkpoint()
+    durable.checkpointer.checkpoint()
     scrub = scrubber.scrubber
     passes = 0
     residual = 0

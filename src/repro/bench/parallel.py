@@ -6,8 +6,8 @@ independent ``(policy, variant, device)`` stacks.  Each stack owns a private
 so the grid is embarrassingly parallel: no job observes any other job's
 state, and the metrics of a run are a pure function of its
 :class:`~repro.bench.runner.StackConfig` and its trace.  This module
-exploits that with a :class:`~concurrent.futures.ProcessPoolExecutor`
-fan-out whose merged results are **identical** to the serial path — the
+exploits that with the process fan-out of :mod:`repro.engine.fanout`,
+whose merged results are **identical** to the serial path — the
 determinism test in ``tests/bench/test_parallel_determinism.py`` holds the
 two byte-for-byte equal.
 
@@ -16,9 +16,6 @@ Worker count resolution (first match wins):
 1. an explicit ``workers=`` argument (the CLI's ``--workers N``);
 2. the ``REPRO_WORKERS`` environment variable;
 3. ``os.cpu_count()``.
-
-``workers <= 1`` (or a single job) short-circuits to an in-process loop, so
-the serial path is always available and never pays pickling overhead.
 
 Jobs ship a :class:`TraceSpec` rather than a materialised trace whenever
 possible: the spec is a few dozen bytes to pickle, and each worker process
@@ -29,10 +26,11 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.bench.runner import StackConfig, run_config, run_config_transactions
+from repro.engine.fanout import MAX_ATTEMPTS as MAX_JOB_ATTEMPTS
+from repro.engine.fanout import JobFailure, fan_out
 from repro.engine.metrics import RunMetrics
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
 from repro.workloads.trace import PageRequest, Trace
@@ -45,12 +43,6 @@ __all__ = [
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Total tries per job: the initial run plus two retries.  A crashed worker
-#: (``BrokenProcessPool``) fails every job that was queued on the pool, so
-#: innocent jobs get their retries on a fresh pool; a deterministic job
-#: error burns its tries quickly and is reported instead of raised.
-MAX_JOB_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -159,15 +151,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _failure(job: GridJob, exc: BaseException, attempts: int) -> GridFailure:
-    return GridFailure(
-        label=job.label if job.label is not None else job.config.label,
-        config=job.config,
-        error=f"{type(exc).__name__}: {exc}",
-        attempts=attempts,
-    )
-
-
 def run_grid(
     jobs: list[GridJob] | tuple[GridJob, ...],
     workers: int | None = None,
@@ -179,61 +162,22 @@ def run_grid(
     each stack is rebuilt from its config inside the worker, on a private
     clock, so no cross-job state exists to diverge on.
 
-    A job that raises — or whose worker process dies, which surfaces as
-    ``BrokenProcessPool`` for every job queued on that pool — is retried
-    on a **fresh** pool until its :data:`MAX_JOB_ATTEMPTS` tries are spent,
-    then reported as a :class:`GridFailure` in its slot rather than
-    aborting the grid.  The serial path applies the same retry-and-report
-    semantics, so the two paths stay interchangeable.
+    A job that raises — or whose worker process dies — is retried by
+    :func:`repro.engine.fanout.fan_out` until its :data:`MAX_JOB_ATTEMPTS`
+    tries are spent, then reported as a :class:`GridFailure` in its slot
+    rather than aborting the grid, at any worker count.
     """
     jobs = list(jobs)
-    if not jobs:
-        return []
-    workers = min(resolve_workers(workers), len(jobs))
-    results: list[RunMetrics | GridFailure | None] = [None] * len(jobs)
-    attempts = [0] * len(jobs)
-    pending = list(range(len(jobs)))
-
-    if workers <= 1:
-        for index in pending:
-            job = jobs[index]
-            while True:
-                attempts[index] += 1
-                try:
-                    results[index] = _execute_job(job)
-                    break
-                except Exception as exc:
-                    if attempts[index] >= MAX_JOB_ATTEMPTS:
-                        results[index] = _failure(job, exc, attempts[index])
-                        break
-        return results  # type: ignore[return-value]
-
-    while pending:
-        still_failing: list[int] = []
-        # A fresh pool per round: a BrokenProcessPool poisons the executor
-        # it happened on, so retries must never reuse it.
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            submitted = []
-            for index in pending:
-                attempts[index] += 1
-                try:
-                    submitted.append((index, pool.submit(_execute_job, jobs[index])))
-                except Exception as exc:
-                    # submit() itself fails once the pool is already broken.
-                    if attempts[index] >= MAX_JOB_ATTEMPTS:
-                        results[index] = _failure(jobs[index], exc, attempts[index])
-                    else:
-                        still_failing.append(index)
-            for index, future in submitted:
-                try:
-                    results[index] = future.result()
-                except Exception as exc:
-                    if attempts[index] >= MAX_JOB_ATTEMPTS:
-                        results[index] = _failure(jobs[index], exc, attempts[index])
-                    else:
-                        still_failing.append(index)
-        pending = still_failing
-    return results  # type: ignore[return-value]
+    results = fan_out(_execute_job, jobs, resolve_workers(workers))
+    for index, (job, result) in enumerate(zip(jobs, results)):
+        if isinstance(result, JobFailure):
+            results[index] = GridFailure(
+                label=job.label if job.label is not None else job.config.label,
+                config=job.config,
+                error=f"{type(result.error).__name__}: {result.error}",
+                attempts=result.attempts,
+            )
+    return results
 
 
 def run_keyed_grid(

@@ -627,7 +627,7 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Cluster sweep; exit 1 if the locality-placement claim fails."""
-    from repro.bench.cluster import format_report, run_sweep, smoke_grid
+    from repro.bench.cluster import format_report, format_wall, run_sweep, smoke_grid
 
     if args.smoke:
         report = smoke_grid(seed=args.seed)
@@ -643,6 +643,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     print(format_report(report))
+    print(format_wall(report), file=sys.stderr)
     for failure in report.placement_failures:
         print(f"FAIL {failure}")
     if not report.ok:

@@ -15,12 +15,11 @@ are then merged in shard order.
 Because every shard run is a pure function of its
 :class:`ShardJob` — fresh device, fresh clock, no shared state — the
 merged metrics are **byte-identical at any worker count**: the parallel
-fan-out only changes *where* each pure function is evaluated.  The same
-pickling discipline and ``BrokenProcessPool`` handling as
-:mod:`repro.bench.parallel` applies (fresh pool per retry round, bounded
-attempts), except that a shard that still fails is a hard
-:class:`~repro.errors.ClusterReplayError` — a cluster cannot drop a
-shard and still report merged metrics.
+fan-out only changes *where* each pure function is evaluated.  It is
+:mod:`repro.bench.parallel`'s fan-out (:mod:`repro.engine.fanout`: fresh
+pool per retry round, bounded attempts), except that a shard that still
+fails is a hard :class:`~repro.errors.ClusterReplayError` — a cluster
+cannot drop a shard and still report merged metrics.
 
 Merge semantics (see docs/architecture.md "Sharded cluster"):
 
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.bufferpool.manager import BufferPoolManager
@@ -47,6 +45,8 @@ from repro.bufferpool.wal import WriteAheadLog
 from repro.cluster.router import HashShardRouter, MappedShardRouter, ShardRouter
 from repro.core.stack import VARIANTS, build_manager
 from repro.engine.executor import ExecutionOptions, run_trace
+from repro.engine.fanout import MAX_ATTEMPTS as MAX_SHARD_ATTEMPTS
+from repro.engine.fanout import JobFailure, fan_out
 from repro.engine.metrics import RunMetrics
 from repro.errors import ClusterReplayError, NodeFailure
 from repro.faults.nodes import NodeFaultPlan
@@ -67,11 +67,6 @@ __all__ = [
     "merge_shard_metrics",
     "run_cluster",
 ]
-
-#: Total tries per shard job, mirroring ``repro.bench.parallel``: a
-#: crashed worker poisons its pool, so retries run on a fresh one.
-MAX_SHARD_ATTEMPTS = 3
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -401,93 +396,40 @@ def merge_shard_metrics(
 
 
 def _execute_jobs(
-    jobs: Sequence[ShardJob],
+    config: ClusterConfig,
+    router: ShardRouter,
+    trace: Trace,
     workers: int | None,
     worker=_replay_shard,
 ) -> list:
-    """Run every shard job, serially or fanned out; results in shard order.
-
-    ``workers`` defaults to one process per shard; ``workers <= 1`` runs
-    in process (no pickling).  ``worker`` is the module-level job
-    function — the plain shard replay by default, the replication
-    engine's group replay when the config asks for replicas.
-
-    The retry discipline mirrors :func:`repro.bench.parallel.run_grid` —
-    a ``BrokenProcessPool`` fails every job queued on the pool, so
-    innocent shards retry on a fresh pool — but a shard that exhausts
-    its attempts raises :class:`~repro.errors.ClusterReplayError`:
-    merged cluster metrics with a missing shard would be silently wrong.
-    A :class:`~repro.errors.NodeFailure` is different: a replica group
-    dying is a *deterministic* outcome of the job's seeded fault plan,
-    so it wraps immediately (attempts as spent) with the structured
-    failure attached — retrying would replay the identical crash.
+    """Split ``trace`` with ``router`` and run one :class:`ShardJob` per
+    shard (``worker``: the plain or the replicated replay) through
+    :func:`repro.engine.fanout.fan_out`, one process per shard by default;
+    results in shard order.  A shard that still fails raises
+    :class:`~repro.errors.ClusterReplayError` at any worker count.  A
+    :class:`~repro.errors.NodeFailure` is a deterministic outcome of the
+    job's seeded fault plan: not retried, it rides along as ``failure``.
     """
     if workers is None:
-        workers = len(jobs)
+        workers = config.num_shards
     if workers < 1:
         raise ValueError(f"worker count must be at least 1: {workers}")
-    workers = min(workers, len(jobs))
-
-    if workers <= 1:
-        results_serial = []
-        for job in jobs:
-            try:
-                results_serial.append(worker(job))
-            except NodeFailure as exc:
-                raise ClusterReplayError(
-                    shard=job.shard,
-                    attempts=1,
-                    error=f"{type(exc).__name__}: {exc}",
-                    failure=exc,
-                ) from exc
-        return results_serial
-
-    results: list = [None] * len(jobs)
-    attempts = [0] * len(jobs)
-    pending = list(range(len(jobs)))
-    while pending:
-        still_failing: list[int] = []
-        failures: list[tuple[int, BaseException]] = []
-        # Fresh pool per round: a BrokenProcessPool poisons its executor.
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending))
-        ) as pool:
-            submitted = []
-            for index in pending:
-                attempts[index] += 1
-                try:
-                    submitted.append(
-                        (index, pool.submit(worker, jobs[index]))
-                    )
-                except Exception as exc:  # pool already broken
-                    if attempts[index] >= MAX_SHARD_ATTEMPTS:
-                        failures.append((index, exc))
-                    else:
-                        still_failing.append(index)
-            for index, future in submitted:
-                try:
-                    results[index] = future.result()
-                except NodeFailure as exc:
-                    raise ClusterReplayError(
-                        shard=jobs[index].shard,
-                        attempts=attempts[index],
-                        error=f"{type(exc).__name__}: {exc}",
-                        failure=exc,
-                    ) from exc
-                except Exception as exc:
-                    if attempts[index] >= MAX_SHARD_ATTEMPTS:
-                        failures.append((index, exc))
-                    else:
-                        still_failing.append(index)
-        if failures:
-            index, exc = failures[0]
+    jobs = [
+        ShardJob(shard, config, tuple(sub_pages), tuple(sub_writes), trace.name)
+        for shard, (sub_pages, sub_writes) in enumerate(
+            router.split(trace.pages, trace.writes)
+        )
+    ]
+    results = fan_out(worker, jobs, workers, final=(NodeFailure,))
+    for job, result in zip(jobs, results):
+        if isinstance(result, JobFailure):
+            exc = result.error
             raise ClusterReplayError(
-                shard=jobs[index].shard,
-                attempts=attempts[index],
+                shard=job.shard,
+                attempts=result.attempts,
                 error=f"{type(exc).__name__}: {exc}",
+                failure=exc if isinstance(exc, NodeFailure) else None,
             ) from exc
-        pending = still_failing
-    assert all(result is not None for result in results)
     return results
 
 
@@ -517,19 +459,7 @@ def run_cluster(
         return run_replicated_cluster(
             config, trace, workers=workers, label=label
         )
-    router = build_router(config)
-    split = router.split(trace.pages, trace.writes)
-    jobs = [
-        ShardJob(
-            shard=shard,
-            config=config,
-            pages=tuple(sub_pages),
-            writes=tuple(sub_writes),
-            trace_name=trace.name,
-        )
-        for shard, (sub_pages, sub_writes) in enumerate(split)
-    ]
-    results = _execute_jobs(jobs, workers)
+    results = _execute_jobs(config, build_router(config), trace, workers)
     return _assemble(config, results, label, trace.name)
 
 

@@ -73,7 +73,6 @@ from repro.bufferpool.recovery import (
 from repro.bufferpool.stats import BufferStats
 from repro.bufferpool.wal import WriteAheadLog
 from repro.cluster.engine import (
-    ShardJob,
     _assemble,
     _execute_jobs,
     build_router,
@@ -695,18 +694,9 @@ def run_replicated_cluster(config, trace, workers=None, label=None):
     about who serves what.
     """
     router = build_router(config)
-    split = router.split(trace.pages, trace.writes)
-    jobs = [
-        ShardJob(
-            shard=shard,
-            config=config,
-            pages=tuple(sub_pages),
-            writes=tuple(sub_writes),
-            trace_name=trace.name,
-        )
-        for shard, (sub_pages, sub_writes) in enumerate(split)
-    ]
-    results = _execute_jobs(jobs, workers, worker=_replay_replicated_shard)
+    results = _execute_jobs(
+        config, router, trace, workers, worker=_replay_replicated_shard
+    )
     metrics = _assemble(config, results, label, trace.name)
     ordered = sorted(results, key=lambda result: result.shard)
     for result in ordered:

@@ -22,6 +22,8 @@ then charges, acts and replays on.  Per-request latencies are the CPU
 charge plus the I/O ticks ``replay`` reports per stalled request.
 :func:`run_trace`, :func:`run_transactions` and the serving layer share a
 :class:`RunSession`: start marks, the background timers, metrics.
+:class:`DurableRun` is the one WAL-stack run, background writer and
+checkpointer included, that the chaos and crash-point harnesses drive.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.bufferpool.background import (
 )
 from repro.bufferpool.manager import BufferPoolManager, _consume
 from repro.bufferpool.wal import WriteAheadLog
+from repro.core.ace import ACEBufferPoolManager
 from repro.engine.latency import LatencyRecorder
 from repro.engine.metrics import RunMetrics
 from repro.storage.clock import TICKS_PER_US, tick_at, to_ticks, to_us
@@ -825,3 +828,42 @@ def run_transactions(
         transactions=transaction_count,
         new_order_transactions=new_order_count,
     )
+
+
+class DurableRun:
+    """The WAL stack run ``chaos`` and ``crashpoints`` share: a commit
+    point every ``commit_every`` requests, 2 µs of CPU per request, a
+    background writer every 20 ms (16 pages a round) and a checkpoint
+    every 100 ms, both writing back ``n_w`` pages a batch on ACE, one on
+    baseline.  They outlive a run that died, for the harness's audit."""
+
+    def __init__(self, manager: BufferPoolManager, commit_every: int) -> None:
+        self.manager = manager
+        self.options = ExecutionOptions(
+            cpu_us_per_op=2.0,
+            bg_writer_interval_us=20_000.0,
+            checkpoint_interval_us=100_000.0,
+            commit_every_ops=commit_every,
+        )
+        batch_size = (
+            manager.config.n_w
+            if isinstance(manager, ACEBufferPoolManager)
+            else 1
+        )
+        self.bg_writer = BackgroundWriter(
+            manager, pages_per_round=16, batch_size=batch_size
+        )
+        self.checkpointer = Checkpointer(
+            manager,
+            interval_us=self.options.checkpoint_interval_us,
+            batch_size=batch_size,
+        )
+
+    def run(self, trace: Trace, label: str, **kwargs) -> RunMetrics:
+        """:func:`run_trace` with this run's options and processes
+        (``serving`` and ``scrubber`` pass through)."""
+        return run_trace(
+            self.manager, trace, options=self.options,
+            bg_writer=self.bg_writer, checkpointer=self.checkpointer,
+            label=label, **kwargs,
+        )

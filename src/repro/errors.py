@@ -27,8 +27,11 @@ class ReproError(Exception):
 class PowerFailure(ReproError):
     """The simulated machine lost power at an I/O boundary.
 
-    Raised by the crash-point engine's schedule hooks
-    (:mod:`repro.verify.crashpoints`) and by a torn WAL flush.  This is
+    Raised by a :class:`~repro.faults.device.FaultyDevice` at a
+    ``POWER_FAILURE`` event, after the batch's acknowledged prefix landed
+    (the crash-point engine's schedule, :mod:`repro.verify.crashpoints`,
+    is the injector that arms one), and by a torn WAL flush (the same
+    schedule as the log's ``flush_hook``).  This is
     deliberately *not* an :class:`IOFaultError`: power loss is not a device
     fault the retry machinery may absorb — it must unwind the whole run so
     the harness can take a :func:`~repro.bufferpool.recovery.simulate_crash`

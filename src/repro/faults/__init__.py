@@ -15,7 +15,9 @@ argument:
 :class:`~repro.faults.device.FaultyDevice`
     Composes over :class:`~repro.storage.device.SimulatedSSD` without
     touching it; applies fault semantics and raises structured
-    :class:`~repro.errors.IOFaultError` subclasses.
+    :class:`~repro.errors.IOFaultError` subclasses.  The crash-point
+    engine's :class:`~repro.verify.crashpoints.CrashSchedule` is an injector
+    too: it arms one power failure at one write boundary.
 
 :class:`~repro.faults.retry.RetryPolicy`
     Bounded exponential backoff charged to the virtual clock, consulted by
@@ -23,7 +25,9 @@ argument:
 
 The chaos harness that sweeps fault rates across policies and asserts the
 end-to-end durability invariant lives in :mod:`repro.bench.chaos`
-(``python -m repro chaos``).
+(``python -m repro chaos``); the crash-point engine, in
+:mod:`repro.verify.crashpoints`.  Both drive
+:class:`~repro.engine.executor.DurableRun`.
 """
 
 from repro.faults.device import FaultyDevice

@@ -14,19 +14,23 @@ scheduled the wrapper applies its semantics and raises a structured
 * **latency spikes** — the operation succeeds after an extra virtual-time
   charge;
 * **torn batches** — only a prefix of a multi-page write batch lands
-  (:class:`~repro.errors.TornWriteError` reports both halves).
+  (:class:`~repro.errors.TornWriteError` reports both halves);
+* **power failures** — the acknowledged prefix lands, then
+  :class:`~repro.errors.PowerFailure` unwinds the whole run (the
+  crash-point engine's schedule is the injector that arms them).
 
-With a null plan (all rates zero, no bad pages) every method is a plain
-delegation guarded by a single attribute test, so a rate-0 wrapper is
-behaviourally identical to the bare device — the ``REPRO_FAULTS=0``
-pass-through CI job pins that down.
+With a null plan (all rates zero, no bad pages) and no injector of its own
+every method is a plain delegation guarded by a single attribute test, so
+a rate-0 wrapper is behaviourally identical to the bare device — the
+``REPRO_FAULTS=0`` pass-through CI job pins that down.  A wrapper given an
+injector consults it on every I/O, whatever the plan.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.errors import IOFaultError, TornWriteError
+from repro.errors import IOFaultError, PowerFailure, TornWriteError
 from repro.faults.plan import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FlashTranslationLayer
@@ -53,7 +57,7 @@ class FaultyDevice:
         self.base = base
         self.plan = plan
         self.injector = injector if injector is not None else FaultInjector(plan)
-        self._armed = not plan.is_null
+        self._armed = injector is not None or not plan.is_null
 
     # ------------------------------------------------- delegated surface
 
@@ -220,6 +224,11 @@ class FaultyDevice:
         landed = {page: payload for page, payload in items if page in acknowledged}
         if landed:
             base.write_batch(landed)
+        if event.kind is FaultKind.POWER_FAILURE:
+            raise PowerFailure(
+                event.op, event.index,
+                f"{len(landed)}/{len(items)} pages of the batch landed",
+            )
         if event.kind is FaultKind.TORN_BATCH:
             stats.torn_batches += 1
             raise TornWriteError(

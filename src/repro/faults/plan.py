@@ -25,7 +25,7 @@ __all__ = ["FaultKind", "FaultEvent", "FaultPlan", "FaultInjector"]
 class FaultKind(Enum):
     """The failure modes the injector can schedule.
 
-    The first five raise (or delay) at the faulted operation; the last
+    The first six raise (or delay) at the faulted operation; the last
     three are *silent*: the operation appears to succeed while the stored
     data quietly diverges from what the caller believes it wrote — they are
     only observable later, through checksum verification or a WAL
@@ -37,6 +37,12 @@ class FaultKind(Enum):
     PERMANENT_MEDIA = "permanent-media"
     LATENCY_SPIKE = "latency-spike"
     TORN_BATCH = "torn-batch"
+    #: The power fails mid-batch: the acknowledged prefix lands, then
+    #: :class:`~repro.errors.PowerFailure` unwinds the run.  No rate draws
+    #: it; a crash-point schedule (:mod:`repro.verify.crashpoints`) arms
+    #: it at one boundary, naming the boundary's site in ``op`` and its
+    #: ordinal in ``index``.
+    POWER_FAILURE = "power-failure"
     #: A read-path corruption: the page's stored payload decays in place.
     BITROT = "bitrot"
     #: One write of a batch lands on the *wrong* page: the victim keeps its

@@ -34,10 +34,9 @@ device, nothing more and nothing less.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 
-from repro.bufferpool.background import BackgroundWriter, Checkpointer
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.recovery import (
     audit_committed,
@@ -45,10 +44,11 @@ from repro.bufferpool.recovery import (
     simulate_crash,
 )
 from repro.bufferpool.wal import WalRecord, WalRecordKind, WriteAheadLog
-from repro.core.ace import ACEBufferPoolManager
 from repro.core.stack import build_manager
-from repro.engine.executor import ExecutionOptions, run_trace
+from repro.engine.executor import DurableRun
 from repro.errors import PowerFailure
+from repro.faults.device import FaultyDevice
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.policies.registry import PAPER_POLICIES
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
@@ -61,7 +61,6 @@ __all__ = [
     "CrashConfigReport",
     "CrashPointReport",
     "CrashSchedule",
-    "CrashHookDevice",
     "DEFAULT_VARIANTS",
     "run_crashpoint_config",
     "run_crashpoints",
@@ -86,6 +85,11 @@ class CrashSchedule:
     the schedule just enumerates; in ``armed`` mode it returns a tear index
     at exactly one boundary ordinal, which the caller translates into a
     torn prefix plus :class:`~repro.errors.PowerFailure`.
+
+    It is the data device's :class:`~repro.faults.device.FaultyDevice`
+    injector (a tear is a ``POWER_FAILURE`` event) and the WAL's
+    ``flush_hook``.  The wrapped device keeps the stack off the executor's
+    inlined loop: every request goes through ``manager.access``.
     """
 
     def __init__(self) -> None:
@@ -141,6 +145,22 @@ class CrashSchedule:
         self.fired = (ordinal, site)
         return target[1]
 
+    def on_read(self, pages: tuple[int, ...]) -> None:
+        """Reads are not write boundaries: they never crash."""
+        return None
+
+    def on_write(self, pages: tuple[int, ...]) -> FaultEvent | None:
+        """A data-device write batch is one ``data-write`` boundary; an
+        armed tear ``k`` there lands ``pages[:k]``, then the power fails."""
+        tear = self.on_boundary("data-write", len(pages))
+        if tear is None:
+            return None
+        ordinal, site = self.fired  # type: ignore[misc]
+        return FaultEvent(
+            ordinal, site, FaultKind.POWER_FAILURE,
+            pages=pages[tear:], acknowledged=pages[:tear],
+        )
+
     def wal_flush_hook(self, records: tuple[WalRecord, ...]) -> int | None:
         """Adapter for :attr:`WriteAheadLog.flush_hook`."""
         site = (
@@ -149,114 +169,6 @@ class CrashSchedule:
             else "wal-flush"
         )
         return self.on_boundary(site, len(records))
-
-
-class CrashHookDevice:
-    """A crash-schedule tap in front of a :class:`SimulatedSSD`.
-
-    Composes like :class:`~repro.faults.device.FaultyDevice`: the full
-    device surface delegates unchanged, but every write batch first asks
-    the schedule whether the power fails at this boundary.  A tear lands a
-    proper prefix through the base device (charging its normal batch cost —
-    the device was mid-flight when the lights went out) and raises
-    :class:`PowerFailure`.  Not being a bare ``SimulatedSSD`` also keeps
-    the stack off the executor's inlined loop: every request goes through
-    ``manager.access`` and the miss routine's helpers, each an
-    instrumentable call — exactly what a verification harness wants.
-    """
-
-    def __init__(self, base: SimulatedSSD, schedule: CrashSchedule) -> None:
-        self.base = base
-        self.schedule = schedule
-
-    # ------------------------------------------------- delegated surface
-
-    @property
-    def profile(self):
-        return self.base.profile
-
-    @property
-    def model(self):
-        return self.base.model
-
-    @property
-    def clock(self) -> VirtualClock:
-        return self.base.clock
-
-    @property
-    def num_pages(self) -> int | None:
-        return self.base.num_pages
-
-    @property
-    def stats(self):
-        return self.base.stats
-
-    @property
-    def ftl(self):
-        return self.base.ftl
-
-    @property
-    def _payloads(self) -> dict[int, object]:
-        return self.base._payloads
-
-    @property
-    def checksums_enabled(self) -> bool:
-        return self.base.checksums_enabled
-
-    def contains(self, page: int) -> bool:
-        return self.base.contains(page)
-
-    def peek(self, page: int) -> object | None:
-        return self.base.peek(page)
-
-    def verify_page(self, page: int) -> bool:
-        return self.base.verify_page(page)
-
-    def snapshot_payloads(self) -> dict[int, object]:
-        return self.base.snapshot_payloads()
-
-    def restore_payloads(self, snapshot: Mapping[int, object]) -> None:
-        self.base.restore_payloads(snapshot)
-
-    def format_pages(self, pages: Iterable[int]) -> None:
-        self.base.format_pages(pages)
-
-    def reset_stats(self) -> None:
-        self.base.reset_stats()
-
-    def read_page(self, page: int) -> object | None:
-        return self.base.read_page(page)
-
-    def read_batch(self, pages: list[int] | tuple[int, ...]) -> list[object | None]:
-        return self.base.read_batch(pages)
-
-    # ------------------------------------------------- hooked writes
-
-    def write_page(self, page: int, payload: object | None = None) -> None:
-        self.write_batch({page: payload})
-
-    def write_batch(self, pages: Mapping[int, object] | Iterable[int]) -> None:
-        base = self.base
-        if isinstance(pages, Mapping):
-            items = list(pages.items())
-        else:
-            items = [(page, base.peek(page)) for page in pages]
-        if not items:
-            return
-        tear = self.schedule.on_boundary("data-write", len(items))
-        if tear is None:
-            base.write_batch(dict(items))
-            return
-        prefix = dict(items[:tear])
-        if prefix:
-            base.write_batch(prefix)
-        ordinal, site = self.schedule.fired  # type: ignore[misc]
-        raise PowerFailure(
-            site, ordinal, f"{tear}/{len(items)} pages of the batch landed"
-        )
-
-    def __repr__(self) -> str:
-        return f"CrashHookDevice(base={self.base!r})"
 
 
 # ----------------------------------------------------------- result types
@@ -364,25 +276,6 @@ class CrashPointReport:
 # --------------------------------------------------------------- the engine
 
 
-def _build_stack(
-    policy_name: str,
-    variant: str,
-    num_pages: int,
-    profile: DeviceProfile,
-    schedule: CrashSchedule,
-) -> BufferPoolManager:
-    """A WAL-attached stack over a crash-hooked device (fresh every run)."""
-    clock = VirtualClock()
-    base = SimulatedSSD(profile, num_pages=num_pages, clock=clock)
-    base.format_pages(range(num_pages))
-    device = CrashHookDevice(base, schedule)
-    wal = WriteAheadLog(clock)
-    wal.flush_hook = schedule.wal_flush_hook
-    return build_manager(
-        device, max(16, num_pages // 5), policy_name, variant, wal=wal
-    )
-
-
 def _ledger_from_records(
     records: list[WalRecord],
 ) -> tuple[dict[int, int], str | None]:
@@ -439,36 +332,38 @@ def run_crashpoint_config(
     """
     schedule = CrashSchedule()
     trace = generate_trace(MU, num_pages, ops, seed=seed)
-    options = ExecutionOptions(
-        cpu_us_per_op=2.0,
-        bg_writer_interval_us=20_000.0,
-        checkpoint_interval_us=100_000.0,
-        commit_every_ops=commit_every,
-    )
 
-    def _drive(manager: BufferPoolManager) -> None:
-        if isinstance(manager, ACEBufferPoolManager):
-            batch_size = manager.config.n_w
-        else:
-            batch_size = 1
-        bg_writer = BackgroundWriter(
-            manager, pages_per_round=16, batch_size=batch_size
+    def run() -> tuple[BufferPoolManager, bool]:
+        """A fresh WAL stack whose device and log consult ``schedule``,
+        driven through the trace: the manager, and whether the power
+        failed."""
+        clock = VirtualClock()
+        base = SimulatedSSD(profile, num_pages=num_pages, clock=clock)
+        base.format_pages(range(num_pages))
+        wal = WriteAheadLog(clock)
+        wal.flush_hook = schedule.wal_flush_hook
+        manager = build_manager(
+            FaultyDevice(base, FaultPlan(), injector=schedule),
+            max(16, num_pages // 5), policy, variant, wal=wal,
         )
-        checkpointer = Checkpointer(
-            manager,
-            interval_us=options.checkpoint_interval_us,
-            batch_size=batch_size,
-        )
-        run_trace(
-            manager, trace, options=options,
-            bg_writer=bg_writer, checkpointer=checkpointer,
-            label=f"crashpoints/{policy}/{variant}",
-        )
+        try:
+            DurableRun(manager, commit_every).run(
+                trace, f"crashpoints/{policy}/{variant}"
+            )
+        except PowerFailure:
+            return manager, True
+        return manager, False
 
     # Pass 1 — record: run to completion, enumerating every boundary.
     schedule.reset("record")
-    _drive(_build_stack(policy, variant, num_pages, profile, schedule))
+    run()
     boundaries = list(schedule.boundaries)
+    # Data pages written before each boundary (and by the end of the run):
+    # an armed run must have landed exactly these plus its torn prefix.
+    written = list(accumulate(
+        (size if site == "data-write" else 0 for site, size in boundaries),
+        initial=0,
+    ))
 
     # Crash-point expansion: every boundary "before", plus a torn variant
     # for every multi-item write, plus the end-of-run image.
@@ -495,8 +390,9 @@ def run_crashpoint_config(
 
     outcomes = [
         _test_point(
-            point, policy, variant, num_pages, profile, schedule,
-            _drive, max_redo_crashes,
+            point, schedule, run, num_pages, max_redo_crashes,
+            written[point.ordinal]
+            + (point.tear if point.site == "data-write" else 0),
         )
         for point in points
     ]
@@ -513,15 +409,18 @@ def run_crashpoint_config(
 
 def _test_point(
     point: CrashPoint,
-    policy: str,
-    variant: str,
-    num_pages: int,
-    profile: DeviceProfile,
     schedule: CrashSchedule,
-    drive,
+    run,
+    num_pages: int,
     max_redo_crashes: int | None,
+    landed: int,
 ) -> CrashPointOutcome:
-    """Pass 2 — armed: replay, crash at ``point``, recover, audit, re-crash."""
+    """Pass 2 — armed: replay, crash at ``point``, recover, audit, re-crash.
+
+    ``run`` builds and drives a fresh stack over ``schedule``; ``landed``
+    is the data pages the crash must leave written: the record run's
+    before this boundary, plus the torn prefix of a data write.
+    """
 
     def _failed(error: str, committed: int = 0) -> CrashPointOutcome:
         return CrashPointOutcome(
@@ -534,12 +433,7 @@ def _test_point(
     schedule.reset(
         "armed", None if end_of_run else (point.ordinal, point.tear)
     )
-    manager = _build_stack(policy, variant, num_pages, profile, schedule)
-    crashed = False
-    try:
-        drive(manager)
-    except PowerFailure:
-        crashed = True
+    manager, crashed = run()
     if crashed == end_of_run:
         # Determinism violation: the armed run must cross exactly the
         # boundaries the record run enumerated.
@@ -551,6 +445,11 @@ def _test_point(
         return _failed(
             f"boundary {point.ordinal} is {schedule.fired[1]} in the armed "
             f"run but {point.site} in the record run"
+        )
+    if manager.device.stats.writes != landed:
+        return _failed(
+            f"crash point {point.label} left {manager.device.stats.writes} "
+            f"data pages written, not {landed}"
         )
 
     image = simulate_crash(manager)

@@ -5,7 +5,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.bench import parallel
 from repro.bench.parallel import (
     MAX_JOB_ATTEMPTS,
     GridFailure,
@@ -14,6 +13,7 @@ from repro.bench.parallel import (
     run_grid,
 )
 from repro.bench.runner import StackConfig
+from repro.engine import fanout
 from repro.engine.metrics import RunMetrics
 from repro.workloads.synthetic import MS
 
@@ -103,7 +103,7 @@ class _FlakyPool:
 class TestBrokenPoolRetry:
     def test_jobs_survive_a_broken_pool_on_a_fresh_one(self, monkeypatch):
         _FlakyPool.built = 0
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _FlakyPool)
+        monkeypatch.setattr(fanout, "ProcessPoolExecutor", _FlakyPool)
         jobs = [
             GridJob(config("lru"), trace=TRACE, label="a"),
             GridJob(config("clock"), trace=TRACE, label="b"),
@@ -119,7 +119,7 @@ class TestBrokenPoolRetry:
             def __init__(self, max_workers):
                 self.broken = True
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", AlwaysBroken)
+        monkeypatch.setattr(fanout, "ProcessPoolExecutor", AlwaysBroken)
         jobs = [
             GridJob(config("lru"), trace=TRACE, label="doomed-1"),
             GridJob(config("clock"), trace=TRACE, label="doomed-2"),

@@ -6,6 +6,7 @@ from repro.cluster.engine import (
     ClusterConfig,
     MAX_SHARD_ATTEMPTS,
     ShardJob,
+    _execute_jobs,
     _replay_shard,
     build_router,
     build_shard_stack,
@@ -16,6 +17,7 @@ from repro.core.ace import ACEBufferPoolManager
 from repro.engine.executor import ExecutionOptions
 from repro.errors import ClusterReplayError, ReproError
 from repro.storage.profiles import PCIE_SSD
+from repro.workloads.trace import Trace
 
 OPTIONS = ExecutionOptions(cpu_us_per_op=10.0)
 
@@ -146,3 +148,29 @@ class TestClusterReplayError:
         assert error.attempts == MAX_SHARD_ATTEMPTS
         assert "shard 2" in str(error)
         assert "OSError: boom" in str(error)
+
+
+def _shard_raising_value_error(job):
+    """A shard worker that fails the same way on every attempt."""
+    raise ValueError(f"shard {job.shard} is broken")
+
+
+class TestShardFailureAtAnyWorkerCount:
+    """A shard that raises anything but ``NodeFailure`` is retried, then
+    raised as ``ClusterReplayError`` — in process as in worker processes
+    (in process it used to escape raw, after one attempt)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raises_cluster_replay_error_after_every_attempt(self, workers):
+        config = make_config(num_shards=2)
+        trace = Trace([0, 1], [False, False])
+        with pytest.raises(ClusterReplayError) as excinfo:
+            _execute_jobs(
+                config, build_router(config), trace, workers,
+                worker=_shard_raising_value_error,
+            )
+        error = excinfo.value
+        assert error.shard == 0
+        assert error.attempts == MAX_SHARD_ATTEMPTS
+        assert error.error == "ValueError: shard 0 is broken"
+        assert error.failure is None

@@ -18,9 +18,10 @@ from repro.storage.device import SimulatedSSD
 
 from tests.bufferpool.conftest import TEST_PROFILE
 
-#: A non-null plan (arms the FaultyDevice) that can never fire by itself:
-#: the bad page is outside any test device.  Scripted injectors override
-#: the decision logic anyway.
+#: A non-null plan (arms a FaultyDevice even before a test swaps its
+#: injector in; one built with an injector is armed whatever the plan)
+#: that can never fire by itself: the bad page is outside any test device.
+#: Scripted injectors override the decision logic anyway.
 ARMED_PLAN = FaultPlan(media_error_pages=frozenset({-1}))
 
 
@@ -35,7 +36,8 @@ class ScriptedInjector(FaultInjector):
 
     Each device operation consumes one script entry: ``None`` lets it
     through; a :class:`FaultKind` (or ``(kind, extra)`` tuple) schedules
-    that fault.  ``extra`` is the cut index for ``TORN_BATCH``, the delay
+    that fault.  ``extra`` is the cut index for ``TORN_BATCH`` and
+    ``POWER_FAILURE``, the delay
     for ``LATENCY_SPIKE``, and the bad-page tuple for ``PERMANENT_MEDIA``.
     Once the script is exhausted every operation succeeds.
     """
@@ -53,7 +55,7 @@ class ScriptedInjector(FaultInjector):
             return None
         kind, extra = entry if isinstance(entry, tuple) else (entry, None)
         index = self.operations
-        if kind is FaultKind.TORN_BATCH:
+        if kind in (FaultKind.TORN_BATCH, FaultKind.POWER_FAILURE):
             cut = extra if extra is not None else max(1, len(pages) // 2)
             return self._record(FaultEvent(
                 index, op, kind,

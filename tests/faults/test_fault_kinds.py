@@ -7,17 +7,25 @@ scheduled and never applied.  Each kind is armed alone, at rate 1, in a
 real :class:`FaultPlan` over a checksummed device, and one I/O must show
 that kind's own effect: its exception and its ``DeviceStats`` counter.
 The silent kinds raise nothing when written; the checksummed read after
-the write is what surfaces them.
+the write is what surfaces them.  No rate draws a power failure (a
+crash-point schedule arms it), so a scripted injector does: the batch's
+first page lands as one batch, then ``PowerFailure`` is raised.
 """
 
 import pytest
 
-from repro.errors import CorruptPageError, IOFaultError, TornWriteError
+from repro.errors import (
+    CorruptPageError,
+    IOFaultError,
+    PowerFailure,
+    TornWriteError,
+)
 from repro.faults.device import FaultyDevice
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.storage.device import SimulatedSSD
 
 from tests.bufferpool.conftest import TEST_PROFILE
+from tests.faults.conftest import ScriptedInjector
 
 
 def read(device):
@@ -34,7 +42,8 @@ def write_then_read(device):
     device.read_page(4)
 
 
-#: kind -> (the plan arming it alone, the I/O, what it raises, its counter).
+#: kind -> (the plan arming it alone, or ``None`` for a scripted injector
+#: that schedules it on the first I/O; the I/O, what it raises, its counter).
 EFFECTS = {
     FaultKind.TRANSIENT_READ: (
         {"read_error_rate": 1.0}, read, IOFaultError, "read_faults",
@@ -51,6 +60,7 @@ EFFECTS = {
     FaultKind.TORN_BATCH: (
         {"torn_batch_rate": 1.0}, write, TornWriteError, "torn_batches",
     ),
+    FaultKind.POWER_FAILURE: (None, write, PowerFailure, "write_batches"),
     FaultKind.BITROT: (
         {"bitrot_rate": 1.0}, read, CorruptPageError, "silent_corruptions",
     ),
@@ -74,7 +84,11 @@ def test_each_fault_kind_has_its_own_effect(kind):
     plan, io, raised, counter = EFFECTS[kind]
     base = SimulatedSSD(TEST_PROFILE, num_pages=16, checksums=True)
     base.format_pages(range(16))
-    device = FaultyDevice(base, FaultPlan(seed=1, **plan))
+    if plan is None:
+        injector = ScriptedInjector(FaultPlan(), [kind])
+        device = FaultyDevice(base, FaultPlan(), injector=injector)
+    else:
+        device = FaultyDevice(base, FaultPlan(seed=1, **plan))
     if raised is None:
         io(device)
     else:

@@ -184,13 +184,10 @@ FAULT_HANDLERS = {
         1, "a faulted unit is requeued, or failed if permanent or partly "
         "applied",
     ),
-    "repro.bench.parallel.run_grid": (
-        3, "a grid job that raised is retried, then reported as a failure "
-        "row (serial, submit, result)",
-    ),
-    "repro.cluster.engine._execute_jobs": (
-        2, "a shard job that raised is retried on a fresh pool, then raised "
-        "as ClusterReplayError (submit, result)",
+    "repro.engine.fanout.fan_out": (
+        3, "a job that raised is retried, then left as a JobFailure that "
+        "the grid reports as a failure row and the cluster raises as "
+        "ClusterReplayError (serial, submit, result)",
     ),
     "repro.bench.chaos.run_cell": (
         1, "a run that died is a reported outcome; the durability audit "
@@ -268,7 +265,7 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     }),
     "repro.verify": frozenset({
         "repro.errors", "repro.storage", "repro.policies", "repro.bufferpool",
-        "repro.core", "repro.engine", "repro.workloads",
+        "repro.core", "repro.engine", "repro.workloads", "repro.faults",
     }),
     "repro.bench": _ALL_CORE,
     "repro.cli": _ALL_CORE | {"repro.bench", "repro.verify"},

@@ -1,7 +1,8 @@
-"""The crash-point enumeration engine: schedule, hook device, and sweeps.
+"""The crash-point enumeration engine: schedule, crash device, and sweeps.
 
 The engine's own guarantees are what these tests pin down — deterministic
-boundary enumeration, precise tear semantics at the hook device, the
+boundary enumeration, precise tear semantics at the data device (a
+``FaultyDevice`` with the schedule as its injector), the
 non-circular WAL ledger, and the end-to-end verdict that every enumerated
 crash point recovers to exactly the committed state (including when
 recovery itself is re-crashed).
@@ -11,10 +12,11 @@ import pytest
 
 from repro.bufferpool.wal import WalRecord, WalRecordKind
 from repro.errors import PowerFailure
+from repro.faults.device import FaultyDevice
+from repro.faults.plan import FaultPlan
 from repro.storage.device import SimulatedSSD
 from repro.verify.crashpoints import (
     END_OF_RUN,
-    CrashHookDevice,
     CrashPoint,
     CrashSchedule,
     _ledger_from_records,
@@ -30,7 +32,7 @@ def make_hooked(num_pages=32):
     schedule = CrashSchedule()
     base = SimulatedSSD(TEST_PROFILE, num_pages=num_pages)
     base.format_pages(range(num_pages))
-    return CrashHookDevice(base, schedule), base, schedule
+    return FaultyDevice(base, FaultPlan(), injector=schedule), base, schedule
 
 
 class TestCrashSchedule:
@@ -77,6 +79,9 @@ class TestCrashSchedule:
 
 
 class TestCrashHookDevice:
+    """The crash device: a ``FaultyDevice`` whose injector is the schedule
+    (the class keeps the name of the wrapper it replaced)."""
+
     def test_delegates_reads_and_metadata(self):
         device, base, schedule = make_hooked()
         base.write_batch({3: 42})

@@ -1,9 +1,9 @@
 """Runtime invariant sanitizer for the bufferpool.
 
 PR 1's hot-path rewrites traded obviousness for speed: the manager keeps
-O(1) mirror sets (``_dirty_set``/``_pinned_set``) shadowing the descriptor
-bits, policies expose lazily materialised virtual orders, and the request
-path caches direct aliases of the table/descriptor containers.  Each of
+O(1) mirror sets (``_dirty_set``/``_pinned_set``) shadowing the frame
+pool's columns, policies expose lazily materialised virtual orders, and the
+request path caches direct aliases of the table and the columns.  Each of
 those is an invariant that a one-line bug can silently break — a stale
 mirror entry changes *which pages CFLRU evicts* without failing a single
 assertion.
@@ -15,7 +15,7 @@ invariant set after **every public operation** (``read_page``,
 ``write_page``, ``pin``, ``unpin``, ``flush_page``, ``flush_all``):
 
 * pin counts are non-negative and pinned pages are never evicted;
-* the dirty mirror set equals the descriptors' dirty flags exactly
+* the dirty mirror set equals the frames' dirty bits exactly
   (and likewise the pinned mirror);
 * the free list is disjoint from the buffer table and length-consistent;
 * ``resident_pages()`` is consistent with frame occupancy, and the
@@ -138,16 +138,16 @@ class InvariantSanitizer:
     def _check_pins(self, operation: str) -> None:
         manager = self.manager
         frame_of = manager.table._frame_of
+        pool = manager.pool
         pinned_pages: set[int] = set()
-        for descriptor in manager.pool.descriptors:
-            if descriptor.pin_count < 0:
+        for frame_id, (page, pins) in enumerate(zip(pool.page_of, pool.pin_counts)):
+            if pins < 0:
                 raise SanitizerError(
-                    "pin-count-negative", operation,
-                    f"pin count {descriptor.pin_count}",
-                    page=descriptor.page, frame=descriptor.frame_id,
+                    "pin-count-negative", operation, f"pin count {pins}",
+                    page=page if page >= 0 else None, frame=frame_id,
                 )
-            if descriptor.in_use and descriptor.pin_count > 0:
-                pinned_pages.add(descriptor.page)
+            if page >= 0 and pins > 0:
+                pinned_pages.add(page)
         for page in manager._pinned_set:
             if page not in frame_of:
                 raise SanitizerError(
@@ -161,24 +161,24 @@ class InvariantSanitizer:
             sample = next(iter(diff))
             raise SanitizerError(
                 "pinned-mirror", operation,
-                f"pinned mirror set disagrees with descriptors on "
+                f"pinned mirror set disagrees with the pin counts on "
                 f"{sorted(diff)}",
                 page=sample,
             )
 
     def _check_dirty_mirror(self, operation: str) -> None:
         manager = self.manager
+        pool = manager.pool
         dirty_pages = {
-            descriptor.page
-            for descriptor in manager.pool.descriptors
-            if descriptor.in_use and descriptor.dirty
+            page for page, dirty in zip(pool.page_of, pool.dirty_bits)
+            if page >= 0 and dirty
         }
         if dirty_pages != manager._dirty_set:
             diff = dirty_pages.symmetric_difference(manager._dirty_set)
             sample = next(iter(diff))
             raise SanitizerError(
                 "dirty-mirror", operation,
-                f"dirty mirror set disagrees with descriptor dirty flags "
+                f"dirty mirror set disagrees with the dirty bits "
                 f"on {sorted(diff)}",
                 page=sample,
             )
@@ -237,26 +237,26 @@ class InvariantSanitizer:
                     "frame is both on the free list and in the buffer table",
                     frame=frame_id,
                 )
-            if pool.descriptors[frame_id].in_use:
+            if pool.page_of[frame_id] >= 0:
                 raise SanitizerError(
                     "free-frame-in-use", operation,
-                    "free-listed frame has an in-use descriptor",
-                    page=pool.descriptors[frame_id].page, frame=frame_id,
+                    "free-listed frame holds a page",
+                    page=pool.page_of[frame_id], frame=frame_id,
                 )
 
     def _check_residency(self, operation: str) -> None:
         manager = self.manager
         frame_of = manager.table._frame_of
-        descriptors = manager.pool.descriptors
+        page_of = manager.pool.page_of
         for page, frame_id in frame_of.items():
-            if descriptors[frame_id].page != page:
+            if page_of[frame_id] != page:
                 raise SanitizerError(
                     "table-descriptor-mismatch", operation,
-                    f"buffer table maps the page to frame {frame_id}, whose "
-                    f"descriptor holds page {descriptors[frame_id].page}",
+                    f"buffer table maps the page to frame {frame_id}, which "
+                    f"holds page {page_of[frame_id]}",
                     page=page, frame=frame_id,
                 )
-        occupied = {d.page for d in descriptors if d.in_use}
+        occupied = {page for page in page_of if page >= 0}
         if occupied != set(frame_of):
             diff = occupied.symmetric_difference(frame_of)
             raise SanitizerError(

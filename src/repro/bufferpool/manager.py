@@ -21,8 +21,8 @@ the routine's second hook, ``self.reader``, not a second routine either.
 The per-request path is the hottest code in the simulator.  Translation is
 a single probe of the table's ``_slots`` vector (a flat array under the
 array backend, a ``__missing__``-shimmed dict otherwise — see
-:mod:`repro.bufferpool.table`), and the per-frame state bits live in the
-pool's parallel flat arrays rather than descriptor objects.  All of these
+:mod:`repro.bufferpool.table`), and the per-frame state bits are the
+pool's four columns, the only record of them.  All of these
 containers live for the manager's lifetime, so ``__init__`` binds direct
 aliases once.  Each request performs exactly one translation probe: the
 miss path returns the frame id it installed rather than forcing a second
@@ -140,7 +140,7 @@ class BufferPoolManager:
         self.pool = FramePool(capacity)
         self.table = make_table(getattr(device, "num_pages", None))
         self.stats = BufferStats()
-        # Fast-path mirrors of the descriptor state bits.  Policies probe
+        # Fast-path mirrors of the pool's state columns.  Policies probe
         # dirty/pinned state on every victim-selection step, so these are
         # the hottest lookups in the system; the pool's flat arrays remain
         # the authoritative record.
@@ -336,11 +336,6 @@ class BufferPoolManager:
         return pressured / self.capacity
 
     @property
-    def _descriptors(self):
-        """Descriptor views over the pool's state arrays (cold paths)."""
-        return self.pool.descriptors
-
-    @property
     def resident_count(self) -> int:
         """Number of resident pages (O(1))."""
         return len(self._frame_of)
@@ -352,7 +347,7 @@ class BufferPoolManager:
         """Resident pages with unflushed modifications.
 
         Reads the maintained dirty-set mirror instead of scanning every
-        descriptor (O(capacity)); the background writer calls this every
+        frame (O(capacity)); the background writer calls this every
         round.  Sorted so write-back scheduling never depends on set
         iteration order.
         """

@@ -5,18 +5,13 @@ Mirrors PostgreSQL's shared buffer array: frames are identified by a stable
 simulator stores a small Python object per frame (typically a version
 counter) instead of 8 KB of bytes.
 
-The per-frame state bits are packed into parallel flat arrays indexed by
-frame id (``page_of`` with ``-1`` for a free frame, ``dirty_bits``,
-``pin_counts``, ``prefetched_bits``) so the request hot path reads and
-writes preallocated ints.  :class:`~repro.bufferpool.descriptor.BufferDescriptor`
-objects are a lazily materialised view over these arrays for the cold
-paths (recovery, sanitizer, tests); a bench run that never touches
-``descriptors`` never pays for the objects.
+A frame's state is four columns indexed by frame id (``page_of`` with
+``-1`` for a free frame, ``dirty_bits``, ``pin_counts``,
+``prefetched_bits``), the only record of it: the request paths, the
+sanitizer and crash simulation all read and write the preallocated ints.
 """
 
 from __future__ import annotations
-
-from repro.bufferpool.descriptor import BufferDescriptor
 
 __all__ = ["FramePool"]
 
@@ -35,16 +30,6 @@ class FramePool:
         self.prefetched_bits: list[int] = [0] * capacity
         self._payloads: list[object | None] = [None] * capacity
         self._free: list[int] = list(range(capacity - 1, -1, -1))
-        self._descriptors: list[BufferDescriptor] | None = None
-
-    @property
-    def descriptors(self) -> list[BufferDescriptor]:
-        """Per-frame descriptor views (materialised on first use)."""
-        if self._descriptors is None:
-            self._descriptors = [
-                BufferDescriptor.view(self, i) for i in range(self.capacity)
-            ]
-        return self._descriptors
 
     @property
     def free_count(self) -> int:
@@ -62,24 +47,3 @@ class FramePool:
         if not self._free:
             raise RuntimeError("frame pool exhausted — evict before allocating")
         return self._free.pop()
-
-    def allocate(self) -> BufferDescriptor:
-        """Take a free frame; raises ``RuntimeError`` if none is available."""
-        return self.descriptors[self.allocate_frame()]
-
-    def free(self, frame_id: int) -> None:
-        """Return a frame to the free list and clear its state bits."""
-        if self.page_of[frame_id] < 0:
-            raise ValueError(f"frame {frame_id} is already free")
-        self.page_of[frame_id] = -1
-        self.dirty_bits[frame_id] = 0
-        self.pin_counts[frame_id] = 0
-        self.prefetched_bits[frame_id] = 0
-        self._payloads[frame_id] = None
-        self._free.append(frame_id)
-
-    def payload(self, frame_id: int) -> object | None:
-        return self._payloads[frame_id]
-
-    def set_payload(self, frame_id: int, payload: object | None) -> None:
-        self._payloads[frame_id] = payload

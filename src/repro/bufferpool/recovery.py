@@ -69,9 +69,9 @@ class RecoveryReport:
 def simulate_crash(manager: BufferPoolManager) -> CrashImage:
     """Tear down a running manager as a power failure would.
 
-    The bufferpool's memory (frames, descriptors, policy state, dirty
-    pages) is discarded without any write-back; the device and the WAL's
-    durable prefix are all that remain.  The manager must not be used
+    The bufferpool's memory (frames and their state columns, policy state,
+    dirty pages) is discarded without any write-back; the device and the
+    WAL's durable prefix are all that remain.  The manager must not be used
     afterwards.
     """
     if manager.wal is None:
@@ -80,9 +80,12 @@ def simulate_crash(manager: BufferPoolManager) -> CrashImage:
             "there is nothing to recover from"
         )
     lost_dirty = tuple(sorted(manager.dirty_pages()))
-    # Wipe the in-memory state to make accidental reuse fail loudly.
-    for descriptor in manager.pool.descriptors:
-        descriptor.reset()
+    # Wipe the in-memory state to make accidental reuse fail loudly: every
+    # frame free, clean, unpinned and not prefetched (payloads are left).
+    pool = manager.pool
+    capacity = pool.capacity
+    pool.page_of[:] = [-1] * capacity
+    pool.dirty_bits[:] = pool.pin_counts[:] = pool.prefetched_bits[:] = [0] * capacity
     manager.table = None  # type: ignore[assignment]
     manager.policy = None  # type: ignore[assignment]
     # The request paths run on bound aliases of the table/policy internals

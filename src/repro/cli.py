@@ -28,7 +28,7 @@ from dataclasses import replace
 
 from repro.bench.parallel import WORKERS_ENV_VAR
 from repro.bench.report import format_table
-from repro.bench.runner import StackConfig, build_stack, run_config
+from repro.bench.runner import VARIANTS, StackConfig, build_stack, run_config
 from repro.engine.executor import ExecutionOptions, run_transactions
 from repro.engine.metrics import speedup
 from repro.policies.registry import PAPER_POLICIES, display_name
@@ -57,21 +57,32 @@ _DEVICES: dict[str, DeviceProfile] = {
 _WORKLOADS = {"MS": MS, "WIS": WIS, "RIS": RIS, "MU": MU}
 
 
-def _csv(text: str) -> tuple[str, ...]:
-    """The non-empty, stripped items of a comma-separated option value."""
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _listed(option: str, text: str, noun: str, known=None, parse=str) -> tuple:
+    """The items of a comma-separated ``--option`` value, each through
+    ``parse``; exits before any work on an item that does not parse or is
+    not ``known``, and on a list that names no ``noun``."""
+    items, unknown = [], []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            item = parse(part)
+        except ValueError:
+            item = None
+        if item is None or (known is not None and item not in known):
+            unknown.append(part)
+        items.append(item)
+    if unknown:
+        raise SystemExit(f"unknown {option}: {', '.join(unknown)}")
+    if not items:
+        raise SystemExit(f"--{option} names no {noun}: {text!r}")
+    return tuple(items)
 
 
 def _policies(text: str) -> tuple[str, ...]:
-    """The policy names of a ``--policies`` value; exits on an unknown name
-    or on a list that names none."""
-    policies = _csv(text)
-    unknown = [name for name in policies if name not in PAPER_POLICIES]
-    if unknown:
-        raise SystemExit(f"unknown policies: {', '.join(unknown)}")
-    if not policies:
-        raise SystemExit(f"--policies names no policy: {text!r}")
-    return policies
+    return _listed("policies", text, "policy", PAPER_POLICIES)
+
+
+def _variants(text: str) -> tuple[str, ...]:
+    return _listed("variants", text, "variant", VARIANTS)
 
 
 def _resolve_device(args: argparse.Namespace) -> DeviceProfile:
@@ -119,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-w", type=int, default=None)
         p.add_argument("--cpu-us", type=float, default=10.0)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for experiment grids "
-                            "(default: REPRO_WORKERS env or all CPUs)")
 
     run = sub.add_parser("run", help="run one workload/policy/variant")
     add_run_options(run)
@@ -138,6 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies", default=",".join(PAPER_POLICIES),
         help="comma-separated policy names",
     )
+    compare.add_argument("--workers", type=int, default=None,
+                         help="worker processes for the comparison grid "
+                              "(default: REPRO_WORKERS env or all CPUs)")
 
     tpcc = sub.add_parser("tpcc", help="run the TPC-C mix")
     tpcc.add_argument("--warehouses", type=int, default=4)
@@ -455,7 +466,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     dirty set.  Exits non-zero on the first stack that violates an
     invariant or differs from its twin.
     """
-    from repro.bench.runner import VARIANTS
     from repro.engine.executor import run_trace
     from repro.errors import SanitizerError
 
@@ -521,9 +531,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         corruption = smoke_corruption(seed=args.seed)
     else:
         report = run_chaos(
-            rates=tuple(float(part) for part in _csv(args.rates)),
+            rates=_listed("rates", args.rates, "rate", parse=float),
             policies=_policies(args.policies),
-            variants=_csv(args.variants),
+            variants=_variants(args.variants),
             profile=_DEVICES[args.device],
             num_pages=args.pages,
             ops=args.ops,
@@ -581,7 +591,7 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
     else:
         report = run_crashpoints(
             policies=_policies(args.policies),
-            variants=_csv(args.variants),
+            variants=_variants(args.variants),
             num_pages=args.pages,
             ops=args.ops,
             seed=args.seed,
@@ -627,14 +637,22 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Cluster sweep; exit 1 if the locality-placement claim fails."""
-    from repro.bench.cluster import format_report, format_wall, run_sweep, smoke_grid
+    from repro.bench.cluster import (
+        DEFAULT_PLACEMENTS,
+        format_report,
+        format_wall,
+        run_sweep,
+        smoke_grid,
+    )
 
     if args.smoke:
         report = smoke_grid(seed=args.seed)
     else:
         report = run_sweep(
-            shards=tuple(int(part) for part in _csv(args.shards)),
-            placements=_csv(args.placements),
+            shards=_listed("shards", args.shards, "shard count", parse=int),
+            placements=_listed(
+                "placements", args.placements, "placement", DEFAULT_PLACEMENTS
+            ),
             policies=_policies(args.policies),
             variant=args.variant,
             num_pages=args.pages,
@@ -661,10 +679,12 @@ def _cmd_failover(args: argparse.Namespace) -> int:
         report = smoke_grid(seed=args.seed)
     else:
         report = run_sweep(
-            rates=tuple(float(part) for part in _csv(args.rates)),
-            replication=tuple(int(part) for part in _csv(args.replication)),
+            rates=_listed("rates", args.rates, "rate", parse=float),
+            replication=_listed(
+                "replication", args.replication, "replication factor", parse=int
+            ),
             policies=_policies(args.policies),
-            variants=_csv(args.variants),
+            variants=_variants(args.variants),
             num_pages=args.pages,
             num_ops=args.ops,
             num_shards=args.shards,

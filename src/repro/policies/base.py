@@ -25,7 +25,7 @@ Accordingly, every policy here exposes two views of the same decision:
 Policies learn page dirty/pinned state through a :class:`PageStateView`
 supplied by the buffer manager via :meth:`ReplacementPolicy.bind`; the
 manager's state is the only record, read the way PostgreSQL's freelist
-code reads buffer descriptor flags.  The view's ``pinned`` set is live, so
+code reads a buffer's state bits.  The view's ``pinned`` set is live, so
 a policy takes it once at ``bind`` and serves the bulk fast paths —
 :meth:`ReplacementPolicy.peek`, :meth:`ReplacementPolicy.next_dirty`,
 :meth:`ReplacementPolicy.next_clean` — from its own order while nothing is

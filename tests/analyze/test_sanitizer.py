@@ -136,7 +136,7 @@ class TestCorruptions:
         manager = make_manager(sanitize=True)
         manager.read_page(5)
         frame = manager._frame_of[5]
-        manager._descriptors[frame].pin_count = -1
+        manager.pool.pin_counts[frame] = -1
         with pytest.raises(SanitizerError) as exc:
             manager.sanitizer.assert_clean()
         assert exc.value.invariant == "pin-count-negative"
@@ -154,7 +154,7 @@ class TestCorruptions:
     def test_pinned_mirror_disagrees(self):
         manager = make_manager(sanitize=True)
         manager.read_page(5)
-        manager._pinned_set.add(5)  # descriptor pin_count is still 0
+        manager._pinned_set.add(5)  # its pin count is still 0
         with pytest.raises(SanitizerError) as exc:
             manager.sanitizer.assert_clean()
         assert exc.value.invariant == "pinned-mirror"
@@ -162,7 +162,7 @@ class TestCorruptions:
     def test_dirty_mirror_disagrees(self):
         manager = make_manager(sanitize=True)
         manager.read_page(5)  # clean read
-        manager._dirty_set.add(5)  # descriptor dirty flag is still False
+        manager._dirty_set.add(5)  # its dirty bit is still 0
         with pytest.raises(SanitizerError) as exc:
             manager.sanitizer.assert_clean()
         assert exc.value.invariant == "dirty-mirror"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.bufferpool.manager import BufferPoolManager
@@ -22,27 +20,6 @@ def make_device(num_pages=256, with_ftl=False):
     device = SimulatedSSD(TEST_PROFILE, num_pages=num_pages, with_ftl=with_ftl)
     device.format_pages(range(num_pages))
     return device
-
-
-def wal_state(wal):
-    """The log as a caller can read it through the public API, after a
-    commit flush (so the buffered tail is compared too): every durable
-    record, each log page's image — its records, intended count and
-    checksum — page by page, and the log device's counters."""
-    if wal is None:
-        return None
-    wal.flush()
-    images = [wal.device.peek(page) for page in range(wal.pages_written)]
-    return {
-        "device": dataclasses.asdict(wal.device.stats),
-        "lsn": wal.lsn,
-        "durable_lsn": wal.durable_lsn,
-        "records": wal.durable_records(),
-        "images": [
-            (image.records, image.intended_count, image.checksum, image.is_valid)
-            for image in images
-        ],
-    }
 
 
 def make_manager(capacity=8, num_pages=256, policy=None, wal=None, with_ftl=False):

@@ -1,8 +1,7 @@
-"""Tests for buffer tags, descriptors, the buffer table, and the frame pool."""
+"""Tests for buffer tags, the buffer table, and the frame pool."""
 
 import pytest
 
-from repro.bufferpool.descriptor import BufferDescriptor
 from repro.bufferpool.pool import FramePool
 from repro.bufferpool.table import BufferTable
 from repro.bufferpool.tag import BufferTag, ForkNumber
@@ -25,22 +24,6 @@ class TestBufferTag:
         b = BufferTag(0, 2)
         assert a < b
         assert len({a, b, BufferTag(0, 1)}) == 2
-
-
-class TestBufferDescriptor:
-    def test_fresh_descriptor_is_free(self):
-        descriptor = BufferDescriptor(frame_id=0)
-        assert not descriptor.in_use
-        assert not descriptor.pinned
-
-    def test_reset_clears_state(self):
-        descriptor = BufferDescriptor(frame_id=0, page=4, dirty=True, pin_count=2)
-        descriptor.prefetched = True
-        descriptor.reset()
-        assert descriptor.page is None
-        assert not descriptor.dirty
-        assert descriptor.pin_count == 0
-        assert not descriptor.prefetched
 
 
 class TestBufferTable:
@@ -84,36 +67,13 @@ class TestFramePool:
 
     def test_allocate_until_exhausted(self):
         pool = FramePool(2)
-        a = pool.allocate()
-        a.page = 10
-        b = pool.allocate()
-        b.page = 11
+        assert {pool.allocate_frame(), pool.allocate_frame()} == {0, 1}
         assert pool.free_count == 0
         with pytest.raises(RuntimeError):
-            pool.allocate()
-
-    def test_free_recycles_frame(self):
-        pool = FramePool(1)
-        descriptor = pool.allocate()
-        descriptor.page = 5
-        pool.set_payload(descriptor.frame_id, "x")
-        pool.free(descriptor.frame_id)
-        assert pool.free_count == 1
-        assert pool.payload(descriptor.frame_id) is None
-        recycled = pool.allocate()
-        assert recycled.page is None
-
-    def test_double_free_rejected(self):
-        pool = FramePool(1)
-        descriptor = pool.allocate()
-        descriptor.page = 5
-        pool.free(descriptor.frame_id)
-        with pytest.raises(ValueError):
-            pool.free(descriptor.frame_id)
+            pool.allocate_frame()
 
     def test_used_count_tracks(self):
         pool = FramePool(3)
-        d = pool.allocate()
-        d.page = 1
+        pool.allocate_frame()
         assert pool.used_count == 1
         assert pool.has_free()

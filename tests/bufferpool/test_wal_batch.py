@@ -24,7 +24,7 @@ from repro.bufferpool.wal import (
 from repro.errors import PowerFailure
 from repro.storage.clock import VirtualClock
 
-from tests.bufferpool.conftest import wal_state
+from tests.differential import wal_state
 
 #: Straddling ``records_per_page`` (32): none, one, a page less one, a
 #: page, a page and one, two pages and a tail.

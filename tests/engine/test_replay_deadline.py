@@ -46,7 +46,7 @@ from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace
 from repro.workloads.trace import Trace
 
-from tests.engine.test_executor_fastpath import (
+from tests.differential import (
     NUM_PAGES,
     TRANSACTIONS,
     build,
@@ -101,7 +101,7 @@ def _request_by_request(manager, trace, options, bg_writer, checkpointer, scrubb
 
 
 def _stepped_run(variant, stack, arm):
-    manager = build("lru", variant, stack=stack)
+    manager = build("lru", variant, surrounding=stack)
     assert executor._turbo_ready(manager)
     wal = stack == "wal"
     options = ExecutionOptions(
@@ -158,7 +158,7 @@ def test_stepped_run_trace_matches_request_by_request(variant, stack):
 
 
 def _warm(variant, stack):
-    manager = build("lru", variant, stack=stack)
+    manager = build("lru", variant, surrounding=stack)
     warm = generate_trace(MS, NUM_PAGES, 300, seed=3)
     replay(manager, warm.pages, warm.writes)
     return manager
@@ -429,7 +429,7 @@ def test_each_timer_is_due_at_the_first_tick_its_predicate_holds(
 ):
     """False one tick before ``due_ticks``, true at it — at large clock
     values too, where one float ``now_us`` spans many ticks."""
-    manager = build("lru", "baseline", stack="wal")
+    manager = build("lru", "baseline", surrounding="wal")
     clock = manager.device.clock
     clock.ticks = to_ticks(start_us)
     checkpointer = Checkpointer(manager, interval_us=interval_us)
@@ -478,7 +478,7 @@ def test_a_bare_stack_is_never_driven_through_access(monkeypatch):
     assert latencies.count == len(trace)
     served = ServingLayer(build("lru", "ace")).serve_trace(trace, options)
     assert served.serving.completed == len(trace)
-    layer = ServingLayer(build("lru", "ace", stack="wal"))
+    layer = ServingLayer(build("lru", "ace", surrounding="wal"))
     layer.serve_transactions(TRANSACTIONS, options)
     assert layer.metrics.transactions_completed == len(TRANSACTIONS)
     config = ClusterConfig(

@@ -31,8 +31,8 @@ from repro.policies import LRUPolicy
 from repro.storage.clock import to_ticks
 from repro.workloads.synthetic import MS, generate_trace
 
-from tests.bufferpool.conftest import make_device, wal_state
-from tests.engine.test_executor_fastpath import CAPACITY, NUM_PAGES, per_request
+from tests.bufferpool.conftest import make_device
+from tests.differential import CAPACITY, NUM_PAGES, per_request, wal_state
 
 OP_TICKS = to_ticks(3.0)
 TRACE = generate_trace(MS, NUM_PAGES, 900, seed=5)

@@ -2,7 +2,7 @@
 
 Randomised mixed workloads driven through each (policy, variant) pair with
 the full invariant set checked afterwards: pool bounds, policy/table
-agreement, descriptor/fast-set consistency, durability after checkpoint.
+agreement, frame-column/fast-set consistency, durability after checkpoint.
 """
 
 import random
@@ -45,11 +45,10 @@ def check_invariants(manager, versions):
     # Policy and buffer table agree on residency.
     assert set(manager.policy.pages()) == set(manager.resident_pages())
     assert len(manager.policy) == len(manager.table)
-    # Fast dirty set mirrors the descriptors.
-    descriptor_dirty = {
-        d.page for d in manager.pool.descriptors if d.in_use and d.dirty
-    }
-    assert descriptor_dirty == manager._dirty_set
+    # Fast dirty set mirrors the frames' dirty bits.
+    pool = manager.pool
+    dirty = {page for page, bit in zip(pool.page_of, pool.dirty_bits) if page >= 0 and bit}
+    assert dirty == manager._dirty_set
     # Checkpoint: every acknowledged write is durable afterwards.
     manager.flush_all()
     assert manager.dirty_pages() == []

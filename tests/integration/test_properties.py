@@ -126,8 +126,9 @@ class TestConservation:
         )
         manager = replay(build_stack(config), trace)
         stats = manager.stats
+        pool = manager.pool
         still_resident = sum(
-            1 for d in manager.pool.descriptors if d.in_use and d.prefetched
+            page >= 0 and bit for page, bit in zip(pool.page_of, pool.prefetched_bits)
         )
         assert (
             stats.prefetch_issued

@@ -23,7 +23,7 @@ from repro.policies.lru import LRUPolicy
 from repro.policies.registry import make_policy
 from repro.workloads.synthetic import MS, generate_trace
 
-from tests.engine.test_executor_fastpath import (
+from tests.differential import (
     CAPACITY,
     NUM_PAGES,
     OPTIONS,

@@ -12,6 +12,27 @@ POLICY_LIST_COMMANDS = (
 )
 
 
+#: ``(command, option, value, message)``: every list option but
+#: ``--policies``, each fed an empty list and an unknown or unparsable item.
+LIST_OPTION_CASES = [
+    ("chaos", "--variants", "", "--variants names no variant"),
+    ("chaos", "--variants", "bogus", "unknown variants: bogus"),
+    ("chaos", "--rates", "", "--rates names no rate"),
+    ("chaos", "--rates", "often", "unknown rates: often"),
+    ("crashpoints", "--variants", ",", "--variants names no variant"),
+    ("crashpoints", "--variants", "bogus", "unknown variants: bogus"),
+    ("cluster", "--shards", "", "--shards names no shard count"),
+    ("cluster", "--shards", "two", "unknown shards: two"),
+    ("cluster", "--placements", "", "--placements names no placement"),
+    ("cluster", "--placements", "bogus", "unknown placements: bogus"),
+    ("failover", "--variants", "", "--variants names no variant"),
+    ("failover", "--variants", "bogus", "unknown variants: bogus"),
+    ("failover", "--rates", "", "--rates names no rate"),
+    ("failover", "--replication", "", "--replication names no replication"),
+    ("failover", "--replication", "one", "unknown replication: one"),
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -156,6 +177,23 @@ class TestCommands:
         match = "unknown policies: bogus" if value == "bogus" else "names no policy"
         with pytest.raises(SystemExit, match=match):
             main([command, "--policies", value])
+
+    @pytest.mark.parametrize(
+        ("command", "option", "value", "match"), LIST_OPTION_CASES,
+        ids=[f"{case[0]}{case[1]}={case[2]}" for case in LIST_OPTION_CASES],
+    )
+    def test_every_list_option_is_checked(self, command, option, value, match):
+        """``--policies``'s check, for every other list option: an unknown
+        or unparsable item, or a list naming none, exits with a message
+        before any work."""
+        with pytest.raises(SystemExit, match=match):
+            main([command, option, value])
+
+    def test_only_compare_and_experiment_take_workers(self):
+        parser = build_parser()
+        assert parser.parse_args(["compare", "--workers", "2"]).workers == 2
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--workers", "2"])
 
     def test_compare_names_a_failed_cell_and_its_error(self):
         with pytest.raises(

@@ -93,9 +93,18 @@ def test_every_random_stream_is_seeded(root):
 
 # -- who may touch the pool's internals ------------------------------------
 
-#: Descriptor state bits: the manager's O(1) mirror sets shadow them, so
-#: only ``repro.bufferpool`` assigns them; policies read PageStateView.
-DESCRIPTOR_BITS = {"dirty", "pin_count", "usage", "cold", "prefetched"}
+#: A frame's state columns (the pool's, and the manager's ``_``-prefixed
+#: aliases of them): the manager's O(1) mirror sets shadow them, so only
+#: ``repro.bufferpool`` stores into them; policies read PageStateView.
+FRAME_COLUMNS = {"page_of", "dirty_bits", "pin_counts", "prefetched_bits"}
+
+#: function outside ``repro.bufferpool`` -> (stores into a frame column, why).
+COLUMN_STORES = {
+    "repro.engine.executor._replay_turbo": (
+        10, "the miss routine's one inlined copy: a prefetch hit's bit, two "
+        "installs, the dirty and clean marks, an eviction's two",
+    ),
+}
 
 #: function -> (reaches into another object's ``_slots`` / ``_frame_of``,
 #: why).  The translation structures belong to ``repro.bufferpool.table``;
@@ -125,16 +134,29 @@ TRANSLATION_READS = {
 }
 
 
+def _names_a_column(node: ast.AST) -> bool:
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name.lstrip("_") in FRAME_COLUMNS
+
+
 def test_descriptor_bits_are_assigned_only_inside_the_bufferpool():
-    outside = [
-        f"{function}:{node.lineno} .{node.attr}"
-        for module, function, node, _ in nodes()
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.ctx, (ast.Store, ast.Del))
-        and node.attr in DESCRIPTOR_BITS
-        and not module.startswith("repro.bufferpool.")
-    ]
-    assert outside == []
+    """Every store into a frame column — an item or slice assignment, a
+    ``__setitem__`` handed to ``map``, a rebinding of the column — sits in
+    ``repro.bufferpool`` or in ``COLUMN_STORES``."""
+    stores = Counter(
+        function
+        for module, tree in trees(SRC).items()
+        if not module.startswith("repro.bufferpool.")
+        for function, scope in scopes(tree, module)
+        for node in ast.walk(scope)
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+            and _names_a_column(node.value))
+        or (isinstance(node, ast.Attribute) and node.attr == "__setitem__"
+            and _names_a_column(node.value))
+        or (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and _names_a_column(node))
+    )
+    assert stores == sites(COLUMN_STORES)
 
 
 def test_translation_internals_are_reached_only_from_these_places():

@@ -126,7 +126,7 @@ MUTANTS = (
         "log-stretch-drops-the-bare-flush", 41, EXECUTOR,
         "    elif flush:\n        wal.append_deferred([], [], True)\n",
         "    elif flush:\n        pass\n",
-        (DEFERRAL,),
+        (DEFERRAL, FASTPATH),
     ),
     Mutant(
         "cut-one-request-past-the-deadline", 31, EXECUTOR,

@@ -24,7 +24,7 @@ from repro.analysis.model import speedup_grid, speedup_vs_alpha
 from repro.bench.parallel import GridJob, TraceSpec, run_keyed_grid
 from repro.bench.plot import heatmap, line_chart
 from repro.bench.report import format_series, format_table, write_report
-from repro.bench.runner import StackConfig, build_stack, run_config
+from repro.bench.runner import StackConfig, build_stack
 from repro.engine.executor import ExecutionOptions, run_trace
 from repro.engine.metrics import RunMetrics, percent_delta, speedup
 from repro.policies.registry import PAPER_POLICIES, display_name
@@ -113,24 +113,6 @@ def _config(
         with_ftl=with_ftl,
         options=PAPER_OPTIONS,
     )
-
-
-def _run(
-    profile: DeviceProfile,
-    policy: str,
-    variant: str,
-    trace,
-    scale: ExperimentScale = SCALE,
-    pool_fraction: float | None = None,
-    n_w: int | None = None,
-    n_e: int | None = None,
-    with_ftl: bool = False,
-) -> RunMetrics:
-    config = _config(
-        profile, policy, variant, scale,
-        pool_fraction=pool_fraction, n_w=n_w, n_e=n_e, with_ftl=with_ftl,
-    )
-    return run_config(config, trace)
 
 
 # --------------------------------------------------------------- Table I

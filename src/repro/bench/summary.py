@@ -9,7 +9,6 @@ numbers alongside, so `EXPERIMENTS.md` always reflects the latest run:
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 from repro.bench.report import results_dir
@@ -249,8 +248,3 @@ def assemble_experiments_md(output: str | Path = "EXPERIMENTS.md") -> Path:
     path = Path(output)
     path.write_text("\n".join(parts) + "\n")
     return path
-
-
-if __name__ == "__main__":
-    target = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    print(f"wrote {assemble_experiments_md(target)}")

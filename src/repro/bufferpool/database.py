@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 from repro.bufferpool.tag import BufferTag
-from repro.storage.device import SimulatedSSD
-from repro.storage.profiles import DeviceProfile
 
 __all__ = ["Relation", "Database", "AppendCursor"]
 
@@ -99,44 +97,9 @@ class Database:
             known = ", ".join(sorted(self._relations))
             raise KeyError(f"no relation {name!r}; known: {known}") from None
 
-    def relations(self) -> list[Relation]:
-        return list(self._relations.values())
-
     @property
     def total_pages(self) -> int:
         return self._next_page
-
-    def relation_of_page(self, page: int) -> Relation:
-        """The relation containing a flat device page."""
-        for relation in self._relations.values():
-            if relation.base_page <= page < relation.end_page:
-                return relation
-        raise IndexError(f"page {page} belongs to no relation")
-
-    def create_device(
-        self,
-        profile: DeviceProfile,
-        with_ftl: bool = False,
-        clock=None,
-        over_provision: float = 0.10,
-        pages_per_block: int = 64,
-    ) -> SimulatedSSD:
-        """Build a device sized for this database and format all pages.
-
-        Formatting pre-populates every page (the initial data load) and
-        resets counters, so experiments measure steady-state behaviour.
-        """
-        device = SimulatedSSD(
-            profile,
-            num_pages=self.total_pages,
-            clock=clock,
-            with_ftl=with_ftl,
-            over_provision=over_provision,
-            pages_per_block=pages_per_block,
-        )
-        device.format_pages(range(self.total_pages))
-        return device
-
 
 class AppendCursor:
     """Models heap extension for insert-heavy relations.

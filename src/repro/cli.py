@@ -746,7 +746,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     return _COMMANDS[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

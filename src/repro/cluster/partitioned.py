@@ -86,10 +86,6 @@ class PartitionedBufferPoolManager:
             partition_capacity = base + (1 if index < remainder else 0)
             self.partitions.append(manager_factory(partition_capacity, device))
 
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
     def partition_of(self, page: int) -> BufferPoolManager:
         """The sub-pool responsible for ``page`` (router-owned mapping)."""
         return self.partitions[self.router.shard_of(page)]
@@ -147,6 +143,6 @@ class PartitionedBufferPoolManager:
 
     def __repr__(self) -> str:
         return (
-            f"PartitionedBufferPoolManager(partitions={self.num_partitions}, "
+            f"PartitionedBufferPoolManager(partitions={len(self.partitions)}, "
             f"capacity={self.capacity})"
         )

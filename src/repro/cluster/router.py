@@ -18,15 +18,14 @@ Two routers cover the design space the bench sweeps:
   the vector fall back to hash routing so the router is total.
 
 Routers are **epoch-stamped**: every remap — a shard failing over to a
-replica node — produces a *new* router with ``epoch + 1``, and
-:meth:`ShardRouter.route` refuses a caller presenting a stale epoch with a
-loud :class:`StaleRouteError` rather than silently routing to the old
-owner.  The epoch chain is what lets the replicated cluster engine prove
-that every post-failover access went through the remapped table (see
-docs/architecture.md "Replication & failover").
+replica node — produces a *new* router with ``epoch + 1`` and the
+promoted node recorded for that shard (:meth:`ShardRouter.node_of`).  Page
+ownership never moves in a failover, so routing itself ignores the epoch;
+the failover table reads the final ``epoch`` and primaries to show every
+failover went through a remap (see docs/architecture.md "Replication &
+failover").
 
-Deliberately free of ``repro`` imports (including ``repro.errors`` —
-:class:`StaleRouteError` lives here): the split is duck-typed over
+Deliberately free of ``repro`` imports: the split is duck-typed over
 parallel ``pages``/``writes`` sequences, so anything may import this
 module without dragging the whole cluster stack (or an import cycle)
 with it.
@@ -42,26 +41,7 @@ __all__ = [
     "ShardRouter",
     "HashShardRouter",
     "MappedShardRouter",
-    "StaleRouteError",
 ]
-
-
-class StaleRouteError(RuntimeError):
-    """A caller routed with an epoch the router has since moved past.
-
-    Raised by :meth:`ShardRouter.route` when ``epoch`` does not match the
-    router's current epoch.  Silently honouring a stale epoch would send
-    the access to a node that no longer owns the page (or is dead) —
-    exactly the failure mode remap epochs exist to surface.
-    """
-
-    def __init__(self, presented: int, current: int) -> None:
-        self.presented = presented
-        self.current = current
-        super().__init__(
-            f"stale routing epoch {presented} (router is at epoch "
-            f"{current}); re-fetch the router before routing"
-        )
 
 
 class ShardRouter:
@@ -72,8 +52,8 @@ class ShardRouter:
     map (which replica-group member currently serves each shard; node 0
     until a failover promotes someone else).  Remaps never mutate a
     router in place — :meth:`with_failover` returns a *new* router at
-    ``epoch + 1``, so holders of the old object keep a consistent but
-    provably stale view that :meth:`route` rejects.
+    ``epoch + 1``, so holders of the old object keep a consistent view of
+    the topology before the remap.
     """
 
     #: Human-readable placement scheme name, recorded in bench epochs.
@@ -91,14 +71,6 @@ class ShardRouter:
         raise NotImplementedError
 
     # ------------------------------------------------------------- remaps
-
-    def route(self, page: int, epoch: int) -> int:
-        """Epoch-checked routing: the shard owning ``page``, or a loud
-        :class:`StaleRouteError` if ``epoch`` is not the router's current
-        one (the caller is holding a pre-remap view of the cluster)."""
-        if epoch != self.epoch:
-            raise StaleRouteError(presented=epoch, current=self.epoch)
-        return self.shard_of(page)
 
     def node_of(self, shard: int) -> int:
         """The replica-group node currently serving ``shard``."""

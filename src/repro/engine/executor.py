@@ -15,10 +15,10 @@ CPU as one tick count — the clock counts integer ticks
 (:mod:`repro.storage.clock`), so that is the very clock request-by-request
 charging reaches — and stops at a *deadline*: after the first request
 whose end reaches a tick.  A caller that observes an index (warm-up end,
-trace end, a transaction's commit, a commit point, a unit of the serving
-layer, a replica group's commit window) slices there; one that observes a
-time (a background process due, a timed node fault) passes the tick; each
-then charges, acts and replays on.  Per-request latencies are the CPU
+trace end, a transaction's commit, a commit point, a request of the
+serving layer, a replica group's commit window) slices there; one that
+observes a time (a background process due, a timed node fault) passes the
+tick; each then charges, acts and replays on.  Per-request latencies are the CPU
 charge plus the I/O ticks ``replay`` reports per stalled request.
 :func:`run_trace`, :func:`run_transactions` and the serving layer share a
 :class:`RunSession`: start marks, the background timers, metrics.
@@ -781,24 +781,14 @@ def run_transactions(
     bg_writer: BackgroundWriter | None = None,
     checkpointer: Checkpointer | None = None,
     label: str = "transactions",
-    serving=None,
 ) -> RunMetrics:
     """Run a (type, requests) transaction stream; tracks tpmC.
 
     Transactions execute back to back on the virtual clock (the paper's
     gains are I/O-path effects, so a single-stream model preserves relative
     behaviour; see DESIGN.md).
-
-    ``serving`` (a :class:`~repro.engine.serving.ServingConfig` or bound
-    :class:`~repro.engine.serving.ServingLayer`) routes the stream through
-    the admission layer with whole transactions as the admission unit; see
-    :meth:`ServingLayer.serve_transactions`.
     """
     session = RunSession(manager, options, bg_writer, checkpointer)
-    if serving is not None:
-        return _serving_layer(manager, serving).admit_transactions(
-            session, transactions, label
-        )
     clock = session.clock
     op_ticks = to_ticks(session.options.cpu_us_per_op)
     transaction_ticks = to_ticks(session.options.cpu_us_per_transaction)

@@ -8,6 +8,12 @@ backoff on transient failures (`PoolExhaustedError`, transient
 ``IOFaultError``), are shed under overload, and are watched by an optional
 circuit breaker that degrades ACE batch sizes when tail latency spikes.
 
+The admission unit is one page request of a trace.  The layer's one entry
+is ``run_trace(..., serving=...)`` (a config, or a layer bound to the
+manager), which opens the run session and hands it to
+:meth:`ServingLayer.admit_trace`; the overload and chaos harnesses drive
+it that way.  Each admitted request is one ``replay`` of its page.
+
 Everything runs on the shared :class:`~repro.storage.clock.VirtualClock`;
 given the same (trace, config, fault plan) two runs produce identical
 metrics, queue decisions, and breaker ticks.  The layer is pay-for-what-
@@ -18,8 +24,7 @@ hot path.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
-from itertools import accumulate, compress
+from collections.abc import Sequence
 
 from repro.engine.executor import RunSession, replay
 from repro.engine.latency import LatencyRecorder
@@ -30,8 +35,7 @@ from repro.engine.serving.metrics import ServingMetrics
 from repro.engine.serving.queue import AdmissionQueue, Request
 from repro.errors import IOFaultError, PoolExhaustedError
 from repro.storage.clock import to_ticks
-from repro.workloads.tpcc.transactions import TransactionType
-from repro.workloads.trace import PageRequest, Trace
+from repro.workloads.trace import Trace
 
 __all__ = ["ServingLayer"]
 
@@ -39,53 +43,13 @@ _INF = float("inf")
 
 
 class ServingLayer:
-    """Serves a trace or transaction stream through a buffer manager."""
+    """Serves a trace through a buffer manager, one request at a time."""
 
     def __init__(self, manager, config: ServingConfig | None = None) -> None:
         self.manager = manager
         self.config = config if config is not None else ServingConfig()
         #: Metrics of the most recent serve call.
         self.metrics: ServingMetrics | None = None
-
-    # ------------------------------------------------------- entry points
-
-    def serve_trace(
-        self,
-        trace: Trace,
-        options=None,
-        bg_writer=None,
-        checkpointer=None,
-        label: str | None = None,
-        latencies: LatencyRecorder | None = None,
-    ) -> RunMetrics:
-        """Serve ``trace`` under admission control; returns ``RunMetrics``.
-
-        The trace's ``client_ids`` side-channel (see
-        :func:`~repro.engine.multiclient.interleave_traces`) attributes
-        requests to sessions; a plain trace is billed to client 0.
-        """
-        session = RunSession(self.manager, options, bg_writer, checkpointer)
-        return self.admit_trace(session, trace, label, latencies)
-
-    def serve_transactions(
-        self,
-        transactions: Iterable[tuple[TransactionType, list[PageRequest]]],
-        options=None,
-        bg_writer=None,
-        checkpointer=None,
-        label: str = "transactions+serving",
-        client_ids: Sequence[int] | None = None,
-    ) -> RunMetrics:
-        """Serve a transaction stream; the admission unit is a transaction.
-
-        Admission, deadlines, and shedding act on whole transactions
-        (their page requests stay atomic).  A transaction hitting a
-        transient failure is requeued only when no write of it has been
-        applied yet (there is no rollback in the simulator); later
-        failures count the transaction as ``failed``.
-        """
-        session = RunSession(self.manager, options, bg_writer, checkpointer)
-        return self.admit_transactions(session, transactions, label, client_ids)
 
     def admit_trace(
         self,
@@ -94,15 +58,17 @@ class ServingLayer:
         label: str | None,
         latencies: LatencyRecorder | None,
     ) -> RunMetrics:
-        """:meth:`serve_trace` inside a run session the caller opened.
+        """Serve ``trace`` under admission control inside a run session.
 
-        A trace request is the one-request unit: no transaction CPU, a
-        commit point every ``commit_every_ops`` completions, latencies
-        forwarded to ``latencies``, and ``ops`` counts completions.
+        Each request is admitted, queued and executed on its own: a commit
+        point every ``commit_every_ops`` completions, latencies forwarded
+        to ``latencies``, and ``ops`` counts completions.  The trace's
+        ``client_ids`` side-channel (see
+        :func:`~repro.engine.multiclient.interleave_traces`) attributes
+        requests to sessions; a plain trace is billed to client 0.
         """
-        self._admit_units(
-            session, trace.pages, trace.writes, range(len(trace) + 1),
-            trace.client_ids, None, latencies,
+        self._admit_requests(
+            session, trace.pages, trace.writes, trace.client_ids, latencies
         )
         return session.finish(
             label
@@ -112,60 +78,17 @@ class ServingLayer:
             serving=self.metrics,
         )
 
-    def admit_transactions(
-        self,
-        session: RunSession,
-        transactions: Iterable[tuple[TransactionType, list[PageRequest]]],
-        label: str,
-        client_ids: Sequence[int] | None = None,
-    ) -> RunMetrics:
-        """:meth:`serve_transactions` inside a session the caller opened.
-
-        A transaction is the n-request unit: it pays the transaction CPU,
-        commits (WAL flush) before it completes, and ``ops`` counts every
-        page request that executed, completed transaction or not.
-        """
-        stream = list(transactions)
-        if client_ids is not None and len(client_ids) != len(stream):
-            raise ValueError(
-                f"client_ids ({len(client_ids)}) and transactions "
-                f"({len(stream)}) differ in length"
-            )
-        flat = Trace.from_requests(r for _, requests in stream for r in requests)
-        executed_ops, new_orders = self._admit_units(
-            session, flat.pages, flat.writes,
-            [0, *accumulate(len(requests) for _, requests in stream)],
-            client_ids, [kind for kind, _ in stream], None,
-        )
-        return session.finish(
-            label,
-            ops=executed_ops,
-            transactions=self.metrics.transactions_completed,
-            new_order_transactions=new_orders,
-            serving=self.metrics,
-        )
-
     # ---------------------------------------------------- the admission loop
 
-    def _admit_units(
+    def _admit_requests(
         self,
         session: RunSession,
         pages: Sequence[int],
         writes: Sequence[bool],
-        bounds: Sequence[int],
         client_ids: Sequence[int] | None,
-        kinds: Sequence[TransactionType] | None,
         latencies: LatencyRecorder | None,
-    ) -> tuple[int, int]:
-        """Admit, queue and execute every unit; the one admission loop.
-
-        Unit ``i`` is the page requests ``bounds[i]:bounds[i + 1]`` of the
-        flat ``pages``/``writes`` arrays.  ``kinds`` is ``None`` for a
-        trace (one-request units) and the transaction types otherwise —
-        the two differ only in when a unit commits and what it is charged
-        (see :meth:`admit_trace`/:meth:`admit_transactions`).  Returns
-        ``(page requests executed, NewOrder units completed)``.
-        """
+    ) -> None:
+        """Admit, queue and execute every request; the one admission loop."""
         manager = self.manager
         config = self.config
         options = session.options
@@ -175,27 +98,22 @@ class ServingLayer:
         queue = self._queue
         deferred = self._deferred
         versions = self._versions
-        total = len(bounds) - 1
-        transactional = kinds is not None
+        total = len(pages)
         interval = config.arrival_interval_us
         deadline_us = config.deadline_us if config.deadline_us > 0 else _INF
         op_ticks = to_ticks(options.cpu_us_per_op)
-        cpu_per_unit = options.cpu_us_per_transaction if transactional else 0.0
-        commit_every = 1 if transactional else options.commit_every_ops
+        commit_every = options.commit_every_ops
         wal = manager.wal
         since_commit = 0
-        next_index = 0  # arrival pointer into the units
-        executed_ops = 0
-        new_orders = 0
+        next_index = 0  # arrival pointer into the requests
 
         def arrive(index: int, arrival_us: float) -> None:
-            head = bounds[index]
             self._admit(
                 Request(
                     index,
                     client_ids[index] if client_ids else 0,
-                    -1 if transactional else pages[head],
-                    False if transactional else writes[head],
+                    pages[index],
+                    writes[index],
                     arrival_us,
                     arrival_us + deadline_us,
                 )
@@ -231,60 +149,39 @@ class ServingLayer:
                     continue
                 clock.advance_to(next_event)
                 continue
-            # 4. Dispatch the queue head and execute its unit.  A failure
-            # requeues the unit only while no write of it has been applied
-            # (there is no rollback in the simulator).
+            # 4. Dispatch the queue head and execute it.  A failed request
+            # was not applied: it is requeued unless the fault is permanent.
             request = queue.pop()
             if request.deadline_us <= now:
                 self._expire(request)
                 continue
-            if cpu_per_unit:
-                clock.advance(cpu_per_unit)
-            head, tail = bounds[request.index], bounds[request.index + 1]
-            stats = manager.stats
-            counted = stats.read_requests + stats.write_requests
-            outcome = "completed"
+            index = request.index
             try:
-                replay(manager, pages[head:tail], writes[head:tail], op_ticks)
+                replay(
+                    manager, pages[index:index + 1], writes[index:index + 1],
+                    op_ticks,
+                )
             except (PoolExhaustedError, IOFaultError) as error:
-                # Both arms count the failing request before it can fail,
-                # and charge its CPU: the requests before it were applied.
-                stats = manager.stats
-                tail = head + stats.read_requests + stats.write_requests - counted - 1
-                if any(writes[head:tail]) or (
-                    isinstance(error, IOFaultError) and _is_permanent(error)
-                ):
-                    outcome = "failed"
+                if isinstance(error, IOFaultError) and _is_permanent(error):
+                    self._fail(request)
                 else:
-                    outcome = "requeue"
-            executed_ops += tail - head
-            if wal is not None:
-                for page in compress(pages[head:tail], writes[head:tail]):
-                    versions[page] = versions.get(page, 0) + 1
-            # 5. Requeue, fail or complete; a transaction commits before
-            # it completes, a trace request completes and then may commit.
-            if outcome == "requeue":
-                self._requeue_or_fail(request, clock.now_us)
-            elif outcome == "failed":
-                self._fail(request)
-            else:
-                if not transactional:
-                    self._complete(request, clock.now_us, latencies)
-                if wal is not None and commit_every:
-                    since_commit += 1
-                    if since_commit >= commit_every:
-                        wal.flush()  # commit point: durable prefix
-                        metrics.committed_versions = dict(versions)
-                        since_commit = 0
-                if transactional:
-                    self._complete(request, clock.now_us, latencies)
-                    metrics.transactions_completed += 1
-                    if kinds[request.index] is TransactionType.NEW_ORDER:
-                        new_orders += 1
+                    self._requeue_or_fail(request, clock.now_us)
+                session.tick()
+                continue
+            if wal is not None and writes[index]:
+                page = pages[index]
+                versions[page] = versions.get(page, 0) + 1
+            # 5. Complete, then maybe commit.
+            self._complete(request, clock.now_us, latencies)
+            if wal is not None and commit_every:
+                since_commit += 1
+                if since_commit >= commit_every:
+                    wal.flush()  # commit point: durable prefix
+                    metrics.committed_versions = dict(versions)
+                    since_commit = 0
             session.tick()
 
         self._end_run(session.elapsed_us())
-        return executed_ops, new_orders
 
     # ------------------------------------------------------- run plumbing
 

@@ -85,8 +85,6 @@ class ServingMetrics:
         self.per_client: dict[int, ClientStats] = {}
         self.queue_peak = 0
         self.elapsed_us = 0.0
-        #: Transactions completed / shed (transaction-mode runs only).
-        self.transactions_completed = 0
         #: Breaker event ticks, each ``(virtual_time_us, completed_count)``:
         #: ``trips`` = CLOSED/HALF_OPEN -> OPEN, ``restores`` = OPEN ->
         #: HALF_OPEN (full batching back on probation), ``recoveries`` =

@@ -205,19 +205,6 @@ class FlashTranslationLayer:
         valid[active] += slot - start
         self._frontier = slot
 
-    def trim(self, lpn: int) -> None:
-        """Discard logical page ``lpn`` (e.g. file deletion)."""
-        self._check_lpn(lpn)
-        slot = self._mapping[lpn]
-        if slot >= 0:
-            self._mapping[lpn] = self._owner[slot] = -1
-            block = slot // self.pages_per_block
-            count = self._valid[block]
-            self._valid[block] = count - 1
-            if block != self._active:  # sealed: one bucket down
-                self._sealed[count].remove(block)
-                self._sealed[count - 1].add(block)
-
     def erase_counts(self) -> list[int]:
         """Per-block erase counts (wear-leveling diagnostics)."""
         return list(self._erases)

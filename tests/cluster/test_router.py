@@ -6,7 +6,6 @@ from repro.cluster.router import (
     HashShardRouter,
     MappedShardRouter,
     ShardRouter,
-    StaleRouteError,
 )
 
 
@@ -153,28 +152,18 @@ class TestRemapEpochs:
         assert router.epoch == 0
         assert [router.node_of(s) for s in range(3)] == [0, 0, 0]
 
-    def test_route_checks_the_epoch(self):
-        router = HashShardRouter(2)
-        assert router.route(5, epoch=0) == router.shard_of(5)
-        with pytest.raises(StaleRouteError) as excinfo:
-            router.route(5, epoch=1)
-        assert excinfo.value.presented == 1
-        assert excinfo.value.current == 0
-
     def test_with_failover_bumps_epoch_not_ownership(self):
         router = HashShardRouter(2)
         promoted = router.with_failover(1, 2)
         assert promoted.epoch == 1
         assert promoted.node_of(1) == 2
         assert promoted.node_of(0) == 0
-        # Page ownership is unchanged; the old router is intact but stale.
+        # Page ownership is unchanged; the old router is intact.
         assert [promoted.shard_of(p) for p in range(20)] == [
             router.shard_of(p) for p in range(20)
         ]
         assert router.epoch == 0
         assert router.node_of(1) == 0
-        with pytest.raises(StaleRouteError):
-            promoted.route(5, epoch=0)
 
     def test_failover_chain_accumulates(self):
         router = HashShardRouter(2)

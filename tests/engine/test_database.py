@@ -4,7 +4,6 @@ import pytest
 
 from repro.bufferpool.tag import BufferTag
 from repro.bufferpool.database import AppendCursor, Database
-from repro.storage.profiles import PCIE_SSD
 
 
 class TestRelation:
@@ -54,31 +53,14 @@ class TestDatabase:
         db = Database()
         a = db.add_relation("a", num_rows=10, rows_per_page=2)
         assert db.relation("a") is a
-        assert db.relation_of_page(3) is a
+        assert a.base_page <= 3 < a.end_page
         with pytest.raises(KeyError):
             db.relation("zzz")
-        with pytest.raises(IndexError):
-            db.relation_of_page(999)
 
     def test_headroom_extends_relation(self):
         db = Database()
         relation = db.add_relation("h", num_rows=0, rows_per_page=4, headroom_pages=6)
         assert relation.num_pages == 7  # 1 data page minimum + 6 headroom
-
-    def test_create_device_formats_all_pages(self):
-        db = Database()
-        db.add_relation("a", num_rows=20, rows_per_page=2)
-        device = db.create_device(PCIE_SSD)
-        assert device.num_pages == db.total_pages
-        assert device.contains(db.total_pages - 1)
-        assert device.stats.total_ios == 0
-
-    def test_create_device_with_ftl(self):
-        db = Database()
-        db.add_relation("a", num_rows=20, rows_per_page=2)
-        device = db.create_device(PCIE_SSD, with_ftl=True)
-        assert device.ftl is not None
-        assert device.ftl.counters.logical_writes == 0  # reset after format
 
 
 class TestAppendCursor:

@@ -51,8 +51,15 @@ STACKS = ("bare", "wal", "ftl", "faultplan")
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("policy_name", EVERY_POLICY)
 def test_fast_replay_matches_per_request(policy_name, variant, stack):
-    """The oracle: every policy x variant x surrounding, both replays."""
-    fast = agreeing(Cell(policy_name, variant, stack), work_for(policy_name, TRACE))
+    """The oracle: every policy x variant x surrounding, both replays.  A
+    disarmed fault plan is never turbo-ready: its one run steps request by
+    request, against the bare cell's inlined run."""
+    work = work_for(policy_name, TRACE)
+    if stack == "faultplan":
+        fast = run_cell(Cell(policy_name, variant), ARMS[0], work)
+        assert run_cell(Cell(policy_name, variant, stack), ARMS[0], work) == fast
+    else:
+        fast = agreeing(Cell(policy_name, variant, stack), work)
     ready = executor._turbo_ready(build(policy_name, variant, surrounding=stack))
     assert ready is (stack != "faultplan")
     assert fast["buffer"]["misses"] > CAPACITY  # the pool did turn over
@@ -68,13 +75,20 @@ def test_transactions_replay_matches_per_request(policy_name, variant, stack):
     per transaction, one CPU charge, the commit flush, the tick — against
     ``access`` per request and, with the processes attached, against the
     request-by-request charging the float clock once made necessary.  A
-    disarmed fault plan is never turbo-ready: both sides step."""
+    disarmed fault plan is never turbo-ready: its one run steps, against
+    the bare cell's inlined run."""
     cell = Cell(policy_name, variant, stack)
     work = work_for(policy_name, TRANSACTIONS_WORK)
-    fast, slow = (dict(run_cell(cell, arm, work)) for arm in ARMS)
+    if stack == "faultplan":
+        fast, slow = (
+            dict(run_cell(Cell(policy_name, variant, surrounding), ARMS[0], work))
+            for surrounding in ("bare", stack)
+        )
+    else:
+        fast, slow = (dict(run_cell(cell, arm, work)) for arm in ARMS)
     calls = fast.pop("calls"), slow.pop("calls")
     assert fast == slow
-    assert calls == (fast["ops"] if stack == "faultplan" else 0, fast["ops"])
+    assert calls == (0, fast["ops"])
     assert fast["transactions"] == work.requests
     assert fast["buffer"]["misses"] > CAPACITY
     if stack in ("wal", "background"):
@@ -430,6 +444,35 @@ def test_an_empty_wide_exchange_reads_alone(with_wal, drive):
     assert len(fetched) > buffer["dirty_evictions"]
     if with_wal:
         assert fast["wal"]["device"]["writes"] > 0
+
+
+@pytest.mark.parametrize("drive", ("latencies", "deadlines"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_wal_stack_under_stalls_and_deadlines_matches_per_request(variant, drive):
+    """A WAL stack whose stretches break after every miss (a stalls list)
+    or at a background writer's deadlines: the log appended where one
+    stretch ends must still be flushed at the next stretch's first
+    write-back, with no write in between."""
+
+    def run():
+        manager = build("lru", variant, surrounding="wal")
+        latencies = LatencyRecorder() if drive == "latencies" else None
+        bg_writer = (
+            BackgroundWriter(manager, pages_per_round=4) if drive == "deadlines" else None
+        )
+        metrics = run_trace(
+            manager, generate_trace(MS, NUM_PAGES, 1500, seed=3),
+            options=BACKGROUND_OPTIONS, latencies=latencies, bg_writer=bg_writer,
+        )
+        result = fingerprint(manager, metrics)
+        if latencies is not None:
+            result["latencies"] = latencies._samples_us
+        return result
+
+    fast, slow = on_both_arms(run)
+    assert fast == slow
+    assert fast["buffer"]["dirty_evictions"] > 0
+    assert fast["wal"]["device"]["writes"] > 0
 
 
 # ------------------------------------------ the two spellings, Reader stacks

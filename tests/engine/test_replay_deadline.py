@@ -38,7 +38,7 @@ from repro.cluster.engine import ClusterConfig, run_cluster
 from repro.engine import executor
 from repro.engine.executor import ExecutionOptions, RunSession, replay, run_trace
 from repro.engine.latency import LatencyRecorder
-from repro.engine.serving import ServingLayer
+from repro.engine.serving import ServingConfig, ServingLayer
 from repro.faults.nodes import NodeFault, NodeFaultPlan
 from repro.storage.clock import tick_at, to_ticks, to_us
 from repro.storage.device import SimulatedSSD
@@ -48,7 +48,6 @@ from repro.workloads.trace import Trace
 
 from tests.differential import (
     NUM_PAGES,
-    TRANSACTIONS,
     build,
     per_request,
     state,
@@ -463,8 +462,9 @@ def test_each_timer_is_due_at_the_first_tick_its_predicate_holds(
 
 
 def test_a_bare_stack_is_never_driven_through_access(monkeypatch):
-    """Stepped ``run_trace``, both serving entries and a replica group
-    with a timed fault pending all replay on the inlined loop."""
+    """Stepped ``run_trace``, a served trace (bare and WAL stacks) and a
+    replica group with a timed fault pending all replay on the inlined
+    loop."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
     def refuse(manager, page, is_write):
@@ -476,11 +476,14 @@ def test_a_bare_stack_is_never_driven_through_access(monkeypatch):
     latencies = LatencyRecorder()
     run_trace(build("lru", "ace+pf"), trace, options, latencies=latencies)
     assert latencies.count == len(trace)
-    served = ServingLayer(build("lru", "ace")).serve_trace(trace, options)
+    manager = build("lru", "ace")
+    served = run_trace(manager, trace, options, serving=ServingLayer(manager))
     assert served.serving.completed == len(trace)
-    layer = ServingLayer(build("lru", "ace", surrounding="wal"))
-    layer.serve_transactions(TRANSACTIONS, options)
-    assert layer.metrics.transactions_completed == len(TRANSACTIONS)
+    served = run_trace(
+        build("lru", "ace", surrounding="wal"), trace, options,
+        serving=ServingConfig(),
+    )
+    assert served.serving.completed == len(trace)
     config = ClusterConfig(
         profile=PCIE_SSD, policy="lru", variant="ace", num_pages=NUM_PAGES,
         num_shards=1, replication_factor=1,

@@ -5,7 +5,7 @@ import pytest
 from repro.bufferpool.background import IdleScrubber
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
-from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
+from repro.engine.executor import ExecutionOptions, run_trace
 from repro.engine.multiclient import interleave_traces
 from repro.engine.serving import ServingConfig, ServingLayer, ServingMetrics
 from repro.faults.device import FaultyDevice
@@ -13,8 +13,7 @@ from repro.faults.plan import FaultPlan
 from repro.policies.lru import LRUPolicy
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import DeviceProfile
-from repro.workloads.tpcc.transactions import TransactionType
-from repro.workloads.trace import PageRequest, Trace
+from repro.workloads.trace import Trace
 
 PROFILE = DeviceProfile(
     name="serving-test", alpha=2.0, k_r=4, k_w=4, read_latency_us=100.0,
@@ -77,7 +76,10 @@ class TestClosedLoop:
         manager = make_manager()
         layer = ServingLayer(manager, ServingConfig())
         recorder = LatencyRecorder()
-        layer.serve_trace(mixed_trace(), options=OPTIONS, latencies=recorder)
+        run_trace(
+            manager, mixed_trace(), options=OPTIONS, latencies=recorder,
+            serving=layer,
+        )
         assert recorder.count == 60
 
 
@@ -319,43 +321,3 @@ class TestScrubberUnderServing:
         # Closed loop, nothing shed: the clock — and so the scrubber —
         # steps exactly as it does under the plain stepped loop.
         assert (healed, stats) == self.scrubbed_run(None)
-
-
-class TestServeTransactions:
-    def stream(self, n=20):
-        out = []
-        for index in range(n):
-            pages = [PageRequest((index * 3) % 32, True),
-                     PageRequest((index * 3 + 1) % 32, False)]
-            kind = (
-                TransactionType.NEW_ORDER if index % 2 == 0
-                else TransactionType.PAYMENT
-            )
-            out.append((kind, pages))
-        return out
-
-    def test_closed_loop_completes_all_transactions(self):
-        manager = make_manager(wal=True)
-        metrics = run_transactions(
-            manager, self.stream(), options=OPTIONS, serving=ServingConfig()
-        )
-        serving = metrics.serving
-        assert serving.transactions_completed == 20
-        assert metrics.transactions == 20
-        assert metrics.new_order_transactions == 10
-        assert metrics.ops == 40
-        assert serving.committed_versions  # commit snapshots recorded
-
-    def test_open_loop_sheds_transactions(self):
-        manager = make_manager(wal=True)
-        config = ServingConfig(queue_capacity=4, arrival_interval_us=5.0)
-        metrics = run_transactions(
-            manager, self.stream(n=100), options=OPTIONS, serving=config
-        )
-        serving = metrics.serving
-        assert serving.offered == 100
-        assert serving.shed > 0
-        assert (
-            serving.shed + serving.expired + serving.failed + serving.completed
-            == 100
-        )

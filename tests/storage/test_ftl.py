@@ -83,12 +83,6 @@ class ReferenceFtl:
         for lpn in lpns:
             self.write(lpn)
 
-    def trim(self, lpn):
-        location = self._mapping[lpn]
-        if location is not None:
-            self._invalidate(location)
-            self._mapping[lpn] = None
-
     def _invalidate(self, location):
         block_idx, slot = location
         block = self._blocks[block_idx]
@@ -149,7 +143,7 @@ def assert_same_state(ftl, reference):
 def run_against_reference(operations, pages, ppb, op, threshold):
     """Apply (kind, argument) operations to both FTLs, comparing as they
     go: counters, erase counts and free pool after every operation, every
-    page's location at the end.  ``write`` and ``trim`` take a page,
+    page's location at the end.  ``write`` takes a page,
     ``write_batch`` a list of pages (the reference writes them one by one).
 
     Returns the flat FTL.  An ``FtlError`` must hit both at the same
@@ -232,18 +226,6 @@ class TestMapping:
         ftl.write(5)
         second = ftl.physical_location(5)
         assert first != second
-
-    def test_trim_unmaps(self):
-        ftl = make_ftl()
-        ftl.write(5)
-        ftl.trim(5)
-        assert not ftl.is_mapped(5)
-        ftl.check_invariants()
-
-    def test_trim_of_unmapped_page_is_noop(self):
-        ftl = make_ftl()
-        ftl.trim(3)
-        assert not ftl.is_mapped(3)
 
 
 class TestCounters:
@@ -371,22 +353,14 @@ class TestGarbageCollection:
 class TestInvariants:
     @settings(max_examples=25, deadline=None)
     @given(
-        st.lists(
-            st.tuples(st.sampled_from(["write", "trim"]), st.integers(0, 63)),
-            min_size=1,
-            max_size=400,
-        )
+        st.lists(st.integers(0, 63), min_size=1, max_size=400)
     )
     def test_invariants_hold_under_random_operations(self, operations):
         ftl = make_ftl(pages=64, ppb=8, op=0.25)
         mapped = set()
-        for op, page in operations:
-            if op == "write":
-                ftl.write(page)
-                mapped.add(page)
-            else:
-                ftl.trim(page)
-                mapped.discard(page)
+        for page in operations:
+            ftl.write(page)
+            mapped.add(page)
         ftl.check_invariants()
         for page in range(64):
             assert ftl.is_mapped(page) == (page in mapped)
@@ -413,15 +387,11 @@ class TestAgainstReference:
         pages = 16 * ppb
         rng = random.Random(ppb * 100 + threshold)
         operations = [
-            (
-                "trim" if rng.random() < 0.05 else "write",
-                rng.randrange(pages // 8 if rng.random() < 0.8 else pages),
-            )
+            ("write", rng.randrange(pages // 8 if rng.random() < 0.8 else pages))
             for _ in range(40 * pages)
         ]
         ftl = run_against_reference(operations, pages, ppb, op, threshold)
-        writes = sum(kind == "write" for kind, _ in operations)
-        assert ftl.counters.logical_writes == writes  # ran to the end
+        assert ftl.counters.logical_writes == len(operations)  # ran to the end
         assert ftl.counters.gc_invocations > 10
 
     @settings(max_examples=40, deadline=None)
@@ -430,7 +400,7 @@ class TestAgainstReference:
         op=st.floats(0.05, 0.5),
         threshold=st.integers(1, 3),
         operations=st.lists(
-            st.tuples(st.sampled_from(["write", "write", "trim"]), st.integers(0, 63)),
+            st.tuples(st.just("write"), st.integers(0, 63)),
             min_size=1,
             max_size=300,
         ),
@@ -468,7 +438,7 @@ class TestAgainstReference:
         threshold=st.integers(1, 3),
         operations=st.lists(
             st.one_of(
-                st.tuples(st.sampled_from(["write", "trim"]), st.integers(0, 63)),
+                st.tuples(st.just("write"), st.integers(0, 63)),
                 st.tuples(
                     st.just("write_batch"), st.lists(st.integers(0, 63), max_size=40)
                 ),

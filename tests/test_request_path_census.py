@@ -5,7 +5,7 @@ next observer (a tracer, a fault boundary, a new background process) has to
 be threaded through by hand, and one of them had already dropped an
 argument.  Two are left: ``replay`` — its inlined loop and its reference
 arm — and the partitioned facade's delegation.  A stretch observed at an
-*index* (transaction end, commit point, a serving unit, the next
+*index* (transaction end, commit point, a served request, the next
 ``crash_at_access``) is one ``replay`` sliced there; one observed at a
 *time* (a background process due, a timed node fault) is one ``replay``
 given that tick as its deadline; latencies are the I/O ticks ``replay``

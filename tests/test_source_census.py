@@ -202,9 +202,8 @@ FAULT_HANDLERS = {
     "repro.core.reader.Reader._fetch_degraded": (
         1, "the missed page's read goes to the manager's retry",
     ),
-    "repro.engine.serving.layer.ServingLayer._admit_units": (
-        1, "a faulted unit is requeued, or failed if permanent or partly "
-        "applied",
+    "repro.engine.serving.layer.ServingLayer._admit_requests": (
+        1, "a faulted request is requeued, or failed if permanent",
     ),
     "repro.engine.fanout.fan_out": (
         3, "a job that raised is retried, then left as a JobFailure that "

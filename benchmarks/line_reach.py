@@ -104,8 +104,8 @@ OUTSIDE = (
 )
 SHAPE = (
     "a stack or run shape no entry point builds (a WAL stack under a "
-    "deadline, a warm-up, a cluster on an FTL device, a Reader that only "
-    "trains, a flush of a whole WAL stack); tests build it"
+    "deadline, a cluster on an FTL device, a Reader that only trains, a "
+    "flush of a whole WAL stack); tests build it"
 )
 SWEEP = "a cell shape the smoke sweeps do not run; tests/bench run it"
 WORKERS = (
@@ -209,7 +209,6 @@ KEPT = {
     "repro.core.reader:Reader.select_prefetch_set": SHAPE,
     "repro.engine.executor:_cut": SHAPE,
     "repro.engine.executor:_replay_turbo": SHAPE,
-    "repro.engine.executor:run_trace": SHAPE,
     "repro.storage.smart:SmartMonitor.snapshot": SHAPE,
     "repro.workloads.ycsb:generate_ycsb_trace.skewed_page": SHAPE,
     "repro.bench.chaos:run_cell": SWEEP,

@@ -99,9 +99,15 @@ MUTANTS = (
     ),
     Mutant(
         "turbo-empty-wide-exchange-reads-uncounted", 34, EXECUTOR,
-        "                                    device_stats.read_time_us += read_us\n"
+        "                                    clock.ticks += read_ticks\n"
         "                                    reads_done += 1\n",
-        "                                    device_stats.read_time_us += read_us\n",
+        "                                    clock.ticks += read_ticks\n",
+        (FASTPATH,),
+    ),
+    Mutant(
+        "turbo-stretch-end-drops-the-write-ticks", 47, EXECUTOR,
+        "            device_stats.write_ticks += writebacks_done * write_ticks\n",
+        "",
         (FASTPATH,),
     ),
     Mutant(
@@ -190,7 +196,7 @@ MUTANTS = (
         "fetch-batch-no-repeat-check", 38, MANAGER,
         "            or len(set(pages)) < n\n",
         "",
-        ("tests/core/test_components.py",),
+        ("tests/core/test_components.py", "tests/bufferpool/test_manager.py"),
     ),
     Mutant(
         "transition-ignores-the-listener", 33, MANAGER,

@@ -55,6 +55,7 @@ from repro.errors import (
 )
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.policies.base import ReplacementPolicy
+from repro.storage.clock import to_ticks
 from repro.storage.device import SimulatedSSD
 
 __all__ = ["BufferPoolManager"]
@@ -203,8 +204,8 @@ class BufferPoolManager:
             # Everything the executor's inlined loop touches that is
             # immutable for the manager's lifetime, packed into one tuple:
             # a single load + unpack per replay replaces a dozen
-            # ``self.<attr>`` lookups.  ``self.stats`` and ``device.stats`` are NOT cached
-            # — both are replaced wholesale (warmup reset, ``reset_stats``).
+            # ``self.<attr>`` lookups.  ``device.stats`` is NOT cached: it is
+            # replaced wholesale (``reset_stats``).
             self._turbo = (
                 pool._free,
                 self._slots,
@@ -215,8 +216,6 @@ class BufferPoolManager:
                 pool.dirty_bits,
                 pool.prefetched_bits,
                 device._payloads,
-                device._single_read_us,
-                device._single_write_us,
                 device._single_read_ticks,
                 device._single_write_ticks,
                 device.ftl,
@@ -569,10 +568,10 @@ class BufferPoolManager:
             if fault.permanent or attempt >= retry.max_attempts:
                 stats.failed_writebacks += len(remaining)
                 break
-            delay = retry.backoff_for(attempt)
-            clock.advance(delay)
+            delay = to_ticks(retry.backoff_for(attempt))
+            clock.ticks += delay
             stats.io_retries += 1
-            stats.retry_backoff_us += delay
+            stats.retry_backoff_ticks += delay
             attempt += 1
             try:
                 self.device.write_batch(remaining)
@@ -735,10 +734,10 @@ class BufferPoolManager:
                     f"could not read page {page}",
                     last_fault=fault,
                 ) from fault
-            delay = retry.backoff_for(attempt)
-            clock.advance(delay)
+            delay = to_ticks(retry.backoff_for(attempt))
+            clock.ticks += delay
             stats.io_retries += 1
-            stats.retry_backoff_us += delay
+            stats.retry_backoff_ticks += delay
             attempt += 1
             try:
                 return self.device.read_page(page)

@@ -38,10 +38,11 @@ class BufferStats:
     prefetch_hits: int = 0
     prefetch_unused: int = 0
     #: Fault handling (see repro.faults): device faults the manager saw,
-    #: retries it issued, and backoff time charged to the virtual clock.
+    #: retries it issued, and backoff time charged to the virtual clock
+    #: (ticks).
     io_faults: int = 0
     io_retries: int = 0
-    retry_backoff_us: float = 0.0
+    retry_backoff_ticks: int = 0
     #: Write-back degradation: batches that landed partially (torn or
     #: mixed), pages abandoned dirty after retries, and evictions that
     #: fell back to a different (clean) candidate.

@@ -345,10 +345,10 @@ def merge_shard_metrics(
     """Merge per-shard runs into one cluster-level :class:`RunMetrics`.
 
     Deterministic by construction: results are processed in shard order
-    whatever order they completed in, integer counters sum exactly, and
-    float sums always run in the same (shard) order.  ``elapsed_us`` is
-    the makespan (max shard virtual time); ``io_time_us``/``cpu_time_us``
-    stay sums — they are *work*, not spans.
+    whatever order they completed in, and every counter, times included,
+    is an integer that sums exactly.  ``elapsed_us`` is the makespan (max
+    shard virtual time); ``io_ticks``/``cpu_ticks`` stay sums — they are
+    *work*, not spans.
     """
     ordered = sorted(results, key=lambda result: result.shard)
     if not ordered:
@@ -365,8 +365,8 @@ def merge_shard_metrics(
     new_order = 0
     wal_pages = 0
     makespan = 0.0
-    io_time = 0.0
-    cpu_time = 0.0
+    io_ticks = 0
+    cpu_ticks = 0
     for result in ordered:
         metrics = result.metrics
         ops += metrics.ops
@@ -374,8 +374,8 @@ def merge_shard_metrics(
         new_order += metrics.new_order_transactions
         wal_pages += metrics.wal_pages_written
         makespan = max(makespan, metrics.elapsed_us)
-        io_time += metrics.io_time_us
-        cpu_time += metrics.cpu_time_us
+        io_ticks += metrics.io_ticks
+        cpu_ticks += metrics.cpu_ticks
         buffer.merge(metrics.buffer)
         device.merge(metrics.device)
         if ftl is not None:
@@ -390,8 +390,8 @@ def merge_shard_metrics(
         device=device,
         ftl=ftl,
         wal_pages_written=wal_pages,
-        io_time_us=io_time,
-        cpu_time_us=cpu_time,
+        io_ticks=io_ticks,
+        cpu_ticks=cpu_ticks,
     )
 
 

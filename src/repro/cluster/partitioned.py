@@ -129,14 +129,6 @@ class PartitionedBufferPoolManager:
             total.merge(partition.stats)
         return total
 
-    @stats.setter
-    def stats(self, fresh: BufferStats) -> None:
-        """Restart the counters from ``fresh`` (the executor's warm-up
-        boundary assigns a zeroed instance): the aggregate reads back equal."""
-        for partition in self.partitions:
-            partition.stats = BufferStats()
-        self.partitions[0].stats = fresh
-
     def occupancy(self) -> list[int]:
         """Used frames per partition (imbalance diagnostics)."""
         return [partition.pool.used_count for partition in self.partitions]

@@ -529,8 +529,7 @@ class _ReplicaGroup:
         self.group_elapsed_ticks += now - primary.serve_start_ticks
         primary.serve_start_ticks = now
 
-    def shard_metrics(self, label: str, ops: int,
-                      cpu_time_us: float) -> RunMetrics:
+    def shard_metrics(self, label: str, ops: int, cpu_ticks: int) -> RunMetrics:
         """The shard's serving-path metrics: the summed work of every
         stack that served as primary.
 
@@ -544,7 +543,7 @@ class _ReplicaGroup:
         device = DeviceStats()
         ftl: FtlCounters | None = FtlCounters()
         wal_pages = 0
-        io_time_us = 0.0
+        io_ticks = 0
         for node in self.served:
             buffer.merge(
                 node.frozen_stats if node.frozen_stats is not None
@@ -558,7 +557,7 @@ class _ReplicaGroup:
                 else:
                     ftl.merge(node.device.ftl.counters)
             wal_pages += node.wal.pages_written
-            io_time_us += node_device.total_time_us
+            io_ticks += node_device.read_ticks + node_device.write_ticks
         return RunMetrics(
             label=label,
             elapsed_us=to_us(self.group_elapsed_ticks),
@@ -567,8 +566,8 @@ class _ReplicaGroup:
             device=device,
             ftl=ftl,
             wal_pages_written=wal_pages,
-            io_time_us=io_time_us,
-            cpu_time_us=cpu_time_us,
+            io_ticks=io_ticks,
+            cpu_ticks=cpu_ticks,
         )
 
 
@@ -588,8 +587,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
     commit_every = (
         config.options.commit_every_ops or REPLICATION_COMMIT_EVERY
     )
-    cpu_per_op = config.options.cpu_us_per_op
-    op_ticks = to_ticks(cpu_per_op)
+    op_ticks = to_ticks(config.options.cpu_us_per_op)
     plan = config.node_faults
     faults = plan.faults_for(job.shard) if plan is not None else ()
     label = f"{config.label}/shard{job.shard}"
@@ -626,7 +624,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
                 # segment, so the partial metrics are boundary-accurate.
                 partial = group.shard_metrics(
                     label, ops=committed,
-                    cpu_time_us=cpu_per_op * executed,
+                    cpu_ticks=op_ticks * executed,
                 )
                 raise NodeFailure(
                     shard=failure.shard,
@@ -647,7 +645,7 @@ def _replay_replicated_shard(job) -> ReplicatedShardResult:
     ledger = write_ledger(pages, writes)
     final_primary = group.primary
     metrics = group.shard_metrics(
-        label, ops=total, cpu_time_us=cpu_per_op * executed
+        label, ops=total, cpu_ticks=op_ticks * executed
     )
     image = simulate_crash(final_primary.manager)
     recover(image)

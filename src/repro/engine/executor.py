@@ -14,11 +14,11 @@ stack, ``manager.access`` per request otherwise.  It charges the stretch's
 CPU as one tick count — the clock counts integer ticks
 (:mod:`repro.storage.clock`), so that is the very clock request-by-request
 charging reaches — and stops at a *deadline*: after the first request
-whose end reaches a tick.  A caller that observes an index (warm-up end,
-trace end, a transaction's commit, a commit point, a request of the
-serving layer, a replica group's commit window) slices there; one that
-observes a time (a background process due, a timed node fault) passes the
-tick; each then charges, acts and replays on.  Per-request latencies are the CPU
+whose end reaches a tick.  A caller that observes an index (trace end,
+a transaction's commit, a commit point, a request of the serving layer,
+a replica group's commit window) slices there; one that observes a time
+(a background process due, a timed node fault) passes the tick; each
+then charges, acts and replays on.  Per-request latencies are the CPU
 charge plus the I/O ticks ``replay`` reports per stalled request.
 :func:`run_trace`, :func:`run_transactions` and the serving layer share a
 :class:`RunSession`: start marks, the background timers, metrics.
@@ -181,12 +181,11 @@ def _replay_turbo(
     Every step of the request path — probe, hit bookkeeping, victim
     write-back, eviction, device read, install, dirty marking — is
     straight-line code here (``_handle_miss`` and its helpers on a bare
-    device, step for step), and the *commuting* integer counters (hits,
-    evictions, device read/write counts, the batch histogram) are
-    accumulated in locals and flushed once.  The clock gets the tick count ``advance``
-    would add, per event; the floating-point device time sums stay
-    sequential per event too, so the resulting metrics are byte-identical
-    to the per-request replay, not merely equal modulo summation order.
+    device, step for step), and the counters (hits, evictions, device
+    read/write counts and ticks, the batch histogram) are accumulated in
+    locals and flushed once: all are integers, which commute, so the
+    resulting metrics are byte-identical to the per-request replay.  The
+    clock gets the tick count ``advance`` would add, per event.
     Every page is inside the probe space and the device (:func:`replay`
     checked the stretch), so the probe is one index and a miss tests no
     bound.  The policy is called through what ``policy.hooks()`` published
@@ -246,8 +245,6 @@ def _replay_turbo(
         dirty_bits,
         prefetched_bits,
         device_payloads,
-        read_us,
-        write_us,
         read_ticks,
         write_ticks,
         ftl,
@@ -366,7 +363,6 @@ def _replay_turbo(
                                     # and install below, repeated here, as
                                     # the write post-work is.
                                     clock.ticks += read_ticks
-                                    device_stats.read_time_us += read_us
                                     reads_done += 1
                                     try:
                                         payload = device_payloads[page]
@@ -402,7 +398,6 @@ def _replay_turbo(
                                     hits + misses - 1, True,
                                 )
                             clock.ticks += write_ticks
-                            device_stats.write_time_us += write_us
                             device_payloads[victim] = payloads[victim_frame]
                             if ftl is not None:
                                 ftl.write(victim)
@@ -421,7 +416,6 @@ def _replay_turbo(
                         payloads[victim_frame] = None
                         free.append(victim_frame)
                     clock.ticks += read_ticks
-                    device_stats.read_time_us += read_us
                     reads_done += 1
                     try:
                         payload = device_payloads[page]
@@ -503,10 +497,12 @@ def _replay_turbo(
             stats.writeback_batches += writebacks_done
             device_stats.reads += reads_done
             device_stats.read_batches += reads_done
+            device_stats.read_ticks += reads_done * read_ticks
             if reads_done and device_stats.largest_read_batch < 1:
                 device_stats.largest_read_batch = 1
             device_stats.writes += writebacks_done
             device_stats.write_batches += writebacks_done
+            device_stats.write_ticks += writebacks_done * write_ticks
             if writebacks_done:
                 histogram = device_stats.write_batch_size_histogram
                 histogram[1] = histogram.get(1, 0) + writebacks_done
@@ -588,7 +584,7 @@ class RunSession:
     """One measured run: its start marks, its background tick, its metrics.
 
     ``run_trace``, ``run_transactions`` and the serving layer's admission
-    loop each open one when measurement starts (after any warm-up), call
+    loop each open one when measurement starts, call
     :meth:`tick` wherever their loop lets the background processes see the
     clock (``run_trace`` also ends a stretch at :meth:`due_ticks`), and
     end with :meth:`finish` — the one place a run's :class:`RunMetrics` is
@@ -609,8 +605,7 @@ class RunSession:
         self.clock = device.clock
         self.start_us = self.clock.now_us
         self._start_ticks = self.clock.ticks
-        self._start_reads = device.stats.read_time_us
-        self._start_writes = device.stats.write_time_us
+        self._start_io = device.stats.read_ticks + device.stats.write_ticks
         self._processes = (bg_writer, checkpointer, scrubber)
         self._next_bg_writer_us = self.start_us + self.options.bg_writer_interval_us
         self._due = self._first_due()
@@ -653,23 +648,18 @@ class RunSession:
     def finish(self, label: str, ops: int, **counts) -> RunMetrics:
         """The run's metrics: elapsed since the start marks, counters now."""
         manager, device = self.manager, self.manager.device
-        elapsed = self.elapsed_us()
-        io_time = (
-            device.stats.read_time_us
-            - self._start_reads
-            + device.stats.write_time_us
-            - self._start_writes
-        )
+        elapsed = self.clock.ticks - self._start_ticks
+        io = device.stats.read_ticks + device.stats.write_ticks - self._start_io
         return RunMetrics(
             label=label,
-            elapsed_us=elapsed,
+            elapsed_us=to_us(elapsed),
             ops=ops,
             buffer=manager.stats.copy(),
             device=device.stats.copy(),
             ftl=device.ftl.counters.copy() if device.ftl else None,
             wal_pages_written=manager.wal.pages_written if manager.wal else 0,
-            io_time_us=io_time,
-            cpu_time_us=elapsed - io_time,
+            io_ticks=io,
+            cpu_ticks=elapsed - io,
             **counts,
         )
 
@@ -696,7 +686,6 @@ def run_trace(
     checkpointer: Checkpointer | None = None,
     label: str | None = None,
     latencies: LatencyRecorder | None = None,
-    warmup_ops: int = 0,
     serving=None,
     scrubber=None,
 ) -> RunMetrics:
@@ -710,10 +699,6 @@ def run_trace(
     background writer, it runs on its own virtual-time interval and heals
     latent silent corruption between requests.
 
-    ``warmup_ops`` replays that many leading requests before measurement
-    starts (the pool fills, stats and clock baselines reset afterwards),
-    for steady-state methodology.
-
     ``serving`` enables the overload-resilient admission layer: pass a
     :class:`~repro.engine.serving.ServingConfig` (or a prebuilt
     :class:`~repro.engine.serving.ServingLayer` bound to ``manager``) and
@@ -722,18 +707,6 @@ def run_trace(
     returned metrics carry a ``serving`` field.  ``None`` (the default)
     keeps the historical direct-replay path, at zero overhead.
     """
-    if warmup_ops:
-        if warmup_ops >= len(trace):
-            raise ValueError(
-                f"warmup ({warmup_ops}) must leave measured requests "
-                f"(trace has {len(trace)})"
-            )
-        replay(manager, trace.pages[:warmup_ops], trace.writes[:warmup_ops])
-        manager.stats = type(manager.stats)()
-        # Measurement boundary: device (and FTL) counters must cover only
-        # the measured window, matching the buffer-stats reset above.
-        manager.device.reset_stats()
-        trace = trace.slice(warmup_ops, len(trace))
     session = RunSession(manager, options, bg_writer, checkpointer, scrubber)
     if serving is not None:
         return _serving_layer(manager, serving).admit_trace(

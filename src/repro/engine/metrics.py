@@ -36,8 +36,10 @@ class RunMetrics:
     device: DeviceStats = field(default_factory=DeviceStats)
     ftl: FtlCounters | None = None
     wal_pages_written: int = 0
-    io_time_us: float = 0.0
-    cpu_time_us: float = 0.0
+    #: Device and CPU time in clock ticks (``to_us`` converts): work, so
+    #: a merge sums them.
+    io_ticks: int = 0
+    cpu_ticks: int = 0
     #: Serving-layer accounting; ``None`` for runs without admission
     #: control (the historical default).
     serving: "ServingMetrics | None" = None

@@ -34,7 +34,7 @@ from repro.errors import IOFaultError, PowerFailure, TornWriteError
 from repro.faults.plan import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FlashTranslationLayer
-from repro.storage.clock import VirtualClock
+from repro.storage.clock import VirtualClock, to_ticks
 
 __all__ = ["FaultyDevice"]
 
@@ -146,8 +146,9 @@ class FaultyDevice:
         stats = base.stats
         if event.kind is FaultKind.LATENCY_SPIKE:
             stats.latency_spikes += 1
-            stats.fault_delay_us += event.delay_us
-            base.clock.advance(event.delay_us)
+            delay = to_ticks(event.delay_us)
+            stats.fault_delay_ticks += delay
+            base.clock.ticks += delay
             return
         if event.kind is FaultKind.BITROT:
             # The victim page decays in place *before* the read: the caller
@@ -205,8 +206,9 @@ class FaultyDevice:
         stats = base.stats
         if event.kind is FaultKind.LATENCY_SPIKE:
             stats.latency_spikes += 1
-            stats.fault_delay_us += event.delay_us
-            base.clock.advance(event.delay_us)
+            delay = to_ticks(event.delay_us)
+            stats.fault_delay_ticks += delay
+            base.clock.ticks += delay
             base.write_batch(dict(items))
             return
         if event.kind is FaultKind.TRANSIENT_WRITE:

@@ -20,9 +20,6 @@ import math
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from itertools import repeat
-from operator import add
 
 from repro.errors import CorruptPageError
 from repro.storage.clock import VirtualClock, to_ticks
@@ -50,14 +47,18 @@ def page_checksum(page: int, payload: object | None) -> int:
 # every device-bound request.
 @dataclass(slots=True)
 class DeviceStats:
-    """Logical I/O counters for one simulated device."""
+    """Logical I/O counters for one simulated device.
+
+    Times are clock ticks (:mod:`repro.storage.clock`): integers, so they
+    sum to the same count in any order.
+    """
 
     reads: int = 0
     writes: int = 0
     read_batches: int = 0
     write_batches: int = 0
-    read_time_us: float = 0.0
-    write_time_us: float = 0.0
+    read_ticks: int = 0
+    write_ticks: int = 0
     largest_write_batch: int = 0
     largest_read_batch: int = 0
     write_batch_size_histogram: dict[int, int] = field(default_factory=dict)
@@ -68,7 +69,7 @@ class DeviceStats:
     write_faults: int = 0
     torn_batches: int = 0
     latency_spikes: int = 0
-    fault_delay_us: float = 0.0
+    fault_delay_ticks: int = 0
     #: Silent corruptions injected (bitrot, misdirected or lost writes) —
     #: these never raise at injection time; that is what makes them silent.
     silent_corruptions: int = 0
@@ -85,10 +86,6 @@ class DeviceStats:
         return self.read_faults + self.write_faults + self.torn_batches
 
     @property
-    def total_time_us(self) -> float:
-        return self.read_time_us + self.write_time_us
-
-    @property
     def mean_write_batch(self) -> float:
         if self.write_batches == 0:
             return 0.0
@@ -102,7 +99,7 @@ class DeviceStats:
     def merge(self, other: "DeviceStats") -> None:
         """Add ``other``'s counters to these, in place.
 
-        Counts and times sum; the ``largest_*`` fields are maxima, so they
+        Counts and ticks sum; the ``largest_*`` fields are maxima, so they
         merge by ``max``; the histogram adds key-wise, walking ``other``'s
         keys in sorted order so the merged dict never inherits an
         insertion order from the run that produced it.
@@ -164,19 +161,14 @@ class SimulatedSSD:
         self._page_limit = num_pages if num_pages is not None else math.inf
         # The latency model is a pure function of the batch size, so the
         # single-page costs — paid on every cache miss and every classic
-        # write-back — are computed once.
-        self._single_read_us = self.model.read_batch_us(1)
-        self._single_write_us = self.model.write_batch_us(1)
-        # The same two as tick counts, for the inlined miss path and
-        # ``write_page``, which add them to ``clock.ticks`` without the
-        # call (what ``advance`` adds).
-        self._single_read_ticks = to_ticks(self._single_read_us)
-        self._single_write_ticks = to_ticks(self._single_write_us)
-        # Every batch size's cost as ``(us, ticks)``, memoised on first use
-        # and seeded with the single-page pair: a batch then adds its ticks
-        # to the clock as ``write_page`` does, with no model call.
-        self._read_costs = {1: (self._single_read_us, self._single_read_ticks)}
-        self._write_costs = {1: (self._single_write_us, self._single_write_ticks)}
+        # write-back — are computed once, as the ticks ``advance`` would
+        # add: the inlined miss path adds them to ``clock.ticks`` directly.
+        self._single_read_ticks = to_ticks(self.model.read_batch_us(1))
+        self._single_write_ticks = to_ticks(self.model.write_batch_us(1))
+        # Every batch size's cost in ticks, memoised on first use and
+        # seeded with the single-page cost: no model call after the first.
+        self._read_costs = {1: self._single_read_ticks}
+        self._write_costs = {1: self._single_write_ticks}
         self.stats = DeviceStats()
         self._payloads: dict[int, object] = {}
         #: Out-of-band checksum metadata: page -> checksum of the payload
@@ -198,12 +190,12 @@ class SimulatedSSD:
         """Read a single page; advances the clock by one read latency."""
         if not 0 <= page < self._page_limit:
             raise self._range_error(page)
-        elapsed = self._single_read_us
-        self.clock.advance(elapsed)
+        ticks = self._single_read_ticks
+        self.clock.ticks += ticks
         stats = self.stats
         stats.reads += 1
         stats.read_batches += 1
-        stats.read_time_us += elapsed
+        stats.read_ticks += ticks
         if stats.largest_read_batch < 1:
             stats.largest_read_batch = 1
         if self._checksums is not None:
@@ -221,16 +213,14 @@ class SimulatedSSD:
             return []
         if not 0 <= min(pages) <= max(pages) < self._page_limit:
             self._check_pages(pages)  # names the first page out of range
-        cost = self._read_costs.get(n)
-        if cost is None:
-            elapsed = self.model.read_batch_us(n)
-            cost = self._read_costs[n] = (elapsed, to_ticks(elapsed))
-        elapsed, ticks = cost
+        ticks = self._read_costs.get(n)
+        if ticks is None:
+            ticks = self._read_costs[n] = to_ticks(self.model.read_batch_us(n))
         self.clock.ticks += ticks
         stats = self.stats
         stats.reads += n
         stats.read_batches += 1
-        stats.read_time_us += elapsed
+        stats.read_ticks += ticks
         if n > stats.largest_read_batch:
             stats.largest_read_batch = n
         if self._checksums is not None:
@@ -250,11 +240,12 @@ class SimulatedSSD:
         """
         if not 0 <= page < self._page_limit:
             raise self._range_error(page)
-        self.clock.ticks += self._single_write_ticks
+        ticks = self._single_write_ticks
+        self.clock.ticks += ticks
         stats = self.stats
         stats.writes += 1
         stats.write_batches += 1
-        stats.write_time_us += self._single_write_us
+        stats.write_ticks += ticks
         histogram = stats.write_batch_size_histogram
         histogram[1] = histogram.get(1, 0) + 1
         if stats.largest_write_batch < 1:
@@ -272,10 +263,9 @@ class SimulatedSSD:
         each.  A log page is timed at its flush and stored when the log is
         next observed (``WriteAheadLog.write_out``).
 
-        The same range check (before anything lands), counters, size-1
-        histogram bucket, payloads, FTL writes and checksums;
-        ``write_time_us`` gains ``_single_write_us`` ``n`` times, one
-        addition after another, so the float sum is ``write_page``'s.
+        The same range check (before anything lands), counters (``n``
+        single-page writes' ticks), size-1 histogram bucket, payloads, FTL
+        writes and checksums.
         """
         n = len(pages)
         if not n:
@@ -285,9 +275,7 @@ class SimulatedSSD:
         stats = self.stats
         stats.writes += n
         stats.write_batches += n
-        stats.write_time_us = reduce(
-            add, repeat(self._single_write_us, n), stats.write_time_us
-        )
+        stats.write_ticks += n * self._single_write_ticks
         histogram = stats.write_batch_size_histogram
         histogram[1] = histogram.get(1, 0) + n
         if stats.largest_write_batch < 1:
@@ -322,16 +310,14 @@ class SimulatedSSD:
             return
         if not 0 <= min(pages) <= max(pages) < self._page_limit:
             self._check_pages(pages)  # names the first page out of range
-        cost = self._write_costs.get(n)
-        if cost is None:
-            elapsed = self.model.write_batch_us(n)
-            cost = self._write_costs[n] = (elapsed, to_ticks(elapsed))
-        elapsed, ticks = cost
+        ticks = self._write_costs.get(n)
+        if ticks is None:
+            ticks = self._write_costs[n] = to_ticks(self.model.write_batch_us(n))
         self.clock.ticks += ticks
         stats = self.stats
         stats.writes += n
         stats.write_batches += 1
-        stats.write_time_us += elapsed
+        stats.write_ticks += ticks
         histogram = stats.write_batch_size_histogram
         histogram[n] = histogram.get(n, 0) + 1
         if n > stats.largest_write_batch:
@@ -370,12 +356,12 @@ class SimulatedSSD:
         """
         if not 0 <= page < self._page_limit:
             raise self._range_error(page)
-        elapsed = self._single_read_us
-        self.clock.advance(elapsed)
+        ticks = self._single_read_ticks
+        self.clock.ticks += ticks
         stats = self.stats
         stats.reads += 1
         stats.read_batches += 1
-        stats.read_time_us += elapsed
+        stats.read_ticks += ticks
         if stats.largest_read_batch < 1:
             stats.largest_read_batch = 1
         checksums = self._checksums

@@ -276,7 +276,8 @@ class TestBulkFailureContract:
     """``_evict`` and ``_write_back`` fail as a page-by-page loop would:
     the error names the first offending page in request order.  An
     eviction keeps the pages before that offender evicted (and counted);
-    a write-back has no side effect at all."""
+    a write-back, like a refused ``_fetch_batch``, has no side effect at
+    all."""
 
     #: offence -> (exception type, message for page ``p``).
     EVICT_OFFENCES = {
@@ -403,6 +404,15 @@ class TestBulkFailureContract:
             dataclasses.asdict(manager.stats), manager.dirty_pages(),
         )
         manager.sanitizer.assert_clean()
+
+    def test_fetch_batch_refuses_a_repeated_page_before_reading(self):
+        manager = BufferPoolManager(8, LRUPolicy(), make_device(64))
+        device = manager.device
+        before = dataclasses.asdict(device.stats), device.clock.ticks
+        with pytest.raises(ValueError, match="page 7 is repeated in the batch"):
+            manager._fetch_batch([5, 7, 7], cold=True)
+        assert (dataclasses.asdict(device.stats), device.clock.ticks) == before
+        assert manager.resident_pages() == []
 
     def test_write_back_cleans_each_distinct_page_once(self):
         manager = BufferPoolManager(8, LRUPolicy(), make_device(64))

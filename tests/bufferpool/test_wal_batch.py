@@ -90,7 +90,7 @@ def test_batch_equals_record_by_record(n, pending):
 @pytest.mark.parametrize("n", SIZES)
 def test_deferred_batch_equals_batch_then_flush(n, pending, per_page, flush):
     """Two deferred appends, then one ``write_out``: the same log, images,
-    device counters (``write_time_us`` to the last bit) and clock."""
+    device counters (``write_ticks`` included) and clock."""
     logs = tuple(WriteAheadLog(VirtualClock(), records_per_page=per_page)
                  for _ in range(2))
     for wal in logs:

@@ -83,8 +83,8 @@ class TestShardLocalEquivalence:
         # of shard clocks is the single node's clock, the makespan is
         # what parallel shard service buys.
         assert got.serial_elapsed_us == expected.elapsed_us
-        assert got.merged.io_time_us == expected.io_time_us
-        assert got.merged.cpu_time_us == expected.cpu_time_us
+        assert got.merged.io_ticks == expected.io_ticks
+        assert got.merged.cpu_ticks == expected.cpu_ticks
         assert got.merged.elapsed_us == max(
             shard.elapsed_us for shard in got.per_shard
         )

@@ -116,9 +116,8 @@ class TestMerge:
         assert merged.elapsed_us == max(
             a.metrics.elapsed_us, b.metrics.elapsed_us
         )
-        assert merged.io_time_us == pytest.approx(
-            a.metrics.io_time_us + b.metrics.io_time_us
-        )
+        assert merged.io_ticks == a.metrics.io_ticks + b.metrics.io_ticks
+        assert merged.cpu_ticks == a.metrics.cpu_ticks + b.metrics.cpu_ticks
         assert merged.buffer.misses == (
             a.metrics.buffer.misses + b.metrics.buffer.misses
         )

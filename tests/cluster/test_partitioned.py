@@ -157,24 +157,16 @@ class TestWithACE:
 
 class TestThroughTheExecutor:
     """``run_trace`` drives the facade like any manager (it used to raise
-    ``AttributeError`` on ``sanitizer`` and, warming up, on ``stats``)."""
+    ``AttributeError`` on ``sanitizer``)."""
 
-    @pytest.mark.parametrize("warmup_ops", [0, 300])
     @pytest.mark.parametrize("factory", [baseline_factory, ace_factory])
-    def test_one_partition_is_the_unpartitioned_pool(self, factory, warmup_ops):
+    def test_one_partition_is_the_unpartitioned_pool(self, factory):
         trace = generate_trace(MS, 256, 1200, seed=9)
         whole = factory(16, make_device(256))
         facade = make_partitioned(capacity=16, partitions=1, factory=factory)
         expected, got = (
-            run_trace(manager, trace, label="run", warmup_ops=warmup_ops)
-            for manager in (whole, facade)
+            run_trace(manager, trace, label="run") for manager in (whole, facade)
         )
         assert got == expected
         assert got.buffer.misses > 16
-        assert got.ops == len(trace) - warmup_ops
-
-    def test_warm_up_resets_every_partition(self):
-        manager = make_partitioned(capacity=16, partitions=4)
-        trace = generate_trace(MS, 256, 1200, seed=9)
-        metrics = run_trace(manager, trace, warmup_ops=300)
-        assert metrics.buffer.accesses == 900 == manager.stats.accesses
+        assert got.ops == len(trace)

@@ -473,8 +473,8 @@ class TestPackedShipment:
             + to_ticks(fast.device.model.write_batch_us(images))
         )
         # k_w at work: one batch, not one wave per image.
-        assert fast.device.stats.write_time_us < (
-            images * fast.device.model.write_batch_us(1) / 2
+        assert fast.device.stats.write_ticks < (
+            images * fast.device._single_write_ticks / 2
         )
         assert slow_cost == fast_cost + to_ticks(500.0)
         # The primary's log was already flushed: all it did was wait.

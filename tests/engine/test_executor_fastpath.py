@@ -305,10 +305,6 @@ INLINED = {"_replay_turbo"}
 #: ``_replay_turbo`` / ``access`` / ``_handle_miss``[, how it is driven]).
 PATHS = {
     "bare baseline": (lambda: build("lru", "baseline"), INLINED),
-    "warm-up": (
-        lambda: build("lru", "ace"), INLINED,
-        lambda manager, trace: run_trace(manager, trace, options=OPTIONS, warmup_ops=120),
-    ),
     "transactions": (lambda: build("lru", "ace"), INLINED, _transactions()),
     "transactions with a wal": (
         lambda: build("lru", "ace", surrounding="wal"), INLINED, _transactions(),

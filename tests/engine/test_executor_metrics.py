@@ -5,11 +5,16 @@ import pytest
 from repro.bufferpool.background import BackgroundWriter, Checkpointer
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.wal import WriteAheadLog
-from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
+from repro.core.stack import build_manager
+from repro.engine.executor import (
+    ExecutionOptions, replay, run_trace, run_transactions,
+)
 from repro.engine.metrics import RunMetrics, percent_delta, speedup
 from repro.policies.lru import LRUPolicy
+from repro.storage.clock import to_ticks, to_us
 from repro.storage.device import SimulatedSSD
-from repro.storage.profiles import DeviceProfile
+from repro.storage.profiles import PCIE_SSD, DeviceProfile
+from repro.workloads.synthetic import MS, generate_trace
 from repro.workloads.tpcc.transactions import TransactionType
 from repro.workloads.trace import PageRequest, Trace
 
@@ -17,6 +22,8 @@ PROFILE = DeviceProfile(
     name="exec-test", alpha=2.0, k_r=4, k_w=4, read_latency_us=100.0,
     submit_overhead_us=0.0, queue_overhead_us=0.0,
 )
+
+NUM_PAGES = 400
 
 
 def make_manager(capacity=8, num_pages=64, wal=False):
@@ -34,8 +41,8 @@ class TestRunTrace:
         assert metrics.ops == 3
         # 2 misses (200us) + 3 * 10us CPU.
         assert metrics.elapsed_us == pytest.approx(230.0)
-        assert metrics.io_time_us == pytest.approx(200.0)
-        assert metrics.cpu_time_us == pytest.approx(30.0)
+        assert metrics.io_ticks == to_ticks(200.0)
+        assert metrics.cpu_ticks == to_ticks(30.0)
         assert metrics.buffer.hits == 1
 
     def test_zero_cpu_cost(self):
@@ -66,24 +73,6 @@ class TestRunTrace:
         manager = make_manager()
         metrics = run_trace(manager, Trace([0], [False], name="t"))
         assert metrics.label == "baseline/t"
-
-    def test_warmup_excluded_from_measurement(self):
-        manager = make_manager(capacity=8)
-        trace = Trace([0, 1, 2, 0, 1, 2], [False] * 6)
-        metrics = run_trace(
-            manager, trace, options=ExecutionOptions(cpu_us_per_op=0),
-            warmup_ops=3,
-        )
-        # After the warmup pass the three pages are resident: all hits.
-        assert metrics.ops == 3
-        assert metrics.buffer.misses == 0
-        assert metrics.elapsed_us == pytest.approx(0.0)
-
-    def test_warmup_must_leave_measured_ops(self):
-        manager = make_manager()
-        trace = Trace([0], [False])
-        with pytest.raises(ValueError):
-            run_trace(manager, trace, warmup_ops=1)
 
     def test_ftl_counters_captured(self):
         device = SimulatedSSD(PROFILE, num_pages=64, with_ftl=True)
@@ -129,6 +118,42 @@ class TestRunTransactions:
         options = ExecutionOptions(cpu_us_per_op=0, cpu_us_per_transaction=50)
         metrics = run_transactions(manager, stream, options=options)
         assert metrics.elapsed_us == pytest.approx(50.0)
+
+
+class TestTickTime:
+    """Device time is the clock's own ticks, so a run's I/O time and its
+    stalls are the device's counters exactly, on either arm, on a device
+    whose latencies are not whole microseconds (a PCIe page write is
+    ``253.29999999999998`` µs as a float)."""
+
+    @staticmethod
+    def _stack(sanitize):
+        device = SimulatedSSD(PCIE_SSD, num_pages=NUM_PAGES)
+        device.format_pages(range(NUM_PAGES))
+        manager = build_manager(device, 24, "lru", "ace", sanitize=sanitize)
+        assert (manager.sanitizer is None) is not sanitize
+        return manager
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["inlined", "reference"])
+    def test_stalls_sum_to_the_device_ticks(self, sanitize):
+        manager = self._stack(sanitize)
+        trace = generate_trace(MS, NUM_PAGES, 3000, seed=4)
+        stalls = []
+        assert replay(manager, trace.pages, trace.writes, 0, stalls=stalls) == 3000
+        stats = manager.device.stats
+        assert stats.reads and stats.writes
+        assert sum(ticks for _, ticks in stalls) == stats.read_ticks + stats.write_ticks
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["inlined", "reference"])
+    def test_io_time_is_the_device_ticks(self, sanitize):
+        manager = self._stack(sanitize)
+        trace = generate_trace(MS, NUM_PAGES, 3000, seed=4)
+        metrics = run_trace(manager, trace, ExecutionOptions(cpu_us_per_op=0))
+        stats = manager.device.stats
+        assert stats.reads and stats.writes
+        assert metrics.io_ticks == stats.read_ticks + stats.write_ticks
+        assert metrics.cpu_ticks == 0
+        assert metrics.elapsed_us == to_us(metrics.io_ticks)
 
 
 class TestMetricsHelpers:

@@ -2,10 +2,13 @@
 
 ``run_trace(..., serving=layer)`` drives the one admission loop, whose
 unit is one page request.  These digests were recorded from the
-hand-written loop that preceded it (PR 19's tree), re-recorded once when
-the virtual clock became an integer tick count (PR 21: no integer, string
-or list leaf of any record moved, the floats by at most 1.34e-12
-relative) and are committed as literals: every
+hand-written loop that preceded it, re-recorded when the virtual clock
+became an integer tick count (no integer, string or list leaf of any
+record moved, the floats by at most 1.34e-12 relative) and again when
+device, retry and run times became tick counts (no leaf moved but the
+six time fields of the device and buffer stats and the metrics, which
+now hold ticks, each within 1.91e-13 relative of its old µs float once
+converted with ``to_us``), and are committed as literals: every
 cell of {trace with ``client_ids``} x {closed loop,
 open loop under capacity, open loop over capacity — deadline on} x {bare
 device, ``FaultPlan.uniform(0.02)`` plus two dead pages and a one-try
@@ -67,18 +70,18 @@ BREAKERS = ("nobreaker", "breaker")
 CELLS = ["-".join(cell) for cell in product(("trace",), LOADS, DEVICES, BREAKERS)]
 
 GOLDEN: dict[str, str] = {
-    "trace-closed-bare-nobreaker": "12674714382e1c3ad4278cb8",
-    "trace-closed-bare-breaker": "12674714382e1c3ad4278cb8",
-    "trace-closed-faulty-nobreaker": "6dbe4a02460df63c47b3a0e1",
-    "trace-closed-faulty-breaker": "744594004a92eb5f4d047c47",
-    "trace-under-bare-nobreaker": "58073206a8063cd5c08e6bdf",
-    "trace-under-bare-breaker": "47a73136882dd1f9a4fb6f45",
-    "trace-under-faulty-nobreaker": "54d248b3d1c73b876b99fe98",
-    "trace-under-faulty-breaker": "99f8d2e49d0584d25b65d791",
-    "trace-over-bare-nobreaker": "3f8535ca44a103a56a635398",
-    "trace-over-bare-breaker": "5eea3d124824bc85523a9228",
-    "trace-over-faulty-nobreaker": "0bbcef46dc8207d98fe62a42",
-    "trace-over-faulty-breaker": "065c52b4d0319b62899eb8da",
+    "trace-closed-bare-nobreaker": "de424d0ad1c0cfe30d02b260",
+    "trace-closed-bare-breaker": "de424d0ad1c0cfe30d02b260",
+    "trace-closed-faulty-nobreaker": "b44c98ef1e2e966dbc5dc35a",
+    "trace-closed-faulty-breaker": "512991b84f861df53b1eeb10",
+    "trace-under-bare-nobreaker": "1dc27fe5a9fb31831b2b6a41",
+    "trace-under-bare-breaker": "32eeb8172795c662ec24a816",
+    "trace-under-faulty-nobreaker": "daffaefdcd6107e91f599ecd",
+    "trace-under-faulty-breaker": "e463c90cfe0c341b935b8e03",
+    "trace-over-bare-nobreaker": "331c63d82a002ff9d6c48124",
+    "trace-over-bare-breaker": "eb769d9854814b9e3ca9d884",
+    "trace-over-faulty-nobreaker": "0f8bc622050af29cf1f5111e",
+    "trace-over-faulty-breaker": "0e4b9910154aa2d14162a6f6",
 }
 
 

@@ -9,8 +9,8 @@ arm (``manager.access`` request by request, every flush written at once),
 on a baseline + WAL stack:
 
 * right after the stretch, before anything flushes, the log device holds
-  the same images with the same counters (``write_time_us`` to the last
-  bit), and the clock, the durable prefix and the ``stalls`` list agree;
+  the same images with the same counters, and the clock, the durable
+  prefix and the ``stalls`` list agree;
 * under a deadline and a stalls list, at a hand-off to a page outside the
   device, and when the stretch raises mid-way;
 * with one and three records per log page, where page fills and the

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import IOFaultError, TornWriteError
 from repro.faults.device import FaultyDevice
 from repro.faults.plan import FaultKind, FaultPlan
+from repro.storage.clock import to_ticks
 
 from tests.faults.conftest import make_base_device, scripted_device
 
@@ -85,7 +86,7 @@ class TestReadFaults:
         assert device.clock.now_us - before == \
             pytest.approx(base_cost + 1_500.0)
         assert device.stats.latency_spikes == 1
-        assert device.stats.fault_delay_us == pytest.approx(1_500.0)
+        assert device.stats.fault_delay_ticks == to_ticks(1_500.0)
         # Spikes are slowdowns, not failures: excluded from faults_injected.
         assert device.stats.faults_injected == 0
 

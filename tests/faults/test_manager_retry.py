@@ -7,6 +7,7 @@ from repro.bufferpool.recovery import recover, simulate_crash
 from repro.errors import IOFaultError, RetriesExhaustedError
 from repro.faults.plan import FaultKind
 from repro.faults.retry import RetryPolicy
+from repro.storage.clock import to_ticks
 
 from tests.faults.conftest import scripted_manager
 
@@ -48,16 +49,16 @@ class TestRetryPolicy:
 class TestReadRetry:
     def test_read_succeeds_after_transient_faults(self):
         manager, _ = scripted_manager([TRANSIENT_READ, TRANSIENT_READ])
-        clock_before = manager.device.clock.now_us
+        clock_before = manager.device.clock.ticks
         assert manager.read_page(3) == 0
         stats = manager.stats
         assert stats.io_faults == 2
         assert stats.io_retries == 2
-        expected_backoff = (manager.retry.backoff_for(1)
-                            + manager.retry.backoff_for(2))
-        assert stats.retry_backoff_us == pytest.approx(expected_backoff)
+        expected_backoff = (to_ticks(manager.retry.backoff_for(1))
+                            + to_ticks(manager.retry.backoff_for(2)))
+        assert stats.retry_backoff_ticks == expected_backoff
         # Backoff is charged to the virtual clock, on top of the I/O costs.
-        assert manager.device.clock.now_us - clock_before > expected_backoff
+        assert manager.device.clock.ticks - clock_before > expected_backoff
 
     def test_read_retries_exhausted(self):
         retry = RetryPolicy(max_attempts=2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.clock import VirtualClock
+from repro.storage.clock import VirtualClock, to_ticks
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import (
     PAPER_DEVICES,
@@ -143,7 +143,7 @@ class TestBatchCosts:
         device = make_device(num_pages=64, profile=profile)
         model = profile.latency_model()
         clock = VirtualClock()
-        write_us = read_us = 0.0
+        write_ticks = read_ticks = 0
         histogram: dict[int, int] = {}
         largest_write = largest_read = 0
         sizes = list(range(1, 2 * profile.k_w + 1)) * 3
@@ -152,18 +152,19 @@ class TestBatchCosts:
             device.write_batch(dict.fromkeys(range(n), n))
             elapsed = model.write_batch_us(n)
             clock.advance(elapsed)
-            write_us += elapsed
+            write_ticks += to_ticks(elapsed)
             histogram[n] = histogram.get(n, 0) + 1
             largest_write = max(largest_write, n)
             assert device.clock.ticks == clock.ticks
             assert device.read_batch(list(range(n))) == [n] * n
             elapsed = model.read_batch_us(n)
             clock.advance(elapsed)
-            read_us += elapsed
+            read_ticks += to_ticks(elapsed)
             largest_read = max(largest_read, n)
             assert device.clock.ticks == clock.ticks
         stats = device.stats
-        assert (stats.write_time_us, stats.read_time_us) == (write_us, read_us)
+        assert (stats.write_ticks, stats.read_ticks) == (write_ticks, read_ticks)
+        assert stats.write_ticks + stats.read_ticks == clock.ticks
         assert stats.write_batch_size_histogram == histogram
         assert (stats.largest_write_batch, stats.largest_read_batch) == (
             largest_write, largest_read,
@@ -205,9 +206,9 @@ class TestStats:
         device = make_device()
         device.read_page(0)
         device.write_page(1)
-        assert device.stats.read_time_us == pytest.approx(100.0)
-        assert device.stats.write_time_us == pytest.approx(200.0)
-        assert device.stats.total_time_us == pytest.approx(300.0)
+        assert device.stats.read_ticks == to_ticks(100.0)
+        assert device.stats.write_ticks == to_ticks(200.0)
+        assert device.clock.ticks == to_ticks(300.0)
 
     def test_reset_stats(self):
         device = make_device()
@@ -233,8 +234,8 @@ class TestStats:
         assert list(total.write_batch_size_histogram.items()) == [
             (6, 1), (1, 1), (4, 1)
         ]
-        assert total.write_time_us == (
-            first.stats.write_time_us + second.stats.write_time_us
+        assert total.write_ticks == (
+            first.stats.write_ticks + second.stats.write_ticks
         )
         # The operands are untouched, the copy's histogram is its own.
         assert first.stats.write_batch_size_histogram == {6: 1}
@@ -351,10 +352,9 @@ class TestStoreWrites:
             stored.store_writes(pages, payloads)
         stored.store_writes([], [])  # nothing lands, nothing counts
         assert device_state(single) == device_state(stored)
-        # The float sum is one addition per write, as ``write_page`` adds;
-        # a product of the count would differ in the last bits.
+        # Device time is the write count times one write's ticks.
         writes = stored.stats.writes
-        assert stored.stats.write_time_us != writes * stored._single_write_us
+        assert stored.stats.write_ticks == writes * stored._single_write_ticks
         if single.ftl is not None:
             assert sum(single.ftl.erase_counts()) > 0  # GC ran
 

@@ -1,10 +1,12 @@
 """Alternating A/B pairs of ``python -m perfbench run``: parent against change.
 
-``python benchmarks/ab.py --parent REV --workload W [--pairs N]`` checks
-out ``REV`` and ``HEAD`` (commit the change first) as two temporary ``git
-worktree``s, byte-compiles both, then runs N pairs (default 10) of the
-perfbench CLI as ``BENCHMARK.json`` runs it, parent first in odd pairs and
-change first in even ones, so drift on a shared host lands on both sides.
+``python benchmarks/ab.py --parent REV --workload W [--pairs N] [--seed S]``
+checks out ``REV`` and ``HEAD`` (commit the change first) as two temporary
+``git worktree``s, byte-compiles both, then runs N pairs (default 10) of
+the perfbench CLI as ``BENCHMARK.json`` runs it, with ``--seed S``
+(default 42), parent first in odd pairs and change first in even ones, so
+drift on a shared host lands on both sides.  A seed not used while
+writing the change is the held-out check of a claim.
 Each run also records its own ``time.perf_counter`` and
 ``time.thread_time`` around the CLI: the thread clock does not advance
 while the run is descheduled.  ``thread_s`` covers the main process only
@@ -55,9 +57,12 @@ def benchmark() -> tuple[float, dict[str, str]]:
     return spec["run_seconds"], better | dict.fromkeys(CLOCKS, "lower")
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict[str, float]:
+def run_once(
+    tree: Path, workload: str, seconds: float, seed: int
+) -> dict[str, float]:
     """One perfbench run in ``tree``: its metrics plus the two clocks."""
-    argv = ["run", "--workload", workload, "--seconds", str(seconds)]
+    argv = ["run", "--workload", workload, "--seconds", str(seconds),
+            "--seed", str(seed)]
     done = subprocess.run(
         [sys.executable, "-c", _TIMED_CLI, *argv],
         cwd=tree, capture_output=True, text=True, check=False,
@@ -111,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
     seconds, better = benchmark()
     revisions = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}")
@@ -128,18 +134,21 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(trees[side], args.workload, seconds))
+                    runs[side].append(
+                        run_once(trees[side], args.workload, seconds, args.seed)
+                    )
                 costs = "  ".join(
                     f"{side} cost_vs_calib {runs[side][-1]['cost_vs_calib']:.3f}"
                     for side in ("parent", "change")
                 )
-                print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): {costs}",
-                      flush=True)
+                print(f"pair {pair + 1}/{args.pairs} ({order[0]} first, seed "
+                      f"{args.seed}): {costs}", flush=True)
         finally:
             for tree in trees.values():
                 if tree.exists():
                     _git("worktree", "remove", "--force", str(tree))
-    print(f"\n{args.workload}, --seconds {seconds:g}, {args.pairs} pairs: "
+    print(f"\n{args.workload}, --seconds {seconds:g}, --seed {args.seed}, "
+          f"{args.pairs} pairs: "
           f"parent {revisions['parent'][:10]} -> change {revisions['change'][:10]}")
     print(f"{'metric':<20} {'parent':>12} {'change':>12} {'ratio':>8} "
           f"{'range':>17}  change won")

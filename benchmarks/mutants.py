@@ -70,17 +70,15 @@ MUTANTS = (
     Mutant(
         "turbo-on-miss-before-training", 28, EXECUTOR,
         "                        if observe is not None:  # everything up to this request\n"
-        "                            stop = hits + misses - 1\n"
-        "                            _consume(map(observe, pages[trained:stop]))\n"
-        "                            trained = stop\n"
+        "                            _consume(map(observe, pages[trained:index]))\n"
+        "                            trained = index\n"
         "                        if reader is not None:\n"
         "                            on_miss(page)\n",
         "                        if reader is not None:\n"
         "                            on_miss(page)\n"
         "                        if observe is not None:  # everything up to this request\n"
-        "                            stop = hits + misses - 1\n"
-        "                            _consume(map(observe, pages[trained:stop]))\n"
-        "                            trained = stop\n"
+        "                            _consume(map(observe, pages[trained:index]))\n"
+        "                            trained = index\n"
         "                        if reader is not None:\n"
         "                            pass\n",
         (FASTPATH,),
@@ -99,15 +97,51 @@ MUTANTS = (
     ),
     Mutant(
         "turbo-empty-wide-exchange-reads-uncounted", 34, EXECUTOR,
-        "                                    clock.ticks += read_ticks\n"
+        "                                    # the write post-work is.\n"
         "                                    reads_done += 1\n",
-        "                                    clock.ticks += read_ticks\n",
+        "                                    # the write post-work is.\n",
         (FASTPATH,),
     ),
     Mutant(
         "turbo-stretch-end-drops-the-write-ticks", 47, EXECUTOR,
         "            device_stats.write_ticks += writebacks_done * write_ticks\n",
         "",
+        (FASTPATH,),
+    ),
+    Mutant(
+        "turbo-stretch-end-drops-the-read-charge", 48, EXECUTOR,
+        "clock.ticks += reads_done * read_ticks + writebacks_done * write_ticks",
+        "clock.ticks += writebacks_done * write_ticks",
+        (FASTPATH,),
+    ),
+    Mutant(
+        "turbo-watch-reads-the-clock-without-pending-io", 48, EXECUTOR,
+        "now = clock.ticks + reads_done * read_ticks + writebacks_done * write_ticks",
+        "now = clock.ticks",
+        (DEADLINE,),
+    ),
+    Mutant(
+        "turbo-reused-frame-keeps-the-victims-page", 48, EXECUTOR,
+        "                        frame_id = free.pop()\n"
+        "                    reads_done += 1\n"
+        "                    try:\n"
+        "                        payload = device_payloads[page]\n"
+        "                    except KeyError:\n"
+        "                        payload = None\n"
+        "                    page_of[frame_id] = page\n",
+        "                        frame_id = free.pop()\n"
+        "                        page_of[frame_id] = page\n"
+        "                    reads_done += 1\n"
+        "                    try:\n"
+        "                        payload = device_payloads[page]\n"
+        "                    except KeyError:\n"
+        "                        payload = None\n",
+        (FASTPATH,),
+    ),
+    Mutant(
+        "turbo-raising-exit-counts-no-hit", 48, EXECUTOR,
+        "stats.hits += done - misses",
+        "stats.hits += done - misses - raised",
         (FASTPATH,),
     ),
     Mutant(

@@ -181,11 +181,15 @@ def _replay_turbo(
     Every step of the request path — probe, hit bookkeeping, victim
     write-back, eviction, device read, install, dirty marking — is
     straight-line code here (``_handle_miss`` and its helpers on a bare
-    device, step for step), and the counters (hits, evictions, device
-    read/write counts and ticks, the batch histogram) are accumulated in
-    locals and flushed once: all are integers, which commute, so the
-    resulting metrics are byte-identical to the per-request replay.  The
-    clock gets the tick count ``advance`` would add, per event.
+    device, step for step; an eviction hands its frame straight to the
+    install), and the counters (misses, evictions, device read/write
+    counts and ticks, the batch histogram) are accumulated in locals and
+    flushed once: all are integers, which commute, so the resulting
+    metrics are byte-identical to the per-request replay.  Hits are the
+    requests the iterator counted that did not miss.  The loop's own
+    single-page I/O reaches the clock as ``op_ticks`` does, once per
+    stretch and in each watch's reading: every other clock user in a
+    stretch only adds or times an interval, so no reading moves.
     Every page is inside the probe space and the device (:func:`replay`
     checked the stretch), so the probe is one index and a miss tests no
     bound.  The policy is called through what ``policy.hooks()`` published
@@ -268,12 +272,12 @@ def _replay_turbo(
         on_miss = reader.prefetcher.on_miss
         prefetching = manager.config.prefetch_enabled  # else it only trains
     # Requests the observer has heard, and those whose writes the log
-    # holds; at a miss the missing request itself is counted (hits +
-    # misses) but neither heard nor applied yet.
+    # holds; at a miss the missing request (``index``) is neither heard
+    # nor applied yet.
     trained = 0
     logged = 0
     timed = until_ticks is not None or stalls is not None
-    requests = base = zip(pages, writes)
+    requests = base = zip(count(), pages, writes)
     if timed:
         last = clock.ticks  # the clock where it was last read
         write_at = list(compress(count(), writes)) if wal is not None else None
@@ -282,7 +286,7 @@ def _replay_turbo(
             requests = _cut(base, 0, last, until_ticks, op_ticks, wal, write_at,
                             len(pages))
     raised = True
-    hits = 0
+    index = -1
     misses = 0
     prefetch_hits = 0
     evictions = 0
@@ -293,10 +297,9 @@ def _replay_turbo(
     writebacks_done = 0
     try:
         while True:
-            for page, is_write in requests:
+            for index, page, is_write in requests:
                 frame_id = slots[page]
                 if frame_id >= 0:
-                    hits += 1
                     if prefetched_bits[frame_id]:
                         prefetched_bits[frame_id] = 0
                         prefetch_hits += 1
@@ -309,9 +312,8 @@ def _replay_turbo(
                     misses += 1
                     if hooked:
                         if observe is not None:  # everything up to this request
-                            stop = hits + misses - 1
-                            _consume(map(observe, pages[trained:stop]))
-                            trained = stop
+                            _consume(map(observe, pages[trained:index]))
+                            trained = index
                         if reader is not None:
                             on_miss(page)
                             if prefetching and free:
@@ -348,7 +350,7 @@ def _replay_turbo(
                             if wal is not None:  # WAL-before-data, in _write_back
                                 logged = _log_stretch(
                                     wal, payloads, frame_of, pages, writes, logged,
-                                    hits + misses - 1,
+                                    index,
                                 )
                             if prefetching:
                                 # The wide exchange: n_w written, n_e dropped,
@@ -362,7 +364,6 @@ def _replay_turbo(
                                     # Nothing to prefetch: the classic read
                                     # and install below, repeated here, as
                                     # the write post-work is.
-                                    clock.ticks += read_ticks
                                     reads_done += 1
                                     try:
                                         payload = device_payloads[page]
@@ -395,9 +396,8 @@ def _replay_turbo(
                             if wal is not None:  # WAL-before-data, as in _handle_miss
                                 logged = _log_stretch(
                                     wal, payloads, frame_of, pages, writes, logged,
-                                    hits + misses - 1, True,
+                                    index, True,
                                 )
-                            clock.ticks += write_ticks
                             device_payloads[victim] = payloads[victim_frame]
                             if ftl is not None:
                                 ftl.write(victim)
@@ -412,16 +412,14 @@ def _replay_turbo(
                         if array_slots:
                             slots[victim] = -1
                         policy_remove(victim)
-                        page_of[victim_frame] = -1
-                        payloads[victim_frame] = None
-                        free.append(victim_frame)
-                    clock.ticks += read_ticks
+                        frame_id = victim_frame
+                    else:
+                        frame_id = free.pop()
                     reads_done += 1
                     try:
                         payload = device_payloads[page]
                     except KeyError:
                         payload = None
-                    frame_id = free.pop()
                     page_of[frame_id] = page
                     payloads[frame_id] = payload
                     frame_of[page] = frame_id
@@ -450,12 +448,12 @@ def _replay_turbo(
                     break
             # A watched stretch reads the clock here: after a miss, or where
             # it was cut.  The log first: a page it fills is this request's.
-            done = hits + misses
+            done = index + 1
             if wal is not None:
                 logged = _log_stretch(
                     wal, payloads, frame_of, pages, writes, logged, done
                 )
-            now = clock.ticks
+            now = clock.ticks + reads_done * read_ticks + writebacks_done * write_ticks
             if stalls is not None and now != last:
                 stalls.append((done - 1, now - last))
             last = now
@@ -468,7 +466,7 @@ def _replay_turbo(
                                 write_at, len(pages))
         raised = False
     finally:
-        done = hits + misses
+        done = index + 1
         # A request that raised was counted but never observed or applied.
         if observe is not None:
             _consume(map(observe, pages[trained : done - raised]))
@@ -482,7 +480,7 @@ def _replay_turbo(
         # the per-request replay, including on mid-trace exceptions — see
         # the docstring).
         write_requests = sum(writes[:done])
-        stats.hits += hits
+        stats.hits += done - misses
         stats.misses += misses
         stats.read_requests += done - write_requests
         stats.write_requests += write_requests
@@ -508,6 +506,7 @@ def _replay_turbo(
                 histogram[1] = histogram.get(1, 0) + writebacks_done
                 if device_stats.largest_write_batch < 1:
                     device_stats.largest_write_batch = 1
+            clock.ticks += reads_done * read_ticks + writebacks_done * write_ticks
         clock.ticks += done * op_ticks
     return done
 
@@ -645,8 +644,9 @@ class RunSession:
         """Virtual time since the start mark: the sum of the advances since."""
         return to_us(self.clock.ticks - self._start_ticks)
 
-    def finish(self, label: str, ops: int, **counts) -> RunMetrics:
-        """The run's metrics: elapsed since the start marks, counters now."""
+    def finish(self, label: str, ops: int, cpu_ticks: int, **counts) -> RunMetrics:
+        """The run's metrics: elapsed since the start marks, counters now,
+        and ``cpu_ticks``, the CPU the caller charged."""
         manager, device = self.manager, self.manager.device
         elapsed = self.clock.ticks - self._start_ticks
         io = device.stats.read_ticks + device.stats.write_ticks - self._start_io
@@ -659,7 +659,7 @@ class RunSession:
             ftl=device.ftl.counters.copy() if device.ftl else None,
             wal_pages_written=manager.wal.pages_written if manager.wal else 0,
             io_ticks=io,
-            cpu_ticks=elapsed - io,
+            cpu_ticks=cpu_ticks,
             **counts,
         )
 
@@ -743,7 +743,8 @@ def run_trace(
         session.tick()
     return session.finish(
         label if label is not None else f"{manager.variant}/{trace.name}",
-        ops=len(trace),
+        ops=total,
+        cpu_ticks=op_ticks * total,
     )
 
 
@@ -788,6 +789,7 @@ def run_transactions(
     return session.finish(
         label,
         ops=ops,
+        cpu_ticks=op_ticks * ops + transaction_ticks * transaction_count,
         transactions=transaction_count,
         new_order_transactions=new_order_count,
     )

@@ -37,7 +37,10 @@ class RunMetrics:
     ftl: FtlCounters | None = None
     wal_pages_written: int = 0
     #: Device and CPU time in clock ticks (``to_us`` converts): work, so
-    #: a merge sums them.
+    #: a merge sums them.  ``io_ticks`` is the data device's reads and
+    #: writes, ``cpu_ticks`` the CPU the run charged (per request, per
+    #: transaction).  Stalls (fault delays, retry backoff, a failed I/O),
+    #: the log device's writes and idle time are in neither.
     io_ticks: int = 0
     cpu_ticks: int = 0
     #: Serving-layer accounting; ``None`` for runs without admission

@@ -70,12 +70,17 @@ class ServingLayer:
         self._admit_requests(
             session, trace.pages, trace.writes, trace.client_ids, latencies
         )
+        metrics = self.metrics
+        # Every execution charged its CPU, a failed one (requeued or
+        # failed for good) included.
+        executed = metrics.completed + metrics.requeued + metrics.failed
         return session.finish(
             label
             if label is not None
             else f"{self.manager.variant}/{trace.name}+serving",
-            ops=self.metrics.completed,
-            serving=self.metrics,
+            ops=metrics.completed,
+            cpu_ticks=to_ticks(session.options.cpu_us_per_op) * executed,
+            serving=metrics,
         )
 
     # ---------------------------------------------------- the admission loop

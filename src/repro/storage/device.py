@@ -162,7 +162,8 @@ class SimulatedSSD:
         # The latency model is a pure function of the batch size, so the
         # single-page costs — paid on every cache miss and every classic
         # write-back — are computed once, as the ticks ``advance`` would
-        # add: the inlined miss path adds them to ``clock.ticks`` directly.
+        # add: ``read_page`` / ``write_page`` add them to ``clock.ticks``
+        # directly, and the inlined loop adds count × cost once a stretch.
         self._single_read_ticks = to_ticks(self.model.read_batch_us(1))
         self._single_write_ticks = to_ticks(self.model.write_batch_us(1))
         # Every batch size's cost in ticks, memoised on first use and

@@ -29,6 +29,7 @@ from repro.engine.executor import ExecutionOptions, run_trace, run_transactions
 from repro.faults import FaultPlan, FaultyDevice
 from repro.policies.registry import PAPER_POLICIES
 from repro.prefetch import CompositePrefetcher, NPLPrefetcher, NullPrefetcher
+from repro.storage.clock import to_ticks
 from repro.workloads.synthetic import MS, generate_trace
 from repro.workloads.tpcc.driver import TPCCWorkload
 from repro.workloads.tpcc.transactions import TransactionType
@@ -134,8 +135,16 @@ def state(manager):
     }
 
 
+def frames(manager):
+    """Which frame holds what, and which frame the next miss takes."""
+    pool = manager.pool
+    return [list(column) for column in (
+        pool.page_of, pool.dirty_bits, pool.prefetched_bits, pool._payloads, pool._free,
+    )]
+
+
 def fingerprint(manager, metrics):
-    return dataclasses.asdict(metrics) | state(manager)
+    return dataclasses.asdict(metrics) | state(manager) | {"frames": frames(manager)}
 
 
 def prefetcher_state(prefetcher):
@@ -212,6 +221,8 @@ def _stepped_transactions(manager, transactions, options, bg_writer, checkpointe
     return session.finish(
         "transactions", ops=ops, transactions=len(transactions),
         new_order_transactions=new_orders,
+        cpu_ticks=to_ticks(options.cpu_us_per_op) * ops
+        + to_ticks(options.cpu_us_per_transaction) * len(transactions),
     )
 
 

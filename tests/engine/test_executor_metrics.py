@@ -10,6 +10,7 @@ from repro.engine.executor import (
     ExecutionOptions, replay, run_trace, run_transactions,
 )
 from repro.engine.metrics import RunMetrics, percent_delta, speedup
+from repro.faults import FaultPlan, FaultyDevice
 from repro.policies.lru import LRUPolicy
 from repro.storage.clock import to_ticks, to_us
 from repro.storage.device import SimulatedSSD
@@ -154,6 +155,38 @@ class TestTickTime:
         assert metrics.io_ticks == stats.read_ticks + stats.write_ticks
         assert metrics.cpu_ticks == 0
         assert metrics.elapsed_us == to_us(metrics.io_ticks)
+
+
+class TestCpuTicks:
+    """``cpu_ticks`` is the CPU a run charged, not what is left of its
+    elapsed time once the data device's I/O is taken out: fault delays,
+    retry backoff, a failed I/O's charge and the log device's page writes
+    are stalls, not CPU."""
+
+    def test_a_faulty_device_adds_no_cpu(self):
+        device = SimulatedSSD(PCIE_SSD, num_pages=NUM_PAGES)
+        device.format_pages(range(NUM_PAGES))
+        faulty = FaultyDevice(device, FaultPlan.uniform(0.02, seed=3))
+        manager = build_manager(faulty, 24, "lru", "baseline")
+        trace = generate_trace(MS, NUM_PAGES, 3000, seed=4)
+        metrics = run_trace(manager, trace, ExecutionOptions(cpu_us_per_op=2.0))
+        assert faulty.stats.fault_delay_ticks and manager.stats.retry_backoff_ticks
+        assert metrics.cpu_ticks == 3000 * to_ticks(2.0)
+        assert metrics.io_ticks + metrics.cpu_ticks < to_ticks(metrics.elapsed_us)
+
+    def test_the_log_device_adds_no_cpu(self):
+        manager = make_manager(wal=True)
+        stream = [
+            (TransactionType.PAYMENT, [PageRequest(page, True) for page in range(first, 40)])
+            for first in range(0, 40, 4)
+        ]
+        options = ExecutionOptions(cpu_us_per_op=2.0, cpu_us_per_transaction=20.0)
+        metrics = run_transactions(manager, stream, options=options)
+        assert manager.wal.pages_written > 0
+        assert metrics.cpu_ticks == (
+            metrics.ops * to_ticks(2.0) + metrics.transactions * to_ticks(20.0)
+        )
+        assert metrics.io_ticks + metrics.cpu_ticks < to_ticks(metrics.elapsed_us)
 
 
 class TestMetricsHelpers:

@@ -96,7 +96,10 @@ def _request_by_request(manager, trace, options, bg_writer, checkpointer, scrubb
         checkpointer.maybe_checkpoint()
         if scrubber is not None:
             scrubber.maybe_scrub()
-    return session.finish(f"{manager.variant}/{trace.name}", ops=len(trace))
+    return session.finish(
+        f"{manager.variant}/{trace.name}", ops=len(trace),
+        cpu_ticks=to_ticks(options.cpu_us_per_op) * len(trace),
+    )
 
 
 def _stepped_run(variant, stack, arm):

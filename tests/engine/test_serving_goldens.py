@@ -8,7 +8,9 @@ record moved, the floats by at most 1.34e-12 relative) and again when
 device, retry and run times became tick counts (no leaf moved but the
 six time fields of the device and buffer stats and the metrics, which
 now hold ticks, each within 1.91e-13 relative of its old µs float once
-converted with ``to_us``), and are committed as literals: every
+converted with ``to_us``), and again when ``cpu_ticks`` became the CPU
+the run charged instead of elapsed minus device time (no leaf moved but
+``metrics.cpu_ticks``), and are committed as literals: every
 cell of {trace with ``client_ids``} x {closed loop,
 open loop under capacity, open loop over capacity — deadline on} x {bare
 device, ``FaultPlan.uniform(0.02)`` plus two dead pages and a one-try
@@ -41,6 +43,7 @@ from repro.engine.latency import LatencyRecorder
 from repro.engine.multiclient import interleave_traces
 from repro.engine.serving import BreakerConfig, ServingConfig, ServingLayer
 from repro.faults import FaultPlan, FaultyDevice, RetryPolicy
+from repro.storage.clock import to_ticks
 from repro.storage.device import SimulatedSSD
 from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace
@@ -70,18 +73,18 @@ BREAKERS = ("nobreaker", "breaker")
 CELLS = ["-".join(cell) for cell in product(("trace",), LOADS, DEVICES, BREAKERS)]
 
 GOLDEN: dict[str, str] = {
-    "trace-closed-bare-nobreaker": "de424d0ad1c0cfe30d02b260",
-    "trace-closed-bare-breaker": "de424d0ad1c0cfe30d02b260",
-    "trace-closed-faulty-nobreaker": "b44c98ef1e2e966dbc5dc35a",
-    "trace-closed-faulty-breaker": "512991b84f861df53b1eeb10",
-    "trace-under-bare-nobreaker": "1dc27fe5a9fb31831b2b6a41",
-    "trace-under-bare-breaker": "32eeb8172795c662ec24a816",
-    "trace-under-faulty-nobreaker": "daffaefdcd6107e91f599ecd",
-    "trace-under-faulty-breaker": "e463c90cfe0c341b935b8e03",
-    "trace-over-bare-nobreaker": "331c63d82a002ff9d6c48124",
-    "trace-over-bare-breaker": "eb769d9854814b9e3ca9d884",
-    "trace-over-faulty-nobreaker": "0f8bc622050af29cf1f5111e",
-    "trace-over-faulty-breaker": "0e4b9910154aa2d14162a6f6",
+    "trace-closed-bare-nobreaker": "90082b6c65dd6e05929ee42a",
+    "trace-closed-bare-breaker": "90082b6c65dd6e05929ee42a",
+    "trace-closed-faulty-nobreaker": "ef164202dc3450b11d8ed90c",
+    "trace-closed-faulty-breaker": "2d6cc1d87423ee37d668edb7",
+    "trace-under-bare-nobreaker": "bfe41816c2673f1983578204",
+    "trace-under-bare-breaker": "6079ac206e5040605b2ce8e4",
+    "trace-under-faulty-nobreaker": "7635b5798c97bba79ab66f07",
+    "trace-under-faulty-breaker": "342d10b02b9258b2f6754733",
+    "trace-over-bare-nobreaker": "881017e868bfe8cee2a1ba6b",
+    "trace-over-bare-breaker": "e6ba9842e2cfd9f0762c0ee4",
+    "trace-over-faulty-nobreaker": "793c64e911c8fadb9ad9f215",
+    "trace-over-faulty-breaker": "d6895f43056573a1d89f2e93",
 }
 
 
@@ -203,6 +206,10 @@ def test_serving_run_matches_its_golden(cell):
         assert recorded["requeued"] + summary["failed"] > 0
     assert len(recorded["clients"]) == 3
     assert recorded["forwarded_latencies"][0] == summary["completed"]
+    # Its CPU is ``cpu_us_per_op`` per execution, a failed one (requeued or
+    # failed for good) included: no idle time, no stall.
+    executed = summary["completed"] + recorded["requeued"] + summary["failed"]
+    assert recorded["metrics"]["cpu_ticks"] == executed * to_ticks(OPTIONS.cpu_us_per_op)
 
 
 def test_the_cells_requeue_fail_and_trip():

@@ -101,8 +101,9 @@ FRAME_COLUMNS = {"page_of", "dirty_bits", "pin_counts", "prefetched_bits"}
 #: function outside ``repro.bufferpool`` -> (stores into a frame column, why).
 COLUMN_STORES = {
     "repro.engine.executor._replay_turbo": (
-        10, "the miss routine's one inlined copy: a prefetch hit's bit, two "
-        "installs, the dirty and clean marks, an eviction's two",
+        9, "the miss routine's one inlined copy: a prefetch hit's bit, two "
+        "installs, the dirty and clean marks, and an eviction's one, its "
+        "prefetched bit (the install overwrites the reused frame's page)",
     ),
 }
 

@@ -164,9 +164,36 @@ MUTANTS = (
     ),
     Mutant(
         "log-stretch-drops-the-bare-flush", 41, EXECUTOR,
-        "    elif flush:\n        wal.append_deferred([], [], True)\n",
-        "    elif flush:\n        pass\n",
+        "    if flushes:\n",
+        "    if flushes and written:\n",
         (DEFERRAL, FASTPATH),
+    ),
+    Mutant(
+        "log-stretch-cuts-after-the-flushed-write", 49, EXECUTOR,
+        "cuts = list(map(bisect_left, repeat(list(compress(",
+        "cuts = list(map(__import__('bisect').bisect_right, repeat(list(compress(",
+        (DEFERRAL,),
+    ),
+    Mutant(
+        "log-stretch-last-version-from-the-frame-only", 49, EXECUTOR,
+        "last = dict(zip(written, map(device_payloads.get, written)))",
+        "last = dict(zip(written, map(payloads.__getitem__, map(\n"
+        "            frame_of.__getitem__, written))))",
+        (DEFERRAL,),
+    ),
+    Mutant(
+        "log-stretch-last-version-from-the-device-only", 49, EXECUTOR,
+        "        last.update(zip(resident, map(\n"
+        "            payloads.__getitem__, map(frame_of.__getitem__, resident)\n"
+        "        )))\n",
+        "",
+        (DEFERRAL,),
+    ),
+    Mutant(
+        "log-stretch-keeps-the-flushes", 49, EXECUTOR,
+        "        flushes.clear()\n",
+        "",
+        (DEFERRAL,),
     ),
     Mutant(
         "cut-one-request-past-the-deadline", 31, EXECUTOR,
@@ -281,8 +308,8 @@ MUTANTS = (
     ),
     Mutant(
         "append-deferred-flushes-an-empty-group", 41, WAL,
-        "if flush and buffered:",
-        "if flush:",
+        "groups = list(filter(None, chain.from_iterable(map(",
+        "groups = list(iter(chain.from_iterable(map(",
         (FASTPATH,),
     ),
     Mutant(
@@ -302,6 +329,12 @@ MUTANTS = (
         "starts = tuple(accumulate(counts, initial=verified + 1))",
         "starts = tuple(accumulate(counts, initial=verified))",
         ("tests/bufferpool/test_wal_torn.py",),
+    ),
+    Mutant(
+        "append-deferred-segment-closes-as-one-group", 49, WAL,
+        "            rest = map(mod, segments, repeat(per_page))\n",
+        "            full, rest = repeat(0), segments\n",
+        ("tests/bufferpool/test_wal_batch.py",),
     ),
     Mutant(
         "append-batch-fills-at-equality", 29, WAL,

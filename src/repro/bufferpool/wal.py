@@ -21,21 +21,22 @@ replaying half a group commit.  The crash-point engine drives this through
 :attr:`WriteAheadLog.flush_hook`.
 
 A flush is observable only through the shared clock until someone reads the
-log device, so the executor's inlined loop defers its own flushes
-(:meth:`WriteAheadLog.append_deferred`): each charges its page write's ticks
-and advances ``durable_lsn`` at once, and the stretch end builds and stores
-every deferred page as columns (:meth:`WriteAheadLog.write_out`).  Any other
-flush writes its page at once, after the deferred ones.
+log device, so the executor's inlined loop defers its own: one
+:meth:`WriteAheadLog.append_deferred` call appends a stretch's records with
+a flush at each of its cuts, charges the log pages they fill or flush to
+the clock and advances ``durable_lsn`` past them, and the stretch end builds
+and stores every deferred page as columns (:meth:`WriteAheadLog.write_out`).
+Any other flush writes its page at once, after the deferred ones.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress, count, repeat
-from operator import add, attrgetter, mod
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, attrgetter, floordiv, mod, sub
 from typing import NamedTuple, NoReturn
 
 from repro.errors import PowerFailure
@@ -242,19 +243,22 @@ class WriteAheadLog:
         return len(self._kinds)
 
     def append_deferred(
-        self, pages: list[int], payloads: list[object], flush: bool = False
+        self, pages: list[int], payloads: list[object], cuts: Sequence[int] = ()
     ) -> None:
-        """:meth:`append_batch`, then :meth:`flush` if ``flush``, with every
-        page this fills or flushes *deferred*: timed and durable at once —
-        its write's ticks on the clock, ``durable_lsn`` past its records,
-        its size in :attr:`unwritten` — with only its image left for
-        :meth:`write_out`.
+        """:meth:`append_batch` with a :meth:`flush` after the first ``cut``
+        records for each of the ascending ``cuts``, with every page this
+        fills or flushes *deferred*: timed and durable at once — its write's
+        ticks on the clock, ``durable_lsn`` past its records, its size in
+        :attr:`unwritten` — with only its image left for :meth:`write_out`.
 
         The caller must call :meth:`write_out` before anyone reads the log
         device (the inlined loop does when its stretch ends), and must not
         defer on a log with a ``flush_hook``: a crash schedule observes each
         page as it lands.  A filled page holds ``records_per_page`` records,
-        so the pages a batch fills are closed as a column.
+        so the pages a segment fills are closed as a column; a flush closes
+        what is buffered, if anything (a repeated cut, or one at 0 with
+        nothing pending, closes nothing).  The records after the last cut
+        stay buffered but for the pages they fill.
         """
         total = len(pages)
         if len(payloads) != total:
@@ -264,17 +268,26 @@ class WriteAheadLog:
         self._payloads += payloads
         buffered = self._pending_records + total
         per_page = self.records_per_page
+        if cuts:
+            # Each cut closes the segment before it (the buffered records
+            # ride on the first): its full pages, then the rest, if any.
+            segments = list(map(sub, cuts, [0, *cuts]))
+            segments[0] += self._pending_records
+            full = map(floordiv, segments, repeat(per_page))
+            rest = map(mod, segments, repeat(per_page))
+            groups = list(filter(None, chain.from_iterable(map(
+                chain, map(repeat, repeat(per_page), full), zip(rest)
+            ))))
+            self._clock.ticks += len(groups) * self._page_ticks
+            self.unwritten += groups
+            self.durable_lsn += self._pending_records + cuts[-1]
+            buffered = total - cuts[-1]
         if buffered >= per_page:  # whole pages fill
             filled = buffered // per_page
             self._clock.ticks += filled * self._page_ticks
             self.unwritten += repeat(per_page, filled)
             self.durable_lsn += filled * per_page
             buffered -= filled * per_page
-        if flush and buffered:
-            self._clock.ticks += self._page_ticks
-            self.unwritten.append(buffered)
-            self.durable_lsn += buffered
-            buffered = 0
         self._pending_records = buffered
 
     def flush(self) -> None:

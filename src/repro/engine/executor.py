@@ -120,35 +120,55 @@ def _turbo_ready(manager: BufferPoolManager) -> bool:
 
 def _log_stretch(
     wal: WriteAheadLog, payloads: list, frame_of, pages: Sequence[int],
-    writes: Sequence[bool], start: int, stop: int, flush: bool = False,
+    writes: Sequence[bool], start: int, stop: int, flushes: list[int] | tuple = (),
+    device_payloads: dict | None = None,
 ) -> int:
-    """Log the writes among requests ``start:stop`` of a stretch, then flush
-    the log if ``flush``; returns ``stop``, where the log now stands.
+    """Log the writes among requests ``start:stop`` of a stretch, with a
+    flush before each request in ``flushes`` (which it empties); returns
+    ``stop``, where the log now stands.
 
-    :func:`_replay_turbo` logs only where the log is observed: before a
-    write-back (WAL-before-data), when the stretch ends and, under a
-    watch, where the clock is read.  In between, a
-    written page cannot leave the pool — it is dirty, and only a write-back
-    cleans it — so its records are consecutive versions ending at its
-    frame's payload now: derived here, one ``append_deferred`` call, the log
-    ``log_update`` per write would have left.  The log pages it fills or
-    flushes are timed and durable at once; their images wait for the
-    stretch end's ``write_out``, since no one reads the log device before.
+    :func:`_replay_turbo` logs only where the log is observed: before an
+    ACE write-back, at a watch and when the stretch ends.  Its own
+    write-backs' WAL-before-data flushes are only noted in between
+    (``flushes``): nothing there reads the log, ``durable_lsn`` or the
+    clock.  A written page's records are consecutive versions ending at
+    its version now — its frame's payload, or the device's if a noted
+    write-back took the page out of the pool — derived here, one
+    ``append_deferred`` call, the log ``log_update`` per write and
+    ``flush`` per write-back would have left.  A flush cuts before its
+    request's own write, which follows the write-back.  The log pages it
+    fills or flushes are timed and durable at once; their images wait for
+    the stretch end's ``write_out``, since no one reads the log device
+    before.
     """
     written = list(compress(pages[start:stop], writes[start:stop]))
-    if written:
+    if flushes:
+        # A page a write-back took out of the pool holds its last version
+        # on the device: the device's versions, overwritten by the frames'.
+        last = dict(zip(written, map(device_payloads.get, written)))
+        resident = list(filter(frame_of.__contains__, last))
+        last.update(zip(resident, map(
+            payloads.__getitem__, map(frame_of.__getitem__, resident)
+        )))
+        versions = list(map(last.__getitem__, written))
+        cuts = list(map(bisect_left, repeat(list(compress(
+            count(start), writes[start:stop]
+        ))), flushes))
+        flushes.clear()
+    elif written:
         versions = list(map(payloads.__getitem__, map(frame_of.__getitem__, written)))
-        if len(set(written)) < len(written):
-            # A page written k times holds its k-th version: each write
-            # steps back by the writes to its page after it, counted from
-            # the end with one counter per page, in C.
-            later = dict(zip(written, map(count, repeat(0))))
-            versions = list(map(sub, versions, reversed(list(map(
-                next, map(later.__getitem__, reversed(written))
-            )))))
-        wal.append_deferred(written, versions, flush)
-    elif flush:
-        wal.append_deferred([], [], True)
+        cuts = ()
+    else:
+        return stop
+    if len(set(written)) < len(written):
+        # A page written k times holds its k-th version: each write
+        # steps back by the writes to its page after it, counted from
+        # the end with one counter per page, in C.
+        later = dict(zip(written, map(count, repeat(0))))
+        versions = list(map(sub, versions, reversed(list(map(
+            next, map(later.__getitem__, reversed(written))
+        )))))
+    wal.append_deferred(written, versions, cuts)
     return stop
 
 
@@ -204,14 +224,17 @@ def _replay_turbo(
     per batch, which do their own accounting) instead of the inlined
     single-page write.  The Writer's methods and ``n_w`` are looked up per
     batch — adaptive tuning and degraded batching change them mid-run.
-    A WAL is appended where it is observed, never per write: before each
-    write-back (the inlined one flushes it in the same call, as
-    ``_handle_miss`` flushes) and once when the stretch ends, raising or
-    not (:func:`_log_stretch`).  The loop's own log flushes are deferred:
-    each charges its page write's ticks and advances ``durable_lsn`` at
-    once, and the stretch end — the raising exit included — stores every
-    deferred page in one ``wal.write_out``, since no one reads the log
-    device before then.
+    A WAL is appended where it is observed, never per write: before an
+    ACE write-back (``_write_back`` flushes it), at each watch and once
+    when the stretch ends, raising or not (:func:`_log_stretch`).  An
+    inlined write-back's WAL-before-data flush, which ``_handle_miss``
+    makes at once, only notes its request (``flushes``): nothing in the
+    stretch reads the log, ``durable_lsn`` or the clock before the next
+    watch or the stretch end, whose one call logs the writes since the
+    last with a flush cut before each noted request, charging the flushed
+    pages' ticks and advancing ``durable_lsn`` there.  The stretch end —
+    the raising exit included — then stores every deferred page in one
+    ``wal.write_out``, since no one reads the log device before then.
 
     A Reader is the miss routine's second hook, spelled as there: it hears
     ``on_miss`` first and, if it prefetches, is asked for a prefetch set at
@@ -273,9 +296,11 @@ def _replay_turbo(
         prefetching = manager.config.prefetch_enabled  # else it only trains
     # Requests the observer has heard, and those whose writes the log
     # holds; at a miss the missing request (``index``) is neither heard
-    # nor applied yet.
+    # nor applied yet.  ``flushes``: the requests since ``logged`` whose
+    # write-back flushed the log first, logged with their writes.
     trained = 0
     logged = 0
+    flushes = []
     timed = until_ticks is not None or stalls is not None
     requests = base = zip(count(), pages, writes)
     if timed:
@@ -394,10 +419,7 @@ def _replay_turbo(
                         else:
                             dirty_evictions += 1
                             if wal is not None:  # WAL-before-data, as in _handle_miss
-                                logged = _log_stretch(
-                                    wal, payloads, frame_of, pages, writes, logged,
-                                    index, True,
-                                )
+                                flushes.append(index)
                             device_payloads[victim] = payloads[victim_frame]
                             if ftl is not None:
                                 ftl.write(victim)
@@ -451,7 +473,8 @@ def _replay_turbo(
             done = index + 1
             if wal is not None:
                 logged = _log_stretch(
-                    wal, payloads, frame_of, pages, writes, logged, done
+                    wal, payloads, frame_of, pages, writes, logged, done, flushes,
+                    device_payloads,
                 )
             now = clock.ticks + reads_done * read_ticks + writebacks_done * write_ticks
             if stalls is not None and now != last:
@@ -472,7 +495,8 @@ def _replay_turbo(
             _consume(map(observe, pages[trained : done - raised]))
         if wal is not None:
             _log_stretch(
-                wal, payloads, frame_of, pages, writes, logged, done - raised
+                wal, payloads, frame_of, pages, writes, logged, done - raised,
+                flushes, device_payloads,
             )
             if wal.unwritten:  # the log is observable again: store its pages
                 wal.write_out()

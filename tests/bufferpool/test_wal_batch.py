@@ -6,8 +6,8 @@ LSNs, same grouping into log pages, same page images and checksums, the
 flush hook consulted once per log page, and the same durable prefix when
 a flush tears.  The per-record spelling is the reference throughout.
 ``append_deferred`` (the inlined loop's append, whose pages land at the
-next ``write_out``) must leave what ``append_batch`` and ``flush`` leave,
-device counters and clock included.
+next ``write_out``) must leave what ``log_update`` per record with a
+``flush`` at each of its cuts leaves, device counters and clock included.
 """
 
 import dataclasses
@@ -84,29 +84,50 @@ def test_batch_equals_record_by_record(n, pending):
     )
 
 
-@pytest.mark.parametrize("flush", (False, True), ids=("append", "append+flush"))
+def cuts_of(kind, n, per_page):
+    """Flush points into a batch of ``n``: none, at its end, at both ends,
+    repeated, and spread so that a segment holds a page or more."""
+    spread = sorted((0, min(1, n), n // 3, min(n, n // 3 + per_page),
+                     min(n, n // 3 + 2 * per_page + 1), n))
+    return {"append": (), "append+flush": (n,), "ends": (0, n),
+            "repeated": (n // 2,) * 3, "spread": spread}[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", ("append", "append+flush", "ends", "repeated", "spread")
+)
 @pytest.mark.parametrize("per_page", (1, 3, 32))
 @pytest.mark.parametrize("pending", (0, 2, 31))
 @pytest.mark.parametrize("n", SIZES)
-def test_deferred_batch_equals_batch_then_flush(n, pending, per_page, flush):
-    """Two deferred appends, then one ``write_out``: the same log, images,
-    device counters (``write_ticks`` included) and clock."""
+def test_deferred_batch_equals_batch_then_flush(n, pending, per_page, kind):
+    """Two deferred appends, then one ``write_out``, against ``log_update``
+    per record with a ``flush`` at each cut: the same groups waiting in
+    ``unwritten``, then the same log, images, device counters
+    (``write_ticks`` included) and clock."""
     logs = tuple(WriteAheadLog(VirtualClock(), records_per_page=per_page)
                  for _ in range(2))
     for wal in logs:
         for page, payload in zip(*updates(pending % per_page, start=100)):
             wal.log_update(page, payload)
     deferred, reference = logs
+    cuts = cuts_of(kind, n, per_page)
     for start in (0, 1000):
         pages, payloads = updates(n, start)
-        deferred.append_deferred(pages, payloads, flush)
-        reference.append_batch(pages, payloads)
-        if flush:
-            reference.flush()
+        waiting, written = len(deferred.unwritten), reference.pages_written
+        deferred.append_deferred(pages, payloads, cuts)
+        for at, stop in zip((0, *cuts), (*cuts, None)):
+            for page, payload in zip(pages[at:stop], payloads[at:stop]):
+                reference.log_update(page, payload)
+            if stop is not None:
+                reference.flush()
         assert deferred.durable_lsn == reference.durable_lsn
         assert deferred.room == reference.room
         assert deferred.device.clock.ticks == reference.device.clock.ticks
-    # Timed and durable, not stored: each page waits as one group size.
+        # Timed and durable, not stored: each page waits as one group size.
+        assert deferred.unwritten[waiting:] == [
+            reference.device.peek(page).intended_count
+            for page in range(written, reference.pages_written)
+        ]
     assert deferred.pages_written + len(deferred.unwritten) == reference.pages_written
     if deferred.unwritten:
         deferred.write_out()

@@ -1,12 +1,15 @@
-"""The inlined loop's log flushes are deferred: timed now, stored at the end.
+"""The inlined loop's log flushes are deferred: logged, then stored, later.
 
-Inside ``_replay_turbo`` no one reads the log device between two of the
-loop's own flushes, so a flush it makes charges the page write's ticks to
-the clock, advances ``durable_lsn`` and records the group's size; the
-stretch end builds and stores every deferred page in one columnar
-``write_out``, on the raising exit too.  What holds that to the reference
-arm (``manager.access`` request by request, every flush written at once),
-on a baseline + WAL stack:
+Inside ``_replay_turbo`` no one reads the log, its device, ``durable_lsn``
+or the clock between two watches, so a write-back's WAL-before-data flush
+is only noted (its request's index); the next watch or the stretch end
+logs every write since the last with a flush cut before each noted
+request, charges the flushed pages' ticks to the clock, advances
+``durable_lsn`` and records each group's size; the stretch end builds and
+stores every deferred page in one columnar ``write_out``, on the raising
+exit too.  What holds that to the reference arm (``manager.access``
+request by request, every flush written at once), on a baseline + WAL
+stack:
 
 * right after the stretch, before anything flushes, the log device holds
   the same images with the same counters, and the clock, the durable
@@ -14,7 +17,10 @@ on a baseline + WAL stack:
 * under a deadline and a stalls list, at a hand-off to a page outside the
   device, and when the stretch raises mid-way;
 * with one and three records per log page, where page fills and the
-  write-backs' flushes interleave.
+  write-backs' flushes interleave;
+* on a hand-built stretch where a page written back mid-stretch holds its
+  last version on the device, or in its frame once read back and written
+  again, and where a write-back flushes with no write since the last.
 """
 
 from __future__ import annotations
@@ -82,14 +88,16 @@ def log_as_left(manager):
 
 
 def replay_both_arms(pages, writes, *, records_per_page=32, fail_at=None,
-                     until_ticks=None, warm=300):
-    """Warm a stack, then replay the stretch on each arm; returns each
-    arm's ``(outcome, stalls, log_as_left)``, which must agree."""
+                     until_ticks=None, warm=(TRACE.pages[:300], TRACE.writes[:300]),
+                     timed=True):
+    """Warm a stack on the ``warm`` columns, then replay the stretch on
+    each arm (with a stalls list if ``timed``); returns each arm's
+    ``(outcome, stalls, log_as_left)``, which must agree."""
     results = []
     for arm in ARMS:
         manager = build(records_per_page, fail_at)
-        replay(manager, TRACE.pages[:warm], TRACE.writes[:warm], OP_TICKS)
-        stalls = []
+        replay(manager, *warm, OP_TICKS)
+        stalls = [] if timed else None
         with per_request(arm == "reference arm"):
             try:
                 outcome = replay(
@@ -157,8 +165,52 @@ def test_a_stretch_that_raises_stores_its_deferred_pages(records_per_page):
     it, and the raising request was counted but not logged."""
     error, _, (left, _, _) = replay_both_arms(
         STRETCH.pages, STRETCH.writes, records_per_page=records_per_page,
-        fail_at=40, warm=0,
+        fail_at=40, warm=([], []),
     )
     assert "victim selection 40 failed" in error
     assert left["unwritten"] == [] and left["pages_written"] > 0
     assert left["data_device"]["writes"] > 0
+
+
+#: Warm-up: page 100 written twice (its records still buffered when a log
+#: page holds more), then pages 0-30 read: the pool is full, 100 oldest.
+HAND_WARM = ([100, 100, *range(31)], [True, True, *[False] * 31])
+#: The stretch, annotated with what each request does to an LRU pool of 32.
+HAND_STRETCH = [
+    (200, False),  # evicts 100 dirty: flushes the warm-up's records alone
+    (0, True),     # a write hit
+    (300, True),   # evicts 1; 300 written
+    *((page, False) for page in range(201, 231)),  # evict 2-30, then 200
+    (231, False),  # evicts 0 dirty: no write since the last watch's log
+    (0, True),     # evicts 300 dirty, reads 0 back at version 1, writes it
+    (0, True),     # writes it again: its frame holds its last version
+    (232, False),  # evicts 201
+]
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=("untimed", "stalls"))
+@pytest.mark.parametrize("records_per_page", [1, 3, 32])
+def test_a_page_written_back_mid_stretch_is_logged_at_its_versions(
+    records_per_page, timed
+):
+    """Page 300 is written and written back, so only the device holds its
+    last version; page 0 is written, written back, read back and written
+    twice more, so its frame holds its last.  Both arms leave one log: a
+    flush before each write-back, none between a write-back and its
+    request's own write, and, under a stalls list, a flush at 231 though
+    nothing was written since the watch before it logged the buffer."""
+    pages, writes = map(list, zip(*HAND_STRETCH))
+    ran, stalls, (left, records, _) = replay_both_arms(
+        pages, writes, records_per_page=records_per_page, warm=HAND_WARM,
+        timed=timed,
+    )
+    assert ran == len(pages) and bool(stalls) == timed
+    assert left["buffer"]["dirty_evictions"] == 3
+    # Six updates, each at its page's version then, in three flushed
+    # groups when a log page holds more than one record.
+    assert [(r.page, r.payload) for r in records["records"]] == [
+        (100, 1), (100, 2), (0, 1), (300, 1), (0, 2), (0, 3),
+    ]
+    assert [image[1] for image in records["images"]] == (
+        [1] * 6 if records_per_page == 1 else [2, 2, 2]
+    )

@@ -235,27 +235,30 @@ def test_no_other_module_writes_a_replica():
 
 def test_a_turbo_stretch_stores_its_log_pages_in_one_call():
     """The inlined loop's flushes — a page fill, a write-back's
-    WAL-before-data — are timed and durable at once, and their pages land
-    in the stretch end's one ``store_writes``: no ``write_page`` per flush.
-    A commit flush outside the stretch still writes its page at once."""
+    WAL-before-data — are logged, timed and made durable in one
+    ``append_deferred`` when an untimed stretch ends, and their pages land
+    in its one ``store_writes``: no ``write_page`` per flush.  A commit
+    flush outside the stretch still writes its page at once."""
     device = make_device(400)
     wal = WriteAheadLog(device.clock, records_per_page=3)
     manager = BufferPoolManager(32, LRUPolicy(), device, wal=wal, sanitize=False)
     assert executor._turbo_ready(manager)
     calls = Counter()
-    for name in ("write_page", "store_writes", "write_batch"):
-        method = getattr(wal.device, name)
+    for owner, names in ((wal.device, ("write_page", "store_writes", "write_batch")),
+                         (wal, ("append_deferred",))):
+        for name in names:
+            method = getattr(owner, name)
 
-        def counted(*args, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(*args)
+            def counted(*args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(*args)
 
-        setattr(wal.device, name, counted)
+            setattr(owner, name, counted)
     trace = generate_trace(MS, 400, 1500, seed=3)
     executor.replay(manager, trace.pages, trace.writes)
-    assert manager.stats.dirty_evictions > 0 and wal.pages_written > 100
-    assert calls == Counter(store_writes=1)
+    assert manager.stats.dirty_evictions > 100 and wal.pages_written > 100
+    assert calls == Counter(append_deferred=1, store_writes=1)
     assert wal.device.stats.writes == wal.pages_written
     manager.write_page(trace.pages[-1])
     wal.flush()
-    assert calls == Counter(store_writes=1, write_page=1)
+    assert calls == Counter(append_deferred=1, store_writes=1, write_page=1)

@@ -20,13 +20,16 @@ device matches the write ledger exactly.
 
 Everything is virtual-time deterministic: the same seed produces the same
 trace, the same fault schedule, and therefore the same cell results, so a
-red cell is reproducible with ``python -m repro chaos --seed <s>``.
+red cell is reproducible by calling :func:`run_cell` with its policy,
+variant and rate.  ``python -m repro chaos [--smoke]`` prints
+:func:`format_report` and exits non-zero on any lost update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.bench.report import format_table
 from repro.bench.runner import StackConfig, build_stack
 from repro.bufferpool.background import IdleScrubber
 from repro.bufferpool.recovery import (
@@ -40,7 +43,7 @@ from repro.engine.executor import DurableRun
 from repro.engine.serving import ServingConfig, ServingLayer
 from repro.errors import ReproError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.storage.profiles import PCIE_SSD, DeviceProfile
+from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MU, generate_trace
 
 __all__ = [
@@ -49,18 +52,30 @@ __all__ = [
     "CorruptionCellResult",
     "DEFAULT_POLICIES",
     "DEFAULT_RATES",
-    "DEFAULT_VARIANTS",
+    "VARIANTS",
+    "format_report",
     "run_cell",
-    "run_chaos",
     "run_corruption_cell",
-    "smoke_corruption",
+    "run_sweep",
     "smoke_grid",
 ]
 
 #: The acceptance grid: fault rates x policies x variants.
 DEFAULT_RATES = (0.0, 0.001, 0.01)
 DEFAULT_POLICIES = ("lru", "clock", "cflru")
-DEFAULT_VARIANTS = ("baseline", "ace")
+VARIANTS = ("baseline", "ace")
+
+#: Requests between commit points (WAL flushes) in every cell.
+COMMIT_EVERY = 64
+
+#: The smoke grid's served cell: open-loop arrivals every 30 µs into a
+#: 16-deep queue, so admission sheds while faults fire and the run crashes.
+SMOKE_SERVING = ServingConfig(
+    queue_capacity=16,
+    deadline_us=200_000.0,
+    shed_policy="drop-oldest",
+    arrival_interval_us=30.0,
+)
 
 
 @dataclass(frozen=True)
@@ -107,10 +122,15 @@ class ChaosReport:
 
     cells: tuple[ChaosCellResult, ...]
     seed: int
+    #: The smoke grid's silent-corruption cell and served cell (``None``
+    #: in the full sweep).
+    corruption: CorruptionCellResult | None = None
+    served: ChaosCellResult | None = None
 
     @property
     def ok(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+        extra = (self.corruption, self.served)
+        return all(cell.ok for cell in (*self.cells, *extra) if cell is not None)
 
     @property
     def failures(self) -> tuple[ChaosCellResult, ...]:
@@ -129,20 +149,16 @@ def run_cell(
     policy: str,
     variant: str,
     rate: float,
-    profile: DeviceProfile = PCIE_SSD,
     num_pages: int = 2_000,
     ops: int = 6_000,
     seed: int = 7,
-    commit_every: int = 64,
-    crash_fraction: float = 2 / 3,
-    retry: RetryPolicy | None = None,
     serving: ServingConfig | None = None,
 ) -> ChaosCellResult:
     """Run one crash-and-recover cell and audit committed durability.
 
     The stack replays a write-heavy uniform trace (commit point — a WAL
-    flush — every ``commit_every`` requests) with the background writer and
-    checkpointer attached, then "loses power" ``crash_fraction`` of the way
+    flush — every :data:`COMMIT_EVERY` requests) with the background writer
+    and checkpointer attached, then "loses power" two thirds of the way
     through, recovers from the WAL, and compares every page's recovered
     payload against the version it had at the last commit point.  Page
     payloads are monotone version counters, so an update is *lost* exactly
@@ -157,11 +173,10 @@ def run_cell(
     the satellite asks: shedding must only ever drop *unadmitted* work,
     never work a commit point already covered.
     """
-    if retry is None:
-        retry = RetryPolicy()
+    retry = RetryPolicy()
     plan = FaultPlan.uniform(rate, seed=seed)
     config = StackConfig(
-        profile=profile,
+        profile=PCIE_SSD,
         policy=policy,
         variant=variant,
         num_pages=num_pages,
@@ -171,7 +186,7 @@ def run_cell(
     )
     manager = build_stack(config)
     trace = generate_trace(MU, num_pages, ops, seed=seed)
-    crash_at = max(commit_every, int(len(trace) * crash_fraction))
+    crash_at = max(COMMIT_EVERY, int(len(trace) * (2 / 3)))
     prefix = trace.slice(0, crash_at)
 
     # The durability ledger: page -> version at the last commit point.
@@ -184,12 +199,12 @@ def run_cell(
     # shed or expire); it is read back after the run below.
     committed: dict[int, int] = {}
     if serving is None:
-        boundary = (crash_at // commit_every) * commit_every
+        boundary = (crash_at // COMMIT_EVERY) * COMMIT_EVERY
         committed = write_ledger(
             prefix.pages[:boundary], prefix.writes[:boundary]
         )
 
-    durable = DurableRun(manager, commit_every)
+    durable = DurableRun(manager, COMMIT_EVERY)
 
     # A prebuilt layer (rather than passing the config through run_trace)
     # keeps its metrics — and with them the committed-version ledger —
@@ -285,18 +300,9 @@ class CorruptionCellResult:
         return f"{self.policy}/{self.variant}@silent:{self.rate:g}"
 
 
-def run_corruption_cell(
-    policy: str = "lru",
-    variant: str = "ace",
-    rate: float = 0.002,
-    profile: DeviceProfile = PCIE_SSD,
-    num_pages: int = 800,
-    ops: int = 2_400,
-    seed: int = 7,
-    commit_every: int = 64,
-    max_heal_passes: int = 5,
-) -> CorruptionCellResult:
-    """Run one silent-corruption cell: inject, detect, repair, audit.
+def run_corruption_cell(seed: int = 7) -> CorruptionCellResult:
+    """Run the silent-corruption cell (lru/ace, silent-fault rate 0.01,
+    1,800 requests over 600 pages): inject, detect, repair, audit.
 
     No crash here — the threat model is the quiet one: the run completes
     "successfully" while pages rot underneath it.  Checksums catch
@@ -306,9 +312,10 @@ def run_corruption_cell(
     proves the device equals the write ledger on *every* page, including
     neighbours clobbered by misdirected writes.
     """
+    policy, variant, rate, num_pages, ops = "lru", "ace", 0.01, 600, 1_800
     plan = FaultPlan.silent(rate, seed=seed)
     config = StackConfig(
-        profile=profile,
+        profile=PCIE_SSD,
         policy=policy,
         variant=variant,
         num_pages=num_pages,
@@ -323,7 +330,7 @@ def run_corruption_cell(
     # is each page's total write count.
     ledger = write_ledger(trace.pages, trace.writes)
 
-    durable = DurableRun(manager, commit_every)
+    durable = DurableRun(manager, COMMIT_EVERY)
     scrubber = IdleScrubber(manager, interval_us=40_000.0)
 
     error: str | None = None
@@ -344,7 +351,7 @@ def run_corruption_cell(
     scrub = scrubber.scrubber
     passes = 0
     residual = 0
-    while passes < max_heal_passes:
+    while passes < 5:
         before = scrub.stats.detected
         scrub.scrub_all()
         passes += 1
@@ -377,44 +384,76 @@ def run_corruption_cell(
     )
 
 
-def smoke_corruption(seed: int = 7) -> CorruptionCellResult:
-    """The CI smoke corruption cell: one policy, ACE variant, short run."""
-    return run_corruption_cell(
-        policy="lru", variant="ace", rate=0.01,
-        num_pages=600, ops=1_800, seed=seed,
-    )
-
-
-def run_chaos(
+def run_sweep(
     rates: tuple[float, ...] = DEFAULT_RATES,
     policies: tuple[str, ...] = DEFAULT_POLICIES,
-    variants: tuple[str, ...] = DEFAULT_VARIANTS,
-    profile: DeviceProfile = PCIE_SSD,
     num_pages: int = 2_000,
     ops: int = 6_000,
     seed: int = 7,
-    commit_every: int = 64,
-    serving: ServingConfig | None = None,
 ) -> ChaosReport:
     """Sweep the full grid; every cell runs independently and to completion."""
     cells = []
     for rate in rates:
         for policy in policies:
-            for variant in variants:
+            for variant in VARIANTS:
                 cells.append(run_cell(
                     policy, variant, rate,
-                    profile=profile, num_pages=num_pages, ops=ops,
-                    seed=seed, commit_every=commit_every, serving=serving,
+                    num_pages=num_pages, ops=ops, seed=seed,
                 ))
     return ChaosReport(cells=tuple(cells), seed=seed)
 
 
-def smoke_grid(seed: int = 7) -> ChaosReport:
-    """The CI smoke sweep: two rates, two policies, both variants, short runs."""
-    return run_chaos(
-        rates=(0.0, 0.01),
-        policies=("lru", "clock"),
-        num_pages=800,
-        ops=2_400,
-        seed=seed,
+def smoke_grid() -> ChaosReport:
+    """The CI smoke sweep: two rates, two policies, both variants, short
+    runs; plus the silent-corruption cell and the served cell."""
+    grid = run_sweep(
+        rates=(0.0, 0.01), policies=("lru", "clock"), num_pages=800, ops=2_400,
     )
+    return replace(grid, corruption=run_corruption_cell())
+
+
+def format_report(report: ChaosReport) -> str:
+    """The ``chaos`` verdict: the cell table, a ``FAIL`` line per failed
+    cell, the smoke grid's extra cells, and the closing summary line."""
+    rows = [
+        [
+            "ok" if cell.ok else "FAIL",
+            cell.label,
+            str(cell.faults_injected),
+            str(cell.io_retries),
+            str(cell.degraded_writebacks),
+            str(cell.failed_writebacks),
+            str(cell.checkpoints_skipped),
+            str(cell.committed_updates),
+            str(cell.lost_updates),
+        ]
+        for cell in report.cells
+    ]
+    lines = [format_table(
+        ["", "cell", "faults", "retries", "degr-wb", "failed-wb",
+         "ckpt-skip", "committed", "lost"],
+        rows,
+        title=f"Chaos sweep (seed={report.seed})",
+    )]
+    for cell in report.failures:
+        reason = cell.error if cell.error else f"{cell.lost_updates} lost"
+        lines.append(f"FAIL {cell.label}: {reason}")
+    corruption = report.corruption
+    if corruption is not None:
+        status = "ok  " if corruption.ok else "FAIL"
+        lines.append(
+            f"{status} {corruption.label}: "
+            f"{corruption.corruptions_injected} silent corruptions injected, "
+            f"{corruption.read_path_detections} caught on read "
+            f"({corruption.read_path_repairs} healed inline), "
+            f"{corruption.scrub_detected} scrubbed, "
+            f"{corruption.residual_corruption} residual"
+        )
+        if not corruption.ok and corruption.error:
+            lines.append(f"FAIL {corruption.label}: {corruption.error}")
+    if report.ok:
+        lines.append(
+            f"all {len(report.cells)} cells durable "
+            f"({report.total_faults} faults injected, 0 committed updates lost)"
+        )
+    return "\n".join(lines)

@@ -23,7 +23,8 @@ prints them to stderr; its stdout is deterministic and committed as
 
 Everything is deterministic: seeded trace, deterministic router and
 partitioner, and merged metrics that are byte-identical at any worker
-count.  ``python -m repro cluster [--smoke]`` prints the tables.
+count.  ``python -m repro cluster [--smoke]`` prints :func:`format_report`
+on stdout and :func:`format_wall` on stderr.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.cluster.placement import (
     locality_placement,
     placement_report,
 )
-from repro.storage.profiles import PCIE_SSD, DeviceProfile
+from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "ClusterSweepReport",
     "DEFAULT_SHARDS",
     "DEFAULT_POLICIES",
+    "VARIANT",
     "run_cell",
     "run_sweep",
     "smoke_grid",
@@ -59,6 +61,9 @@ __all__ = [
 DEFAULT_SHARDS = (1, 2, 4)
 DEFAULT_POLICIES = ("lru", "clock", "cflru")
 DEFAULT_PLACEMENTS = ("hash", "locality")
+
+#: Every cell replays baseline stacks: placement, not ACE, is on trial.
+VARIANT = "baseline"
 
 #: The shard count whose locality-vs-hash cut must improve *strictly*.
 HEADLINE_SHARDS = 4
@@ -153,20 +158,18 @@ def _placement_assignment(
 
 def run_cell(
     policy: str,
-    variant: str,
     num_shards: int,
     placement: str,
     trace,
     graph: CoAccessGraph,
-    profile: DeviceProfile = PCIE_SSD,
     workers: int | None = 1,
 ) -> tuple[ClusterCell, ClusterMetrics]:
     """Replay one sweep cell and score its placement on the graph."""
     assignment = _placement_assignment(graph, num_shards, placement)
     config = ClusterConfig(
-        profile=profile,
+        profile=PCIE_SSD,
         policy=policy,
-        variant=variant,
+        variant=VARIANT,
         num_pages=graph.num_pages,
         num_shards=num_shards,
         # Single-shard hash and locality coincide; ClusterConfig models
@@ -178,7 +181,7 @@ def run_cell(
     score = placement_report(graph, assignment, num_shards)
     cell = ClusterCell(
         policy=policy,
-        variant=variant,
+        variant=VARIANT,
         shards=num_shards,
         placement=placement,
         ops=metrics.ops,
@@ -195,14 +198,10 @@ def run_cell(
 
 
 def run_sweep(
-    shards: Sequence[int] = DEFAULT_SHARDS,
-    placements: Sequence[str] = DEFAULT_PLACEMENTS,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    variant: str = "baseline",
     num_pages: int = 20_000,
     num_ops: int = 30_000,
     seed: int = 42,
-    profile: DeviceProfile = PCIE_SSD,
     workers: int | None = 1,
 ) -> ClusterSweepReport:
     """The full grid: each policy through every shards x placement cell."""
@@ -210,13 +209,13 @@ def run_sweep(
     graph = coaccess_from_trace(trace.pages, num_pages)
     cells = []
     for policy in policies:
-        for num_shards in shards:
-            for placement in placements:
+        for num_shards in DEFAULT_SHARDS:
+            for placement in DEFAULT_PLACEMENTS:
                 if num_shards == 1 and placement != "hash":
                     continue  # one shard: every placement is identical
                 cell, _ = run_cell(
-                    policy, variant, num_shards, placement, trace, graph,
-                    profile=profile, workers=workers,
+                    policy, num_shards, placement, trace, graph,
+                    workers=workers,
                 )
                 cells.append(cell)
     return ClusterSweepReport(
@@ -224,16 +223,17 @@ def run_sweep(
     )
 
 
-def smoke_grid(seed: int = 42) -> ClusterSweepReport:
+def smoke_grid(workers: int | None = 1) -> ClusterSweepReport:
     """The CI-sized sweep: one policy, small trace, full shard grid."""
     return run_sweep(
-        policies=("lru",), num_pages=4_000, num_ops=6_000, seed=seed
+        policies=("lru",), num_pages=4_000, num_ops=6_000, workers=workers
     )
 
 
 def format_report(report: ClusterSweepReport) -> str:
-    """Render the sweep table and the imbalance-vs-cut Pareto table: the
-    committed verdict text, so no wall clock (that is :func:`format_wall`)."""
+    """The ``cluster`` verdict: the sweep table, the imbalance-vs-cut
+    Pareto table, a ``FAIL`` line per placement failure and the closing
+    summary line — no wall clock (that is :func:`format_wall`)."""
     rows = []
     for cell in report.cells:
         rows.append([
@@ -265,7 +265,11 @@ def format_report(report: ClusterSweepReport) -> str:
         pareto_rows,
         title="Placement Pareto points (co-access graph)",
     )
-    return f"{sweep}\n\n{pareto}"
+    lines = [f"{sweep}\n\n{pareto}"]
+    lines += [f"FAIL {failure}" for failure in report.placement_failures]
+    if report.ok:
+        lines.append(f"all {len(report.cells)} cells swept; placement claim holds")
+    return "\n".join(lines)
 
 
 def format_wall(report: ClusterSweepReport) -> str:

@@ -26,8 +26,8 @@ an ACE stack, dirty batched write-backs in flight) and a **double
 failure** (R=2; the most-caught-up replica dies during its own
 promotion and the group falls through to the second replica).
 
-``python -m repro failover [--smoke]`` prints the table and exits
-non-zero if any cell lost a committed update, replayed a phantom, or a
+``python -m repro failover [--smoke]`` prints :func:`format_report` and
+exits non-zero if any cell lost a committed update, replayed a phantom, or a
 scenario cell failed to exercise its scenario.
 """
 
@@ -41,7 +41,7 @@ from repro.cluster.engine import ClusterConfig, run_cluster
 from repro.engine.executor import ExecutionOptions
 from repro.errors import ClusterReplayError
 from repro.faults.nodes import NodeFault, NodeFaultPlan
-from repro.storage.profiles import PCIE_SSD, DeviceProfile
+from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MS, generate_trace
 
 __all__ = [
@@ -49,7 +49,9 @@ __all__ = [
     "FailoverSweepReport",
     "DEFAULT_POLICIES",
     "DEFAULT_RATES",
-    "DEFAULT_REPLICATION",
+    "NUM_SHARDS",
+    "REPLICATION",
+    "VARIANTS",
     "run_cell",
     "run_sweep",
     "smoke_grid",
@@ -57,9 +59,12 @@ __all__ = [
 ]
 
 DEFAULT_POLICIES = ("lru", "clock")
-DEFAULT_VARIANTS = ("baseline", "ace")
 DEFAULT_RATES = (0.0, 0.5, 1.0)
-DEFAULT_REPLICATION = (1, 2)
+VARIANTS = ("baseline", "ace")
+REPLICATION = (1, 2)
+
+#: Shards per cluster in every cell.
+NUM_SHARDS = 2
 
 #: Group-commit boundary for every sweep cell (also the granularity the
 #: availability metric's retry windows are bounded by).
@@ -115,7 +120,6 @@ class FailoverSweepReport:
     seed: int
     num_pages: int
     num_ops: int
-    num_shards: int
     cells: tuple[FailoverCell, ...]
 
     @property
@@ -179,19 +183,17 @@ def run_cell(
     plan: NodeFaultPlan,
     trace,
     num_pages: int,
-    num_shards: int,
     rate: float = 0.0,
     scenario: str = "",
-    profile: DeviceProfile = PCIE_SSD,
     workers: int | None = 1,
 ) -> FailoverCell:
     """Replay one replicated cell under ``plan`` and audit it."""
     config = ClusterConfig(
-        profile=profile,
+        profile=PCIE_SSD,
         policy=policy,
         variant=variant,
         num_pages=num_pages,
-        num_shards=num_shards,
+        num_shards=NUM_SHARDS,
         options=_OPTIONS,
         replication_factor=replication,
         node_faults=plan if not plan.is_null else None,
@@ -215,11 +217,10 @@ def run_cell(
 
 
 def _scenario_cells(
-    trace, num_pages: int, num_shards: int, seed: int,
-    workers: int | None,
+    trace, num_pages: int, seed: int, workers: int | None,
 ) -> list[FailoverCell]:
     """The two mandatory failure shapes, as explicit fault lists."""
-    per_shard = max(COMMIT_EVERY * 3, len(trace) // num_shards)
+    per_shard = max(COMMIT_EVERY * 3, len(trace) // NUM_SHARDS)
     # Mid-ACE-batch: the crash point sits strictly inside a commit
     # window (not on a boundary), so the ACE stack dies with batched
     # write-backs and unflushed WAL records in flight.
@@ -237,34 +238,31 @@ def _scenario_cells(
                   crash_at_access=min(per_shard - 1, mid_batch * 2)),
     ))
     return [
-        run_cell("lru", "ace", 1, mid_ace, trace, num_pages, num_shards,
+        run_cell("lru", "ace", 1, mid_ace, trace, num_pages,
                  scenario="mid-ace-batch", workers=workers),
-        run_cell("lru", "ace", 2, double, trace, num_pages, num_shards,
+        run_cell("lru", "ace", 2, double, trace, num_pages,
                  scenario="double-failure", workers=workers),
     ]
 
 
 def run_sweep(
     rates: Sequence[float] = DEFAULT_RATES,
-    replication: Sequence[int] = DEFAULT_REPLICATION,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    variants: Sequence[str] = DEFAULT_VARIANTS,
     num_pages: int = 8_000,
     num_ops: int = 12_000,
-    num_shards: int = 2,
     seed: int = 42,
     workers: int | None = 1,
 ) -> FailoverSweepReport:
     """The full grid plus the two scenario cells."""
     trace = generate_trace(MS, num_pages, num_ops, seed=seed)
-    accesses_per_shard = max(2, num_ops // num_shards)
+    accesses_per_shard = max(2, num_ops // NUM_SHARDS)
     cells = []
     for policy in policies:
-        for variant in variants:
-            for factor in replication:
+        for variant in VARIANTS:
+            for factor in REPLICATION:
                 for rate in rates:
                     plan = NodeFaultPlan.random(
-                        num_shards=num_shards,
+                        num_shards=NUM_SHARDS,
                         replicas=factor,
                         failure_rate=rate,
                         accesses_per_shard=accesses_per_shard,
@@ -272,30 +270,28 @@ def run_sweep(
                     )
                     cells.append(run_cell(
                         policy, variant, factor, plan, trace,
-                        num_pages, num_shards, rate=rate,
-                        workers=workers,
+                        num_pages, rate=rate, workers=workers,
                     ))
-    cells.extend(
-        _scenario_cells(trace, num_pages, num_shards, seed, workers)
-    )
+    cells.extend(_scenario_cells(trace, num_pages, seed, workers))
     return FailoverSweepReport(
-        seed=seed, num_pages=num_pages, num_ops=num_ops,
-        num_shards=num_shards, cells=tuple(cells),
+        seed=seed, num_pages=num_pages, num_ops=num_ops, cells=tuple(cells),
     )
 
 
-def smoke_grid(seed: int = 42) -> FailoverSweepReport:
+def smoke_grid(workers: int | None = 1) -> FailoverSweepReport:
     """The CI-sized sweep: one policy, both variants, small trace."""
     return run_sweep(
         rates=(1.0,),
         policies=("lru",),
         num_pages=3_000,
         num_ops=5_000,
-        seed=seed,
+        workers=workers,
     )
 
 
 def format_report(report: FailoverSweepReport) -> str:
+    """The ``failover`` verdict: the cell table, a ``FAIL`` line per failed
+    cell and the closing summary line."""
     rows = []
     for cell in report.cells:
         rows.append([
@@ -309,11 +305,18 @@ def format_report(report: FailoverSweepReport) -> str:
             str(cell.phantom_pages),
             "ok" if cell.ok else "FAIL",
         ])
-    return format_table(
+    lines = [format_table(
         ["cell", "failovers", "crashes", "rejoins", "availability",
          "max failover (us)", "lost", "phantom", "verdict"],
         rows,
         title=(f"Failover sweep (seed={report.seed}, {report.num_ops} ops "
-               f"over {report.num_pages} pages, {report.num_shards} "
+               f"over {report.num_pages} pages, {NUM_SHARDS} "
                f"shards, commit every {COMMIT_EVERY})"),
-    )
+    )]
+    lines += [f"FAIL {failure}" for failure in report.failures]
+    if report.ok:
+        lines.append(
+            f"all {len(report.cells)} cells swept; zero committed loss, "
+            "zero phantom redo"
+        )
+    return "\n".join(lines)

@@ -8,7 +8,7 @@ queueing cliff where every request waits past its deadline.  The sweep
 calibrates each stack's closed-loop service rate, then replays the same
 multi-client trace open-loop at multiples of it (0.5x .. 2x), per shedding
 policy and per {baseline, ACE} variant, and asserts the no-cliff property:
-``goodput(max multiplier) >= graceful_threshold * peak goodput``.
+``goodput(max multiplier) >= GRACEFUL_THRESHOLD * peak goodput``.
 
 A second experiment A/Bs the circuit breaker: a mistuned ACE stack
 (``n_w = 4 * k_w``, so every write-back batch splits into four device
@@ -18,8 +18,8 @@ the triggering request's stall and the queue wait it imposes on everything
 behind it — p50/p99 drop deterministically.
 
 Everything runs on seeded virtual time: the same seed reproduces the same
-curves, cell by cell.  ``python -m repro overload [--smoke]`` prints the
-tables and exits non-zero on any violated assertion.
+curves, cell by cell.  ``python -m repro overload [--smoke]`` prints
+:func:`format_report` and exits non-zero on any violated assertion.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.engine.executor import ExecutionOptions, run_trace
 from repro.engine.multiclient import interleave_traces
 from repro.engine.serving import BreakerConfig, ServingConfig, SHED_POLICIES
 from repro.faults import FaultPlan
-from repro.storage.profiles import PCIE_SSD, DeviceProfile
+from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
 from repro.workloads.trace import Trace
 
@@ -44,7 +44,7 @@ __all__ = [
     "SMOKE_MULTIPLIERS",
     "make_overload_trace",
     "run_cell",
-    "run_overload",
+    "run_sweep",
     "run_breaker_ab",
     "smoke_grid",
     "format_report",
@@ -53,7 +53,15 @@ __all__ = [
 #: Offered-load multipliers of the calibrated service rate.
 DEFAULT_MULTIPLIERS = (0.5, 0.75, 1.0, 1.5, 2.0)
 SMOKE_MULTIPLIERS = (0.5, 1.0, 2.0)
-DEFAULT_VARIANTS = ("baseline", "ace")
+VARIANTS = ("baseline", "ace")
+
+#: Every curve serves lru stacks through a 32-deep admission queue.
+POLICY = "lru"
+QUEUE_CAPACITY = 32
+
+#: No cliff: goodput at the highest offered load keeps this share of the
+#: curve's peak.
+GRACEFUL_THRESHOLD = 0.7
 
 #: The sweep workload: write-heavy with 90/10 locality, the regime where
 #: ACE's batched write-backs (and their stalls) matter.
@@ -116,12 +124,13 @@ class OverloadCurve:
         top = max(self.cells, key=lambda cell: cell.multiplier)
         return top.goodput_per_s
 
-    def graceful(self, threshold: float = 0.7) -> bool:
+    @property
+    def graceful(self) -> bool:
         """No cliff: goodput at the highest offered load holds up."""
         peak = self.peak_goodput_per_s
         if peak <= 0:
             return False
-        return self.goodput_at_max_load_per_s >= threshold * peak
+        return self.goodput_at_max_load_per_s >= GRACEFUL_THRESHOLD * peak
 
 
 @dataclass(frozen=True)
@@ -156,12 +165,11 @@ class OverloadReport:
     curves: tuple[OverloadCurve, ...]
     breaker: BreakerABResult
     seed: int
-    graceful_threshold: float = 0.7
 
     @property
     def ok(self) -> bool:
         return (
-            all(curve.graceful(self.graceful_threshold) for curve in self.curves)
+            all(curve.graceful for curve in self.curves)
             and self.breaker.improved
         )
 
@@ -170,9 +178,9 @@ class OverloadReport:
         failed = tuple(
             f"cliff: {curve.label} goodput@max="
             f"{curve.goodput_at_max_load_per_s:.0f}/s < "
-            f"{self.graceful_threshold:.0%} of peak {curve.peak_goodput_per_s:.0f}/s"
+            f"{GRACEFUL_THRESHOLD:.0%} of peak {curve.peak_goodput_per_s:.0f}/s"
             for curve in self.curves
-            if not curve.graceful(self.graceful_threshold)
+            if not curve.graceful
         )
         if not self.breaker.improved:
             failed += (
@@ -204,22 +212,6 @@ def make_overload_trace(
     )
 
 
-def _stack_config(
-    policy: str,
-    variant: str,
-    profile: DeviceProfile,
-    num_pages: int,
-    options: ExecutionOptions,
-) -> StackConfig:
-    return StackConfig(
-        profile=profile,
-        policy=policy,
-        variant=variant,
-        num_pages=num_pages,
-        options=options,
-    )
-
-
 def _calibrate(config: StackConfig, trace: Trace) -> float:
     """Closed-loop service rate (requests per virtual second) of a stack."""
     manager = build_stack(config)
@@ -233,16 +225,15 @@ def run_cell(
     shed_policy: str,
     multiplier: float,
     service_rate_per_s: float,
-    queue_capacity: int = 32,
 ) -> OverloadCell:
     """One open-loop serving run at ``multiplier`` x the service rate."""
     mean_service_us = 1e6 / service_rate_per_s
     serving = ServingConfig(
-        queue_capacity=queue_capacity,
+        queue_capacity=QUEUE_CAPACITY,
         # Generous relative to the worst full-queue wait, so saturation
         # sheds at admission rather than expiring everything it admitted
         # (which is the cliff this harness exists to rule out).
-        deadline_us=2.0 * queue_capacity * mean_service_us,
+        deadline_us=2.0 * QUEUE_CAPACITY * mean_service_us,
         shed_policy=shed_policy,
         arrival_interval_us=mean_service_us / multiplier,
     )
@@ -269,72 +260,59 @@ def run_cell(
     )
 
 
-def run_overload(
-    policies: tuple[str, ...] = ("lru",),
-    variants: tuple[str, ...] = DEFAULT_VARIANTS,
-    shed_policies: tuple[str, ...] = SHED_POLICIES,
+def run_sweep(
     multipliers: tuple[float, ...] = DEFAULT_MULTIPLIERS,
-    profile: DeviceProfile = PCIE_SSD,
     num_pages: int = 2_000,
     ops: int = 6_000,
     seed: int = 7,
-    graceful_threshold: float = 0.7,
 ) -> OverloadReport:
-    """Sweep goodput vs offered load and run the breaker A/B."""
+    """Sweep goodput vs offered load per variant and shed policy, and run
+    the breaker A/B."""
     options = ExecutionOptions()
     trace = make_overload_trace(num_pages, ops, seed)
     curves: list[OverloadCurve] = []
-    for policy in policies:
-        for variant in variants:
-            config = _stack_config(policy, variant, profile, num_pages, options)
-            rate = _calibrate(config, trace)
-            for shed_policy in shed_policies:
-                cells = tuple(
-                    run_cell(config, trace, shed_policy, multiplier, rate)
-                    for multiplier in multipliers
+    for variant in VARIANTS:
+        config = StackConfig(
+            profile=PCIE_SSD, policy=POLICY, variant=variant,
+            num_pages=num_pages, options=options,
+        )
+        rate = _calibrate(config, trace)
+        for shed_policy in SHED_POLICIES:
+            cells = tuple(
+                run_cell(config, trace, shed_policy, multiplier, rate)
+                for multiplier in multipliers
+            )
+            curves.append(
+                OverloadCurve(
+                    policy=POLICY,
+                    variant=variant,
+                    shed_policy=shed_policy,
+                    service_rate_per_s=rate,
+                    cells=cells,
                 )
-                curves.append(
-                    OverloadCurve(
-                        policy=policy,
-                        variant=variant,
-                        shed_policy=shed_policy,
-                        service_rate_per_s=rate,
-                        cells=cells,
-                    )
-                )
-    breaker = run_breaker_ab(profile=profile, seed=seed)
+            )
     return OverloadReport(
-        curves=tuple(curves),
-        breaker=breaker,
-        seed=seed,
-        graceful_threshold=graceful_threshold,
+        curves=tuple(curves), breaker=run_breaker_ab(seed=seed), seed=seed,
     )
 
 
-def run_breaker_ab(
-    policy: str = "lru",
-    profile: DeviceProfile = PCIE_SSD,
-    num_pages: int = 4_000,
-    ops: int = 6_000,
-    seed: int = 7,
-    spike_rate: float = 0.005,
-    spike_us: float = 4_000.0,
-    load: float = 1.0,
-) -> BreakerABResult:
+def run_breaker_ab(seed: int = 7) -> BreakerABResult:
     """Deterministic A/B: latency spikes + mistuned ACE, breaker off vs on.
 
-    The stack runs ACE with ``n_w = 4 * k_w`` (four device waves per
+    The lru stack runs ACE with ``n_w = 4 * k_w`` (four device waves per
     write-back batch — a plausible mistuning when a cloud volume's
-    concurrency drops under the configured value) at ``load`` x its
-    calibrated service rate, with rare large latency spikes injected.
-    Breaker-on degrades batches to one wave while tripped.
+    concurrency drops under the configured value) at its calibrated
+    service rate over 6,000 requests on 4,000 pages, with rare (0.5 %)
+    4 ms latency spikes injected.  Breaker-on degrades batches to one wave
+    while tripped.
     """
+    profile, num_pages, ops = PCIE_SSD, 4_000, 6_000
     mistuned_n_w = 4 * profile.k_w
-    plan = FaultPlan.spikes(spike_rate, spike_us=spike_us, seed=seed)
+    plan = FaultPlan.spikes(0.005, spike_us=4_000.0, seed=seed)
     options = ExecutionOptions()
     config = StackConfig(
         profile=profile,
-        policy=policy,
+        policy=POLICY,
         variant="ace",
         num_pages=num_pages,
         n_w=mistuned_n_w,
@@ -344,7 +322,7 @@ def run_breaker_ab(
     )
     trace = generate_trace(_AB_SPEC, num_pages, ops, seed=seed)
     rate = _calibrate(config, trace)
-    interval = 1e6 / (rate * load)
+    interval = 1e6 / rate
     base = dict(
         queue_capacity=256,
         deadline_us=0.0,  # measure completion latency, not goodput
@@ -372,7 +350,7 @@ def run_breaker_ab(
     )
     s_off, s_on = metrics_off.serving, metrics_on.serving
     return BreakerABResult(
-        policy=policy,
+        policy=POLICY,
         p50_off_us=s_off.latency.p50_us,
         p50_on_us=s_on.latency.p50_us,
         p99_off_us=s_off.latency.p99_us,
@@ -385,21 +363,17 @@ def run_breaker_ab(
     )
 
 
-def smoke_grid(seed: int = 7) -> OverloadReport:
-    """The CI smoke sweep: one policy, both variants, all shed policies."""
-    return run_overload(
-        policies=("lru",),
-        multipliers=SMOKE_MULTIPLIERS,
-        num_pages=1_200,
-        ops=4_000,
-        seed=seed,
-    )
+def smoke_grid() -> OverloadReport:
+    """The CI smoke sweep: both variants, all shed policies, 3 multipliers."""
+    return run_sweep(multipliers=SMOKE_MULTIPLIERS, num_pages=1_200, ops=4_000)
 
 
 # ------------------------------------------------------------------ report
 
 
 def format_report(report: OverloadReport) -> str:
+    """The ``overload`` verdict: each curve with its graceful/cliff line,
+    the breaker A/B, and the closing ``OVERLOAD OK`` or ``FAIL`` lines."""
     lines: list[str] = []
     header = (
         f"{'stack':<28} {'mult':>5} {'offered/s':>10} {'goodput/s':>10} "
@@ -418,16 +392,12 @@ def format_report(report: OverloadReport) -> str:
                 f"{cell.completed_late:>6} {cell.p50_us:>8.0f} "
                 f"{cell.p99_us:>9.0f}"
             )
-        verdict = (
-            "graceful"
-            if curve.graceful(report.graceful_threshold)
-            else "CLIFF"
-        )
+        verdict = "graceful" if curve.graceful else "CLIFF"
         lines.append(
             f"  -> {verdict}: goodput@max "
             f"{curve.goodput_at_max_load_per_s:.0f}/s vs peak "
             f"{curve.peak_goodput_per_s:.0f}/s "
-            f"(threshold {report.graceful_threshold:.0%})"
+            f"(threshold {GRACEFUL_THRESHOLD:.0%})"
         )
     ab = report.breaker
     lines.append("")

@@ -7,15 +7,21 @@ Usage (after ``pip install -e .``)::
     python -m repro compare --workload WIS --policies lru,cflru
     python -m repro tpcc --warehouses 4 --transactions 300
     python -m repro experiment fig8                # regenerate a paper figure
-    python -m repro check                          # invariant-sanitized smoke run
-    python -m repro chaos                          # fault-injection durability sweep
-    python -m repro crashpoints --smoke            # exhaustive crash-point verification
-    python -m repro overload                       # saturation sweep + breaker A/B
-    python -m repro cluster --smoke                # sharded aggregate-throughput sweep
-    python -m repro failover --smoke               # replicated failover durability sweep
+
+The six verdict commands each run one fixed sweep, print its verdict and
+exit non-zero when the verdict fails.  ``--smoke`` runs the small grid CI
+diffs against ``results/verdicts/``; ``--workers`` spreads shard replay
+over processes (the results are identical at any count)::
+
+    python -m repro check                          # invariant-sanitized stacks
+    python -m repro chaos [--smoke]                # fault-injection durability sweep
+    python -m repro crashpoints [--smoke] [--max-points N]  # crash-point verification
+    python -m repro overload [--smoke]             # saturation sweep + breaker A/B
+    python -m repro cluster [--smoke] [--workers N]   # sharded placement sweep
+    python -m repro failover [--smoke] [--workers N]  # replicated failover sweep
 
 Every command prints a small report and exits 0 on success; the heavy
-lifting lives in :mod:`repro.bench`.
+lifting lives in :mod:`repro.bench` and :mod:`repro.verify`.
 """
 
 from __future__ import annotations
@@ -24,15 +30,16 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
 
+from repro.bench import chaos, cluster, failover, overload
 from repro.bench.parallel import WORKERS_ENV_VAR
 from repro.bench.report import format_table
-from repro.bench.runner import VARIANTS, StackConfig, build_stack, run_config
+from repro.bench.runner import StackConfig, build_stack, run_config
 from repro.engine.executor import ExecutionOptions, run_transactions
 from repro.engine.metrics import speedup
 from repro.policies.registry import PAPER_POLICIES, display_name
 from repro.storage.probe import probe_device
+from repro.verify import check, crashpoints
 from repro.storage.profiles import (
     OPTANE_SSD,
     PAPER_DEVICES,
@@ -56,6 +63,17 @@ _DEVICES: dict[str, DeviceProfile] = {
 
 _WORKLOADS = {"MS": MS, "WIS": WIS, "RIS": RIS, "MU": MU}
 
+#: Verdict command -> its module: ``smoke_grid()`` (all but ``check``),
+#: ``run_sweep()``, and ``format_report(report)``, the command's stdout.
+_VERDICTS = {
+    "check": check,
+    "chaos": chaos,
+    "crashpoints": crashpoints,
+    "cluster": cluster,
+    "failover": failover,
+    "overload": overload,
+}
+
 
 def _listed(option: str, text: str, noun: str, known=None, parse=str) -> tuple:
     """The items of a comma-separated ``--option`` value, each through
@@ -75,14 +93,6 @@ def _listed(option: str, text: str, noun: str, known=None, parse=str) -> tuple:
     if not items:
         raise SystemExit(f"--{option} names no {noun}: {text!r}")
     return tuple(items)
-
-
-def _policies(text: str) -> tuple[str, ...]:
-    return _listed("policies", text, "policy", PAPER_POLICIES)
-
-
-def _variants(text: str) -> tuple[str, ...]:
-    return _listed("variants", text, "variant", VARIANTS)
 
 
 def _resolve_device(args: argparse.Namespace) -> DeviceProfile:
@@ -176,126 +186,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summary.add_argument("--output", default="EXPERIMENTS.md")
 
-    check = sub.add_parser(
-        "check",
-        help="replay a smoke workload through every policy/variant with "
-             "the runtime invariant sanitizer attached",
-    )
-    check.add_argument("--policies", default=",".join(PAPER_POLICIES),
-                       help="comma-separated policy names (default: all)")
-    check.add_argument("--device", choices=sorted(_DEVICES), default="pcie")
-    check.add_argument("--pages", type=int, default=600)
-    check.add_argument("--ops", type=int, default=1500)
-    check.add_argument("--seed", type=int, default=42)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="fault-injection sweep: crash mid-run, recover from the WAL, "
-             "and fail if any committed update was lost",
-    )
-    chaos.add_argument("--rates", default="0,0.001,0.01",
-                       help="comma-separated per-operation fault rates")
-    chaos.add_argument("--policies", default="lru,clock,cflru",
-                       help="comma-separated policy names")
-    chaos.add_argument("--variants", default="baseline,ace",
-                       help="comma-separated variants (baseline|ace|ace+pf)")
-    chaos.add_argument("--device", choices=sorted(_DEVICES), default="pcie")
-    chaos.add_argument("--pages", type=int, default=2000)
-    chaos.add_argument("--ops", type=int, default=6000)
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--smoke", action="store_true",
-                       help="small fixed grid for CI (overrides the sweep "
-                            "options above)")
-
-    crashpoints = sub.add_parser(
-        "crashpoints",
-        help="exhaustive crash-consistency verification: enumerate every "
-             "write boundary, crash there, recover, and audit the device "
-             "against the durable-write ledger byte for byte",
-    )
-    crashpoints.add_argument("--policies", default=",".join(PAPER_POLICIES),
-                             help="comma-separated policy names")
-    crashpoints.add_argument("--variants", default="baseline,ace,ace+pf",
-                             help="comma-separated variants (baseline|ace|ace+pf)")
-    crashpoints.add_argument("--pages", type=int, default=400)
-    crashpoints.add_argument("--ops", type=int, default=1500)
-    crashpoints.add_argument("--seed", type=int, default=7)
-    crashpoints.add_argument("--max-points", type=int, default=64,
-                             help="crash points tested per cell (evenly "
-                                  "subsampled; 0 = exhaustive)")
-    crashpoints.add_argument("--max-redo-crashes", type=int, default=8,
-                             help="crash-during-recovery replays per point "
-                                  "(0 = every redo write)")
-    crashpoints.add_argument("--smoke", action="store_true",
-                             help="small fixed sweep for CI (overrides the "
-                                  "options above)")
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="sharded cluster sweep: aggregate throughput per shards x "
-             "placement x policy cell plus the imbalance-vs-cut Pareto "
-             "table; fails if locality placement stops beating hash",
-    )
-    cluster.add_argument("--shards", default="1,2,4",
-                         help="comma-separated shard counts")
-    cluster.add_argument("--placements", default="hash,locality",
-                         help="comma-separated placement schemes")
-    cluster.add_argument("--policies", default="lru,clock,cflru",
-                         help="comma-separated replacement policies")
-    cluster.add_argument("--variant", default="baseline",
-                         choices=("baseline", "ace", "ace+pf"))
-    cluster.add_argument("--pages", type=int, default=20_000)
-    cluster.add_argument("--ops", type=int, default=30_000)
-    cluster.add_argument("--seed", type=int, default=42)
-    cluster.add_argument("--workers", type=int, default=1,
-                         help="worker processes for shard replay (1 = "
-                              "in-process serial; merged metrics are "
-                              "identical either way)")
-    cluster.add_argument("--smoke", action="store_true",
-                         help="small fixed grid for CI (one policy, small "
-                              "trace; overrides the sweep options above)")
-
-    failover = sub.add_parser(
-        "failover",
-        help="replicated-cluster failover sweep: node-failure rate x "
-             "replication factor x policy with the exact cluster-wide "
-             "durability audit; fails on any committed loss or phantom "
-             "redo",
-    )
-    failover.add_argument("--rates", default="0,0.5,1",
-                          help="comma-separated node-failure rates")
-    failover.add_argument("--replication", default="1,2",
-                          help="comma-separated replication factors")
-    failover.add_argument("--policies", default="lru,clock",
-                          help="comma-separated replacement policies")
-    failover.add_argument("--variants", default="baseline,ace",
-                          help="comma-separated bufferpool variants")
-    failover.add_argument("--pages", type=int, default=8_000)
-    failover.add_argument("--ops", type=int, default=12_000)
-    failover.add_argument("--shards", type=int, default=2)
-    failover.add_argument("--seed", type=int, default=42)
-    failover.add_argument("--workers", type=int, default=1,
-                          help="worker processes for shard replay (1 = "
-                               "in-process serial; results are identical "
-                               "either way)")
-    failover.add_argument("--smoke", action="store_true",
-                          help="small fixed grid for CI (one policy, small "
-                               "trace; overrides the sweep options above)")
-
-    overload = sub.add_parser(
-        "overload",
-        help="saturation sweep: goodput vs offered load per shed policy, "
-             "plus the circuit-breaker latency A/B; fails on a goodput "
-             "cliff or a breaker regression",
-    )
-    overload.add_argument("--policies", default="lru",
-                          help="comma-separated replacement policies")
-    overload.add_argument("--ops", type=int, default=6000,
-                          help="requests in the sweep trace")
-    overload.add_argument("--seed", type=int, default=7)
-    overload.add_argument("--smoke", action="store_true",
-                          help="small fixed grid for CI (one policy, "
-                               "3 multipliers)")
+    verdicts = {
+        "check": "replay every policy/variant with the runtime invariant "
+                 "sanitizer attached and against its unsanitised twin",
+        "chaos": "fault-injection sweep: crash mid-run, recover from the "
+                 "WAL, and fail if any committed update was lost",
+        "crashpoints": "exhaustive crash-consistency verification: "
+                       "enumerate every write boundary, crash there, "
+                       "recover, and audit the device against the "
+                       "durable-write ledger byte for byte",
+        "cluster": "sharded cluster sweep: aggregate throughput per shards "
+                   "x placement x policy cell plus the imbalance-vs-cut "
+                   "Pareto table; fails if locality placement stops "
+                   "beating hash",
+        "failover": "replicated-cluster failover sweep: node-failure rate x "
+                    "replication factor x policy with the exact "
+                    "cluster-wide durability audit; fails on any committed "
+                    "loss or phantom redo",
+        "overload": "saturation sweep: goodput vs offered load per shed "
+                    "policy, plus the circuit-breaker latency A/B; fails on "
+                    "a goodput cliff or a breaker regression",
+    }
+    for name, text in verdicts.items():
+        verdict = sub.add_parser(name, help=text)
+        if name != "check":
+            verdict.add_argument("--smoke", action="store_true",
+                                 help="the small fixed grid CI runs")
+        if name in ("cluster", "failover"):
+            verdict.add_argument("--workers", type=int, default=1,
+                                 help="worker processes for shard replay "
+                                      "(1 = in-process serial; results are "
+                                      "identical either way)")
+        if name == "crashpoints":
+            verdict.add_argument("--max-points", type=int, default=64,
+                                 help="crash points tested per cell of the "
+                                      "full sweep (evenly subsampled; 0 = "
+                                      "exhaustive)")
 
     return parser
 
@@ -344,7 +270,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.bench.runner import compare_policies
 
-    policies = _policies(args.policies)
+    policies = _listed("policies", args.policies, "policy", PAPER_POLICIES)
     spec = _resolve_workload(args.workload, args.read_fraction)
     trace = generate_trace(spec, args.pages, args.ops, seed=args.seed)
     results = compare_policies(
@@ -454,266 +380,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Sanitizer smoke run: every policy x variant on a short MS trace.
-
-    Builds each stack with ``sanitize=True`` so the invariant checker
-    validates the full bufferpool state after every operation; also
-    exercises the pin/flush paths the trace replay does not reach.  The
-    same trace is then replayed on an unsanitised twin — which takes the
-    executor's inlined paths, where the sanitised stack goes request by
-    request — and the two must agree on metrics, residency order and
-    dirty set.  Exits non-zero on the first stack that violates an
-    invariant or differs from its twin.
-    """
-    from repro.engine.executor import run_trace
-    from repro.errors import SanitizerError
-
-    policies = _policies(args.policies)
-    trace = generate_trace(MS, args.pages, args.ops, seed=args.seed)
-    options = ExecutionOptions(cpu_us_per_op=10.0)
-    failures = 0
-    for policy in policies:
-        for variant in VARIANTS:
-            config = StackConfig(
-                profile=_DEVICES[args.device],
-                policy=policy,
-                variant=variant,
-                num_pages=args.pages,
-                sanitize=True,
-                options=options,
-            )
-            manager = build_stack(config)
-            twin = build_stack(replace(config, sanitize=False))
-            label = f"{policy}/{variant}"
-            try:
-                replayed = [
-                    (
-                        run_trace(stack, trace, options=options, label=label),
-                        stack.resident_pages(),
-                        stack.dirty_pages(),
-                    )
-                    for stack in (manager, twin)
-                ]
-                # The trace replay never pins or checkpoint-flushes; cover
-                # those operations too so their invariants are exercised.
-                resident = manager.resident_pages()
-                if resident:
-                    page = resident[0]
-                    manager.pin(page)
-                    manager.read_page(page)
-                    manager.unpin(page)
-                manager.flush_all()
-            except SanitizerError as exc:
-                failures += 1
-                print(f"FAIL {label}: {exc}")
-                continue
-            if replayed[0] != replayed[1]:
-                failures += 1
-                print(f"FAIL {label}: inlined replay differs from per-request")
-                continue
-            checks = manager.sanitizer.checks_run
-            print(f"ok   {label}: {checks} operations validated, twin identical")
-    if failures:
-        print(f"{failures} stack(s) violated invariants or differed from their twin")
-        return 1
-    print(f"all {len(policies) * len(VARIANTS)} stacks clean")
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Durability sweep under fault injection; exit 1 on any lost update."""
-    from repro.bench.chaos import run_chaos, smoke_corruption, smoke_grid
-
-    corruption = None
-    if args.smoke:
-        report = smoke_grid(seed=args.seed)
-        corruption = smoke_corruption(seed=args.seed)
+def _cmd_verdict(args: argparse.Namespace) -> int:
+    """Run a verdict command's sweep, print its verdict, exit 1 if it fails."""
+    module = _VERDICTS[args.command]
+    options = {
+        name: value for name, value in vars(args).items()
+        if name in ("workers", "max_points")
+    }
+    if getattr(args, "smoke", False):
+        options.pop("max_points", None)  # the smoke grid sets its own bound
+        report = module.smoke_grid(**options)
     else:
-        report = run_chaos(
-            rates=_listed("rates", args.rates, "rate", parse=float),
-            policies=_policies(args.policies),
-            variants=_variants(args.variants),
-            profile=_DEVICES[args.device],
-            num_pages=args.pages,
-            ops=args.ops,
-            seed=args.seed,
-        )
-    rows = []
-    for cell in report.cells:
-        rows.append([
-            "ok" if cell.ok else "FAIL",
-            cell.label,
-            str(cell.faults_injected),
-            str(cell.io_retries),
-            str(cell.degraded_writebacks),
-            str(cell.failed_writebacks),
-            str(cell.checkpoints_skipped),
-            str(cell.committed_updates),
-            str(cell.lost_updates),
-        ])
-    print(format_table(
-        ["", "cell", "faults", "retries", "degr-wb", "failed-wb",
-         "ckpt-skip", "committed", "lost"],
-        rows,
-        title=f"Chaos sweep (seed={report.seed})",
-    ))
-    for cell in report.failures:
-        reason = cell.error if cell.error else f"{cell.lost_updates} lost"
-        print(f"FAIL {cell.label}: {reason}")
-    if corruption is not None:
-        status = "ok  " if corruption.ok else "FAIL"
-        print(
-            f"{status} {corruption.label}: "
-            f"{corruption.corruptions_injected} silent corruptions injected, "
-            f"{corruption.read_path_detections} caught on read "
-            f"({corruption.read_path_repairs} healed inline), "
-            f"{corruption.scrub_detected} scrubbed, "
-            f"{corruption.residual_corruption} residual"
-        )
-        if not corruption.ok and corruption.error:
-            print(f"FAIL {corruption.label}: {corruption.error}")
-    if not report.ok or (corruption is not None and not corruption.ok):
-        return 1
-    print(
-        f"all {len(report.cells)} cells durable "
-        f"({report.total_faults} faults injected, 0 committed updates lost)"
-    )
-    return 0
-
-
-def _cmd_crashpoints(args: argparse.Namespace) -> int:
-    """Exhaustive crash-point verification; exit 1 on any audit failure."""
-    from repro.verify import run_crashpoints, smoke_report
-
-    if args.smoke:
-        report = smoke_report(seed=args.seed)
-    else:
-        report = run_crashpoints(
-            policies=_policies(args.policies),
-            variants=_variants(args.variants),
-            num_pages=args.pages,
-            ops=args.ops,
-            seed=args.seed,
-            max_points=args.max_points or None,
-            max_redo_crashes=args.max_redo_crashes or None,
-        )
-    rows = []
-    for config in report.configs:
-        rows.append([
-            "ok" if config.ok else "FAIL",
-            config.label,
-            str(config.boundaries),
-            str(config.points_tested),
-            str(config.points_skipped),
-            str(config.redo_crashes_tested),
-            str(sum(o.lost_updates for o in config.outcomes)),
-            str(sum(o.phantom_pages for o in config.outcomes)),
-        ])
-    print(format_table(
-        ["", "config", "boundaries", "points", "skipped", "redo-crashes",
-         "lost", "phantom"],
-        rows,
-        title=f"Crash-point verification (seed={report.seed})",
-    ))
-    for config in report.failures:
-        for outcome in config.failures:
-            reason = outcome.error or (
-                f"{outcome.lost_updates} lost, "
-                f"{outcome.phantom_pages} phantom, redo replays "
-                f"{outcome.redo_crashes_ok}/{outcome.redo_crashes_tested}"
-            )
-            print(f"FAIL {config.label} {outcome.point.label}: {reason}")
-    if not report.ok:
-        return 1
-    print(
-        f"all {len(report.configs)} configs crash-consistent "
-        f"({report.points_tested} crash points, "
-        f"{report.redo_crashes_tested} recovery re-crashes, "
-        f"0 committed updates lost, 0 phantom pages)"
-    )
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Cluster sweep; exit 1 if the locality-placement claim fails."""
-    from repro.bench.cluster import (
-        DEFAULT_PLACEMENTS,
-        format_report,
-        format_wall,
-        run_sweep,
-        smoke_grid,
-    )
-
-    if args.smoke:
-        report = smoke_grid(seed=args.seed)
-    else:
-        report = run_sweep(
-            shards=_listed("shards", args.shards, "shard count", parse=int),
-            placements=_listed(
-                "placements", args.placements, "placement", DEFAULT_PLACEMENTS
-            ),
-            policies=_policies(args.policies),
-            variant=args.variant,
-            num_pages=args.pages,
-            num_ops=args.ops,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    print(format_report(report))
-    print(format_wall(report), file=sys.stderr)
-    for failure in report.placement_failures:
-        print(f"FAIL {failure}")
-    if not report.ok:
-        return 1
-    print(f"all {len(report.cells)} cells swept; placement claim holds")
-    return 0
-
-
-def _cmd_failover(args: argparse.Namespace) -> int:
-    """Failover sweep; exit 1 on committed loss, phantoms, or a missed
-    scenario."""
-    from repro.bench.failover import format_report, run_sweep, smoke_grid
-
-    if args.smoke:
-        report = smoke_grid(seed=args.seed)
-    else:
-        report = run_sweep(
-            rates=_listed("rates", args.rates, "rate", parse=float),
-            replication=_listed(
-                "replication", args.replication, "replication factor", parse=int
-            ),
-            policies=_policies(args.policies),
-            variants=_variants(args.variants),
-            num_pages=args.pages,
-            num_ops=args.ops,
-            num_shards=args.shards,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    print(format_report(report))
-    for failure in report.failures:
-        print(f"FAIL {failure}")
-    if not report.ok:
-        return 1
-    print(
-        f"all {len(report.cells)} cells swept; zero committed loss, "
-        "zero phantom redo"
-    )
-    return 0
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    """Overload sweep + breaker A/B; exit 1 on a cliff or breaker loss."""
-    from repro.bench.overload import format_report, run_overload, smoke_grid
-
-    if args.smoke:
-        report = smoke_grid(seed=args.seed)
-    else:
-        report = run_overload(
-            policies=_policies(args.policies), ops=args.ops, seed=args.seed
-        )
-    print(format_report(report))
+        report = module.run_sweep(**options)
+    print(module.format_report(report))
+    if module is cluster:
+        print(cluster.format_wall(report), file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -732,12 +413,7 @@ _COMMANDS = {
     "tpcc": _cmd_tpcc,
     "experiment": _cmd_experiment,
     "summary": _cmd_summary,
-    "check": _cmd_check,
-    "chaos": _cmd_chaos,
-    "crashpoints": _cmd_crashpoints,
-    "cluster": _cmd_cluster,
-    "failover": _cmd_failover,
-    "overload": _cmd_overload,
+    **dict.fromkeys(_VERDICTS, _cmd_verdict),
 }
 
 

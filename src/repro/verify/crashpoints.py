@@ -44,15 +44,16 @@ from repro.bufferpool.recovery import (
     simulate_crash,
 )
 from repro.bufferpool.wal import WalRecord, WalRecordKind, WriteAheadLog
-from repro.core.stack import build_manager
+from repro.core.stack import VARIANTS, build_manager
 from repro.engine.executor import DurableRun
 from repro.errors import PowerFailure
 from repro.faults.device import FaultyDevice
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.bench.report import format_table
 from repro.policies.registry import PAPER_POLICIES
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD
-from repro.storage.profiles import PCIE_SSD, DeviceProfile
+from repro.storage.profiles import PCIE_SSD
 from repro.workloads.synthetic import MU, generate_trace
 
 __all__ = [
@@ -61,13 +62,11 @@ __all__ = [
     "CrashConfigReport",
     "CrashPointReport",
     "CrashSchedule",
-    "DEFAULT_VARIANTS",
+    "format_report",
     "run_crashpoint_config",
-    "run_crashpoints",
-    "smoke_report",
+    "run_sweep",
+    "smoke_grid",
 ]
-
-DEFAULT_VARIANTS = ("baseline", "ace", "ace+pf")
 
 #: The synthetic crash point appended after the last real boundary: the
 #: run completes, power fails at the very end.
@@ -321,7 +320,6 @@ def run_crashpoint_config(
     commit_every: int = 48,
     max_points: int | None = 64,
     max_redo_crashes: int | None = None,
-    profile: DeviceProfile = PCIE_SSD,
 ) -> CrashConfigReport:
     """Enumerate and test every crash point of one (policy, variant) cell.
 
@@ -338,7 +336,7 @@ def run_crashpoint_config(
         driven through the trace: the manager, and whether the power
         failed."""
         clock = VirtualClock()
-        base = SimulatedSSD(profile, num_pages=num_pages, clock=clock)
+        base = SimulatedSSD(PCIE_SSD, num_pages=num_pages, clock=clock)
         base.format_pages(range(num_pages))
         wal = WriteAheadLog(clock)
         wal.flush_hook = schedule.wal_flush_hook
@@ -511,38 +509,76 @@ def _test_point(
     )
 
 
-def run_crashpoints(
+def run_sweep(
     policies: tuple[str, ...] = PAPER_POLICIES,
-    variants: tuple[str, ...] = DEFAULT_VARIANTS,
     num_pages: int = 400,
     ops: int = 1_500,
     seed: int = 7,
     commit_every: int = 48,
-    max_points: int | None = 64,
+    max_points: int = 64,
     max_redo_crashes: int | None = 8,
-    profile: DeviceProfile = PCIE_SSD,
 ) -> CrashPointReport:
-    """The full sweep: every policy x variant cell, independently."""
+    """The full sweep: every policy x variant cell, independently, with at
+    most ``max_points`` crash points per cell (0 = every point)."""
     configs = []
     for policy in policies:
-        for variant in variants:
+        for variant in VARIANTS:
             configs.append(run_crashpoint_config(
                 policy, variant,
                 num_pages=num_pages, ops=ops, seed=seed,
-                commit_every=commit_every, max_points=max_points,
-                max_redo_crashes=max_redo_crashes, profile=profile,
+                commit_every=commit_every, max_points=max_points or None,
+                max_redo_crashes=max_redo_crashes,
             ))
     return CrashPointReport(configs=tuple(configs), seed=seed)
 
 
-def smoke_report(seed: int = 7) -> CrashPointReport:
+def smoke_grid() -> CrashPointReport:
     """The CI smoke sweep: two policies x the three variants, tightly bounded."""
-    return run_crashpoints(
+    return run_sweep(
         policies=("lru", "clock"),
         num_pages=240,
         ops=900,
-        seed=seed,
         commit_every=32,
         max_points=24,
         max_redo_crashes=4,
     )
+
+
+def format_report(report: CrashPointReport) -> str:
+    """The ``crashpoints`` verdict: one row per cell, a ``FAIL`` line per
+    failed crash point, and the closing summary line."""
+    rows = [
+        [
+            "ok" if config.ok else "FAIL",
+            config.label,
+            str(config.boundaries),
+            str(config.points_tested),
+            str(config.points_skipped),
+            str(config.redo_crashes_tested),
+            str(sum(o.lost_updates for o in config.outcomes)),
+            str(sum(o.phantom_pages for o in config.outcomes)),
+        ]
+        for config in report.configs
+    ]
+    lines = [format_table(
+        ["", "config", "boundaries", "points", "skipped", "redo-crashes",
+         "lost", "phantom"],
+        rows,
+        title=f"Crash-point verification (seed={report.seed})",
+    )]
+    for config in report.failures:
+        for outcome in config.failures:
+            reason = outcome.error or (
+                f"{outcome.lost_updates} lost, "
+                f"{outcome.phantom_pages} phantom, redo replays "
+                f"{outcome.redo_crashes_ok}/{outcome.redo_crashes_tested}"
+            )
+            lines.append(f"FAIL {config.label} {outcome.point.label}: {reason}")
+    if report.ok:
+        lines.append(
+            f"all {len(report.configs)} configs crash-consistent "
+            f"({report.points_tested} crash points, "
+            f"{report.redo_crashes_tested} recovery re-crashes, "
+            f"0 committed updates lost, 0 phantom pages)"
+        )
+    return "\n".join(lines)

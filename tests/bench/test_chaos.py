@@ -5,14 +5,13 @@ import pytest
 from repro.bench.chaos import (
     ChaosCellResult,
     ChaosReport,
+    format_report,
     run_cell,
-    run_chaos,
+    run_sweep,
     smoke_grid,
 )
 
-from tests.bufferpool.conftest import TEST_PROFILE
-
-SMALL = dict(profile=TEST_PROFILE, num_pages=400, ops=1_200)
+SMALL = dict(num_pages=400, ops=1_200)
 
 
 class TestRunCell:
@@ -42,10 +41,7 @@ class TestRunCell:
 
 class TestReport:
     def small_grid(self) -> ChaosReport:
-        return run_chaos(
-            rates=(0.0, 0.01), policies=("lru",), variants=("baseline", "ace"),
-            profile=TEST_PROFILE, num_pages=400, ops=1_200,
-        )
+        return run_sweep(rates=(0.0, 0.01), policies=("lru",), **SMALL)
 
     def test_grid_shape_and_durability(self):
         report = self.small_grid()
@@ -66,6 +62,9 @@ class TestReport:
         report = ChaosReport(cells=(bad,), seed=7)
         assert not report.ok
         assert report.failures == (bad,)
+        text = format_report(report)
+        assert text.splitlines()[-1] == "FAIL lru/ace@0.01: 1 lost"
+        assert "cells durable" not in text
 
     def test_error_cell_is_a_failure_even_without_loss(self):
         errored = ChaosCellResult(
@@ -85,3 +84,5 @@ class TestSmokeGrid:
         assert len(report.cells) == 8
         assert report.total_faults > 0
         assert report.total_lost == 0
+        assert report.corruption.ok
+        assert report.corruption.corruptions_injected > 0

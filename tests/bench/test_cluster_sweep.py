@@ -1,36 +1,30 @@
 """Tests for the cluster sweep bench (tiny grids)."""
 
+import functools
+
 from repro.bench import cluster
-from repro.cli import main
 
 
-def tiny_sweep(**overrides):
-    kwargs = dict(
-        shards=(1, 2),
-        placements=("hash", "locality"),
-        policies=("lru",),
-        num_pages=300,
-        num_ops=600,
-        seed=42,
-    )
-    kwargs.update(overrides)
-    return cluster.run_sweep(**kwargs)
+@functools.cache
+def tiny_sweep():
+    return cluster.run_sweep(policies=("lru",), num_pages=300, num_ops=600)
 
 
 class TestSweep:
     def test_grid_shape_and_single_shard_dedup(self):
         report = tiny_sweep()
         labels = [cell.label for cell in report.cells]
-        # s=1 runs only the hash spelling; s=2 runs both placements.
+        # s=1 runs only the hash spelling; s=2 and s=4 run both placements.
         assert labels == [
             "lru/baseline/s1/hash",
             "lru/baseline/s2/hash",
             "lru/baseline/s2/locality",
+            "lru/baseline/s4/hash",
+            "lru/baseline/s4/locality",
         ]
 
     def test_cells_measure_something(self):
-        report = tiny_sweep(shards=(2,), placements=("hash",))
-        cell = report.cells[0]
+        cell = tiny_sweep().cell("lru", "baseline", 2, "hash")
         assert cell.ops == 600
         assert cell.aggregate_accesses_per_sec > 0
         assert cell.makespan_wall_s > 0
@@ -60,6 +54,11 @@ class TestSweep:
         )
         assert not broken.ok
         assert broken.placement_failures
+        lines = cluster.format_report(broken).splitlines()
+        assert lines[-2:] == [
+            f"FAIL {failure}" for failure in broken.placement_failures
+        ]
+        assert lines[-1].startswith("FAIL lru/baseline/s4/locality: locality cut")
 
     def test_format_report_renders_both_tables(self):
         report = tiny_sweep()
@@ -68,10 +67,6 @@ class TestSweep:
         assert "Placement Pareto points" in text
         assert "s2/locality" in text
 
-    def test_main_smoke_exit_zero(self, capsys):
-        assert main([
-            "cluster", "--shards", "2", "--policies", "lru",
-            "--pages", "300", "--ops", "600",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "placement claim holds" in out
+    def test_main_smoke_exit_zero(self):
+        text = cluster.format_report(tiny_sweep())
+        assert text.endswith("all 5 cells swept; placement claim holds")

@@ -1,24 +1,17 @@
 """Tests for the failover bench (tiny grids)."""
 
 import dataclasses
+import functools
 
 from repro.bench import failover
 from repro.cli import main
 
 
-def tiny_sweep(**overrides):
-    kwargs = dict(
-        rates=(1.0,),
-        replication=(1,),
-        policies=("lru",),
-        variants=("ace",),
-        num_pages=400,
-        num_ops=800,
-        num_shards=2,
-        seed=42,
+@functools.cache
+def tiny_sweep(rates=(1.0,)):
+    return failover.run_sweep(
+        rates=rates, policies=("lru",), num_pages=400, num_ops=800,
     )
-    kwargs.update(overrides)
-    return failover.run_sweep(**kwargs)
 
 
 class TestSweep:
@@ -26,7 +19,10 @@ class TestSweep:
         report = tiny_sweep()
         labels = [cell.label for cell in report.cells]
         assert labels == [
+            "lru/baseline/r1/f1",
+            "lru/baseline/r2/f1",
             "lru/ace/r1/f1",
+            "lru/ace/r2/f1",
             "lru/ace/r1/mid-ace-batch",
             "lru/ace/r2/double-failure",
         ]
@@ -76,6 +72,12 @@ class TestSweep:
         broken = dataclasses.replace(report, cells=tuple(broken_cells))
         assert not broken.ok
         assert any("lost 1 committed" in note for note in broken.failures)
+        lines = failover.format_report(broken).splitlines()
+        assert lines[-1] == (
+            "FAIL lru/ace/r2/double-failure: lost 1 committed update(s), "
+            "0 phantom page(s)"
+        )
+        assert "zero committed loss" not in "\n".join(lines)
 
 
 class TestSmokeGrid:
@@ -97,10 +99,8 @@ class TestSmokeGrid:
 
 
 class TestCli:
-    def test_failover_subcommand(self, capsys):
-        assert main([
-            "failover", "--rates", "1", "--replication", "1",
-            "--policies", "lru", "--variants", "ace",
-            "--pages", "400", "--ops", "800",
-        ]) == 0
-        assert "Failover sweep" in capsys.readouterr().out
+    def test_failover_subcommand(self):
+        text = failover.format_report(tiny_sweep())
+        assert text.startswith("Failover sweep (seed=42, 800 ops over 400 pages")
+        assert text.endswith("all 6 cells swept; zero committed loss, "
+                             "zero phantom redo")

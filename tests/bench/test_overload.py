@@ -2,9 +2,12 @@
 
 import pytest
 
+import dataclasses
+
 from repro.bench.overload import (
     SMOKE_MULTIPLIERS,
     OverloadCell,
+    OverloadReport,
     _calibrate,
     format_report,
     make_overload_trace,
@@ -20,7 +23,7 @@ class TestSmokeGrid:
     @pytest.fixture(scope="class", autouse=True)
     def _report(self, request):
         # One deterministic grid for the six read-only checks below.
-        request.cls.report = smoke_grid(seed=7)
+        request.cls.report = smoke_grid()
 
     def test_report_passes(self):
         assert self.report.ok, "\n".join(self.report.failures)
@@ -41,7 +44,7 @@ class TestSmokeGrid:
 
     def test_degradation_is_graceful(self):
         for curve in self.report.curves:
-            assert curve.graceful(self.report.graceful_threshold), curve.label
+            assert curve.graceful, curve.label
 
     def test_breaker_ab_improves_p99(self):
         breaker = self.report.breaker
@@ -54,6 +57,21 @@ class TestSmokeGrid:
         text = format_report(self.report)
         assert "OVERLOAD OK" in text
         assert "breaker" in text.lower()
+
+    def test_a_cliff_is_a_failure(self):
+        curve = self.report.curves[0]
+        top = max(curve.cells, key=lambda cell: cell.multiplier)
+        cliff = dataclasses.replace(curve, cells=tuple(
+            dataclasses.replace(cell, goodput_per_s=0.0) if cell is top else cell
+            for cell in curve.cells
+        ))
+        report = OverloadReport(
+            curves=(cliff,), breaker=self.report.breaker, seed=7,
+        )
+        assert not report.ok
+        lines = format_report(report).splitlines()
+        assert lines[-1].startswith(f"OVERLOAD FAIL: cliff: {curve.label} goodput@max=0/s")
+        assert "OVERLOAD OK" not in lines
 
 
 class TestCellDeterminism:
@@ -86,8 +104,8 @@ class TestOverloadTrace:
 class TestCLI:
     def test_overload_subcommand_parses(self):
         parser = build_parser()
-        args = parser.parse_args(["overload", "--smoke", "--seed", "9"])
+        args = parser.parse_args(["overload", "--smoke"])
         assert args.command == "overload"
         assert args.smoke
-        assert args.seed == 9
-        assert args.policies == "lru"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["overload", "--seed", "9"])

@@ -1,36 +1,42 @@
 """Tests for the command-line interface."""
 
+import inspect
 import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.bench import chaos, cluster
+from repro.cli import _VERDICTS, build_parser, main
+from repro.errors import ClusterReplayError
+from repro.policies.registry import PAPER_POLICIES
+from repro.verify import check
 
-#: Every subcommand that takes ``--policies``.
-POLICY_LIST_COMMANDS = (
-    "compare", "check", "chaos", "crashpoints", "cluster", "failover", "overload",
-)
+#: The six verdict commands -> the only options each takes.
+VERDICT_OPTIONS = {
+    "check": set(),
+    "chaos": {"--smoke"},
+    "crashpoints": {"--smoke", "--max-points"},
+    "cluster": {"--smoke", "--workers"},
+    "failover": {"--smoke", "--workers"},
+    "overload": {"--smoke"},
+}
+
+#: A small grid for each verdict sweep that takes ``policies``.
+TINY = {
+    "check": dict(num_pages=200, ops=400),
+    "chaos": dict(rates=(0.0,), num_pages=400, ops=1_200),
+    "crashpoints": dict(num_pages=96, ops=160, max_points=4, max_redo_crashes=1),
+    "cluster": dict(num_pages=300, num_ops=600),
+    "failover": dict(rates=(0.0,), num_pages=400, num_ops=800),
+}
 
 
-#: ``(command, option, value, message)``: every list option but
-#: ``--policies``, each fed an empty list and an unknown or unparsable item.
-LIST_OPTION_CASES = [
-    ("chaos", "--variants", "", "--variants names no variant"),
-    ("chaos", "--variants", "bogus", "unknown variants: bogus"),
-    ("chaos", "--rates", "", "--rates names no rate"),
-    ("chaos", "--rates", "often", "unknown rates: often"),
-    ("crashpoints", "--variants", ",", "--variants names no variant"),
-    ("crashpoints", "--variants", "bogus", "unknown variants: bogus"),
-    ("cluster", "--shards", "", "--shards names no shard count"),
-    ("cluster", "--shards", "two", "unknown shards: two"),
-    ("cluster", "--placements", "", "--placements names no placement"),
-    ("cluster", "--placements", "bogus", "unknown placements: bogus"),
-    ("failover", "--variants", "", "--variants names no variant"),
-    ("failover", "--variants", "bogus", "unknown variants: bogus"),
-    ("failover", "--rates", "", "--rates names no rate"),
-    ("failover", "--replication", "", "--replication names no replication"),
-    ("failover", "--replication", "one", "unknown replication: one"),
-]
+def defaults(function) -> dict:
+    """``function``'s keyword defaults, by name."""
+    return {
+        name: parameter.default
+        for name, parameter in inspect.signature(function).parameters.items()
+    }
 
 
 class TestParser:
@@ -50,26 +56,46 @@ class TestParser:
             build_parser().parse_args(["run", "--policy", "nope"])
 
     def test_check_defaults(self):
-        args = build_parser().parse_args(["check"])
-        assert args.pages == 600
-        assert args.ops == 1500
-        assert "lru" in args.policies
+        assert defaults(check.run_sweep) == {
+            "policies": PAPER_POLICIES, "num_pages": 600, "ops": 1_500,
+            "seed": 42,
+        }
 
     def test_chaos_defaults(self):
-        args = build_parser().parse_args(["chaos"])
-        assert args.rates == "0,0.001,0.01"
-        assert args.policies == "lru,clock,cflru"
-        assert args.variants == "baseline,ace"
-        assert args.smoke is False
+        assert defaults(chaos.run_sweep) == {
+            "rates": (0.0, 0.001, 0.01), "policies": ("lru", "clock", "cflru"),
+            "num_pages": 2_000, "ops": 6_000, "seed": 7,
+        }
+        assert chaos.VARIANTS == ("baseline", "ace")
+        assert build_parser().parse_args(["chaos"]).smoke is False
 
     def test_cluster_defaults(self):
+        assert defaults(cluster.run_sweep) == {
+            "policies": ("lru", "clock", "cflru"), "num_pages": 20_000,
+            "num_ops": 30_000, "seed": 42, "workers": 1,
+        }
+        assert cluster.DEFAULT_SHARDS == (1, 2, 4)
+        assert cluster.DEFAULT_PLACEMENTS == ("hash", "locality")
+        assert cluster.VARIANT == "baseline"
         args = build_parser().parse_args(["cluster"])
-        assert args.shards == "1,2,4"
-        assert args.placements == "hash,locality"
-        assert args.policies == "lru,clock,cflru"
-        assert args.variant == "baseline"
-        assert args.workers == 1
-        assert args.smoke is False
+        assert (args.workers, args.smoke) == (1, False)
+
+    def test_verdict_commands_take_only_smoke_workers_and_max_points(self):
+        """A verdict command runs one fixed sweep: ``--smoke`` picks CI's
+        grid, ``--workers`` is a deployment setting, and ``--max-points``
+        bounds the crash points; the grid itself is no option."""
+        commands = build_parser()._subparsers._group_actions[0].choices
+        taken = {
+            name: {
+                flag
+                for action in commands[name]._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            }
+            for name in VERDICT_OPTIONS
+        }
+        assert taken == VERDICT_OPTIONS
+        assert sum(map(len, taken.values())) == 8
 
 
 class TestCommands:
@@ -153,41 +179,51 @@ class TestCommands:
         assert seen == ["1"]
         assert os.environ.get("REPRO_WORKERS") == before
 
-    def test_check_runs_sanitized_stacks(self, capsys):
-        code = main([
-            "check", "--policies", "lru,clock", "--pages", "200",
-            "--ops", "400",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
+    def test_check_runs_sanitized_stacks(self):
+        report = check.run_sweep(policies=("lru", "clock"), num_pages=200, ops=400)
+        assert report.ok
+        out = check.format_report(report)
         assert "ok   lru/baseline" in out
         assert "ok   clock/ace+pf" in out
         assert out.count("twin identical") == 6
-        assert "all 6 stacks clean" in out
+        assert out.endswith("all 6 stacks clean")
 
-    def test_check_unknown_policy_exits(self):
-        with pytest.raises(SystemExit, match="unknown policies"):
-            main(["check", "--policies", "nope"])
+    def test_check_names_a_failed_stack(self):
+        report = check.CheckReport((
+            check.StackCheck("lru/ace", 12),
+            check.StackCheck("lru/ace+pf", 0, "frame 3 is pinned and free"),
+        ))
+        assert not report.ok
+        assert check.format_report(report).splitlines()[1:] == [
+            "FAIL lru/ace+pf: frame 3 is pinned and free",
+            "1 stack(s) violated invariants or differed from their twin",
+        ]
 
-    @pytest.mark.parametrize("value", ["bogus", ","])
-    @pytest.mark.parametrize("command", POLICY_LIST_COMMANDS)
+    @pytest.mark.parametrize(
+        ("command", "value"),
+        [("compare", "bogus"), ("compare", ","), *(
+            (command, "bogus") for command in TINY
+        )],
+        ids=lambda value: value,
+    )
     def test_every_policy_list_is_checked(self, command, value):
-        """An unknown name or a list naming none exits with a message
-        before any work: no traceback, and no sweep passing vacuously."""
+        """``compare``'s ``--policies``: an unknown name or a list naming
+        none exits with a message before any work, no traceback and no
+        sweep passing vacuously.  A verdict sweep fed an unknown policy
+        raises or fails with the policy's name, never passes."""
+        if command != "compare":
+            module = _VERDICTS[command]
+            try:
+                report = module.run_sweep(policies=(value,), **TINY[command])
+            except (KeyError, ClusterReplayError) as exc:
+                assert "unknown policy 'bogus'" in str(exc)
+            else:
+                assert not report.ok
+                assert "unknown policy 'bogus'" in module.format_report(report)
+            return
         match = "unknown policies: bogus" if value == "bogus" else "names no policy"
         with pytest.raises(SystemExit, match=match):
             main([command, "--policies", value])
-
-    @pytest.mark.parametrize(
-        ("command", "option", "value", "match"), LIST_OPTION_CASES,
-        ids=[f"{case[0]}{case[1]}={case[2]}" for case in LIST_OPTION_CASES],
-    )
-    def test_every_list_option_is_checked(self, command, option, value, match):
-        """``--policies``'s check, for every other list option: an unknown
-        or unparsable item, or a list naming none, exits with a message
-        before any work."""
-        with pytest.raises(SystemExit, match=match):
-            main([command, option, value])
 
     def test_only_compare_and_experiment_take_workers(self):
         parser = build_parser()
@@ -206,32 +242,28 @@ class TestCommands:
                 "200", "--n-w", "0", "--workers", "1",
             ])
 
-    def test_chaos_small_sweep(self, capsys):
-        code = main([
-            "chaos", "--rates", "0,0.01", "--policies", "lru",
-            "--variants", "baseline,ace", "--pages", "400", "--ops", "1200",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
+    def test_chaos_small_sweep(self):
+        report = chaos.run_sweep(
+            rates=(0.0, 0.01), policies=("lru",), num_pages=400, ops=1_200,
+        )
+        assert report.ok
+        out = chaos.format_report(report)
         assert "Chaos sweep" in out
         assert "lru/ace@0.01" in out
-        assert "0 committed updates lost" in out
+        assert out.endswith("0 committed updates lost)")
 
     def test_chaos_smoke(self, capsys):
         assert main(["chaos", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "clock/ace@0.01" in out
 
-    def test_cluster_small_sweep(self, capsys):
-        code = main([
-            "cluster", "--shards", "2", "--policies", "lru",
-            "--pages", "400", "--ops", "800",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
+    def test_cluster_small_sweep(self):
+        report = cluster.run_sweep(policies=("lru",), num_pages=400, num_ops=800)
+        assert report.ok
+        out = cluster.format_report(report)
         assert "lru/baseline/s2/hash" in out
         assert "Placement Pareto points" in out
-        assert "placement claim holds" in out
+        assert out.endswith("all 5 cells swept; placement claim holds")
 
     def test_summary(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))

@@ -13,7 +13,9 @@ each tree (``tests/_source.py``):
   the definition in ``repro.cluster.engine``, not everything the package
   imports;
 * reaching a function or class reaches its module's top-level code (a
-  registry dict, a profile constant) and every name its own body uses.
+  registry dict, a profile constant) and every name its own body uses;
+* a module used as a value, not only as the base of an attribute (the
+  CLI's ``_VERDICTS`` table), reaches every public name it defines.
 
 The scope is modules and their module-level public functions and classes.
 A module or name the program does not reach is either deleted, with its
@@ -107,14 +109,23 @@ class Census:
         ]
         imports = imports.within(ast.Module(body=local, type_ignores=[]))
         own = self.defined.get(module, {})
+        bases = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
         found = set()
         for node in nodes:
             if isinstance(node, ast.Name) and node.id in own:
                 found.add(f"{module}.{node.id}")
             elif isinstance(node, (ast.Name, ast.Attribute)):
-                target = self.canonical(imports.resolve(node) or "")
+                dotted = imports.resolve(node) or ""
+                target = self.canonical(dotted)
                 if target is not None:
                     found.add(target)
+                if dotted in self.modules and id(node) not in bases:
+                    # A module passed around as a value (the CLI's table of
+                    # verdict modules) is used through any of its names.
+                    found |= {
+                        f"{dotted}.{name}" for name in self.defined[dotted]
+                        if not name.startswith("_")
+                    }
         return found
 
     def edges(self, key: str) -> set[str]:
@@ -286,3 +297,20 @@ def test_a_function_local_import_binds_only_there():
         "def second():\n    from pkg.b import report\n"
     ))
     assert toy.unreached(toy.reach(main)) == {"pkg.b"}
+
+
+def test_a_module_used_as_a_value_reaches_its_public_names():
+    """A table of modules is called through any of their names; an
+    attribute use reaches only the name it spells."""
+    package = _parse(
+        pkg="",
+        pkg__verdict="def run(): pass\ndef report(): pass\ndef _private(): pass\n",
+        pkg__other="def run(): pass\ndef report(): pass\n",
+    )
+    toy = Census(package)
+    main = _parse(main=(
+        "from pkg import verdict, other\n"
+        "TABLE = {'verdict': verdict}\n"
+        "other.run()\n"
+    ))
+    assert toy.unreached(toy.reach(main)) == {"pkg.other.report"}

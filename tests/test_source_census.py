@@ -285,9 +285,12 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
         "repro.errors", "repro.storage", "repro.policies", "repro.bufferpool",
         "repro.core", "repro.engine", "repro.workloads", "repro.faults",
     }),
+    # The verdict engines build stacks and render their reports with the
+    # bench helpers every other verdict uses.
     "repro.verify": frozenset({
         "repro.errors", "repro.storage", "repro.policies", "repro.bufferpool",
         "repro.core", "repro.engine", "repro.workloads", "repro.faults",
+        "repro.bench",
     }),
     "repro.bench": _ALL_CORE,
     "repro.cli": _ALL_CORE | {"repro.bench", "repro.verify"},

@@ -8,6 +8,8 @@ crash point recovers to exactly the committed state (including when
 recovery itself is re-crashed).
 """
 
+import functools
+
 import pytest
 
 from repro.bufferpool.wal import WalRecord, WalRecordKind
@@ -21,8 +23,12 @@ from repro.verify.crashpoints import (
     CrashSchedule,
     _ledger_from_records,
     _spread,
+    CrashConfigReport,
+    CrashPointOutcome,
+    CrashPointReport,
+    format_report,
     run_crashpoint_config,
-    run_crashpoints,
+    run_sweep,
 )
 
 from tests.bufferpool.conftest import TEST_PROFILE
@@ -152,6 +158,14 @@ class TestHelpers:
         assert "page 3" in error
 
 
+@functools.cache
+def tiny_sweep() -> CrashPointReport:
+    return run_sweep(
+        policies=("lru",), num_pages=96, ops=160, commit_every=16,
+        max_points=6, max_redo_crashes=1,
+    )
+
+
 class TestEngine:
     # Tiny but real sweeps: every enumerated point must recover to the
     # exact committed ledger, re-crashes included.
@@ -160,7 +174,6 @@ class TestEngine:
         return run_crashpoint_config(
             policy, variant, num_pages=96, ops=220, seed=seed,
             commit_every=16, max_points=10, max_redo_crashes=2,
-            profile=TEST_PROFILE,
         )
 
     def test_baseline_sweep_is_zero_loss(self):
@@ -196,29 +209,20 @@ class TestEngine:
         assert first == second
 
     def test_run_crashpoints_aggregates_cells(self):
-        report = run_crashpoints(
-            policies=("lru",), variants=("baseline", "ace"),
-            num_pages=96, ops=160, seed=7, commit_every=16,
-            max_points=6, max_redo_crashes=1, profile=TEST_PROFILE,
-        )
+        report = tiny_sweep()
         assert report.ok
-        assert [c.label for c in report.configs] == [
-            "lru/baseline", "lru/ace",
-        ]
         assert report.points_tested == sum(
             c.points_tested for c in report.configs
         )
+        assert report.redo_crashes_tested == sum(
+            c.redo_crashes_tested for c in report.configs
+        )
 
     def test_the_default_sweep_covers_the_three_variants(self):
-        """``ace+pf`` is crash-tested by default: its wide exchange's bulk
-        write-back and eviction and the Reader's batched install are the
-        code it adds at a write boundary."""
-        report = run_crashpoints(
-            policies=("lru",), num_pages=96, ops=160, seed=7,
-            commit_every=16, max_points=6, max_redo_crashes=1,
-            profile=TEST_PROFILE,
-        )
-        assert report.ok
+        """``ace+pf`` is crash-tested: its wide exchange's bulk write-back
+        and eviction and the Reader's batched install are the code it adds
+        at a write boundary."""
+        report = tiny_sweep()
         assert [c.label for c in report.configs] == [
             "lru/baseline", "lru/ace", "lru/ace+pf",
         ]
@@ -226,10 +230,25 @@ class TestEngine:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            run_crashpoint_config(
-                "lru", "turbo", num_pages=64, ops=10,
-                profile=TEST_PROFILE,
-            )
+            run_crashpoint_config("lru", "turbo", num_pages=64, ops=10)
+
+    def test_a_lost_update_fails_the_report(self):
+        lost = CrashPointOutcome(
+            point=CrashPoint(5, "data-write", 2), committed_updates=9,
+            lost_updates=1, phantom_pages=0, redo_writes=3,
+            redo_crashes_tested=1, redo_crashes_ok=1,
+        )
+        config = CrashConfigReport(
+            policy="lru", variant="ace", seed=7, boundaries=12,
+            points_enumerated=1, points_skipped=0, outcomes=(lost,),
+        )
+        report = CrashPointReport(configs=(config,), seed=7)
+        assert not report.ok
+        lines = format_report(report).splitlines()
+        assert lines[-1] == (
+            "FAIL lru/ace #5@data-write+2: 1 lost, 0 phantom, redo replays 1/1"
+        )
+        assert "crash-consistent" not in lines[-1]
 
 
 class TestCrashPointLabels:
@@ -239,27 +258,13 @@ class TestCrashPointLabels:
 
 
 class TestCli:
-    def test_cli_tiny_sweep_exits_zero(self, capsys):
-        from repro.cli import main
+    def test_cli_tiny_sweep_exits_zero(self):
+        text = format_report(tiny_sweep())
+        assert text.endswith("0 committed updates lost, 0 phantom pages)")
+        assert "lru/baseline" in text
 
-        code = main([
-            "crashpoints", "--policies", "lru", "--variants", "baseline",
-            "--pages", "96", "--ops", "160", "--max-points", "6",
-            "--max-redo-crashes", "1",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "lru/baseline" in out
-
-    def test_cli_default_variants_include_ace_pf(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "crashpoints", "--policies", "lru", "--pages", "96", "--ops", "160",
-            "--max-points", "4", "--max-redo-crashes", "1",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert [line.split()[1] for line in out.splitlines() if line[:3] == "ok "] == [
+    def test_cli_default_variants_include_ace_pf(self):
+        text = format_report(tiny_sweep())
+        assert [line.split()[1] for line in text.splitlines() if line[:3] == "ok "] == [
             "lru/baseline", "lru/ace", "lru/ace+pf",
         ]

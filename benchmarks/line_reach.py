@@ -7,7 +7,8 @@ process (two at a time), and unions the lines they ran:
 * every ``repro`` CLI command, as ``python -m repro`` runs it: ``run``
   for the paper's four policies x three variants, ``probe``, ``compare``,
   ``tpcc``, ``experiment``, ``summary``, ``check`` and the five other
-  verdict commands at ``--smoke``;
+  verdict commands at ``--smoke`` (their only other options are
+  ``--workers`` and ``crashpoints --max-points``);
 * the 24 benches, whose test functions are called with a stub
   ``benchmark`` whose ``pedantic`` calls the function;
 * the examples;
@@ -67,8 +68,10 @@ DICT = (
 )
 MULTI = "item 13 replaces it (ROADMAP 13)"
 SERVING = (
-    "the admission loop's closed loop, expiry, requeue, failure and commit "
-    "branches: `overload --smoke` serves open-loop on a bare stack, and "
+    "the admission loop's closed loop, expiry, requeue, failure, pressure "
+    "shedding and late completion: `overload --smoke` and `chaos --smoke`'s "
+    "served cell serve open-loop, no request misses its deadline there, and "
+    "the manager's retries absorb every injected fault; "
     "tests/engine/test_serving_goldens.py pins each branch"
 )
 BREAKER = (
@@ -76,8 +79,9 @@ BREAKER = (
     "a trip; the serving goldens and tests/engine/serving pin both"
 )
 CLI = (
-    "a `repro` option, full-size sweep or failure exit the traced "
-    "invocations do not take; tests/test_cli.py runs it"
+    "a `repro` option the traced invocations do not pass (`--alpha`, "
+    "`--read-fraction`, `probe --device`, `experiment --workers`, a "
+    "`--policies` item that does not parse); tests/test_cli.py runs it"
 )
 FAILURE = (
     "builds the report of a failed check (lost or phantom updates, a failed "
@@ -107,7 +111,6 @@ SHAPE = (
     "deadline, a cluster on an FTL device, a Reader that only trains, a "
     "flush of a whole WAL stack); tests build it"
 )
-SWEEP = "a cell shape the smoke sweeps do not run; tests/bench run it"
 WORKERS = (
     "the worker count when neither `--workers` nor `REPRO_WORKERS` names "
     "one; every traced pass sets `REPRO_WORKERS`"
@@ -154,33 +157,28 @@ KEPT = {
     "repro.engine.serving.layer:ServingLayer._fail": SERVING,
     "repro.engine.serving.layer:ServingLayer._promote_deferred": SERVING,
     "repro.engine.serving.layer:ServingLayer._requeue_or_fail": SERVING,
-    "repro.engine.serving.layer:ServingLayer.admit_trace": SERVING,
     "repro.engine.serving.layer:_is_permanent": SERVING,
     "repro.engine.serving.queue:AdmissionQueue.expire_due": SERVING,
     "repro.engine.serving.breaker:CircuitBreaker._close": BREAKER,
     "repro.engine.serving.breaker:CircuitBreaker._restore": BREAKER,
     "repro.engine.serving.breaker:CircuitBreaker.observe": BREAKER,
-    "repro.cli:_cmd_chaos": CLI,
-    "repro.cli:_cmd_check": CLI,
-    "repro.cli:_cmd_cluster": CLI,
-    "repro.cli:_cmd_crashpoints": CLI,
     "repro.cli:_cmd_experiment": CLI,
-    "repro.cli:_cmd_failover": CLI,
-    "repro.cli:_cmd_overload": CLI,
     "repro.cli:_cmd_probe": CLI,
     "repro.cli:_listed": CLI,
     "repro.cli:_resolve_device": CLI,
     "repro.cli:_resolve_workload": CLI,
-    "repro.cli:_variants": CLI,
+    "repro.bench.chaos:format_report": FAILURE,
     "repro.bench.cluster:ClusterSweepReport.placement_failures": FAILURE,
     "repro.bench.failover:FailoverSweepReport.failures": FAILURE,
     "repro.bench.overload:format_report": FAILURE,
     "repro.bench.parallel:run_grid": FAILURE,
-    "repro.bufferpool.recovery:_durable_version": FAILURE,
     "repro.bufferpool.recovery:audit_committed": FAILURE,
     "repro.errors:IOFaultError.__init__": FAILURE,
+    "repro.verify.check:_check_stack": FAILURE,
+    "repro.verify.check:format_report": FAILURE,
     "repro.verify.crashpoints:_ledger_from_records": FAILURE,
     "repro.verify.crashpoints:_test_point": FAILURE,
+    "repro.verify.crashpoints:format_report": FAILURE,
     "repro.bufferpool.manager:BufferPoolManager._clean_victim_fallback": FAULT,
     "repro.bufferpool.manager:BufferPoolManager._degraded_victim": FAULT,
     "repro.bufferpool.manager:BufferPoolManager._retry_write_back": FAULT,
@@ -211,7 +209,6 @@ KEPT = {
     "repro.engine.executor:_replay_turbo": SHAPE,
     "repro.storage.smart:SmartMonitor.snapshot": SHAPE,
     "repro.workloads.ycsb:generate_ycsb_trace.skewed_page": SHAPE,
-    "repro.bench.chaos:run_cell": SWEEP,
     "repro.bench.parallel:resolve_workers": WORKERS,
     "repro.cluster.engine:_execute_jobs": WORKERS,
     "repro.bench.runner:compare_policies": DEFAULT,
@@ -228,7 +225,6 @@ KEPT = {
     "repro.bench.summary:assemble_experiments_md": GUARD,
     "repro.bufferpool.background:Checkpointer.checkpoint": GUARD,
     "repro.bufferpool.manager:BufferPoolManager._write_back": GUARD,
-    "repro.bufferpool.recovery:_audits_clean": GUARD,
     "repro.bufferpool.repair:repair_page": GUARD,
     "repro.bufferpool.stats:BufferStats.hit_ratio": GUARD,
     "repro.bufferpool.stats:BufferStats.mean_writeback_batch": GUARD,

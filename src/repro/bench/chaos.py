@@ -405,11 +405,15 @@ def run_sweep(
 
 def smoke_grid() -> ChaosReport:
     """The CI smoke sweep: two rates, two policies, both variants, short
-    runs; plus the silent-corruption cell and the served cell."""
+    runs; plus the silent-corruption cell and the served cell (lru/ace at
+    rate 0.01 behind :data:`SMOKE_SERVING`)."""
     grid = run_sweep(
         rates=(0.0, 0.01), policies=("lru", "clock"), num_pages=800, ops=2_400,
     )
-    return replace(grid, corruption=run_corruption_cell())
+    served = run_cell(
+        "lru", "ace", 0.01, num_pages=800, ops=2_400, serving=SMOKE_SERVING,
+    )
+    return replace(grid, corruption=run_corruption_cell(), served=served)
 
 
 def format_report(report: ChaosReport) -> str:
@@ -451,6 +455,16 @@ def format_report(report: ChaosReport) -> str:
         )
         if not corruption.ok and corruption.error:
             lines.append(f"FAIL {corruption.label}: {corruption.error}")
+    served = report.served
+    if served is not None:
+        lines.append(
+            f"{'ok  ' if served.ok else 'FAIL'} {served.label} served: "
+            f"{served.shed} shed at admission, "
+            f"{served.committed_updates} committed updates, "
+            f"{served.lost_updates} lost"
+        )
+        if served.error:
+            lines.append(f"FAIL {served.label} served: {served.error}")
     if report.ok:
         lines.append(
             f"all {len(report.cells)} cells durable "

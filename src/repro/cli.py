@@ -39,7 +39,6 @@ from repro.engine.executor import ExecutionOptions, run_transactions
 from repro.engine.metrics import speedup
 from repro.policies.registry import PAPER_POLICIES, display_name
 from repro.storage.probe import probe_device
-from repro.verify import check, crashpoints
 from repro.storage.profiles import (
     OPTANE_SSD,
     PAPER_DEVICES,
@@ -49,6 +48,7 @@ from repro.storage.profiles import (
     DeviceProfile,
     emulated_profile,
 )
+from repro.verify import check, crashpoints
 from repro.workloads.synthetic import MS, MU, RIS, WIS, generate_trace, rw_ratio_spec
 from repro.workloads.tpcc.driver import TPCCWorkload
 

@@ -86,3 +86,26 @@ class TestSmokeGrid:
         assert report.total_lost == 0
         assert report.corruption.ok
         assert report.corruption.corruptions_injected > 0
+        # The served cell: admission sheds while faults fire and the run
+        # crashes, and no committed update is lost.
+        assert report.served.ok
+        assert report.served.shed > 0
+        assert report.served.committed_updates > 0
+        assert format_report(report).splitlines()[-2] == (
+            f"ok   lru/ace@0.01 served: {report.served.shed} shed at admission, "
+            f"{report.served.committed_updates} committed updates, 0 lost"
+        )
+
+    def test_a_lost_served_update_fails_the_report(self):
+        served = ChaosCellResult(
+            policy="lru", variant="ace", rate=0.01, ops_run=10,
+            committed_updates=5, lost_updates=2, faults_injected=2,
+            io_retries=0, degraded_writebacks=0, failed_writebacks=0,
+            checkpoints_skipped=0, redo_applied=5, redo_retries=0, shed=7,
+        )
+        report = ChaosReport(cells=(), seed=7, served=served)
+        assert not report.ok
+        assert format_report(report).splitlines()[-1] == (
+            "FAIL lru/ace@0.01 served: 7 shed at admission, "
+            "5 committed updates, 2 lost"
+        )

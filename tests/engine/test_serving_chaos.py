@@ -12,6 +12,7 @@ The two satellite guarantees under test:
 
 import pytest
 
+from repro.bench.chaos import SMOKE_SERVING as SHED_CONFIG
 from repro.bench.chaos import run_cell
 from repro.bench.runner import StackConfig, build_stack
 from repro.engine.executor import ExecutionOptions, run_trace
@@ -76,14 +77,6 @@ class TestBreakerDeterminism:
         # OPEN -> HALF_OPEN transition inside the run.
         assert serving.breaker_restores
         assert len(serving.breaker_trips) >= len(serving.breaker_recoveries)
-
-
-SHED_CONFIG = ServingConfig(
-    queue_capacity=16,
-    deadline_us=200_000.0,
-    shed_policy="drop-oldest",
-    arrival_interval_us=30.0,
-)
 
 
 class TestZeroCommittedLossUnderShedding:

@@ -53,14 +53,14 @@ class CheckReport:
         return not self.failures
 
 
-def _check_stack(config: StackConfig, trace, options) -> StackCheck:
+def _check_stack(config: StackConfig, trace) -> StackCheck:
     manager = build_stack(config)
     twin = build_stack(replace(config, sanitize=False))
     label = config.label
     try:
         replayed = [
             (
-                run_trace(stack, trace, options=options, label=label),
+                run_trace(stack, trace, options=config.options, label=label),
                 stack.resident_pages(),
                 stack.dirty_pages(),
             )
@@ -97,7 +97,7 @@ def run_sweep(
                 profile=PCIE_SSD, policy=policy, variant=variant,
                 num_pages=num_pages, sanitize=True, options=options,
             ),
-            trace, options,
+            trace,
         )
         for policy in policies
         for variant in VARIANTS

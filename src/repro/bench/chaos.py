@@ -65,8 +65,10 @@ DEFAULT_RATES = (0.0, 0.001, 0.01)
 DEFAULT_POLICIES = ("lru", "clock", "cflru")
 VARIANTS = ("baseline", "ace")
 
-#: Requests between commit points (WAL flushes) in every cell.
+#: Requests between commit points (WAL flushes) in every cell, and how
+#: far through its trace every cell loses power.
 COMMIT_EVERY = 64
+CRASH_FRACTION = 2 / 3
 
 #: The smoke grid's served cell: open-loop arrivals every 30 µs into a
 #: 16-deep queue, so admission sheds while faults fire and the run crashes.
@@ -158,8 +160,8 @@ def run_cell(
 
     The stack replays a write-heavy uniform trace (commit point — a WAL
     flush — every :data:`COMMIT_EVERY` requests) with the background writer
-    and checkpointer attached, then "loses power" two thirds of the way
-    through, recovers from the WAL, and compares every page's recovered
+    and checkpointer attached, then "loses power" :data:`CRASH_FRACTION`
+    of the way through, recovers from the WAL, and compares every page's recovered
     payload against the version it had at the last commit point.  Page
     payloads are monotone version counters, so an update is *lost* exactly
     when a page's durable version is below its committed version.
@@ -186,7 +188,7 @@ def run_cell(
     )
     manager = build_stack(config)
     trace = generate_trace(MU, num_pages, ops, seed=seed)
-    crash_at = max(COMMIT_EVERY, int(len(trace) * (2 / 3)))
+    crash_at = max(COMMIT_EVERY, int(len(trace) * CRASH_FRACTION))
     prefix = trace.slice(0, crash_at)
 
     # The durability ledger: page -> version at the last commit point.

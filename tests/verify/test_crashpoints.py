@@ -244,11 +244,11 @@ class TestEngine:
         )
         report = CrashPointReport(configs=(config,), seed=7)
         assert not report.ok
-        lines = format_report(report).splitlines()
-        assert lines[-1] == (
+        text = format_report(report)
+        assert text.splitlines()[-1] == (
             "FAIL lru/ace #5@data-write+2: 1 lost, 0 phantom, redo replays 1/1"
         )
-        assert "crash-consistent" not in lines[-1]
+        assert "crash-consistent" not in text
 
 
 class TestCrashPointLabels:

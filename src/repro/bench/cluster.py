@@ -48,8 +48,9 @@ from repro.workloads.synthetic import MS, generate_trace
 __all__ = [
     "ClusterCell",
     "ClusterSweepReport",
-    "DEFAULT_SHARDS",
     "DEFAULT_POLICIES",
+    "PLACEMENTS",
+    "SHARDS",
     "VARIANT",
     "run_cell",
     "run_sweep",
@@ -58,11 +59,12 @@ __all__ = [
     "format_wall",
 ]
 
-DEFAULT_SHARDS = (1, 2, 4)
 DEFAULT_POLICIES = ("lru", "clock", "cflru")
-DEFAULT_PLACEMENTS = ("hash", "locality")
 
-#: Every cell replays baseline stacks: placement, not ACE, is on trial.
+#: Every policy runs every shard count x placement on baseline stacks:
+#: placement, not ACE, is on trial.
+SHARDS = (1, 2, 4)
+PLACEMENTS = ("hash", "locality")
 VARIANT = "baseline"
 
 #: The shard count whose locality-vs-hash cut must improve *strictly*.
@@ -209,8 +211,8 @@ def run_sweep(
     graph = coaccess_from_trace(trace.pages, num_pages)
     cells = []
     for policy in policies:
-        for num_shards in DEFAULT_SHARDS:
-            for placement in DEFAULT_PLACEMENTS:
+        for num_shards in SHARDS:
+            for placement in PLACEMENTS:
                 if num_shards == 1 and placement != "hash":
                     continue  # one shard: every placement is identical
                 cell, _ = run_cell(

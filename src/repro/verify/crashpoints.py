@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
+from repro.bench.report import format_table
 from repro.bufferpool.manager import BufferPoolManager
 from repro.bufferpool.recovery import (
     audit_committed,
@@ -49,7 +50,6 @@ from repro.engine.executor import DurableRun
 from repro.errors import PowerFailure
 from repro.faults.device import FaultyDevice
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.bench.report import format_table
 from repro.policies.registry import PAPER_POLICIES
 from repro.storage.clock import VirtualClock
 from repro.storage.device import SimulatedSSD

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.runner import StackConfig, build_stack
+from repro.storage.clock import to_ticks
 from repro.storage.profiles import PCIE_SSD, emulated_profile
 from repro.workloads.trace import Trace
 
@@ -93,11 +94,9 @@ class TestMonotonicity:
             device = replay(build_stack(config), trace).device
             ticks[variant] = device.clock.ticks
             writes[variant] = device.stats.writes
+        single_write_ticks = to_ticks(device.model.write_batch_us(1))
         extra_pages = writes["ace"] - writes["baseline"]
-        assert (
-            ticks["ace"] - ticks["baseline"]
-            <= extra_pages * device._single_write_ticks
-        )
+        assert ticks["ace"] - ticks["baseline"] <= extra_pages * single_write_ticks
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -74,8 +74,8 @@ class TestParser:
             "policies": ("lru", "clock", "cflru"), "num_pages": 20_000,
             "num_ops": 30_000, "seed": 42, "workers": 1,
         }
-        assert cluster.DEFAULT_SHARDS == (1, 2, 4)
-        assert cluster.DEFAULT_PLACEMENTS == ("hash", "locality")
+        assert cluster.SHARDS == (1, 2, 4)
+        assert cluster.PLACEMENTS == ("hash", "locality")
         assert cluster.VARIANT == "baseline"
         args = build_parser().parse_args(["cluster"])
         assert (args.workers, args.smoke) == (1, False)

@@ -342,6 +342,18 @@ MUTANTS = (
         "if self._pending_records + total <= per_page:  # no page fills",
         ("tests/bufferpool/test_wal_batch.py",),
     ),
+    Mutant(
+        "wal-checksum-drops-the-kind", 51, WAL,
+        "(first_lsn, bytes(map(is_, kinds, repeat(_CHECKPOINT))), pages, payloads), 0\n",
+        "(first_lsn, pages, payloads), 0\n",
+        ("tests/bufferpool/test_wal_batch.py",),
+    ),
+    Mutant(
+        "wal-checksum-shares-by-identity", 51, WAL,
+        "(first_lsn, bytes(map(is_, kinds, repeat(_CHECKPOINT))), pages, payloads), 0\n",
+        "(first_lsn, bytes(map(is_, kinds, repeat(_CHECKPOINT))), pages, payloads)\n",
+        ("tests/bufferpool/test_wal_batch.py",),
+    ),
     # ------------------------------------------- devices and the router
     Mutant(
         "ftl-victim-by-max-rank", 25, "src/repro/storage/ftl.py",

@@ -31,13 +31,14 @@ Any other flush writes its page at once, after the deferred ones.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, attrgetter, floordiv, mod, sub
+from marshal import dumps
+from operator import add, floordiv, is_, mod, sub
 from typing import NamedTuple, NoReturn
+from zlib import crc32
 
 from repro.errors import PowerFailure
 from repro.storage.clock import VirtualClock
@@ -79,13 +80,19 @@ class WalRecordKind(Enum):
 
 
 _UPDATE, _CHECKPOINT = WalRecordKind.UPDATE, WalRecordKind.CHECKPOINT
-#: ``Enum.value`` minus its Python-level descriptor: checksums run in C.
-_kind_value = attrgetter("_value_")
 
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One log record: an update's redo image or a checkpoint marker."""
+    """One log record: an update's redo image or a checkpoint marker.
+
+    ``payload`` is the redo image, a value ``marshal`` encodes; what
+    reaches the log from the stack is an ``int`` page version, or ``None``
+    (a checkpoint marker, or an update without image).  The page checksum
+    covers it by value, so a payload ``marshal`` refuses (``object()``,
+    say) makes the flush of its page raise ``ValueError`` and leaves the
+    log as it was.
+    """
 
     lsn: int
     kind: WalRecordKind
@@ -94,10 +101,17 @@ class WalRecord:
 
 
 def _records_checksum(first_lsn: int, kinds, pages, payloads) -> int:
-    """CRC of the ``repr`` of a group's ``(lsn, kind.value, page, payload)``."""
-    return zlib.crc32(repr(tuple(zip(
-        count(first_lsn), map(_kind_value, kinds), pages, payloads
-    ))).encode())
+    """CRC of a group's values: ``marshal`` version 0 of ``(first_lsn, kind
+    flags, pages, payloads)``, with one flag byte per record (1 for a
+    checkpoint) and ``pages`` / ``payloads`` the tuples its image stores.
+
+    Version 0 writes values only: later versions share an object written
+    twice by identity and mark interned strings, so equal groups could
+    encode apart.  Types stay apart: ``None``, ``0``, ``False``, ``1``,
+    ``True`` and ``1.0`` encode differently."""
+    return crc32(dumps(
+        (first_lsn, bytes(map(is_, kinds, repeat(_CHECKPOINT))), pages, payloads), 0
+    ))
 
 
 def _checksum_column(firsts, kinds, pages, payloads) -> tuple[int, ...]:
@@ -107,9 +121,10 @@ def _checksum_column(firsts, kinds, pages, payloads) -> tuple[int, ...]:
     allocates ten slots and resizes, which leaves the freed tuple on the
     free list of its final size — a per-call drift that holds memory when
     the columns are short (a write-out's few groups)."""
-    return tuple(list(map(zlib.crc32, map(str.encode, map(repr, map(tuple, map(
-        zip, map(count, firsts), map(map, repeat(_kind_value), kinds), pages, payloads
-    )))))))
+    return tuple(list(map(crc32, map(dumps, zip(
+        firsts, map(bytes, map(map, repeat(is_), kinds, repeat(repeat(_CHECKPOINT)))),
+        pages, payloads,
+    ), repeat(0)))))
 
 
 class WalPageImage(NamedTuple):
@@ -424,10 +439,11 @@ class WriteAheadLog:
         ``SimulatedSSD.store_writes`` call, which keeps ``write_page``'s
         checks and adds its counters in bulk: the log and its device end
         as a ``write_page`` per flush leaves them.  The columns are lists,
-        not tuples, for the reason :func:`_checksum_column` gives.
+        not tuples, for the reason :func:`_checksum_column` gives.  The
+        checksums come first: a payload they cannot encode raises before
+        :attr:`unwritten` or ``pages_written`` changes.
         """
         groups = self.unwritten
-        self.unwritten = []
         bounds = list(accumulate(
             groups, initial=len(self._kinds) - self._pending_records - sum(groups)
         ))
@@ -436,14 +452,15 @@ class WriteAheadLog:
         kinds = list(map(tuple, map(self._kinds.__getitem__, spans)))
         pages = list(map(tuple, map(self._pages.__getitem__, spans)))
         payloads = list(map(tuple, map(self._payloads.__getitem__, spans)))
+        checksums = _checksum_column(firsts, kinds, pages, payloads)
+        self.unwritten = []
         written = self.pages_written
         self.pages_written = written + len(groups)
         # ``tuple.__new__`` builds the named tuples without their Python ``__new__``.
         self.device.store_writes(
             list(map(mod, range(written, self.pages_written), repeat(_WAL_PAGES))),
             list(map(tuple.__new__, repeat(WalPageImage), zip(
-                firsts, kinds, pages, payloads, groups,
-                _checksum_column(firsts, kinds, pages, payloads),
+                firsts, kinds, pages, payloads, groups, checksums
             ))),
         )
 

@@ -50,6 +50,7 @@ from repro.engine.fanout import JobFailure, fan_out
 from repro.engine.metrics import RunMetrics
 from repro.errors import ClusterReplayError, NodeFailure
 from repro.faults.nodes import NodeFaultPlan
+from repro.policies.registry import policy_factory
 from repro.storage.clock import VirtualClock
 from repro.storage.device import DeviceStats, SimulatedSSD
 from repro.storage.ftl import FtlCounters
@@ -131,6 +132,9 @@ class ClusterConfig:
     capture_promotion_images: bool = False
 
     def __post_init__(self) -> None:
+        # Names every shard would fail on alike fail here, before a shard
+        # runs: a retry under ``fan_out`` cannot mend them.
+        policy_factory(self.policy)
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"

@@ -20,6 +20,7 @@ from repro.policies.lru_wsr import LRUWSRPolicy
 __all__ = [
     "PAPER_POLICIES",
     "make_policy",
+    "policy_factory",
     "register_policy",
 ]
 
@@ -44,18 +45,23 @@ DISPLAY_NAMES = {
 PAPER_POLICIES = ("clock", "lru", "cflru", "lru_wsr")
 
 
+def policy_factory(name: str) -> PolicyFactory:
+    """The factory registered under ``name``; a ``KeyError`` naming it and
+    the known policies if there is none."""
+    try:
+        return _FACTORIES[name]
+    except KeyError:
+        known = ", ".join(sorted(_FACTORIES))
+        raise KeyError(f"unknown policy {name!r}; known policies: {known}") from None
+
+
 def make_policy(name: str, capacity: int) -> ReplacementPolicy:
     """Instantiate the policy registered under ``name``.
 
     ``capacity`` is the bufferpool size in pages; policies that size
     internal structures relative to the pool use it.
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FACTORIES))
-        raise KeyError(f"unknown policy {name!r}; known policies: {known}") from None
-    return factory(capacity)
+    return policy_factory(name)(capacity)
 
 
 def register_policy(name: str, factory: PolicyFactory, display: str | None = None) -> None:

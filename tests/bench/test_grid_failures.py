@@ -1,10 +1,12 @@
 """Tests for run_grid's retry-and-report failure handling (GridFailure)."""
 
+import functools
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.bench import cluster, failover
 from repro.bench.parallel import (
     MAX_JOB_ATTEMPTS,
     GridFailure,
@@ -13,6 +15,7 @@ from repro.bench.parallel import (
     run_grid,
 )
 from repro.bench.runner import StackConfig
+from repro.cluster import engine as cluster_engine
 from repro.engine import fanout
 from repro.engine.metrics import RunMetrics
 from repro.workloads.synthetic import MS
@@ -141,3 +144,24 @@ class TestEdgeCases:
         failure = results[0]
         assert isinstance(failure, GridFailure)
         assert failure.label == "no-such-policy/baseline"
+
+
+class TestClusterConfigErrors:
+    """An unknown policy fails every shard alike, so it is no shard failure
+    to retry: the cluster sweeps raise its ``KeyError`` before a shard runs."""
+
+    @pytest.mark.parametrize("sweep", (
+        functools.partial(failover.run_sweep, rates=(0.0,)),
+        cluster.run_sweep,
+    ), ids=("failover", "cluster"))
+    def test_unknown_policy_raises_before_any_shard_attempt(self, monkeypatch, sweep):
+        attempted = []
+
+        def recording(worker, jobs, *args, **kwargs):
+            attempted.extend(jobs)
+            return fanout.fan_out(worker, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(cluster_engine, "fan_out", recording)
+        with pytest.raises(KeyError, match="bogus"):
+            sweep(policies=("bogus",), num_pages=400, num_ops=800)
+        assert attempted == []

@@ -11,7 +11,6 @@ next ``write_out``) must leave what ``log_update`` per record with a
 """
 
 import dataclasses
-import zlib
 
 import pytest
 
@@ -237,18 +236,72 @@ def test_a_tear_mid_batch_leaves_the_same_durable_prefix(tear):
     assert batched.verify_durable_records() == stepped.verify_durable_records()
 
 
+def same(a, b):
+    """Equal in value and in type: ``1``, ``True`` and ``1.0`` differ."""
+    return type(a) is type(b) and a == b
+
+
+def group_checksum(first_lsn, records):
+    """``_records_checksum`` of ``(kind, page, payload)`` records, as the
+    tuple columns a page image stores."""
+    kinds, pages, payloads = map(tuple, zip(*records))
+    return _records_checksum(first_lsn, kinds, pages, payloads)
+
+
 def test_checksum_is_the_crc_of_the_value_tuples():
-    """The stored CRC covers ``(lsn, kind.value, page, payload)`` per
-    record — spelled here the way it was first written."""
+    """The stored CRC is a function of the group's values alone.  Groups
+    equal in value but built from distinct objects check the same (an
+    encoding that shares objects by identity or marks interned strings
+    would not), and changing any one field of any record — its LSN, kind,
+    page or payload, down to ``1`` / ``True`` / ``1.0`` and ``None`` /
+    ``0`` — changes it."""
+    update, checkpoint = WalRecordKind.UPDATE, WalRecordKind.CHECKPOINT
+    big, text = 10**30, "text"
+    shared = ((update, 7, big), (update, 9, big), (update, 4, text))
+    rebuilt = ((update, 7, big), (update, 9, int(str(big))),
+               (update, 4, "".join(["te", "xt"])))
+    assert rebuilt[1][2] is not big and rebuilt[2][2] is not text
+    assert group_checksum(1, shared) == group_checksum(1, rebuilt)
+
     group = (
-        WalRecord(1, WalRecordKind.UPDATE, 7, 3),
-        WalRecord(2, WalRecordKind.UPDATE, 9, ("tuple", 1.5)),
-        WalRecord(3, WalRecordKind.UPDATE, 4, None),
-        WalRecord(4, WalRecordKind.CHECKPOINT),
+        (update, 7, 3),
+        (update, 9, ("tuple", 1.5)),
+        (update, 4, None),
+        (update, 5, text),
+        (update, 0, 1),
+        (checkpoint, None, None),
     )
-    for records in (group, group[:1], ()):
-        columns = [[getattr(r, field) for r in records]
-                   for field in ("kind", "page", "payload")]
-        assert _records_checksum(1, *columns) == zlib.crc32(repr(tuple(
-            (r.lsn, r.kind.value, r.page, r.payload) for r in records
-        )).encode())
+    base = group_checksum(1, group)
+    assert group_checksum(2, group) != base  # every record's LSN moves
+    near = (None, 0, False, 1, True, 1.0, 0.0, "1", (1,), 3)
+    for index, (kind, page, payload) in enumerate(group):
+        other_kind = checkpoint if kind is update else update
+        variants = [(other_kind, page, payload)]
+        variants += [(kind, value, payload) for value in near if not same(value, page)]
+        variants += [(kind, page, value) for value in near if not same(value, payload)]
+        for record in variants:
+            changed = (*group[:index], record, *group[index + 1:])
+            assert group_checksum(1, changed) != base, (index, record)
+
+
+def test_an_unencodable_payload_fails_the_flush_and_leaves_the_log_whole():
+    """``marshal`` refuses ``object()``: the flush raises before it writes
+    the page, so ``durable_lsn``, ``pages_written`` and the device are as
+    they were, and so is a deferred write-out that holds it."""
+    wal = WriteAheadLog(VirtualClock())
+    wal.log_update(3, 1)
+    wal.flush()
+    wal.log_update(4, object())
+    before = physical_state(wal)
+    with pytest.raises(ValueError):
+        wal.flush()
+    assert physical_state(wal) == before
+    assert (wal.durable_lsn, wal.pages_written) == (1, 1)
+
+    deferred = WriteAheadLog(VirtualClock(), records_per_page=2)
+    deferred.append_deferred([3, 4, 5], [1, object(), 2], cuts=(3,))
+    waiting, before = list(deferred.unwritten), physical_state(deferred)
+    with pytest.raises(ValueError):
+        deferred.write_out()
+    assert deferred.unwritten == waiting == [2, 1]
+    assert physical_state(deferred) == before
